@@ -494,15 +494,13 @@ CostModel::evaluatePhase(const LayerShape &layer, Phase phase,
     const double dwords =
         dramWords(layer, phase, profile, batch, measured);
     cost.dramCycles = dwords / cfg_.dramWordsPerCycle();
-    cost.cycles = opts_.dramBound
-                      ? std::max(cost.computeCycles, cost.dramCycles)
-                      : cost.computeCycles;
     // Refill mirror of the cycle simulator's DRAM front end: the same
     // words at an explicit bandwidth, double-buffered against compute
     // so only the excess extends the phase.
-    if (opts_.dramRefillWordsPerCycle > 0.0)
-        cost.cycles = std::max(cost.cycles,
-                               dwords / opts_.dramRefillWordsPerCycle);
+    cost.cycles = opts_.dramRefillWordsPerCycle > 0.0
+                      ? std::max(cost.computeCycles,
+                                 dwords / opts_.dramRefillWordsPerCycle)
+                      : cost.computeCycles;
     // Shard-interconnect bound: the allreduce of this layer's measured
     // gradient-exchange bytes streams at interconnectWordsPerCycle,
     // overlapped with the weight-update compute window (the exchange

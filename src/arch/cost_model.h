@@ -70,22 +70,16 @@ struct CostOptions
     bool ideal = false;
 
     /**
-     * When true, a layer's latency is bounded below by its DRAM
-     * traffic over the 64-bit interface. Default false: double
-     * buffering is assumed to overlap DRAM with compute (Timeloop's
-     * usual reporting); DRAM traffic always counts towards energy.
-     */
-    bool dramBound = false;
-
-    /**
      * Overlap-aware DRAM->GLB refill mirror of the cycle simulator's
      * SimConfig::dramWordsPerCycle front end: when positive, a phase's
      * latency is bounded below by its DRAM word traffic streamed at
      * this rate (cycles = max(cycles, dram_words / rate)) — refill
      * fully double-buffered against compute, only the excess exposed.
-     * Like dramBound but at an explicit bandwidth, so the analytic
-     * model and a refill-charging simulation stay comparable.
-     * Non-positive (default) disables the bound.
+     * At ArrayConfig::dramWordsPerCycle() this bounds latency by the
+     * DRAM traffic over the 64-bit interface. Non-positive (default)
+     * disables the bound: double buffering is assumed to overlap DRAM
+     * with compute (Timeloop's usual reporting); DRAM traffic always
+     * counts towards energy.
      */
     double dramRefillWordsPerCycle = -1.0;
 

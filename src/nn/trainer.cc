@@ -1,72 +1,125 @@
 #include "nn/trainer.h"
 
+#include <algorithm>
+
+#include "common/logging.h"
+
 namespace procrustes {
 namespace nn {
+
+void
+checkTrainConfig(const TrainConfig &cfg, const Dataset &train)
+{
+    PROCRUSTES_ASSERT(cfg.batchSize > 0, "batch size must be positive");
+    PROCRUSTES_ASSERT(train.size() > 0, "empty training set");
+}
+
+BatchResult
+forwardBackward(Network &net, const Dataset &data,
+                const std::vector<int64_t> &order, int64_t begin,
+                int64_t end)
+{
+    const std::vector<int64_t> idx(order.begin() + begin,
+                                   order.begin() + end);
+    const Tensor x = data.batch(idx);
+    const auto y = data.batchLabels(idx);
+
+    SoftmaxCrossEntropy loss;
+    net.zeroGrad();
+    const Tensor logits = net.forward(x, /*training=*/true);
+    BatchResult r;
+    r.loss = loss.forward(logits, y);
+    r.accuracy = loss.accuracy();
+    r.samples = end - begin;
+    net.backward(loss.backward());
+    return r;
+}
+
+void
+accumulate(TrainCursor *cursor, const BatchResult &batch)
+{
+    cursor->lossSum += batch.loss * static_cast<double>(batch.samples);
+    cursor->accSum += batch.accuracy * static_cast<double>(batch.samples);
+    cursor->samples += batch.samples;
+}
+
+std::vector<LayerStepReport>
+collectStepReports(Network &net)
+{
+    std::vector<LayerStepReport> reports;
+    for (size_t li = 0; li < net.size(); ++li) {
+        LayerStepReport r;
+        if (net.layer(li)->stepReport(&r))
+            reports.push_back(std::move(r));
+    }
+    return reports;
+}
+
+EpochStats
+closeEpoch(Network &net, const Dataset &val, TrainCursor *cursor)
+{
+    const double samples = static_cast<double>(cursor->samples);
+    EpochStats st;
+    st.epoch = cursor->epoch;
+    st.trainLoss = cursor->samples ? cursor->lossSum / samples : 0.0;
+    st.trainAccuracy = cursor->samples ? cursor->accSum / samples : 0.0;
+    st.valAccuracy = evaluateAccuracy(net, val);
+    st.weightSparsity = weightSparsity(net);
+    *cursor = TrainCursor{cursor->epoch + 1, 0, cursor->globalStep};
+    return st;
+}
+
+Trainer::Trainer(Network &net, Optimizer &opt, const Dataset &train,
+                 const Dataset &val, const TrainConfig &cfg)
+    : net_(net), opt_(opt), train_(train), val_(val), cfg_(cfg),
+      params_(net.params())
+{
+    checkTrainConfig(cfg, train);
+}
+
+bool
+Trainer::step(StepTelemetry *t, bool with_reports)
+{
+    if (orderEpoch_ != cursor_.epoch) {
+        order_ = epochOrder(train_.size(), cfg_.shuffleSeed, cursor_.epoch);
+        orderEpoch_ = cursor_.epoch;
+    }
+    const int64_t start = cursor_.stepInEpoch * cfg_.batchSize;
+    PROCRUSTES_ASSERT(start < train_.size(),
+                      "training cursor past end of epoch");
+    const int64_t end = std::min(start + cfg_.batchSize, train_.size());
+
+    const BatchResult batch = forwardBackward(net_, train_, order_, start, end);
+    accumulate(&cursor_, batch);
+    opt_.step(params_);
+
+    if (t) {
+        t->epoch = cursor_.epoch;
+        t->step = cursor_.globalStep;
+        t->batchSize = batch.samples;
+        t->batchLoss = batch.loss;
+        t->reports = with_reports ? collectStepReports(net_)
+                                  : std::vector<LayerStepReport>();
+    }
+    ++cursor_.globalStep;
+    ++cursor_.stepInEpoch;
+    return end == train_.size();
+}
 
 std::vector<EpochStats>
 trainNetwork(Network &net, Optimizer &opt, const Dataset &train,
              const Dataset &val, const TrainConfig &cfg,
              const StepObserver &observer)
 {
-    SoftmaxCrossEntropy loss;
+    Trainer trainer(net, opt, train, val, cfg);
     std::vector<EpochStats> history;
-    const auto params = net.params();
-    int64_t global_step = 0;
-
-    for (int64_t epoch = 0; epoch < cfg.epochs; ++epoch) {
-        const auto order =
-            epochOrder(train.size(), cfg.shuffleSeed, epoch);
-        // Sample-weighted sums: the last batch of an epoch may be
-        // ragged (train.size() % batchSize != 0) and must count in
-        // proportion to its size, matching evaluateAccuracy.
-        double loss_sum = 0.0;
-        double acc_sum = 0.0;
-        int64_t samples = 0;
-
-        for (int64_t start = 0; start < train.size();
-             start += cfg.batchSize) {
-            const int64_t end =
-                std::min(start + cfg.batchSize, train.size());
-            const int64_t n = end - start;
-            std::vector<int64_t> idx(order.begin() + start,
-                                     order.begin() + end);
-            const Tensor x = train.batch(idx);
-            const auto y = train.batchLabels(idx);
-
-            net.zeroGrad();
-            const Tensor logits = net.forward(x, /*training=*/true);
-            const double batch_loss = loss.forward(logits, y);
-            loss_sum += batch_loss * static_cast<double>(n);
-            acc_sum += loss.accuracy() * static_cast<double>(n);
-            net.backward(loss.backward());
-            opt.step(params);
-
-            if (observer) {
-                StepTelemetry t;
-                t.epoch = epoch;
-                t.step = global_step;
-                t.batchSize = n;
-                t.batchLoss = batch_loss;
-                for (size_t li = 0; li < net.size(); ++li) {
-                    LayerStepReport r;
-                    if (net.layer(li)->stepReport(&r))
-                        t.reports.push_back(std::move(r));
-                }
-                observer(t);
-            }
-            ++global_step;
-            samples += n;
-        }
-
-        EpochStats st;
-        st.epoch = epoch;
-        st.trainLoss =
-            samples ? loss_sum / static_cast<double>(samples) : 0.0;
-        st.trainAccuracy =
-            samples ? acc_sum / static_cast<double>(samples) : 0.0;
-        st.valAccuracy = evaluateAccuracy(net, val);
-        st.weightSparsity = weightSparsity(net);
-        history.push_back(st);
+    StepTelemetry t;
+    while (!trainer.finished()) {
+        const bool last = trainer.step(observer ? &t : nullptr);
+        if (observer)
+            observer(t);
+        if (last)
+            history.push_back(trainer.closeEpoch());
     }
     return history;
 }

@@ -1,6 +1,8 @@
 /**
  * @file
- * Minibatch training loop with per-epoch validation.
+ * The training step, written once: a cursor-based Trainer, the pieces
+ * it is built from (which the scale-out shard engine reuses around its
+ * slice loop), and trainNetwork, a loop over it.
  */
 
 #ifndef PROCRUSTES_NN_TRAINER_H_
@@ -8,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "nn/data.h"
@@ -41,6 +44,12 @@ struct StepTelemetry
  */
 using StepObserver = std::function<void(const StepTelemetry &)>;
 
+/** Builds a network (must be deterministic). */
+using NetworkBuilder = std::function<void(Network &)>;
+
+/** Creates an optimizer (must be deterministic). */
+using OptimizerFactory = std::function<std::unique_ptr<Optimizer>()>;
+
 /** One epoch's summary statistics. */
 struct EpochStats
 {
@@ -57,6 +66,91 @@ struct TrainConfig
     int64_t epochs = 10;
     int64_t batchSize = 16;
     uint64_t shuffleSeed = 7;
+};
+
+/**
+ * Where a training run is in its sample stream, plus the running
+ * accumulators of the open epoch. `stepInEpoch` counts completed
+ * optimizer steps within `epoch`; the next batch starts at sample
+ * offset stepInEpoch * batchSize of epochOrder(n, seed, epoch).
+ */
+struct TrainCursor
+{
+    int64_t epoch = 0;
+    int64_t stepInEpoch = 0;
+    int64_t globalStep = 0;
+    double lossSum = 0.0;  //!< open-epoch sums, see accumulate()
+    double accSum = 0.0;
+    int64_t samples = 0;
+};
+
+/** Loss, accuracy and size of one forward/backward pass. */
+struct BatchResult
+{
+    double loss = 0.0;      //!< mean cross-entropy over the batch
+    double accuracy = 0.0;  //!< top-1 accuracy over the batch
+    int64_t samples = 0;
+};
+
+/** Abort unless the batch size is positive and `train` non-empty. */
+void checkTrainConfig(const TrainConfig &cfg, const Dataset &train);
+
+/**
+ * Gather samples order[begin, end) of `data`, zero the gradients, and
+ * run forward (training mode), softmax cross-entropy and backward. The
+ * optimizer step is the caller's.
+ */
+BatchResult forwardBackward(Network &net, const Dataset &data,
+                            const std::vector<int64_t> &order,
+                            int64_t begin, int64_t end);
+
+/** Add a pass to the cursor's sums, weighted by its sample count (a
+    ragged last batch counts in proportion, as in evaluateAccuracy). */
+void accumulate(TrainCursor *cursor, const BatchResult &batch);
+
+/** The step reports of every reporting layer, in layer order. */
+std::vector<LayerStepReport> collectStepReports(Network &net);
+
+/** The EpochStats of the cursor's epoch (train means from its sums,
+    validation accuracy and sparsity of `net`); the cursor moves on to
+    the next epoch. */
+EpochStats closeEpoch(Network &net, const Dataset &val,
+                      TrainCursor *cursor);
+
+/** A training run of borrowed (net, opt, train, val), advanced one
+    optimizer step at a time. */
+class Trainer
+{
+  public:
+    Trainer(Network &net, Optimizer &opt, const Dataset &train,
+            const Dataset &val, const TrainConfig &cfg);
+
+    /**
+     * One optimizer step on the cursor's next batch. A non-null `t`
+     * receives the step's telemetry, with the layer reports only when
+     * `with_reports`. Returns true when the batch was its epoch's
+     * last; call closeEpoch() before stepping on.
+     */
+    bool step(StepTelemetry *t = nullptr, bool with_reports = true);
+
+    EpochStats closeEpoch() { return nn::closeEpoch(net_, val_, &cursor_); }
+
+    bool finished() const { return cursor_.epoch >= cfg_.epochs; }
+    const TrainCursor &cursor() const { return cursor_; }
+
+    /** Continue from `cursor`, e.g. one restored from a checkpoint. */
+    void setCursor(const TrainCursor &cursor) { cursor_ = cursor; }
+
+  private:
+    Network &net_;
+    Optimizer &opt_;
+    const Dataset &train_;
+    const Dataset &val_;
+    TrainConfig cfg_;
+    std::vector<Param *> params_;
+    TrainCursor cursor_;
+    std::vector<int64_t> order_;  //!< epochOrder of orderEpoch_
+    int64_t orderEpoch_ = -1;
 };
 
 /**

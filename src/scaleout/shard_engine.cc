@@ -5,20 +5,18 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
-#include "nn/loss.h"
 
 namespace procrustes {
 namespace scaleout {
 
 namespace {
 
-/** One shard: replica network, optimizer, params, loss scratch. */
+/** One shard: replica network, optimizer, params. */
 struct Replica
 {
     nn::Network net;
     std::unique_ptr<nn::Optimizer> opt;
     std::vector<nn::Param *> params;
-    nn::SoftmaxCrossEntropy loss;
 };
 
 /** Bitwise compare every replica's parameter values to replica 0. */
@@ -65,13 +63,13 @@ weightedAccum(std::vector<double> *acc, const std::vector<double> &v,
  * vectors concatenate in slice order (slices are contiguous in the
  * global batch), sparseExecuted ANDs. The base keeps its own mask and
  * weight-byte fields — they were sampled after the optimizer step,
- * matching nn::trainNetwork's convention.
+ * as nn::StepTelemetry specifies.
  */
 void
 mergeSliceReports(
     std::vector<nn::LayerStepReport> *reports,
     const std::vector<std::vector<nn::LayerStepReport>> &slice_reports,
-    const std::vector<int64_t> &slice_n, int64_t batch)
+    const std::vector<nn::BatchResult> &slices, int64_t batch)
 {
     for (size_t ri = 0; ri < reports->size(); ++ri) {
         nn::LayerStepReport &out = (*reports)[ri];
@@ -91,7 +89,7 @@ mergeSliceReports(
             const nn::LayerStepReport &r = slice_reports[s][ri];
             PROCRUSTES_ASSERT(r.layerName == out.layerName,
                               "report order changed across slices");
-            const double w = static_cast<double>(slice_n[s]) /
+            const double w = static_cast<double>(slices[s].samples) /
                              static_cast<double>(batch);
             out.fwMacs += r.fwMacs;
             out.bwDataMacs += r.bwDataMacs;
@@ -155,12 +153,10 @@ trainSharded(const NetworkBuilder &build,
              const nn::Dataset &val, const ShardTrainConfig &cfg,
              const nn::StepObserver &observer)
 {
+    nn::checkTrainConfig(cfg, train);
     PROCRUSTES_ASSERT(cfg.shards >= 1, "need at least one shard");
-    PROCRUSTES_ASSERT(cfg.batchSize >= 1,
-                      "batch size must be positive");
     PROCRUSTES_ASSERT(cfg.sliceSamples >= 1,
                       "slice size must be positive");
-    PROCRUSTES_ASSERT(train.size() > 0, "empty training set");
 
     const int M = cfg.shards;
     std::vector<std::unique_ptr<Replica>> reps;
@@ -176,14 +172,11 @@ trainSharded(const NetworkBuilder &build,
     assertReplicasIdentical(reps, "after build");
 
     ShardTrainResult result;
-    int64_t global_step = 0;
+    nn::TrainCursor cursor;
 
-    for (int64_t epoch = 0; epoch < cfg.epochs; ++epoch) {
+    while (cursor.epoch < cfg.epochs) {
         const auto order =
-            nn::epochOrder(train.size(), cfg.shuffleSeed, epoch);
-        double loss_sum = 0.0;
-        double acc_sum = 0.0;
-        int64_t samples = 0;
+            nn::epochOrder(train.size(), cfg.shuffleSeed, cursor.epoch);
         ShardExchangeStats ex_epoch;
 
         for (int64_t start = 0; start < train.size();
@@ -220,12 +213,8 @@ trainSharded(const NetworkBuilder &build,
             std::vector<std::vector<std::vector<float>>> partials(np);
             for (size_t pi = 0; pi < np; ++pi)
                 partials[pi].resize(static_cast<size_t>(slices));
-            std::vector<double> slice_loss(
-                static_cast<size_t>(slices), 0.0);
-            std::vector<double> slice_acc(
-                static_cast<size_t>(slices), 0.0);
-            std::vector<int64_t> slice_n(
-                static_cast<size_t>(slices), 0);
+            std::vector<nn::BatchResult> slice(
+                static_cast<size_t>(slices));
             std::vector<std::vector<nn::LayerStepReport>>
                 slice_reports(observer ? static_cast<size_t>(slices)
                                        : 0);
@@ -241,18 +230,9 @@ trainSharded(const NetworkBuilder &build,
                     const int64_t s0 = start + s * cfg.sliceSamples;
                     const int64_t s1 =
                         std::min(s0 + cfg.sliceSamples, end);
-                    std::vector<int64_t> idx(order.begin() + s0,
-                                             order.begin() + s1);
-                    const Tensor x = train.batch(idx);
-                    const auto y = train.batchLabels(idx);
-                    rep.net.zeroGrad();
-                    const Tensor logits =
-                        rep.net.forward(x, /*training=*/true);
                     const size_t su = static_cast<size_t>(s);
-                    slice_loss[su] = rep.loss.forward(logits, y);
-                    slice_acc[su] = rep.loss.accuracy();
-                    slice_n[su] = s1 - s0;
-                    rep.net.backward(rep.loss.backward());
+                    slice[su] =
+                        nn::forwardBackward(rep.net, train, order, s0, s1);
                     for (size_t pi = 0; pi < np; ++pi) {
                         std::vector<float> &pk = partials[pi][su];
                         pk.resize(static_cast<size_t>(nnz[pi]));
@@ -262,15 +242,8 @@ trainSharded(const NetworkBuilder &build,
                         sparse::gatherLive(g.data(), live[pi],
                                            pk.data());
                     }
-                    if (observer) {
-                        auto &out = slice_reports[su];
-                        for (size_t li = 0; li < rep.net.size();
-                             ++li) {
-                            nn::LayerStepReport r;
-                            if (rep.net.layer(li)->stepReport(&r))
-                                out.push_back(std::move(r));
-                        }
-                    }
+                    if (observer)
+                        slice_reports[su] = nn::collectStepReports(rep.net);
                 }
             };
             if (M == 1) {
@@ -290,10 +263,9 @@ trainSharded(const NetworkBuilder &build,
             // Global-mean weighting: the per-slice loss gradient is a
             // slice mean (1/n_s), so scale by n_s/n before the fold.
             std::vector<float> weights(static_cast<size_t>(slices));
-            for (int64_t s = 0; s < slices; ++s)
-                weights[static_cast<size_t>(s)] =
-                    static_cast<float>(slice_n[static_cast<size_t>(s)]) /
-                    static_cast<float>(n);
+            for (size_t s = 0; s < slice.size(); ++s)
+                weights[s] = static_cast<float>(slice[s].samples) /
+                             static_cast<float>(n);
 
             // Reduce-to-root + broadcast traffic: the root (shard 0)
             // already holds its own slices, and with M == 1 nothing
@@ -316,9 +288,7 @@ trainSharded(const NetworkBuilder &build,
                 vols[pi] = sparse::allreduceVolume(
                     nnz[pi], reps[0]->params[pi]->value.numel(),
                     gather_msgs, bcast_msgs);
-                ex_epoch.compressedBytes += vols[pi].compressedBytes;
-                ex_epoch.denseBytes += vols[pi].denseBytes;
-                ex_epoch.messages += vols[pi].messages;
+                ex_epoch += vols[pi];
             }
 
             // Every replica applies the identical reduced gradient,
@@ -327,57 +297,36 @@ trainSharded(const NetworkBuilder &build,
                 reps[static_cast<size_t>(m)]->opt->step(
                     reps[static_cast<size_t>(m)]->params);
 
-            // Same expression shape as trainNetwork's accumulation so
-            // the compiler contracts (or not) identically and the
-            // one-shard single-slice trajectory stays bitwise equal to
-            // the plain trainer's.
-            for (int64_t s = 0; s < slices; ++s) {
-                const size_t su = static_cast<size_t>(s);
-                loss_sum += slice_loss[su] *
-                            static_cast<double>(slice_n[su]);
-                acc_sum += slice_acc[su] *
-                           static_cast<double>(slice_n[su]);
+            // Slices fold into the epoch sums in global slice order;
+            // the batch's own sums give a multi-slice batch's loss (a
+            // single slice reports its loss as is, as Trainer does).
+            nn::TrainCursor batch_sums;
+            for (const nn::BatchResult &b : slice) {
+                nn::accumulate(&cursor, b);
+                nn::accumulate(&batch_sums, b);
             }
-            samples += n;
 
             if (observer) {
                 nn::StepTelemetry t;
-                t.epoch = epoch;
-                t.step = global_step;
+                t.epoch = cursor.epoch;
+                t.step = cursor.globalStep;
                 t.batchSize = n;
-                double batch_loss = 0.0;
-                for (int64_t s = 0; s < slices; ++s) {
-                    const size_t su = static_cast<size_t>(s);
-                    batch_loss += slice_loss[su] *
-                                  static_cast<double>(slice_n[su]);
-                }
-                t.batchLoss =
-                    slices == 1 ? slice_loss[0]
-                                : batch_loss / static_cast<double>(n);
-                for (size_t li = 0; li < reps[0]->net.size(); ++li) {
-                    nn::LayerStepReport r;
-                    if (reps[0]->net.layer(li)->stepReport(&r))
-                        t.reports.push_back(std::move(r));
-                }
-                mergeSliceReports(&t.reports, slice_reports, slice_n,
-                                  n);
+                t.batchLoss = slices == 1 ? slice[0].loss
+                                          : batch_sums.lossSum /
+                                                static_cast<double>(n);
+                t.reports = nn::collectStepReports(reps[0]->net);
+                mergeSliceReports(&t.reports, slice_reports, slice, n);
                 annotateExchange(&t.reports, reps[0]->params, vols);
                 observer(t);
             }
-            ++global_step;
+            ++cursor.globalStep;
+            ++cursor.stepInEpoch;
         }
 
         assertReplicasIdentical(reps, "after epoch");
 
         ShardEpochStats es;
-        es.stats.epoch = epoch;
-        es.stats.trainLoss =
-            samples ? loss_sum / static_cast<double>(samples) : 0.0;
-        es.stats.trainAccuracy =
-            samples ? acc_sum / static_cast<double>(samples) : 0.0;
-        es.stats.valAccuracy =
-            nn::evaluateAccuracy(reps[0]->net, val);
-        es.stats.weightSparsity = nn::weightSparsity(reps[0]->net);
+        es.stats = nn::closeEpoch(reps[0]->net, val, &cursor);
         es.exchange = ex_epoch;
         result.history.push_back(es);
     }

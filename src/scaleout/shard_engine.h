@@ -46,8 +46,6 @@
 #define PROCRUSTES_SCALEOUT_SHARD_ENGINE_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "nn/trainer.h"
@@ -56,16 +54,12 @@
 namespace procrustes {
 namespace scaleout {
 
-/** Scale-out training configuration. */
-struct ShardTrainConfig
+/** Scale-out training configuration; batchSize is the global,
+    optimizer-visible batch. */
+struct ShardTrainConfig : nn::TrainConfig
 {
     /** Shard (replica) count M. */
     int shards = 1;
-
-    int64_t epochs = 10;
-
-    /** Global batch size — the optimizer-visible batch. */
-    int64_t batchSize = 16;
 
     /**
      * Grad-slice size: the fixed gradient-accumulation granularity.
@@ -76,23 +70,13 @@ struct ShardTrainConfig
      * one-shard run bitwise identical to nn::trainNetwork.
      */
     int64_t sliceSamples = 4;
-
-    uint64_t shuffleSeed = 7;
 };
 
-/** Builds one shard's network replica (must be deterministic). */
-using NetworkBuilder = std::function<void(nn::Network &)>;
-
-/** Creates one shard's optimizer (must be deterministic). */
-using OptimizerFactory = std::function<std::unique_ptr<nn::Optimizer>()>;
+using nn::NetworkBuilder;
+using nn::OptimizerFactory;
 
 /** Measured exchange wire traffic, summed over one epoch's steps. */
-struct ShardExchangeStats
-{
-    int64_t compressedBytes = 0;  //!< mask-live packed fp32 payloads
-    int64_t denseBytes = 0;       //!< dense twin, same message counts
-    int64_t messages = 0;
-};
+using ShardExchangeStats = sparse::ExchangeVolume;
 
 /** One epoch of sharded training. */
 struct ShardEpochStats

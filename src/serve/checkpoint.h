@@ -34,6 +34,7 @@
 
 #include "nn/network.h"
 #include "nn/sgd.h"
+#include "nn/trainer.h"
 
 namespace procrustes {
 namespace serve {
@@ -44,24 +45,8 @@ constexpr uint32_t kCheckpointMagic = 0x50434b50u;
 /** Bump on any layout change; restore rejects other versions. */
 constexpr uint32_t kCheckpointVersion = 1;
 
-/**
- * Where a training run is in its sample stream, plus the running
- * accumulators of the open epoch. `stepInEpoch` counts completed
- * optimizer steps within `epoch`; the next batch starts at sample
- * offset stepInEpoch * batchSize of epochOrder(n, seed, epoch).
- */
-struct TrainCursor
-{
-    int64_t epoch = 0;
-    int64_t stepInEpoch = 0;
-    int64_t globalStep = 0;
-    /** @name Open-epoch accumulators (trainer.cc expression state). */
-    /**@{*/
-    double lossSum = 0.0;
-    double accSum = 0.0;
-    int64_t samples = 0;
-    /**@}*/
-};
+/** The cursor a snapshot records (nn/trainer.h). */
+using nn::TrainCursor;
 
 /**
  * Serialize the full training state of (net, opt) at `cursor` into a

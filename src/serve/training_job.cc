@@ -1,7 +1,5 @@
 #include "serve/training_job.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace procrustes {
@@ -10,15 +8,14 @@ namespace serve {
 TrainingJob::TrainingJob(const JobConfig &cfg, const NetworkBuilder &build,
                          const OptimizerFactory &make_opt,
                          const nn::Dataset *train, const nn::Dataset *val)
-    : cfg_(cfg), train_(train), val_(val)
+    : cfg_(cfg)
 {
     PROCRUSTES_ASSERT(train && val, "job datasets must be non-null");
-    PROCRUSTES_ASSERT(cfg.epochs > 0 && cfg.batchSize > 0,
-                      "job epochs and batch size must be positive");
     build(net_);
     opt_ = make_opt();
     PROCRUSTES_ASSERT(opt_ != nullptr, "optimizer factory returned null");
-    params_ = net_.params();
+    trainer_ =
+        std::make_unique<nn::Trainer>(net_, *opt_, *train, *val, cfg);
 }
 
 bool
@@ -26,89 +23,22 @@ TrainingJob::step()
 {
     PROCRUSTES_ASSERT(!finished(), "step() on a finished job");
 
-    if (orderEpoch_ != cursor_.epoch) {
-        order_ = nn::epochOrder(train_->size(), cfg_.shuffleSeed,
-                                cursor_.epoch);
-        orderEpoch_ = cursor_.epoch;
-    }
-
-    const int64_t start = cursor_.stepInEpoch * cfg_.batchSize;
-    PROCRUSTES_ASSERT(start < train_->size(),
-                      "training cursor past end of epoch");
-    const int64_t end =
-        std::min(start + cfg_.batchSize, train_->size());
-    const int64_t n = end - start;
-    std::vector<int64_t> idx(order_.begin() + start,
-                             order_.begin() + end);
-    const Tensor x = train_->batch(idx);
-    const auto y = train_->batchLabels(idx);
-
-    // The exact expression sequence of nn::trainNetwork — reduction
-    // order and accumulator shapes are load-bearing for the bitwise
-    // job == trainNetwork equivalence.
-    net_.zeroGrad();
-    const Tensor logits = net_.forward(x, /*training=*/true);
-    const double batch_loss = loss_.forward(logits, y);
-    cursor_.lossSum += batch_loss * static_cast<double>(n);
-    cursor_.accSum += loss_.accuracy() * static_cast<double>(n);
-    net_.backward(loss_.backward());
-    opt_->step(params_);
-
-    if (observer_ || stats_) {
-        nn::StepTelemetry t;
-        t.epoch = cursor_.epoch;
-        t.step = cursor_.globalStep;
-        t.batchSize = n;
-        t.batchLoss = batch_loss;
-        if (observer_) {
-            // Telemetry reports cost O(activations); gather them only
-            // for a full observer, not for the JSONL step line.
-            for (size_t li = 0; li < net_.size(); ++li) {
-                nn::LayerStepReport r;
-                if (net_.layer(li)->stepReport(&r))
-                    t.reports.push_back(std::move(r));
-            }
-            observer_(t);
-        }
-        if (stats_)
-            stats_->writeStep(cfg_.name, t);
-    }
-
-    ++cursor_.globalStep;
-    ++cursor_.stepInEpoch;
-    cursor_.samples += n;
-
-    if (end >= train_->size()) {
-        closeEpoch();
-        return true;
-    }
-    return false;
-}
-
-void
-TrainingJob::closeEpoch()
-{
-    nn::EpochStats st;
-    st.epoch = cursor_.epoch;
-    st.trainLoss = cursor_.samples
-                       ? cursor_.lossSum /
-                             static_cast<double>(cursor_.samples)
-                       : 0.0;
-    st.trainAccuracy = cursor_.samples
-                           ? cursor_.accSum /
-                                 static_cast<double>(cursor_.samples)
-                           : 0.0;
-    st.valAccuracy = nn::evaluateAccuracy(net_, *val_);
-    st.weightSparsity = nn::weightSparsity(net_);
-    history_.push_back(st);
+    // Telemetry reports cost O(activations); gather them only for a
+    // full observer, not for the JSONL step line.
+    nn::StepTelemetry t;
+    const bool last = trainer_->step(observer_ || stats_ ? &t : nullptr,
+                                     static_cast<bool>(observer_));
+    if (observer_)
+        observer_(t);
     if (stats_)
-        stats_->writeEpoch(cfg_.name, st);
+        stats_->writeStep(cfg_.name, t);
+    if (!last)
+        return false;
 
-    ++cursor_.epoch;
-    cursor_.stepInEpoch = 0;
-    cursor_.lossSum = 0.0;
-    cursor_.accSum = 0.0;
-    cursor_.samples = 0;
+    history_.push_back(trainer_->closeEpoch());
+    if (stats_)
+        stats_->writeEpoch(cfg_.name, history_.back());
+    return true;
 }
 
 void
@@ -128,19 +58,16 @@ TrainingJob::run()
 std::vector<uint8_t>
 TrainingJob::checkpoint()
 {
-    return snapshotTrainingState(net_, *opt_, cursor_);
+    return snapshotTrainingState(net_, *opt_, trainer_->cursor());
 }
 
 void
 TrainingJob::restore(const std::vector<uint8_t> &blob)
 {
-    cursor_ = restoreTrainingState(blob, net_, *opt_);
-    // params() hands out fresh Param pointers only when layers change,
-    // but restore replaced Tensor values, not Params — the cached
-    // pointer list stays valid. The shuffle cache does not: force a
-    // re-derive for the restored epoch.
-    orderEpoch_ = -1;
-    order_.clear();
+    // restore replaces Tensor values, not Params, so the trainer's
+    // cached parameter list stays valid; its shuffle cache is keyed by
+    // epoch and epochOrder is pure, so it stays valid too.
+    trainer_->setCursor(restoreTrainingState(blob, net_, *opt_));
 }
 
 void

@@ -3,25 +3,19 @@
  * A resumable training job: the unit the multi-tenant service runs.
  *
  * TrainingJob owns a network replica, an optimizer, a pruning/update
- * schedule (whatever the optimizer implements), references to its
- * datasets, and a TrainCursor into the shuffled sample stream. It
- * advances one optimizer step at a time, with the step expression
- * sequence mirroring nn::trainNetwork exactly — same reduction order,
- * same sample-weighted accumulators — so a job trained to completion
- * is bitwise identical to a trainNetwork run with the same seeds, and
- * a job checkpointed at any step and restored into a fresh engine
- * continues bitwise-identically.
- *
- * Resume needs no stored permutation: epochOrder(n, seed, epoch) is a
- * pure function, so the cursor's (epoch, stepInEpoch) pair locates
- * the next batch mid-stream.
+ * schedule (whatever the optimizer implements) and references to its
+ * datasets, and drives them with an nn::Trainer — the step
+ * nn::trainNetwork loops over — so a job trained to completion is
+ * bitwise identical to a trainNetwork run with the same seeds. The
+ * trainer's cursor is the checkpointed position: a job checkpointed at
+ * any step and restored into a fresh engine continues
+ * bitwise-identically.
  */
 
 #ifndef PROCRUSTES_SERVE_TRAINING_JOB_H_
 #define PROCRUSTES_SERVE_TRAINING_JOB_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,19 +27,13 @@
 namespace procrustes {
 namespace serve {
 
-/** Builds a job's network (must be deterministic). */
-using NetworkBuilder = std::function<void(nn::Network &)>;
+using nn::NetworkBuilder;
+using nn::OptimizerFactory;
 
-/** Creates a job's optimizer (must be deterministic). */
-using OptimizerFactory = std::function<std::unique_ptr<nn::Optimizer>()>;
-
-/** Per-job training configuration (mirrors nn::TrainConfig). */
-struct JobConfig
+/** Per-job training configuration: the run's plus the job's name. */
+struct JobConfig : nn::TrainConfig
 {
     std::string name = "job";
-    int64_t epochs = 10;
-    int64_t batchSize = 16;
-    uint64_t shuffleSeed = 7;
 };
 
 /**
@@ -63,6 +51,10 @@ class TrainingJob
                 const OptimizerFactory &make_opt,
                 const nn::Dataset *train, const nn::Dataset *val);
 
+    // The trainer holds references into this object.
+    TrainingJob(const TrainingJob &) = delete;
+    TrainingJob &operator=(const TrainingJob &) = delete;
+
     /**
      * Run one optimizer step. Returns true when the step closed an
      * epoch (validation ran and an EpochStats was appended). Must not
@@ -76,9 +68,9 @@ class TrainingJob
     /** Run to completion. */
     void run();
 
-    bool finished() const { return cursor_.epoch >= cfg_.epochs; }
-    int64_t epochsCompleted() const { return cursor_.epoch; }
-    int64_t globalStep() const { return cursor_.globalStep; }
+    bool finished() const { return trainer_->finished(); }
+    int64_t epochsCompleted() const { return trainer_->cursor().epoch; }
+    int64_t globalStep() const { return trainer_->cursor().globalStep; }
     const JobConfig &config() const { return cfg_; }
     const std::vector<nn::EpochStats> &history() const { return history_; }
     nn::Network &network() { return net_; }
@@ -102,22 +94,13 @@ class TrainingJob
     void setStatsWriter(StatsWriter *stats) { stats_ = stats; }
 
   private:
-    void closeEpoch();
-
     JobConfig cfg_;
     nn::Network net_;
     std::unique_ptr<nn::Optimizer> opt_;
-    const nn::Dataset *train_;
-    const nn::Dataset *val_;
-    nn::SoftmaxCrossEntropy loss_;
-    std::vector<nn::Param *> params_;
-    TrainCursor cursor_;
+    std::unique_ptr<nn::Trainer> trainer_;
     std::vector<nn::EpochStats> history_;
     nn::StepObserver observer_;
     StatsWriter *stats_ = nullptr;
-    /** Cached epochOrder for orderEpoch_; rebuilt lazily on demand. */
-    std::vector<int64_t> order_;
-    int64_t orderEpoch_ = -1;
 };
 
 } // namespace serve

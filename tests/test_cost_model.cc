@@ -269,12 +269,14 @@ TEST(CostModel, WaveStatsOverheadZeroWhenDense)
 TEST(CostModel, CyclesBoundedByDramWhenTrafficDominates)
 {
     // An fc layer at batch 1 moves many weights per MAC-cycle: with
-    // dramBound enabled the memory interface limits the layer.
+    // refill bounded at the 64-bit interface rate the memory
+    // interface limits the layer.
     const LayerShape l = fcLayer("fc", 4096, 4096);
     const auto dense = LayerSparsityProfile::uniform(1.0, 0.5);
     CostOptions o;
     o.sparse = false;
-    o.dramBound = true;
+    o.dramRefillWordsPerCycle =
+        ArrayConfig::baseline16().dramWordsPerCycle();
     const CostModel m(ArrayConfig::baseline16(), o);
     const PhaseCost pc =
         m.evaluatePhase(l, Phase::Forward, MappingKind::KN, dense, 1);

@@ -174,6 +174,30 @@ TEST(Training, DeterministicGivenSeeds)
     EXPECT_DOUBLE_EQ(run(), run());
 }
 
+TEST(TrainingDeath, NonPositiveBatchSizeOrEmptySetIsRejected)
+{
+    SpiralConfig data_cfg;
+    data_cfg.samplesPerClass = 4;
+    const Dataset train = makeSpirals(data_cfg);
+    Network net;
+    buildSpiralMlp(net, 5);
+    Sgd opt(0.05f);
+    TrainConfig tc;
+    tc.epochs = 1;
+    for (const int64_t batch : {int64_t{0}, int64_t{-1}}) {
+        tc.batchSize = batch;
+        EXPECT_DEATH(trainNetwork(net, opt, train, train, tc),
+                     "batch size must be positive")
+            << "batch size " << batch;
+    }
+    Dataset empty = train;
+    empty.images = Tensor(Shape{0, 2});
+    empty.labels.clear();
+    tc.batchSize = 16;
+    EXPECT_DEATH(trainNetwork(net, opt, empty, train, tc),
+                 "empty training set");
+}
+
 TEST(Training, SparsityReportedForDenseNetIsZero)
 {
     Network net;

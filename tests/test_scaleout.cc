@@ -19,6 +19,7 @@
 #include "arch/workload_trace.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "expect_telemetry.h"
 #include "nn/activations.h"
 #include "nn/data.h"
 #include "nn/linear.h"
@@ -218,8 +219,10 @@ TEST(Scaleout, SingleShardOneSlicePerBatchMatchesPlainTrainer)
     nn::TrainConfig tc;
     tc.epochs = 3;
     tc.batchSize = 16;
-    const auto ref_hist = nn::trainNetwork(ref, ref_opt, splits.first,
-                                           splits.second, tc);
+    std::vector<nn::StepTelemetry> ref_telemetry;
+    const auto ref_hist = nn::trainNetwork(
+        ref, ref_opt, splits.first, splits.second, tc,
+        [&](const nn::StepTelemetry &t) { ref_telemetry.push_back(t); });
 
     // Engine with one shard and one slice per global batch: the fold
     // degenerates to the identity, so everything is bitwise equal.
@@ -228,6 +231,7 @@ TEST(Scaleout, SingleShardOneSlicePerBatchMatchesPlainTrainer)
     cfg.epochs = 3;
     cfg.batchSize = 16;
     cfg.sliceSamples = 16;
+    std::vector<nn::StepTelemetry> sharded_telemetry;
     const auto sharded = scaleout::trainSharded(
         [](Network &net) { buildShardMlp(net, 11); },
         [] {
@@ -235,7 +239,10 @@ TEST(Scaleout, SingleShardOneSlicePerBatchMatchesPlainTrainer)
                 sparse::GradualMagnitudePruningOptimizer>(
                 shardPruning());
         },
-        splits.first, splits.second, cfg);
+        splits.first, splits.second, cfg,
+        [&](const nn::StepTelemetry &t) {
+            sharded_telemetry.push_back(t);
+        });
 
     const auto ref_params = ref.params();
     ASSERT_EQ(sharded.finalWeights.size(), ref_params.size());
@@ -252,6 +259,8 @@ TEST(Scaleout, SingleShardOneSlicePerBatchMatchesPlainTrainer)
     for (size_t e = 0; e < ref_hist.size(); ++e) {
         EXPECT_EQ(sharded.history[e].stats.trainLoss,
                   ref_hist[e].trainLoss);
+        EXPECT_EQ(sharded.history[e].stats.trainAccuracy,
+                  ref_hist[e].trainAccuracy);
         EXPECT_EQ(sharded.history[e].stats.valAccuracy,
                   ref_hist[e].valAccuracy);
         EXPECT_EQ(sharded.history[e].stats.weightSparsity,
@@ -260,6 +269,8 @@ TEST(Scaleout, SingleShardOneSlicePerBatchMatchesPlainTrainer)
         EXPECT_EQ(sharded.history[e].exchange.compressedBytes, 0);
         EXPECT_EQ(sharded.history[e].exchange.messages, 0);
     }
+    expectTelemetryEqual(sharded_telemetry, ref_telemetry,
+                         "shard1-vs-trainer");
 }
 
 TEST(Scaleout, ShardSweepBitwiseDeterminismAcrossThreadCounts)

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "expect_telemetry.h"
 #include "common/thread_pool.h"
 #include "nn/activations.h"
 #include "nn/data.h"
@@ -167,18 +168,22 @@ TEST(TrainingJob, MatchesPlainTrainerBitwise)
     tc.epochs = 3;
     tc.batchSize = 16;
     std::vector<double> ref_losses;
+    std::vector<nn::StepTelemetry> ref_telemetry;
     const auto ref_hist = nn::trainNetwork(
         ref, ref_opt, splits.first, splits.second, tc,
         [&](const nn::StepTelemetry &t) {
             ref_losses.push_back(t.batchLoss);
+            ref_telemetry.push_back(t);
         });
 
     auto job = makeSweepJob(splits.first, splits.second);
     std::vector<double> job_losses;
     std::vector<int64_t> job_steps;
+    std::vector<nn::StepTelemetry> job_telemetry;
     job->setObserver([&](const nn::StepTelemetry &t) {
         job_losses.push_back(t.batchLoss);
         job_steps.push_back(t.step);
+        job_telemetry.push_back(t);
     });
     job->run();
 
@@ -189,6 +194,7 @@ TEST(TrainingJob, MatchesPlainTrainerBitwise)
         ASSERT_EQ(job_steps[i], static_cast<int64_t>(i));
     }
     expectHistoryEqual(job->history(), ref_hist, "job-vs-trainer");
+    expectTelemetryEqual(job_telemetry, ref_telemetry, "job-vs-trainer");
 
     const auto ref_params = ref.params();
     const auto jw = copyWeights(job->network());
