@@ -9,47 +9,6 @@
 namespace procrustes {
 namespace arch {
 
-int64_t
-weightTileChunk(const ArrayConfig &cfg, const LayerShape &layer,
-                int64_t ext, int64_t array_dim)
-{
-    const int64_t rf_weight_words = (cfg.rfBytesPerPe / 4) * 3 / 4;
-    const int64_t by_rf =
-        std::max<int64_t>(1, rf_weight_words / (layer.R * layer.S));
-    const int64_t by_need = ceilDiv(ext, array_dim);
-    return std::min(by_rf, by_need);
-}
-
-std::vector<std::vector<ChunkTileRef>>
-weightChunkWaves(const ArrayConfig &cfg, const LayerShape &layer,
-                 int64_t ext0, int64_t ext1)
-{
-    const int64_t a0 = cfg.rows;
-    const int64_t a1 = cfg.cols;
-    const int64_t g = weightTileChunk(cfg, layer, ext1, a1);
-    const int64_t stride1 = a1 * g;
-
-    std::vector<std::vector<ChunkTileRef>> waves;
-    for (int64_t b0 = 0; b0 < ext0; b0 += a0) {
-        const int64_t n0 = std::min(a0, ext0 - b0);
-        for (int64_t b1 = 0; b1 < ext1; b1 += stride1) {
-            std::vector<ChunkTileRef> tiles;
-            for (int64_t i = 0; i < n0; ++i) {
-                for (int64_t j = 0; j < a1; ++j) {
-                    const int64_t base = b1 + j * g;
-                    if (base >= ext1)
-                        break;
-                    tiles.push_back(ChunkTileRef{
-                        b0 + i, base, std::min(g, ext1 - base)});
-                }
-            }
-            if (!tiles.empty())
-                waves.push_back(std::move(tiles));
-        }
-    }
-    return waves;
-}
-
 PhaseCost &
 PhaseCost::operator+=(const PhaseCost &o)
 {
@@ -76,77 +35,19 @@ CostModel::effectiveDensity(Phase phase,
                : profile.iactDensity();
 }
 
-double
-CostModel::sliceDensity(const LayerSparsityProfile &profile, Operand op,
-                        Dim d, int64_t idx) const
+WaveStats
+reduceWave(const std::vector<TileHalves> &tiles, BalanceMode balance,
+           bool cheap_ok)
 {
-    if (op == Operand::Weights) {
-        if (d == Dim::K)
-            return profile.kDensity(idx);
-        if (d == Dim::C)
-            return profile.cDensity(idx);
-        PANIC("weights sliced along a non-weight dim");
-    }
-    if (d == Dim::N)
-        return profile.iactSampleDensity(idx);
-    if (d == Dim::C)
-        return profile.iactChannelDensity(idx);
-    PANIC("iacts sliced along an unsupported dim");
-}
-
-TileHalves
-CostModel::sliceHalves(const LayerSparsityProfile &profile, Operand op,
-                       Dim d, int64_t idx) const
-{
-    TileHalves h;
-    if (op == Operand::Weights) {
-        if (d == Dim::K) {
-            h.first = profile.kHalfDensity(idx, 0);
-            h.second = profile.kHalfDensity(idx, 1);
-        } else if (d == Dim::C) {
-            h.first = profile.cHalfDensity(idx, 0);
-            h.second = profile.cHalfDensity(idx, 1);
-        } else {
-            PANIC("weights sliced along a non-weight dim");
-        }
-        return h;
-    }
-    if (d == Dim::N) {
-        h.first = profile.iactSampleHalfDensity(idx, 0);
-        h.second = profile.iactSampleHalfDensity(idx, 1);
-    } else if (d == Dim::C) {
-        h.first = profile.iactChannelHalfDensity(idx, 0);
-        h.second = profile.iactChannelHalfDensity(idx, 1);
-    } else {
-        PANIC("iacts sliced along an unsupported dim");
-    }
-    return h;
-}
-
-double
-CostModel::pairDensity(const LayerSparsityProfile &profile, Operand op,
-                       Dim d0, int64_t i0, Dim d1, int64_t i1) const
-{
-    if (op == Operand::Weights) {
-        // Only the C,K pairing can index weights in both dims.
-        const int64_t k = d0 == Dim::K ? i0 : i1;
-        const int64_t c = d0 == Dim::K ? i1 : i0;
-        return profile.kernelDensity(k, c);
-    }
-    if ((d0 == Dim::P && d1 == Dim::Q) || (d0 == Dim::Q && d1 == Dim::P)) {
-        // Keep (p, q) order: the measured spatial marginals are not
-        // symmetric under index swap.
-        const int64_t p = d0 == Dim::P ? i0 : i1;
-        const int64_t q = d0 == Dim::P ? i1 : i0;
-        return profile.iactSpatialDensity(p, q);
-    }
-    // C,N pairing: ratio-combine the marginal densities so the mean
-    // stays near the layer's mean activation density.
-    const double dens0 = sliceDensity(profile, op, d0, i0);
-    const double dens1 = sliceDensity(profile, op, d1, i1);
-    const double mean_density = profile.iactDensity();
-    return clampd(dens0 * dens1 / std::max(mean_density, 1e-9), 0.01,
-                  1.0);
+    WaveStats ws;
+    ws.meanWork = meanWork(tiles);
+    if (balance == BalanceMode::FullChip)
+        ws.maxWork = ws.meanWork;
+    else if (balance == BalanceMode::HalfTile && cheap_ok)
+        ws.maxWork = rebalancedMax(tiles);
+    else
+        ws.maxWork = unbalancedMax(tiles);
+    return ws;
 }
 
 std::vector<WaveStats>
@@ -155,137 +56,35 @@ CostModel::waveStats(const LayerShape &layer, Phase phase,
                      const LayerSparsityProfile &profile,
                      int64_t batch) const
 {
-    const auto dims = spatialDims(mapping);
-    const int64_t a0 = cfg_.rows;
-    const int64_t a1 = cfg_.cols;
-    const int64_t ext0 = dimExtent(layer, dims[0], batch);
-    const int64_t ext1 = dimExtent(layer, dims[1], batch);
-    const double dense_macs =
-        static_cast<double>(batch) *
-        static_cast<double>(layer.macsPerSample());
-    const double per_index =
-        dense_macs / static_cast<double>(ext0 * ext1);
-
-    const Operand sp = sparseOperand(phase);
-    const bool dep0 = dependsOn(sp, dims[0]);
-    const bool dep1 = dependsOn(sp, dims[1]);
-    const double global_density = effectiveDensity(phase, profile);
-    const bool model_structure = opts_.sparse && !opts_.ideal;
-    const bool cheap_ok = supportsCheapBalancing(phase, mapping);
-
-    if (model_structure && dep0 && dep1 && sp == Operand::Weights)
-        return chunkedWeightWaves(layer, phase, mapping, profile, batch);
-
-    std::vector<WaveStats> waves;
-    waves.reserve(static_cast<size_t>(ceilDiv(ext0, a0) *
-                                      ceilDiv(ext1, a1)));
-
-    for (int64_t b0 = 0; b0 < ext0; b0 += a0) {
-        const int64_t n0 = std::min(a0, ext0 - b0);
-        for (int64_t b1 = 0; b1 < ext1; b1 += a1) {
-            const int64_t n1 = std::min(a1, ext1 - b1);
-            WaveStats ws;
-
-            if (!model_structure || (!dep0 && !dep1)) {
-                // Dense, ideal, or a broadcast sparse operand: every
-                // active PE carries the same work.
-                ws.maxWork = per_index * global_density;
-                ws.meanWork = ws.maxWork;
-            } else if (dep0 != dep1) {
-                // Sparse along exactly one axis: one tile per index on
-                // that axis, replicated across the other axis.
-                const Dim d = dep0 ? dims[0] : dims[1];
-                const int64_t base = dep0 ? b0 : b1;
-                const int64_t count = dep0 ? n0 : n1;
-                std::vector<TileHalves> tiles;
-                tiles.reserve(static_cast<size_t>(count));
-                double sum = 0.0;
-                for (int64_t i = 0; i < count; ++i) {
-                    TileHalves h =
-                        sliceHalves(profile, sp, d, base + i);
-                    h.first *= per_index;
-                    h.second *= per_index;
-                    sum += h.total();
-                    tiles.push_back(h);
-                }
-                ws.meanWork = sum / static_cast<double>(count);
-                if (opts_.balance == BalanceMode::FullChip) {
-                    ws.maxWork = ws.meanWork;
-                } else if (opts_.balance == BalanceMode::HalfTile &&
-                           cheap_ok) {
-                    ws.maxWork = rebalancedMax(tiles);
-                } else {
-                    ws.maxWork = unbalancedMax(tiles);
-                }
-            } else {
-                // Sparse along both axes (e.g. weight-sparse C,K):
-                // per-PE work follows the kernel densities; half-tile
-                // pairing cannot run on the simple interconnect here
-                // (Figure 10), so only chip-wide balancing helps.
-                double worst = 0.0;
-                double sum = 0.0;
-                for (int64_t i = 0; i < n0; ++i) {
-                    for (int64_t j = 0; j < n1; ++j) {
-                        const double dens = pairDensity(
-                            profile, sp, dims[0], b0 + i, dims[1],
-                            b1 + j);
-                        const double work = per_index * dens;
-                        worst = std::max(worst, work);
-                        sum += work;
-                    }
-                }
-                ws.meanWork = sum / static_cast<double>(n0 * n1);
-                ws.maxWork = opts_.balance == BalanceMode::FullChip
-                                 ? ws.meanWork
-                                 : worst;
-            }
-            waves.push_back(ws);
-        }
+    if (!opts_.sparse || opts_.ideal) {
+        // Dense or ideal: every active PE of every wave carries the
+        // same work.
+        const auto dims = spatialDims(mapping);
+        const int64_t ext0 = dimExtent(layer, dims[0], batch);
+        const int64_t ext1 = dimExtent(layer, dims[1], batch);
+        const double dense_macs =
+            static_cast<double>(batch) *
+            static_cast<double>(layer.macsPerSample());
+        const double work = dense_macs /
+                            static_cast<double>(ext0 * ext1) *
+                            effectiveDensity(phase, profile);
+        return std::vector<WaveStats>(
+            static_cast<size_t>(ceilDiv(ext0, cfg_.rows) *
+                                ceilDiv(ext1, cfg_.cols)),
+            WaveStats{work, work});
     }
-    return waves;
-}
-
-std::vector<WaveStats>
-CostModel::chunkedWeightWaves(const LayerShape &layer, Phase phase,
-                              MappingKind mapping,
-                              const LayerSparsityProfile &profile,
-                              int64_t batch) const
-{
-    // Weight-stationary tiling (C,K-style mappings): each PE holds a
-    // chunk of kernels along the second spatial dim, bounded by its
-    // register file, and streams activations over it. Per-PE work is
-    // the summed density of its chunk — coarser granularity than a
-    // single kernel, which is what keeps the Figure 5 overheads in
-    // the tens of percent rather than multiples.
-    (void)phase;   // all phases tile weights identically here
-    const auto dims = spatialDims(mapping);
-    const int64_t ext0 = dimExtent(layer, dims[0], batch);
-    const int64_t ext1 = dimExtent(layer, dims[1], batch);
-    const double dense_macs =
-        static_cast<double>(batch) *
-        static_cast<double>(layer.macsPerSample());
-    const double per_index =
-        dense_macs / static_cast<double>(ext0 * ext1);
-
+    const WavePlan plan =
+        planWaves(layer, phase, mapping, batch, cfg_, profile);
+    const bool cheap_ok = supportsCheapBalancing(phase, mapping);
     std::vector<WaveStats> waves;
-    for (const auto &tiles : weightChunkWaves(cfg_, layer, ext0, ext1)) {
-        WaveStats ws;
-        double worst = 0.0;
-        double sum = 0.0;
-        for (const ChunkTileRef &t : tiles) {
-            double work = 0.0;
-            for (int64_t s = 0; s < t.chunkCount; ++s) {
-                work += per_index *
-                        pairDensity(profile, Operand::Weights, dims[0],
-                                    t.index0, dims[1], t.chunkBase + s);
-            }
-            worst = std::max(worst, work);
-            sum += work;
-        }
-        ws.meanWork = sum / static_cast<double>(tiles.size());
-        ws.maxWork = opts_.balance == BalanceMode::FullChip ? ws.meanWork
-                                                            : worst;
-        waves.push_back(ws);
+    waves.reserve(plan.waves.size());
+    std::vector<TileHalves> tiles;
+    for (const PlannedWave &w : plan.waves) {
+        tiles.clear();
+        for (const TileHalves &t : w.tiles)
+            tiles.push_back(TileHalves{t.first * plan.perIndex,
+                                       t.second * plan.perIndex});
+        waves.push_back(reduceWave(tiles, opts_.balance, cheap_ok));
     }
     return waves;
 }
@@ -425,21 +224,49 @@ CostModel::glbAccesses(const LayerShape &layer, Phase phase,
 }
 
 double
-CostModel::dramWords(const LayerShape &layer, Phase phase,
-                     const LayerSparsityProfile &profile, int64_t batch,
-                     const MeasuredLayerStats &measured) const
+phaseDramWords(const LayerShape &layer, Phase phase, int64_t batch,
+               const CostOptions &opts, double weight_words,
+               double iact_density)
 {
-    const double w_dense = static_cast<double>(
-        operandVolume(layer, Operand::Weights, batch));
     const double x_dense = static_cast<double>(
         operandVolume(layer, Operand::Iacts, batch));
     const double y_dense = static_cast<double>(
         operandVolume(layer, Operand::Oacts, batch));
+    const double mask_over = opts.ideal ? 0.0 : 1.0 / 32.0;
+    const double x_comp = x_dense * iact_density + x_dense * mask_over;
 
-    // Compressed views (CSB) when sparsity is exploited. The measured
-    // weight image — the byte count of the trainer's real encode —
-    // overrides the density-derived estimate when the trace supplies
-    // it (trace-driven mode).
+    switch (phase) {
+      case Phase::Forward:
+        // Read weights and dense inputs; write dense outputs for the
+        // next layer plus (sparse training) the compressed copy of
+        // this layer's inputs kept for the weight-update phase
+        // (Section IV-A, Gist-style dual representation).
+        return weight_words + x_dense + y_dense +
+               (opts.sparse ? x_comp : 0.0);
+      case Phase::Backward:
+        // Read weights and the dense incoming gradient; write the
+        // dense outgoing gradient.
+        return weight_words + y_dense + x_dense;
+      case Phase::WeightUpdate:
+        // Read the stored inputs and the dense gradient; write weight
+        // gradients — with sparse training the QE unit discards all
+        // but the tracked set on the way to DRAM (Section V).
+        return (opts.sparse ? x_comp : x_dense) + y_dense + weight_words;
+    }
+    PANIC("unknown phase");
+}
+
+double
+CostModel::dramWords(const LayerShape &layer, Phase phase,
+                     const LayerSparsityProfile &profile, int64_t batch,
+                     const MeasuredLayerStats &measured) const
+{
+    // The stored weight image: compressed (CSB) when sparsity is
+    // exploited; the measured image — the byte count of the trainer's
+    // real encode — overrides the density-derived estimate when the
+    // trace supplies it (trace-driven mode).
+    const double w_dense = static_cast<double>(
+        operandVolume(layer, Operand::Weights, batch));
     const double mask_over = opts_.ideal ? 0.0 : 1.0 / 32.0;
     const double w_measured = measuredWeightWords(measured);
     const double w_stored =
@@ -448,28 +275,8 @@ CostModel::dramWords(const LayerShape &layer, Phase phase,
             : (opts_.sparse ? w_dense * profile.weightDensity() +
                                   w_dense * mask_over
                             : w_dense);
-    const double x_comp =
-        x_dense * profile.iactDensity() + x_dense * mask_over;
-
-    switch (phase) {
-      case Phase::Forward:
-        // Read weights and dense inputs; write dense outputs for the
-        // next layer plus (sparse training) the compressed copy of
-        // this layer's inputs kept for the weight-update phase
-        // (Section IV-A, Gist-style dual representation).
-        return w_stored + x_dense + y_dense +
-               (opts_.sparse ? x_comp : 0.0);
-      case Phase::Backward:
-        // Read weights and the dense incoming gradient; write the
-        // dense outgoing gradient.
-        return w_stored + y_dense + x_dense;
-      case Phase::WeightUpdate:
-        // Read the stored inputs and the dense gradient; write weight
-        // gradients — with sparse training the QE unit discards all
-        // but the tracked set on the way to DRAM (Section V).
-        return (opts_.sparse ? x_comp : x_dense) + y_dense + w_stored;
-    }
-    PANIC("unknown phase");
+    return phaseDramWords(layer, phase, batch, opts_, w_stored,
+                          profile.iactDensity());
 }
 
 PhaseCost
@@ -494,9 +301,8 @@ CostModel::evaluatePhase(const LayerShape &layer, Phase phase,
     const double dwords =
         dramWords(layer, phase, profile, batch, measured);
     cost.dramCycles = dwords / cfg_.dramWordsPerCycle();
-    // Refill mirror of the cycle simulator's DRAM front end: the same
-    // words at an explicit bandwidth, double-buffered against compute
-    // so only the excess extends the phase.
+    // DRAM->GLB refill at an explicit bandwidth, double-buffered
+    // against compute so only the excess extends the phase.
     cost.cycles = opts_.dramRefillWordsPerCycle > 0.0
                       ? std::max(cost.computeCycles,
                                  dwords / opts_.dramRefillWordsPerCycle)

@@ -9,13 +9,14 @@
  *
  *  Latency.  Work is issued in *waves* — full-PE-array sets of work
  *  tiles, one tile per PE, tiles indexed by the mapping's two spatial
- *  dimensions (Figure 4). Per-tile work scales with the local density
- *  of the phase's sparse operand (from the mask's per-kernel structure)
- *  and wave latency is the maximum over its tiles; the half-tile
- *  balancer transforms the tile multiset before the max when the
- *  mapping admits it. Utilization losses from dims that do not divide
- *  the array fall out of the ceil arithmetic. A layer is additionally
- *  bounded by DRAM bandwidth (64-bit interface).
+ *  dimensions (Figure 4), listed by the wave plan (arch/wave_plan.h).
+ *  Per-tile work scales with the local density of the phase's sparse
+ *  operand (from the mask's per-kernel structure) and wave latency is
+ *  the maximum over its tiles; the half-tile balancer transforms the
+ *  tile multiset before the max when the mapping admits it.
+ *  Utilization losses from dims that do not divide the array fall out
+ *  of the ceil arithmetic. A layer is additionally bounded by DRAM
+ *  bandwidth (64-bit interface).
  *
  *  Energy.  E = MACs*e_mac + MACs*k_rf*e_rf + GLB accesses*e_glb +
  *  DRAM words*e_dram. GLB traffic per operand is its (sparse-adjusted)
@@ -42,6 +43,7 @@
 #include "arch/dataflow.h"
 #include "arch/load_balancer.h"
 #include "arch/sparsity_profile.h"
+#include "arch/wave_plan.h"
 
 namespace procrustes {
 namespace arch {
@@ -70,8 +72,7 @@ struct CostOptions
     bool ideal = false;
 
     /**
-     * Overlap-aware DRAM->GLB refill mirror of the cycle simulator's
-     * SimConfig::dramWordsPerCycle front end: when positive, a phase's
+     * Overlap-aware DRAM->GLB refill: when positive, a phase's
      * latency is bounded below by its DRAM word traffic streamed at
      * this rate (cycles = max(cycles, dram_words / rate)) — refill
      * fully double-buffered against compute, only the excess exposed.
@@ -90,40 +91,11 @@ struct CostOptions
      * engine), the weight-update phase is additionally bounded below
      * by streaming those bytes at this rate — the allreduce is
      * overlapped with weight-update compute and only the excess
-     * extends the phase, mirroring the DRAM-refill modelling above.
+     * extends the phase, like the DRAM-refill bound above.
      * Non-positive (default) disables the term.
      */
     double interconnectWordsPerCycle = -1.0;
 };
-
-/**
- * Kernels per work tile along the spatialized weight dimension:
- * bounded by half the register file (weight-stationary residency) and
- * never more than what one pass over the dimension requires. Single
- * kernels only when the dimension is small or kernels are large.
- */
-int64_t weightTileChunk(const ArrayConfig &cfg, const LayerShape &layer,
-                        int64_t ext, int64_t array_dim);
-
-/** One PE's tile of an RF-chunked weight-stationary wave. */
-struct ChunkTileRef
-{
-    int64_t index0 = 0;     //!< in-range index along the first dim
-    int64_t chunkBase = 0;  //!< first kernel of the chunk (second dim)
-    int64_t chunkCount = 0; //!< kernels in this PE's chunk
-};
-
-/**
- * Per-wave tile geometry of the RF-chunked weight-stationary tiling
- * (C,K-style mappings where both spatial dims index the weights):
- * one inner vector per wave, one ChunkTileRef per active PE, in issue
- * order. Shared by the modelled waves (CostModel::evaluatePhase) and
- * the measured-mask replay (arch/trace_imbalance.h) so the two can
- * never tile at different granularities.
- */
-std::vector<std::vector<ChunkTileRef>>
-weightChunkWaves(const ArrayConfig &cfg, const LayerShape &layer,
-                 int64_t ext0, int64_t ext1);
 
 /**
  * Measured per-layer facts that replace modelled estimates — the seam
@@ -209,6 +181,26 @@ struct WaveStats
     }
 };
 
+/**
+ * Latency of one wave's work tiles under a balancing policy: the mean
+ * tile, and the slowest tile after balancing. `cheap_ok` gates the
+ * half-tile pairing (supportsCheapBalancing): a mapping that cannot
+ * rebalance on the simple interconnect runs unbalanced.
+ */
+WaveStats reduceWave(const std::vector<TileHalves> &tiles,
+                     BalanceMode balance, bool cheap_ok);
+
+/**
+ * DRAM words one (layer, phase) moves, given the stored weight image
+ * in words and the density of the input activations. A machine that
+ * exploits sparsity keeps a compressed copy of the inputs (one mask
+ * bit per dense element unless opts.ideal) for the weight update;
+ * everything else moves dense.
+ */
+double phaseDramWords(const LayerShape &layer, Phase phase, int64_t batch,
+                      const CostOptions &opts, double weight_words,
+                      double iact_density);
+
 /** Analytic per-phase cost model. */
 class CostModel
 {
@@ -231,7 +223,11 @@ class CostModel
                             int64_t batch,
                             const MeasuredLayerStats &measured = {}) const;
 
-    /** Per-wave latency stats (drives Figures 5 and 13). */
+    /**
+     * Per-wave latency stats (drives Figures 5 and 13): the wave plan
+     * (arch/wave_plan.h) of the profile, each wave reduced to its max
+     * and mean. Dense and ideal configurations load every PE alike.
+     */
     std::vector<WaveStats> waveStats(const LayerShape &layer, Phase phase,
                                      MappingKind mapping,
                                      const LayerSparsityProfile &profile,
@@ -245,28 +241,11 @@ class CostModel
     double effectiveDensity(Phase phase,
                             const LayerSparsityProfile &profile) const;
 
-    /** Slice density of the sparse operand along one spatial dim. */
-    double sliceDensity(const LayerSparsityProfile &profile, Operand op,
-                        Dim d, int64_t idx) const;
-
-    /** Half-split slice densities (for the balancer). */
-    TileHalves sliceHalves(const LayerSparsityProfile &profile,
-                           Operand op, Dim d, int64_t idx) const;
-
-    /** Density when both spatial dims index the sparse operand. */
-    double pairDensity(const LayerSparsityProfile &profile, Operand op,
-                       Dim d0, int64_t i0, Dim d1, int64_t i1) const;
-
     /** Compute-side latency: sum of wave maxima. */
     double computeLatency(const LayerShape &layer, Phase phase,
                           MappingKind mapping,
                           const LayerSparsityProfile &profile,
                           int64_t batch) const;
-
-    /** Wave stats for weight-sparse both-axes mappings (RF-chunked). */
-    std::vector<WaveStats> chunkedWeightWaves(
-        const LayerShape &layer, Phase phase, MappingKind mapping,
-        const LayerSparsityProfile &profile, int64_t batch) const;
 
     /** GLB access count for the whole phase. */
     double glbAccesses(const LayerShape &layer, Phase phase,

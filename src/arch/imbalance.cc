@@ -48,17 +48,7 @@ waveOverhead(const std::vector<TileHalves> &tiles, BalanceMode balance,
 {
     if (tiles.empty())
         return 0.0;
-    const double mean = meanWork(tiles);
-    if (mean <= 0.0)
-        return 0.0;
-    double worst;
-    if (balance == BalanceMode::FullChip)
-        worst = mean;
-    else if (balance == BalanceMode::HalfTile && cheap_ok)
-        worst = rebalancedMax(tiles);
-    else
-        worst = unbalancedMax(tiles);
-    return worst / mean - 1.0;
+    return reduceWave(tiles, balance, cheap_ok).overhead();
 }
 
 ImbalanceHistogram

@@ -1,237 +1,11 @@
 #include "arch/trace_imbalance.h"
 
-#include <algorithm>
-#include <utility>
-
-#include "arch/cost_model.h"
 #include "arch/dataflow.h"
+#include "arch/wave_plan.h"
 #include "common/logging.h"
-#include "common/math_utils.h"
 
 namespace procrustes {
 namespace arch {
-
-namespace {
-
-/** Measured mean density with an index wrapped into a vector, or the
-    scalar mean when no vector was measured (ragged epochs drop them). */
-double
-wrapped(const std::vector<double> &v, int64_t idx, double fallback)
-{
-    if (v.empty())
-        return fallback;
-    return v[static_cast<size_t>(idx) % v.size()];
-}
-
-} // namespace
-
-TileHalves
-measuredSliceWork(const LayerTrace &layer, Operand sp, Dim d, int64_t idx)
-{
-    const sparse::SparsityMask &mask = layer.mask;
-    TileHalves h;
-    if (sp == Operand::Weights) {
-        if (d == Dim::K) {
-            // One K-slice per PE, halved along C — the axis the
-            // half-tile balancer cuts (Figure 9).
-            const int64_t split = mask.C / 2;
-            if (mask.C <= 1) {
-                const double w = static_cast<double>(
-                    mask.tileNnz(idx, idx + 1, 0, mask.C));
-                h.first = w / 2.0;
-                h.second = w / 2.0;
-                return h;
-            }
-            h.first = static_cast<double>(
-                mask.tileNnz(idx, idx + 1, 0, split));
-            h.second = static_cast<double>(
-                mask.tileNnz(idx, idx + 1, split, mask.C));
-            return h;
-        }
-        if (d == Dim::C) {
-            const int64_t split = mask.K / 2;
-            if (mask.K <= 1) {
-                const double w = static_cast<double>(
-                    mask.tileNnz(0, mask.K, idx, idx + 1));
-                h.first = w / 2.0;
-                h.second = w / 2.0;
-                return h;
-            }
-            h.first = static_cast<double>(
-                mask.tileNnz(0, split, idx, idx + 1));
-            h.second = static_cast<double>(
-                mask.tileNnz(split, mask.K, idx, idx + 1));
-            return h;
-        }
-        PANIC("weights sliced along a non-weight dim");
-    }
-    if (d == Dim::N) {
-        // Measured per-sample halves (already split along C by the
-        // telemetry scan); fall back to an even split of the sample
-        // density, then to the scalar mean.
-        const double sample =
-            wrapped(layer.iacts.perSample, idx, layer.iacts.mean);
-        if (!layer.iacts.perSampleHalf.empty()) {
-            h.first = wrapped(layer.iacts.perSampleHalf, idx * 2,
-                              sample / 2.0);
-            h.second = wrapped(layer.iacts.perSampleHalf, idx * 2 + 1,
-                               sample / 2.0);
-            return h;
-        }
-        h.first = sample / 2.0;
-        h.second = sample / 2.0;
-        return h;
-    }
-    if (d == Dim::C) {
-        const double chan =
-            wrapped(layer.iacts.perChannel, idx, layer.iacts.mean);
-        h.first = chan / 2.0;
-        h.second = chan / 2.0;
-        return h;
-    }
-    PANIC("iacts sliced along an unsupported dim");
-}
-
-double
-measuredPairWork(const LayerTrace &layer, Operand sp, Dim d0, int64_t i0,
-                 Dim d1, int64_t i1)
-{
-    if (sp == Operand::Weights) {
-        // Only the C,K pairing can index weights in both dims.
-        const int64_t k = d0 == Dim::K ? i0 : i1;
-        const int64_t c = d0 == Dim::K ? i1 : i0;
-        return static_cast<double>(layer.mask.blockNnz(k, c));
-    }
-    // Activation pairings: ratio-combine the measured marginals. C and
-    // N index their per-slot vectors directly; P and Q map the output
-    // location onto the measured *input-space* spatial marginals
-    // through the layer stride (clamped to the measured extent).
-    double work = 1.0;
-    bool any = false;
-    for (const auto &di : {std::make_pair(d0, i0), std::make_pair(d1, i1)}) {
-        if (di.first == Dim::N) {
-            work *= wrapped(layer.iacts.perSample, di.second,
-                            layer.iacts.mean);
-            any = true;
-        } else if (di.first == Dim::C) {
-            work *= wrapped(layer.iacts.perChannel, di.second,
-                            layer.iacts.mean);
-            any = true;
-        } else if (di.first == Dim::P || di.first == Dim::Q) {
-            const std::vector<double> &m = di.first == Dim::P
-                                               ? layer.iacts.perRow
-                                               : layer.iacts.perCol;
-            if (!m.empty()) {
-                const int64_t last =
-                    static_cast<int64_t>(m.size()) - 1;
-                const int64_t at =
-                    std::min(di.second * layer.shape.stride, last);
-                work *= m[static_cast<size_t>(at)];
-                any = true;
-            }
-        }
-    }
-    if (!any)
-        return layer.iacts.mean;
-    const double mean = std::max(layer.iacts.mean, 1e-9);
-    return clampd(work / mean, 0.0, 1.0);
-}
-
-std::vector<std::vector<TileHalves>>
-measuredLayerWaves(const LayerTrace &layer, Phase phase,
-                   MappingKind mapping, const ArrayConfig &cfg,
-                   int64_t batch)
-{
-    const LayerShape &shape = layer.shape;
-    const auto dims = spatialDims(mapping);
-    const int64_t a0 = cfg.rows;
-    const int64_t a1 = cfg.cols;
-    const int64_t ext0 = dimExtent(shape, dims[0], batch);
-    const int64_t ext1 = dimExtent(shape, dims[1], batch);
-    const Operand sp = sparseOperand(phase);
-    const bool dep0 = dependsOn(sp, dims[0]);
-    const bool dep1 = dependsOn(sp, dims[1]);
-
-    std::vector<std::vector<TileHalves>> waves;
-    const int64_t blocks0 = ceilDiv(ext0, a0);
-    const int64_t blocks1 = ceilDiv(ext1, a1);
-
-    if (!dep0 && !dep1) {
-        // The sparse operand is broadcast: every PE of every wave
-        // carries the same work by construction.
-        waves.assign(static_cast<size_t>(blocks0 * blocks1),
-                     {TileHalves{0.5, 0.5}});
-        return waves;
-    }
-
-    if (dep0 && dep1 && sp == Operand::Weights) {
-        // Weight-stationary C,K tiling: each PE holds an RF-bounded
-        // chunk of kernels along the second spatial dim — the exact
-        // geometry of the modelled waves (weightChunkWaves is shared
-        // with CostModel) — and its work is the summed live count of
-        // the chunk. Halves split evenly: half-tile balancing is never
-        // admissible on two sparse axes, so only the total is ever
-        // consumed.
-        for (const auto &chunk_tiles :
-             weightChunkWaves(cfg, shape, ext0, ext1)) {
-            std::vector<TileHalves> tiles;
-            tiles.reserve(chunk_tiles.size());
-            for (const ChunkTileRef &t : chunk_tiles) {
-                double w = 0.0;
-                for (int64_t s = 0; s < t.chunkCount; ++s) {
-                    w += measuredPairWork(layer, sp, dims[0], t.index0,
-                                          dims[1], t.chunkBase + s);
-                }
-                tiles.push_back(TileHalves{w / 2.0, w / 2.0});
-            }
-            waves.push_back(std::move(tiles));
-        }
-        return waves;
-    }
-
-    if (dep0 != dep1) {
-        // Sparse along exactly one axis: one tile per index on that
-        // axis, replicated (identically) across every block of the
-        // dense axis.
-        const Dim d = dep0 ? dims[0] : dims[1];
-        const int64_t a = dep0 ? a0 : a1;
-        const int64_t ext = dep0 ? ext0 : ext1;
-        const int64_t dense_blocks = dep0 ? blocks1 : blocks0;
-        for (int64_t b = 0; b < ext; b += a) {
-            const int64_t count = std::min(a, ext - b);
-            std::vector<TileHalves> tiles;
-            tiles.reserve(static_cast<size_t>(count));
-            for (int64_t i = 0; i < count; ++i)
-                tiles.push_back(measuredSliceWork(layer, sp, d, b + i));
-            for (int64_t r = 0; r < dense_blocks; ++r)
-                waves.push_back(tiles);
-        }
-        return waves;
-    }
-
-    // Sparse along both axes with an activation operand (e.g. the C,N
-    // or P,Q pairings in the weight-update phase): per-PE work from
-    // the combined measured marginals; no half measurement exists at
-    // this granularity, so halves split evenly (half-tile balancing is
-    // not admissible on two sparse axes anyway).
-    for (int64_t b0 = 0; b0 < ext0; b0 += a0) {
-        const int64_t n0 = std::min(a0, ext0 - b0);
-        for (int64_t b1 = 0; b1 < ext1; b1 += a1) {
-            const int64_t n1 = std::min(a1, ext1 - b1);
-            std::vector<TileHalves> tiles;
-            tiles.reserve(static_cast<size_t>(n0 * n1));
-            for (int64_t i = 0; i < n0; ++i) {
-                for (int64_t j = 0; j < n1; ++j) {
-                    const double w = measuredPairWork(
-                        layer, sp, dims[0], b0 + i, dims[1], b1 + j);
-                    tiles.push_back(TileHalves{w / 2.0, w / 2.0});
-                }
-            }
-            waves.push_back(std::move(tiles));
-        }
-    }
-    return waves;
-}
 
 namespace {
 
@@ -243,10 +17,10 @@ forEachMeasuredWave(const EpochTrace &epoch, Phase phase,
 {
     PROCRUSTES_ASSERT(epoch.batchSize > 0, "epoch has no batch size");
     for (const LayerTrace &l : epoch.layers) {
-        const auto waves =
-            measuredLayerWaves(l, phase, mapping, cfg, epoch.batchSize);
-        for (const auto &tiles : waves)
-            fn(tiles);
+        const WavePlan plan =
+            planWaves(l, phase, mapping, epoch.batchSize, cfg);
+        for (const PlannedWave &w : plan.waves)
+            fn(w.tiles);
     }
 }
 

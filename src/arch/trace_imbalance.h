@@ -6,15 +6,13 @@
  * collectOverheads answers "how imbalanced would this network be"
  * through a LayerSparsityProfile, whose activation statistics may be
  * synthetic jitter. This module answers the question for a recorded
- * WorkloadTrace epoch with no profile in between: per-wave TileHalves
- * work is tallied directly from the epoch-final weight masks (fw/bw
- * phases — exact per-slice non-zero counts via SparsityMask::tileNnz
- * and per-kernel counts for the RF-chunked C,K tiling) and from the
- * measured per-sample / per-channel activation-density vectors (wu
- * phase), then run through the same half-tile balancer the hardware
- * would use (rebalanceHalfTiles). Accelerator::evaluateTrace emits the
- * resulting balanced/unbalanced histograms per epoch, which is what
- * BENCH_cosim.json v3 records.
+ * WorkloadTrace epoch with no profile in between: it walks the wave
+ * plan of each traced layer (arch/wave_plan.h, read from the
+ * epoch-final weight masks and the measured activation vectors) and
+ * reduces every wave to its overhead under the same half-tile balancer
+ * the hardware would use (reduceWave). Accelerator::evaluateTrace
+ * emits the resulting balanced/unbalanced histograms per epoch, which
+ * is what BENCH_cosim.json v3 records.
  */
 
 #ifndef PROCRUSTES_ARCH_TRACE_IMBALANCE_H_
@@ -37,46 +35,10 @@ struct EpochImbalance
 };
 
 /**
- * Half-split work of one slice of the sparse operand along dim `d`.
- * Weights slice to *exact* live-position counts from the epoch-final
- * mask (SparsityMask::tileNnz, halved along the axis the half-tile
- * balancer cuts); activations slice to measured densities (per-sample
- * halves where the telemetry recorded them, per-channel means
- * otherwise). Shared by the imbalance replay and the trace-driven
- * cycle simulator so both tally identical work.
- */
-TileHalves measuredSliceWork(const LayerTrace &layer, Operand sp, Dim d,
-                             int64_t idx);
-
-/**
- * Work of one PE tile when both spatial dims index the sparse operand:
- * exact per-kernel counts (SparsityMask::blockNnz) for weights,
- * ratio-combined measured marginals (clamped to [0, 1]) for
- * activations.
- */
-double measuredPairWork(const LayerTrace &layer, Operand sp, Dim d0,
-                        int64_t i0, Dim d1, int64_t i1);
-
-/**
- * Per-wave working sets of one traced layer in one phase under one
- * mapping: each inner vector holds the half-split work tiles of one
- * full-PE-array wave, in issue order. Work units are live weight
- * positions (fw/bw: exact counts from the epoch-final mask) or
- * relative activation non-zero volume (wu: measured density vectors);
- * overheads are ratios within a wave, so the unit never matters.
- * Waves whose sparse operand is uniform across the array by
- * construction carry a single uniform tile (zero overhead).
- */
-std::vector<std::vector<TileHalves>>
-measuredLayerWaves(const LayerTrace &layer, Phase phase,
-                   MappingKind mapping, const ArrayConfig &cfg,
-                   int64_t batch);
-
-/**
- * Per-wave overheads of every layer of a traced epoch in one phase —
- * the measured-mask analogue of collectOverheads. Half-tile balancing
- * applies only where the mapping admits it (supportsCheapBalancing),
- * exactly like the cost model.
+ * Per-wave overheads, in issue order, of every layer of a traced epoch
+ * in one phase — the measured-mask analogue of collectOverheads.
+ * Half-tile balancing applies only where the mapping admits it
+ * (supportsCheapBalancing), exactly like the cost model.
  */
 std::vector<double>
 collectMeasuredOverheads(const EpochTrace &epoch, Phase phase,

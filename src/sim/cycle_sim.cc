@@ -7,12 +7,11 @@
 #include "common/math_utils.h"
 #include "common/thread_pool.h"
 #include "arch/load_balancer.h"
-#include "arch/trace_imbalance.h"
+#include "arch/wave_plan.h"
 
 namespace procrustes {
 namespace sim {
 
-using arch::Dim;
 using arch::FlowClass;
 using arch::LayerShape;
 using arch::LayerSparsityProfile;
@@ -20,7 +19,6 @@ using arch::LayerTrace;
 using arch::MappingKind;
 using arch::Operand;
 using arch::Phase;
-using arch::TileHalves;
 
 Channel
 channelFor(FlowClass flow)
@@ -249,8 +247,12 @@ struct WaveSideband
     int64_t drainSerialCycles = 0;   //!< drainCycles + drain conflicts
 };
 
-SimResult simulateWaveImpl(const WaveSpec &wave, const SimConfig &cfg,
-                           WaveSideband *sb);
+// Cache-line aligned: a simulation spends nearly all its time in the
+// per-cycle loops inside, whose speed otherwise shifts by several
+// percent with where unrelated code happens to place this function.
+__attribute__((aligned(64))) SimResult
+simulateWaveImpl(const WaveSpec &wave, const SimConfig &cfg,
+                 WaveSideband *sb);
 
 } // namespace
 
@@ -507,150 +509,20 @@ simulatePhasePiece(const std::vector<WaveSpec> &waves, double refill_words,
 }
 
 /**
- * Per-slot sparse-operand densities as the wave builder needs them:
- * the profile oracle reads the analytic model's synthetic profile, the
- * trace oracle the measured epoch facts. Keeping the wave geometry in
- * one builder (buildWaves) guarantees the two paths can never tile
- * differently.
+ * Turn a wave plan into the WaveSpecs the simulator clocks: each
+ * active PE's planned work becomes its MACs and operand words, with
+ * the half-tile balancer applied to Line waves under HalfTile. Slots
+ * with zero work are idle: zero demand, no phantom MAC or psum word,
+ * excluded from stalls. Waves whose every slot is idle are dropped
+ * (they would simulate to zero cycles). Nothing here depends on
+ * SimConfig, which is what lets sweep drivers build once and re-clock
+ * per configuration.
  */
-struct ProfileOracle
-{
-    const LayerSparsityProfile &p;
-
-    double
-    broadcastDensity(Operand sp) const
-    {
-        return sp == Operand::Weights ? p.weightDensity()
-                                      : p.iactDensity();
-    }
-
-    double
-    pairDensity(Operand sp, Dim d0, int64_t i0, Dim d1, int64_t i1) const
-    {
-        if (sp == Operand::Weights) {
-            const int64_t k = d0 == Dim::K ? i0 : i1;
-            const int64_t c = d0 == Dim::K ? i1 : i0;
-            return p.kernelDensity(k, c);
-        }
-        (void)d1;
-        return p.iactSpatialDensity(i0, i1);
-    }
-
-    double
-    sliceDensity(Operand sp, Dim d, int64_t idx) const
-    {
-        if (sp == Operand::Weights)
-            return d == Dim::K ? p.kDensity(idx) : p.cDensity(idx);
-        return d == Dim::N ? p.iactSampleDensity(idx)
-                           : p.iactChannelDensity(idx);
-    }
-
-    TileHalves
-    sliceHalves(Operand sp, Dim d, int64_t idx) const
-    {
-        TileHalves h;
-        if (sp == Operand::Weights) {
-            h.first = d == Dim::K ? p.kHalfDensity(idx, 0)
-                                  : p.cHalfDensity(idx, 0);
-            h.second = d == Dim::K ? p.kHalfDensity(idx, 1)
-                                   : p.cHalfDensity(idx, 1);
-        } else {
-            h.first = p.iactSampleHalfDensity(idx, 0);
-            h.second = p.iactSampleHalfDensity(idx, 1);
-        }
-        return h;
-    }
-};
-
-/**
- * Measured-trace oracle: exact mask slice counts normalized to
- * densities (the work units of arch::measuredSliceWork /
- * measuredPairWork divided by the slice's dense position count), and
- * measured activation vectors consumed as densities directly.
- */
-struct TraceOracle
-{
-    const LayerTrace &l;
-
-    double
-    kernelPositions() const
-    {
-        return static_cast<double>(
-            std::max<int64_t>(1, l.mask.R) *
-            std::max<int64_t>(1, l.mask.S));
-    }
-
-    double
-    sliceVolume(Dim d) const
-    {
-        const double rs = kernelPositions();
-        if (d == Dim::K)
-            return std::max<int64_t>(1, l.mask.C) * rs;
-        return std::max<int64_t>(1, l.mask.K) * rs;
-    }
-
-    double
-    broadcastDensity(Operand sp) const
-    {
-        return sp == Operand::Weights ? l.weightDensity() : l.iacts.mean;
-    }
-
-    double
-    pairDensity(Operand sp, Dim d0, int64_t i0, Dim d1, int64_t i1) const
-    {
-        const double w = arch::measuredPairWork(l, sp, d0, i0, d1, i1);
-        return sp == Operand::Weights ? w / kernelPositions() : w;
-    }
-
-    double
-    sliceDensity(Operand sp, Dim d, int64_t idx) const
-    {
-        const TileHalves h = arch::measuredSliceWork(l, sp, d, idx);
-        const double w = h.total();
-        return sp == Operand::Weights ? w / sliceVolume(d) : w;
-    }
-
-    TileHalves
-    sliceHalves(Operand sp, Dim d, int64_t idx) const
-    {
-        TileHalves h = arch::measuredSliceWork(l, sp, d, idx);
-        if (sp == Operand::Weights) {
-            const double vol = sliceVolume(d);
-            h.first /= vol;
-            h.second /= vol;
-        }
-        return h;
-    }
-};
-
-/**
- * Build the wave sequence for (layer, phase, mapping) — the analytic
- * model's exact tiling: spatial blocking, RF-bounded weight chunking,
- * optional half-tile balancing — with per-slot densities from the
- * oracle. Slots with zero density are idle: zero demand, no phantom
- * MAC or psum word, excluded from stalls. Waves whose every slot is
- * idle are dropped (they would simulate to zero cycles). Geometry
- * depends only on the oracle's facts, the mapping, the array config,
- * and the balance mode — never on SimConfig — which is what lets
- * sweep drivers build once and re-clock per configuration.
- */
-template <typename Oracle>
 std::vector<WaveSpec>
-buildWaves(const LayerShape &layer, Phase phase, MappingKind mapping,
-           int64_t batch, const arch::ArrayConfig &acfg,
-           arch::BalanceMode balance, const Oracle &oracle)
+buildWaves(const arch::WavePlan &plan, const LayerShape &layer,
+           Phase phase, MappingKind mapping, int64_t batch,
+           const arch::ArrayConfig &acfg, arch::BalanceMode balance)
 {
-    const auto dims = arch::spatialDims(mapping);
-    const int64_t a0 = acfg.rows;
-    const int64_t a1 = acfg.cols;
-    const int64_t ext0 = arch::dimExtent(layer, dims[0], batch);
-    const int64_t ext1 = arch::dimExtent(layer, dims[1], batch);
-    const double dense_macs =
-        static_cast<double>(batch) *
-        static_cast<double>(layer.macsPerSample());
-    const double per_index =
-        dense_macs / static_cast<double>(ext0 * ext1);
-
     const Operand sp = arch::sparseOperand(phase);
     const Operand out = arch::outputOperand(phase);
     const Operand other = [&] {
@@ -665,30 +537,19 @@ buildWaves(const LayerShape &layer, Phase phase, MappingKind mapping,
     auto f_idx = [&](Operand op) {
         double f = static_cast<double>(
             arch::operandVolume(layer, op, batch));
-        for (int axis = 0; axis < 2; ++axis) {
-            if (arch::dependsOn(op, dims[axis]))
-                f /= static_cast<double>(
-                    arch::dimExtent(layer, dims[axis], batch));
-        }
+        if (arch::dependsOn(op, plan.dims[0]))
+            f /= static_cast<double>(plan.ext0);
+        if (arch::dependsOn(op, plan.dims[1]))
+            f /= static_cast<double>(plan.ext1);
         return f;
     };
     const double fa = f_idx(sp);
     const double fb = f_idx(other);
     const double fo = f_idx(out);
-
-    const bool dep0 = arch::dependsOn(sp, dims[0]);
-    const bool dep1 = arch::dependsOn(sp, dims[1]);
-    const bool cheap_ok = arch::supportsCheapBalancing(phase, mapping);
-
-    // Weight-sparse both-axes mappings tile multiple kernels per PE
-    // (RF-bounded), mirroring CostModel::chunkedWeightWaves.
-    const int64_t g =
-        (dep0 && dep1 && sp == Operand::Weights)
-            ? arch::weightTileChunk(acfg, layer, ext1, a1)
-            : 1;
-    const int64_t stride1 = a1 * g;
-    const bool other_dep1 = arch::dependsOn(other, dims[1]);
-    const bool out_dep1 = arch::dependsOn(out, dims[1]);
+    const bool other_dep1 = arch::dependsOn(other, plan.dims[1]);
+    const bool out_dep1 = arch::dependsOn(out, plan.dims[1]);
+    const bool balance_line = balance == arch::BalanceMode::HalfTile &&
+                              plan.shape == arch::WaveShape::Line;
 
     WaveSpec wave_template;
     wave_template.rows = acfg.rows;
@@ -701,88 +562,76 @@ buildWaves(const LayerShape &layer, Phase phase, MappingKind mapping,
         channelFor(arch::classifyFlow(phase, out, mapping));
 
     std::vector<WaveSpec> waves;
-    for (int64_t b0 = 0; b0 < ext0; b0 += a0) {
-        const int64_t n0 = std::min(a0, ext0 - b0);
-        for (int64_t b1 = 0; b1 < ext1; b1 += stride1) {
-            const int64_t n1 =
-                std::min(a1, ceilDiv(ext1 - b1, g));
-            WaveSpec wave = wave_template;
-            wave.tiles.assign(
-                static_cast<size_t>(acfg.rows) * acfg.cols, {});
-
-            // Per-slot effective density along the sparse structure.
-            auto density_at = [&](int64_t i, int64_t j) {
-                if (!dep0 && !dep1)
-                    return oracle.broadcastDensity(sp);
-                if (dep0 && dep1)
-                    return oracle.pairDensity(sp, dims[0], b0 + i,
-                                              dims[1], b1 + j);
-                const Dim d = dep0 ? dims[0] : dims[1];
-                const int64_t idx = dep0 ? b0 + i : b1 + j;
-                return oracle.sliceDensity(sp, d, idx);
-            };
-
-            // Optional half-tile balancing along the sparse axis.
-            std::vector<double> balanced;
-            if (balance == arch::BalanceMode::HalfTile && cheap_ok &&
-                (dep0 != dep1)) {
-                const Dim d = dep0 ? dims[0] : dims[1];
-                const int64_t base = dep0 ? b0 : b1;
-                const int64_t count = dep0 ? n0 : n1;
-                std::vector<TileHalves> tiles;
-                for (int64_t i = 0; i < count; ++i)
-                    tiles.push_back(oracle.sliceHalves(sp, d, base + i));
-                balanced = arch::rebalanceHalfTiles(tiles);
+    for (const arch::PlannedWave &pw : plan.waves) {
+        WaveSpec wave = wave_template;
+        wave.tiles.assign(static_cast<size_t>(acfg.rows) * acfg.cols, {});
+        const std::vector<double> balanced =
+            balance_line ? arch::rebalanceHalfTiles(pw.tiles)
+                         : std::vector<double>{};
+        bool any_work = false;
+        for (int64_t i = 0; i < pw.n0; ++i) {
+            for (int64_t j = 0; j < pw.n1; ++j) {
+                const double dens =
+                    balance_line
+                        ? balanced[static_cast<size_t>(
+                              plan.lineAxis == 0 ? i : j)]
+                        : plan.work(pw, i, j);
+                // A zero-density slot is a fully pruned slice or chunk:
+                // it holds no weights, retires no MACs, and drains no
+                // psums — idle, not a phantom one-MAC tile.
+                if (dens <= 0.0)
+                    continue;
+                const int64_t count = plan.chunkCount(pw, j);
+                TileDemand d;
+                d.macs = std::max<int64_t>(
+                    1, std::llround(plan.perIndex * dens));
+                d.wordsA =
+                    std::max<int64_t>(1, std::llround(fa * dens));
+                d.wordsB = std::max<int64_t>(
+                    1, std::llround(fb * (other_dep1 ? count : 1)));
+                d.psumWords = std::max<int64_t>(
+                    1, std::llround(fo * (out_dep1 ? count : 1)));
+                wave.tiles[static_cast<size_t>(i * acfg.cols + j)] = d;
+                any_work = true;
             }
-
-            bool any_work = false;
-            for (int64_t i = 0; i < n0; ++i) {
-                for (int64_t j = 0; j < n1; ++j) {
-                    // Aggregate the PE's kernel chunk (g = 1 unless
-                    // weight-sparse on both axes).
-                    const int64_t base = b1 + j * g;
-                    const int64_t count =
-                        std::min(g, ext1 - base);
-                    double dens_sum = 0.0;
-                    if (!balanced.empty()) {
-                        const int64_t slot = dep0 ? i : j;
-                        dens_sum = balanced[static_cast<size_t>(slot)];
-                    } else if (g == 1) {
-                        dens_sum = density_at(i, j);
-                    } else {
-                        for (int64_t t = 0; t < count; ++t) {
-                            dens_sum += oracle.pairDensity(
-                                sp, dims[0], b0 + i, dims[1], base + t);
-                        }
-                    }
-                    // A zero-density slot is a fully pruned slice or
-                    // chunk: it holds no weights, retires no MACs, and
-                    // drains no psums — idle, not a phantom one-MAC
-                    // tile.
-                    if (dens_sum <= 0.0)
-                        continue;
-                    TileDemand d;
-                    d.macs = std::max<int64_t>(
-                        1, std::llround(per_index * dens_sum));
-                    d.wordsA = std::max<int64_t>(
-                        1, std::llround(fa * dens_sum));
-                    d.wordsB = std::max<int64_t>(
-                        1, std::llround(
-                               fb * (other_dep1 ? count : 1)));
-                    d.psumWords = std::max<int64_t>(
-                        1,
-                        std::llround(fo * (out_dep1 ? count : 1)));
-                    wave.tiles[static_cast<size_t>(i * acfg.cols + j)] =
-                        d;
-                    any_work = true;
-                }
-            }
-
-            if (any_work)
-                waves.push_back(std::move(wave));
         }
+        if (any_work)
+            waves.push_back(std::move(wave));
     }
     return waves;
+}
+
+/**
+ * DRAM->GLB refill demand of one traced (layer, phase) in 32-bit
+ * words: the measured compressed weight image
+ * (LayerTrace::csbWeightBytes — the mask-density estimate when a trace
+ * predates byte telemetry) and the activation volumes at the measured
+ * input density, summed per phase by arch::phaseDramWords for the
+ * sparse machine.
+ */
+double
+traceRefillWords(const LayerTrace &layer, Phase phase, int64_t batch)
+{
+    const double w_dense = static_cast<double>(
+        arch::operandVolume(layer.shape, Operand::Weights, batch));
+    const double w_stored =
+        layer.csbWeightBytes > 0
+            ? static_cast<double>(layer.csbWeightBytes) / 4.0
+            : w_dense * layer.weightDensity() + w_dense * (1.0 / 32.0);
+    return arch::phaseDramWords(layer.shape, phase, batch,
+                                arch::CostOptions{}, w_stored,
+                                layer.iacts.mean);
+}
+
+/** The WaveSpecs of one traced (layer, phase). */
+std::vector<WaveSpec>
+traceWaves(const LayerTrace &layer, Phase phase, MappingKind mapping,
+           int64_t batch, const arch::ArrayConfig &acfg,
+           arch::BalanceMode balance)
+{
+    return buildWaves(
+        arch::planWaves(layer, phase, mapping, batch, acfg), layer.shape,
+        phase, mapping, batch, acfg, balance);
 }
 
 } // namespace
@@ -803,43 +652,10 @@ simulateLayerPhase(const LayerShape &layer, Phase phase,
 {
     validateSimConfig(scfg);
     return simulateWaveSequence(
-        buildWaves(layer, phase, mapping, batch, acfg, balance,
-                   ProfileOracle{profile}),
+        buildWaves(arch::planWaves(layer, phase, mapping, batch, acfg,
+                                   profile),
+                   layer, phase, mapping, batch, acfg, balance),
         scfg);
-}
-
-double
-traceRefillWords(const LayerTrace &layer, Phase phase, int64_t batch)
-{
-    // Mirror of CostModel::dramWords for the sparse machine: the
-    // measured compressed weight image plus dense/compressed
-    // activation volumes at the measured input density. 32-bit words.
-    const LayerShape &shape = layer.shape;
-    const double w_dense = static_cast<double>(
-        arch::operandVolume(shape, Operand::Weights, batch));
-    const double x_dense = static_cast<double>(
-        arch::operandVolume(shape, Operand::Iacts, batch));
-    const double y_dense = static_cast<double>(
-        arch::operandVolume(shape, Operand::Oacts, batch));
-
-    const double mask_over = 1.0 / 32.0;
-    const double w_stored =
-        layer.csbWeightBytes > 0
-            ? static_cast<double>(layer.csbWeightBytes) / 4.0
-            : w_dense * layer.weightDensity() + w_dense * mask_over;
-    const double x_comp = x_dense * layer.iacts.mean + x_dense * mask_over;
-
-    switch (phase) {
-      case Phase::Forward:
-        // Weights + dense inputs in; dense outputs plus the compressed
-        // input copy kept for the weight-update phase out.
-        return w_stored + x_dense + y_dense + x_comp;
-      case Phase::Backward:
-        return w_stored + y_dense + x_dense;
-      case Phase::WeightUpdate:
-        return x_comp + y_dense + w_stored;
-    }
-    PANIC("unknown phase");
 }
 
 SimResult
@@ -850,8 +666,7 @@ simulateTraceLayerPhase(const LayerTrace &layer, Phase phase,
 {
     validateSimConfig(scfg);
     return simulatePhasePiece(
-        buildWaves(layer.shape, phase, mapping, batch, acfg, balance,
-                   TraceOracle{layer}),
+        traceWaves(layer, phase, mapping, batch, acfg, balance),
         traceRefillWords(layer, phase, batch), scfg, nullptr);
 }
 
@@ -884,9 +699,8 @@ buildEpochWavePlan(const arch::EpochTrace &epoch, MappingKind mapping,
             for (int64_t i = begin; i < end; ++i) {
                 PhaseWavePlan &e = plan.order[static_cast<size_t>(i)];
                 const LayerTrace &layer = epoch.layers[e.layerIndex];
-                e.waves = buildWaves(layer.shape, e.phase, mapping,
-                                     epoch.batchSize, acfg, balance,
-                                     TraceOracle{layer});
+                e.waves = traceWaves(layer, e.phase, mapping,
+                                     epoch.batchSize, acfg, balance);
                 e.refillWords =
                     traceRefillWords(layer, e.phase, epoch.batchSize);
             }

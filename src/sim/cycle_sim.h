@@ -79,12 +79,12 @@
  *
  * Entry points: simulateWave clocks one explicit WaveSpec;
  * simulateWaveSequence chains a sequence (with drain overlap when
- * enabled); simulateLayerPhase builds waves from the analytic model's
- * synthetic sparsity profile; simulateTraceLayerPhase /
- * simulateTraceEpoch build them from a measured WorkloadTrace epoch
- * (exact epoch-final mask slice counts and measured activation
- * vectors, shared with the imbalance replay in
- * arch/trace_imbalance.h). buildEpochWavePlan / simulateEpochPlan
+ * enabled). The others clock the wave plan (arch/wave_plan.h) — the
+ * same waves, in the same order, with the same per-PE work the
+ * analytic model reduces — turning each PE's planned work into its
+ * MACs and operand words: simulateLayerPhase plans from a sparsity
+ * profile, simulateTraceLayerPhase / simulateTraceEpoch from a
+ * measured WorkloadTrace epoch. buildEpochWavePlan / simulateEpochPlan
  * split the epoch replay into its SimConfig-independent geometry and
  * the per-config clocking, so knob sweeps over one measured epoch
  * (bench_dataflow) build the waves once.
@@ -283,13 +283,16 @@ SimResult simulateWaveSequence(const std::vector<WaveSpec> &waves,
                                const SimConfig &cfg);
 
 /**
- * Build the wave sequence for (layer, phase, mapping) from the same
- * sparsity profile the analytic model uses, then simulate every wave
- * (drain-overlapped when cfg.doubleBufferOutputs). Operand channels
- * follow classifyFlow(). Slots whose sparse-operand density is zero
- * (fully pruned slices/chunks) carry zero demand: they retire no
- * phantom MACs, drain no phantom psums, and are excluded from stall
+ * Build the wave sequence for (layer, phase, mapping) from the wave
+ * plan of the sparsity profile the analytic model uses, then simulate
+ * every wave (drain-overlapped when cfg.doubleBufferOutputs). Operand
+ * channels follow classifyFlow(). Slots whose sparse-operand density
+ * is zero (fully pruned slices/chunks) carry zero demand: they retire
+ * no phantom MACs, drain no phantom psums, and are excluded from stall
  * accounting. No DRAM refill: the profile path has no measured bytes.
+ * BalanceMode::FullChip clocks unbalanced: the simulated array has no
+ * chip-wide exchange network (Figure 10), so only None and HalfTile
+ * have a cycle-level counterpart.
  */
 SimResult simulateLayerPhase(const arch::LayerShape &layer,
                              arch::Phase phase, arch::MappingKind mapping,
@@ -301,14 +304,15 @@ SimResult simulateLayerPhase(const arch::LayerShape &layer,
 
 /**
  * Trace-driven variant of simulateLayerPhase: identical wave geometry
- * (tiling, channels, RF chunking, half-tile balancing), but per-tile
- * work comes from the measured epoch facts — exact epoch-final mask
- * slice counts (SparsityMask::tileNnz / blockNnz via
- * arch::measuredSliceWork / measuredPairWork) for weight-sparse
- * phases, measured per-sample / per-channel / spatial activation
- * vectors for the weight-update phase — instead of the profile's
- * density scalars. When cfg.dramWordsPerCycle > 0 the phase is also
- * charged its DRAM->GLB refill from the layer's measured bytes.
+ * (tiling, channels, RF chunking, half-tile balancing), but the plan
+ * reads the measured epoch facts — exact epoch-final mask slice counts
+ * (SparsityMask::tileNnz / blockNnz) for weight-sparse phases,
+ * measured per-sample / per-channel / spatial activation vectors for
+ * the weight-update phase — instead of the profile's density scalars.
+ * When cfg.dramWordsPerCycle > 0 the phase is also charged its
+ * DRAM->GLB refill from the layer's measured bytes (compressed weight
+ * image plus activation volumes at the measured input density, summed
+ * by arch::phaseDramWords).
  */
 SimResult simulateTraceLayerPhase(const arch::LayerTrace &layer,
                                   arch::Phase phase,
@@ -317,18 +321,6 @@ SimResult simulateTraceLayerPhase(const arch::LayerTrace &layer,
                                   const SimConfig &scfg,
                                   arch::BalanceMode balance =
                                       arch::BalanceMode::HalfTile);
-
-/**
- * DRAM->GLB refill demand of one traced (layer, phase) in 32-bit
- * words, from the measured facts: the compressed weight image
- * (LayerTrace::csbWeightBytes — falls back to the mask-density
- * estimate when a trace predates byte telemetry) plus dense/compressed
- * activation volumes scaled by the measured input density, mirroring
- * the per-phase structure of CostModel::dramWords for the sparse
- * machine.
- */
-double traceRefillWords(const arch::LayerTrace &layer, arch::Phase phase,
-                        int64_t batch);
 
 /**
  * SimConfig-independent wave geometry of one traced (layer, phase):
@@ -385,9 +377,9 @@ struct TraceSimResult
      * equal to analyticComputeCycles when the co-run's SimConfig
      * models no refill, otherwise the per-(layer, phase) overlap-aware
      * refill bound max(compute, dram_words / dramWordsPerCycle) summed
-     * over the epoch — the CostModel mirror of the simulator's refill
-     * front end, so the ratio stays meaningful when the simulator
-     * prices end-to-end traffic.
+     * over the epoch (CostOptions::dramRefillWordsPerCycle semantics),
+     * so the ratio stays meaningful when the simulator prices
+     * end-to-end traffic.
      */
     double analyticRefCycles = -1.0;
 

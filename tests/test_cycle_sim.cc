@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "arch/accelerator.h"
@@ -217,6 +218,58 @@ TEST_P(AnalyticAgreement, CycleSimWithinBand)
         << ac.name;
 }
 
+/**
+ * Exact agreement: with uncontended delivery (unlimited unicast and GLB
+ * banks, unbounded FIFOs) and a serial drain, a simulated wave lasts
+ * exactly its slowest PE's MAC count, which is the analytic wave
+ * latency rounded to whole MACs — so the two compute latencies differ
+ * by at most one cycle per wave, in every phase and mapping.
+ */
+TEST_P(AnalyticAgreement, UncontendedComputeMatchesAnalyticPerWave)
+{
+    const AgreementCase &ac = GetParam();
+    const ArrayConfig acfg = ArrayConfig::baseline16();
+    SimConfig scfg;
+    scfg.unicastWordsPerCycle = 1 << 20;
+    scfg.glbBanks = 4096;
+    scfg.peFifoDepth = 0;
+    scfg.doubleBufferOutputs = false;
+    for (const LayerShape &layer : {arch::convLayer("c32", 32, 32, 3, 8),
+                                    arch::convLayer("c24", 24, 40, 3, 12)}) {
+        sparse::SyntheticMaskConfig mc;
+        mc.targetDensity = 0.25;
+        mc.kernelSigma = 1.0;
+        mc.seed = 5;
+        const auto mask = sparse::makeSyntheticMask(
+            layer.K, layer.effectiveC(), layer.R, layer.S, mc);
+        const LayerSparsityProfile profile(mask, 0.5);
+        for (BalanceMode balance :
+             {BalanceMode::None, BalanceMode::HalfTile}) {
+            arch::CostOptions opts;
+            opts.sparse = true;
+            opts.balance = balance;
+            const arch::CostModel analytic(acfg, opts);
+            const double expected =
+                analytic
+                    .evaluatePhase(layer, ac.phase, ac.mapping, profile, 16)
+                    .computeCycles;
+            const size_t waves =
+                analytic.waveStats(layer, ac.phase, ac.mapping, profile, 16)
+                    .size();
+            const SimResult sim = simulateLayerPhase(
+                layer, ac.phase, ac.mapping, profile, 16, acfg, scfg,
+                balance);
+            EXPECT_LE(std::abs(static_cast<double>(sim.computeCycles) -
+                               expected),
+                      static_cast<double>(waves))
+                << ac.name << " " << layer.name << " "
+                << (balance == BalanceMode::None ? "None" : "HalfTile")
+                << ": simulated " << sim.computeCycles << ", analytic "
+                << expected;
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Configs, AnalyticAgreement,
     ::testing::Values(
@@ -225,6 +278,22 @@ INSTANTIATE_TEST_SUITE_P(
         AgreementCase{"kn_wu", MappingKind::KN, Phase::WeightUpdate},
         AgreementCase{"cn_fw", MappingKind::CN, Phase::Forward},
         AgreementCase{"ck_fw", MappingKind::CK, Phase::Forward}),
+    [](const ::testing::TestParamInfo<AgreementCase> &info) {
+        return info.param.name;
+    });
+
+// The mapping x phase cases the band suite above leaves out, so the
+// exact per-wave agreement covers all twelve.
+INSTANTIATE_TEST_SUITE_P(
+    RemainingPhases, AnalyticAgreement,
+    ::testing::Values(
+        AgreementCase{"cn_bw", MappingKind::CN, Phase::Backward},
+        AgreementCase{"cn_wu", MappingKind::CN, Phase::WeightUpdate},
+        AgreementCase{"ck_bw", MappingKind::CK, Phase::Backward},
+        AgreementCase{"ck_wu", MappingKind::CK, Phase::WeightUpdate},
+        AgreementCase{"pq_fw", MappingKind::PQ, Phase::Forward},
+        AgreementCase{"pq_bw", MappingKind::PQ, Phase::Backward},
+        AgreementCase{"pq_wu", MappingKind::PQ, Phase::WeightUpdate}),
     [](const ::testing::TestParamInfo<AgreementCase> &info) {
         return info.param.name;
     });
