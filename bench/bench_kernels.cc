@@ -71,6 +71,8 @@ struct Row
     std::vector<SweepPoint> sweep;   //!< density sweep, dense-first
     double crossover_density = 0.0;  //!< max swept density where the
                                      //!< sparse forward beats gemm
+    double crossover_density_bwd = 0.0;  //!< same for sparse bw-data +
+                                         //!< bw-weight vs gemm backward
     double macs = 0.0;   //!< dense forward MACs for GMAC/s rates
 
     double fwdSpeedup() const { return naive_fwd_ms / gemm_fwd_ms; }
@@ -273,6 +275,10 @@ benchOne(const BenchLayer &bl, int64_t batch, bool smoke)
         if (pt.sparse_fwd_ms < row.gemm_fwd_ms)
             row.crossover_density =
                 std::max(row.crossover_density, density);
+        if (pt.sparse_bwd_data_ms + pt.sparse_bwd_weight_ms <
+            row.gemm_bwd_ms)
+            row.crossover_density_bwd =
+                std::max(row.crossover_density_bwd, density);
         if (density == 0.2) {
             // Headline columns keep the historical 80%-sparse point.
             row.sparse_density = density;
@@ -411,7 +417,7 @@ emitJson(const std::vector<Row> &rows, const std::vector<FcRow> &fc_rows,
     geo_tbwd = std::exp(geo_tbwd / static_cast<double>(rows.size()));
 
     std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"version\": 5,\n");
+    std::fprintf(f, "  \"version\": 6,\n");
     std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
     std::fprintf(f, "  \"threads\": %d,\n",
                  ThreadPool::global().numThreads());
@@ -435,7 +441,8 @@ emitJson(const std::vector<Row> &rows, const std::vector<FcRow> &fc_rows,
             "\"thread_fwd_speedup\": %.2f, \"thread_bwd_speedup\": %.2f,\n"
             "     \"sparse_fwd_ms\": %.3f, \"sparse_bwd_data_ms\": %.3f, "
             "\"sparse_bwd_weight_ms\": %.3f, \"sparse_density\": %.2f,\n"
-            "     \"crossover_density\": %.2f,\n"
+            "     \"crossover_density\": %.2f, "
+            "\"crossover_density_bwd\": %.2f,\n"
             "     \"sparse_sweep\": [",
             r.layer.net.c_str(), r.layer.name.c_str(),
             static_cast<long long>(r.batch),
@@ -450,7 +457,7 @@ emitJson(const std::vector<Row> &rows, const std::vector<FcRow> &fc_rows,
             r.gemm_fwd_ms_1t, r.gemm_bwd_ms_1t, r.threadFwdSpeedup(),
             r.threadBwdSpeedup(), r.sparse_fwd_ms, r.sparse_bwd_data_ms,
             r.sparse_bwd_weight_ms, r.sparse_density,
-            r.crossover_density);
+            r.crossover_density, r.crossover_density_bwd);
         for (size_t j = 0; j < r.sweep.size(); ++j) {
             const SweepPoint &pt = r.sweep[j];
             std::fprintf(

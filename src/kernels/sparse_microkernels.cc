@@ -35,6 +35,24 @@ resolveSimdLevel()
 
 std::atomic<int> g_simd_level{-1};
 
+/** Dispatch one conv plane run (see sparseConvFwdPlaneRun). */
+template <bool kFused>
+void
+convPlaneRun(const ConvRunTap *taps, int64_t ntaps, const float *xbase,
+             float *yplane, int64_t xrow_stride, int64_t p_ext,
+             int64_t q_ext)
+{
+#ifdef PROCRUSTES_HAVE_AVX2
+    if (activeSimdLevel() == SimdLevel::kAvx2) {
+        detail::convPlaneRunAvx2<kFused>(taps, ntaps, xbase, yplane,
+                                         xrow_stride, p_ext, q_ext);
+        return;
+    }
+#endif
+    detail::convPlaneRunScalar<kFused>(taps, ntaps, xbase, yplane,
+                                       xrow_stride, p_ext, q_ext);
+}
+
 } // namespace
 
 bool
@@ -133,30 +151,31 @@ sparseConvFwdPlaneRun(const ConvRunTap *taps, int64_t ntaps,
                       const float *xbase, float *yplane,
                       int64_t xrow_stride, int64_t p_ext, int64_t q_ext)
 {
+    convPlaneRun<true>(taps, ntaps, xbase, yplane, xrow_stride, p_ext,
+                       q_ext);
+}
+
+void
+sparseConvBwdDataPlaneRun(const ConvRunTap *taps, int64_t ntaps,
+                          const float *dybase, float *dxplane,
+                          int64_t dyrow_stride, int64_t rows,
+                          int64_t cols)
+{
+    convPlaneRun<false>(taps, ntaps, dybase, dxplane, dyrow_stride, rows,
+                        cols);
+}
+
+void
+nonzeroCutTable(const float *plane, int64_t rows, int64_t cols,
+                const int64_t *cuts, int64_t ncut, int32_t *table)
+{
 #ifdef PROCRUSTES_HAVE_AVX2
     if (activeSimdLevel() == SimdLevel::kAvx2) {
-        detail::convFwdPlaneRunAvx2(taps, ntaps, xbase, yplane,
-                                    xrow_stride, p_ext, q_ext);
+        detail::nonzeroCutTableAvx2(plane, rows, cols, cuts, ncut, table);
         return;
     }
 #endif
-    detail::convFwdRunScalar(taps, ntaps, xbase, yplane, xrow_stride,
-                             p_ext, q_ext);
-}
-
-int64_t
-sparseConvBwdDataPlane(const ConvTap *taps, int64_t ntaps,
-                       const float *wvals, const float *dyplane,
-                       float *dxplane, int64_t in_w, int64_t stride,
-                       int64_t q_ext)
-{
-#ifdef PROCRUSTES_HAVE_AVX2
-    if (activeSimdLevel() == SimdLevel::kAvx2)
-        return detail::convBwdDataPlaneAvx2(taps, ntaps, wvals, dyplane,
-                                            dxplane, in_w, stride, q_ext);
-#endif
-    return detail::convBwdDataPlaneScalar(taps, ntaps, wvals, dyplane,
-                                          dxplane, in_w, stride, q_ext);
+    detail::nonzeroCutTableScalar(plane, rows, cols, cuts, ncut, table);
 }
 
 int64_t

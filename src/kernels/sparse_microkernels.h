@@ -23,9 +23,15 @@
  *     ±0, an identity — see the zero-skipping note). Both levels use a
  *     fused multiply-add per tap (std::fmaf / vfmadd), which rounds
  *     once, identically.
- *   - conv backward-data broadcasts one weight against 8 gradient
- *     pixels per step; lanes are independent output elements, so
- *     chunking cannot change any sum.
+ *   - conv backward-data runs the same output-stationary kernel in
+ *     gather form. The executor copies dy once into a zero-padded
+ *     buffer and splits dx into its stride^2 phase planes (rows ≡ a,
+ *     columns ≡ b mod stride); every mask-live tap whose kernel row
+ *     and column land on that phase reads one unit-stride dy streak
+ *     per dx phase row, so one kernel serves every stride. The only
+ *     difference from forward is the accumulate step: a rounded
+ *     product, then a rounded add, instead of a fused multiply-add —
+ *     the dx bits the golden test in tests/test_sparse_conv.cc pins.
  *   - conv backward-weight reduces each tap over (n, p, q) into 8
  *     accumulator lanes indexed by q mod 8 and collapses them with a
  *     fixed binary tree; the scalar fallback implements the *same*
@@ -42,14 +48,19 @@
  * bitwise equal because an accumulator that starts at +0 can never
  * become -0 (IEEE 754: exact cancellation rounds to +0, and +0 + (±0)
  * is +0), so adding wt * ±0 is an identity on every partial sum. The
- * executed-MAC tallies still count only non-zero operands (via
- * compare + movemask + popcount), matching the scalar counters.
+ * conv kernels go further: a strip multiplies every tap against the
+ * padding too, so out-of-window reads add wt * (+0). The executed-MAC
+ * tallies still count only non-zero operands — via compare + movemask
+ * + popcount in the lane kernels, and in conv backward-data through a
+ * summed-area table of non-zero dy, one window lookup per (tap,
+ * sample).
  *
  * Both microkernel translation units are compiled with
  * -ffp-contract=off, so the compiler may not fuse (or un-fuse) what
  * the other level rounds differently. Where an FMA is used it is
  * explicit and symmetric (conv forward: std::fmaf / _mm256_fmadd_ps);
- * everywhere else both levels use explicit mul + add.
+ * everywhere else, conv backward-data included, both levels use
+ * explicit mul + add.
  *
  * Dispatch: PROCRUSTES_SIMD=avx2|scalar overrides the default (AVX2
  * whenever the binary and the CPU support it); setSimdLevel() lets
@@ -142,21 +153,35 @@ ConvTapPack packConvTaps(const sparse::CsbTensor &w, int64_t in_h,
                          int64_t in_w, int64_t stride, int64_t pad);
 
 /**
- * One flattened forward tap against the *prepared* input (zero-padded,
- * stride-phase-split — see sparseConvForward): channel plane, kernel
- * row, and phase slot are all folded into one offset and the weight
- * value is copied in, so the forward kernel streams one homogeneous
- * array over an input-channel run of one output channel. Every tap
- * covers the full output plane at unit column stride by construction.
- * Executors rebuild these per call (values change every optimizer
- * step) from the cached ConvTapPack geometry.
+ * One flattened tap of a conv plane run against a prepared source
+ * buffer: for forward, the zero-padded, stride-phase-split input (see
+ * sparseConvForward); for backward-data, the zero-padded dy (see
+ * sparseConvBackwardData). Channel plane, kernel row, and phase slot
+ * are all folded into one offset and the weight value is copied in,
+ * so the kernels stream one homogeneous array over a channel run.
+ * Every tap covers the full destination plane at unit column stride
+ * by construction. Executors rebuild these per call (values change
+ * every optimizer step) from the cached ConvTapPack geometry.
  */
 struct ConvRunTap
 {
-    int64_t xoff;   //!< prepared-x offset of output (0, 0): output
+    int64_t xoff;   //!< source offset of destination (0, 0): element
                     //!< (p, q) reads xbase + xoff + p*xrow_stride + q
     float w;        //!< the tap's weight value
 };
+
+/**
+ * Rows of one register strip of the conv plane kernels: 4 on narrow
+ * planes (at most two 8-lane vectors per row), 2 on wide ones (3 rows
+ * x 4 vectors spills accumulators). The executors size their L1
+ * channel chunks from it, so a chunk's footprint estimate matches what
+ * one strip visit touches.
+ */
+inline int64_t
+convStripRows(int64_t q_ext)
+{
+    return q_ext <= 16 ? 4 : 2;
+}
 
 /**
  * Forward conv kernel for one whole output plane: accumulate every
@@ -177,15 +202,25 @@ void sparseConvFwdPlaneRun(const ConvRunTap *taps, int64_t ntaps,
                            int64_t q_ext);
 
 /**
- * Backward-data conv inner kernel: scatter one block's taps from one
- * gradient plane into one dx plane. Returns the executed MACs (taps x
- * non-zero dy operands). Strided (stride > 1) rows run the scalar
- * reference at both levels — the dx scatter is non-contiguous there.
+ * Backward-data conv kernel for one dx phase plane: the same strips
+ * and tap order as sparseConvFwdPlaneRun over a padded-dy source, but
+ * each tap adds the rounded product wt * dy with a separate rounded
+ * add, at both levels. Same read slack contract as forward.
  */
-int64_t sparseConvBwdDataPlane(const ConvTap *taps, int64_t ntaps,
-                               const float *wvals, const float *dyplane,
-                               float *dxplane, int64_t in_w,
-                               int64_t stride, int64_t q_ext);
+void sparseConvBwdDataPlaneRun(const ConvRunTap *taps, int64_t ntaps,
+                               const float *dybase, float *dxplane,
+                               int64_t dyrow_stride, int64_t rows,
+                               int64_t cols);
+
+/**
+ * Summed-area table of one plane's non-zeros, sampled at ascending
+ * column cuts: table[(p + 1) * ncut + j] counts the non-zero
+ * plane[p'][q] with p' <= p and q < cuts[j] (the caller zeroes table
+ * row 0). The count over rows [p0, p1) x columns [cuts[j0], cuts[j1])
+ * is then four lookups. Exact integers, equal at every SIMD level.
+ */
+void nonzeroCutTable(const float *plane, int64_t rows, int64_t cols,
+                     const int64_t *cuts, int64_t ncut, int32_t *table);
 
 /**
  * Backward-weight conv inner kernel: reduce one block's taps over the

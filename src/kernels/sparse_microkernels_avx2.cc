@@ -8,9 +8,10 @@
  * with the scalar reference by construction: the conv forward kernel
  * uses an explicit _mm256_fmadd_ps mirrored by std::fmaf in the
  * scalar loop (both round the fused product-sum once); every other
- * accumulation uses explicit _mm256_add_ps(_mm256_mul_ps(...)) —
- * never a compiler-contracted FMA — so each product is rounded
- * exactly once, like its scalar counterpart.
+ * accumulation, conv backward-data included, uses explicit
+ * _mm256_add_ps(_mm256_mul_ps(...)) — never a compiler-contracted FMA
+ * — so each product is rounded exactly once, like its scalar
+ * counterpart.
  *
  * Bitwise-parity invariants (see sparse_microkernels.h):
  *   - lanes are independent outputs (fwd, bwd-data, fc tiles), or
@@ -85,19 +86,29 @@ countNonzero(__m256 v)
         _mm256_movemask_ps(_mm256_cmp_ps(v, zero, _CMP_NEQ_UQ))));
 }
 
+/** One accumulate step: fused (forward) or mul then add (bwd-data). */
+template <bool kFused>
+inline __m256
+accumulate(__m256 wt, __m256 x, __m256 acc)
+{
+    return kFused ? _mm256_fmadd_ps(wt, x, acc)
+                  : _mm256_add_ps(acc, _mm256_mul_ps(wt, x));
+}
+
 /**
- * Forward strip: ROWS x NV output vectors held in registers while the
- * whole tap chunk streams by. The prepared input made every tap
- * full-range at unit column stride, so the per-tap work is ROWS * NV
- * load-fused FMAs and nothing else. Partial tail vectors accumulate
- * up to 7 in-buffer garbage lanes; the masked y load/store drops them,
- * so the stored lanes see exactly the scalar fmaf sequence.
+ * Conv plane strip: ROWS x NV destination vectors held in registers
+ * while the whole tap chunk streams by. The prepared source made every
+ * tap full-range at unit column stride, so the per-tap work is
+ * ROWS * NV loads and accumulate steps and nothing else. Partial tail
+ * vectors accumulate up to 7 in-buffer garbage lanes; the masked
+ * load/store drops them, so the stored lanes see exactly the scalar
+ * sequence.
  */
-template <int ROWS, int NV>
+template <bool kFused, int ROWS, int NV>
 inline void
-fwdStrip(const ConvRunTap *taps, int64_t ntaps, const float *xbase,
-         int64_t xrs, int64_t p0, int64_t qs, int64_t qn, float *yplane,
-         int64_t q_ext)
+planeStrip(const ConvRunTap *taps, int64_t ntaps, const float *xbase,
+           int64_t xrs, int64_t p0, int64_t qs, int64_t qn,
+           float *yplane, int64_t q_ext)
 {
     const int full = static_cast<int>(qn / 8);
     const __m256i tmask = tailMask(qn - 8 * full);
@@ -115,7 +126,7 @@ fwdStrip(const ConvRunTap *taps, int64_t ntaps, const float *xbase,
         for (int r = 0; r < ROWS; ++r) {
             const float *xr = x0 + r * xrs;
             for (int v = 0; v < NV; ++v)
-                acc[r][v] = _mm256_fmadd_ps(
+                acc[r][v] = accumulate<kFused>(
                     wt, _mm256_loadu_ps(xr + 8 * v), acc[r][v]);
         }
     }
@@ -130,43 +141,41 @@ fwdStrip(const ConvRunTap *taps, int64_t ntaps, const float *xbase,
     }
 }
 
-template <int ROWS>
+template <bool kFused, int ROWS>
 inline void
-fwdStripNv(const ConvRunTap *taps, int64_t ntaps, const float *xbase,
-           int64_t xrs, int64_t p0, int64_t qs, int64_t qn,
-           float *yplane, int64_t q_ext)
+planeStripNv(const ConvRunTap *taps, int64_t ntaps, const float *xbase,
+             int64_t xrs, int64_t p0, int64_t qs, int64_t qn,
+             float *yplane, int64_t q_ext)
 {
     switch ((qn + 7) / 8) {
     case 1:
-        fwdStrip<ROWS, 1>(taps, ntaps, xbase, xrs, p0, qs, qn, yplane,
-                          q_ext);
+        planeStrip<kFused, ROWS, 1>(taps, ntaps, xbase, xrs, p0, qs, qn,
+                                    yplane, q_ext);
         break;
     case 2:
-        fwdStrip<ROWS, 2>(taps, ntaps, xbase, xrs, p0, qs, qn, yplane,
-                          q_ext);
+        planeStrip<kFused, ROWS, 2>(taps, ntaps, xbase, xrs, p0, qs, qn,
+                                    yplane, q_ext);
         break;
     case 3:
-        fwdStrip<ROWS, 3>(taps, ntaps, xbase, xrs, p0, qs, qn, yplane,
-                          q_ext);
+        planeStrip<kFused, ROWS, 3>(taps, ntaps, xbase, xrs, p0, qs, qn,
+                                    yplane, q_ext);
         break;
     default:
-        fwdStrip<ROWS, 4>(taps, ntaps, xbase, xrs, p0, qs, qn, yplane,
-                          q_ext);
+        planeStrip<kFused, ROWS, 4>(taps, ntaps, xbase, xrs, p0, qs, qn,
+                                    yplane, q_ext);
         break;
     }
 }
 
 } // namespace
 
+template <bool kFused>
 void
-convFwdPlaneRunAvx2(const ConvRunTap *taps, int64_t ntaps,
-                    const float *xbase, float *yplane, int64_t xrs,
-                    int64_t p_ext, int64_t q_ext)
+convPlaneRunAvx2(const ConvRunTap *taps, int64_t ntaps,
+                 const float *xbase, float *yplane, int64_t xrs,
+                 int64_t p_ext, int64_t q_ext)
 {
-    // Strip height trades accumulator registers against per-tap
-    // overhead: narrow planes (<= 2 vectors per row) afford 4 rows;
-    // wide ones stay at 2 (3 rows x 4 vectors spills accumulators).
-    const int64_t rp = q_ext <= 16 ? 4 : 2;
+    const int64_t rp = convStripRows(q_ext);
     for (int64_t p0 = 0; p0 < p_ext; p0 += rp) {
         const int64_t rows = p_ext - p0 < rp ? p_ext - p0 : rp;
         for (int64_t qs = 0; qs < q_ext; qs += 32) {
@@ -174,66 +183,55 @@ convFwdPlaneRunAvx2(const ConvRunTap *taps, int64_t ntaps,
                 q_ext - qs < 32 ? q_ext - qs : static_cast<int64_t>(32);
             switch (rows) {
             case 1:
-                fwdStripNv<1>(taps, ntaps, xbase, xrs, p0, qs, qn,
-                              yplane, q_ext);
+                planeStripNv<kFused, 1>(taps, ntaps, xbase, xrs, p0, qs,
+                                        qn, yplane, q_ext);
                 break;
             case 2:
-                fwdStripNv<2>(taps, ntaps, xbase, xrs, p0, qs, qn,
-                              yplane, q_ext);
+                planeStripNv<kFused, 2>(taps, ntaps, xbase, xrs, p0, qs,
+                                        qn, yplane, q_ext);
                 break;
             case 3:
-                fwdStripNv<3>(taps, ntaps, xbase, xrs, p0, qs, qn,
-                              yplane, q_ext);
+                planeStripNv<kFused, 3>(taps, ntaps, xbase, xrs, p0, qs,
+                                        qn, yplane, q_ext);
                 break;
             default:
-                fwdStripNv<4>(taps, ntaps, xbase, xrs, p0, qs, qn,
-                              yplane, q_ext);
+                planeStripNv<kFused, 4>(taps, ntaps, xbase, xrs, p0, qs,
+                                        qn, yplane, q_ext);
                 break;
             }
         }
     }
 }
 
-int64_t
-convBwdDataPlaneAvx2(const ConvTap *taps, int64_t ntaps,
-                     const float *wvals, const float *dyplane,
-                     float *dxplane, int64_t in_w, int64_t stride,
-                     int64_t q_ext)
+template void convPlaneRunAvx2<true>(const ConvRunTap *, int64_t,
+                                     const float *, float *, int64_t,
+                                     int64_t, int64_t);
+template void convPlaneRunAvx2<false>(const ConvRunTap *, int64_t,
+                                      const float *, float *, int64_t,
+                                      int64_t, int64_t);
+
+void
+nonzeroCutTableAvx2(const float *plane, int64_t rows, int64_t cols,
+                    const int64_t *cuts, int64_t ncut, int32_t *table)
 {
-    // The dx scatter is only contiguous at stride 1; strided rows run
-    // the scalar reference (identical at both dispatch levels).
-    if (stride != 1)
-        return convBwdDataPlaneScalar(taps, ntaps, wvals, dyplane,
-                                      dxplane, in_w, stride, q_ext);
-    int64_t macs = 0;
-    for (int64_t t = 0; t < ntaps; ++t) {
-        const ConvTap &tp = taps[t];
-        if (tp.nq <= 0 || tp.pHi <= tp.pLo)
-            continue;
-        const __m256 wt = _mm256_set1_ps(wvals[t]);
-        for (int64_t p = tp.pLo; p < tp.pHi; ++p) {
-            float *dxr = dxplane + p * in_w + tp.xoff;
-            const float *gr = dyplane + p * q_ext + tp.qLo;
-            int64_t q = 0;
-            for (; q + 8 <= tp.nq; q += 8) {
-                const __m256 g = _mm256_loadu_ps(gr + q);
-                __m256 d = _mm256_loadu_ps(dxr + q);
-                d = _mm256_add_ps(d, _mm256_mul_ps(wt, g));
-                _mm256_storeu_ps(dxr + q, d);
-                macs += countNonzero(g);
+    for (int64_t p = 0; p < rows; ++p) {
+        const float *row = plane + p * cols;
+        int32_t *cur = table + (p + 1) * ncut;
+        const int32_t *above = cur - ncut;
+        int32_t run = 0;
+        int64_t q = 0;
+        for (int64_t j = 0; j < ncut; ++j) {
+            const int64_t end = cuts[j];
+            for (; q + 8 <= end; q += 8)
+                run += countNonzero(_mm256_loadu_ps(row + q));
+            if (q < end) {   // dead lanes load +0: uncounted
+                run += countNonzero(
+                    _mm256_maskload_ps(row + q, tailMask(end - q)));
+                q = end;
             }
-            const int64_t rem = tp.nq - q;
-            if (rem) {
-                const __m256i m = tailMask(rem);
-                const __m256 g = _mm256_maskload_ps(gr + q, m);
-                __m256 d = _mm256_maskload_ps(dxr + q, m);
-                d = _mm256_add_ps(d, _mm256_mul_ps(wt, g));
-                _mm256_maskstore_ps(dxr + q, m, d);
-                macs += countNonzero(g);   // dead lanes load +0: uncounted
-            }
+            cur[j] = above[j] + run;
         }
     }
-    return macs;
 }
 
 int64_t

@@ -2,11 +2,10 @@
  * @file
  * Internal implementations shared by the sparse-microkernel TUs.
  *
- * The scalar reference kernels live here as inlines so the AVX2
- * translation unit can fall back to them (e.g. strided backward-data
- * rows) with *identical* code — both TUs are compiled with
- * -ffp-contract=off, so the inlined arithmetic rounds the same way in
- * each. The AVX2 entry points are declared here and defined in
+ * The scalar reference kernels live here as inlines, next to the
+ * declarations of their AVX2 twins; both microkernel TUs are compiled
+ * with -ffp-contract=off, so the inlined arithmetic rounds the same
+ * way wherever it lands. The AVX2 entry points are defined in
  * sparse_microkernels_avx2.cc, which is compiled with -mavx2 only when
  * the compiler supports it (PROCRUSTES_HAVE_AVX2).
  *
@@ -25,18 +24,21 @@ namespace kernels {
 namespace detail {
 
 /**
- * Scalar conv forward over one flattened tap run against the prepared
- * input: tap-major loops, one fused multiply-add per output element
- * per tap, full plane per tap (padding made every tap unclipped). Per
- * output element the taps arrive in increasing t order — the exact
- * accumulation sequence the output-stationary AVX2 kernel replays in
- * registers, so the two are bitwise identical. yplane accumulates
- * (partial sums survive chunked calls).
+ * Scalar conv plane kernel over one flattened tap run against a
+ * prepared source: tap-major loops, full plane per tap (padding made
+ * every tap unclipped). Per destination element the taps arrive in
+ * increasing t order — the exact accumulation sequence the
+ * output-stationary AVX2 kernel replays in registers, so the two are
+ * bitwise identical. The accumulate step is one fused multiply-add
+ * (kFused, forward) or a rounded product then a rounded add
+ * (backward-data). yplane accumulates (partial sums survive chunked
+ * calls).
  */
+template <bool kFused>
 inline void
-convFwdRunScalar(const ConvRunTap *taps, int64_t ntaps,
-                 const float *xbase, float *yplane, int64_t xrs,
-                 int64_t p_ext, int64_t q_ext)
+convPlaneRunScalar(const ConvRunTap *taps, int64_t ntaps,
+                   const float *xbase, float *yplane, int64_t xrs,
+                   int64_t p_ext, int64_t q_ext)
 {
     for (int64_t t = 0; t < ntaps; ++t) {
         const float wt = taps[t].w;
@@ -44,36 +46,29 @@ convFwdRunScalar(const ConvRunTap *taps, int64_t ntaps,
             const float *xr = xbase + taps[t].xoff + p * xrs;
             float *yr = yplane + p * q_ext;
             for (int64_t q = 0; q < q_ext; ++q)
-                yr[q] = std::fmaf(wt, xr[q], yr[q]);
+                yr[q] = kFused ? std::fmaf(wt, xr[q], yr[q])
+                               : yr[q] + wt * xr[q];
         }
     }
 }
 
-/** Scalar conv backward-data: zero-dy skip + executed-MAC tally. */
-inline int64_t
-convBwdDataPlaneScalar(const ConvTap *taps, int64_t ntaps,
-                       const float *wvals, const float *dyplane,
-                       float *dxplane, int64_t in_w, int64_t stride,
-                       int64_t q_ext)
+/** Scalar column-cut non-zero table (see nonzeroCutTable). */
+inline void
+nonzeroCutTableScalar(const float *plane, int64_t rows, int64_t cols,
+                      const int64_t *cuts, int64_t ncut, int32_t *table)
 {
-    const int64_t xrs = stride * in_w;
-    int64_t macs = 0;
-    for (int64_t t = 0; t < ntaps; ++t) {
-        const ConvTap &tp = taps[t];
-        const float wt = wvals[t];
-        for (int64_t p = tp.pLo; p < tp.pHi; ++p) {
-            float *dxr = dxplane + p * xrs + tp.xoff;
-            const float *gr = dyplane + p * q_ext + tp.qLo;
-            for (int64_t q = 0; q < tp.nq; ++q) {
-                const float g = gr[q];
-                if (g == 0.0f)
-                    continue;
-                dxr[q * stride] += wt * g;
-                ++macs;
-            }
+    for (int64_t p = 0; p < rows; ++p) {
+        const float *row = plane + p * cols;
+        int32_t *cur = table + (p + 1) * ncut;
+        const int32_t *above = cur - ncut;
+        int32_t run = 0;
+        int64_t q = 0;
+        for (int64_t j = 0; j < ncut; ++j) {
+            for (; q < cuts[j]; ++q)
+                run += row[q] != 0.0f;
+            cur[j] = above[j] + run;
         }
     }
-    return macs;
 }
 
 /**
@@ -233,13 +228,13 @@ fcWuReduceScalar(const int32_t *di32, const float *part, int64_t nnz,
 }
 
 #ifdef PROCRUSTES_HAVE_AVX2
-void convFwdPlaneRunAvx2(const ConvRunTap *taps, int64_t ntaps,
-                         const float *xbase, float *yplane, int64_t xrs,
-                         int64_t p_ext, int64_t q_ext);
-int64_t convBwdDataPlaneAvx2(const ConvTap *taps, int64_t ntaps,
-                             const float *wvals, const float *dyplane,
-                             float *dxplane, int64_t in_w, int64_t stride,
-                             int64_t q_ext);
+template <bool kFused>
+void convPlaneRunAvx2(const ConvRunTap *taps, int64_t ntaps,
+                      const float *xbase, float *yplane, int64_t xrs,
+                      int64_t p_ext, int64_t q_ext);
+void nonzeroCutTableAvx2(const float *plane, int64_t rows, int64_t cols,
+                         const int64_t *cuts, int64_t ncut,
+                         int32_t *table);
 int64_t convBwdWeightBlockAvx2(const ConvTap *taps, int64_t ntaps,
                                const float *x_chan, const float *dy_chan,
                                int64_t x_batch_stride,

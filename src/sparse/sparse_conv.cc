@@ -84,6 +84,45 @@ gatherMaskTaps(const CsbTensor &w, int64_t b, int64_t s_ext, int64_t h,
     }
 }
 
+/**
+ * Channels per L1-sized chunk of a conv plane run: one strip visit
+ * reads `rows_per_channel` source rows of up to 40 floats (32 columns
+ * plus the 8-lane overread) from every channel of the chunk.
+ */
+int64_t
+l1ChannelChunk(int64_t rows_per_channel)
+{
+    const int64_t strip_bytes = rows_per_channel * 40 * 4;
+    return std::max<int64_t>(1,
+                             24576 / std::max<int64_t>(1, strip_bytes));
+}
+
+/**
+ * Exact dy halo of one axis of the gather-form backward-data pass.
+ * dx index a + stride*i (phase a) receives kernel tap r = r0 +
+ * stride*m, r0 = (a + pad) mod stride, from dy index i + (a + pad) /
+ * stride - m. Over every phase, tap, and in-range i, that index spans
+ * [-*lo, out - 1 + *hi]: the rows/columns of zeros the padded dy needs
+ * on each side.
+ */
+void
+phaseHalo(int64_t in, int64_t out, int64_t kernel, int64_t stride,
+          int64_t pad, int64_t *lo, int64_t *hi)
+{
+    *lo = 0;
+    *hi = 0;
+    for (int64_t a = 0; a < stride && a < in; ++a) {
+        const int64_t r0 = (a + pad) % stride;
+        if (r0 >= kernel)
+            continue;   // no tap lands on this phase
+        const int64_t base = (a + pad) / stride;
+        const int64_t m_max = (kernel - 1 - r0) / stride;
+        const int64_t n_phase = (in - a + stride - 1) / stride;
+        *lo = std::max(*lo, m_max - base);
+        *hi = std::max(*hi, base + n_phase - 1 - (out - 1));
+    }
+}
+
 } // namespace
 
 Tensor
@@ -184,14 +223,8 @@ sparseConvForward(const Tensor &x, const CsbTensor &w, int64_t stride,
     // tally is per-tap arithmetic (clipped extents x batch), not an
     // inner-loop counter, so it costs nothing — padding adds exact
     // zeros the PEs would skip, and the tally does not count them.
-    // Mirror the AVX2 strip height (4 rows on narrow planes, 2 wide)
-    // so the chunk's per-plane footprint estimate matches what one
-    // strip visit actually touches.
-    const int64_t strip_rows = q_ext <= 16 ? 4 : 2;
-    const int64_t strip_bytes =
-        (r_ext + stride * (strip_rows - 1)) * 40 * 4;
-    const int64_t ic_chunk =
-        std::max<int64_t>(1, 24576 / std::max<int64_t>(1, strip_bytes));
+    const int64_t ic_chunk = l1ChannelChunk(
+        r_ext + stride * (kernels::convStripRows(q_ext) - 1));
     std::atomic<int64_t> mac_total{0};
     ThreadPool::global().parallelFor(0, k, [&](int64_t ok0, int64_t ok1) {
         int64_t local_macs = 0;
@@ -284,37 +317,178 @@ sparseConvBackwardData(const Tensor &dy, const CsbTensor &w,
     const float *wvals = w.valuesData();
 
     // The backward pass consumes the same packed blocks through the
-    // 180-degree-rotated view (Figure 2b). Partitioning over input
-    // channels makes each task's dx[:, ic, :, :] planes private, so
-    // the scatter-accumulation needs no locks and stays deterministic.
-    // Zero dy operands are skipped (activation sparsity propagated by
-    // the ReLU / max-pool backward); the executed-MAC tally is a sum
-    // of per-chunk integers, so it is thread-count invariant too.
+    // 180-degree-rotated view (Figure 2b), in gather form: dx splits
+    // into stride^2 phase planes (rows ≡ a, columns ≡ b mod stride),
+    // and the taps that land on a phase form a unit-stride
+    // correlation of dy — the forward pass's shape, run by the same
+    // output-stationary strip kernel. Prepare dy once per call:
+    // zero-padded by the exact halo those correlations read, plus 8
+    // floats of slack for the kernel's read-past-tail vectors.
+    int64_t lo_h, hi_h, lo_w, hi_w;
+    phaseHalo(h, p_ext, r_ext, stride, pad, &lo_h, &hi_h);
+    phaseHalo(width, q_ext, s_ext, stride, pad, &lo_w, &hi_w);
+    const int64_t dyrow = lo_w + q_ext + hi_w;
+    const int64_t dyplane_sz = (lo_h + p_ext + hi_h) * dyrow;
+    ScratchArena::Buffer dyprep = ScratchArena::global().acquire(
+        static_cast<size_t>(n * k * dyplane_sz + 8));
+    float *dyp = dyprep.data();
+    std::fill(dyp + n * k * dyplane_sz, dyp + n * k * dyplane_sz + 8,
+              0.0f);
+
+    // The same pass tallies the executed MACs: a live tap fires on the
+    // non-zero dy inside its padding-clipped output window. Zeros are
+    // multiplied (an exact identity, see the microkernel notes) but,
+    // as a PE would skip them, not counted. Each (sample, output
+    // channel) plane gets a summed-area table of its non-zeros,
+    // sampled at the few columns that bound a tap window, and every
+    // (tap, sample) pair costs one four-lookup window count.
+    std::vector<int64_t> qcut;
+    for (int64_t s = 0; s < s_ext; ++s) {
+        int64_t q_lo, q_hi;
+        validOutRange(q_ext, width, s, stride, pad, &q_lo, &q_hi);
+        qcut.push_back(q_lo);
+        qcut.push_back(std::max(q_lo, q_hi));
+    }
+    std::sort(qcut.begin(), qcut.end());
+    qcut.erase(std::unique(qcut.begin(), qcut.end()), qcut.end());
+    const int64_t ncut = static_cast<int64_t>(qcut.size());
+    std::vector<int64_t> qcol(static_cast<size_t>(q_ext) + 1, 0);
+    for (int64_t j = 0; j < ncut; ++j)
+        qcol[static_cast<size_t>(qcut[static_cast<size_t>(j)])] = j;
     std::atomic<int64_t> mac_total{0};
+    ThreadPool::global().parallelFor(
+        0, n * k, [&](int64_t pk0, int64_t pk1) {
+            int64_t local_macs = 0;
+            std::vector<int32_t> sat(
+                static_cast<size_t>((p_ext + 1) * ncut), 0);
+            for (int64_t pk = pk0; pk < pk1; ++pk) {
+                const float *src = pdy + pk * p_ext * q_ext;
+                float *dst = dyp + pk * dyplane_sz;
+                std::fill(dst, dst + lo_h * dyrow, 0.0f);
+                for (int64_t p = 0; p < p_ext; ++p) {
+                    float *drow = dst + (lo_h + p) * dyrow;
+                    std::fill(drow, drow + lo_w, 0.0f);
+                    std::memcpy(drow + lo_w, src + p * q_ext,
+                                static_cast<size_t>(q_ext) *
+                                    sizeof(float));
+                    std::fill(drow + lo_w + q_ext, drow + dyrow, 0.0f);
+                }
+                std::fill(dst + (lo_h + p_ext) * dyrow,
+                          dst + dyplane_sz, 0.0f);
+                kernels::nonzeroCutTable(src, p_ext, q_ext, qcut.data(),
+                                         ncut, sat.data());
+
+                const int64_t ok = pk % k;
+                const int64_t t_end =
+                    pack->blockOff[static_cast<size_t>((ok + 1) * c)];
+                for (int64_t t = pack->blockOff[static_cast<size_t>(ok * c)];
+                     t < t_end; ++t) {
+                    const kernels::ConvTap &tp = all_taps[t];
+                    if (tp.nq <= 0 || tp.pHi <= tp.pLo)
+                        continue;
+                    const int32_t *top = sat.data() + tp.pLo * ncut;
+                    const int32_t *bot = sat.data() + tp.pHi * ncut;
+                    const int64_t j0 = qcol[static_cast<size_t>(tp.qLo)];
+                    const int64_t j1 =
+                        qcol[static_cast<size_t>(tp.qLo + tp.nq)];
+                    local_macs += bot[j1] - bot[j0] - top[j1] + top[j0];
+                }
+            }
+            mac_total.fetch_add(local_macs, std::memory_order_relaxed);
+        });
+
+    // Partitioning over input channels makes each task's dx[:, ic]
+    // planes private, so no locks are needed. Per ic and phase, the
+    // live taps of every output channel that land there are flattened
+    // into one run, ordered by output channel, then pack order: one
+    // fixed addition sequence per dx element (taps outside a dx
+    // element's window read padding and add an exact zero), so the
+    // result is deterministic for any thread count and SIMD level. The run is cut into L1-sized output-
+    // channel chunks that accumulate in order. At stride 1 the one
+    // phase plane is the dx plane itself; otherwise each phase
+    // accumulates in a private buffer and is interleaved into dx.
+    const int64_t ph_rows = (h + stride - 1) / stride;
+    const int64_t ph_cols = (width + stride - 1) / stride;
+    const int64_t ok_chunk =
+        l1ChannelChunk((r_ext + stride - 1) / stride - 1 +
+                       kernels::convStripRows(ph_cols));
     ThreadPool::global().parallelFor(0, c, [&](int64_t ic0, int64_t ic1) {
-        int64_t local_macs = 0;
+        std::vector<kernels::ConvRunTap> run;
+        std::vector<int64_t> chunk;
+        std::vector<float> phase(
+            stride > 1 ? static_cast<size_t>(ph_rows * ph_cols) : 0);
         for (int64_t ic = ic0; ic < ic1; ++ic) {
-            for (int64_t ok = 0; ok < k; ++ok) {
-                const int64_t b = ok * c + ic;
-                const int64_t t0 = pack->blockOff[static_cast<size_t>(b)];
-                const int64_t ntaps =
-                    pack->blockOff[static_cast<size_t>(b) + 1] - t0;
-                if (ntaps == 0)
-                    continue;
-                const kernels::ConvTap *taps = all_taps + t0;
-                const float *bvals = wvals + w.blockValueOffset(b);
-                for (int64_t in = 0; in < n; ++in) {
-                    const float *dyplane =
-                        pdy + (in * k + ok) * p_ext * q_ext;
-                    float *dxplane =
-                        pdx + (in * c + ic) * h * width;
-                    local_macs += kernels::sparseConvBwdDataPlane(
-                        taps, ntaps, bvals, dyplane, dxplane, width,
-                        stride, q_ext);
+            for (int64_t a = 0; a < stride && a < h; ++a) {
+                const int64_t rows = (h - a + stride - 1) / stride;
+                const int64_t r0 = (a + pad) % stride;
+                const int64_t base_h = (a + pad) / stride + lo_h;
+                for (int64_t b = 0; b < stride && b < width; ++b) {
+                    const int64_t cols = (width - b + stride - 1) / stride;
+                    const int64_t s0 = (b + pad) % stride;
+                    const int64_t base_w = (b + pad) / stride + lo_w;
+                    run.clear();
+                    chunk.clear();
+                    for (int64_t ok = 0; ok < k; ++ok) {
+                        if (ok % ok_chunk == 0)
+                            chunk.push_back(
+                                static_cast<int64_t>(run.size()));
+                        const int64_t blk = ok * c + ic;
+                        const int64_t t0 =
+                            pack->blockOff[static_cast<size_t>(blk)];
+                        const int64_t ntaps =
+                            pack->blockOff[static_cast<size_t>(blk) + 1] -
+                            t0;
+                        const kernels::ConvTap *taps = all_taps + t0;
+                        const float *bvals =
+                            wvals + w.blockValueOffset(blk);
+                        for (int64_t t = 0; t < ntaps; ++t) {
+                            const kernels::ConvTap &tp = taps[t];
+                            if (tp.nq <= 0 || tp.pHi <= tp.pLo)
+                                continue;   // contributes nothing
+                            const int64_t r = tp.elem / s_ext;
+                            const int64_t s = tp.elem % s_ext;
+                            if (r % stride != r0 || s % stride != s0)
+                                continue;   // lands on another phase
+                            kernels::ConvRunTap rt;
+                            rt.xoff = ok * dyplane_sz +
+                                      (base_h - r / stride) * dyrow +
+                                      base_w - s / stride;
+                            rt.w = bvals[t];
+                            run.push_back(rt);
+                        }
+                    }
+                    if (run.empty())
+                        continue;   // this dx phase stays zero
+                    chunk.push_back(static_cast<int64_t>(run.size()));
+                    for (int64_t in = 0; in < n; ++in) {
+                        float *dxplane = pdx + (in * c + ic) * h * width;
+                        float *dst = stride > 1 ? phase.data() : dxplane;
+                        if (stride > 1)
+                            std::fill(phase.begin(),
+                                      phase.begin() + rows * cols, 0.0f);
+                        for (size_t ci = 0; ci + 1 < chunk.size(); ++ci) {
+                            const int64_t cs = chunk[ci];
+                            const int64_t ce = chunk[ci + 1];
+                            if (ce == cs)
+                                continue;
+                            kernels::sparseConvBwdDataPlaneRun(
+                                run.data() + cs, ce - cs,
+                                dyp + in * k * dyplane_sz, dst, dyrow,
+                                rows, cols);
+                        }
+                        if (stride == 1)
+                            continue;
+                        for (int64_t i = 0; i < rows; ++i) {
+                            const float *prow = dst + i * cols;
+                            float *xrow =
+                                dxplane + (a + stride * i) * width + b;
+                            for (int64_t j = 0; j < cols; ++j)
+                                xrow[stride * j] = prow[j];
+                        }
+                    }
                 }
             }
         }
-        mac_total.fetch_add(local_macs, std::memory_order_relaxed);
     });
     if (macs)
         *macs = mac_total.load(std::memory_order_relaxed);

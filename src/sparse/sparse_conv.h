@@ -64,19 +64,30 @@ Tensor sparseConvForward(const Tensor &x, const CsbTensor &w,
  * blocks (the Figure 2b access pattern: the packed values are
  * consumed in rotated order while streaming).
  *
- * Zero entries of dy are skipped — after a ReLU (or max-pool) backward
- * the incoming gradient carries the activation sparsity of Section
- * II-B, and a PE issues no MAC for a zero operand. Skipping a zero
- * term leaves the accumulated sums bit-identical, so this executor
- * stays the exact adjoint of sparseConvForward.
+ * Computed in gather form, output-stationary like the forward pass:
+ * dy is copied once into a zero-padded buffer, dx splits into its
+ * stride^2 phase planes, and each phase accumulates the live taps of
+ * every output channel that land on it in register strips. One path
+ * serves every stride. Per dx element the additions run in the one
+ * fixed order (output channel, then pack order), with a rounded
+ * product and a rounded add each, so the result does not depend on
+ * the thread count or SIMD level.
+ *
+ * Zero dy entries — after a ReLU (or max-pool) backward the incoming
+ * gradient carries the activation sparsity of Section II-B — are
+ * multiplied, not skipped, and so are the padding reads outside a
+ * tap's window: each adds an exact zero, an identity on the partial
+ * sums. The MAC tally counts them out, as a PE would issue no MAC for
+ * a zero operand. This executor stays the exact adjoint of
+ * sparseConvForward.
  *
  * @param dy output-side gradient [N, K, P, Q].
  * @param w CSB-encoded filters [K, C, R, S].
  * @param x_shape shape of the forward input (for halo bounds).
  * @param stride convolution stride.
  * @param pad symmetric zero padding.
- * @param macs optional out: MACs actually executed (live weight taps
- *        x non-zero dy operands, padding-clipped).
+ * @param macs optional out: the MACs a zero-skipping PE executes
+ *        (live weight taps x non-zero dy operands, padding-clipped).
  * @param pack optional pre-built tap pack (see sparseConvForward).
  * @return input-side gradient with shape x_shape.
  */
@@ -143,12 +154,12 @@ SparseConvMacCounts sparseConvMacCounts(const Tensor &x,
 
 /**
  * Measured MAC counts honouring weight mask AND activation zeros —
- * exactly what the zero-skipping executors execute on this input:
+ * exactly what the executors tally on this input:
  *
  *   forward:          live weight taps x in-bounds output positions
  *                     (the forward executor skips weights only);
  *   backward-data:    live taps x in-bounds positions whose dy operand
- *                     is non-zero (the dy-skip above);
+ *                     is non-zero (the tally of the executor above);
  *   backward-weight:  mask-live taps x in-bounds positions whose input
  *                     activation operand is non-zero (the x-skip).
  *

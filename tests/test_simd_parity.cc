@@ -150,22 +150,27 @@ TEST_P(SimdParity, ConvPhasesBitwiseEqualScalarOnRaggedShapes)
     SimdLevelGuard guard;
     const double density = GetParam().density;
 
-    // Two ragged geometries: q_ext = 11 (8 + 3 tail) at stride 1 and
-    // q_ext = 7 (tail-only, gather path) at stride 2.
+    // Three ragged geometries: q_ext = 11 (8 + 3 tail) at stride 1,
+    // q_ext = 7 (tail-only, gather path) at stride 2, and a 5x5 kernel
+    // at stride 3 whose width is not a multiple of the stride (dx
+    // phase planes of 5 and 4 columns, q_ext = 5).
     struct Geom
     {
-        int64_t c, k, h, w, stride, pad;
+        int64_t c, k, kernel, h, w, stride, pad;
     };
-    const Geom geoms[] = {{3, 5, 9, 11, 1, 1}, {4, 6, 10, 13, 2, 1}};
+    const Geom geoms[] = {{3, 5, 3, 9, 11, 1, 1},
+                          {4, 6, 3, 10, 13, 2, 1},
+                          {3, 4, 5, 11, 14, 3, 2}};
     uint64_t seed = 1000;
     for (const Geom &g : geoms) {
-        const Tensor w = maskedFilters(g.k, g.c, 3, density, ++seed);
+        const Tensor w =
+            maskedFilters(g.k, g.c, g.kernel, density, ++seed);
         Xorshift128Plus rng(seed * 3);
         Tensor x(Shape{2, g.c, g.h, g.w});
         x.fillGaussian(rng, 1.0f);
         zeroSome(&x, seed * 5, 0.5);
-        const int64_t p_ext = (g.h + 2 * g.pad - 3) / g.stride + 1;
-        const int64_t q_ext = (g.w + 2 * g.pad - 3) / g.stride + 1;
+        const int64_t p_ext = (g.h + 2 * g.pad - g.kernel) / g.stride + 1;
+        const int64_t q_ext = (g.w + 2 * g.pad - g.kernel) / g.stride + 1;
         Tensor dy(Shape{2, g.k, p_ext, q_ext});
         dy.fillGaussian(rng, 1.0f);
         zeroSome(&dy, seed * 7, 0.5);

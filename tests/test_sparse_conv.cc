@@ -8,10 +8,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "arch/model_zoo.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
+#include "kernels/sparse_microkernels.h"
 #include "nn/conv2d.h"
 #include "sparse/mask.h"
 #include "sparse/sparse_conv.h"
@@ -37,6 +41,15 @@ maskedFilters(int64_t k, int64_t c, int64_t kernel, double density,
             w.at(i) = 0.0f;
     }
     return w;
+}
+
+/** Exact bit equality — distinguishes +0 from -0, unlike maxAbsDiff. */
+bool
+bitwiseEqual(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(std::as_const(a).data(), std::as_const(b).data(),
+                       sizeof(float) * a.numel()) == 0;
 }
 
 struct ConvCase
@@ -316,22 +329,169 @@ TEST(SparseConvMacCounts, AllPhasesMatchBruteForceOnPaddedEdges)
     }
 }
 
-TEST(SparseConvBackwardWeights, DeterministicUnderThreading)
+TEST(SparseConvBackward, DeterministicUnderThreading)
 {
+    // Both backward executors partition channels over the pool; the
+    // per-element accumulation order must not depend on the split.
     const Tensor w = maskedFilters(8, 4, 3, 0.3, 61);
     const CsbTensor csb = CsbTensor::encodeConvFilters(w);
-    Xorshift128Plus rng(67);
-    Tensor x(Shape{2, 4, 9, 9});
-    x.fillGaussian(rng, 1.0f);
-    const Tensor y = sparseConvForward(x, csb, 1, 1);
-    Tensor dy(y.shape());
-    dy.fillGaussian(rng, 1.0f);
+    for (const int64_t stride : {1, 2}) {
+        Xorshift128Plus rng(67 + stride);
+        Tensor x(Shape{2, 4, 9, 9});
+        x.fillGaussian(rng, 1.0f);
+        const Tensor y = sparseConvForward(x, csb, stride, 1);
+        Tensor dy(y.shape());
+        dy.fillGaussian(rng, 1.0f);
+        for (int64_t i = 0; i < dy.numel(); i += 3)
+            dy.at(i) = 0.0f;
 
-    Tensor dw1(w.shape());
-    Tensor dw2(w.shape());
-    sparseConvBackwardWeights(x, dy, csb, 1, 1, &dw1);
-    sparseConvBackwardWeights(x, dy, csb, 1, 1, &dw2);
-    EXPECT_EQ(maxAbsDiff(dw1, dw2), 0.0f);
+        Tensor ref_dx, ref_dw;
+        int64_t ref_macs = -1;
+        for (const int threads : {1, 2, 3, 8}) {
+            ThreadPool::resetGlobal(threads);
+            int64_t macs = -1;
+            const Tensor dx = sparseConvBackwardData(dy, csb, x.shape(),
+                                                     stride, 1, &macs);
+            Tensor dw(w.shape());
+            sparseConvBackwardWeights(x, dy, csb, stride, 1, &dw);
+            if (threads == 1) {
+                ref_dx = dx;
+                ref_dw = dw;
+                ref_macs = macs;
+                continue;
+            }
+            EXPECT_TRUE(bitwiseEqual(dx, ref_dx))
+                << "dx stride=" << stride << " threads=" << threads;
+            EXPECT_TRUE(bitwiseEqual(dw, ref_dw))
+                << "dw stride=" << stride << " threads=" << threads;
+            EXPECT_EQ(macs, ref_macs) << threads;
+        }
+    }
+    ThreadPool::resetGlobal(0);
+}
+
+// -------------------------------------------- backward-data golden
+
+/** FNV-1a over 64-bit words: order-sensitive, platform-independent. */
+uint64_t
+fnv1a(uint64_t h, uint64_t word)
+{
+    for (int b = 0; b < 8; ++b) {
+        h ^= (word >> (8 * b)) & 0xffu;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/** Uniform values in [-0.5, 0.5) with a fraction forced to +0. Built
+    from the integer generator only (no libm), so the inputs are the
+    same bits on every host. */
+Tensor
+goldenTensor(const Shape &shape, uint64_t seed, double keep)
+{
+    Xorshift128Plus rng(seed);
+    Tensor t(shape);
+    for (int64_t i = 0; i < t.numel(); ++i) {
+        const float v = rng.nextFloat() - 0.5f;
+        t.at(i) = rng.nextDouble() < keep ? v : 0.0f;
+    }
+    return t;
+}
+
+struct GoldenCase
+{
+    int64_t stride, kernel, pad;
+    uint64_t dxHash;   //!< FNV-1a of dx bits over all widths/densities
+    int64_t macs;      //!< summed bw-data MAC tallies, same cases
+};
+
+/**
+ * dx bits and MAC tallies of sparseConvBackwardData, pinned across
+ * stride x kernel x pad: a narrow width whose output and stride-phase
+ * columns end in 1..7-lane tails, and a wide one with more than 32
+ * phase columns (more than one register strip), neither a multiple of
+ * the stride; weight densities 0.2 / 0.5 / 1.0 against a dy with half
+ * its entries zero. The expected values were recorded with the
+ * scatter-form executor, so any rewrite must reproduce its addition
+ * order exactly, at every SIMD level.
+ */
+const GoldenCase kGolden[] = {
+    {1, 3, 0, 0xad9d4fae3e6f9422ULL, 36539},
+    {1, 3, 1, 0x6c09d6e644a9b2bcULL, 53887},
+    {1, 3, 2, 0x854427a271ec8474ULL, 63747},
+    {1, 5, 0, 0x516e8c69cb80e23cULL, 101798},
+    {1, 5, 1, 0xe36e911eaa109d9aULL, 161447},
+    {1, 5, 2, 0x8407a35abd21027ULL, 211850},
+    {2, 3, 0, 0x88fac84989070b5aULL, 34229},
+    {2, 3, 1, 0x78b6f7eaa11c5c7bULL, 35247},
+    {2, 3, 2, 0x658de0a2f0eebf8fULL, 40231},
+    {2, 5, 0, 0xc1b3b49261af9ccdULL, 77559},
+    {2, 5, 1, 0x86888537b6f4dc6ULL, 106617},
+    {2, 5, 2, 0x22e60517913802adULL, 127786},
+    {3, 3, 0, 0xfd42a50e76e3f30aULL, 31057},
+    {3, 3, 1, 0xf0423c665ba54857ULL, 36944},
+    {3, 3, 2, 0x639064553dc87798ULL, 31291},
+    {3, 5, 0, 0xca6dbe043a988e25ULL, 80715},
+    {3, 5, 1, 0x468a12a2870c22ecULL, 98381},
+    {3, 5, 2, 0x3e84239bd330d180ULL, 107174},
+};
+
+GoldenCase
+runGolden(int64_t stride, int64_t kernel, int64_t pad, int index)
+{
+    const int64_t n = 2, c = 3, k = 5;
+    const int64_t h = kernel + 2 * stride + 1;
+    const int64_t widths[] = {stride * (9 + index % 7) + 1,
+                              stride * 33 + 2};
+    GoldenCase got{stride, kernel, pad, 0xcbf29ce484222325ULL, 0};
+    uint64_t seed = 7000 + 100 * static_cast<uint64_t>(index);
+    for (const int64_t width : widths) {
+        for (const double density : {0.2, 0.5, 1.0}) {
+            const Tensor w =
+                goldenTensor(Shape{k, c, kernel, kernel}, ++seed, density);
+            const CsbTensor csb = CsbTensor::encodeConvFilters(w);
+            const int64_t p_ext = (h + 2 * pad - kernel) / stride + 1;
+            const int64_t q_ext = (width + 2 * pad - kernel) / stride + 1;
+            const Tensor dy =
+                goldenTensor(Shape{n, k, p_ext, q_ext}, ++seed, 0.5);
+            int64_t macs = -1;
+            const Tensor dx = sparseConvBackwardData(
+                dy, csb, Shape{n, c, h, width}, stride, pad, &macs);
+            for (int64_t i = 0; i < dx.numel(); ++i) {
+                uint32_t bits;
+                std::memcpy(&bits, dx.data() + i, sizeof(bits));
+                got.dxHash = fnv1a(got.dxHash, bits);
+            }
+            got.macs += macs;
+        }
+    }
+    return got;
+}
+
+TEST(SparseConvBackwardData, GoldenBitsAndMacsAtEverySimdLevel)
+{
+    const kernels::SimdLevel saved = kernels::activeSimdLevel();
+    std::vector<kernels::SimdLevel> levels = {kernels::SimdLevel::kScalar};
+    if (kernels::avx2Supported())
+        levels.push_back(kernels::SimdLevel::kAvx2);
+    for (const kernels::SimdLevel level : levels) {
+        kernels::setSimdLevel(level);
+        int index = 0;
+        for (const GoldenCase &g : kGolden) {
+            const GoldenCase got =
+                runGolden(g.stride, g.kernel, g.pad, index++);
+            EXPECT_EQ(got.dxHash, g.dxHash)
+                << std::hex << "0x" << got.dxHash << std::dec
+                << " stride=" << g.stride << " kernel=" << g.kernel
+                << " pad=" << g.pad << " simd="
+                << kernels::simdLevelName(level);
+            EXPECT_EQ(got.macs, g.macs)
+                << "stride=" << g.stride << " kernel=" << g.kernel
+                << " pad=" << g.pad << " simd="
+                << kernels::simdLevelName(level);
+        }
+    }
+    kernels::setSimdLevel(saved);
 }
 
 } // namespace

@@ -30,7 +30,8 @@ KERNELS_LAYER_KEYS = {
     "naive_bwd_ms", "gemm_bwd_ms", "bwd_speedup", "gemm_fwd_ms_1t",
     "gemm_bwd_ms_1t", "thread_fwd_speedup", "thread_bwd_speedup",
     "sparse_fwd_ms", "sparse_bwd_data_ms", "sparse_bwd_weight_ms",
-    "sparse_density", "crossover_density", "sparse_sweep",
+    "sparse_density", "crossover_density", "crossover_density_bwd",
+    "sparse_sweep",
 }
 KERNELS_SWEEP_KEYS = {
     "density", "sparse_fwd_ms", "sparse_bwd_data_ms",
@@ -48,7 +49,9 @@ KERNELS_SUMMARY_KEYS = {
 }
 # v5: SIMD dispatch level, sparse backward timings, and the per-layer
 # density sweep with the sparse-vs-gemm crossover density.
-KERNELS_VERSION = 5
+# v6: crossover_density_bwd, the same crossover for the whole backward
+# pass (sparse bw-data + bw-weight against gemm backward).
+KERNELS_VERSION = 6
 
 COSIM_TOP_KEYS = {"version", "mode", "host", "config", "epochs"}
 COSIM_CONFIG_KEYS = {"epochs", "batch", "backend", "target_sparsity"}
@@ -164,9 +167,10 @@ def check_kernels(doc):
         fail("layers must be a non-empty array")
     for i, layer in enumerate(layers):
         require_keys(layer, KERNELS_LAYER_KEYS, f"layers[{i}]")
-        cd = layer["crossover_density"]
-        if not 0.0 <= cd <= 1.0:
-            fail(f"layers[{i}].crossover_density = {cd} outside [0, 1]")
+        for key in ("crossover_density", "crossover_density_bwd"):
+            cd = layer[key]
+            if not 0.0 <= cd <= 1.0:
+                fail(f"layers[{i}].{key} = {cd} outside [0, 1]")
         sweep = layer["sparse_sweep"]
         if not isinstance(sweep, list) or not sweep:
             fail(f"layers[{i}].sparse_sweep must be a non-empty array")
