@@ -165,19 +165,6 @@ sparseConvBwdDataPlaneRun(const ConvRunTap *taps, int64_t ntaps,
                         cols);
 }
 
-void
-nonzeroCutTable(const float *plane, int64_t rows, int64_t cols,
-                const int64_t *cuts, int64_t ncut, int32_t *table)
-{
-#ifdef PROCRUSTES_HAVE_AVX2
-    if (activeSimdLevel() == SimdLevel::kAvx2) {
-        detail::nonzeroCutTableAvx2(plane, rows, cols, cuts, ncut, table);
-        return;
-    }
-#endif
-    detail::nonzeroCutTableScalar(plane, rows, cols, cuts, ncut, table);
-}
-
 int64_t
 sparseConvBwdWeightBlock(const ConvTap *taps, int64_t ntaps,
                          const float *x_chan, const float *dy_chan,

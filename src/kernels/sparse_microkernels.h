@@ -24,14 +24,15 @@
  *     fused multiply-add per tap (std::fmaf / vfmadd), which rounds
  *     once, identically.
  *   - conv backward-data runs the same output-stationary kernel in
- *     gather form. The executor copies dy once into a zero-padded
- *     buffer and splits dx into its stride^2 phase planes (rows ≡ a,
- *     columns ≡ b mod stride); every mask-live tap whose kernel row
- *     and column land on that phase reads one unit-stride dy streak
- *     per dx phase row, so one kernel serves every stride. The only
- *     difference from forward is the accumulate step: a rounded
- *     product, then a rounded add, instead of a fused multiply-add —
- *     the dx bits the golden test in tests/test_sparse_conv.cc pins.
+ *     gather form. The executor copies each sample's dy into a
+ *     zero-padded buffer and splits dx into its stride^2 phase planes
+ *     (rows ≡ a, columns ≡ b mod stride); every mask-live tap whose
+ *     kernel row and column land on that phase reads one unit-stride
+ *     dy streak per dx phase row, so one kernel serves every stride.
+ *     The only difference from forward is the accumulate step: a
+ *     rounded product, then a rounded add, instead of a fused
+ *     multiply-add — the dx bits the golden test in
+ *     tests/test_sparse_conv.cc pins.
  *   - conv backward-weight reduces each tap over (n, p, q) into 8
  *     accumulator lanes indexed by q mod 8 and collapses them with a
  *     fixed binary tree; the scalar fallback implements the *same*
@@ -49,7 +50,9 @@
  * become -0 (IEEE 754: exact cancellation rounds to +0, and +0 + (±0)
  * is +0), so adding wt * ±0 is an identity on every partial sum. The
  * conv kernels go further: a strip multiplies every tap against the
- * padding too, so out-of-window reads add wt * (+0). The executed-MAC
+ * padding too, so out-of-window reads add wt * (+0). All of this
+ * assumes finite weights: an Inf or NaN wt times zero is NaN, which a
+ * skipping path never computes. The executed-MAC
  * tallies still count only non-zero operands — via compare + movemask
  * + popcount in the lane kernels, and in conv backward-data through a
  * summed-area table of non-zero dy, one window lookup per (tap,
@@ -211,16 +214,6 @@ void sparseConvBwdDataPlaneRun(const ConvRunTap *taps, int64_t ntaps,
                                const float *dybase, float *dxplane,
                                int64_t dyrow_stride, int64_t rows,
                                int64_t cols);
-
-/**
- * Summed-area table of one plane's non-zeros, sampled at ascending
- * column cuts: table[(p + 1) * ncut + j] counts the non-zero
- * plane[p'][q] with p' <= p and q < cuts[j] (the caller zeroes table
- * row 0). The count over rows [p0, p1) x columns [cuts[j0], cuts[j1])
- * is then four lookups. Exact integers, equal at every SIMD level.
- */
-void nonzeroCutTable(const float *plane, int64_t rows, int64_t cols,
-                     const int64_t *cuts, int64_t ncut, int32_t *table);
 
 /**
  * Backward-weight conv inner kernel: reduce one block's taps over the

@@ -210,30 +210,6 @@ template void convPlaneRunAvx2<false>(const ConvRunTap *, int64_t,
                                       const float *, float *, int64_t,
                                       int64_t, int64_t);
 
-void
-nonzeroCutTableAvx2(const float *plane, int64_t rows, int64_t cols,
-                    const int64_t *cuts, int64_t ncut, int32_t *table)
-{
-    for (int64_t p = 0; p < rows; ++p) {
-        const float *row = plane + p * cols;
-        int32_t *cur = table + (p + 1) * ncut;
-        const int32_t *above = cur - ncut;
-        int32_t run = 0;
-        int64_t q = 0;
-        for (int64_t j = 0; j < ncut; ++j) {
-            const int64_t end = cuts[j];
-            for (; q + 8 <= end; q += 8)
-                run += countNonzero(_mm256_loadu_ps(row + q));
-            if (q < end) {   // dead lanes load +0: uncounted
-                run += countNonzero(
-                    _mm256_maskload_ps(row + q, tailMask(end - q)));
-                q = end;
-            }
-            cur[j] = above[j] + run;
-        }
-    }
-}
-
 int64_t
 convBwdWeightBlockAvx2(const ConvTap *taps, int64_t ntaps,
                        const float *x_chan, const float *dy_chan,

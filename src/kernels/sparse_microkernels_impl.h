@@ -52,25 +52,6 @@ convPlaneRunScalar(const ConvRunTap *taps, int64_t ntaps,
     }
 }
 
-/** Scalar column-cut non-zero table (see nonzeroCutTable). */
-inline void
-nonzeroCutTableScalar(const float *plane, int64_t rows, int64_t cols,
-                      const int64_t *cuts, int64_t ncut, int32_t *table)
-{
-    for (int64_t p = 0; p < rows; ++p) {
-        const float *row = plane + p * cols;
-        int32_t *cur = table + (p + 1) * ncut;
-        const int32_t *above = cur - ncut;
-        int32_t run = 0;
-        int64_t q = 0;
-        for (int64_t j = 0; j < ncut; ++j) {
-            for (; q < cuts[j]; ++q)
-                run += row[q] != 0.0f;
-            cur[j] = above[j] + run;
-        }
-    }
-}
-
 /**
  * Scalar conv backward-weight with the SIMD lane schedule: each tap
  * accumulates into 8 lanes indexed by q mod 8 (exactly the lanes an
@@ -232,9 +213,6 @@ template <bool kFused>
 void convPlaneRunAvx2(const ConvRunTap *taps, int64_t ntaps,
                       const float *xbase, float *yplane, int64_t xrs,
                       int64_t p_ext, int64_t q_ext);
-void nonzeroCutTableAvx2(const float *plane, int64_t rows, int64_t cols,
-                         const int64_t *cuts, int64_t ncut,
-                         int32_t *table);
 int64_t convBwdWeightBlockAvx2(const ConvTap *taps, int64_t ntaps,
                                const float *x_chan, const float *dy_chan,
                                int64_t x_batch_stride,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/logging.h"
@@ -321,63 +322,38 @@ sparseConvBackwardData(const Tensor &dy, const CsbTensor &w,
     // into stride^2 phase planes (rows ≡ a, columns ≡ b mod stride),
     // and the taps that land on a phase form a unit-stride
     // correlation of dy — the forward pass's shape, run by the same
-    // output-stationary strip kernel. Prepare dy once per call:
-    // zero-padded by the exact halo those correlations read, plus 8
-    // floats of slack for the kernel's read-past-tail vectors.
+    // output-stationary strip kernel over a zero-padded copy of dy.
+    // The padding is the exact halo those correlations read.
     int64_t lo_h, hi_h, lo_w, hi_w;
     phaseHalo(h, p_ext, r_ext, stride, pad, &lo_h, &hi_h);
     phaseHalo(width, q_ext, s_ext, stride, pad, &lo_w, &hi_w);
     const int64_t dyrow = lo_w + q_ext + hi_w;
     const int64_t dyplane_sz = (lo_h + p_ext + hi_h) * dyrow;
-    ScratchArena::Buffer dyprep = ScratchArena::global().acquire(
-        static_cast<size_t>(n * k * dyplane_sz + 8));
-    float *dyp = dyprep.data();
-    std::fill(dyp + n * k * dyplane_sz, dyp + n * k * dyplane_sz + 8,
-              0.0f);
 
-    // The same pass tallies the executed MACs: a live tap fires on the
-    // non-zero dy inside its padding-clipped output window. Zeros are
-    // multiplied (an exact identity, see the microkernel notes) but,
-    // as a PE would skip them, not counted. Each (sample, output
-    // channel) plane gets a summed-area table of its non-zeros,
-    // sampled at the few columns that bound a tap window, and every
-    // (tap, sample) pair costs one four-lookup window count.
-    std::vector<int64_t> qcut;
-    for (int64_t s = 0; s < s_ext; ++s) {
-        int64_t q_lo, q_hi;
-        validOutRange(q_ext, width, s, stride, pad, &q_lo, &q_hi);
-        qcut.push_back(q_lo);
-        qcut.push_back(std::max(q_lo, q_hi));
-    }
-    std::sort(qcut.begin(), qcut.end());
-    qcut.erase(std::unique(qcut.begin(), qcut.end()), qcut.end());
-    const int64_t ncut = static_cast<int64_t>(qcut.size());
-    std::vector<int64_t> qcol(static_cast<size_t>(q_ext) + 1, 0);
-    for (int64_t j = 0; j < ncut; ++j)
-        qcol[static_cast<size_t>(qcut[static_cast<size_t>(j)])] = j;
+    // Executed MACs: a live tap fires on the non-zero dy inside its
+    // padding-clipped output window. Zeros are multiplied (an exact
+    // identity, see the microkernel notes) but, as a PE would skip
+    // them, not counted. Each (sample, output channel) plane gets a
+    // summed-area table of its non-zeros, and every (tap, sample)
+    // pair costs one four-lookup window count.
     std::atomic<int64_t> mac_total{0};
     ThreadPool::global().parallelFor(
         0, n * k, [&](int64_t pk0, int64_t pk1) {
             int64_t local_macs = 0;
-            std::vector<int32_t> sat(
-                static_cast<size_t>((p_ext + 1) * ncut), 0);
+            const int64_t tw = q_ext + 1;
+            std::vector<int32_t> sat(static_cast<size_t>((p_ext + 1) * tw),
+                                     0);
             for (int64_t pk = pk0; pk < pk1; ++pk) {
                 const float *src = pdy + pk * p_ext * q_ext;
-                float *dst = dyp + pk * dyplane_sz;
-                std::fill(dst, dst + lo_h * dyrow, 0.0f);
                 for (int64_t p = 0; p < p_ext; ++p) {
-                    float *drow = dst + (lo_h + p) * dyrow;
-                    std::fill(drow, drow + lo_w, 0.0f);
-                    std::memcpy(drow + lo_w, src + p * q_ext,
-                                static_cast<size_t>(q_ext) *
-                                    sizeof(float));
-                    std::fill(drow + lo_w + q_ext, drow + dyrow, 0.0f);
+                    int32_t *cur = sat.data() + (p + 1) * tw;
+                    const int32_t *above = cur - tw;
+                    int32_t row_nz = 0;
+                    for (int64_t q = 0; q < q_ext; ++q) {
+                        row_nz += src[p * q_ext + q] != 0.0f;
+                        cur[q + 1] = above[q + 1] + row_nz;
+                    }
                 }
-                std::fill(dst + (lo_h + p_ext) * dyrow,
-                          dst + dyplane_sz, 0.0f);
-                kernels::nonzeroCutTable(src, p_ext, q_ext, qcut.data(),
-                                         ncut, sat.data());
-
                 const int64_t ok = pk % k;
                 const int64_t t_end =
                     pack->blockOff[static_cast<size_t>((ok + 1) * c)];
@@ -386,105 +362,179 @@ sparseConvBackwardData(const Tensor &dy, const CsbTensor &w,
                     const kernels::ConvTap &tp = all_taps[t];
                     if (tp.nq <= 0 || tp.pHi <= tp.pLo)
                         continue;
-                    const int32_t *top = sat.data() + tp.pLo * ncut;
-                    const int32_t *bot = sat.data() + tp.pHi * ncut;
-                    const int64_t j0 = qcol[static_cast<size_t>(tp.qLo)];
-                    const int64_t j1 =
-                        qcol[static_cast<size_t>(tp.qLo + tp.nq)];
-                    local_macs += bot[j1] - bot[j0] - top[j1] + top[j0];
+                    const int32_t *top = sat.data() + tp.pLo * tw + tp.qLo;
+                    const int32_t *bot = sat.data() + tp.pHi * tw + tp.qLo;
+                    local_macs += bot[tp.nq] - bot[0] - top[tp.nq] + top[0];
                 }
             }
             mac_total.fetch_add(local_macs, std::memory_order_relaxed);
         });
 
-    // Partitioning over input channels makes each task's dx[:, ic]
-    // planes private, so no locks are needed. Per ic and phase, the
-    // live taps of every output channel that land there are flattened
-    // into one run, ordered by output channel, then pack order: one
-    // fixed addition sequence per dx element (taps outside a dx
-    // element's window read padding and add an exact zero), so the
-    // result is deterministic for any thread count and SIMD level. The run is cut into L1-sized output-
-    // channel chunks that accumulate in order. At stride 1 the one
-    // phase plane is the dx plane itself; otherwise each phase
-    // accumulates in a private buffer and is interleaved into dx.
+    // Per ic and phase, the live taps of every output channel that
+    // land there are flattened into one run, ordered by output
+    // channel, then pack order: one fixed addition sequence per dx
+    // element (taps outside a dx element's window read padding and
+    // add an exact zero), so the result is deterministic for any
+    // thread count and SIMD level. Each run is cut into L1-sized
+    // output-channel chunks. All runs share one array, each ic in a
+    // slot sized by its pack taps (clipped taps leave the slot's tail
+    // unused; one array, not a vector per ic, keeps the worker heaps
+    // from holding on to freed pieces, which measurably raised peak
+    // RSS). Chunk g of phase ph spans runs[cb[g], cb[g + 1]), cb =
+    // bound + ic * ic_bounds + ph * nchunks. Tap offsets address one
+    // sample's padded dy planes.
     const int64_t ph_rows = (h + stride - 1) / stride;
     const int64_t ph_cols = (width + stride - 1) / stride;
     const int64_t ok_chunk =
         l1ChannelChunk((r_ext + stride - 1) / stride - 1 +
                        kernels::convStripRows(ph_cols));
+    const int64_t nchunks = (k + ok_chunk - 1) / ok_chunk;
+    const int64_t nph = stride * stride;
+    const int64_t ic_bounds = nph * nchunks + 1;
+    // Kernel element (r, s) lands on phase a ≡ r - pad, b ≡ s - pad
+    // (mod stride), -1 when that phase is empty, and reads dy at a
+    // fixed offset from there.
+    std::vector<int64_t> elem_phase(static_cast<size_t>(r_ext * s_ext));
+    std::vector<int64_t> elem_off(static_cast<size_t>(r_ext * s_ext));
+    for (int64_t r = 0; r < r_ext; ++r) {
+        const int64_t a = ((r - pad) % stride + stride) % stride;
+        for (int64_t s = 0; s < s_ext; ++s) {
+            const int64_t b = ((s - pad) % stride + stride) % stride;
+            const size_t e = static_cast<size_t>(r * s_ext + s);
+            elem_phase[e] = a < h && b < width ? a * stride + b : -1;
+            elem_off[e] = ((a + pad) / stride + lo_h - r / stride) * dyrow +
+                          (b + pad) / stride + lo_w - s / stride;
+        }
+    }
+    // ic's taps fill runs[ic_base[ic], ic_base[ic + 1]) at most.
+    std::vector<int64_t> ic_base(static_cast<size_t>(c) + 1, 0);
+    for (int64_t ok = 0; ok < k; ++ok)
+        for (int64_t ic = 0; ic < c; ++ic) {
+            const size_t blk = static_cast<size_t>(ok * c + ic);
+            ic_base[static_cast<size_t>(ic) + 1] +=
+                pack->blockOff[blk + 1] - pack->blockOff[blk];
+        }
+    for (size_t ic = 0; ic < static_cast<size_t>(c); ++ic)
+        ic_base[ic + 1] += ic_base[ic];
+    std::vector<kernels::ConvRunTap> runs(
+        static_cast<size_t>(ic_base[static_cast<size_t>(c)]));
+    std::vector<int64_t> bound(static_cast<size_t>(c * ic_bounds));
     ThreadPool::global().parallelFor(0, c, [&](int64_t ic0, int64_t ic1) {
-        std::vector<kernels::ConvRunTap> run;
-        std::vector<int64_t> chunk;
+        // One pass per ic buckets its taps by phase; the buckets are
+        // then copied into ic's slot in phase order.
+        std::vector<std::vector<kernels::ConvRunTap>> bucket(
+            static_cast<size_t>(nph));
+        for (int64_t ic = ic0; ic < ic1; ++ic) {
+            int64_t *icb = bound.data() + ic * ic_bounds;
+            for (auto &bk : bucket)
+                bk.clear();
+            for (int64_t g = 0; g < nchunks; ++g) {
+                for (int64_t ph = 0; ph < nph; ++ph)
+                    icb[ph * nchunks + g] = static_cast<int64_t>(
+                        bucket[static_cast<size_t>(ph)].size());
+                const int64_t ok_end = std::min(k, (g + 1) * ok_chunk);
+                for (int64_t ok = g * ok_chunk; ok < ok_end; ++ok) {
+                    const int64_t blk = ok * c + ic;
+                    const int64_t t0 =
+                        pack->blockOff[static_cast<size_t>(blk)];
+                    const int64_t ntaps =
+                        pack->blockOff[static_cast<size_t>(blk) + 1] - t0;
+                    const kernels::ConvTap *taps = all_taps + t0;
+                    const float *bvals = wvals + w.blockValueOffset(blk);
+                    for (int64_t t = 0; t < ntaps; ++t) {
+                        const kernels::ConvTap &tp = taps[t];
+                        const size_t e = static_cast<size_t>(tp.elem);
+                        if (tp.nq <= 0 || tp.pHi <= tp.pLo ||
+                            elem_phase[e] < 0)
+                            continue;   // contributes nothing
+                        kernels::ConvRunTap rt;
+                        rt.xoff = ok * dyplane_sz + elem_off[e];
+                        rt.w = bvals[t];
+                        bucket[static_cast<size_t>(elem_phase[e])]
+                            .push_back(rt);
+                    }
+                }
+            }
+            int64_t fill = ic_base[static_cast<size_t>(ic)];
+            for (int64_t ph = 0; ph < nph; ++ph) {
+                const auto &bk = bucket[static_cast<size_t>(ph)];
+                for (int64_t g = 0; g < nchunks; ++g)
+                    icb[ph * nchunks + g] += fill;
+                std::copy(bk.begin(), bk.end(), runs.begin() + fill);
+                fill += static_cast<int64_t>(bk.size());
+            }
+            icb[nph * nchunks] = fill;
+        }
+    });
+
+    // Partitioned over (sample, input channel) pairs, sample-major:
+    // each task owns its dx[in, ic] planes, so no locks are needed,
+    // and pads one sample's k dy planes at a time into a private
+    // workspace (8 floats of slack for the kernel's read-past-tail
+    // vectors) that every input channel of that sample reuses. It is
+    // a plain heap block, not a ScratchArena checkout: arena buffers
+    // grow to the largest request they serve and stay cached, which
+    // measurably raised peak RSS. At
+    // stride 1 the one phase plane is the dx plane itself; otherwise
+    // each phase accumulates in a private buffer and is interleaved
+    // into dx.
+    ThreadPool::global().parallelFor(0, n * c, [&](int64_t i0, int64_t i1) {
+        std::unique_ptr<float[]> dyb(
+            new float[static_cast<size_t>(k * dyplane_sz + 8)]);
+        float *dys = dyb.get();
+        std::fill(dys + k * dyplane_sz, dys + k * dyplane_sz + 8, 0.0f);
         std::vector<float> phase(
             stride > 1 ? static_cast<size_t>(ph_rows * ph_cols) : 0);
-        for (int64_t ic = ic0; ic < ic1; ++ic) {
+        int64_t padded = -1;
+        for (int64_t i = i0; i < i1; ++i) {
+            const int64_t in = i / c;
+            const int64_t ic = i % c;
+            if (in != padded) {
+                for (int64_t ok = 0; ok < k; ++ok) {
+                    const float *src = pdy + (in * k + ok) * p_ext * q_ext;
+                    float *dst = dys + ok * dyplane_sz;
+                    std::fill(dst, dst + lo_h * dyrow, 0.0f);
+                    for (int64_t p = 0; p < p_ext; ++p) {
+                        float *drow = dst + (lo_h + p) * dyrow;
+                        std::fill(drow, drow + lo_w, 0.0f);
+                        std::memcpy(drow + lo_w, src + p * q_ext,
+                                    static_cast<size_t>(q_ext) *
+                                        sizeof(float));
+                        std::fill(drow + lo_w + q_ext, drow + dyrow, 0.0f);
+                    }
+                    std::fill(dst + (lo_h + p_ext) * dyrow,
+                              dst + dyplane_sz, 0.0f);
+                }
+                padded = in;
+            }
+            const kernels::ConvRunTap *run = runs.data();
+            float *dxplane = pdx + i * h * width;
             for (int64_t a = 0; a < stride && a < h; ++a) {
                 const int64_t rows = (h - a + stride - 1) / stride;
-                const int64_t r0 = (a + pad) % stride;
-                const int64_t base_h = (a + pad) / stride + lo_h;
                 for (int64_t b = 0; b < stride && b < width; ++b) {
                     const int64_t cols = (width - b + stride - 1) / stride;
-                    const int64_t s0 = (b + pad) % stride;
-                    const int64_t base_w = (b + pad) / stride + lo_w;
-                    run.clear();
-                    chunk.clear();
-                    for (int64_t ok = 0; ok < k; ++ok) {
-                        if (ok % ok_chunk == 0)
-                            chunk.push_back(
-                                static_cast<int64_t>(run.size()));
-                        const int64_t blk = ok * c + ic;
-                        const int64_t t0 =
-                            pack->blockOff[static_cast<size_t>(blk)];
-                        const int64_t ntaps =
-                            pack->blockOff[static_cast<size_t>(blk) + 1] -
-                            t0;
-                        const kernels::ConvTap *taps = all_taps + t0;
-                        const float *bvals =
-                            wvals + w.blockValueOffset(blk);
-                        for (int64_t t = 0; t < ntaps; ++t) {
-                            const kernels::ConvTap &tp = taps[t];
-                            if (tp.nq <= 0 || tp.pHi <= tp.pLo)
-                                continue;   // contributes nothing
-                            const int64_t r = tp.elem / s_ext;
-                            const int64_t s = tp.elem % s_ext;
-                            if (r % stride != r0 || s % stride != s0)
-                                continue;   // lands on another phase
-                            kernels::ConvRunTap rt;
-                            rt.xoff = ok * dyplane_sz +
-                                      (base_h - r / stride) * dyrow +
-                                      base_w - s / stride;
-                            rt.w = bvals[t];
-                            run.push_back(rt);
-                        }
-                    }
-                    if (run.empty())
+                    const int64_t *cb = bound.data() + ic * ic_bounds +
+                                        (a * stride + b) * nchunks;
+                    if (cb[0] == cb[nchunks])
                         continue;   // this dx phase stays zero
-                    chunk.push_back(static_cast<int64_t>(run.size()));
-                    for (int64_t in = 0; in < n; ++in) {
-                        float *dxplane = pdx + (in * c + ic) * h * width;
-                        float *dst = stride > 1 ? phase.data() : dxplane;
-                        if (stride > 1)
-                            std::fill(phase.begin(),
-                                      phase.begin() + rows * cols, 0.0f);
-                        for (size_t ci = 0; ci + 1 < chunk.size(); ++ci) {
-                            const int64_t cs = chunk[ci];
-                            const int64_t ce = chunk[ci + 1];
-                            if (ce == cs)
-                                continue;
-                            kernels::sparseConvBwdDataPlaneRun(
-                                run.data() + cs, ce - cs,
-                                dyp + in * k * dyplane_sz, dst, dyrow,
-                                rows, cols);
-                        }
-                        if (stride == 1)
+                    float *dst = stride > 1 ? phase.data() : dxplane;
+                    if (stride > 1)
+                        std::fill(phase.begin(), phase.begin() + rows * cols,
+                                  0.0f);
+                    for (int64_t g = 0; g < nchunks; ++g) {
+                        if (cb[g + 1] == cb[g])
                             continue;
-                        for (int64_t i = 0; i < rows; ++i) {
-                            const float *prow = dst + i * cols;
-                            float *xrow =
-                                dxplane + (a + stride * i) * width + b;
-                            for (int64_t j = 0; j < cols; ++j)
-                                xrow[stride * j] = prow[j];
-                        }
+                        kernels::sparseConvBwdDataPlaneRun(
+                            run + cb[g], cb[g + 1] - cb[g], dys, dst, dyrow,
+                            rows, cols);
+                    }
+                    if (stride == 1)
+                        continue;
+                    for (int64_t r = 0; r < rows; ++r) {
+                        const float *prow = dst + r * cols;
+                        float *xrow = dxplane + (a + stride * r) * width + b;
+                        for (int64_t j = 0; j < cols; ++j)
+                            xrow[stride * j] = prow[j];
                     }
                 }
             }

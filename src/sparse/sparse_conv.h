@@ -65,21 +65,24 @@ Tensor sparseConvForward(const Tensor &x, const CsbTensor &w,
  * consumed in rotated order while streaming).
  *
  * Computed in gather form, output-stationary like the forward pass:
- * dy is copied once into a zero-padded buffer, dx splits into its
- * stride^2 phase planes, and each phase accumulates the live taps of
- * every output channel that land on it in register strips. One path
- * serves every stride. Per dx element the additions run in the one
- * fixed order (output channel, then pack order), with a rounded
- * product and a rounded add each, so the result does not depend on
- * the thread count or SIMD level.
+ * each sample's dy planes are copied into a zero-padded buffer, dx
+ * splits into its stride^2 phase planes, and each phase accumulates
+ * the live taps of every output channel that land on it in register
+ * strips. One path serves every stride. Per dx element the additions
+ * run in the one fixed order (output channel, then pack order), with
+ * a rounded product and a rounded add each, so the result does not
+ * depend on the thread count or SIMD level.
  *
  * Zero dy entries — after a ReLU (or max-pool) backward the incoming
  * gradient carries the activation sparsity of Section II-B — are
  * multiplied, not skipped, and so are the padding reads outside a
- * tap's window: each adds an exact zero, an identity on the partial
- * sums. The MAC tally counts them out, as a PE would issue no MAC for
- * a zero operand. This executor stays the exact adjoint of
- * sparseConvForward.
+ * tap's window: with a finite weight each adds an exact zero, an
+ * identity on the partial sums, so dx is bitwise what a zero-skipping
+ * scatter computes and this executor stays the exact adjoint of
+ * sparseConvForward. An Inf or NaN weight breaks that identity (it
+ * times zero is NaN) and turns every dx element its tap's window
+ * covers NaN, not only those fed by non-zero dy. The MAC tally counts
+ * zeros out, as a PE would issue no MAC for a zero operand.
  *
  * @param dy output-side gradient [N, K, P, Q].
  * @param w CSB-encoded filters [K, C, R, S].
