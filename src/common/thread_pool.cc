@@ -162,11 +162,14 @@ globalPoolMutex()
     return mu;
 }
 
+/** Never destroyed at exit. A child forked while a worker held the
+ *  pool's mutex (a gtest death test, say) would otherwise deadlock in
+ *  ~ThreadPool when it exit()s; the OS reclaims the idle workers. */
 std::unique_ptr<ThreadPool> &
 globalPoolSlot()
 {
-    static std::unique_ptr<ThreadPool> pool;
-    return pool;
+    static auto *pool = new std::unique_ptr<ThreadPool>();
+    return *pool;
 }
 
 std::atomic<ThreadPool *> &

@@ -39,7 +39,10 @@ class ReLU : public Layer
 
   private:
     std::string name_;
-    Tensor mask_;           //!< 1 where x > 0, cached for backward
+    /** The last forward's output: a copy-on-write alias of the tensor
+        forward() returned, so caching it costs no copy. backward()
+        reads y > 0, which holds exactly where x > 0. */
+    Tensor output_;
     double lastSparsity_ = 0.0;
 };
 

@@ -103,11 +103,21 @@ Shape::str() const
     return os.str();
 }
 
-Tensor::Tensor(const Shape &shape)
+Tensor::Tensor(const Shape &shape) : Tensor(shape, /*zero_fill=*/true) {}
+
+Tensor::Tensor(const Shape &shape, bool zero_fill)
     : shape_(shape),
-      storage_(std::make_shared<std::vector<float>>(
-          static_cast<size_t>(shape.numel()), 0.0f))
+      storage_(zero_fill ? std::make_shared<Storage>(
+                               static_cast<size_t>(shape.numel()), 0.0f)
+                         : std::make_shared<Storage>(
+                               static_cast<size_t>(shape.numel())))
 {
+}
+
+Tensor
+Tensor::uninitialized(const Shape &shape)
+{
+    return Tensor(shape, /*zero_fill=*/false);
 }
 
 size_t

@@ -159,6 +159,13 @@ class Tensor
     /** Allocate with an initializer-list shape. */
     Tensor(std::initializer_list<int64_t> dims) : Tensor(Shape(dims)) {}
 
+    /**
+     * Allocate without initializing the elements, for an output whose
+     * every element the caller writes before anything reads it. It
+     * skips the zero-fill pass of Tensor(shape).
+     */
+    static Tensor uninitialized(const Shape &shape);
+
     /** Shape accessor. */
     const Shape &shape() const { return shape_; }
 
@@ -240,6 +247,39 @@ class Tensor
     double zeroFraction() const;
 
   private:
+    /**
+     * Allocator whose value-initialization is default-initialization:
+     * Storage(n) leaves its floats unwritten. Storage(n, v) and copies
+     * construct with an argument, which allocator_traits routes to a
+     * plain placement new.
+     */
+    template <typename T>
+    struct NoInitAllocator : std::allocator<T>
+    {
+        template <typename U>
+        struct rebind
+        {
+            using other = NoInitAllocator<U>;
+        };
+
+        NoInitAllocator() = default;
+        template <typename U>
+        NoInitAllocator(const NoInitAllocator<U> &) noexcept
+        {
+        }
+
+        template <typename U>
+        void
+        construct(U *p) noexcept
+        {
+            ::new (static_cast<void *>(p)) U;
+        }
+    };
+    using Storage = std::vector<float, NoInitAllocator<float>>;
+
+    /** The one allocation path: zero-filled or left unwritten. */
+    Tensor(const Shape &shape, bool zero_fill);
+
     size_t flatIndex(std::initializer_list<int64_t> ix) const;
 
     /** Clone the buffer if it is shared (copy-on-write). */
@@ -247,11 +287,11 @@ class Tensor
     detach()
     {
         if (storage_ && storage_.use_count() > 1)
-            storage_ = std::make_shared<std::vector<float>>(*storage_);
+            storage_ = std::make_shared<Storage>(*storage_);
     }
 
     Shape shape_;
-    std::shared_ptr<std::vector<float>> storage_;
+    std::shared_ptr<Storage> storage_;
 };
 
 /** Copy of t with every element rounded through bf16 storage. */

@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <utility>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
@@ -185,6 +189,275 @@ TEST(BatchNorm, EvalUsesRunningStats)
     // equals the input (gamma=1, beta=0).
     const Tensor y = bn.forward(x, /*training=*/false);
     EXPECT_NEAR(y(0, 0, 0, 0), 10.0f, 1e-3f);
+}
+
+// ------------------------------------------------- BN / ReLU golden bits
+
+/** FNV-1a over 64-bit words: order-sensitive, platform-independent. */
+uint64_t
+fnv1a(uint64_t h, uint64_t word)
+{
+    for (int b = 0; b < 8; ++b) {
+        h ^= (word >> (8 * b)) & 0xffu;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+/**
+ * Fold every element's bit pattern, signed zeros included, into h.
+ * Every NaN folds as the one canonical quiet NaN: which operand's NaN
+ * an x86 instruction propagates, and with which sign, differs between
+ * a fused multiply-add and the libm fallback a host without FMA runs,
+ * so NaN payloads are not portable. That a result is NaN is.
+ */
+uint64_t
+hashBits(uint64_t h, const Tensor &t)
+{
+    const float *p = t.data();
+    for (int64_t i = 0; i < t.numel(); ++i) {
+        uint32_t bits = 0x7fc00000u;
+        if (!std::isnan(p[i]))
+            std::memcpy(&bits, p + i, sizeof(bits));
+        h = fnv1a(h, bits);
+    }
+    return h;
+}
+
+/**
+ * An NCHW tensor of values in [-2, 2), a tenth of them -0.0f, built
+ * from the integer generator only (no libm) so the inputs are the same
+ * bits on every host. The last sample carries the IEEE specials: NaN
+ * in channel 1, +inf in channel 2 and -inf in the last channel, where
+ * those exist. Channel 0 stays finite, so every shape keeps at least
+ * one channel of ordinary arithmetic.
+ */
+Tensor
+specialsTensor(const Shape &shape, uint64_t seed)
+{
+    Xorshift128Plus rng(seed);
+    Tensor t(shape);
+    float *p = t.data();
+    for (int64_t i = 0; i < t.numel(); ++i) {
+        const float v = 4.0f * rng.nextFloat() - 2.0f;
+        p[i] = rng.nextDouble() < 0.1 ? -0.0f : v;
+    }
+    const int64_t c = shape[1];
+    const int64_t plane = shape[2] * shape[3];
+    float *last = p + (shape[0] - 1) * c * plane;
+    const float inf = std::numeric_limits<float>::infinity();
+    if (c > 1)
+        last[1 * plane] = std::numeric_limits<float>::quiet_NaN();
+    if (c > 2)
+        last[2 * plane + plane / 2] = inf;
+    if (c > 2)
+        last[(c - 1) * plane + plane - 1] = -inf;
+    return t;
+}
+
+/** Hashes of everything one BatchNorm2d produces. */
+struct BnBits
+{
+    uint64_t y = kFnvBasis;       //!< training-mode outputs, two steps
+    uint64_t dx = kFnvBasis;      //!< input gradients, two steps
+    uint64_t grads = kFnvBasis;   //!< accumulated dgamma then dbeta
+    uint64_t running = kFnvBasis; //!< running mean then running var
+    uint64_t eval = kFnvBasis;    //!< eval-mode output
+
+    bool
+    operator==(const BnBits &o) const
+    {
+        return y == o.y && dx == o.dx && grads == o.grads &&
+               running == o.running && eval == o.eval;
+    }
+};
+
+/** Two training steps (forward, backward) then one eval forward. */
+BnBits
+runBatchNorm(const Shape &shape)
+{
+    const int64_t c = shape[1];
+    BatchNorm2d bn(c, "bn");
+    Xorshift128Plus rng(static_cast<uint64_t>(77 + c));
+    for (int64_t ic = 0; ic < c; ++ic) {
+        bn.gamma().value.at(ic) = 0.5f + rng.nextFloat();
+        bn.beta().value.at(ic) = rng.nextFloat() - 0.5f;
+    }
+    const auto seed = static_cast<uint64_t>(100 * c);
+    BnBits bits;
+    for (uint64_t step = 0; step < 2; ++step) {
+        const Tensor x = specialsTensor(shape, seed + 2 * step);
+        const Tensor dy = specialsTensor(shape, seed + 2 * step + 1);
+        bits.y = hashBits(bits.y, bn.forward(x, /*training=*/true));
+        bits.dx = hashBits(bits.dx, bn.backward(dy));
+    }
+    bits.grads = hashBits(hashBits(bits.grads, bn.gamma().grad),
+                          bn.beta().grad);
+    bits.running = hashBits(hashBits(bits.running, bn.runningMean()),
+                            bn.runningVar());
+    bits.eval = hashBits(
+        bits.eval, bn.forward(specialsTensor(shape, seed + 9), false));
+    return bits;
+}
+
+/** Hashes of one ReLU forward + backward. */
+struct ReluBits
+{
+    uint64_t y = kFnvBasis;
+    uint64_t dx = kFnvBasis;
+    uint64_t sparsity = 0;   //!< bits of lastOutputSparsity()
+
+    bool
+    operator==(const ReluBits &o) const
+    {
+        return y == o.y && dx == o.dx && sparsity == o.sparsity;
+    }
+};
+
+ReluBits
+runRelu(const Shape &shape)
+{
+    const auto seed = static_cast<uint64_t>(300 * shape[1]);
+    ReLU relu("r");
+    ReluBits bits;
+    bits.y = hashBits(bits.y, relu.forward(specialsTensor(shape, seed),
+                                           /*training=*/true));
+    bits.dx = hashBits(bits.dx,
+                       relu.backward(specialsTensor(shape, seed + 1)));
+    const double sparsity = relu.lastOutputSparsity();
+    std::memcpy(&bits.sparsity, &sparsity, sizeof(sparsity));
+    return bits;
+}
+
+struct LayerGolden
+{
+    int64_t channels;
+    BnBits bn;
+    ReluBits relu;
+};
+
+/**
+ * BN and ReLU bits at C = 3, 8, 13 and 64 on a 3 x C x 5 x 7 batch:
+ * channel counts below, at, between and well past a multiple of eight,
+ * and a 35-element plane that is no multiple of a vector width. The
+ * values were recorded with the one-channel-at-a-time BatchNorm2d and
+ * the float-mask ReLU built for an x86-64-v3 (FMA) host, where the
+ * compiler fused BN's multiply-adds; the layers now spell those fusions
+ * out, so every host must reproduce these bits, signed zeros included.
+ */
+const LayerGolden kLayerGolden[] = {
+    {3,
+     {0xd24120714b82b2bdULL, 0xe554bcdecc66325cULL, 0xbb57a17550cbeeb1ULL,
+      0x6dc04bf308c37e89ULL, 0xaba6f6462a933d24ULL},
+     {0x1d0b11df6efe53c1ULL, 0xd8dd5f87f88693b4ULL, 0x3fe1111111111111ULL}},
+    {8,
+     {0x00e45c8ee234a3f7ULL, 0x8d91b325a4e4f8e1ULL, 0x27090628883967baULL,
+      0xb23edab14d039f80ULL, 0x62fa410e8cb8dc9fULL},
+     {0x6d95d32597bf97ebULL, 0x4f909720c4a8d939ULL, 0x3fe15f15f15f15f1ULL}},
+    {13,
+     {0x971a9df3737f044eULL, 0x456b2a5130c5a6fbULL, 0x64b43268c8f985edULL,
+      0x1479b1399e957d91ULL, 0xfa484a4557af2142ULL},
+     {0x9837dc0120599cb1ULL, 0xe4af5707e209e7edULL, 0x3fe1fb1fb1fb1fb2ULL}},
+    {64,
+     {0xe855fde2d4c1c8a6ULL, 0x3200af6c6f7195f0ULL, 0x4ad62283cb99ff34ULL,
+      0x5b330372b8959eebULL, 0x8acc52748755e01eULL},
+     {0x6d334bdf45b03566ULL, 0xe73a360e8be88375ULL, 0x3fe162be2be2be2cULL}},
+};
+
+TEST(LayerGolden, BatchNormAndReluBitsMatchRecording)
+{
+    for (const LayerGolden &g : kLayerGolden) {
+        const Shape shape{3, g.channels, 5, 7};
+        const BnBits bn = runBatchNorm(shape);
+        const ReluBits relu = runRelu(shape);
+        const std::string at = "C=" + std::to_string(g.channels);
+        EXPECT_EQ(bn.y, g.bn.y) << at << " bn y";
+        EXPECT_EQ(bn.dx, g.bn.dx) << at << " bn dx";
+        EXPECT_EQ(bn.grads, g.bn.grads) << at << " bn dgamma/dbeta";
+        EXPECT_EQ(bn.running, g.bn.running) << at << " bn running stats";
+        EXPECT_EQ(bn.eval, g.bn.eval) << at << " bn eval y";
+        EXPECT_EQ(relu.y, g.relu.y) << at << " relu y";
+        EXPECT_EQ(relu.dx, g.relu.dx) << at << " relu dx";
+        EXPECT_EQ(relu.sparsity, g.relu.sparsity) << at << " relu sparsity";
+    }
+}
+
+/** Restores the default global pool when a sweep test exits. */
+struct GlobalPoolGuard
+{
+    ~GlobalPoolGuard() { ThreadPool::resetGlobal(0); }
+};
+
+TEST(LayerThreadSweep, BatchNormAndReluBitwiseIdentical)
+{
+    // C = 13 leaves a ragged channel block; the 4 x 40 x 16 x 16 batch
+    // is large enough that every pass splits over several pool tasks.
+    GlobalPoolGuard guard;
+    const Shape shapes[] = {Shape{3, 13, 5, 7}, Shape{4, 40, 16, 16}};
+    ThreadPool::resetGlobal(1);
+    std::vector<std::pair<BnBits, ReluBits>> ref;
+    for (const Shape &s : shapes)
+        ref.emplace_back(runBatchNorm(s), runRelu(s));
+    for (int threads : {2, 3, 8}) {
+        ThreadPool::resetGlobal(threads);
+        ASSERT_EQ(ThreadPool::global().numThreads(), threads);
+        for (size_t i = 0; i < ref.size(); ++i) {
+            EXPECT_TRUE(runBatchNorm(shapes[i]) == ref[i].first)
+                << shapes[i].str() << " threads=" << threads;
+            EXPECT_TRUE(runRelu(shapes[i]) == ref[i].second)
+                << shapes[i].str() << " threads=" << threads;
+        }
+    }
+}
+
+TEST(ReLU, CachedOutputStaysACopyOnWriteAlias)
+{
+    // ReLU caches its output by sharing the returned tensor's buffer.
+    // backward() must read that cache without detaching it, or every
+    // step would copy the whole activation.
+    ReLU relu("r");
+    const Shape shape{2, 3, 4, 5};
+    const Tensor y = relu.forward(specialsTensor(shape, 11), true);
+    const float *before = y.data();
+    ASSERT_TRUE(y.sharesStorage());
+    LayerStepReport after_forward;
+    ASSERT_TRUE(relu.stepReport(&after_forward));
+
+    relu.backward(specialsTensor(shape, 12));
+    EXPECT_TRUE(y.sharesStorage());
+    EXPECT_EQ(y.data(), before);
+
+    // The activation density the trace consumes is still the measured
+    // non-zero fraction of the forward output.
+    LayerStepReport r;
+    ASSERT_TRUE(relu.stepReport(&r));
+    EXPECT_EQ(r.kind, LayerStepReport::Kind::Activation);
+    EXPECT_EQ(r.batch, 2);
+    EXPECT_EQ(r.outputDensity, after_forward.outputDensity);
+    EXPECT_EQ(r.outputDensity, 1.0 - relu.lastOutputSparsity());
+    EXPECT_EQ(r.outputDensity, 1.0 - y.zeroFraction());
+}
+
+TEST(BatchNormDeathTest, BackwardNeedsATrainingForward)
+{
+    // An eval-mode forward (the validation pass) caches nothing and
+    // drops what the last training forward cached, so a backward after
+    // it fails loudly instead of reading a stale xhat.
+    const Shape shape{2, 3, 4, 4};
+    const Tensor x = specialsTensor(shape, 21);
+    const Tensor dy = specialsTensor(shape, 22);
+    BatchNorm2d fresh(3, "bn");
+    EXPECT_DEATH(fresh.backward(dy), "needs a training-mode forward");
+
+    BatchNorm2d bn(3, "bn");
+    bn.forward(x, /*training=*/true);
+    bn.forward(x, /*training=*/false);
+    EXPECT_DEATH(bn.backward(dy), "needs a training-mode forward");
+
+    bn.forward(x, /*training=*/true);
+    EXPECT_EQ(bn.backward(dy).shape(), shape);
 }
 
 TEST(MaxPool, SelectsMaxAndRoutesGradient)
