@@ -25,13 +25,13 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "kernels/backend.h"
+#include "kernels/gemm.h"
 #include "kernels/sparse_microkernels.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
 #include "sparse/csb.h"
 #include "sparse/mask.h"
 #include "sparse/sparse_conv.h"
-#include "sparse/sparse_linear.h"
 
 using namespace procrustes;
 
@@ -83,7 +83,10 @@ struct Row
     double threadBwdSpeedup() const { return gemm_bwd_ms_1t / gemm_bwd_ms; }
 };
 
-/** One fc layer's timings: gemm backend vs the CSB fc executors. */
+/**
+ * One fc layer's timings: gemm backend vs the CSB executors, which run
+ * fc as a 1x1 conv over the batch plane (as nn::Linear does).
+ */
 struct FcRow
 {
     std::string net;
@@ -340,7 +343,9 @@ benchOneFc(FcRow row, bool smoke)
     row.gemm_fwd_ms = timeMs([&] { gemm.forward(x, true); }, min_ms);
     row.gemm_bwd_ms = timeMs([&] { gemm.backward(dy); }, min_ms);
 
-    // CSB fc executors at a paper-like 80% weight sparsity.
+    // CSB executors at a paper-like 80% weight sparsity, on the 1x1
+    // conv nn::Linear runs: [O, I, 1, 1] filters over the batch plane
+    // [1, I, 1, N].
     row.sparse_density = 0.2;
     Tensor wsp = gemm.weight().value;
     sparse::SyntheticMaskConfig mcfg;
@@ -352,30 +357,47 @@ benchOneFc(FcRow row, bool smoke)
         if (!mask.bits[static_cast<size_t>(i)])
             wsp.at(i) = 0.0f;
     }
-    const sparse::CsbTensor csb =
-        sparse::CsbTensor::encodeMatrix(wsp, nn::Linear::kCsbBlockSide);
-    // Pre-gathered tap views, as Linear shares them across the three
-    // phases of a step: the timings below are the executor kernels
-    // proper, not the once-per-step encode/gather.
-    const sparse::FcTapViews views = sparse::gatherFcTapViews(csb);
+    wsp.reshape(Shape{row.out_f, row.in_f, 1, 1});
+    const sparse::CsbTensor csb = sparse::CsbTensor::encodeConvFilters(wsp);
+    // A pre-built tap pack, as Linear caches it across steps: the
+    // timings below are the executors plus the layout transposes each
+    // phase pays, not the once-per-step encode.
+    const kernels::ConvTapPack pack =
+        kernels::packConvTaps(csb, 1, row.batch, 1, 0);
+    Tensor xp(Shape{1, row.in_f, 1, row.batch});
+    Tensor dyp(Shape{1, row.out_f, 1, row.batch});
+    kernels::transpose(x.data(), row.batch, row.in_f, xp.data());
+    kernels::transpose(dy.data(), row.batch, row.out_f, dyp.data());
+    Tensor y(Shape{row.batch, row.out_f});
+    Tensor dx(Shape{row.batch, row.in_f});
     Tensor dw(wsp.shape());
     row.sparse_fc_fwd_ms = timeMs(
-        [&] { sparse::sparseLinearForward(x, csb, nullptr, &views); },
+        [&] {
+            kernels::transpose(x.data(), row.batch, row.in_f, xp.data());
+            const Tensor yp =
+                sparse::sparseConvForward(xp, csb, 1, 0, nullptr, &pack);
+            kernels::transpose(yp.data(), row.out_f, row.batch, y.data());
+        },
         min_ms);
     row.sparse_fc_bwd_data_ms = timeMs(
         [&] {
-            sparse::sparseLinearBackwardData(dy, csb, nullptr, &views);
+            kernels::transpose(dy.data(), row.batch, row.out_f,
+                               dyp.data());
+            const Tensor dxp = sparse::sparseConvBackwardData(
+                dyp, csb, xp.shape(), 1, 0, nullptr, &pack);
+            kernels::transpose(dxp.data(), row.in_f, row.batch,
+                               dx.data());
         },
         min_ms);
     row.sparse_fc_bwd_weight_ms = timeMs(
         [&] {
-            sparse::sparseLinearBackwardWeights(x, dy, csb, &dw,
-                                                nullptr, &views);
+            sparse::sparseConvBackwardWeights(xp, dyp, csb, 1, 0, &dw,
+                                              nullptr, &pack);
         },
         min_ms);
 
-    const sparse::SparseLinearMacCounts counts =
-        sparse::sparseLinearMacCounts(x, dy, csb);
+    const sparse::SparseConvMacCounts counts =
+        sparse::sparseConvMacCounts(xp, dyp, csb, 1, 0);
     const double dense =
         static_cast<double>(row.batch) * row.out_f * row.in_f;
     row.fw_mac_ratio = static_cast<double>(counts.forward) / dense;

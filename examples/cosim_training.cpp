@@ -66,7 +66,7 @@ buildCnn(nn::Network &net, int classes, uint64_t seed)
     block("3", 32, 32);
     net.add<nn::GlobalAvgPool>("gap");
     nn::Linear *fc = net.add<nn::Linear>(32, classes, "fc");
-    // The fc head runs the CSB fc executors too, so every trainable
+    // The fc head runs the CSB executors too, so every trainable
     // layer contributes measured (not modelled) MACs to the trace.
     fc->setBackend(kernels::KernelBackend::kSparse);
     Xorshift128Plus rng(seed);

@@ -183,97 +183,5 @@ sparseConvBwdWeightBlock(const ConvTap *taps, int64_t ntaps,
         batch, in_w, stride, q_ext, dw_block);
 }
 
-void
-fcPackTile8(const float *src, int64_t row_stride, int64_t width,
-            float *tile)
-{
-    for (int l = 0; l < 8; ++l) {
-        const float *row = src + l * row_stride;
-        for (int64_t i = 0; i < width; ++i)
-            tile[i * 8 + l] = row[i];
-    }
-}
-
-void
-fcUnpackTile8(const float *tile, float *dst, int64_t row_stride,
-              int64_t width)
-{
-    for (int l = 0; l < 8; ++l) {
-        float *row = dst + l * row_stride;
-        for (int64_t i = 0; i < width; ++i)
-            row[i] = tile[i * 8 + l];
-    }
-}
-
-void
-sparseFcFwdRow(const int64_t *offsets, const int64_t *index,
-               const float *value, int64_t groups, const float *xr,
-               float *yr)
-{
-    detail::fcFwdRowScalar(offsets, index, value, groups, xr, yr);
-}
-
-int64_t
-sparseFcBwdDataRow(const int64_t *offsets, const int64_t *index,
-                   const float *value, int64_t groups, const float *dyr,
-                   float *dxr)
-{
-    return detail::fcBwdDataRowScalar(offsets, index, value, groups, dyr,
-                                      dxr);
-}
-
-void
-sparseFcFwdTile8(const int64_t *offsets, const int64_t *index,
-                 const float *value, int64_t groups, const float *xtile,
-                 float *ytile)
-{
-#ifdef PROCRUSTES_HAVE_AVX2
-    if (activeSimdLevel() == SimdLevel::kAvx2) {
-        detail::fcFwdTile8Avx2(offsets, index, value, groups, xtile,
-                               ytile);
-        return;
-    }
-#endif
-    detail::fcFwdTile8Scalar(offsets, index, value, groups, xtile, ytile);
-}
-
-int64_t
-sparseFcBwdDataTile8(const int64_t *offsets, const int64_t *index,
-                     const float *value, int64_t groups,
-                     const float *dytile, float *dxtile)
-{
-#ifdef PROCRUSTES_HAVE_AVX2
-    if (activeSimdLevel() == SimdLevel::kAvx2)
-        return detail::fcBwdDataTile8Avx2(offsets, index, value, groups,
-                                          dytile, dxtile);
-#endif
-    return detail::fcBwdDataTile8Scalar(offsets, index, value, groups,
-                                        dytile, dxtile);
-}
-
-int64_t
-sparseFcWuFill(const int32_t *idx32, const int32_t *row32, int64_t nnz,
-               const float *xr, const float *dyr, float *slot)
-{
-#ifdef PROCRUSTES_HAVE_AVX2
-    if (activeSimdLevel() == SimdLevel::kAvx2)
-        return detail::fcWuFillAvx2(idx32, row32, nnz, xr, dyr, slot);
-#endif
-    return detail::fcWuFillScalar(idx32, row32, nnz, xr, dyr, slot);
-}
-
-void
-sparseFcWuReduce(const int32_t *di32, const float *part, int64_t nnz,
-                 int64_t samples, int64_t t0, int64_t t1, float *pdw)
-{
-#ifdef PROCRUSTES_HAVE_AVX2
-    if (activeSimdLevel() == SimdLevel::kAvx2) {
-        detail::fcWuReduceAvx2(di32, part, nnz, samples, t0, t1, pdw);
-        return;
-    }
-#endif
-    detail::fcWuReduceScalar(di32, part, nnz, samples, t0, t1, pdw);
-}
-
 } // namespace kernels
 } // namespace procrustes

@@ -2,14 +2,14 @@
  * @file
  * SIMD microkernels for the CSB sparse executors.
  *
- * The five sparse training executors (conv forward / backward-data /
- * backward-weight in src/sparse/sparse_conv.cc, fc forward / backward
- * in src/sparse/sparse_linear.cc) traverse non-zero weights but still
- * sweep a *dense* axis per tap — the output-pixel q loop for conv, the
- * sample axis for fc. These microkernels vectorize that dense axis
- * with AVX2 while keeping the per-output nonzero traversal order
- * fixed, so the results are bitwise identical to the scalar reference
- * for every thread count and SIMD level:
+ * The three sparse training executors (conv forward / backward-data /
+ * backward-weight in src/sparse/sparse_conv.cc) traverse non-zero
+ * weights but still sweep a *dense* axis per tap — the output-pixel q
+ * loop. fc layers run on the same executors as a 1x1 conv over the
+ * batch plane, where that axis is the sample axis. These microkernels
+ * vectorize the dense axis with AVX2 while keeping the per-output
+ * nonzero traversal order fixed, so the results are bitwise identical
+ * to the scalar reference for every thread count and SIMD level:
  *
  *   - conv forward is output-stationary over a *prepared* input: the
  *     executor copies each input plane once into a zero-padded,
@@ -37,26 +37,19 @@
  *     accumulator lanes indexed by q mod 8 and collapses them with a
  *     fixed binary tree; the scalar fallback implements the *same*
  *     lane schedule, so both levels agree bit-for-bit.
- *   - fc forward / backward-data process the batch in transposed
- *     8-sample tiles: lane l is sample l, each lane accumulates its
- *     taps in the one fixed gather order.
- *   - fc backward-weight vectorizes the per-sample partial fill
- *     (gather x / dy by tap index) and the per-tap sample-ordered
- *     reduction; accumulation order per dW element is unchanged.
  *
- * Zero-skipping note: the scalar executors skip zero operands, the
- * SIMD paths multiply them (a PE would skip; a lane is free). Both are
- * bitwise equal because an accumulator that starts at +0 can never
- * become -0 (IEEE 754: exact cancellation rounds to +0, and +0 + (±0)
- * is +0), so adding wt * ±0 is an identity on every partial sum. The
- * conv kernels go further: a strip multiplies every tap against the
- * padding too, so out-of-window reads add wt * (+0). All of this
- * assumes finite weights: an Inf or NaN wt times zero is NaN, which a
- * skipping path never computes. The executed-MAC
- * tallies still count only non-zero operands — via compare + movemask
- * + popcount in the lane kernels, and in conv backward-data through a
- * summed-area table of non-zero dy, one window lookup per (tap,
- * sample).
+ * Zero-skipping note: a PE skips a zero operand; both kernel levels
+ * multiply it (a lane is free). The sums are still bitwise what a
+ * skipping path computes, because an accumulator that starts at +0
+ * can never become -0 (IEEE 754: exact cancellation rounds to +0, and
+ * +0 + (±0) is +0), so adding wt * ±0 is an identity on every partial
+ * sum. A strip multiplies every tap against the padding too, so
+ * out-of-window reads add wt * (+0). All of this assumes finite
+ * weights: an Inf or NaN wt times zero is NaN, which a skipping path
+ * never computes. The executed-MAC tallies still count only non-zero
+ * operands — via compare + movemask + popcount in the backward-weight
+ * lane kernel, and in conv backward-data through a summed-area table
+ * of non-zero dy, one window lookup per (tap, sample).
  *
  * Both microkernel translation units are compiled with
  * -ffp-contract=off, so the compiler may not fuse (or un-fuse) what
@@ -231,75 +224,6 @@ int64_t sparseConvBwdWeightBlock(const ConvTap *taps, int64_t ntaps,
                                  int64_t dy_batch_stride, int64_t batch,
                                  int64_t in_w, int64_t stride,
                                  int64_t q_ext, float *dw_block);
-
-/**
- * Transpose an 8-sample row-major slab [8, width] (row stride
- * row_stride) into a lane tile tile[width * 8], tile[i*8 + l] =
- * src[l*row_stride + i]. Pure data movement — no dispatch needed.
- */
-void fcPackTile8(const float *src, int64_t row_stride, int64_t width,
-                 float *tile);
-
-/** Inverse of fcPackTile8: dst[l*row_stride + i] = tile[i*8 + l]. */
-void fcUnpackTile8(const float *tile, float *dst, int64_t row_stride,
-                   int64_t width);
-
-/**
- * Forward fc row kernel for ONE sample: yr[o] = sum of row o's taps.
- * This is the untiled reference the tile kernels are lane-equal to;
- * executors use it for tail samples so every sample's arithmetic lives
- * in this -ffp-contract=off TU (an executor-side loop could be fused
- * into FMAs by its own TU's flags and break bitwise parity).
- */
-void sparseFcFwdRow(const int64_t *offsets, const int64_t *index,
-                    const float *value, int64_t groups, const float *xr,
-                    float *yr);
-
-/**
- * Backward-data fc row kernel for ONE sample (column-view taps, zero-dy
- * skip). Returns executed MACs. Tail-sample counterpart of
- * sparseFcBwdDataTile8, same TU-pinning rationale as sparseFcFwdRow.
- */
-int64_t sparseFcBwdDataRow(const int64_t *offsets, const int64_t *index,
-                           const float *value, int64_t groups,
-                           const float *dyr, float *dxr);
-
-/**
- * Forward fc tile kernel: for each of `groups` output rows, accumulate
- * its taps across the 8 sample lanes of xtile into ytile[o*8..].
- * Per-lane accumulation order equals the scalar per-sample executor's,
- * so results are bitwise identical to the untiled reference.
- */
-void sparseFcFwdTile8(const int64_t *offsets, const int64_t *index,
-                      const float *value, int64_t groups,
-                      const float *xtile, float *ytile);
-
-/**
- * Backward-data fc tile kernel (column-view taps, dytile in, dxtile
- * out). Returns executed MACs: taps x non-zero dy lanes.
- */
-int64_t sparseFcBwdDataTile8(const int64_t *offsets, const int64_t *index,
-                             const float *value, int64_t groups,
-                             const float *dytile, float *dxtile);
-
-/**
- * Weight-update fc fill kernel: slot[t] = dy[row32[t]] * x[idx32[t]]
- * for all nnz taps of one sample (an exact zero when the x operand is
- * zero). Returns executed MACs (non-zero x operands).
- */
-int64_t sparseFcWuFill(const int32_t *idx32, const int32_t *row32,
-                       int64_t nnz, const float *xr, const float *dyr,
-                       float *slot);
-
-/**
- * Weight-update fc reduction kernel over taps [t0, t1): pdw[di32[t]]
- * += sum of this group's per-sample partials in sample order (part is
- * [samples, nnz] row-major). Sample order per tap is preserved at both
- * levels, so the accumulation stays bitwise thread-count invariant.
- */
-void sparseFcWuReduce(const int32_t *di32, const float *part,
-                      int64_t nnz, int64_t samples, int64_t t0,
-                      int64_t t1, float *pdw);
 
 } // namespace kernels
 } // namespace procrustes

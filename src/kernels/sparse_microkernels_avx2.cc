@@ -14,10 +14,9 @@
  * counterpart.
  *
  * Bitwise-parity invariants (see sparse_microkernels.h):
- *   - lanes are independent outputs (fwd, bwd-data, fc tiles), or
+ *   - lanes are independent outputs (fwd, bwd-data), or
  *   - the lane schedule + reduction tree is mirrored by the scalar
- *     reference (conv bwd-weight), or
- *   - the accumulation order per output is untouched (fc wu reduce).
+ *     reference (bwd-weight).
  * Zero operands are multiplied instead of skipped; the executed-MAC
  * tallies count them out via compare + movemask + popcount.
  */
@@ -262,101 +261,6 @@ convBwdWeightBlockAvx2(const ConvTap *taps, int64_t ntaps,
         dw_block[tp.elem] += hsum8(acc);
     }
     return macs;
-}
-
-void
-fcFwdTile8Avx2(const int64_t *offsets, const int64_t *index,
-               const float *value, int64_t groups, const float *xtile,
-               float *ytile)
-{
-    for (int64_t o = 0; o < groups; ++o) {
-        __m256 acc = _mm256_setzero_ps();
-        for (int64_t t = offsets[o]; t < offsets[o + 1]; ++t) {
-            const __m256 v = _mm256_set1_ps(value[t]);
-            const __m256 xv = _mm256_loadu_ps(xtile + index[t] * 8);
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(v, xv));
-        }
-        _mm256_storeu_ps(ytile + o * 8, acc);
-    }
-}
-
-int64_t
-fcBwdDataTile8Avx2(const int64_t *offsets, const int64_t *index,
-                   const float *value, int64_t groups,
-                   const float *dytile, float *dxtile)
-{
-    int64_t macs = 0;
-    for (int64_t i = 0; i < groups; ++i) {
-        __m256 acc = _mm256_setzero_ps();
-        for (int64_t t = offsets[i]; t < offsets[i + 1]; ++t) {
-            const __m256 v = _mm256_set1_ps(value[t]);
-            const __m256 g = _mm256_loadu_ps(dytile + index[t] * 8);
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(v, g));
-            macs += countNonzero(g);
-        }
-        _mm256_storeu_ps(dxtile + i * 8, acc);
-    }
-    return macs;
-}
-
-int64_t
-fcWuFillAvx2(const int32_t *idx32, const int32_t *row32, int64_t nnz,
-             const float *xr, const float *dyr, float *slot)
-{
-    int64_t macs = 0;
-    int64_t t = 0;
-    for (; t + 8 <= nnz; t += 8) {
-        const __m256i vi = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(idx32 + t));
-        const __m256i vr = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(row32 + t));
-        const __m256 xv = _mm256_i32gather_ps(xr, vi, 4);
-        const __m256 g = _mm256_i32gather_ps(dyr, vr, 4);
-        // Zero x lanes write dy * ±0 where the scalar reference writes
-        // +0 — scratch-only ±0 noise the sample-ordered reduction is
-        // provably insensitive to (see sparse_microkernels.h).
-        _mm256_storeu_ps(slot + t, _mm256_mul_ps(g, xv));
-        macs += countNonzero(xv);
-    }
-    for (; t < nnz; ++t) {
-        const float xv = xr[idx32[t]];
-        if (xv == 0.0f) {
-            slot[t] = 0.0f;
-            continue;
-        }
-        slot[t] = dyr[row32[t]] * xv;
-        ++macs;
-    }
-    return macs;
-}
-
-void
-fcWuReduceAvx2(const int32_t *di32, const float *part, int64_t nnz,
-               int64_t samples, int64_t t0, int64_t t1, float *pdw)
-{
-    int64_t t = t0;
-    for (; t + 8 <= t1; t += 8) {
-        const __m256i vdi = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(di32 + t));
-        // Live (o, i) pairs are distinct, so the dW slots of 8 adjacent
-        // taps never alias: gather-accumulate-scatter is safe, and each
-        // slot still sums its partials in sample order — bitwise equal
-        // to the scalar reduction.
-        __m256 acc = _mm256_i32gather_ps(pdw, vdi, 4);
-        for (int64_t s = 0; s < samples; ++s)
-            acc = _mm256_add_ps(acc, _mm256_loadu_ps(part + s * nnz + t));
-        alignas(32) float out[8];
-        _mm256_store_ps(out, acc);
-        for (int l = 0; l < 8; ++l)
-            pdw[di32[t + l]] = out[l];
-    }
-    for (; t < t1; ++t) {
-        const int64_t di = di32[t];
-        float acc = pdw[di];
-        for (int64_t s = 0; s < samples; ++s)
-            acc += part[s * nnz + t];
-        pdw[di] = acc;
-    }
 }
 
 } // namespace detail

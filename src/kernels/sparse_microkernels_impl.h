@@ -94,120 +94,6 @@ convBwdWeightBlockScalar(const ConvTap *taps, int64_t ntaps,
     return macs;
 }
 
-/** Scalar fc forward for one sample (the original executor loop). */
-inline void
-fcFwdRowScalar(const int64_t *offsets, const int64_t *index,
-               const float *value, int64_t groups, const float *xr,
-               float *yr)
-{
-    for (int64_t o = 0; o < groups; ++o) {
-        float acc = 0.0f;
-        for (int64_t t = offsets[o]; t < offsets[o + 1]; ++t)
-            acc += value[t] * xr[index[t]];
-        yr[o] = acc;
-    }
-}
-
-/** Scalar fc backward-data for one sample (zero-dy skip + tally). */
-inline int64_t
-fcBwdDataRowScalar(const int64_t *offsets, const int64_t *index,
-                   const float *value, int64_t groups, const float *dyr,
-                   float *dxr)
-{
-    int64_t macs = 0;
-    for (int64_t i = 0; i < groups; ++i) {
-        float acc = 0.0f;
-        for (int64_t t = offsets[i]; t < offsets[i + 1]; ++t) {
-            const float g = dyr[index[t]];
-            if (g == 0.0f)
-                continue;
-            acc += value[t] * g;
-            ++macs;
-        }
-        dxr[i] = acc;
-    }
-    return macs;
-}
-
-/**
- * Scalar fc tile kernels: lane l is sample l, accumulated in the same
- * per-lane tap order as the untiled reference — bitwise identical to
- * both the AVX2 tile kernel and the per-sample scalar loop.
- */
-inline void
-fcFwdTile8Scalar(const int64_t *offsets, const int64_t *index,
-                 const float *value, int64_t groups, const float *xtile,
-                 float *ytile)
-{
-    for (int64_t o = 0; o < groups; ++o) {
-        float acc[8] = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f};
-        for (int64_t t = offsets[o]; t < offsets[o + 1]; ++t) {
-            const float v = value[t];
-            const float *xl = xtile + index[t] * 8;
-            for (int l = 0; l < 8; ++l)
-                acc[l] += v * xl[l];
-        }
-        float *yl = ytile + o * 8;
-        for (int l = 0; l < 8; ++l)
-            yl[l] = acc[l];
-    }
-}
-
-inline int64_t
-fcBwdDataTile8Scalar(const int64_t *offsets, const int64_t *index,
-                     const float *value, int64_t groups,
-                     const float *dytile, float *dxtile)
-{
-    int64_t macs = 0;
-    for (int64_t i = 0; i < groups; ++i) {
-        float acc[8] = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f};
-        for (int64_t t = offsets[i]; t < offsets[i + 1]; ++t) {
-            const float v = value[t];
-            const float *gl = dytile + index[t] * 8;
-            for (int l = 0; l < 8; ++l) {
-                acc[l] += v * gl[l];
-                macs += gl[l] != 0.0f;
-            }
-        }
-        float *dl = dxtile + i * 8;
-        for (int l = 0; l < 8; ++l)
-            dl[l] = acc[l];
-    }
-    return macs;
-}
-
-/** Scalar fc weight-update fill (the original skip loop). */
-inline int64_t
-fcWuFillScalar(const int32_t *idx32, const int32_t *row32, int64_t nnz,
-               const float *xr, const float *dyr, float *slot)
-{
-    int64_t macs = 0;
-    for (int64_t t = 0; t < nnz; ++t) {
-        const float xv = xr[idx32[t]];
-        if (xv == 0.0f) {
-            slot[t] = 0.0f;
-            continue;
-        }
-        slot[t] = dyr[row32[t]] * xv;
-        ++macs;
-    }
-    return macs;
-}
-
-/** Scalar fc weight-update reduction (the original sample-order sum). */
-inline void
-fcWuReduceScalar(const int32_t *di32, const float *part, int64_t nnz,
-                 int64_t samples, int64_t t0, int64_t t1, float *pdw)
-{
-    for (int64_t t = t0; t < t1; ++t) {
-        const int64_t di = di32[t];
-        float acc = pdw[di];
-        for (int64_t s = 0; s < samples; ++s)
-            acc += part[s * nnz + t];
-        pdw[di] = acc;
-    }
-}
-
 #ifdef PROCRUSTES_HAVE_AVX2
 template <bool kFused>
 void convPlaneRunAvx2(const ConvRunTap *taps, int64_t ntaps,
@@ -219,17 +105,6 @@ int64_t convBwdWeightBlockAvx2(const ConvTap *taps, int64_t ntaps,
                                int64_t dy_batch_stride, int64_t batch,
                                int64_t in_w, int64_t stride,
                                int64_t q_ext, float *dw_block);
-void fcFwdTile8Avx2(const int64_t *offsets, const int64_t *index,
-                    const float *value, int64_t groups,
-                    const float *xtile, float *ytile);
-int64_t fcBwdDataTile8Avx2(const int64_t *offsets, const int64_t *index,
-                           const float *value, int64_t groups,
-                           const float *dytile, float *dxtile);
-int64_t fcWuFillAvx2(const int32_t *idx32, const int32_t *row32,
-                     int64_t nnz, const float *xr, const float *dyr,
-                     float *slot);
-void fcWuReduceAvx2(const int32_t *di32, const float *part, int64_t nnz,
-                    int64_t samples, int64_t t0, int64_t t1, float *pdw);
 #endif // PROCRUSTES_HAVE_AVX2
 
 } // namespace detail

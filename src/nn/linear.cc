@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "kernels/gemm.h"
-#include "sparse/sparse_linear.h"
+#include "sparse/sparse_conv.h"
 
 namespace procrustes {
 namespace nn {
@@ -108,7 +108,7 @@ Linear::stepReport(LayerStepReport *out) const
     if (!backwardSeen_)
         return true;
     if (backend_ == kernels::KernelBackend::kSparse && csbValid_) {
-        // The fc executors' own tallies: weight-skip in fw, plus
+        // The conv executors' own tallies: weight-skip in fw, plus
         // dy-zero / activation-zero skipping in the backward phases.
         out->sparseExecuted = true;
         out->fwMacs = lastFwMacs_;
@@ -125,30 +125,57 @@ Linear::stepReport(LayerStepReport *out) const
     return true;
 }
 
+namespace {
+
+/** [rows, cols] -> [1, cols, 1, rows]: the batch plane of a 1x1 conv. */
+Tensor
+toBatchPlane(const Tensor &t)
+{
+    const int64_t rows = t.shape()[0];
+    const int64_t cols = t.shape()[1];
+    Tensor out = Tensor::uninitialized(Shape{1, cols, 1, rows});
+    kernels::transpose(t.data(), rows, cols, out.data());
+    return out;
+}
+
+/** [1, cols, 1, rows] -> [rows, cols]: the inverse of toBatchPlane. */
+Tensor
+fromBatchPlane(const Tensor &t)
+{
+    const int64_t cols = t.shape()[1];
+    const int64_t rows = t.shape()[3];
+    Tensor out = Tensor::uninitialized(Shape{rows, cols});
+    kernels::transpose(t.data(), cols, rows, out.data());
+    return out;
+}
+
+} // namespace
+
 Tensor
 Linear::forwardSparse(const Tensor &x)
 {
-    // Encode once per step: the weights cannot change between this
-    // forward and the matching backward, so the backward passes reuse
-    // the same compressed blocks (as the accelerator streams one CSB
-    // image of the weights through all three phases). The tap views'
-    // geometry (indices, offsets, permutation, weight-update aux) only
-    // depends on the mask, so while the mask epoch holds across steps
-    // only the packed values are refreshed — an O(nnz) copy instead of
-    // the O(O*I) block walk.
-    sparse::CsbTensor fresh = sparse::CsbTensor::encodeMatrix(
-        weight_.value, kCsbBlockSide, storagePrecision_);
-    const bool mask_same = csbValid_ && fresh.sameMaskAs(cachedCsb_);
+    // fc is the conv with R = S = P = Q = 1: the [O, I] weight encodes
+    // as [O, I, 1, 1] filters and the batch becomes the output row, so
+    // y = W x runs on the conv executors over the plane [1, I, 1, N].
+    // Encode once per step, as Conv2d does; the packed tap geometry
+    // survives across steps while the mask epoch and the batch size
+    // hold.
+    const int64_t n = x.shape()[0];
+    Tensor w4 = weight_.value;   // COW alias: the reshape copies nothing
+    w4.reshape(Shape{outFeatures_, inFeatures_, 1, 1});
+    sparse::CsbTensor fresh =
+        sparse::CsbTensor::encodeConvFilters(w4, storagePrecision_);
+    const bool mask_same = csbValid_ && fresh.sameMaskAs(cachedCsb_) &&
+                           cachedPack_.matches(1, n, 1, 0);
     cachedCsb_ = std::move(fresh);
-    if (mask_same)
-        sparse::refreshFcTapValues(cachedCsb_, &cachedTaps_);
-    else
-        cachedTaps_ = sparse::gatherFcTapViews(cachedCsb_);
+    if (!mask_same)
+        cachedPack_ = kernels::packConvTaps(cachedCsb_, 1, n, 1, 0);
     csbValid_ = true;
     if (storagePrecision_ == Precision::kBf16)
         cachedInput_ = bf16RoundedCopy(x);
-    Tensor y = sparse::sparseLinearForward(cachedInput_, cachedCsb_,
-                                           &lastFwMacs_, &cachedTaps_);
+    cachedPlane_ = toBatchPlane(cachedInput_);
+    Tensor y = fromBatchPlane(sparse::sparseConvForward(
+        cachedPlane_, cachedCsb_, 1, 0, &lastFwMacs_, &cachedPack_));
     if (hasBias_)
         addBias(&y);
     return y;
@@ -158,14 +185,19 @@ Tensor
 Linear::backwardSparse(const Tensor &dy)
 {
     PROCRUSTES_ASSERT(csbValid_, "sparse backward before sparse forward");
-    Tensor dx = sparse::sparseLinearBackwardData(
-        dy, cachedCsb_, &lastBwDataMacs_, &cachedTaps_);
+    const Tensor dyp = toBatchPlane(dy);
+    Tensor dx = fromBatchPlane(sparse::sparseConvBackwardData(
+        dyp, cachedCsb_, cachedPlane_.shape(), 1, 0, &lastBwDataMacs_,
+        &cachedPack_));
     // Weight-update pass through the same CSB blocks: only mask-live
-    // positions accumulate gradient, pruned weights stay frozen.
-    sparse::sparseLinearBackwardWeights(cachedInput_, dy, cachedCsb_,
-                                        &weight_.grad,
-                                        &lastBwWeightMacs_,
-                                        &cachedTaps_);
+    // positions accumulate gradient, pruned weights stay frozen. The
+    // executor writes through an [O, I, 1, 1] view of the gradient
+    // itself (a reshaped copy would detach on write and drop it).
+    weight_.grad.reshape(cachedCsb_.denseShape());
+    sparse::sparseConvBackwardWeights(cachedPlane_, dyp, cachedCsb_, 1, 0,
+                                      &weight_.grad, &lastBwWeightMacs_,
+                                      &cachedPack_);
+    weight_.grad.reshape(weight_.value.shape());
     if (hasBias_)
         accumulateBiasGrad(dy);
     return dx;

@@ -5,6 +5,9 @@
  * In the paper's terms (Section II-A), fc layers use matrix multiply in
  * the forward pass and the transposed weight matrix W^T in the backward
  * pass — the access-pattern pair the CSB weight format must serve.
+ * Under kSparse the layer runs fc as the degenerate conv of Algorithm 1
+ * (R = S = P = Q = 1): a 1x1 convolution over the batch plane, on the
+ * same sparse_conv executors as Conv2d.
  */
 
 #ifndef PROCRUSTES_NN_LINEAR_H_
@@ -14,9 +17,9 @@
 #include <vector>
 
 #include "kernels/backend.h"
+#include "kernels/sparse_microkernels.h"
 #include "nn/layer.h"
 #include "sparse/csb.h"
-#include "sparse/sparse_linear.h"
 
 namespace procrustes {
 namespace nn {
@@ -27,21 +30,24 @@ namespace nn {
  * Three interchangeable compute backends implement the layer: the
  * direct loop nest (KernelBackend::kNaive, the semantic reference),
  * the transposed-GEMM path (KernelBackend::kGemm, the fast default),
- * and the CSB zero-skipping fc executors in src/sparse/sparse_linear.h
- * (KernelBackend::kSparse). Under kSparse the layer encodes its weight
- * matrix into square CSB blocks once per step (at forward) and all
- * three training passes consume the compressed blocks: the forward
- * walks live weights only, the backward-data pass traverses the same
- * blocks transposed while fetching (no W^T re-encode), and the
- * weight-gradient pass accumulates only into mask-live positions — so
- * pruned fc weights receive no updates, the accelerator's semantics.
- * Liveness follows the CSB encode rule (a weight is live iff non-zero
- * at encode time), matching Conv2d's kSparse behaviour.
+ * and the CSB zero-skipping conv executors in src/sparse/sparse_conv.h
+ * (KernelBackend::kSparse). Under kSparse the [O, I] weight is encoded
+ * once per step (at forward) as [O, I, 1, 1] conv filters, the input
+ * [N, I] is transposed to the batch plane [1, I, 1, N], and all three
+ * training passes run as a 1x1 convolution whose output row is the
+ * batch: the forward walks live weights only, the backward-data pass
+ * reads the same blocks, and the weight-gradient pass accumulates only
+ * into mask-live positions — so pruned fc weights receive no updates,
+ * the accelerator's semantics. Liveness follows the CSB encode rule (a
+ * weight is live iff non-zero at encode time), matching Conv2d.
  */
 class Linear : public Layer
 {
   public:
-    /** Square CSB block side used when encoding fc weights (kSparse). */
+    /**
+     * Square CSB block side of the fc weight image the accelerator
+     * streams; stepReport prices its bytes with it.
+     */
     static constexpr int64_t kCsbBlockSide = 8;
 
     /** Construct with given fan-in/fan-out; init happens externally. */
@@ -55,7 +61,7 @@ class Linear : public Layer
 
     /**
      * Telemetry for the last step. Under kSparse the MAC counts are
-     * the fc executors' own measured tallies (weight mask skipped in
+     * the conv executors' own measured tallies (weight mask skipped in
      * all three phases, zero dy operands skipped in backward-data,
      * zero input activations skipped in backward-weight) and
      * sparseExecuted is set; dense backends report the full
@@ -106,13 +112,13 @@ class Linear : public Layer
     kernels::KernelBackend backend_;
     Tensor cachedInput_;   //!< COW alias of the forward input
     Tensor cachedOutput_;  //!< COW alias for lazy density telemetry
-    sparse::CsbTensor cachedCsb_;  //!< kSparse: weights encoded at
-                                   //!< forward, reused by backward
-    sparse::FcTapViews cachedTaps_;   //!< both traversal views of
-                                      //!< cachedCsb_; geometry is
-                                      //!< reused across steps while the
-                                      //!< mask epoch holds (values are
-                                      //!< refreshed in O(nnz))
+    Tensor cachedPlane_;   //!< kSparse: the input as [1, I, 1, N]
+    sparse::CsbTensor cachedCsb_;  //!< kSparse: [O, I, 1, 1] filters
+                                   //!< encoded at forward, reused by
+                                   //!< backward
+    kernels::ConvTapPack cachedPack_;  //!< packed tap geometry, reused
+                                       //!< across steps while the mask
+                                       //!< epoch + batch size hold
     bool csbValid_ = false;
     Precision storagePrecision_ = defaultStoragePrecision();
     bool backwardSeen_ = false;

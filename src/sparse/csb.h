@@ -19,6 +19,11 @@
  * addresses are computable in any phase; block density is a pointer
  * subtraction; blocks are rotated 180° (backward pass) or transposed
  * (fc backward) while being fetched.
+ *
+ * The software executors run fc as a 1x1 conv over the batch plane, on
+ * an [O, I, 1, 1] ConvFilters encode. The square-block Matrix kind is
+ * the image the accelerator streams for fc layers; nn::Linear prices
+ * its telemetry bytes with it.
  */
 
 #ifndef PROCRUSTES_SPARSE_CSB_H_

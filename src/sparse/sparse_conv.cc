@@ -170,10 +170,14 @@ sparseConvForward(const Tensor &x, const CsbTensor &w, int64_t stride,
     const int64_t slots = (wp + stride - 1) / stride;
     const int64_t wpp = slots * stride;
     const int64_t plane_sz = hp * wpp;
-    ScratchArena::Buffer xprep = ScratchArena::global().acquire(
-        static_cast<size_t>(n * c * plane_sz + 8));
-    xprep.zero();   // pad rows/columns and the tail slack must read 0
+    const int64_t xprep_sz = n * c * plane_sz + 8;
+    ScratchArena::Buffer xprep =
+        ScratchArena::global().acquire(static_cast<size_t>(xprep_sz));
     float *xp = xprep.data();
+    // Pad rows/columns and the tail slack must read 0. Zero only the
+    // extent used: a reused arena buffer can be many times larger (an
+    // fc head's plane gets the largest conv layer's buffer).
+    std::fill(xp, xp + xprep_sz, 0.0f);
     ThreadPool::global().parallelFor(
         0, n * c, [&](int64_t pc0, int64_t pc1) {
             for (int64_t pc = pc0; pc < pc1; ++pc) {

@@ -11,6 +11,12 @@
  * 180°-rotation view. They are validated against the dense nn::Conv2d
  * reference in tests.
  *
+ * fc layers run here too, as the degenerate conv of the paper's
+ * operation space (R = S = P = Q = 1): nn::Linear encodes its [O, I]
+ * weight as [O, I, 1, 1] filters and transposes the batch [N, I] into
+ * the plane [1, I, 1, N], so the batch is the output row every
+ * executor vectorizes.
+ *
  * The traversal is partitioned across the shared ThreadPool — over
  * output channels in the forward pass and input channels in the
  * backward pass — so every thread accumulates into a private slice of

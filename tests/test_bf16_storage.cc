@@ -18,12 +18,12 @@
 #include <utility>
 
 #include "common/rng.h"
+#include "kernels/gemm.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
 #include "sparse/csb.h"
 #include "sparse/mask.h"
 #include "sparse/sparse_conv.h"
-#include "sparse/sparse_linear.h"
 
 namespace procrustes {
 namespace {
@@ -175,12 +175,20 @@ TEST(Bf16Storage, LinearForwardEqualsExecutorOnRoundedOperands)
     const Tensor y = layer.forward(x, true);
 
     // The bf16 tier is *storage* rounding only: the same fp32 executor
-    // run on explicitly rounded operands must match bit for bit.
-    const auto csb = sparse::CsbTensor::encodeMatrix(
-        layer.weight().value, nn::Linear::kCsbBlockSide,
-        Precision::kBf16);
-    const Tensor y_ref =
-        sparse::sparseLinearForward(bf16RoundedCopy(x), csb);
+    // run on explicitly rounded operands must match bit for bit. The
+    // layer runs fc as a 1x1 conv over the batch plane [1, I, 1, N].
+    Tensor w4 = layer.weight().value;
+    w4.reshape(Shape{o_ext, i_ext, 1, 1});
+    const auto csb =
+        sparse::CsbTensor::encodeConvFilters(w4, Precision::kBf16);
+    const kernels::ConvTapPack pack = kernels::packConvTaps(csb, 1, n, 1, 0);
+    const Tensor xr = bf16RoundedCopy(x);
+    Tensor xp(Shape{1, i_ext, 1, n});
+    kernels::transpose(xr.data(), n, i_ext, xp.data());
+    const Tensor yp =
+        sparse::sparseConvForward(xp, csb, 1, 0, nullptr, &pack);
+    Tensor y_ref(Shape{n, o_ext});
+    kernels::transpose(yp.data(), o_ext, n, y_ref.data());
     EXPECT_TRUE(bitwiseEqual(y, y_ref));
 }
 
@@ -295,8 +303,8 @@ TEST(Bf16Storage, LinearGradientsMatchFiniteDifferences)
 TEST(MaskStableRefresh, LinearReusesTapGeometryAcrossSteps)
 {
     // Two steps with the same mask but different values: the layer's
-    // O(nnz) value-refresh fast path must be indistinguishable from a
-    // fresh layer that gathers its tap views from scratch.
+    // cached tap pack must be indistinguishable from a fresh layer that
+    // packs its taps from scratch.
     const int64_t n = 9, i_ext = 26, o_ext = 14;
     Xorshift128Plus rng(97);
     Tensor w(Shape{o_ext, i_ext});
@@ -310,14 +318,14 @@ TEST(MaskStableRefresh, LinearReusesTapGeometryAcrossSteps)
     nn::Linear cached(i_ext, o_ext, "cached");
     cached.setBackend(kernels::KernelBackend::kSparse);
     cached.weight().value = w;
-    cached.forward(x, true);   // step 1 gathers the tap views
+    cached.forward(x, true);   // step 1 builds the tap pack
     cached.backward(dy);
     // Optimizer-like update: scale live values, keep the mask.
     for (int64_t i = 0; i < w.numel(); ++i)
         cached.weight().value.at(i) *= 1.5f;
     cached.weight().grad = Tensor(w.shape());
     cached.bias().grad = Tensor(Shape{o_ext});
-    const Tensor y2 = cached.forward(x, true);   // refresh fast path
+    const Tensor y2 = cached.forward(x, true);   // reuses the pack
     const Tensor dx2 = cached.backward(dy);
 
     nn::Linear fresh(i_ext, o_ext, "fresh");
@@ -334,8 +342,8 @@ TEST(MaskStableRefresh, LinearReusesTapGeometryAcrossSteps)
     EXPECT_TRUE(bitwiseEqual(cached.weight().grad,
                              fresh.weight().grad));
 
-    // A mask change (new pruning epoch) must force a full re-gather,
-    // not a stale-geometry refresh.
+    // A mask change (new pruning epoch) must force a fresh pack, not a
+    // stale-geometry reuse.
     for (int64_t i = 0; i < w.numel(); ++i) {
         if (cached.weight().value.at(i) != 0.0f) {
             cached.weight().value.at(i) = 0.0f;   // kill one live weight
@@ -353,6 +361,17 @@ TEST(MaskStableRefresh, LinearReusesTapGeometryAcrossSteps)
     fresh2.bias().value = cached.bias().value;
     const Tensor y3_ref = fresh2.forward(x, true);
     EXPECT_TRUE(bitwiseEqual(y3, y3_ref));
+
+    // The pack is keyed by the batch plane's width too: a different
+    // batch size under the same mask must repack, not reuse.
+    Tensor x4(Shape{4, i_ext});
+    x4.fillGaussian(rng, 1.0f);
+    const Tensor y4 = cached.forward(x4, true);
+    nn::Linear fresh3(i_ext, o_ext, "fresh3");
+    fresh3.setBackend(kernels::KernelBackend::kSparse);
+    fresh3.weight().value = cached.weight().value;
+    fresh3.bias().value = cached.bias().value;
+    EXPECT_TRUE(bitwiseEqual(y4, fresh3.forward(x4, true)));
 }
 
 } // namespace

@@ -1,13 +1,14 @@
 /**
  * @file
  * Bitwise parity tests between the scalar and AVX2 sparse microkernel
- * levels (kernels/sparse_microkernels.h), driven through the five CSB
- * executors they serve. The SIMD kernels' contract is *bitwise*
- * equality with the scalar reference — not closeness — so every
- * comparison here is an exact memcmp over the output bits plus exact
- * equality of the executed-MAC tallies. Shapes are deliberately ragged
- * (output widths and batch sizes that are not multiples of 8) so the
- * masked tails and the tiled/tail sample split are always exercised.
+ * levels (kernels/sparse_microkernels.h), driven through the three CSB
+ * conv executors they serve (fc runs on them as a 1x1 conv; its sweep
+ * is in tests/test_sparse_fc.cc). The SIMD kernels' contract is
+ * *bitwise* equality with the scalar reference — not closeness — so
+ * every comparison here is an exact memcmp over the output bits plus
+ * exact equality of the executed-MAC tallies. Shapes are deliberately
+ * ragged (output widths that are not multiples of 8) so the masked
+ * tails are always exercised.
  *
  * All AVX2-dependent tests skip on hosts/builds without AVX2; the
  * scalar level is what the rest of the suite runs in that case.
@@ -23,7 +24,6 @@
 #include "kernels/sparse_microkernels.h"
 #include "sparse/mask.h"
 #include "sparse/sparse_conv.h"
-#include "sparse/sparse_linear.h"
 
 namespace procrustes {
 namespace sparse {
@@ -65,26 +65,6 @@ maskedFilters(int64_t k, int64_t c, int64_t kernel, double density,
     cfg.targetDensity = density;
     cfg.seed = seed + 1;
     const SparsityMask m = makeSyntheticMask(k, c, kernel, kernel, cfg);
-    for (int64_t i = 0; i < w.numel(); ++i) {
-        if (!m.bits[static_cast<size_t>(i)])
-            w.at(i) = 0.0f;
-    }
-    return w;
-}
-
-/** Masked random [O, I] weight matrix at a given density. */
-Tensor
-maskedMatrix(int64_t o_ext, int64_t i_ext, double density, uint64_t seed)
-{
-    Xorshift128Plus rng(seed);
-    Tensor w(Shape{o_ext, i_ext});
-    w.fillGaussian(rng, 0.5f);
-    if (density >= 1.0)
-        return w;
-    SyntheticMaskConfig cfg;
-    cfg.targetDensity = density;
-    cfg.seed = seed + 1;
-    const SparsityMask m = makeSyntheticMask(o_ext, i_ext, 1, 1, cfg);
     for (int64_t i = 0; i < w.numel(); ++i) {
         if (!m.bits[static_cast<size_t>(i)])
             w.at(i) = 0.0f;
@@ -192,47 +172,6 @@ TEST_P(SimdParity, ConvPhasesBitwiseEqualScalarOnRaggedShapes)
     }
 }
 
-TEST_P(SimdParity, FcPhasesBitwiseEqualScalarOnRaggedBatch)
-{
-    SimdLevelGuard guard;
-    const double density = GetParam().density;
-
-    // Batch 13 = one 8-sample tile + 5 tail samples; 37 and 29 leave
-    // ragged CSB edge blocks.
-    const int64_t n = 13, i_ext = 37, o_ext = 29;
-    const Tensor w = maskedMatrix(o_ext, i_ext, density, 2000);
-    const CsbTensor csb = CsbTensor::encodeMatrix(w, 8);
-    const FcTapViews views = gatherFcTapViews(csb);
-
-    Xorshift128Plus rng(2003);
-    Tensor x(Shape{n, i_ext});
-    x.fillGaussian(rng, 1.0f);
-    zeroSome(&x, 2005, 0.5);
-    Tensor dy(Shape{n, o_ext});
-    dy.fillGaussian(rng, 1.0f);
-    zeroSome(&dy, 2007, 0.5);
-
-    auto run = [&](kernels::SimdLevel level) {
-        kernels::setSimdLevel(level);
-        ConvRun out;   // reuse the y/dx/dw + tallies container
-        out.y = sparseLinearForward(x, csb, &out.fw, &views);
-        out.dx = sparseLinearBackwardData(dy, csb, &out.bwd, &views);
-        out.dw = Tensor(w.shape());
-        sparseLinearBackwardWeights(x, dy, csb, &out.dw, &out.bww,
-                                    &views);
-        return out;
-    };
-    const ConvRun ref = run(kernels::SimdLevel::kScalar);
-    const ConvRun got = run(kernels::SimdLevel::kAvx2);
-
-    EXPECT_TRUE(bitwiseEqual(got.y, ref.y)) << "density=" << density;
-    EXPECT_TRUE(bitwiseEqual(got.dx, ref.dx)) << "density=" << density;
-    EXPECT_TRUE(bitwiseEqual(got.dw, ref.dw)) << "density=" << density;
-    EXPECT_EQ(got.fw, ref.fw);
-    EXPECT_EQ(got.bwd, ref.bwd);
-    EXPECT_EQ(got.bww, ref.bww);
-}
-
 // 0%, 50%, 80%, and 95% weight sparsity.
 INSTANTIATE_TEST_SUITE_P(Densities, SimdParity,
                          ::testing::Values(ParityCase{1.0},
@@ -243,55 +182,33 @@ INSTANTIATE_TEST_SUITE_P(Densities, SimdParity,
 TEST(SimdParityThreads, Avx2ExecutorsBitwiseInvariantAcrossThreadCounts)
 {
     // The AVX2 level must be thread-count invariant on its own terms:
-    // the tiled/tail sample split moves with the parallelFor chunk
-    // boundaries, so this catches any arithmetic that differs between
-    // the tile and row kernels.
+    // the parallelFor chunk boundaries move with the pool size, so this
+    // catches any arithmetic that depends on the partition.
     if (!kernels::avx2Supported())
         GTEST_SKIP() << "no AVX2 on this build/host";
     SimdLevelGuard simd_guard;
     GlobalPoolGuard pool_guard;
     kernels::setSimdLevel(kernels::SimdLevel::kAvx2);
 
-    const int64_t n = 13, i_ext = 37, o_ext = 29;
-    const Tensor w = maskedMatrix(o_ext, i_ext, 0.3, 3001);
     const Tensor wc = maskedFilters(5, 3, 3, 0.3, 3003);
     Xorshift128Plus rng(3005);
-    Tensor x(Shape{n, i_ext});
-    x.fillGaussian(rng, 1.0f);
-    zeroSome(&x, 3007, 0.5);
-    Tensor dy(Shape{n, o_ext});
-    dy.fillGaussian(rng, 1.0f);
-    zeroSome(&dy, 3011, 0.5);
     Tensor xc(Shape{3, 3, 9, 11});
     xc.fillGaussian(rng, 1.0f);
     Tensor dyc(Shape{3, 5, 9, 11});
     dyc.fillGaussian(rng, 1.0f);
     zeroSome(&dyc, 3013, 0.5);
 
-    Tensor ref_y, ref_dx, ref_dw, ref_cy, ref_cdx, ref_cdw;
+    ConvRun ref;
     for (int threads : {1, 2, 3, 8}) {
         ThreadPool::resetGlobal(threads);
-        const CsbTensor csb = CsbTensor::encodeMatrix(w, 8);
-        const Tensor y = sparseLinearForward(x, csb);
-        const Tensor dxt = sparseLinearBackwardData(dy, csb);
-        Tensor dw(w.shape());
-        sparseLinearBackwardWeights(x, dy, csb, &dw);
         const ConvRun conv = runConvPhases(wc, xc, dyc, 1, 1);
         if (threads == 1) {
-            ref_y = y;
-            ref_dx = dxt;
-            ref_dw = std::move(dw);
-            ref_cy = conv.y;
-            ref_cdx = conv.dx;
-            ref_cdw = conv.dw;
+            ref = conv;
             continue;
         }
-        EXPECT_TRUE(bitwiseEqual(y, ref_y)) << threads;
-        EXPECT_TRUE(bitwiseEqual(dxt, ref_dx)) << threads;
-        EXPECT_TRUE(bitwiseEqual(dw, ref_dw)) << threads;
-        EXPECT_TRUE(bitwiseEqual(conv.y, ref_cy)) << threads;
-        EXPECT_TRUE(bitwiseEqual(conv.dx, ref_cdx)) << threads;
-        EXPECT_TRUE(bitwiseEqual(conv.dw, ref_cdw)) << threads;
+        EXPECT_TRUE(bitwiseEqual(conv.y, ref.y)) << threads;
+        EXPECT_TRUE(bitwiseEqual(conv.dx, ref.dx)) << threads;
+        EXPECT_TRUE(bitwiseEqual(conv.dw, ref.dw)) << threads;
     }
 }
 
