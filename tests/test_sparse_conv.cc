@@ -494,6 +494,145 @@ TEST(SparseConvBackwardData, GoldenBitsAndMacsAtEverySimdLevel)
     kernels::setSimdLevel(saved);
 }
 
+// ------------------------------------------ backward-weight golden
+
+struct WeightGoldenCase
+{
+    int64_t stride, kernel, pad;
+    int64_t h, w;      //!< input extent; w == 0: the two sweep widths
+    uint64_t dwHash;   //!< FNV-1a of dW bits over all widths/densities
+    int64_t macs;      //!< summed bw-weight MAC tallies, same cases
+};
+
+/**
+ * dW bits and MAC tallies of sparseConvBackwardWeights. The sweep rows
+ * cover stride x kernel x pad at two widths per row: one whose output
+ * rows are tail-only (q_ext < 8) and one whose q_ext is not a multiple
+ * of 8. The edge rows are the padded-edge geometries of
+ * AllPhasesMatchBruteForceOnPaddedEdges plus two whose outer kernel
+ * rows and columns are clipped to nothing. Every case runs densities
+ * 0.3 and 1.0 over 10 input channels (so up to 10 live taps of one
+ * output channel share a kernel element), against an x with half its
+ * entries zero and a dW pre-filled with non-zero values and -0 at
+ * every fifth slot, live ones included. The expected values were
+ * recorded with the per-tap gather executor, so any rewrite must
+ * reproduce its addition order exactly, at every SIMD level.
+ */
+const WeightGoldenCase kWeightGolden[] = {
+    {1, 1, 0, 0, 0, 0x75059ef46bad51dULL, 4224},
+    {1, 1, 1, 0, 0, 0xbc9e5ccd42a73d6bULL, 4238},
+    {1, 1, 2, 0, 0, 0x1b26cd00f4cf615ULL, 3788},
+    {1, 3, 0, 0, 0, 0xf2f2013ea58a0f27ULL, 54311},
+    {1, 3, 1, 0, 0, 0x177570c102a47ca9ULL, 73898},
+    {1, 3, 2, 0, 0, 0xc9b510eac2e14bb5ULL, 68883},
+    {1, 5, 0, 0, 0, 0x7a6e4118c55a689bULL, 153339},
+    {1, 5, 1, 0, 0, 0x9018f319fff6d573ULL, 174047},
+    {1, 5, 2, 0, 0, 0xa73e05fbe09c1875ULL, 216171},
+    {2, 1, 0, 0, 0, 0x1a7e508c0f47781fULL, 4580},
+    {2, 1, 1, 0, 0, 0x21c11d2de568d120ULL, 3988},
+    {2, 1, 2, 0, 0, 0x5d92b46113988585ULL, 3663},
+    {2, 3, 0, 0, 0, 0x31261ad79c5197cfULL, 41012},
+    {2, 3, 1, 0, 0, 0x2cb75c02cd55d936ULL, 54290},
+    {2, 3, 2, 0, 0, 0x172168fe32e346a1ULL, 43687},
+    {2, 5, 0, 0, 0, 0xc2abce362663e16cULL, 93142},
+    {2, 5, 1, 0, 0, 0x12ec369b5805ad26ULL, 125281},
+    {2, 5, 2, 0, 0, 0xff7932e796423d79ULL, 154732},
+    {3, 1, 0, 0, 0, 0x6e1851034cc5d567ULL, 4884},
+    {3, 1, 1, 0, 0, 0x1038a0d63c6ee845ULL, 2975},
+    {3, 1, 2, 0, 0, 0xfc8436e9f302285ULL, 4081},
+    {3, 3, 0, 0, 0, 0xba817a459d20d4eULL, 33363},
+    {3, 3, 1, 0, 0, 0x4119f2c552af5d7fULL, 40616},
+    {3, 3, 2, 0, 0, 0xb6b3ff904a56e870ULL, 42089},
+    {3, 5, 0, 0, 0, 0x6fe761d657a0ef97ULL, 119502},
+    {3, 5, 1, 0, 0, 0xab804d384577472dULL, 123408},
+    {3, 5, 2, 0, 0, 0x734174e591b8c990ULL, 133805},
+    // Padded edges.
+    {1, 3, 1, 4, 4, 0x9dfa24fe37ea1defULL, 5490},
+    {2, 5, 2, 7, 6, 0x256ddc016e148dULL, 11150},
+    {3, 3, 1, 8, 5, 0xe1efa6303f0fba7fULL, 2247},
+    {1, 3, 2, 4, 4, 0x6ea2d818b5db027cULL, 8268},
+    {1, 1, 0, 5, 5, 0x380c8753bf29914aULL, 1402},
+    {1, 5, 2, 5, 5, 0x3711a669b20d57b0ULL, 21708},
+    // Kernel rows/columns 0 and 1 never reach the input.
+    {3, 5, 2, 3, 3, 0xf0cf36ea0a298697ULL, 548},
+    {3, 5, 2, 4, 11, 0x7e5ecbf43ac4d230ULL, 5970},
+};
+
+WeightGoldenCase
+runWeightGolden(const WeightGoldenCase &g, int index)
+{
+    const int64_t n = 3, c = 10, k = 3;
+    const int64_t stride = g.stride, kernel = g.kernel, pad = g.pad;
+    const int64_t h = g.w ? g.h : kernel + 2 * stride + 1;
+    // Sweep widths: q_ext in 3..7, then in 17..23.
+    std::vector<int64_t> widths;
+    if (g.w) {
+        widths.push_back(g.w);
+    } else {
+        for (const int64_t q : {3 + index % 5, 17 + index % 7}) {
+            int64_t width = (q - 1) * stride + kernel - 2 * pad +
+                            index % stride;
+            while (width < 1)
+                width += stride;
+            widths.push_back(width);
+        }
+    }
+    WeightGoldenCase got = g;
+    got.dwHash = 0xcbf29ce484222325ULL;
+    got.macs = 0;
+    uint64_t seed = 9000 + 100 * static_cast<uint64_t>(index);
+    for (const int64_t width : widths) {
+        for (const double density : {0.3, 1.0}) {
+            const Shape ws{k, c, kernel, kernel};
+            const Tensor w = goldenTensor(ws, ++seed, density);
+            const CsbTensor csb = CsbTensor::encodeConvFilters(w);
+            const int64_t p_ext = (h + 2 * pad - kernel) / stride + 1;
+            const int64_t q_ext = (width + 2 * pad - kernel) / stride + 1;
+            const Tensor x =
+                goldenTensor(Shape{n, c, h, width}, ++seed, 0.5);
+            const Tensor dy =
+                goldenTensor(Shape{n, k, p_ext, q_ext}, ++seed, 1.0);
+            Tensor dw = goldenTensor(ws, ++seed, 1.0);
+            for (int64_t i = 0; i < dw.numel(); i += 5)
+                dw.at(i) = -0.0f;
+            int64_t macs = -1;
+            sparseConvBackwardWeights(x, dy, csb, stride, pad, &dw, &macs);
+            for (int64_t i = 0; i < dw.numel(); ++i) {
+                uint32_t bits;
+                std::memcpy(&bits, dw.data() + i, sizeof(bits));
+                got.dwHash = fnv1a(got.dwHash, bits);
+            }
+            got.macs += macs;
+        }
+    }
+    return got;
+}
+
+TEST(SparseConvBackwardWeights, GoldenBitsAndMacsAtEverySimdLevel)
+{
+    const kernels::SimdLevel saved = kernels::activeSimdLevel();
+    std::vector<kernels::SimdLevel> levels = {kernels::SimdLevel::kScalar};
+    if (kernels::avx2Supported())
+        levels.push_back(kernels::SimdLevel::kAvx2);
+    for (const kernels::SimdLevel level : levels) {
+        kernels::setSimdLevel(level);
+        int index = 0;
+        for (const WeightGoldenCase &g : kWeightGolden) {
+            const WeightGoldenCase got = runWeightGolden(g, index++);
+            EXPECT_EQ(got.dwHash, g.dwHash)
+                << std::hex << "0x" << got.dwHash << std::dec
+                << " stride=" << g.stride << " kernel=" << g.kernel
+                << " pad=" << g.pad << " h=" << g.h << " w=" << g.w
+                << " simd=" << kernels::simdLevelName(level);
+            EXPECT_EQ(got.macs, g.macs)
+                << "stride=" << g.stride << " kernel=" << g.kernel
+                << " pad=" << g.pad << " h=" << g.h << " w=" << g.w
+                << " simd=" << kernels::simdLevelName(level);
+        }
+    }
+    kernels::setSimdLevel(saved);
+}
+
 } // namespace
 } // namespace sparse
 } // namespace procrustes
