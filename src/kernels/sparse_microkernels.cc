@@ -133,10 +133,6 @@ packConvTaps(const sparse::CsbTensor &w, int64_t in_h, int64_t in_w,
                 t.pHi = static_cast<int32_t>(p_hi);
                 t.qLo = static_cast<int32_t>(q_lo);
                 t.nq = static_cast<int32_t>(q_hi - q_lo);
-                // Fold qLo into the base so the row pointer never points
-                // before the buffer (s < pad would otherwise form an
-                // out-of-bounds base).
-                t.xoff = (r - pad) * in_w + q_lo * stride + s - pad;
                 pack.taps.push_back(t);
             }
         }
@@ -165,22 +161,21 @@ sparseConvBwdDataPlaneRun(const ConvRunTap *taps, int64_t ntaps,
                         cols);
 }
 
-int64_t
-sparseConvBwdWeightBlock(const ConvTap *taps, int64_t ntaps,
-                         const float *x_chan, const float *dy_chan,
-                         int64_t x_batch_stride, int64_t dy_batch_stride,
-                         int64_t batch, int64_t in_w, int64_t stride,
-                         int64_t q_ext, float *dw_block)
+void
+sparseConvBwdWeightGroup(const int64_t *xoff, int64_t ntaps,
+                         const float *xbase, int64_t xrow_stride,
+                         const float *dybase, int64_t q_ext, int64_t rows,
+                         int64_t cols, float *lanes)
 {
 #ifdef PROCRUSTES_HAVE_AVX2
-    if (activeSimdLevel() == SimdLevel::kAvx2)
-        return detail::convBwdWeightBlockAvx2(
-            taps, ntaps, x_chan, dy_chan, x_batch_stride, dy_batch_stride,
-            batch, in_w, stride, q_ext, dw_block);
+    if (activeSimdLevel() == SimdLevel::kAvx2) {
+        detail::convBwdWeightGroupAvx2(xoff, ntaps, xbase, xrow_stride,
+                                       dybase, q_ext, rows, cols, lanes);
+        return;
+    }
 #endif
-    return detail::convBwdWeightBlockScalar(
-        taps, ntaps, x_chan, dy_chan, x_batch_stride, dy_batch_stride,
-        batch, in_w, stride, q_ext, dw_block);
+    detail::convBwdWeightGroupScalar(xoff, ntaps, xbase, xrow_stride,
+                                     dybase, q_ext, rows, cols, lanes);
 }
 
 } // namespace kernels

@@ -33,10 +33,16 @@
  *     rounded product, then a rounded add, instead of a fused
  *     multiply-add — the dx bits the golden test in
  *     tests/test_sparse_conv.cc pins.
- *   - conv backward-weight reduces each tap over (n, p, q) into 8
- *     accumulator lanes indexed by q mod 8 and collapses them with a
- *     fixed binary tree; the scalar fallback implements the *same*
- *     lane schedule, so both levels agree bit-for-bit.
+ *   - conv backward-weight reads the forward's prepared input too.
+ *     The executor groups the live taps of one output channel whose
+ *     kernel elements share a padding-clip window (up to 8 input
+ *     channels at a time); each dy vector is loaded once per group and
+ *     every tap keeps its own 8 accumulator lanes, indexed by q mod 8
+ *     within its window, so the tap's add chains are independent of
+ *     the grouping. The lanes see (sample, p, q) in order, a rounded
+ *     product then a rounded add each, and collapse with one fixed
+ *     tree (sumLanes8); the scalar fallback implements the *same* lane
+ *     schedule, so both levels agree bit-for-bit.
  *
  * Zero-skipping note: a PE skips a zero operand; both kernel levels
  * multiply it (a lane is free). The sums are still bitwise what a
@@ -47,9 +53,11 @@
  * out-of-window reads add wt * (+0). All of this assumes finite
  * weights: an Inf or NaN wt times zero is NaN, which a skipping path
  * never computes. The executed-MAC tallies still count only non-zero
- * operands — via compare + movemask + popcount in the backward-weight
- * lane kernel, and in conv backward-data through a summed-area table
- * of non-zero dy, one window lookup per (tap, sample).
+ * operands, outside the kernels: conv backward-weight counts the
+ * non-zero x of every (input channel, kernel element) clip window once
+ * per call, summed over the batch, and adds that count per live tap;
+ * conv backward-data builds a summed-area table of non-zero dy and
+ * makes one window lookup per (tap, sample).
  *
  * Both microkernel translation units are compiled with
  * -ffp-contract=off, so the compiler may not fuse (or un-fuse) what
@@ -100,11 +108,10 @@ void setSimdLevel(SimdLevel level);
 const char *simdLevelName(SimdLevel level);
 
 /**
- * One live conv weight with its padding-clipped output ranges and the
- * precomputed input-plane offset of its first valid row — everything
- * the inner loops need, so they stream taps instead of chasing block
- * maps. Taps are packed in CSB mask order, which is exactly the packed
- * value order, so tap i of a block pairs with value i of that block.
+ * One live conv weight with its padding-clipped output ranges, so the
+ * executors stream taps instead of chasing block maps. Taps are packed
+ * in CSB mask order, which is exactly the packed value order, so tap i
+ * of a block pairs with value i of that block.
  */
 struct ConvTap
 {
@@ -112,8 +119,6 @@ struct ConvTap
     int32_t pLo, pHi;   //!< valid output rows [pLo, pHi)
     int32_t qLo;        //!< first valid output column
     int32_t nq;         //!< number of valid output columns
-    int64_t xoff;       //!< plane offset of the p == pLo.. row base:
-                        //!< xrow = plane + p*stride*W + xoff
 };
 
 /**
@@ -151,7 +156,7 @@ ConvTapPack packConvTaps(const sparse::CsbTensor &w, int64_t in_h,
 /**
  * One flattened tap of a conv plane run against a prepared source
  * buffer: for forward, the zero-padded, stride-phase-split input (see
- * sparseConvForward); for backward-data, the zero-padded dy (see
+ * sparse_conv.cc, prepareInput); for backward-data, the zero-padded dy (see
  * sparseConvBackwardData). Channel plane, kernel row, and phase slot
  * are all folded into one offset and the weight value is copied in,
  * so the kernels stream one homogeneous array over a channel run.
@@ -209,21 +214,31 @@ void sparseConvBwdDataPlaneRun(const ConvRunTap *taps, int64_t ntaps,
                                int64_t cols);
 
 /**
- * Backward-weight conv inner kernel: reduce one block's taps over the
- * whole batch into dw_block (the block's dense r*S+s slots, via
- * ConvTap::elem). x_chan / dy_chan point at sample 0 of the block's
- * input / output channel plane; *_batch_stride advance one sample.
- * Returns the executed MACs (taps x non-zero x operands). Both levels
- * use the same 8-lane q-mod-8 accumulator schedule and the same fixed
- * reduction tree, so they are bitwise identical.
+ * Backward-weight conv kernel for one tap group over one sample: up to
+ * 8 mask-live taps of one output channel whose kernel elements share a
+ * padding-clip window, so every tap reads the same dy streaks. Over the
+ * window, p-major, tap j adds the rounded product dy(p, q) * x_j(p, q)
+ * with a rounded add into its own lanes[8 * j + q % 8], where dy(p, q)
+ * = dybase[p * q_ext + q] and x_j(p, q) = xbase[xoff[j] + p *
+ * xrow_stride + q], q in [0, cols). The AVX2 level loads each dy vector
+ * once for the whole group and loads tail vectors of x and dy masked,
+ * so nothing past the window is read. lanes carry partial sums across
+ * calls: the executor runs the samples in order, then collapses each
+ * tap's lanes with sumLanes8. Both levels follow the same lane
+ * schedule, so they are bitwise identical.
  */
-int64_t sparseConvBwdWeightBlock(const ConvTap *taps, int64_t ntaps,
-                                 const float *x_chan,
-                                 const float *dy_chan,
-                                 int64_t x_batch_stride,
-                                 int64_t dy_batch_stride, int64_t batch,
-                                 int64_t in_w, int64_t stride,
-                                 int64_t q_ext, float *dw_block);
+void sparseConvBwdWeightGroup(const int64_t *xoff, int64_t ntaps,
+                              const float *xbase, int64_t xrow_stride,
+                              const float *dybase, int64_t q_ext,
+                              int64_t rows, int64_t cols, float *lanes);
+
+/** The fixed tree that collapses one tap's 8 backward-weight lanes. */
+inline float
+sumLanes8(const float *lane)
+{
+    return ((lane[0] + lane[4]) + (lane[2] + lane[6])) +
+           ((lane[1] + lane[5]) + (lane[3] + lane[7]));
+}
 
 } // namespace kernels
 } // namespace procrustes

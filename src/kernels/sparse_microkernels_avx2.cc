@@ -15,10 +15,10 @@
  *
  * Bitwise-parity invariants (see sparse_microkernels.h):
  *   - lanes are independent outputs (fwd, bwd-data), or
- *   - the lane schedule + reduction tree is mirrored by the scalar
- *     reference (bwd-weight).
- * Zero operands are multiplied instead of skipped; the executed-MAC
- * tallies count them out via compare + movemask + popcount.
+ *   - the lane schedule is mirrored by the scalar reference and both
+ *     collapse the lanes with the one sumLanes8 tree (bwd-weight).
+ * Zero operands are multiplied instead of skipped; the executors
+ * count them out of the executed-MAC tallies.
  */
 
 #ifdef PROCRUSTES_HAVE_AVX2
@@ -50,39 +50,6 @@ tailMask(int64_t rem)
 {
     return _mm256_load_si256(
         reinterpret_cast<const __m256i *>(kTailMask[rem]));
-}
-
-/** Gather indices {0, stride, ..., 7*stride} for strided x rows. */
-inline __m256i
-strideIndex(int64_t stride)
-{
-    const int32_t s = static_cast<int32_t>(stride);
-    return _mm256_setr_epi32(0, s, 2 * s, 3 * s, 4 * s, 5 * s, 6 * s,
-                             7 * s);
-}
-
-/**
- * Fixed horizontal-sum tree: ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)),
- * mirrored exactly by convBwdWeightBlockScalar.
- */
-inline float
-hsum8(__m256 v)
-{
-    const __m128 lo = _mm256_castps256_ps128(v);
-    const __m128 hi = _mm256_extractf128_ps(v, 1);
-    const __m128 s = _mm_add_ps(lo, hi);
-    const __m128 s2 = _mm_add_ps(s, _mm_movehl_ps(s, s));
-    const __m128 s3 =
-        _mm_add_ss(s2, _mm_shuffle_ps(s2, s2, 0x1));
-    return _mm_cvtss_f32(s3);
-}
-
-inline int
-countNonzero(__m256 v)
-{
-    const __m256 zero = _mm256_setzero_ps();
-    return __builtin_popcount(static_cast<unsigned>(
-        _mm256_movemask_ps(_mm256_cmp_ps(v, zero, _CMP_NEQ_UQ))));
 }
 
 /** One accumulate step: fused (forward) or mul then add (bwd-data). */
@@ -166,6 +133,57 @@ planeStripNv(const ConvRunTap *taps, int64_t ntaps, const float *xbase,
     }
 }
 
+/**
+ * Backward-weight group of NT taps: one dy vector feeds NT independent
+ * accumulators, one per tap, each a rounded product then a rounded
+ * add. Tail vectors load x and dy masked: the dead lanes add 0 * 0 =
+ * +0, an identity, so the lanes match the scalar loop that never
+ * touches them.
+ */
+template <int NT>
+inline void
+bwdWeightGroup(const int64_t *xoff, const float *xbase, int64_t xrs,
+               const float *dybase, int64_t q_ext, int64_t rows,
+               int64_t cols, float *lanes)
+{
+    // Every loop over the taps is fully unrolled, so acc stays in
+    // registers (GCC -O2 keeps a rolled loop's array on the stack).
+    __m256 acc[NT];
+    const float *xr[NT];
+#pragma GCC unroll 8
+    for (int j = 0; j < NT; ++j) {
+        acc[j] = _mm256_loadu_ps(lanes + 8 * j);
+        xr[j] = xbase + xoff[j];
+    }
+    const int64_t full = cols & ~int64_t{7};
+    const __m256i tmask = tailMask(cols - full);
+    for (int64_t p = 0; p < rows; ++p) {
+        const float *gr = dybase + p * q_ext;
+        for (int64_t q = 0; q < full; q += 8) {
+            const __m256 g = _mm256_loadu_ps(gr + q);
+#pragma GCC unroll 8
+            for (int j = 0; j < NT; ++j)
+                acc[j] = _mm256_add_ps(
+                    acc[j], _mm256_mul_ps(g, _mm256_loadu_ps(xr[j] + q)));
+        }
+        if (full < cols) {
+            const __m256 g = _mm256_maskload_ps(gr + full, tmask);
+#pragma GCC unroll 8
+            for (int j = 0; j < NT; ++j)
+                acc[j] = _mm256_add_ps(
+                    acc[j],
+                    _mm256_mul_ps(g, _mm256_maskload_ps(xr[j] + full,
+                                                        tmask)));
+        }
+#pragma GCC unroll 8
+        for (int j = 0; j < NT; ++j)
+            xr[j] += xrs;
+    }
+#pragma GCC unroll 8
+    for (int j = 0; j < NT; ++j)
+        _mm256_storeu_ps(lanes + 8 * j, acc[j]);
+}
+
 } // namespace
 
 template <bool kFused>
@@ -209,58 +227,46 @@ template void convPlaneRunAvx2<false>(const ConvRunTap *, int64_t,
                                       const float *, float *, int64_t,
                                       int64_t, int64_t);
 
-int64_t
-convBwdWeightBlockAvx2(const ConvTap *taps, int64_t ntaps,
-                       const float *x_chan, const float *dy_chan,
-                       int64_t x_batch_stride, int64_t dy_batch_stride,
-                       int64_t batch, int64_t in_w, int64_t stride,
-                       int64_t q_ext, float *dw_block)
+void
+convBwdWeightGroupAvx2(const int64_t *xoff, int64_t ntaps,
+                       const float *xbase, int64_t xrs,
+                       const float *dybase, int64_t q_ext, int64_t rows,
+                       int64_t cols, float *lanes)
 {
-    const int64_t xrs = stride * in_w;
-    const __m256i vidx = strideIndex(stride);
-    int64_t macs = 0;
-    for (int64_t t = 0; t < ntaps; ++t) {
-        const ConvTap &tp = taps[t];
-        __m256 acc = _mm256_setzero_ps();
-        if (tp.nq > 0 && tp.pHi > tp.pLo) {
-            for (int64_t in = 0; in < batch; ++in) {
-                const float *xp = x_chan + in * x_batch_stride;
-                const float *gp = dy_chan + in * dy_batch_stride;
-                for (int64_t p = tp.pLo; p < tp.pHi; ++p) {
-                    const float *xr = xp + p * xrs + tp.xoff;
-                    const float *gr = gp + p * q_ext + tp.qLo;
-                    int64_t q = 0;
-                    for (; q + 8 <= tp.nq; q += 8) {
-                        const __m256 xv =
-                            stride == 1
-                                ? _mm256_loadu_ps(xr + q)
-                                : _mm256_i32gather_ps(xr + q * stride,
-                                                      vidx, 4);
-                        const __m256 g = _mm256_loadu_ps(gr + q);
-                        acc = _mm256_add_ps(acc, _mm256_mul_ps(g, xv));
-                        macs += countNonzero(xv);
-                    }
-                    const int64_t rem = tp.nq - q;
-                    if (rem) {
-                        const __m256i m = tailMask(rem);
-                        __m256 xv;
-                        if (stride == 1) {
-                            xv = _mm256_maskload_ps(xr + q, m);
-                        } else {
-                            xv = _mm256_mask_i32gather_ps(
-                                _mm256_setzero_ps(), xr + q * stride,
-                                vidx, _mm256_castsi256_ps(m), 4);
-                        }
-                        const __m256 g = _mm256_maskload_ps(gr + q, m);
-                        acc = _mm256_add_ps(acc, _mm256_mul_ps(g, xv));
-                        macs += countNonzero(xv);
-                    }
-                }
-            }
-        }
-        dw_block[tp.elem] += hsum8(acc);
+    switch (ntaps) {
+    case 1:
+        bwdWeightGroup<1>(xoff, xbase, xrs, dybase, q_ext, rows, cols,
+                          lanes);
+        break;
+    case 2:
+        bwdWeightGroup<2>(xoff, xbase, xrs, dybase, q_ext, rows, cols,
+                          lanes);
+        break;
+    case 3:
+        bwdWeightGroup<3>(xoff, xbase, xrs, dybase, q_ext, rows, cols,
+                          lanes);
+        break;
+    case 4:
+        bwdWeightGroup<4>(xoff, xbase, xrs, dybase, q_ext, rows, cols,
+                          lanes);
+        break;
+    case 5:
+        bwdWeightGroup<5>(xoff, xbase, xrs, dybase, q_ext, rows, cols,
+                          lanes);
+        break;
+    case 6:
+        bwdWeightGroup<6>(xoff, xbase, xrs, dybase, q_ext, rows, cols,
+                          lanes);
+        break;
+    case 7:
+        bwdWeightGroup<7>(xoff, xbase, xrs, dybase, q_ext, rows, cols,
+                          lanes);
+        break;
+    default:
+        bwdWeightGroup<8>(xoff, xbase, xrs, dybase, q_ext, rows, cols,
+                          lanes);
+        break;
     }
-    return macs;
 }
 
 } // namespace detail

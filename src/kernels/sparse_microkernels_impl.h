@@ -53,45 +53,28 @@ convPlaneRunScalar(const ConvRunTap *taps, int64_t ntaps,
 }
 
 /**
- * Scalar conv backward-weight with the SIMD lane schedule: each tap
- * accumulates into 8 lanes indexed by q mod 8 (exactly the lanes an
- * AVX2 register carries) and collapses them with the fixed binary tree
- * the vector hsum uses — so this reference is bitwise identical to
- * the AVX2 kernel, not merely close. Products with a zero x operand
- * are accumulated (they add an exact ±0, an identity on lanes that
- * start at +0) but not counted as executed MACs.
+ * Scalar conv backward-weight group with the SIMD lane schedule: each
+ * tap accumulates into its 8 lanes indexed by q mod 8 (exactly the
+ * lanes an AVX2 register carries), tap by tap — the taps' chains are
+ * independent, so only each tap's own (p, q) order matters, and it is
+ * the AVX2 kernel's. Products with a zero x operand are accumulated:
+ * they add an exact ±0, an identity on lanes that start at +0.
  */
-inline int64_t
-convBwdWeightBlockScalar(const ConvTap *taps, int64_t ntaps,
-                         const float *x_chan, const float *dy_chan,
-                         int64_t x_batch_stride, int64_t dy_batch_stride,
-                         int64_t batch, int64_t in_w, int64_t stride,
-                         int64_t q_ext, float *dw_block)
+inline void
+convBwdWeightGroupScalar(const int64_t *xoff, int64_t ntaps,
+                         const float *xbase, int64_t xrs,
+                         const float *dybase, int64_t q_ext, int64_t rows,
+                         int64_t cols, float *lanes)
 {
-    const int64_t xrs = stride * in_w;
-    int64_t macs = 0;
-    for (int64_t t = 0; t < ntaps; ++t) {
-        const ConvTap &tp = taps[t];
-        float lane[8] = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f};
-        if (tp.nq > 0 && tp.pHi > tp.pLo) {
-            for (int64_t in = 0; in < batch; ++in) {
-                const float *xp = x_chan + in * x_batch_stride;
-                const float *gp = dy_chan + in * dy_batch_stride;
-                for (int64_t p = tp.pLo; p < tp.pHi; ++p) {
-                    const float *xr = xp + p * xrs + tp.xoff;
-                    const float *gr = gp + p * q_ext + tp.qLo;
-                    for (int64_t q = 0; q < tp.nq; ++q) {
-                        const float xv = xr[q * stride];
-                        lane[q & 7] += gr[q] * xv;
-                        macs += xv != 0.0f;
-                    }
-                }
-            }
+    for (int64_t j = 0; j < ntaps; ++j) {
+        float *lane = lanes + 8 * j;
+        for (int64_t p = 0; p < rows; ++p) {
+            const float *xr = xbase + xoff[j] + p * xrs;
+            const float *gr = dybase + p * q_ext;
+            for (int64_t q = 0; q < cols; ++q)
+                lane[q & 7] += gr[q] * xr[q];
         }
-        dw_block[tp.elem] += ((lane[0] + lane[4]) + (lane[2] + lane[6])) +
-                             ((lane[1] + lane[5]) + (lane[3] + lane[7]));
     }
-    return macs;
 }
 
 #ifdef PROCRUSTES_HAVE_AVX2
@@ -99,12 +82,10 @@ template <bool kFused>
 void convPlaneRunAvx2(const ConvRunTap *taps, int64_t ntaps,
                       const float *xbase, float *yplane, int64_t xrs,
                       int64_t p_ext, int64_t q_ext);
-int64_t convBwdWeightBlockAvx2(const ConvTap *taps, int64_t ntaps,
-                               const float *x_chan, const float *dy_chan,
-                               int64_t x_batch_stride,
-                               int64_t dy_batch_stride, int64_t batch,
-                               int64_t in_w, int64_t stride,
-                               int64_t q_ext, float *dw_block);
+void convBwdWeightGroupAvx2(const int64_t *xoff, int64_t ntaps,
+                           const float *xbase, int64_t xrs,
+                           const float *dybase, int64_t q_ext,
+                           int64_t rows, int64_t cols, float *lanes);
 #endif // PROCRUSTES_HAVE_AVX2
 
 } // namespace detail

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/math_utils.h"
 #include "common/scratch_arena.h"
 #include "common/thread_pool.h"
 #include "kernels/im2col.h"   // validOutRange: the shared padding clip
@@ -124,6 +125,84 @@ phaseHalo(int64_t in, int64_t out, int64_t kernel, int64_t stride,
     }
 }
 
+/**
+ * Least work per pool task: floats of x for the input preparation (64
+ * KiB), multiply-adds for the backward-weight reduction. Below them a
+ * call runs inline, which costs less than waking the pool — an fc
+ * head's batch plane is that small.
+ */
+constexpr int64_t kPrepareGrainFloats = int64_t{1} << 14;
+constexpr int64_t kGrainMacs = int64_t{1} << 15;
+
+/**
+ * A conv input copied zero-padded and phase-split by the column
+ * stride, so the taps of forward and backward-weight read unit-stride
+ * row segments with plain loads — no range masks, no gathers. Padded
+ * column cp of a row lands in slot (cp % stride) * slots + cp /
+ * stride, so kernel element (r, s) reads output position (p, q) of
+ * one (sample, channel) plane at tapOffset(r, s) + p * stride *
+ * rowStride + q. The trailing 8 floats of slack license the forward
+ * kernel's read-past-tail vectors. The buffer is an arena checkout,
+ * returned when this goes out of scope, so no copy outlives its call.
+ * Each executor fills the planes (fillPlane) in its own partition.
+ */
+struct PreparedInput
+{
+    int64_t stride, pad, h, width;
+    int64_t slots;       //!< phase slots per padded row
+    int64_t rowStride;   //!< floats per padded row (slots * stride)
+    int64_t planeSize;   //!< floats per (sample, channel) plane
+    ScratchArena::Buffer buf;
+
+    PreparedInput(const Shape &xs, int64_t stride_, int64_t pad_)
+        : stride(stride_), pad(pad_), h(xs[2]), width(xs[3]),
+          slots((width + 2 * pad + stride - 1) / stride),
+          rowStride(slots * stride), planeSize((h + 2 * pad) * rowStride)
+    {
+        const int64_t size = xs[0] * xs[1] * planeSize + 8;
+        buf = ScratchArena::global().acquire(static_cast<size_t>(size));
+        // Zero only the extent used, plane by plane in fillPlane: a
+        // reused arena buffer can be many times larger (an fc head's
+        // plane gets the largest conv layer's buffer).
+        std::fill(buf.data() + size - 8, buf.data() + size, 0.0f);
+    }
+
+    int64_t
+    tapOffset(int64_t r, int64_t s) const
+    {
+        return r * rowStride + (s % stride) * slots + s / stride;
+    }
+
+    /** Fill (sample, channel) plane pc from its h x width source. */
+    void
+    fillPlane(int64_t pc, const float *src)
+    {
+        float *dst = buf.data() + pc * planeSize;
+        std::fill(dst, dst + planeSize, 0.0f);
+        for (int64_t hr = 0; hr < h; ++hr) {
+            const float *srow = src + hr * width;
+            float *drow = dst + (hr + pad) * rowStride;
+            if (stride == 1) {
+                std::memcpy(drow + pad, srow,
+                            static_cast<size_t>(width) * sizeof(float));
+                continue;
+            }
+            // Phase-major so the per-element divisions hoist out of the
+            // inner loop: padded column slot * stride + ph holds source
+            // column slot * stride + ph - pad.
+            for (int64_t ph = 0; ph < stride; ++ph) {
+                float *dph = drow + ph * slots;
+                int64_t slot =
+                    ph >= pad ? 0 : (pad - ph + stride - 1) / stride;
+                const int64_t last = (pad + width - 1 - ph) / stride;
+                const float *sp = srow + slot * stride + ph - pad;
+                for (; slot <= last; ++slot, sp += stride)
+                    dph[slot] = *sp;
+            }
+        }
+    }
+};
+
 } // namespace
 
 Tensor
@@ -156,62 +235,20 @@ sparseConvForward(const Tensor &x, const CsbTensor &w, int64_t stride,
     const kernels::ConvTap *all_taps = pack->taps.data();
     const float *wvals = w.valuesData();
 
-    // Prepare the input once per call: zero-padded and phase-split by
-    // the column stride, so every mask-live tap becomes a full-range
-    // unit-stride streak over one contiguous row segment — the forward
-    // kernel then needs no range masks and no gathers. Phase layout:
-    // padded column cp lands in slot (cp % stride) * slots + cp /
-    // stride of its row; a tap at kernel column s reads phase s %
-    // stride starting at slot s / stride. The trailing 8 floats of
-    // slack license the kernel's read-past-tail vectors. The copy is
-    // amortized over all k output channels that reuse it.
-    const int64_t hp = h + 2 * pad;
-    const int64_t wp = width + 2 * pad;
-    const int64_t slots = (wp + stride - 1) / stride;
-    const int64_t wpp = slots * stride;
-    const int64_t plane_sz = hp * wpp;
-    const int64_t xprep_sz = n * c * plane_sz + 8;
-    ScratchArena::Buffer xprep =
-        ScratchArena::global().acquire(static_cast<size_t>(xprep_sz));
-    float *xp = xprep.data();
-    // Pad rows/columns and the tail slack must read 0. Zero only the
-    // extent used: a reused arena buffer can be many times larger (an
-    // fc head's plane gets the largest conv layer's buffer).
-    std::fill(xp, xp + xprep_sz, 0.0f);
+    // Prepare the input once per call (see PreparedInput), so every
+    // mask-live tap becomes a full-range unit-stride streak over one
+    // contiguous row segment. The copy is amortized over all k output
+    // channels that reuse it.
+    PreparedInput prep(xs, stride, pad);
     ThreadPool::global().parallelFor(
-        0, n * c, [&](int64_t pc0, int64_t pc1) {
-            for (int64_t pc = pc0; pc < pc1; ++pc) {
-                const float *src = px + pc * h * width;
-                float *dst = xp + pc * plane_sz;
-                for (int64_t hr = 0; hr < h; ++hr) {
-                    const float *srow = src + hr * width;
-                    float *drow = dst + (hr + pad) * wpp;
-                    if (stride == 1) {
-                        std::memcpy(drow + pad, srow,
-                                    static_cast<size_t>(width) *
-                                        sizeof(float));
-                        continue;
-                    }
-                    // Phase-major so the per-element divisions hoist
-                    // out of the inner loop: padded column slot *
-                    // stride + ph holds source column slot * stride +
-                    // ph - pad.
-                    for (int64_t ph = 0; ph < stride; ++ph) {
-                        float *dph = drow + ph * slots;
-                        int64_t slot =
-                            ph >= pad
-                                ? 0
-                                : (pad - ph + stride - 1) / stride;
-                        const int64_t last =
-                            (pad + width - 1 - ph) / stride;
-                        const float *s =
-                            srow + slot * stride + ph - pad;
-                        for (; slot <= last; ++slot, s += stride)
-                            dph[slot] = *s;
-                    }
-                }
-            }
-        });
+        0, n * c,
+        [&](int64_t i0, int64_t i1) {
+            for (int64_t i = i0; i < i1; ++i)
+                prep.fillPlane(i, px + i * h * width);
+        },
+        std::max<int64_t>(1, kPrepareGrainFloats / (h * width)));
+    const float *xp = prep.buf.data();
+    const int64_t plane_sz = prep.planeSize;
 
     // Block-major traversal, partitioned over output channels: each
     // task owns the y[:, ok, :, :] planes of its ok range, so threads
@@ -256,11 +293,9 @@ sparseConvForward(const Tensor &x, const CsbTensor &w, int64_t stride,
                         continue;   // fully clipped: contributes nothing
                     local_macs += static_cast<int64_t>(tp.pHi - tp.pLo) *
                                   tp.nq * n;
-                    const int64_t r = tp.elem / s_ext;
-                    const int64_t s = tp.elem % s_ext;
                     kernels::ConvRunTap rt;
-                    rt.xoff = plane + r * wpp + (s % stride) * slots +
-                              s / stride;
+                    rt.xoff = plane + prep.tapOffset(tp.elem / s_ext,
+                                                     tp.elem % s_ext);
                     rt.w = bvals[t];
                     run.push_back(rt);
                 }
@@ -278,7 +313,7 @@ sparseConvForward(const Tensor &x, const CsbTensor &w, int64_t stride,
                         run.data() + cs, ce - cs,
                         xp + in * c * plane_sz,
                         py + (in * k + ok) * p_ext * q_ext,
-                        stride * wpp, p_ext, q_ext);
+                        stride * prep.rowStride, p_ext, q_ext);
                 }
             }
         }
@@ -582,38 +617,158 @@ sparseConvBackwardWeights(const Tensor &x, const Tensor &dy,
     kernels::ConvTapPack local_pack;
     pack = resolvePack(pack, w, h, width, stride, pad, &local_pack);
     const kernels::ConvTap *all_taps = pack->taps.data();
+    const int64_t *block_off = pack->blockOff.data();
 
-    // The weight-update pass walks the same blocks as the other two
-    // phases, but its output is the weight space itself: partitioning
-    // over output channels makes each task's dW[ok, :, :, :] slice
-    // private, and every live tap reduces its (n, p, q) space in the
-    // fixed 8-lane microkernel schedule — deterministic for any thread
-    // count and SIMD level. Pruned taps are never touched, so their dW
-    // entries stay exactly as given. Zero activations — the ReLU zeros
-    // that make x the sparse operand of this phase — contribute exact
-    // zeros and are excluded from the executed-MAC tally.
+    PreparedInput prep(xs, stride, pad);
+    const int64_t xrs = stride * prep.rowStride;
+
+    // The padding-clip window of kernel element e depends only on its
+    // (r, s), the stride and the pad, so it is the same in every block.
+    // Elements with equal windows read equal dy streaks; cls names the
+    // first element with e's window.
+    struct ElemWindow
+    {
+        int64_t pLo, pHi, qLo, qHi, cls;
+        int64_t xoff;   //!< plane offset of the window's first x read
+    };
+    const int64_t rs = r_ext * s_ext;
+    std::vector<ElemWindow> win(static_cast<size_t>(rs));
+    for (int64_t e = 0; e < rs; ++e) {
+        ElemWindow &wd = win[static_cast<size_t>(e)];
+        validOutRange(p_ext, h, e / s_ext, stride, pad, &wd.pLo, &wd.pHi);
+        validOutRange(q_ext, width, e % s_ext, stride, pad, &wd.qLo,
+                      &wd.qHi);
+        wd.xoff = prep.tapOffset(e / s_ext, e % s_ext) + wd.pLo * xrs +
+                  wd.qLo;
+        wd.cls = e;
+        for (int64_t f = 0; f < e; ++f) {
+            const ElemWindow &o = win[static_cast<size_t>(f)];
+            if (o.pLo == wd.pLo && o.pHi == wd.pHi && o.qLo == wd.qLo &&
+                o.qHi == wd.qHi) {
+                wd.cls = f;
+                break;
+            }
+        }
+    }
+
+    // One pass over x, partitioned over input channels, prepares the
+    // planes and counts the executed MACs: a live tap fires on the
+    // non-zero x inside its clip window. Zeros are multiplied (an exact
+    // identity, see the microkernel notes) but, as a PE would skip
+    // them, not counted. The count of one (input channel, element)
+    // window, summed over the batch, does not depend on the output
+    // channel, so each is taken once per call from the channel's plane
+    // of per-pixel non-zero counts; a live tap then costs one table
+    // read.
+    std::vector<int64_t> nz_count(static_cast<size_t>(c * rs));
+    const int64_t ic_grain =
+        std::max<int64_t>(1, kPrepareGrainFloats / (n * h * width));
+    ThreadPool::global().parallelFor(0, c, [&](int64_t ic0, int64_t ic1) {
+        std::vector<int32_t> nz_plane(static_cast<size_t>(h * width));
+        int32_t *nz = nz_plane.data();
+        for (int64_t ic = ic0; ic < ic1; ++ic) {
+            std::fill(nz, nz + h * width, 0);
+            for (int64_t in = 0; in < n; ++in) {
+                const float *src = px + (in * c + ic) * h * width;
+                prep.fillPlane(in * c + ic, src);
+                forEachBlocked8(h * width,
+                                [&](int64_t i) { nz[i] += src[i] != 0.0f; });
+            }
+            for (int64_t e = 0; e < rs; ++e) {
+                const ElemWindow &wd = win[static_cast<size_t>(e)];
+                int64_t total = 0;
+                for (int64_t p = wd.pLo; p < wd.pHi; ++p) {
+                    const int64_t row =
+                        (p * stride + e / s_ext - pad) * width + e % s_ext -
+                        pad;
+                    for (int64_t q = wd.qLo; q < wd.qHi; ++q)
+                        total += nz[row + q * stride];
+                }
+                nz_count[static_cast<size_t>(ic * rs + e)] = total;
+            }
+        }
+    }, ic_grain);
+
+    // Partitioned over output channels: each task owns the dW[ok, :, :,
+    // :] slices of its range. Per output channel the live taps are
+    // bucketed by window class across input channels and cut into
+    // groups of up to 8; a group loads each dy vector once for all its
+    // taps. Every tap accumulates into its own 8 lanes, so its addition
+    // sequence — samples, then p, then q — does not depend on the
+    // grouping, the partition or the SIMD level. Samples run outermost,
+    // so one sample's prepared x stays hot across the task's output
+    // channels; the lanes wait in a per-task array between samples.
+    // Pruned taps are never touched, so their dW entries stay exactly
+    // as given; a live tap with an empty window adds the sum of zero
+    // lanes, +0, like every other tap. A task gets at least kGrainMacs
+    // of work, counting zeros, so a small fc head runs inline.
+    struct TapRef
+    {
+        int64_t xoff;   //!< x offset within one sample's planes
+        int64_t slot;   //!< dW index
+    };
+    struct Group
+    {
+        int64_t dyoff, rows, cols;
+        int64_t first, count;   //!< taps [first, first + count)
+    };
+    const int64_t dense_macs =
+        static_cast<int64_t>(pack->taps.size()) * n * p_ext * q_ext;
+    const int64_t ok_grain =
+        std::max<int64_t>(1, kGrainMacs * k / std::max<int64_t>(1, dense_macs));
     std::atomic<int64_t> mac_total{0};
     ThreadPool::global().parallelFor(0, k, [&](int64_t ok0, int64_t ok1) {
         int64_t local_macs = 0;
+        std::vector<std::vector<TapRef>> bucket(static_cast<size_t>(rs));
+        const size_t task_taps =
+            static_cast<size_t>(block_off[ok1 * c] - block_off[ok0 * c]);
+        std::vector<int64_t> xoff, slot;   // the task's taps, group order
+        xoff.reserve(task_taps);
+        slot.reserve(task_taps);
+        std::vector<Group> groups;
         for (int64_t ok = ok0; ok < ok1; ++ok) {
+            for (auto &bk : bucket)
+                bk.clear();
             for (int64_t ic = 0; ic < c; ++ic) {
                 const int64_t b = ok * c + ic;
-                const int64_t t0 = pack->blockOff[static_cast<size_t>(b)];
-                const int64_t ntaps =
-                    pack->blockOff[static_cast<size_t>(b) + 1] - t0;
-                if (ntaps == 0)
-                    continue;
-                // Conv blocks are contiguous in the dense weight space,
-                // so the block's dW slots start at b * blockElems.
-                local_macs += kernels::sparseConvBwdWeightBlock(
-                    all_taps + t0, ntaps, px + ic * h * width,
-                    pdy + ok * p_ext * q_ext, c * h * width,
-                    k * p_ext * q_ext, n, width, stride, q_ext,
-                    pdw + b * w.blockElems());
+                const int64_t t_end = block_off[b + 1];
+                for (int64_t t = block_off[b]; t < t_end; ++t) {
+                    const int64_t e = all_taps[t].elem;
+                    const ElemWindow &wd = win[static_cast<size_t>(e)];
+                    local_macs += nz_count[static_cast<size_t>(ic * rs + e)];
+                    bucket[static_cast<size_t>(wd.cls)].push_back(
+                        {ic * prep.planeSize + wd.xoff, b * rs + e});
+                }
+            }
+            for (int64_t cl = 0; cl < rs; ++cl) {
+                const int64_t first = static_cast<int64_t>(xoff.size());
+                for (const TapRef &tr : bucket[static_cast<size_t>(cl)]) {
+                    xoff.push_back(tr.xoff);
+                    slot.push_back(tr.slot);
+                }
+                const ElemWindow &wd = win[static_cast<size_t>(cl)];
+                if (wd.pHi == wd.pLo || wd.qHi == wd.qLo)
+                    continue;   // empty window: the lanes stay zero
+                const int64_t end = static_cast<int64_t>(xoff.size());
+                for (int64_t g = first; g < end; g += 8)
+                    groups.push_back({(ok * p_ext + wd.pLo) * q_ext + wd.qLo,
+                                      wd.pHi - wd.pLo, wd.qHi - wd.qLo, g,
+                                      std::min<int64_t>(8, end - g)});
             }
         }
+        std::vector<float> lanes(8 * xoff.size(), 0.0f);
+        for (int64_t in = 0; in < n; ++in) {
+            const float *xn = prep.buf.data() + in * c * prep.planeSize;
+            const float *dyn = pdy + in * k * p_ext * q_ext;
+            for (const Group &g : groups)
+                kernels::sparseConvBwdWeightGroup(
+                    xoff.data() + g.first, g.count, xn, xrs, dyn + g.dyoff,
+                    q_ext, g.rows, g.cols, lanes.data() + 8 * g.first);
+        }
+        for (size_t t = 0; t < slot.size(); ++t)
+            pdw[slot[t]] += kernels::sumLanes8(lanes.data() + 8 * t);
         mac_total.fetch_add(local_macs, std::memory_order_relaxed);
-    });
+    }, ok_grain);
     if (macs)
         *macs = mac_total.load(std::memory_order_relaxed);
 }

@@ -18,11 +18,12 @@
  * executor vectorizes.
  *
  * The traversal is partitioned across the shared ThreadPool — over
- * output channels in the forward pass and input channels in the
- * backward pass — so every thread accumulates into a private slice of
- * the output in a fixed order (deterministic for any thread count),
- * and per-tap output ranges are pre-clipped against the padding halo
- * so the MAC loops run branch-free.
+ * output channels in the forward and backward-weight passes, over
+ * (sample, input channel) pairs in backward-data — so every thread
+ * accumulates into a private slice of the output in a fixed order
+ * (deterministic for any thread count), and per-tap output ranges are
+ * pre-clipped against the padding halo so the MAC loops run
+ * branch-free.
  *
  * The inner loops are the SIMD microkernels of
  * kernels/sparse_microkernels.h: each executor streams a pre-packed
@@ -114,11 +115,22 @@ Tensor sparseConvBackwardData(const Tensor &dy, const CsbTensor &w,
  * MACs are skipped exactly as the PEs skip zero weights, which is what
  * closes the sparse-training gap for the weight-update phase.
  *
- * Zero input activations are skipped: ReLU zeros make x the sparse
- * operand of the weight-update phase (Section II-B), and their product
- * terms are exact zeros, so the accumulated dW is bit-identical while
- * the executed MACs — reported through `macs` — shrink with the
- * measured activation density.
+ * Computed over the forward's prepared input (zero-padded and
+ * phase-split by the column stride, so every read is a plain
+ * unit-stride load at every stride). The live taps of one output
+ * channel whose kernel elements share a padding-clip window run in
+ * groups of up to 8 input channels that share each dy load; every tap
+ * reduces its (n, p, q) space into its own 8 lanes in one fixed order,
+ * collapsed by one fixed tree, so dW does not depend on the grouping,
+ * the thread count or the SIMD level.
+ *
+ * Zero input activations — ReLU zeros make x the sparse operand of the
+ * weight-update phase (Section II-B) — are multiplied, not skipped:
+ * their products are exact zeros, an identity on the partial sums
+ * (with finite dy), so dW is bitwise what a zero-skipping PE
+ * computes. The MAC tally counts them out, as a PE would issue no MAC
+ * for a zero operand: the non-zero x of each (input channel, kernel
+ * element) window are counted once per call, summed over the batch.
  *
  * @param x forward input activations [N, C, H, W].
  * @param dy output-side gradient [N, K, P, Q].

@@ -332,13 +332,17 @@ TEST(SparseConvMacCounts, AllPhasesMatchBruteForceOnPaddedEdges)
 TEST(SparseConvBackward, DeterministicUnderThreading)
 {
     // Both backward executors partition channels over the pool; the
-    // per-element accumulation order must not depend on the split.
+    // per-element accumulation order and the MAC tallies must not
+    // depend on the split. x carries ReLU zeros (about half), the
+    // operand the backward-weight tally leaves out.
     const Tensor w = maskedFilters(8, 4, 3, 0.3, 61);
     const CsbTensor csb = CsbTensor::encodeConvFilters(w);
     for (const int64_t stride : {1, 2}) {
         Xorshift128Plus rng(67 + stride);
         Tensor x(Shape{2, 4, 9, 9});
         x.fillGaussian(rng, 1.0f);
+        for (int64_t i = 0; i < x.numel(); ++i)
+            x.at(i) = std::max(x.at(i), 0.0f);
         const Tensor y = sparseConvForward(x, csb, stride, 1);
         Tensor dy(y.shape());
         dy.fillGaussian(rng, 1.0f);
@@ -346,26 +350,32 @@ TEST(SparseConvBackward, DeterministicUnderThreading)
             dy.at(i) = 0.0f;
 
         Tensor ref_dx, ref_dw;
-        int64_t ref_macs = -1;
+        int64_t ref_data_macs = -1, ref_weight_macs = -1;
         for (const int threads : {1, 2, 3, 8}) {
             ThreadPool::resetGlobal(threads);
-            int64_t macs = -1;
-            const Tensor dx = sparseConvBackwardData(dy, csb, x.shape(),
-                                                     stride, 1, &macs);
+            int64_t data_macs = -1, weight_macs = -1;
+            const Tensor dx = sparseConvBackwardData(
+                dy, csb, x.shape(), stride, 1, &data_macs);
             Tensor dw(w.shape());
-            sparseConvBackwardWeights(x, dy, csb, stride, 1, &dw);
+            sparseConvBackwardWeights(x, dy, csb, stride, 1, &dw,
+                                      &weight_macs);
             if (threads == 1) {
                 ref_dx = dx;
                 ref_dw = dw;
-                ref_macs = macs;
+                ref_data_macs = data_macs;
+                ref_weight_macs = weight_macs;
                 continue;
             }
             EXPECT_TRUE(bitwiseEqual(dx, ref_dx))
                 << "dx stride=" << stride << " threads=" << threads;
             EXPECT_TRUE(bitwiseEqual(dw, ref_dw))
                 << "dw stride=" << stride << " threads=" << threads;
-            EXPECT_EQ(macs, ref_macs) << threads;
+            EXPECT_EQ(data_macs, ref_data_macs) << threads;
+            EXPECT_EQ(weight_macs, ref_weight_macs) << threads;
         }
+        // The tally leaves the zeros out: the replayed count agrees.
+        EXPECT_EQ(ref_weight_macs,
+                  sparseConvMacCounts(x, dy, csb, stride, 1).backwardWeight);
     }
     ThreadPool::resetGlobal(0);
 }
