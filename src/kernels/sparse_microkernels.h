@@ -156,8 +156,8 @@ ConvTapPack packConvTaps(const sparse::CsbTensor &w, int64_t in_h,
 /**
  * One flattened tap of a conv plane run against a prepared source
  * buffer: for forward, the zero-padded, stride-phase-split input (see
- * sparse_conv.cc, prepareInput); for backward-data, the zero-padded dy (see
- * sparseConvBackwardData). Channel plane, kernel row, and phase slot
+ * PreparedInput in sparse_conv.cc); for backward-data, the zero-padded
+ * dy (see sparseConvBackwardData). Channel plane, kernel row, and phase slot
  * are all folded into one offset and the weight value is copied in,
  * so the kernels stream one homogeneous array over a channel run.
  * Every tap covers the full destination plane at unit column stride

@@ -154,8 +154,8 @@ struct PreparedInput
     int64_t planeSize;   //!< floats per (sample, channel) plane
     ScratchArena::Buffer buf;
 
-    PreparedInput(const Shape &xs, int64_t stride_, int64_t pad_)
-        : stride(stride_), pad(pad_), h(xs[2]), width(xs[3]),
+    PreparedInput(const Shape &xs, int64_t conv_stride, int64_t conv_pad)
+        : stride(conv_stride), pad(conv_pad), h(xs[2]), width(xs[3]),
           slots((width + 2 * pad + stride - 1) / stride),
           rowStride(slots * stride), planeSize((h + 2 * pad) * rowStride)
     {

@@ -131,9 +131,9 @@ TEST_P(SimdParity, ConvPhasesBitwiseEqualScalarOnRaggedShapes)
     const double density = GetParam().density;
 
     // Three ragged geometries: q_ext = 11 (8 + 3 tail) at stride 1,
-    // q_ext = 7 (tail-only, gather path) at stride 2, and a 5x5 kernel
-    // at stride 3 whose width is not a multiple of the stride (dx
-    // phase planes of 5 and 4 columns, q_ext = 5).
+    // q_ext = 7 (tail-only) at stride 2, and a 5x5 kernel at stride 3
+    // whose width is not a multiple of the stride (dx phase planes of 5
+    // and 4 columns, q_ext = 5).
     struct Geom
     {
         int64_t c, k, kernel, h, w, stride, pad;
