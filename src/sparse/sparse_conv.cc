@@ -246,7 +246,8 @@ sparseConvForward(const Tensor &x, const CsbTensor &w, int64_t stride,
             for (int64_t i = i0; i < i1; ++i)
                 prep.fillPlane(i, px + i * h * width);
         },
-        std::max<int64_t>(1, kPrepareGrainFloats / (h * width)));
+        std::max<int64_t>(
+            1, kPrepareGrainFloats / std::max<int64_t>(1, h * width)));
     const float *xp = prep.buf.data();
     const int64_t plane_sz = prep.planeSize;
 
@@ -661,8 +662,8 @@ sparseConvBackwardWeights(const Tensor &x, const Tensor &dy,
     // of per-pixel non-zero counts; a live tap then costs one table
     // read.
     std::vector<int64_t> nz_count(static_cast<size_t>(c * rs));
-    const int64_t ic_grain =
-        std::max<int64_t>(1, kPrepareGrainFloats / (n * h * width));
+    const int64_t ic_grain = std::max<int64_t>(
+        1, kPrepareGrainFloats / std::max<int64_t>(1, n * h * width));
     ThreadPool::global().parallelFor(0, c, [&](int64_t ic0, int64_t ic1) {
         std::vector<int32_t> nz_plane(static_cast<size_t>(h * width));
         int32_t *nz = nz_plane.data();

@@ -154,6 +154,25 @@ TEST(SparseConv, EmptyFilterProducesZeroOutput)
     EXPECT_DOUBLE_EQ(y.sum(), 0.0);
 }
 
+TEST(SparseConv, EmptyBatchRunsEveryPhase)
+{
+    const Tensor w = maskedFilters(4, 3, 3, 0.5, 43);
+    const CsbTensor csb = CsbTensor::encodeConvFilters(w);
+    const Tensor x(Shape{0, 3, 8, 8});
+    int64_t fw = -1, bwd = -1, bww = -1;
+    const Tensor y = sparseConvForward(x, csb, 2, 1, &fw);
+    const Tensor dy(y.shape());
+    const Tensor dx =
+        sparseConvBackwardData(dy, csb, x.shape(), 2, 1, &bwd);
+    Tensor dw(w.shape());
+    dw.fill(1.5f);
+    sparseConvBackwardWeights(x, dy, csb, 2, 1, &dw, &bww);
+    EXPECT_EQ(y.numel(), 0);
+    EXPECT_EQ(dx.shape(), x.shape());
+    EXPECT_EQ(fw + bwd + bww, 0);
+    EXPECT_DOUBLE_EQ(dw.sum(), 1.5 * static_cast<double>(dw.numel()));
+}
+
 TEST(SparseConv, RejectsChannelMismatch)
 {
     const Tensor w = maskedFilters(2, 3, 3, 0.5, 41);
