@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <utility>
 
 #include "common/rng.h"
@@ -300,11 +301,71 @@ TEST(Bf16Storage, LinearGradientsMatchFiniteDifferences)
     }
 }
 
+/**
+ * The mask-epoch tap-pack cache of a kSparse weight layer. `make(w)`
+ * builds a fresh kSparse layer holding weights w and the shared bias.
+ * Two steps with the same mask but different values: the cached tap
+ * pack must be indistinguishable from a fresh layer that packs its
+ * taps from scratch. A mask change, and then a batch `x_other` of a
+ * different input geometry under the same mask, must each force a
+ * repack.
+ */
+template <typename MakeLayer>
+void
+expectMaskStableRefresh(MakeLayer make, const Tensor &w, const Tensor &x,
+                        const Tensor &dy, const Tensor &x_other)
+{
+    auto cached = make(w);
+    const Shape bias_shape = cached->bias().value.shape();
+    cached->forward(x, true);   // step 1 builds the tap pack
+    cached->backward(dy);
+    // Optimizer-like update: scale live values, keep the mask.
+    for (int64_t i = 0; i < w.numel(); ++i)
+        cached->weight().value.at(i) *= 1.5f;
+    cached->weight().grad = Tensor(w.shape());
+    cached->bias().grad = Tensor(bias_shape);
+    const Tensor y2 = cached->forward(x, true);   // reuses the pack
+    const Tensor dx2 = cached->backward(dy);
+
+    auto fresh = make(cached->weight().value);
+    const Tensor y_ref = fresh->forward(x, true);
+    const Tensor dx_ref = fresh->backward(dy);
+
+    EXPECT_TRUE(bitwiseEqual(y2, y_ref));
+    EXPECT_TRUE(bitwiseEqual(dx2, dx_ref));
+    EXPECT_TRUE(bitwiseEqual(cached->weight().grad,
+                             fresh->weight().grad));
+    EXPECT_TRUE(bitwiseEqual(cached->bias().grad, fresh->bias().grad));
+
+    // A mask change (new pruning epoch) must force a fresh pack, not a
+    // stale-geometry reuse.
+    for (int64_t i = 0; i < w.numel(); ++i) {
+        if (cached->weight().value.at(i) != 0.0f) {
+            cached->weight().value.at(i) = 0.0f;   // kill one live weight
+            break;
+        }
+    }
+    cached->weight().grad = Tensor(w.shape());
+    cached->bias().grad = Tensor(bias_shape);
+    const Tensor y3 = cached->forward(x, true);
+    const Tensor dx3 = cached->backward(dy);
+
+    auto fresh2 = make(cached->weight().value);
+    EXPECT_TRUE(bitwiseEqual(y3, fresh2->forward(x, true)));
+    EXPECT_TRUE(bitwiseEqual(dx3, fresh2->backward(dy)));
+    EXPECT_TRUE(bitwiseEqual(cached->weight().grad,
+                             fresh2->weight().grad));
+
+    // The pack is keyed by the input geometry too: a different one
+    // under the same mask must repack, not reuse.
+    auto fresh3 = make(cached->weight().value);
+    EXPECT_TRUE(bitwiseEqual(cached->forward(x_other, true),
+                             fresh3->forward(x_other, true)));
+}
+
 TEST(MaskStableRefresh, LinearReusesTapGeometryAcrossSteps)
 {
-    // Two steps with the same mask but different values: the layer's
-    // cached tap pack must be indistinguishable from a fresh layer that
-    // packs its taps from scratch.
+    // The fc pack is keyed by the batch plane's width: the batch size.
     const int64_t n = 9, i_ext = 26, o_ext = 14;
     Xorshift128Plus rng(97);
     Tensor w(Shape{o_ext, i_ext});
@@ -314,64 +375,55 @@ TEST(MaskStableRefresh, LinearReusesTapGeometryAcrossSteps)
     x.fillGaussian(rng, 1.0f);
     Tensor dy(Shape{n, o_ext});
     dy.fillGaussian(rng, 1.0f);
+    Tensor x_other(Shape{4, i_ext});
+    x_other.fillGaussian(rng, 1.0f);
+    Tensor b(Shape{o_ext});
+    b.fillGaussian(rng, 0.5f);
 
-    nn::Linear cached(i_ext, o_ext, "cached");
-    cached.setBackend(kernels::KernelBackend::kSparse);
-    cached.weight().value = w;
-    cached.forward(x, true);   // step 1 builds the tap pack
-    cached.backward(dy);
-    // Optimizer-like update: scale live values, keep the mask.
-    for (int64_t i = 0; i < w.numel(); ++i)
-        cached.weight().value.at(i) *= 1.5f;
-    cached.weight().grad = Tensor(w.shape());
-    cached.bias().grad = Tensor(Shape{o_ext});
-    const Tensor y2 = cached.forward(x, true);   // reuses the pack
-    const Tensor dx2 = cached.backward(dy);
+    expectMaskStableRefresh(
+        [&](const Tensor &wv) {
+            auto l = std::make_unique<nn::Linear>(i_ext, o_ext, "fc");
+            l->setBackend(kernels::KernelBackend::kSparse);
+            l->setStoragePrecision(Precision::kFp32);
+            l->weight().value = wv;
+            l->bias().value = b;
+            return l;
+        },
+        w, x, dy, x_other);
+}
 
-    nn::Linear fresh(i_ext, o_ext, "fresh");
-    fresh.setBackend(kernels::KernelBackend::kSparse);
-    fresh.weight().value = w;
-    for (int64_t i = 0; i < w.numel(); ++i)
-        fresh.weight().value.at(i) *= 1.5f;
-    fresh.bias().value = cached.bias().value;
-    const Tensor y_ref = fresh.forward(x, true);
-    const Tensor dx_ref = fresh.backward(dy);
+TEST(MaskStableRefresh, Conv2dReusesTapGeometryAcrossSteps)
+{
+    // The conv pack is keyed by the input plane: 7x9 becomes 8x6.
+    nn::Conv2dConfig cfg;
+    cfg.inChannels = 5;
+    cfg.outChannels = 6;
+    cfg.kernel = 3;
+    cfg.stride = 2;
+    cfg.pad = 1;
+    Xorshift128Plus rng(103);
+    Tensor w(Shape{cfg.outChannels, cfg.inChannels, 3, 3});
+    w.fillGaussian(rng, 0.5f);
+    pruneTo(&w, 0.4, 107);
+    Tensor x(Shape{3, cfg.inChannels, 7, 9});
+    x.fillGaussian(rng, 1.0f);
+    Tensor dy(Shape{3, cfg.outChannels, 4, 5});
+    dy.fillGaussian(rng, 1.0f);
+    Tensor x_other(Shape{3, cfg.inChannels, 8, 6});
+    x_other.fillGaussian(rng, 1.0f);
+    Tensor b(Shape{cfg.outChannels});
+    b.fillGaussian(rng, 0.5f);
 
-    EXPECT_TRUE(bitwiseEqual(y2, y_ref));
-    EXPECT_TRUE(bitwiseEqual(dx2, dx_ref));
-    EXPECT_TRUE(bitwiseEqual(cached.weight().grad,
-                             fresh.weight().grad));
-
-    // A mask change (new pruning epoch) must force a fresh pack, not a
-    // stale-geometry reuse.
-    for (int64_t i = 0; i < w.numel(); ++i) {
-        if (cached.weight().value.at(i) != 0.0f) {
-            cached.weight().value.at(i) = 0.0f;   // kill one live weight
-            break;
-        }
-    }
-    cached.weight().grad = Tensor(w.shape());
-    cached.bias().grad = Tensor(Shape{o_ext});
-    const Tensor y3 = cached.forward(x, true);
-    cached.backward(dy);
-
-    nn::Linear fresh2(i_ext, o_ext, "fresh2");
-    fresh2.setBackend(kernels::KernelBackend::kSparse);
-    fresh2.weight().value = cached.weight().value;
-    fresh2.bias().value = cached.bias().value;
-    const Tensor y3_ref = fresh2.forward(x, true);
-    EXPECT_TRUE(bitwiseEqual(y3, y3_ref));
-
-    // The pack is keyed by the batch plane's width too: a different
-    // batch size under the same mask must repack, not reuse.
-    Tensor x4(Shape{4, i_ext});
-    x4.fillGaussian(rng, 1.0f);
-    const Tensor y4 = cached.forward(x4, true);
-    nn::Linear fresh3(i_ext, o_ext, "fresh3");
-    fresh3.setBackend(kernels::KernelBackend::kSparse);
-    fresh3.weight().value = cached.weight().value;
-    fresh3.bias().value = cached.bias().value;
-    EXPECT_TRUE(bitwiseEqual(y4, fresh3.forward(x4, true)));
+    expectMaskStableRefresh(
+        [&](const Tensor &wv) {
+            auto l = std::make_unique<nn::Conv2d>(cfg, "conv");
+            l->setBackend(kernels::KernelBackend::kSparse);
+            l->setStoragePrecision(Precision::kFp32);
+            l->weight().value = wv;
+            l->bias().value = b;
+            return l;
+        },
+        w, x, dy, x_other);
 }
 
 } // namespace

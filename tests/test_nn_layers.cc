@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <utility>
 
 #include "common/rng.h"
@@ -537,6 +538,179 @@ TEST(SoftmaxCrossEntropy, AccuracyTracksArgmax)
     logits(1, 0) = 5.0f;   // predicts class 0
     loss.forward(logits, {1, 2});
     EXPECT_DOUBLE_EQ(loss.accuracy(), 0.5);
+}
+
+/**
+ * Every field of a LayerStepReport, in declaration order, folded into
+ * one digest: names, geometry, flags, MAC tallies, byte counts, the
+ * mask bits and every density (bit patterns of the doubles).
+ */
+uint64_t
+reportDigest(const LayerStepReport &r)
+{
+    uint64_t h = kFnvBasis;
+    const auto word = [&h](int64_t v) {
+        h = fnv1a(h, static_cast<uint64_t>(v));
+    };
+    const auto reals = [&h, &word](const std::vector<double> &v) {
+        word(static_cast<int64_t>(v.size()));
+        for (double d : v) {
+            uint64_t bits = 0;
+            std::memcpy(&bits, &d, sizeof(bits));
+            h = fnv1a(h, bits);
+        }
+    };
+    for (char ch : r.layerName)
+        word(static_cast<unsigned char>(ch));
+    word(static_cast<int64_t>(r.kind));
+    for (int64_t v : {r.batch, r.K, r.C, r.R, r.S, r.P, r.Q, r.stride})
+        word(v);
+    word(r.hasMacs);
+    word(r.sparseExecuted);
+    for (int64_t v : {r.fwMacs, r.bwDataMacs, r.bwWeightMacs})
+        word(v);
+    word(r.hasWeightBytes);
+    word(r.csbWeightBytes);
+    word(r.denseWeightBytes);
+    word(r.hasMask);
+    for (int64_t v : {r.mask.K, r.mask.C, r.mask.R, r.mask.S})
+        word(v);
+    word(static_cast<int64_t>(r.mask.bits.size()));
+    for (uint8_t bit : r.mask.bits)
+        word(bit);
+    word(r.hasExchange);
+    word(r.exchangeCompressedBytes);
+    word(r.exchangeDenseBytes);
+    reals({r.inputDensity, r.outputDensity});
+    reals(r.inputChannelDensity);
+    reals(r.inputSampleDensity);
+    reals(r.inputSampleHalfDensity);
+    reals(r.inputRowDensity);
+    reals(r.inputColDensity);
+    return h;
+}
+
+/**
+ * Values in [-1, 1) from the integer generator (the same bits on every
+ * host), each exactly zero with probability `zeros`: a ReLU-like
+ * activation, a pruned weight or a gradient with skippable zeros.
+ */
+Tensor
+sparseValues(const Shape &shape, uint64_t seed, double zeros)
+{
+    Xorshift128Plus rng(seed);
+    Tensor t(shape);
+    for (int64_t i = 0; i < t.numel(); ++i) {
+        const float v = 2.0f * rng.nextFloat() - 1.0f;
+        t.at(i) = rng.nextDouble() < zeros ? 0.0f : v;
+    }
+    return t;
+}
+
+/** One weight layer's step-report recording on one backend. */
+struct ReportGolden
+{
+    bool conv;   //!< Conv2d, else Linear
+    kernels::KernelBackend backend;
+    int64_t fwMacs, bwDataMacs, bwWeightMacs;   //!< after backward
+    int64_t csbBytes, csbBytesBf16;
+    uint64_t forwardOnly;     //!< digest after forward, before backward
+    uint64_t afterBackward;   //!< digest after the backward
+    uint64_t bf16;            //!< after backward, kBf16 storage
+};
+
+/** A Conv2d (stride 2, pad 1, 7x9 input) or a Linear, with bias. */
+std::unique_ptr<Layer>
+makeReportLayer(bool conv, kernels::KernelBackend backend, Precision prec)
+{
+    const Tensor bias = sparseValues(Shape{6}, 5, 0.0);
+    if (conv) {
+        Conv2dConfig cfg;
+        cfg.inChannels = 4;
+        cfg.outChannels = 6;
+        cfg.kernel = 3;
+        cfg.stride = 2;
+        cfg.pad = 1;
+        auto l = std::make_unique<Conv2d>(cfg, "conv");
+        l->setBackend(backend);
+        l->setStoragePrecision(prec);
+        l->weight().value = sparseValues(Shape{6, 4, 3, 3}, 6, 0.6);
+        l->bias().value = bias;
+        return l;
+    }
+    auto l = std::make_unique<Linear>(13, 6, "fc");
+    l->setBackend(backend);
+    l->setStoragePrecision(prec);
+    l->weight().value = sparseValues(Shape{6, 13}, 7, 0.6);
+    l->bias().value = bias;
+    return l;
+}
+
+/** Forward x then backward dy; returns the two reports. */
+std::pair<LayerStepReport, LayerStepReport>
+reportStep(Layer *l, bool conv)
+{
+    const Tensor x = conv ? sparseValues(Shape{3, 4, 7, 9}, 8, 0.45)
+                          : sparseValues(Shape{5, 13}, 9, 0.45);
+    const Tensor dy = conv ? sparseValues(Shape{3, 6, 4, 5}, 10, 0.3)
+                           : sparseValues(Shape{5, 6}, 11, 0.3);
+    std::pair<LayerStepReport, LayerStepReport> out;
+    l->forward(x, true);
+    EXPECT_TRUE(l->stepReport(&out.first));
+    l->backward(dy);
+    EXPECT_TRUE(l->stepReport(&out.second));
+    return out;
+}
+
+/**
+ * Recorded on the layers as they stood before Conv2d and Linear shared
+ * one base class, so the refactor had to keep every report field.
+ */
+const ReportGolden kReportGolden[] = {
+    {true, kernels::KernelBackend::kNaive, 12960, 12960, 12960, 463, 295,
+     0x7c11af2abeab8904ULL, 0x94fb8dd995d6fb87ULL, 0x39f35695fab3c74fULL},
+    {true, kernels::KernelBackend::kGemm, 12960, 12960, 12960, 463, 295,
+     0x7c11af2abeab8904ULL, 0x94fb8dd995d6fb87ULL, 0x39f35695fab3c74fULL},
+    {true, kernels::KernelBackend::kSparse, 3747, 2431, 2106, 463, 295,
+     0x7c11af2abeab8904ULL, 0xc3307f8e124fd09bULL, 0x0780db24c15f17d3ULL},
+    {false, kernels::KernelBackend::kNaive, 390, 390, 390, 148, 88,
+     0xc3670b06413430a4ULL, 0x231c32b6dc953750ULL, 0x541f4614a37360acULL},
+    {false, kernels::KernelBackend::kGemm, 390, 390, 390, 148, 88,
+     0xc3670b06413430a4ULL, 0x231c32b6dc953750ULL, 0x541f4614a37360acULL},
+    {false, kernels::KernelBackend::kSparse, 150, 110, 96, 148, 88,
+     0xc3670b06413430a4ULL, 0x8e2b40e83c5b0c5cULL, 0x02359d906f910200ULL},
+};
+
+TEST(WeightLayerReport, EveryFieldMatchesRecording)
+{
+    for (const ReportGolden &g : kReportGolden) {
+        const std::string at =
+            std::string(g.conv ? "conv" : "fc") + " backend " +
+            std::to_string(static_cast<int>(g.backend));
+        auto l = makeReportLayer(g.conv, g.backend, Precision::kFp32);
+        LayerStepReport before;
+        before.layerName = "untouched";
+        EXPECT_FALSE(l->stepReport(&before)) << at;
+        EXPECT_EQ(before.layerName, "untouched") << at;
+
+        const auto [fw, bw] = reportStep(l.get(), g.conv);
+        EXPECT_FALSE(fw.hasMacs) << at;
+        EXPECT_TRUE(bw.hasMacs) << at;
+        EXPECT_EQ(bw.sparseExecuted,
+                  g.backend == kernels::KernelBackend::kSparse)
+            << at;
+        EXPECT_EQ(bw.fwMacs, g.fwMacs) << at;
+        EXPECT_EQ(bw.bwDataMacs, g.bwDataMacs) << at;
+        EXPECT_EQ(bw.bwWeightMacs, g.bwWeightMacs) << at;
+        EXPECT_EQ(bw.csbWeightBytes, g.csbBytes) << at;
+        EXPECT_EQ(reportDigest(fw), g.forwardOnly) << at;
+        EXPECT_EQ(reportDigest(bw), g.afterBackward) << at;
+
+        auto l16 = makeReportLayer(g.conv, g.backend, Precision::kBf16);
+        const LayerStepReport bf16 = reportStep(l16.get(), g.conv).second;
+        EXPECT_EQ(bf16.csbWeightBytes, g.csbBytesBf16) << at;
+        EXPECT_EQ(reportDigest(bf16), g.bf16) << at;
+    }
 }
 
 } // namespace
