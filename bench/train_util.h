@@ -83,10 +83,8 @@ inline void
 useSparseBackend(nn::Network &net)
 {
     for (size_t i = 0; i < net.size(); ++i) {
-        if (auto *conv = dynamic_cast<nn::Conv2d *>(net.layer(i)))
-            conv->setBackend(kernels::KernelBackend::kSparse);
-        else if (auto *fc = dynamic_cast<nn::Linear *>(net.layer(i)))
-            fc->setBackend(kernels::KernelBackend::kSparse);
+        if (auto *wl = dynamic_cast<nn::WeightLayer *>(net.layer(i)))
+            wl->setBackend(kernels::KernelBackend::kSparse);
     }
 }
 

@@ -2,42 +2,35 @@
 
 #include <utility>
 
-#include "common/thread_pool.h"
 #include "kernels/conv_kernels.h"
-#include "sparse/sparse_conv.h"
 
 namespace procrustes {
 namespace nn {
 
-Conv2d::Conv2d(const Conv2dConfig &cfg, const std::string &layer_name)
-    : cfg_(cfg),
-      name_(layer_name),
-      backend_(kernels::defaultKernelBackend())
+namespace {
+
+/** The [K, C, R, S] filter shape of a checked config. */
+Shape
+filterShape(const Conv2dConfig &cfg)
 {
     PROCRUSTES_ASSERT(cfg.inChannels > 0 && cfg.outChannels > 0,
                       "conv channels must be positive");
     PROCRUSTES_ASSERT(cfg.kernel > 0 && cfg.stride > 0 && cfg.pad >= 0,
                       "bad conv geometry");
-    weight_.init(Shape{cfg.outChannels, cfg.inChannels, cfg.kernel,
-                       cfg.kernel},
-                 name_ + ".weight", /*can_prune=*/true);
-    if (cfg.bias) {
-        bias_.init(Shape{cfg.outChannels}, name_ + ".bias",
-                   /*can_prune=*/false);
-    }
+    return Shape{cfg.outChannels, cfg.inChannels, cfg.kernel, cfg.kernel};
 }
 
-std::vector<Param *>
-Conv2d::params()
+} // namespace
+
+Conv2d::Conv2d(const Conv2dConfig &cfg, const std::string &layer_name)
+    : WeightLayer(layer_name, filterShape(cfg), cfg.stride, cfg.pad,
+                  cfg.bias),
+      cfg_(cfg)
 {
-    std::vector<Param *> out{&weight_};
-    if (cfg_.bias)
-        out.push_back(&bias_);
-    return out;
 }
 
-Tensor
-Conv2d::forward(const Tensor &x, bool)
+void
+Conv2d::checkInput(const Tensor &x) const
 {
     const Shape &xs = x.shape();
     PROCRUSTES_ASSERT(xs.rank() == 4, "conv input must be NCHW");
@@ -47,185 +40,47 @@ Conv2d::forward(const Tensor &x, bool)
     PROCRUSTES_ASSERT(xs[2] + 2 * cfg_.pad >= cfg_.kernel &&
                           xs[3] + 2 * cfg_.pad >= cfg_.kernel,
                       "kernel larger than padded input");
-    cachedInput_ = x;   // COW alias: no activation copy happens here
-    lastOutH_ = outExtent(xs[2]);
-    lastOutW_ = outExtent(xs[3]);
-    backwardSeen_ = false;
-    Tensor y;
-    if (backend_ == kernels::KernelBackend::kGemm) {
-        const kernels::ConvGeom g = kernels::convGeomFromTensors(
-            x, weight_.value.shape(), cfg_.stride, cfg_.pad);
-        y = kernels::convForwardGemm(
-            x, weight_.value, cfg_.bias ? &bias_.value : nullptr, g);
-    } else if (backend_ == kernels::KernelBackend::kSparse) {
-        y = forwardSparse(x);
-    } else {
-        y = forwardNaive(x);
-    }
-    cachedOutput_ = y;   // COW alias for lazy density telemetry
-    return y;
 }
 
 Tensor
-Conv2d::backward(const Tensor &dy)
+Conv2d::forwardGemm(const Tensor &x)
 {
-    PROCRUSTES_ASSERT(cachedInput_.shape().rank() == 4,
-                      "backward before forward");
-    backwardSeen_ = true;
-    if (backend_ == kernels::KernelBackend::kGemm) {
-        const kernels::ConvGeom g = kernels::convGeomFromTensors(
-            cachedInput_, weight_.value.shape(), cfg_.stride, cfg_.pad);
-        return kernels::convBackwardGemm(
-            cachedInput_, weight_.value, dy, g, &weight_.grad,
-            cfg_.bias ? &bias_.grad : nullptr);
-    }
-    if (backend_ == kernels::KernelBackend::kSparse)
-        return backwardSparse(dy);
-    return backwardNaive(dy);
+    const kernels::ConvGeom g = kernels::convGeomFromTensors(
+        x, weight_.value.shape(), cfg_.stride, cfg_.pad);
+    return kernels::convForwardGemm(
+        x, weight_.value, cfg_.bias ? &bias_.value : nullptr, g);
 }
 
-bool
-Conv2d::stepReport(LayerStepReport *out) const
+Tensor
+Conv2d::backwardGemm(const Tensor &dy)
 {
-    if (cachedInput_.shape().rank() != 4)
-        return false;
-    const Shape &xs = cachedInput_.shape();
-    out->layerName = name_;
+    const kernels::ConvGeom g = kernels::convGeomFromTensors(
+        cachedInput_, weight_.value.shape(), cfg_.stride, cfg_.pad);
+    return kernels::convBackwardGemm(cachedInput_, weight_.value, dy, g,
+                                     &weight_.grad,
+                                     cfg_.bias ? &bias_.grad : nullptr);
+}
+
+void
+Conv2d::reportGeometry(LayerStepReport *out) const
+{
     out->kind = LayerStepReport::Kind::Conv;
-    out->batch = xs[0];
+    out->batch = cachedInput_.shape()[0];
     out->K = cfg_.outChannels;
     out->C = cfg_.inChannels;
     out->R = cfg_.kernel;
     out->S = cfg_.kernel;
-    out->P = lastOutH_;
-    out->Q = lastOutW_;
+    out->P = cachedOutput_.shape()[2];
+    out->Q = cachedOutput_.shape()[3];
     out->stride = cfg_.stride;
-
-    measureInputDensities(cachedInput_, out);
-    out->outputDensity =
-        cachedOutput_.numel() ? 1.0 - cachedOutput_.zeroFraction() : 1.0;
-
-    out->hasMask = true;
-    out->mask = sparse::SparsityMask::fromTensor(weight_.value);
-
-    // Compressed footprint of the live weights (the CSB image the
-    // accelerator would stream). Always encoded fresh — the report is
-    // sampled after the optimizer update that closed the step, so the
-    // bytes must describe the same post-update weights as the mask
-    // above, not the forward-time cachedCsb_ (a prune event in the
-    // update would make the two disagree). stepReport is telemetry-
-    // only O(numel) work, so the extra encode is acceptable.
-    out->hasWeightBytes = true;
-    out->csbWeightBytes =
-        sparse::CsbTensor::encodeConvFilters(weight_.value,
-                                             storagePrecision_)
-            .totalBytes();
-    out->denseWeightBytes =
-        sparse::CsbTensor::denseBytes(weight_.value.shape());
-
-    out->hasMacs = backwardSeen_;
-    if (!backwardSeen_)
-        return true;
-    if (backend_ == kernels::KernelBackend::kSparse && csbValid_) {
-        // The executors' own tallies: weight-skip in fw, plus dy-zero /
-        // activation-zero skipping in the two backward phases.
-        out->sparseExecuted = true;
-        out->fwMacs = lastFwMacs_;
-        out->bwDataMacs = lastBwDataMacs_;
-        out->bwWeightMacs = lastBwWeightMacs_;
-    } else {
-        // Dense backends execute the full operation space, padding
-        // zeros included, in every phase.
-        const int64_t dense = xs[0] * cfg_.outChannels * cfg_.inChannels *
-                              cfg_.kernel * cfg_.kernel * lastOutH_ *
-                              lastOutW_;
-        out->fwMacs = dense;
-        out->bwDataMacs = dense;
-        out->bwWeightMacs = dense;
-    }
-    return true;
 }
 
-Tensor
-Conv2d::forwardSparse(const Tensor &x)
+int64_t
+Conv2d::csbWeightBytes() const
 {
-    // Encode once per step: the weights cannot change between this
-    // forward and the matching backward, so the backward passes reuse
-    // the same compressed blocks (as the accelerator streams one CSB
-    // image of the weights through all three phases). The packed tap
-    // geometry additionally survives *across* steps: while the mask
-    // epoch and input geometry are unchanged, only the values differ,
-    // and the executors re-read those from the CsbTensor each call.
-    const Shape &xs = x.shape();
-    sparse::CsbTensor fresh = sparse::CsbTensor::encodeConvFilters(
-        weight_.value, storagePrecision_);
-    const bool mask_same =
-        csbValid_ && fresh.sameMaskAs(cachedCsb_) &&
-        cachedPack_.matches(xs[2], xs[3], cfg_.stride, cfg_.pad);
-    cachedCsb_ = std::move(fresh);
-    if (!mask_same) {
-        cachedPack_ = kernels::packConvTaps(cachedCsb_, xs[2], xs[3],
-                                            cfg_.stride, cfg_.pad);
-    }
-    csbValid_ = true;
-    // Under the bf16 tier the activations are stored rounded: compute
-    // reads the image a 2-byte buffer would reproduce, and the cached
-    // input (the weight-update operand) is that same image.
-    if (storagePrecision_ == Precision::kBf16)
-        cachedInput_ = bf16RoundedCopy(x);
-    Tensor y = sparse::sparseConvForward(cachedInput_, cachedCsb_,
-                                         cfg_.stride, cfg_.pad,
-                                         &lastFwMacs_, &cachedPack_);
-    if (cfg_.bias) {
-        const Shape &ys = y.shape();
-        const int64_t n = ys[0];
-        const int64_t k = ys[1];
-        const int64_t pq = ys[2] * ys[3];
-        const float *pb = std::as_const(bias_.value).data();
-        float *py = y.data();
-        for (int64_t in = 0; in < n; ++in) {
-            for (int64_t ok = 0; ok < k; ++ok) {
-                const float b = pb[ok];
-                float *row = py + (in * k + ok) * pq;
-                for (int64_t j = 0; j < pq; ++j)
-                    row[j] += b;
-            }
-        }
-    }
-    return y;
-}
-
-Tensor
-Conv2d::backwardSparse(const Tensor &dy)
-{
-    PROCRUSTES_ASSERT(csbValid_, "sparse backward before sparse forward");
-    Tensor dx = sparse::sparseConvBackwardData(
-        dy, cachedCsb_, cachedInput_.shape(), cfg_.stride, cfg_.pad,
-        &lastBwDataMacs_, &cachedPack_);
-    // Weight-update pass through the same CSB blocks: only mask-live
-    // positions accumulate gradient, pruned weights stay frozen.
-    sparse::sparseConvBackwardWeights(cachedInput_, dy, cachedCsb_,
-                                      cfg_.stride, cfg_.pad,
-                                      &weight_.grad, &lastBwWeightMacs_,
-                                      &cachedPack_);
-    if (cfg_.bias) {
-        const Shape &dys = dy.shape();
-        const int64_t n = dys[0];
-        const int64_t k = dys[1];
-        const int64_t pq = dys[2] * dys[3];
-        const float *pdy = dy.data();
-        float *pdb = bias_.grad.data();
-        for (int64_t ok = 0; ok < k; ++ok) {
-            float acc = 0.0f;
-            for (int64_t in = 0; in < n; ++in) {
-                const float *row = pdy + (in * k + ok) * pq;
-                for (int64_t j = 0; j < pq; ++j)
-                    acc += row[j];
-            }
-            pdb[ok] += acc;
-        }
-    }
-    return dx;
+    return sparse::CsbTensor::encodeConvFilters(weight_.value,
+                                                storagePrecision())
+        .totalBytes();
 }
 
 Tensor
@@ -295,8 +150,6 @@ Conv2d::backwardNaive(const Tensor &dy)
     const int64_t r = cfg_.kernel;
     const int64_t p = outExtent(h);
     const int64_t q = outExtent(w);
-    PROCRUSTES_ASSERT(dy.shape() == Shape({n, k, p, q}),
-                      "dy shape mismatch in conv backward");
 
     Tensor dx(xs);
     // Const reads: a non-const data() would detach the COW alias and

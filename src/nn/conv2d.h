@@ -8,20 +8,10 @@
  * (x * dy -> dW) — exactly the three convolutions the accelerator's
  * dataflows must serve.
  *
- * Three interchangeable compute backends implement the layer: the
- * original direct loop nest (KernelBackend::kNaive, the semantic
- * reference), the im2col + tiled-GEMM path in src/kernels/
- * (KernelBackend::kGemm, the fast default), and the CSB zero-skipping
- * executors in src/sparse/ (KernelBackend::kSparse). Under kSparse the
- * layer re-encodes its weights into CSB form each forward and all
- * three training convolutions consume the compressed blocks — the
- * weight gradient accumulates only into mask-live positions, so pruned
- * weights receive no updates (the accelerator's semantics). Liveness
- * follows the CSB encode rule — a weight is live iff its value is
- * non-zero at encode time — so the training pipeline prunes by zeroing
- * weights, and a weight that lands on exactly 0.0 stays frozen unless
- * something outside the layer rewrites it (as Dropback's
- * accumulated-gradient tracking does for reactivation). Parity
+ * The naive backend is the original direct loop nest (the semantic
+ * reference) and the gemm backend the im2col + tiled-GEMM path in
+ * src/kernels/; the kSparse path over CSB blocks, and what it means
+ * for pruned weights, is WeightLayer's (nn/weight_layer.h). Parity
  * between the backends is asserted by tests/test_kernels.cc and
  * tests/test_sparse_conv.cc.
  */
@@ -30,12 +20,8 @@
 #define PROCRUSTES_NN_CONV2D_H_
 
 #include <string>
-#include <vector>
 
-#include "kernels/backend.h"
-#include "kernels/sparse_microkernels.h"
-#include "nn/layer.h"
-#include "sparse/csb.h"
+#include "nn/weight_layer.h"
 
 namespace procrustes {
 namespace nn {
@@ -52,47 +38,13 @@ struct Conv2dConfig
 };
 
 /** 2-D convolution layer with selectable compute backend. */
-class Conv2d : public Layer
+class Conv2d : public WeightLayer
 {
   public:
     /** Construct with config; weights are Kaiming-initialized later. */
     Conv2d(const Conv2dConfig &cfg, const std::string &layer_name);
 
-    Tensor forward(const Tensor &x, bool training) override;
-    Tensor backward(const Tensor &dy) override;
-    std::vector<Param *> params() override;
-    std::string name() const override { return name_; }
-
-    /**
-     * Telemetry for the last forward/backward step: geometry, live
-     * weight mask, measured input/output activation densities, and the
-     * MACs the active backend executed — the CSB executors' skip-aware
-     * counts under kSparse, the dense loop-nest counts otherwise.
-     * Valid once a forward+backward pair has run.
-     */
-    bool stepReport(LayerStepReport *out) const override;
-
-    /** Weight parameter (shape [K, C, R, S]). */
-    Param &weight() { return weight_; }
-
-    /** Bias parameter (shape [K]); only valid when cfg.bias. */
-    Param &bias() { return bias_; }
-
     const Conv2dConfig &config() const { return cfg_; }
-
-    /** Compute backend this layer dispatches to. */
-    kernels::KernelBackend backend() const { return backend_; }
-    void setBackend(kernels::KernelBackend b) { backend_ = b; }
-
-    /**
-     * Storage tier modelled for weights and activations under kSparse
-     * (defaults to PROCRUSTES_STORAGE_PRECISION). Under kBf16 the
-     * weights are rounded through bf16 at encode time and the cached
-     * input is the bf16-rounded image — compute stays fp32 — and the
-     * telemetry's CSB byte counts price 2-byte values.
-     */
-    Precision storagePrecision() const { return storagePrecision_; }
-    void setStoragePrecision(Precision p) { storagePrecision_ = p; }
 
     /** Output spatial extent for an input extent (shared with tests). */
     int64_t
@@ -102,35 +54,15 @@ class Conv2d : public Layer
     }
 
   private:
-    Tensor forwardNaive(const Tensor &x);
-    Tensor backwardNaive(const Tensor &dy);
-    Tensor forwardSparse(const Tensor &x);
-    Tensor backwardSparse(const Tensor &dy);
+    void checkInput(const Tensor &x) const override;
+    Tensor forwardNaive(const Tensor &x) override;
+    Tensor forwardGemm(const Tensor &x) override;
+    Tensor backwardNaive(const Tensor &dy) override;
+    Tensor backwardGemm(const Tensor &dy) override;
+    void reportGeometry(LayerStepReport *out) const override;
+    int64_t csbWeightBytes() const override;
 
     Conv2dConfig cfg_;
-    std::string name_;
-    Param weight_;
-    Param bias_;
-    kernels::KernelBackend backend_;
-    Tensor cachedInput_;   //!< saved for the weight-update convolution
-                           //!< (a COW alias, not a deep copy)
-    Tensor cachedOutput_;  //!< COW alias for lazy density telemetry
-    sparse::CsbTensor cachedCsb_;  //!< kSparse: weights encoded at
-                                   //!< forward, reused by backward
-    kernels::ConvTapPack cachedPack_;  //!< packed tap geometry, reused
-                                       //!< across steps while the mask
-                                       //!< epoch + input geometry hold
-    bool csbValid_ = false;
-    Precision storagePrecision_ = defaultStoragePrecision();
-
-    /** @name Step telemetry captured by forward/backward. */
-    /**@{*/
-    int64_t lastOutH_ = 0, lastOutW_ = 0;
-    int64_t lastFwMacs_ = 0;        //!< kSparse: executed, weight-skip
-    int64_t lastBwDataMacs_ = 0;    //!< kSparse: executed, dy-skip aware
-    int64_t lastBwWeightMacs_ = 0;  //!< kSparse: executed, x-skip aware
-    bool backwardSeen_ = false;
-    /**@}*/
 };
 
 } // namespace nn

@@ -596,15 +596,12 @@ buildTraceNet(nn::Network &net, uint64_t seed)
     // Prune a third of every trainable layer up front so the traced
     // masks are genuinely sparse from epoch 0.
     for (size_t i = 0; i < net.size(); ++i) {
-        Tensor *w = nullptr;
-        if (auto *conv = dynamic_cast<nn::Conv2d *>(net.layer(i)))
-            w = &conv->weight().value;
-        else if (auto *lin = dynamic_cast<nn::Linear *>(net.layer(i)))
-            w = &lin->weight().value;
-        if (!w)
+        auto *wl = dynamic_cast<nn::WeightLayer *>(net.layer(i));
+        if (!wl)
             continue;
-        for (int64_t j = 0; j < w->numel(); j += 3)
-            w->at(j) = 0.0f;
+        Tensor &w = wl->weight().value;
+        for (int64_t j = 0; j < w.numel(); j += 3)
+            w.at(j) = 0.0f;
     }
 }
 

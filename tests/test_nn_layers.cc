@@ -620,7 +620,7 @@ struct ReportGolden
 };
 
 /** A Conv2d (stride 2, pad 1, 7x9 input) or a Linear, with bias. */
-std::unique_ptr<Layer>
+std::unique_ptr<WeightLayer>
 makeReportLayer(bool conv, kernels::KernelBackend backend, Precision prec)
 {
     const Tensor bias = sparseValues(Shape{6}, 5, 0.0);
@@ -710,6 +710,48 @@ TEST(WeightLayerReport, EveryFieldMatchesRecording)
         const LayerStepReport bf16 = reportStep(l16.get(), g.conv).second;
         EXPECT_EQ(bf16.csbWeightBytes, g.csbBytesBf16) << at;
         EXPECT_EQ(reportDigest(bf16), g.bf16) << at;
+    }
+}
+
+TEST(WeightLayerDeathTest, BackwardNeedsTheForwardBackend)
+{
+    // A kSparse backward after a kGemm forward would run on the CSB
+    // image of an earlier sparse step, with stale weights.
+    for (bool conv : {true, false}) {
+        auto l = makeReportLayer(conv, kernels::KernelBackend::kSparse,
+                                 Precision::kFp32);
+        reportStep(l.get(), conv);
+        for (int64_t i = 0; i < l->weight().value.numel(); ++i)
+            l->weight().value.at(i) *= 3.0f;
+        l->setBackend(kernels::KernelBackend::kGemm);
+        const Tensor x = conv ? sparseValues(Shape{3, 4, 7, 9}, 8, 0.45)
+                              : sparseValues(Shape{5, 13}, 9, 0.45);
+        const Tensor y = l->forward(x, true);
+        l->setBackend(kernels::KernelBackend::kSparse);
+        EXPECT_DEATH(l->backward(y),
+                     "backend changed between forward and backward");
+    }
+}
+
+TEST(WeightLayerReport, MacsFollowTheForwardBackend)
+{
+    // A sparse step, then a gemm step, then a switch back to kSparse
+    // with no step on it: the report describes the gemm step.
+    for (bool conv : {true, false}) {
+        auto l = makeReportLayer(conv, kernels::KernelBackend::kSparse,
+                                 Precision::kFp32);
+        EXPECT_TRUE(reportStep(l.get(), conv).second.sparseExecuted);
+        l->setBackend(kernels::KernelBackend::kGemm);
+        const LayerStepReport gemm = reportStep(l.get(), conv).second;
+        l->setBackend(kernels::KernelBackend::kSparse);
+        LayerStepReport r;
+        ASSERT_TRUE(l->stepReport(&r));
+        EXPECT_TRUE(r.hasMacs);
+        EXPECT_FALSE(r.sparseExecuted) << (conv ? "conv" : "fc");
+        EXPECT_EQ(r.fwMacs, gemm.fwMacs);
+        EXPECT_EQ(r.bwDataMacs, gemm.bwDataMacs);
+        EXPECT_EQ(r.bwWeightMacs, gemm.bwWeightMacs);
+        EXPECT_EQ(reportDigest(r), reportDigest(gemm));
     }
 }
 

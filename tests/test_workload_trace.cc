@@ -384,16 +384,12 @@ TEST(WorkloadTrace, MeasuredCompressedBytesMatchFinalWeightEncode)
     fc_layer->setBackend(kernels::KernelBackend::kSparse);
     // Prune half of every trainable layer so compression has bite.
     for (size_t i = 0; i < net.size(); ++i) {
-        nn::Layer *l = net.layer(i);
-        Tensor *w = nullptr;
-        if (auto *conv = dynamic_cast<nn::Conv2d *>(l))
-            w = &conv->weight().value;
-        else if (auto *fc = dynamic_cast<nn::Linear *>(l))
-            w = &fc->weight().value;
-        if (!w)
+        auto *wl = dynamic_cast<nn::WeightLayer *>(net.layer(i));
+        if (!wl)
             continue;
-        for (int64_t j = 0; j < w->numel(); j += 2)
-            w->at(j) = 0.0f;
+        Tensor &w = wl->weight().value;
+        for (int64_t j = 0; j < w.numel(); j += 2)
+            w.at(j) = 0.0f;
     }
 
     auto splits = blobSplits();
@@ -816,16 +812,12 @@ runTracePipeline()
         dynamic_cast<nn::Linear *>(net.layer(net.size() - 1));
     fc_layer->setBackend(kernels::KernelBackend::kSparse);
     for (size_t i = 0; i < net.size(); ++i) {
-        nn::Layer *l = net.layer(i);
-        Tensor *w = nullptr;
-        if (auto *conv = dynamic_cast<nn::Conv2d *>(l))
-            w = &conv->weight().value;
-        else if (auto *fc = dynamic_cast<nn::Linear *>(l))
-            w = &fc->weight().value;
-        if (!w)
+        auto *wl = dynamic_cast<nn::WeightLayer *>(net.layer(i));
+        if (!wl)
             continue;
-        for (int64_t j = 0; j < w->numel(); j += 3)
-            w->at(j) = 0.0f;
+        Tensor &w = wl->weight().value;
+        for (int64_t j = 0; j < w.numel(); j += 3)
+            w.at(j) = 0.0f;
     }
     auto splits = blobSplits();
     nn::TrainConfig tc;
