@@ -61,13 +61,10 @@ Accelerator::evaluateTrace(const WorkloadTrace &trace, size_t epoch_idx,
 {
     const EpochTrace &e = trace.epoch(epoch_idx);
     PROCRUSTES_ASSERT(e.batchSize > 0, "trace has no batch size");
-    const auto profiles = trace.profiles(epoch_idx);
-    const NetworkModel net = trace.networkModel(epoch_idx);
 
     NetworkCost cost;
     double analytic_ref = 0.0;
-    for (size_t i = 0; i < net.layers.size(); ++i) {
-        const LayerTrace &l = e.layers[i];
+    for (const LayerTrace &l : e.layers) {
         // Measured executed-MAC counts stand in for the density
         // estimate only where they describe what this machine would
         // execute: a sparsity-exploiting accelerator on a layer whose
@@ -112,15 +109,16 @@ Accelerator::evaluateTrace(const WorkloadTrace &trace, size_t epoch_idx,
             wu.exchangeBytes = static_cast<double>(epoch_bytes) /
                                static_cast<double>(l.steps);
         }
-        const PhaseCost pc_fw = model_.evaluatePhase(
-            net.layers[i], Phase::Forward, mapping_, profiles[i],
-            e.batchSize, fw);
-        const PhaseCost pc_bw = model_.evaluatePhase(
-            net.layers[i], Phase::Backward, mapping_, profiles[i],
-            e.batchSize, bw);
-        const PhaseCost pc_wu = model_.evaluatePhase(
-            net.layers[i], Phase::WeightUpdate, mapping_, profiles[i],
-            e.batchSize, wu);
+        const double weight_density = l.weightDensity();
+        const PhaseCost pc_fw =
+            model_.evaluatePhase(l, weight_density, Phase::Forward,
+                                 mapping_, e.batchSize, fw);
+        const PhaseCost pc_bw =
+            model_.evaluatePhase(l, weight_density, Phase::Backward,
+                                 mapping_, e.batchSize, bw);
+        const PhaseCost pc_wu =
+            model_.evaluatePhase(l, weight_density, Phase::WeightUpdate,
+                                 mapping_, e.batchSize, wu);
         cost.fw += pc_fw;
         cost.bw += pc_bw;
         cost.wu += pc_wu;

@@ -68,8 +68,10 @@ class Accelerator
     /**
      * Trace-driven mode: evaluate one epoch of a measured
      * WorkloadTrace — one training iteration at the trace's own batch
-     * size, using the run's real masks, measured activation densities
-     * (no synthetic jitter), and — when this configuration exploits
+     * size. Every layer runs CostModel::evaluatePhase on its
+     * LayerTrace: the wave plan the simulator clocks, read from the
+     * run's real mask and measured activation vectors (no synthetic
+     * jitter, no clamping), and — when this configuration exploits
      * sparsity AND the layer's telemetry came from the zero-skipping
      * CSB executors (LayerTrace::sparseExecuted) — the executors'
      * per-phase executed MAC counts in place of density estimates.

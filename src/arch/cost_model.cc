@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "arch/workload_trace.h"
 #include "common/logging.h"
 #include "common/math_utils.h"
 
@@ -25,14 +26,11 @@ PhaseCost::operator+=(const PhaseCost &o)
 }
 
 double
-CostModel::effectiveDensity(Phase phase,
-                            const LayerSparsityProfile &profile) const
+CostModel::effectiveDensity(Phase phase, const Densities &d) const
 {
     if (!opts_.sparse)
         return 1.0;
-    return sparseOperand(phase) == Operand::Weights
-               ? profile.weightDensity()
-               : profile.iactDensity();
+    return sparseOperand(phase) == Operand::Weights ? d.weight : d.iact;
 }
 
 WaveStats
@@ -56,7 +54,20 @@ CostModel::waveStats(const LayerShape &layer, Phase phase,
                      const LayerSparsityProfile &profile,
                      int64_t batch) const
 {
-    if (!opts_.sparse || opts_.ideal) {
+    return reduceWaves(
+        layer, phase, mapping, batch,
+        effectiveDensity(phase,
+                         {profile.weightDensity(), profile.iactDensity()}),
+        planned() ? planWaves(layer, phase, mapping, batch, cfg_, profile)
+                  : WavePlan{});
+}
+
+std::vector<WaveStats>
+CostModel::reduceWaves(const LayerShape &layer, Phase phase,
+                       MappingKind mapping, int64_t batch, double density,
+                       const WavePlan &plan) const
+{
+    if (!planned()) {
         // Dense or ideal: every active PE of every wave carries the
         // same work.
         const auto dims = spatialDims(mapping);
@@ -65,16 +76,13 @@ CostModel::waveStats(const LayerShape &layer, Phase phase,
         const double dense_macs =
             static_cast<double>(batch) *
             static_cast<double>(layer.macsPerSample());
-        const double work = dense_macs /
-                            static_cast<double>(ext0 * ext1) *
-                            effectiveDensity(phase, profile);
+        const double work =
+            dense_macs / static_cast<double>(ext0 * ext1) * density;
         return std::vector<WaveStats>(
             static_cast<size_t>(ceilDiv(ext0, cfg_.rows) *
                                 ceilDiv(ext1, cfg_.cols)),
             WaveStats{work, work});
     }
-    const WavePlan plan =
-        planWaves(layer, phase, mapping, batch, cfg_, profile);
     const bool cheap_ok = supportsCheapBalancing(phase, mapping);
     std::vector<WaveStats> waves;
     waves.reserve(plan.waves.size());
@@ -87,28 +95,6 @@ CostModel::waveStats(const LayerShape &layer, Phase phase,
         waves.push_back(reduceWave(tiles, opts_.balance, cheap_ok));
     }
     return waves;
-}
-
-double
-CostModel::computeLatency(const LayerShape &layer, Phase phase,
-                          MappingKind mapping,
-                          const LayerSparsityProfile &profile,
-                          int64_t batch) const
-{
-    if (opts_.ideal) {
-        // Figure 1 idealization: every PE always busy, all sparsity
-        // converted to time.
-        const double dense_macs =
-            static_cast<double>(batch) *
-            static_cast<double>(layer.macsPerSample());
-        return dense_macs * effectiveDensity(phase, profile) /
-               static_cast<double>(cfg_.pes());
-    }
-    double cycles = 0.0;
-    for (const WaveStats &ws :
-         waveStats(layer, phase, mapping, profile, batch))
-        cycles += ws.maxWork;
-    return cycles;
 }
 
 double
@@ -130,7 +116,7 @@ CostModel::measuredWeightWords(const MeasuredLayerStats &measured) const
 
 double
 CostModel::storedWords(const LayerShape &layer, Phase phase, Operand op,
-                       const LayerSparsityProfile &profile, int64_t batch,
+                       const Densities &d, int64_t batch,
                        const MeasuredLayerStats &measured) const
 {
     const double vol = static_cast<double>(
@@ -149,10 +135,7 @@ CostModel::storedWords(const LayerShape &layer, Phase phase, Operand op,
     }
     if (!compressed)
         return vol;
-    const double density = op == Operand::Weights
-                               ? profile.weightDensity()
-                               : profile.iactDensity();
-    double words = vol * density;
+    double words = vol * (op == Operand::Weights ? d.weight : d.iact);
     if (!opts_.ideal) {
         // CSB overheads: one mask bit per dense element plus one
         // 32-bit pointer per block (kernels for weights, 64-element
@@ -169,8 +152,8 @@ CostModel::storedWords(const LayerShape &layer, Phase phase, Operand op,
 
 double
 CostModel::glbAccesses(const LayerShape &layer, Phase phase,
-                       MappingKind mapping,
-                       const LayerSparsityProfile &profile, int64_t batch,
+                       MappingKind mapping, const Densities &d,
+                       int64_t batch,
                        const MeasuredLayerStats &measured) const
 {
     const auto dims = spatialDims(mapping);
@@ -204,7 +187,7 @@ CostModel::glbAccesses(const LayerShape &layer, Phase phase,
             once_traffic += vol;
         } else {
             const double words =
-                storedWords(layer, phase, op, profile, batch, measured);
+                storedWords(layer, phase, op, d, batch, measured);
             spatial_traffic += words * refetch;
             once_traffic += words;
             smallest_input = std::min(smallest_input, words);
@@ -221,6 +204,14 @@ CostModel::glbAccesses(const LayerShape &layer, Phase phase,
         return std::min(spatial_traffic, once_traffic);
     }
     return spatial_traffic;
+}
+
+double
+compressedWeightWords(double dense_words, double density, double csb_bytes)
+{
+    if (csb_bytes >= 0.0)
+        return csb_bytes / 4.0;
+    return dense_words * density + dense_words * (1.0 / 32.0);
 }
 
 double
@@ -258,25 +249,27 @@ phaseDramWords(const LayerShape &layer, Phase phase, int64_t batch,
 
 double
 CostModel::dramWords(const LayerShape &layer, Phase phase,
-                     const LayerSparsityProfile &profile, int64_t batch,
+                     const Densities &d, int64_t batch,
                      const MeasuredLayerStats &measured) const
 {
-    // The stored weight image: compressed (CSB) when sparsity is
-    // exploited; the measured image — the byte count of the trainer's
-    // real encode — overrides the density-derived estimate when the
-    // trace supplies it (trace-driven mode).
+    // The stored weight image: dense for the baseline, the bare values
+    // in the overhead-free ideal format (measured bytes include the
+    // overhead it assumes away), else compressed (CSB). A measured
+    // image — the byte count of the trainer's real encode — overrides
+    // the dense and compressed estimates (trace-driven mode).
     const double w_dense = static_cast<double>(
         operandVolume(layer, Operand::Weights, batch));
-    const double mask_over = opts_.ideal ? 0.0 : 1.0 / 32.0;
-    const double w_measured = measuredWeightWords(measured);
-    const double w_stored =
-        w_measured >= 0.0
-            ? w_measured
-            : (opts_.sparse ? w_dense * profile.weightDensity() +
-                                  w_dense * mask_over
-                            : w_dense);
-    return phaseDramWords(layer, phase, batch, opts_, w_stored,
-                          profile.iactDensity());
+    double w_stored = w_dense;
+    if (!opts_.sparse) {
+        if (measured.denseWeightBytes >= 0.0)
+            w_stored = measured.denseWeightBytes / 4.0;
+    } else if (opts_.ideal) {
+        w_stored = w_dense * d.weight;
+    } else {
+        w_stored = compressedWeightWords(w_dense, d.weight,
+                                         measured.csbWeightBytes);
+    }
+    return phaseDramWords(layer, phase, batch, opts_, w_stored, d.iact);
 }
 
 PhaseCost
@@ -287,19 +280,52 @@ CostModel::evaluatePhase(const LayerShape &layer, Phase phase,
                          const MeasuredLayerStats &measured) const
 {
     PROCRUSTES_ASSERT(batch > 0, "batch must be positive");
-    PhaseCost cost;
+    return evaluate(
+        layer, phase, mapping, batch,
+        {profile.weightDensity(), profile.iactDensity()},
+        planned() ? planWaves(layer, phase, mapping, batch, cfg_, profile)
+                  : WavePlan{},
+        measured);
+}
 
+PhaseCost
+CostModel::evaluatePhase(const LayerTrace &layer, double weight_density,
+                         Phase phase, MappingKind mapping, int64_t batch,
+                         const MeasuredLayerStats &measured) const
+{
+    PROCRUSTES_ASSERT(batch > 0, "batch must be positive");
+    return evaluate(layer.shape, phase, mapping, batch,
+                    {weight_density, layer.iacts.mean},
+                    planned() ? planWaves(layer, phase, mapping, batch, cfg_)
+                              : WavePlan{},
+                    measured);
+}
+
+PhaseCost
+CostModel::evaluate(const LayerShape &layer, Phase phase,
+                    MappingKind mapping, int64_t batch, const Densities &d,
+                    const WavePlan &plan,
+                    const MeasuredLayerStats &measured) const
+{
+    PhaseCost cost;
+    const double density = effectiveDensity(phase, d);
     const double dense_macs =
         static_cast<double>(batch) *
         static_cast<double>(layer.macsPerSample());
-    cost.macs = measured.macs >= 0.0
-                    ? measured.macs
-                    : dense_macs * effectiveDensity(phase, profile);
+    cost.macs = measured.macs >= 0.0 ? measured.macs : dense_macs * density;
 
-    cost.computeCycles =
-        computeLatency(layer, phase, mapping, profile, batch);
-    const double dwords =
-        dramWords(layer, phase, profile, batch, measured);
+    if (opts_.ideal) {
+        // Figure 1 idealization: every PE always busy, all sparsity
+        // converted to time.
+        cost.computeCycles =
+            dense_macs * density / static_cast<double>(cfg_.pes());
+    } else {
+        // Compute-side latency: the sum of wave maxima.
+        for (const WaveStats &ws :
+             reduceWaves(layer, phase, mapping, batch, density, plan))
+            cost.computeCycles += ws.maxWork;
+    }
+    const double dwords = dramWords(layer, phase, d, batch, measured);
     cost.dramCycles = dwords / cfg_.dramWordsPerCycle();
     // DRAM->GLB refill at an explicit bandwidth, double-buffered
     // against compute so only the excess extends the phase.
@@ -324,7 +350,7 @@ CostModel::evaluatePhase(const LayerShape &layer, Phase phase,
     cost.rfEnergyJ =
         cost.macs * cfg_.rfAccessesPerMac * cfg_.rfAccessPj * 1e-12;
     cost.glbEnergyJ =
-        glbAccesses(layer, phase, mapping, profile, batch, measured) *
+        glbAccesses(layer, phase, mapping, d, batch, measured) *
         cfg_.glbAccessPj * 1e-12;
     cost.dramEnergyJ = dwords * cfg_.dramAccessPj * 1e-12;
     return cost;

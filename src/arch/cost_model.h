@@ -48,6 +48,8 @@
 namespace procrustes {
 namespace arch {
 
+struct LayerTrace;
+
 /** Load-balancing policy applied by the model. */
 enum class BalanceMode
 {
@@ -109,8 +111,7 @@ struct MeasuredLayerStats
      * Executed MACs of the phase as tallied by the zero-skipping CSB
      * executors. Replaces the density-estimated MAC count in the MAC /
      * register-file energy accounting and the reported `macs`;
-     * wave-level latency still comes from the profile's density
-     * structure.
+     * wave-level latency still comes from the wave plan.
      */
     double macs = -1.0;
 
@@ -191,6 +192,15 @@ WaveStats reduceWave(const std::vector<TileHalves> &tiles,
                      BalanceMode balance, bool cheap_ok);
 
 /**
+ * Words of the compressed weight image a sparsity-exploiting,
+ * non-ideal machine stores in DRAM: the measured CSB image
+ * (csb_bytes / 4) when one was measured (csb_bytes >= 0), else values
+ * at `density` plus one mask bit per dense position.
+ */
+double compressedWeightWords(double dense_words, double density,
+                             double csb_bytes);
+
+/**
  * DRAM words one (layer, phase) moves, given the stored weight image
  * in words and the density of the input activations. A machine that
  * exploits sparsity keeps a compressed copy of the inputs (one mask
@@ -224,6 +234,20 @@ class CostModel
                             const MeasuredLayerStats &measured = {}) const;
 
     /**
+     * Evaluate one traced layer in one phase from its own wave plan:
+     * planWaves of the LayerTrace, the plan the cycle-level simulator
+     * clocks. The scalar densities are the mask's (`weight_density`)
+     * and the measured mean input density (layer.iacts.mean).
+     *
+     * @param weight_density layer.weightDensity(). It walks the whole
+     *        mask, so the caller computes it once for all phases.
+     */
+    PhaseCost evaluatePhase(const LayerTrace &layer, double weight_density,
+                            Phase phase, MappingKind mapping,
+                            int64_t batch,
+                            const MeasuredLayerStats &measured = {}) const;
+
+    /**
      * Per-wave latency stats (drives Figures 5 and 13): the wave plan
      * (arch/wave_plan.h) of the profile, each wave reduced to its max
      * and mean. Dense and ideal configurations load every PE alike.
@@ -237,32 +261,48 @@ class CostModel
     const CostOptions &options() const { return opts_; }
 
   private:
-    /** Density of the phase's sparse operand, or 1 in dense mode. */
-    double effectiveDensity(Phase phase,
-                            const LayerSparsityProfile &profile) const;
+    /** The two scalar densities a phase cost reads besides its plan. */
+    struct Densities
+    {
+        double weight;   //!< weight non-zero fraction
+        double iact;     //!< mean input-activation non-zero fraction
+    };
 
-    /** Compute-side latency: sum of wave maxima. */
-    double computeLatency(const LayerShape &layer, Phase phase,
-                          MappingKind mapping,
-                          const LayerSparsityProfile &profile,
-                          int64_t batch) const;
+    /** True when tile work comes from a wave plan: a sparse, non-ideal
+        configuration. Dense and ideal ones load every PE alike. */
+    bool planned() const { return opts_.sparse && !opts_.ideal; }
+
+    /** The phase cost of either evaluatePhase; `plan` is read only
+        when planned(). */
+    PhaseCost evaluate(const LayerShape &layer, Phase phase,
+                       MappingKind mapping, int64_t batch,
+                       const Densities &d, const WavePlan &plan,
+                       const MeasuredLayerStats &measured) const;
+
+    /** Density of the phase's sparse operand, or 1 in dense mode. */
+    double effectiveDensity(Phase phase, const Densities &d) const;
+
+    /** Per-wave stats of `plan`, or of uniform waves at `density`
+        when not planned(). */
+    std::vector<WaveStats> reduceWaves(const LayerShape &layer,
+                                       Phase phase, MappingKind mapping,
+                                       int64_t batch, double density,
+                                       const WavePlan &plan) const;
 
     /** GLB access count for the whole phase. */
     double glbAccesses(const LayerShape &layer, Phase phase,
-                       MappingKind mapping,
-                       const LayerSparsityProfile &profile,
+                       MappingKind mapping, const Densities &d,
                        int64_t batch,
                        const MeasuredLayerStats &measured) const;
 
     /** DRAM words moved for the whole phase. */
     double dramWords(const LayerShape &layer, Phase phase,
-                     const LayerSparsityProfile &profile, int64_t batch,
+                     const Densities &d, int64_t batch,
                      const MeasuredLayerStats &measured) const;
 
     /** Stored (GLB/DRAM) word count of an operand in this phase. */
     double storedWords(const LayerShape &layer, Phase phase, Operand op,
-                       const LayerSparsityProfile &profile,
-                       int64_t batch,
+                       const Densities &d, int64_t batch,
                        const MeasuredLayerStats &measured) const;
 
     /**

@@ -37,10 +37,8 @@ struct ImbalanceHistogram
  * Collect per-wave overheads for every layer of a network in one phase
  * under one mapping/balancing configuration. Waves whose workload is
  * uniform by construction report zero overhead. Tile work comes from
- * the profiles — synthetic jitter when they were built synthetically,
- * measured statistics when they came from a WorkloadTrace; the
- * mask-direct replay in arch/trace_imbalance.h skips the profile
- * abstraction entirely.
+ * the synthetic profiles; a recorded WorkloadTrace epoch goes through
+ * the mask-direct replay in arch/trace_imbalance.h instead.
  */
 std::vector<double>
 collectOverheads(const NetworkModel &model,

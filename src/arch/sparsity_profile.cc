@@ -1,6 +1,5 @@
 #include "arch/sparsity_profile.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -48,38 +47,6 @@ LayerSparsityProfile::LayerSparsityProfile(
     weightDensity_ =
         static_cast<double>(total) /
         static_cast<double>(maskK_ * maskC_ * kernelElems_);
-}
-
-LayerSparsityProfile
-LayerSparsityProfile::measured(const sparse::SparsityMask &mask,
-                               const MeasuredIactStats &iacts,
-                               int64_t stride)
-{
-    // Measured densities can legitimately be tiny (a dead layer) or
-    // exactly 1.0; clamp into the range the model arithmetic accepts
-    // rather than asserting like the synthetic constructors do.
-    LayerSparsityProfile p(mask, clampd(iacts.mean, 0.01, 1.0),
-                           /*iact_sigma=*/0.0);
-    p.measured_ = true;
-    p.measSample_ = iacts.perSample;
-    p.measSampleHalf_ = iacts.perSampleHalf;
-    p.measChannel_ = iacts.perChannel;
-    p.measRow_ = iacts.perRow;
-    p.measCol_ = iacts.perCol;
-    p.measStride_ = stride > 0 ? stride : 1;
-    for (double &d : p.measSample_)
-        d = clampd(d, 0.01, 1.0);
-    // A half may carry nearly all of its sample's non-zeros, so its
-    // ceiling is the full sample density, not 0.5.
-    for (double &d : p.measSampleHalf_)
-        d = clampd(d, 0.005, 1.0);
-    for (double &d : p.measChannel_)
-        d = clampd(d, 0.01, 1.0);
-    for (double &d : p.measRow_)
-        d = clampd(d, 0.01, 1.0);
-    for (double &d : p.measCol_)
-        d = clampd(d, 0.01, 1.0);
-    return p;
 }
 
 LayerSparsityProfile
@@ -178,11 +145,6 @@ LayerSparsityProfile::jitter(uint64_t a, uint64_t b) const
 double
 LayerSparsityProfile::iactSampleDensity(int64_t n) const
 {
-    if (measured_ && !measSample_.empty()) {
-        // Wrap: a profile measured at batch B still answers queries at
-        // other batch sizes with a representative measured sample.
-        return measSample_[static_cast<size_t>(n) % measSample_.size()];
-    }
     return clampd(iactDensity_ *
                       (1.0 + iactSigma_ *
                                  jitter(static_cast<uint64_t>(n), 1)),
@@ -192,15 +154,7 @@ LayerSparsityProfile::iactSampleDensity(int64_t n) const
 double
 LayerSparsityProfile::iactSampleHalfDensity(int64_t n, int h) const
 {
-    if (measured_ && !measSampleHalf_.empty()) {
-        const size_t idx =
-            (static_cast<size_t>(n) % (measSampleHalf_.size() / 2)) * 2 +
-            static_cast<size_t>(h);
-        return measSampleHalf_[idx];
-    }
     const double base = iactSampleDensity(n) / 2.0;
-    if (measured_)
-        return base;   // measured mean, no synthetic half-asymmetry
     return clampd(base * (1.0 + iactSigma_ *
                                     jitter(static_cast<uint64_t>(n),
                                            2 + static_cast<uint64_t>(h))),
@@ -210,8 +164,6 @@ LayerSparsityProfile::iactSampleHalfDensity(int64_t n, int h) const
 double
 LayerSparsityProfile::iactChannelDensity(int64_t c) const
 {
-    if (measured_ && !measChannel_.empty())
-        return measChannel_[static_cast<size_t>(c) % measChannel_.size()];
     return clampd(iactDensity_ *
                       (1.0 + iactSigma_ *
                                  jitter(static_cast<uint64_t>(c), 11)),
@@ -222,8 +174,6 @@ double
 LayerSparsityProfile::iactChannelHalfDensity(int64_t c, int h) const
 {
     const double base = iactChannelDensity(c) / 2.0;
-    if (measured_)
-        return base;   // no measured sub-channel split; assume even
     return clampd(base * (1.0 + iactSigma_ *
                                     jitter(static_cast<uint64_t>(c),
                                            13 + static_cast<uint64_t>(h))),
@@ -233,25 +183,6 @@ LayerSparsityProfile::iactChannelHalfDensity(int64_t c, int h) const
 double
 LayerSparsityProfile::iactSpatialDensity(int64_t p, int64_t q) const
 {
-    if (measured_) {
-        // Answer from the measured input-space marginals when the
-        // trace carried them (rank-4 layers): ratio-combine the row
-        // and column densities of the input location feeding output
-        // (p, q), so the mean stays near the layer mean.
-        if (!measRow_.empty() && !measCol_.empty()) {
-            const auto at = [this](const std::vector<double> &m,
-                                   int64_t idx) {
-                const int64_t last =
-                    static_cast<int64_t>(m.size()) - 1;
-                return m[static_cast<size_t>(
-                    std::min(idx * measStride_, last))];
-            };
-            const double combined = at(measRow_, p) * at(measCol_, q) /
-                                    std::max(iactDensity_, 1e-9);
-            return clampd(combined, 0.02, 1.0);
-        }
-        return clampd(iactDensity_, 0.02, 1.0);
-    }
     return clampd(iactDensity_ *
                       (1.0 + iactSigma_ *
                                  jitter(static_cast<uint64_t>(p) * 131,

@@ -10,11 +10,10 @@
  *
  * Activation sparsity (exploited in the weight-update phase) has no
  * stored mask; per-sample / per-spatial variation is modelled with
- * deterministic hash-derived jitter around the layer's mean density —
- * unless the profile was built through measured(), in which case the
- * per-sample / per-sample-half / per-channel densities come from a
- * real training step (the workload-trace pipeline) and the jitter is
- * disabled entirely.
+ * deterministic hash-derived jitter around the layer's mean density.
+ * A measured training run does not come through here: the cost model,
+ * the imbalance replay and the simulator read its LayerTrace directly
+ * (arch/workload_trace.h, planWaves in arch/wave_plan.h).
  */
 
 #ifndef PROCRUSTES_ARCH_SPARSITY_PROFILE_H_
@@ -29,29 +28,6 @@
 
 namespace procrustes {
 namespace arch {
-
-/**
- * Measured input-activation statistics of one layer, as accumulated by
- * the workload-trace pipeline from real training steps. Vectors may be
- * empty (fall back to `mean`); indices beyond a vector's length wrap,
- * so a profile measured at batch B still answers queries at other
- * batch sizes.
- */
-struct MeasuredIactStats
-{
-    double mean = 1.0;                    //!< layer-mean density
-    std::vector<double> perSample;        //!< [batch]
-    /** [batch * 2], halves split along C; halves of sample n sum to
-        perSample[n]. */
-    std::vector<double> perSampleHalf;
-    std::vector<double> perChannel;       //!< [C]
-    /** Spatial marginals in *input* coordinates, rank-4 layers only
-        (empty for fc): density of input row / column across the other
-        axes. Output-location queries map through the layer stride
-        (min(idx * stride, extent - 1)). */
-    std::vector<double> perRow;           //!< [H]
-    std::vector<double> perCol;           //!< [W]
-};
 
 /** Sparsity facts the cost model needs about one layer. */
 class LayerSparsityProfile
@@ -72,21 +48,6 @@ class LayerSparsityProfile
     /** Profile with uniform weight density but no mask structure. */
     static LayerSparsityProfile uniform(double weight_density,
                                         double iact_density);
-
-    /**
-     * Trace-driven profile: a real weight mask plus *measured*
-     * activation densities. No synthetic jitter — every per-sample /
-     * per-channel / spatial query answers from the measurements (or
-     * the measured mean where no finer-grained data exists).
-     * @param stride layer stride, used to map output locations onto
-     *        the input-space spatial marginals.
-     */
-    static LayerSparsityProfile measured(const sparse::SparsityMask &mask,
-                                         const MeasuredIactStats &iacts,
-                                         int64_t stride = 1);
-
-    /** True when activation densities are measured, not modelled. */
-    bool isMeasured() const { return measured_; }
 
     /** Global weight non-zero fraction. */
     double weightDensity() const { return weightDensity_; }
@@ -140,13 +101,6 @@ class LayerSparsityProfile
     double iactDensity_ = 1.0;
     double iactSigma_ = 0.0;
     uint64_t seed_ = 0;
-    bool measured_ = false;
-    std::vector<double> measSample_;      //!< measured per-sample
-    std::vector<double> measSampleHalf_;  //!< measured [n*2+h]
-    std::vector<double> measChannel_;     //!< measured per-channel
-    std::vector<double> measRow_;         //!< measured per input row
-    std::vector<double> measCol_;         //!< measured per input col
-    int64_t measStride_ = 1;              //!< output -> input mapping
     int64_t maskK_ = 0;
     int64_t maskC_ = 0;
     int64_t kernelElems_ = 0;

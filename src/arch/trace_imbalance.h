@@ -4,11 +4,12 @@
  * masks a real training run produced, not from synthetic profiles.
  *
  * collectOverheads answers "how imbalanced would this network be"
- * through a LayerSparsityProfile, whose activation statistics may be
- * synthetic jitter. This module answers the question for a recorded
- * WorkloadTrace epoch with no profile in between: it walks the wave
- * plan of each traced layer (arch/wave_plan.h, read from the
- * epoch-final weight masks and the measured activation vectors) and
+ * through synthetic LayerSparsityProfiles, whose activation statistics
+ * are hash jitter. This module answers the question for a recorded
+ * WorkloadTrace epoch: it walks the wave plan of each traced layer
+ * (arch/wave_plan.h, read from the epoch-final weight masks and the
+ * measured activation vectors, the plan the cost model and the
+ * simulator read too) and
  * reduces every wave to its overhead under the same half-tile balancer
  * the hardware would use (reduceWave). Accelerator::evaluateTrace
  * emits the resulting balanced/unbalanced histograms per epoch, which

@@ -99,8 +99,8 @@ struct ProfileSource
     {
         if ((d0 == Dim::P && d1 == Dim::Q) ||
             (d0 == Dim::Q && d1 == Dim::P)) {
-            // Keep (p, q) order: the measured spatial marginals are not
-            // symmetric under index swap.
+            // Keep (p, q) order: the spatial jitter is not symmetric
+            // under index swap.
             const int64_t row = d0 == Dim::P ? i0 : i1;
             const int64_t col = d0 == Dim::P ? i1 : i0;
             return p.iactSpatialDensity(row, col);

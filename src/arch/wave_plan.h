@@ -9,11 +9,13 @@
  * batch) in issue order and gives every active PE its work as
  * TileHalves in density units: the fraction of the PE's dense work the
  * phase's sparse operand leaves, so that `perIndex * total()` is MACs.
- * The densities come from one of two sources, a LayerSparsityProfile
- * or a measured LayerTrace. The three consumers reduce the same plan:
- * CostModel::waveStats to a max and a mean per wave, the imbalance
- * replay (arch/trace_imbalance.h) to an overhead per wave, and the
- * simulator (sim/cycle_sim.h) to per-PE demands it clocks.
+ * The densities come from a synthetic LayerSparsityProfile (the model
+ * zoo studies) or from a measured LayerTrace (a recorded training
+ * run). The three consumers reduce the same plan, whichever the
+ * source: CostModel::evaluatePhase and waveStats to a max and a mean
+ * per wave, the imbalance replay (arch/trace_imbalance.h) to an
+ * overhead per wave, and the simulator (sim/cycle_sim.h) to per-PE
+ * demands it clocks.
  *
  * Which spatial dims the sparse operand depends on fixes the shape of
  * a wave's work:
@@ -107,7 +109,7 @@ struct WavePlan
     int64_t chunkCount(const PlannedWave &w, int64_t j) const;
 };
 
-/** Plan from a sparsity profile (synthetic or measured statistics). */
+/** Plan from a synthetic sparsity profile. */
 WavePlan planWaves(const LayerShape &layer, Phase phase,
                    MappingKind mapping, int64_t batch,
                    const ArrayConfig &cfg,

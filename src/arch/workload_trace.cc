@@ -146,7 +146,8 @@ WorkloadTrace::accumulateMean(std::vector<double> *acc,
         // batches): slot i no longer means the same thing across
         // steps, so per-slot means are unrecoverable — drop them for
         // the rest of the epoch (stays empty: future sizes cannot
-        // match either) and let profiles fall back to the scalar mean.
+        // match either) and let the wave plan fall back to the scalar
+        // mean.
         acc->clear();
         return;
     }
@@ -239,32 +240,6 @@ WorkloadTrace::lastEpoch() const
 {
     PROCRUSTES_ASSERT(!epochs_.empty(), "no epochs observed");
     return epochs_.back();
-}
-
-NetworkModel
-WorkloadTrace::networkModel(size_t epoch_idx) const
-{
-    const EpochTrace &e = epoch(epoch_idx);
-    NetworkModel m;
-    m.name = "measured";
-    m.dataset = "trace";
-    for (const LayerTrace &l : e.layers) {
-        m.layers.push_back(l.shape);
-        m.iactDensity.push_back(l.iacts.mean);
-    }
-    return m;
-}
-
-std::vector<LayerSparsityProfile>
-WorkloadTrace::profiles(size_t epoch_idx) const
-{
-    const EpochTrace &e = epoch(epoch_idx);
-    std::vector<LayerSparsityProfile> out;
-    out.reserve(e.layers.size());
-    for (const LayerTrace &l : e.layers)
-        out.push_back(LayerSparsityProfile::measured(l.mask, l.iacts,
-                                                     l.shape.stride));
-    return out;
 }
 
 } // namespace arch

@@ -10,13 +10,14 @@
  * nn::trainNetwork and every step's LayerStepReports (per-phase
  * executed MACs from the zero-skipping executors, live weight masks,
  * compressed weight footprints, measured activation densities) are
- * aggregated per epoch. Each epoch then converts into a NetworkModel +
- * measured LayerSparsityProfiles that Accelerator::evaluateTrace
- * consumes, yielding per-epoch latency and energy trajectories of the
- * accelerator running the *actual* training workload — with the
- * GLB/DRAM weight-traffic terms fed by the measured byte counts and
- * load-imbalance histograms replayed from the epoch-final masks
- * (arch/trace_imbalance.h), not estimated from mean densities.
+ * aggregated per epoch. Accelerator::evaluateTrace evaluates each
+ * epoch's LayerTraces as they are — every layer's wave plan read from
+ * its epoch-final mask and measured activation vectors
+ * (arch/wave_plan.h) — yielding per-epoch latency and energy
+ * trajectories of the accelerator running the *actual* training
+ * workload, with the GLB/DRAM weight-traffic terms fed by the measured
+ * byte counts and load-imbalance histograms replayed from the same
+ * plans (arch/trace_imbalance.h), not estimated from mean densities.
  */
 
 #ifndef PROCRUSTES_ARCH_WORKLOAD_TRACE_H_
@@ -26,13 +27,35 @@
 #include <string>
 #include <vector>
 
-#include "arch/model_zoo.h"
-#include "arch/sparsity_profile.h"
+#include "arch/layer_shape.h"
 #include "nn/trainer.h"
 #include "sparse/mask.h"
 
 namespace procrustes {
 namespace arch {
+
+/**
+ * Measured input-activation statistics of one layer, as accumulated by
+ * the workload-trace pipeline from real training steps. Vectors may be
+ * empty (fall back to `mean`); indices beyond a vector's length wrap,
+ * so statistics measured at batch B still answer queries at other
+ * batch sizes.
+ */
+struct MeasuredIactStats
+{
+    double mean = 1.0;                    //!< layer-mean density
+    std::vector<double> perSample;        //!< [batch]
+    /** [batch * 2], halves split along C; halves of sample n sum to
+        perSample[n]. */
+    std::vector<double> perSampleHalf;
+    std::vector<double> perChannel;       //!< [C]
+    /** Spatial marginals in *input* coordinates, rank-4 layers only
+        (empty for fc): density of input row / column across the other
+        axes. Output-location queries map through the layer stride
+        (min(idx * stride, extent - 1)). */
+    std::vector<double> perRow;           //!< [H]
+    std::vector<double> perCol;           //!< [W]
+};
 
 /** One trainable layer's measured facts, aggregated over one epoch. */
 struct LayerTrace
@@ -118,10 +141,7 @@ struct EpochTrace
     /**@}*/
 };
 
-/**
- * Aggregates nn::StepTelemetry into per-epoch measured workloads and
- * converts them into cost-model inputs.
- */
+/** Aggregates nn::StepTelemetry into per-epoch measured workloads. */
 class WorkloadTrace
 {
   public:
@@ -143,19 +163,6 @@ class WorkloadTrace
 
     /** Most recent epoch. */
     const EpochTrace &lastEpoch() const;
-
-    /**
-     * The measured network as a cost-model NetworkModel: layer shapes
-     * from the run's real geometry, iactDensity from measurement.
-     */
-    NetworkModel networkModel(size_t epoch_idx) const;
-
-    /**
-     * Trace-driven profiles for epoch i: real masks + measured
-     * activation statistics, no synthetic jitter
-     * (LayerSparsityProfile::measured).
-     */
-    std::vector<LayerSparsityProfile> profiles(size_t epoch_idx) const;
 
   private:
     /** Running elementwise mean: acc = acc*(n-1)/n + v/n. */

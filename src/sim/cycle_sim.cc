@@ -614,10 +614,11 @@ traceRefillWords(const LayerTrace &layer, Phase phase, int64_t batch)
 {
     const double w_dense = static_cast<double>(
         arch::operandVolume(layer.shape, Operand::Weights, batch));
-    const double w_stored =
+    const double w_stored = arch::compressedWeightWords(
+        w_dense, layer.weightDensity(),
         layer.csbWeightBytes > 0
-            ? static_cast<double>(layer.csbWeightBytes) / 4.0
-            : w_dense * layer.weightDensity() + w_dense * (1.0 / 32.0);
+            ? static_cast<double>(layer.csbWeightBytes)
+            : -1.0);
     return arch::phaseDramWords(layer.shape, phase, batch,
                                 arch::CostOptions{}, w_stored,
                                 layer.iacts.mean);

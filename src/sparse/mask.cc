@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -51,10 +52,12 @@ SparsityMask::tileNnz(int64_t k0, int64_t k1, int64_t c0, int64_t c1) const
     PROCRUSTES_ASSERT(k0 >= 0 && k1 <= K && c0 >= 0 && c1 <= C &&
                           k0 <= k1 && c0 <= c1,
                       "tile bounds out of range");
+    // Kernels (k, c0..c1) are adjacent in `bits`: one span per K row.
+    const int64_t span = (c1 - c0) * R * S;
     int64_t count = 0;
     for (int64_t k = k0; k < k1; ++k) {
-        for (int64_t c = c0; c < c1; ++c)
-            count += blockNnz(k, c);
+        const uint8_t *row = bits.data() + (k * C + c0) * R * S;
+        count = std::accumulate(row, row + span, count);
     }
     return count;
 }

@@ -58,6 +58,9 @@ TEST(Mask, TileNnzSumsBlocks)
     }
     EXPECT_EQ(m.tileNnz(2, 5, 1, 7), manual);
     EXPECT_EQ(m.tileNnz(0, 8, 0, 8), m.nnz());
+    // Empty spans along either axis hold nothing.
+    EXPECT_EQ(m.tileNnz(3, 3, 0, 8), 0);
+    EXPECT_EQ(m.tileNnz(0, 8, 4, 4), 0);
 }
 
 /** Density sweep: generated masks hit the target exactly. */

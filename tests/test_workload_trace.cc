@@ -2,9 +2,10 @@
  * @file
  * Tests for the measured-workload telemetry pipeline: layer step
  * reports, the trainNetwork observer hook, WorkloadTrace aggregation,
- * measured LayerSparsityProfiles, trace-driven accelerator evaluation,
- * and end-to-end backend parity (gemm vs CSB sparse under a fully
- * dense mask must train identically).
+ * the wave plan read from a traced layer, trace-driven accelerator
+ * evaluation (serial and from pool tasks), and end-to-end backend
+ * parity (gemm vs CSB sparse under a fully dense mask must train
+ * identically).
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "arch/accelerator.h"
+#include "arch/wave_plan.h"
 #include "arch/workload_trace.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -428,7 +430,7 @@ TEST(WorkloadTrace, MeasuredCompressedBytesMatchFinalWeightEncode)
     EXPECT_LT(last.totalCsbWeightBytes(), last.totalDenseWeightBytes());
 }
 
-TEST(WorkloadTrace, AggregatesEpochsAndBuildsMeasuredModel)
+TEST(WorkloadTrace, AggregatesEpochsIntoMeasuredLayers)
 {
     nn::Network net;
     buildNet(net, kernels::KernelBackend::kSparse, 7);
@@ -454,15 +456,13 @@ TEST(WorkloadTrace, AggregatesEpochsAndBuildsMeasuredModel)
     EXPECT_GT(e0.totalMacsPerStep(), 0.0);
     EXPECT_GT(e0.meanLoss, 0.0);
 
-    const arch::NetworkModel model = trace.networkModel(0);
-    ASSERT_EQ(model.layers.size(), 3u);
-    EXPECT_EQ(model.layers[0].K, 8);
-    EXPECT_EQ(model.layers[0].P, 12);
-    EXPECT_EQ(model.layers[1].C, 8);
+    EXPECT_EQ(e0.layers[0].shape.K, 8);
+    EXPECT_EQ(e0.layers[0].shape.P, 12);
+    EXPECT_EQ(e0.layers[1].shape.C, 8);
     // conv2's measured input density (post-ReLU) must be genuinely
-    // sparse and must flow into the model.
-    EXPECT_LT(model.iactDensity[1], 1.0);
-    EXPECT_GT(model.iactDensity[1], 0.0);
+    // sparse.
+    EXPECT_LT(e0.layers[1].iacts.mean, 1.0);
+    EXPECT_GT(e0.layers[1].iacts.mean, 0.0);
 
     // Rank-4 inputs carry spatial marginals sized to the input extent
     // (12x12 images, pooled to 6x6 before conv2); the fc input is
@@ -475,12 +475,13 @@ TEST(WorkloadTrace, AggregatesEpochsAndBuildsMeasuredModel)
     EXPECT_TRUE(e0.layers[2].iacts.perCol.empty());
 }
 
-TEST(WorkloadTrace, TraceProfileMatchesHandBuiltOnFixedMask)
+TEST(WorkloadTrace, TracePlanMatchesHandBuiltProfileOnFixedMask)
 {
     // Zero a fixed pattern into conv1's weights; under the kSparse
     // backend pruned weights get no gradient, so the mask is stable
-    // across the whole run and the trace's profile must agree with a
-    // hand-built profile over the same mask.
+    // across the whole run, and the weight-sparse waves planned from
+    // the traced layer must equal those of a hand-built profile over
+    // the same mask.
     nn::Network net;
     buildNet(net, kernels::KernelBackend::kSparse, 11);
     auto *conv1 = dynamic_cast<nn::Conv2d *>(net.layer(0));
@@ -507,78 +508,128 @@ TEST(WorkloadTrace, TraceProfileMatchesHandBuiltOnFixedMask)
                   expect_mask.bits[static_cast<size_t>(i)])
             << i;
 
-    const auto profiles = trace.profiles(0);
-    const arch::LayerSparsityProfile hand(expect_mask,
-                                          lt.iacts.mean,
+    const arch::LayerSparsityProfile hand(expect_mask, lt.iacts.mean,
                                           /*iact_sigma=*/0.0);
-    const arch::LayerSparsityProfile &measured = profiles[0];
-    EXPECT_TRUE(measured.isMeasured());
-    EXPECT_DOUBLE_EQ(measured.weightDensity(), hand.weightDensity());
-    for (int64_t k = 0; k < expect_mask.K; ++k) {
-        EXPECT_DOUBLE_EQ(measured.kDensity(k), hand.kDensity(k));
-        EXPECT_DOUBLE_EQ(measured.kHalfDensity(k, 0),
-                         hand.kHalfDensity(k, 0));
-    }
-    for (int64_t c = 0; c < expect_mask.C; ++c)
-        EXPECT_DOUBLE_EQ(measured.cDensity(c), hand.cDensity(c));
-    for (int64_t k = 0; k < expect_mask.K; ++k) {
-        for (int64_t c = 0; c < expect_mask.C; ++c)
-            EXPECT_DOUBLE_EQ(measured.kernelDensity(k, c),
-                             hand.kernelDensity(k, c));
+    EXPECT_DOUBLE_EQ(lt.weightDensity(), hand.weightDensity());
+    // A small array makes K,N and C,N split the slices over several
+    // waves and C,K chunk kernels per PE.
+    arch::ArrayConfig cfg = arch::ArrayConfig::baseline16();
+    cfg.rows = 4;
+    cfg.cols = 4;
+    for (arch::MappingKind mapping :
+         {arch::MappingKind::KN, arch::MappingKind::CN,
+          arch::MappingKind::CK}) {
+        for (arch::Phase phase :
+             {arch::Phase::Forward, arch::Phase::Backward}) {
+            const arch::WavePlan traced =
+                arch::planWaves(lt, phase, mapping, 8, cfg);
+            const arch::WavePlan built = arch::planWaves(
+                lt.shape, phase, mapping, 8, cfg, hand);
+            ASSERT_EQ(traced.waves.size(), built.waves.size());
+            for (size_t w = 0; w < traced.waves.size(); ++w) {
+                const auto &tt = traced.waves[w].tiles;
+                const auto &bt = built.waves[w].tiles;
+                ASSERT_EQ(tt.size(), bt.size());
+                for (size_t t = 0; t < tt.size(); ++t) {
+                    EXPECT_DOUBLE_EQ(tt[t].first, bt[t].first)
+                        << w << " " << t;
+                    EXPECT_DOUBLE_EQ(tt[t].second, bt[t].second)
+                        << w << " " << t;
+                }
+            }
+        }
     }
 }
 
-TEST(MeasuredProfile, UsesMeasurementsNotJitter)
+/** A hand-built traced 3x3 conv layer with a dense mask. */
+arch::LayerTrace
+tracedConv(int64_t k, int64_t c, int64_t in_hw, int64_t stride)
 {
-    sparse::SparsityMask mask = sparse::SparsityMask::dense(4, 4, 3, 3);
-    arch::MeasuredIactStats st;
-    st.mean = 0.5;
-    st.perSample = {0.4, 0.6, 0.5, 0.5};
-    st.perSampleHalf = {0.1, 0.3, 0.3, 0.3, 0.25, 0.25, 0.2, 0.3};
-    st.perChannel = {0.45, 0.55, 0.5, 0.5};
-    const auto p = arch::LayerSparsityProfile::measured(mask, st);
-
-    EXPECT_TRUE(p.isMeasured());
-    EXPECT_DOUBLE_EQ(p.iactDensity(), 0.5);
-    EXPECT_DOUBLE_EQ(p.iactSampleDensity(0), 0.4);
-    EXPECT_DOUBLE_EQ(p.iactSampleDensity(1), 0.6);
-    EXPECT_DOUBLE_EQ(p.iactSampleDensity(4), 0.4);   // wraps
-    EXPECT_DOUBLE_EQ(p.iactSampleHalfDensity(0, 0), 0.1);
-    EXPECT_DOUBLE_EQ(p.iactSampleHalfDensity(0, 1), 0.3);
-    EXPECT_DOUBLE_EQ(p.iactChannelDensity(1), 0.55);
-    // No spatial measurement exists: spatial queries return the mean,
-    // identically for every location (no hash jitter).
-    EXPECT_DOUBLE_EQ(p.iactSpatialDensity(0, 0),
-                     p.iactSpatialDensity(7, 3));
-
-    // A synthetic profile with the same mean disagrees location to
-    // location (that is the jitter being replaced).
-    const arch::LayerSparsityProfile synthetic(mask, 0.5, 0.1);
-    EXPECT_NE(synthetic.iactSampleDensity(0),
-              synthetic.iactSampleDensity(1));
+    arch::LayerTrace l;
+    l.name = "conv";
+    l.shape = arch::convLayer("conv", c, k, 3, in_hw, stride);
+    l.mask = sparse::SparsityMask::dense(k, c, 3, 3);
+    return l;
 }
 
-TEST(MeasuredProfile, SpatialQueriesMapOntoMarginalsThroughStride)
+/** Tile totals of a one-wave plan, one per tile. */
+std::vector<double>
+tileTotals(const arch::WavePlan &plan)
 {
-    sparse::SparsityMask mask = sparse::SparsityMask::dense(4, 4, 3, 3);
-    arch::MeasuredIactStats st;
-    st.mean = 0.5;
-    st.perRow = {0.2, 0.8, 0.5, 0.5};    // input rows, H = 4
-    st.perCol = {0.5, 0.5, 0.4, 0.6};    // input cols, W = 4
-    const auto p =
-        arch::LayerSparsityProfile::measured(mask, st, /*stride=*/2);
+    EXPECT_EQ(plan.waves.size(), 1u);
+    std::vector<double> out;
+    for (const arch::TileHalves &t : plan.waves.at(0).tiles)
+        out.push_back(t.total());
+    return out;
+}
 
-    // Output (p, q) reads input (p * stride, q * stride), ratio-
-    // combined as row * col / mean.
-    EXPECT_DOUBLE_EQ(p.iactSpatialDensity(0, 0), 0.2 * 0.5 / 0.5);
-    EXPECT_DOUBLE_EQ(p.iactSpatialDensity(0, 1), 0.2 * 0.4 / 0.5);
-    // Order matters: (p, q) is (row, col), not interchangeable.
-    EXPECT_NE(p.iactSpatialDensity(0, 1), p.iactSpatialDensity(1, 0));
-    // Past the measured extent the query clamps to the last slot:
-    // outputs (2, 2) and (9, 9) both read input (3, 3).
-    EXPECT_DOUBLE_EQ(p.iactSpatialDensity(9, 9),
-                     p.iactSpatialDensity(2, 2));
-    EXPECT_DOUBLE_EQ(p.iactSpatialDensity(9, 9), 0.5 * 0.6 / 0.5);
+TEST(TraceWavePlan, WeightUpdateWrapsMeasuredSamplesPastTheBatch)
+{
+    // K,N weight update: one Line tile per sample, its halves the
+    // measured C-split halves. A batch larger than the measured one
+    // wraps onto the measured samples.
+    arch::LayerTrace l = tracedConv(4, 4, 6, 1);
+    l.iacts.mean = 0.5;
+    l.iacts.perSample = {0.4, 0.6, 0.5, 0.5};
+    l.iacts.perSampleHalf = {0.1, 0.3, 0.3, 0.3, 0.25, 0.25, 0.2, 0.3};
+    const arch::WavePlan plan =
+        arch::planWaves(l, arch::Phase::WeightUpdate,
+                        arch::MappingKind::KN, 8,
+                        arch::ArrayConfig::baseline16());
+    ASSERT_EQ(plan.shape, arch::WaveShape::Line);
+    ASSERT_EQ(plan.dims[plan.lineAxis], arch::Dim::N);
+    ASSERT_EQ(plan.waves.size(), 1u);
+    const auto &tiles = plan.waves[0].tiles;
+    ASSERT_EQ(tiles.size(), 8u);
+    for (size_t n = 0; n < tiles.size(); ++n) {
+        const size_t m = n % 4;   // sample 4 reads sample 0, ...
+        EXPECT_EQ(tiles[n].first, l.iacts.perSampleHalf[m * 2]) << n;
+        EXPECT_EQ(tiles[n].second, l.iacts.perSampleHalf[m * 2 + 1])
+            << n;
+    }
+
+    // Without measured halves each sample splits evenly.
+    l.iacts.perSampleHalf.clear();
+    const std::vector<double> totals = tileTotals(
+        arch::planWaves(l, arch::Phase::WeightUpdate,
+                        arch::MappingKind::KN, 8,
+                        arch::ArrayConfig::baseline16()));
+    ASSERT_EQ(totals.size(), 8u);
+    for (size_t n = 0; n < totals.size(); ++n)
+        EXPECT_EQ(totals[n], l.iacts.perSample[n % 4]) << n;
+}
+
+TEST(TraceWavePlan, PqWeightUpdateMapsOutputsOntoMarginalsThroughStride)
+{
+    // P,Q weight update pairs the measured input-space row and column
+    // marginals of the input location feeding output (p, q): row
+    // p * stride, column q * stride, clamped to the last measured slot,
+    // ratio-combined as row * col / mean.
+    arch::LayerTrace l = tracedConv(4, 4, 10, 2);
+    ASSERT_EQ(l.shape.P, 5);
+    ASSERT_EQ(l.shape.Q, 5);
+    l.iacts.mean = 0.5;
+    l.iacts.perRow = {0.2, 0.8, 0.5, 0.5};   // input rows, H = 4
+    l.iacts.perCol = {0.5, 0.5, 0.4, 0.6};   // input cols, W = 4
+    const arch::WavePlan plan =
+        arch::planWaves(l, arch::Phase::WeightUpdate,
+                        arch::MappingKind::PQ, 2,
+                        arch::ArrayConfig::baseline16());
+    ASSERT_EQ(plan.shape, arch::WaveShape::Pair);
+    ASSERT_EQ(plan.dims[0], arch::Dim::P);
+    ASSERT_EQ(plan.dims[1], arch::Dim::Q);
+    const std::vector<double> work = tileTotals(plan);
+    ASSERT_EQ(work.size(), 25u);
+    const auto at = [&work](size_t p, size_t q) { return work[p * 5 + q]; };
+    EXPECT_DOUBLE_EQ(at(0, 0), 0.2 * 0.5 / 0.5);
+    EXPECT_DOUBLE_EQ(at(0, 1), 0.2 * 0.4 / 0.5);
+    // (p, q) is (row, col), not interchangeable.
+    EXPECT_DOUBLE_EQ(at(1, 0), 0.5 * 0.5 / 0.5);
+    EXPECT_NE(at(0, 1), at(1, 0));
+    // Past the measured extent both axes clamp to the last slot:
+    // outputs (2, 2) and (4, 4) both read input (3, 3).
+    EXPECT_DOUBLE_EQ(at(4, 4), at(2, 2));
+    EXPECT_DOUBLE_EQ(at(4, 4), 0.5 * 0.6 / 0.5);
 }
 
 TEST(WorkloadTrace, TraceDrivenAcceleratorTrajectoryIsSane)
@@ -628,8 +679,8 @@ TEST(WorkloadTrace, RaggedSampleVectorsDropToScalarMean)
 {
     // A caller that feeds a short final batch delivers shorter
     // per-sample vectors; per-slot means are then meaningless and must
-    // be dropped (profiles fall back to the scalar mean) rather than
-    // silently restarted from zero.
+    // be dropped (the wave plan falls back to the scalar mean) rather
+    // than silently restarted from zero.
     sparse::SparsityMask mask = sparse::SparsityMask::dense(2, 2, 3, 3);
     auto makeTelemetry = [&mask](int64_t step, int64_t batch) {
         nn::StepTelemetry t;
@@ -670,8 +721,18 @@ TEST(WorkloadTrace, RaggedSampleVectorsDropToScalarMean)
     ASSERT_EQ(l.iacts.perChannel.size(), 2u);   // sizes matched: kept
     EXPECT_DOUBLE_EQ(l.iacts.mean, 0.5);
 
-    const auto p = trace.profiles(0)[0];
-    EXPECT_DOUBLE_EQ(p.iactSampleDensity(0), 0.5);   // scalar fallback
+    // K,N weight update: every sample falls back to the scalar mean,
+    // split evenly.
+    const arch::WavePlan plan =
+        arch::planWaves(l, arch::Phase::WeightUpdate,
+                        arch::MappingKind::KN, 4,
+                        arch::ArrayConfig::baseline16());
+    ASSERT_EQ(plan.waves.size(), 1u);
+    ASSERT_EQ(plan.waves[0].tiles.size(), 4u);
+    for (const arch::TileHalves &t : plan.waves[0].tiles) {
+        EXPECT_EQ(t.first, 0.25);
+        EXPECT_EQ(t.second, 0.25);
+    }
 }
 
 TEST(WorkloadTrace, MeasuredWeightBytesMoveTraceDrivenTrafficEnergy)
@@ -892,6 +953,59 @@ TEST(ThreadSweep, TracePipelineBitwiseIdenticalAcrossThreadCounts)
             expectHistogramsIdentical(got.imbalance[e].unbalanced,
                                       ref.imbalance[e].unbalanced);
         }
+    }
+}
+
+void
+expectPhaseCostsIdentical(const arch::PhaseCost &a, const arch::PhaseCost &b)
+{
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.computeCycles, b.computeCycles);
+    EXPECT_EQ(a.dramCycles, b.dramCycles);
+    EXPECT_EQ(a.interconnectCycles, b.interconnectCycles);
+    EXPECT_EQ(a.macs, b.macs);
+    EXPECT_EQ(a.macEnergyJ, b.macEnergyJ);
+    EXPECT_EQ(a.rfEnergyJ, b.rfEnergyJ);
+    EXPECT_EQ(a.glbEnergyJ, b.glbEnergyJ);
+    EXPECT_EQ(a.dramEnergyJ, b.dramEnergyJ);
+}
+
+TEST(ThreadSweep, ConcurrentEvaluateTraceMatchesSerial)
+{
+    // A design-space sweep evaluates both machines on every epoch of
+    // one shared trace from pool tasks. Those evaluations read the
+    // trace concurrently: they must not race (ThreadSanitizer runs
+    // this suite) and must equal serial calls bit for bit.
+    const PipelineResult p = runTracePipeline();
+    const arch::Accelerator machines[] = {
+        arch::Accelerator::procrustes(),
+        arch::Accelerator::denseBaseline()};
+    const auto n = static_cast<int64_t>(p.trace.epochCount() * 2);
+    std::vector<arch::NetworkCost> serial, pooled(static_cast<size_t>(n));
+    std::vector<arch::EpochImbalance> serial_imb,
+        pooled_imb(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+        arch::EpochImbalance imb;
+        serial.push_back(machines[i % 2].evaluateTrace(
+            p.trace, static_cast<size_t>(i / 2), &imb));
+        serial_imb.push_back(imb);
+    }
+    ThreadPool::global().parallelFor(0, n, [&](int64_t begin, int64_t end) {
+        for (int64_t i = begin; i < end; ++i) {
+            const auto at = static_cast<size_t>(i);
+            pooled[at] = machines[i % 2].evaluateTrace(
+                p.trace, static_cast<size_t>(i / 2), &pooled_imb[at]);
+        }
+    });
+    for (size_t i = 0; i < serial.size(); ++i) {
+        SCOPED_TRACE(i);
+        expectPhaseCostsIdentical(pooled[i].fw, serial[i].fw);
+        expectPhaseCostsIdentical(pooled[i].bw, serial[i].bw);
+        expectPhaseCostsIdentical(pooled[i].wu, serial[i].wu);
+        expectHistogramsIdentical(pooled_imb[i].balanced,
+                                  serial_imb[i].balanced);
+        expectHistogramsIdentical(pooled_imb[i].unbalanced,
+                                  serial_imb[i].unbalanced);
     }
 }
 
