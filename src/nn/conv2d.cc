@@ -78,9 +78,7 @@ Conv2d::reportGeometry(LayerStepReport *out) const
 int64_t
 Conv2d::csbWeightBytes() const
 {
-    return sparse::CsbTensor::encodeConvFilters(weight_.value,
-                                                storagePrecision())
-        .totalBytes();
+    return sparse::CsbTensor::encodeConvFilters(weight_.value).totalBytes();
 }
 
 Tensor

@@ -51,8 +51,7 @@ Linear::reportGeometry(LayerStepReport *out) const
 int64_t
 Linear::csbWeightBytes() const
 {
-    return sparse::CsbTensor::encodeMatrix(weight_.value, kCsbBlockSide,
-                                           storagePrecision())
+    return sparse::CsbTensor::encodeMatrix(weight_.value, kCsbBlockSide)
         .totalBytes();
 }
 

@@ -134,14 +134,8 @@ WeightLayer::forwardSparse(const Tensor &x)
     // and the executors re-read those from the CsbTensor each call.
     Tensor filters = weight_.value;   // COW alias: reshaping copies nothing
     filters.reshape(filterShape_);
-    sparse::CsbTensor fresh =
-        sparse::CsbTensor::encodeConvFilters(filters, storagePrecision_);
-    // Under the bf16 tier the activations are stored rounded: compute
-    // reads the image a 2-byte buffer would reproduce, and the cached
-    // input (the weight-update operand) is that same image.
-    if (storagePrecision_ == Precision::kBf16)
-        cachedInput_ = bf16RoundedCopy(x);
-    convInput_ = toConvPlane(cachedInput_);
+    sparse::CsbTensor fresh = sparse::CsbTensor::encodeConvFilters(filters);
+    convInput_ = toConvPlane(x);
     const int64_t in_h = convInput_.shape()[2];
     const int64_t in_w = convInput_.shape()[3];
     const bool mask_same = cachedPack_.valid() &&

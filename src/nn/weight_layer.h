@@ -17,10 +17,13 @@
  * weight is live iff its value is non-zero at encode time — so the
  * training pipeline prunes by zeroing weights, and a weight that lands
  * on exactly 0.0 stays frozen unless something outside the layer
- * rewrites it (as Dropback's accumulated-gradient tracking does for
- * reactivation). An fc layer runs as the degenerate conv of
- * Algorithm 1 (R = S = P = Q = 1): its [O, I] weight encodes as
- * [O, I, 1, 1] filters over the batch plane (see nn/linear.h).
+ * rewrites it. Dropback's accumulated-gradient tracking cannot do that
+ * under kSparse: backward-weight writes no dW at pruned positions, so
+ * an untracked weight's candidate |acc - lr·g| is 0 and it never
+ * returns. Reactivation needs a dense-backend gradient today. An fc
+ * layer runs as the degenerate conv of Algorithm 1 (R = S = P = Q = 1):
+ * its [O, I] weight encodes as [O, I, 1, 1] filters over the batch
+ * plane (see nn/linear.h).
  */
 
 #ifndef PROCRUSTES_NN_WEIGHT_LAYER_H_
@@ -72,16 +75,6 @@ class WeightLayer : public Layer
     kernels::KernelBackend backend() const { return backend_; }
     void setBackend(kernels::KernelBackend b) { backend_ = b; }
 
-    /**
-     * Storage tier modelled for weights and activations under kSparse
-     * (defaults to PROCRUSTES_STORAGE_PRECISION). Under kBf16 the
-     * weights are rounded through bf16 at encode time and the cached
-     * input is the bf16-rounded image — compute stays fp32 — and the
-     * telemetry's CSB byte counts price 2-byte values.
-     */
-    Precision storagePrecision() const { return storagePrecision_; }
-    void setStoragePrecision(Precision p) { storagePrecision_ = p; }
-
   protected:
     /**
      * @param weight_shape [K, C, R, S] conv filters, or an [out, in] fc
@@ -115,7 +108,7 @@ class WeightLayer : public Layer
 
     /**
      * CsbTensor::totalBytes of the weight image the accelerator would
-     * stream, encoded fresh at storagePrecision().
+     * stream, encoded fresh.
      */
     virtual int64_t csbWeightBytes() const = 0;
 
@@ -142,7 +135,6 @@ class WeightLayer : public Layer
     int64_t pad_;
     kernels::KernelBackend backend_;
     kernels::KernelBackend forwardBackend_;   //!< of the last forward
-    Precision storagePrecision_ = defaultStoragePrecision();
     Tensor convInput_;   //!< kSparse: toConvPlane(cachedInput_)
     sparse::CsbTensor cachedCsb_;  //!< kSparse: weights encoded at
                                    //!< forward, reused by backward

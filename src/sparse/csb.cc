@@ -6,20 +6,19 @@ namespace procrustes {
 namespace sparse {
 
 CsbTensor
-CsbTensor::encodeConvFilters(const Tensor &w, Precision storage)
+CsbTensor::encodeConvFilters(const Tensor &w)
 {
     PROCRUSTES_ASSERT(w.shape().rank() == 4,
                       "conv filters must be [K, C, R, S]");
-    return encodeBlocks(w, Kind::ConvFilters, /*block_side=*/0, storage);
+    return encodeBlocks(w, Kind::ConvFilters, /*block_side=*/0);
 }
 
 CsbTensor
-CsbTensor::encodeMatrix(const Tensor &w, int64_t block_side,
-                        Precision storage)
+CsbTensor::encodeMatrix(const Tensor &w, int64_t block_side)
 {
     PROCRUSTES_ASSERT(w.shape().rank() == 2, "matrix must be [O, I]");
     PROCRUSTES_ASSERT(block_side > 0, "block side must be positive");
-    return encodeBlocks(w, Kind::Matrix, block_side, storage);
+    return encodeBlocks(w, Kind::Matrix, block_side);
 }
 
 int64_t
@@ -44,12 +43,10 @@ CsbTensor::denseIndex(int64_t b, int64_t e) const
 }
 
 CsbTensor
-CsbTensor::encodeBlocks(const Tensor &w, Kind kind, int64_t block_side,
-                        Precision storage)
+CsbTensor::encodeBlocks(const Tensor &w, Kind kind, int64_t block_side)
 {
     CsbTensor out;
     out.kind_ = kind;
-    out.precision_ = storage;
     out.denseShape_ = w.shape();
 
     int64_t num_blocks;
@@ -75,12 +72,9 @@ CsbTensor::encodeBlocks(const Tensor &w, Kind kind, int64_t block_side,
             const int64_t di = out.denseIndex(b, e);
             if (di < 0)
                 continue;
-            // Round through the storage tier *before* the liveness
-            // test so the mask and the value stream agree on which
-            // positions are zero (bf16 can flush |x| < 2^-133 to 0).
-            const float v = storage == Precision::kBf16
-                                ? bf16Round(pw[di])
-                                : pw[di];
+            // Read once: handing pw[di] itself to push_back measured
+            // slower.
+            const float v = pw[di];
             if (v != 0.0f) {
                 out.values_.push_back(v);
                 const int64_t bit = b * out.blockElems_ + e;

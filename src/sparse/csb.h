@@ -54,18 +54,14 @@ class CsbTensor
     /**
      * Encode dense conv filters [K, C, R, S]; one block per (k, c)
      * kernel, so the region size adapts to the layer's kernel size.
-     * With a bf16 storage tier the values are rounded through bf16
-     * *before* the liveness test, so mask and values stay consistent.
      */
-    static CsbTensor encodeConvFilters(
-        const Tensor &w, Precision storage = Precision::kFp32);
+    static CsbTensor encodeConvFilters(const Tensor &w);
 
     /**
      * Encode a dense fc weight matrix [O, I] into square blocks of the
      * given side; edge blocks cover the in-range remainder.
      */
-    static CsbTensor encodeMatrix(const Tensor &w, int64_t block_side,
-                                  Precision storage = Precision::kFp32);
+    static CsbTensor encodeMatrix(const Tensor &w, int64_t block_side);
 
     /** Reconstruct the dense tensor. */
     Tensor decode() const;
@@ -145,34 +141,24 @@ class CsbTensor
     /**
      * True if the other tensor has an identical sparsity structure:
      * same kind, dense shape, block geometry, pointers, and mask bits.
-     * Values (and storage precision) may differ. This is the
-     * mask-epoch test the layers use to decide whether cached tap
-     * geometry can be reused across optimizer steps.
+     * Values may differ. This is the mask-epoch test the layers use to
+     * decide whether cached tap geometry can be reused across optimizer
+     * steps.
      */
     bool sameMaskAs(const CsbTensor &other) const;
 
-    /** Storage tier of the packed value array (kFp32 or kBf16). */
-    Precision storagePrecision() const { return precision_; }
-
     /** @name Storage accounting for the cost model. */
     /**@{*/
-    int64_t valueBytes() const
-    {
-        return nnz() * precisionBytes(precision_);
-    }
+    int64_t valueBytes() const { return nnz() * 4; }
     int64_t maskBytes() const;      //!< 1 bit per dense element
     int64_t pointerBytes() const { return (numBlocks() + 1) * 4; }
     int64_t totalBytes() const;
-    static int64_t
-    denseBytes(const Shape &s, Precision storage = Precision::kFp32)
-    {
-        return s.numel() * precisionBytes(storage);
-    }
+    static int64_t denseBytes(const Shape &s) { return s.numel() * 4; }
     /**@}*/
 
   private:
     static CsbTensor encodeBlocks(const Tensor &w, Kind kind,
-                                  int64_t block_side, Precision storage);
+                                  int64_t block_side);
 
     /** Flat dense index of element e of block b. */
     int64_t denseIndex(int64_t b, int64_t e) const;
@@ -187,7 +173,6 @@ class CsbTensor
     }
 
     Kind kind_ = Kind::ConvFilters;
-    Precision precision_ = Precision::kFp32;
     Shape denseShape_;
     int64_t blockElems_ = 0;
     int64_t blockSide_ = 0;        //!< Matrix kind: block side length

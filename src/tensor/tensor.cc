@@ -1,50 +1,11 @@
 #include "tensor/tensor.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
 
 #include "common/rng.h"
 
 namespace procrustes {
-
-const char *
-precisionName(Precision p)
-{
-    return p == Precision::kBf16 ? "bf16" : "fp32";
-}
-
-Precision
-parsePrecision(const std::string &s)
-{
-    if (s == "fp32")
-        return Precision::kFp32;
-    if (s == "bf16")
-        return Precision::kBf16;
-    FATAL("storage precision must be 'fp32' or 'bf16', got '" + s + "'");
-}
-
-Precision
-defaultStoragePrecision()
-{
-    static const Precision resolved = [] {
-        const char *env = std::getenv("PROCRUSTES_STORAGE_PRECISION");
-        return env && *env ? parsePrecision(env) : Precision::kFp32;
-    }();
-    return resolved;
-}
-
-Tensor
-bf16RoundedCopy(const Tensor &t)
-{
-    Tensor out(t.shape());
-    const float *src = t.data();
-    float *dst = out.data();
-    const int64_t n = t.numel();
-    for (int64_t i = 0; i < n; ++i)
-        dst[i] = bf16Round(src[i]);
-    return out;
-}
 
 Shape::Shape(std::initializer_list<int64_t> dims) : rank_(0)
 {

@@ -14,7 +14,6 @@
 
 #include <array>
 #include <cstdint>
-#include <cstring>
 #include <initializer_list>
 #include <memory>
 #include <string>
@@ -27,67 +26,25 @@ namespace procrustes {
 class Xorshift128Plus;
 
 /**
- * Storage precision of a tensor image held in accelerator memory.
- *
- * Compute stays fp32 throughout (the accumulators of Section V); the
- * precision tier describes how weights/activations are *stored* in
- * GLB/DRAM. kBf16 keeps fp32's full exponent range with 8 mantissa
- * bits, so values round-trip at half the bytes and — crucially for the
- * CSB encode rule — a non-zero normal float never rounds to zero
- * (only sub-bf16-denormal magnitudes < 2^-133 can), preserving
- * mask/value consistency.
+ * Storage precision of a tensor image. The datapath stores 32-bit
+ * floats only (Table I); this type and the two functions below exist
+ * because perfbench's provenance line prints the storage precision.
  */
 enum class Precision
 {
-    kFp32,   //!< 4-byte IEEE single (the default tier)
-    kBf16,   //!< 2-byte bfloat16 storage, fp32 accumulate
+    kFp32,
 };
 
-/** Bytes one stored element occupies at this precision. */
-inline int
-precisionBytes(Precision p)
+inline Precision
+defaultStoragePrecision()
 {
-    return p == Precision::kBf16 ? 2 : 4;
+    return Precision::kFp32;
 }
 
-/** Human-readable tier name ("fp32" / "bf16"). */
-const char *precisionName(Precision p);
-
-/** Parse "fp32" / "bf16" (fatal on anything else). */
-Precision parsePrecision(const std::string &s);
-
-/**
- * Default storage tier, resolved once from the environment variable
- * PROCRUSTES_STORAGE_PRECISION (fp32 | bf16; default fp32). Layers
- * read it at construction; setStoragePrecision overrides per layer.
- */
-Precision defaultStoragePrecision();
-
-/**
- * Round an fp32 value to the nearest bfloat16 (round-to-nearest-even)
- * and return it widened back to fp32 — the value a bf16 storage tier
- * would reproduce on read.
- */
-inline float
-bf16Round(float v)
+inline const char *
+precisionName(Precision)
 {
-    uint32_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    if ((bits & 0x7f800000u) == 0x7f800000u) {
-        // Inf / NaN: truncate (no rounding carry into the exponent),
-        // re-quieting a NaN whose payload truncated away so it cannot
-        // turn into an Inf.
-        const bool was_nan = (bits & 0x007fffffu) != 0;
-        bits &= 0xffff0000u;
-        if (was_nan && (bits & 0x007f0000u) == 0)
-            bits |= 0x00400000u;
-    } else {
-        bits += 0x7fffu + ((bits >> 16) & 1u);   // round to nearest even
-        bits &= 0xffff0000u;
-    }
-    float out;
-    std::memcpy(&out, &bits, sizeof(bits));
-    return out;
+    return "fp32";
 }
 
 /** Dense tensor shape: an ordered list of extents, rank <= kMaxRank. */
@@ -293,9 +250,6 @@ class Tensor
     Shape shape_;
     std::shared_ptr<Storage> storage_;
 };
-
-/** Copy of t with every element rounded through bf16 storage. */
-Tensor bf16RoundedCopy(const Tensor &t);
 
 /** Elementwise a += b (shapes must match). */
 void addInPlace(Tensor &a, const Tensor &b);

@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the NN layers' forward semantics.
+ * Unit tests for the NN layers' forward semantics, and for the kSparse
+ * weight layers against the CSB executors they dispatch to.
  */
 
 #include <gtest/gtest.h>
@@ -13,12 +14,15 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "kernels/gemm.h"
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
 #include "nn/loss.h"
 #include "nn/pooling.h"
+#include "sparse/mask.h"
+#include "sparse/sparse_conv.h"
 
 namespace procrustes {
 namespace nn {
@@ -613,15 +617,14 @@ struct ReportGolden
     bool conv;   //!< Conv2d, else Linear
     kernels::KernelBackend backend;
     int64_t fwMacs, bwDataMacs, bwWeightMacs;   //!< after backward
-    int64_t csbBytes, csbBytesBf16;
+    int64_t csbBytes;
     uint64_t forwardOnly;     //!< digest after forward, before backward
     uint64_t afterBackward;   //!< digest after the backward
-    uint64_t bf16;            //!< after backward, kBf16 storage
 };
 
 /** A Conv2d (stride 2, pad 1, 7x9 input) or a Linear, with bias. */
 std::unique_ptr<WeightLayer>
-makeReportLayer(bool conv, kernels::KernelBackend backend, Precision prec)
+makeReportLayer(bool conv, kernels::KernelBackend backend)
 {
     const Tensor bias = sparseValues(Shape{6}, 5, 0.0);
     if (conv) {
@@ -633,14 +636,12 @@ makeReportLayer(bool conv, kernels::KernelBackend backend, Precision prec)
         cfg.pad = 1;
         auto l = std::make_unique<Conv2d>(cfg, "conv");
         l->setBackend(backend);
-        l->setStoragePrecision(prec);
         l->weight().value = sparseValues(Shape{6, 4, 3, 3}, 6, 0.6);
         l->bias().value = bias;
         return l;
     }
     auto l = std::make_unique<Linear>(13, 6, "fc");
     l->setBackend(backend);
-    l->setStoragePrecision(prec);
     l->weight().value = sparseValues(Shape{6, 13}, 7, 0.6);
     l->bias().value = bias;
     return l;
@@ -667,18 +668,18 @@ reportStep(Layer *l, bool conv)
  * one base class, so the refactor had to keep every report field.
  */
 const ReportGolden kReportGolden[] = {
-    {true, kernels::KernelBackend::kNaive, 12960, 12960, 12960, 463, 295,
-     0x7c11af2abeab8904ULL, 0x94fb8dd995d6fb87ULL, 0x39f35695fab3c74fULL},
-    {true, kernels::KernelBackend::kGemm, 12960, 12960, 12960, 463, 295,
-     0x7c11af2abeab8904ULL, 0x94fb8dd995d6fb87ULL, 0x39f35695fab3c74fULL},
-    {true, kernels::KernelBackend::kSparse, 3747, 2431, 2106, 463, 295,
-     0x7c11af2abeab8904ULL, 0xc3307f8e124fd09bULL, 0x0780db24c15f17d3ULL},
-    {false, kernels::KernelBackend::kNaive, 390, 390, 390, 148, 88,
-     0xc3670b06413430a4ULL, 0x231c32b6dc953750ULL, 0x541f4614a37360acULL},
-    {false, kernels::KernelBackend::kGemm, 390, 390, 390, 148, 88,
-     0xc3670b06413430a4ULL, 0x231c32b6dc953750ULL, 0x541f4614a37360acULL},
-    {false, kernels::KernelBackend::kSparse, 150, 110, 96, 148, 88,
-     0xc3670b06413430a4ULL, 0x8e2b40e83c5b0c5cULL, 0x02359d906f910200ULL},
+    {true, kernels::KernelBackend::kNaive, 12960, 12960, 12960, 463,
+     0x7c11af2abeab8904ULL, 0x94fb8dd995d6fb87ULL},
+    {true, kernels::KernelBackend::kGemm, 12960, 12960, 12960, 463,
+     0x7c11af2abeab8904ULL, 0x94fb8dd995d6fb87ULL},
+    {true, kernels::KernelBackend::kSparse, 3747, 2431, 2106, 463,
+     0x7c11af2abeab8904ULL, 0xc3307f8e124fd09bULL},
+    {false, kernels::KernelBackend::kNaive, 390, 390, 390, 148,
+     0xc3670b06413430a4ULL, 0x231c32b6dc953750ULL},
+    {false, kernels::KernelBackend::kGemm, 390, 390, 390, 148,
+     0xc3670b06413430a4ULL, 0x231c32b6dc953750ULL},
+    {false, kernels::KernelBackend::kSparse, 150, 110, 96, 148,
+     0xc3670b06413430a4ULL, 0x8e2b40e83c5b0c5cULL},
 };
 
 TEST(WeightLayerReport, EveryFieldMatchesRecording)
@@ -687,7 +688,7 @@ TEST(WeightLayerReport, EveryFieldMatchesRecording)
         const std::string at =
             std::string(g.conv ? "conv" : "fc") + " backend " +
             std::to_string(static_cast<int>(g.backend));
-        auto l = makeReportLayer(g.conv, g.backend, Precision::kFp32);
+        auto l = makeReportLayer(g.conv, g.backend);
         LayerStepReport before;
         before.layerName = "untouched";
         EXPECT_FALSE(l->stepReport(&before)) << at;
@@ -705,11 +706,6 @@ TEST(WeightLayerReport, EveryFieldMatchesRecording)
         EXPECT_EQ(bw.csbWeightBytes, g.csbBytes) << at;
         EXPECT_EQ(reportDigest(fw), g.forwardOnly) << at;
         EXPECT_EQ(reportDigest(bw), g.afterBackward) << at;
-
-        auto l16 = makeReportLayer(g.conv, g.backend, Precision::kBf16);
-        const LayerStepReport bf16 = reportStep(l16.get(), g.conv).second;
-        EXPECT_EQ(bf16.csbWeightBytes, g.csbBytesBf16) << at;
-        EXPECT_EQ(reportDigest(bf16), g.bf16) << at;
     }
 }
 
@@ -718,8 +714,7 @@ TEST(WeightLayerDeathTest, BackwardNeedsTheForwardBackend)
     // A kSparse backward after a kGemm forward would run on the CSB
     // image of an earlier sparse step, with stale weights.
     for (bool conv : {true, false}) {
-        auto l = makeReportLayer(conv, kernels::KernelBackend::kSparse,
-                                 Precision::kFp32);
+        auto l = makeReportLayer(conv, kernels::KernelBackend::kSparse);
         reportStep(l.get(), conv);
         for (int64_t i = 0; i < l->weight().value.numel(); ++i)
             l->weight().value.at(i) *= 3.0f;
@@ -738,8 +733,7 @@ TEST(WeightLayerReport, MacsFollowTheForwardBackend)
     // A sparse step, then a gemm step, then a switch back to kSparse
     // with no step on it: the report describes the gemm step.
     for (bool conv : {true, false}) {
-        auto l = makeReportLayer(conv, kernels::KernelBackend::kSparse,
-                                 Precision::kFp32);
+        auto l = makeReportLayer(conv, kernels::KernelBackend::kSparse);
         EXPECT_TRUE(reportStep(l.get(), conv).second.sparseExecuted);
         l->setBackend(kernels::KernelBackend::kGemm);
         const LayerStepReport gemm = reportStep(l.get(), conv).second;
@@ -753,6 +747,222 @@ TEST(WeightLayerReport, MacsFollowTheForwardBackend)
         EXPECT_EQ(r.bwWeightMacs, gemm.bwWeightMacs);
         EXPECT_EQ(reportDigest(r), reportDigest(gemm));
     }
+}
+
+/** Exact bit equality — distinguishes +0 from -0. */
+bool
+bitwiseEqual(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(std::as_const(a).data(), std::as_const(b).data(),
+                       sizeof(float) * a.numel()) == 0;
+}
+
+/** Prune a [O, I] or [K, C, R, S] tensor to the given density. */
+void
+pruneTo(Tensor *w, double density, uint64_t seed)
+{
+    sparse::SyntheticMaskConfig cfg;
+    cfg.targetDensity = density;
+    cfg.seed = seed;
+    const Shape &s = w->shape();
+    const sparse::SparsityMask m =
+        s.rank() == 4
+            ? sparse::makeSyntheticMask(s[0], s[1], s[2], s[3], cfg)
+            : sparse::makeSyntheticMask(s[0], s[1], 1, 1, cfg);
+    for (int64_t i = 0; i < w->numel(); ++i) {
+        if (!m.bits[static_cast<size_t>(i)])
+            w->at(i) = 0.0f;
+    }
+}
+
+TEST(SparseWeightLayer, LinearForwardEqualsExecutor)
+{
+    // A kSparse Linear adds nothing to the executor it dispatches to:
+    // the layer runs fc as a 1x1 conv over the batch plane [1, I, 1, N],
+    // so the executor on the same operands matches bit for bit.
+    const int64_t n = 6, i_ext = 21, o_ext = 17;
+    Linear layer(i_ext, o_ext, "fc", /*with_bias=*/false);
+    layer.setBackend(kernels::KernelBackend::kSparse);
+
+    Xorshift128Plus rng(61);
+    layer.weight().value.fillGaussian(rng, 0.5f);
+    pruneTo(&layer.weight().value, 0.4, 67);
+    Tensor x(Shape{n, i_ext});
+    x.fillGaussian(rng, 1.0f);
+
+    const Tensor y = layer.forward(x, true);
+
+    Tensor w4 = layer.weight().value;
+    w4.reshape(Shape{o_ext, i_ext, 1, 1});
+    const auto csb = sparse::CsbTensor::encodeConvFilters(w4);
+    const kernels::ConvTapPack pack = kernels::packConvTaps(csb, 1, n, 1, 0);
+    Tensor xp(Shape{1, i_ext, 1, n});
+    kernels::transpose(x.data(), n, i_ext, xp.data());
+    const Tensor yp =
+        sparse::sparseConvForward(xp, csb, 1, 0, nullptr, &pack);
+    Tensor y_ref(Shape{n, o_ext});
+    kernels::transpose(yp.data(), o_ext, n, y_ref.data());
+    EXPECT_TRUE(bitwiseEqual(y, y_ref));
+}
+
+TEST(SparseWeightLayer, ConvTrainingStepEqualsExecutor)
+{
+    Conv2dConfig cfg;
+    cfg.inChannels = 3;
+    cfg.outChannels = 5;
+    cfg.kernel = 3;
+    cfg.stride = 1;
+    cfg.pad = 1;
+    cfg.bias = false;
+    Conv2d layer(cfg, "conv");
+    layer.setBackend(kernels::KernelBackend::kSparse);
+
+    Xorshift128Plus rng(71);
+    layer.weight().value.fillGaussian(rng, 0.5f);
+    pruneTo(&layer.weight().value, 0.4, 73);
+    Tensor x(Shape{2, 3, 7, 9});
+    x.fillGaussian(rng, 1.0f);
+    Tensor dy(Shape{2, 5, 7, 9});
+    dy.fillGaussian(rng, 1.0f);
+
+    const Tensor y = layer.forward(x, true);
+    const Tensor dx = layer.backward(dy);
+
+    const auto csb =
+        sparse::CsbTensor::encodeConvFilters(layer.weight().value);
+    const Tensor y_ref = sparse::sparseConvForward(x, csb, 1, 1);
+    const Tensor dx_ref =
+        sparse::sparseConvBackwardData(dy, csb, x.shape(), 1, 1);
+    Tensor dw_ref(layer.weight().value.shape());
+    sparse::sparseConvBackwardWeights(x, dy, csb, 1, 1, &dw_ref);
+
+    EXPECT_TRUE(bitwiseEqual(y, y_ref));
+    EXPECT_TRUE(bitwiseEqual(dx, dx_ref));
+    EXPECT_TRUE(bitwiseEqual(layer.weight().grad, dw_ref));
+}
+
+/**
+ * The mask-epoch tap-pack cache of a kSparse weight layer. `make(w)`
+ * builds a fresh kSparse layer holding weights w and the shared bias.
+ * Two steps with the same mask but different values: the cached tap
+ * pack must be indistinguishable from a fresh layer that packs its
+ * taps from scratch. A mask change, and then a batch `x_other` of a
+ * different input geometry under the same mask, must each force a
+ * repack.
+ */
+template <typename MakeLayer>
+void
+expectMaskStableRefresh(MakeLayer make, const Tensor &w, const Tensor &x,
+                        const Tensor &dy, const Tensor &x_other)
+{
+    auto cached = make(w);
+    const Shape bias_shape = cached->bias().value.shape();
+    cached->forward(x, true);   // step 1 builds the tap pack
+    cached->backward(dy);
+    // Optimizer-like update: scale live values, keep the mask.
+    for (int64_t i = 0; i < w.numel(); ++i)
+        cached->weight().value.at(i) *= 1.5f;
+    cached->weight().grad = Tensor(w.shape());
+    cached->bias().grad = Tensor(bias_shape);
+    const Tensor y2 = cached->forward(x, true);   // reuses the pack
+    const Tensor dx2 = cached->backward(dy);
+
+    auto fresh = make(cached->weight().value);
+    const Tensor y_ref = fresh->forward(x, true);
+    const Tensor dx_ref = fresh->backward(dy);
+
+    EXPECT_TRUE(bitwiseEqual(y2, y_ref));
+    EXPECT_TRUE(bitwiseEqual(dx2, dx_ref));
+    EXPECT_TRUE(bitwiseEqual(cached->weight().grad,
+                             fresh->weight().grad));
+    EXPECT_TRUE(bitwiseEqual(cached->bias().grad, fresh->bias().grad));
+
+    // A mask change (new pruning epoch) must force a fresh pack, not a
+    // stale-geometry reuse.
+    for (int64_t i = 0; i < w.numel(); ++i) {
+        if (cached->weight().value.at(i) != 0.0f) {
+            cached->weight().value.at(i) = 0.0f;   // kill one live weight
+            break;
+        }
+    }
+    cached->weight().grad = Tensor(w.shape());
+    cached->bias().grad = Tensor(bias_shape);
+    const Tensor y3 = cached->forward(x, true);
+    const Tensor dx3 = cached->backward(dy);
+
+    auto fresh2 = make(cached->weight().value);
+    EXPECT_TRUE(bitwiseEqual(y3, fresh2->forward(x, true)));
+    EXPECT_TRUE(bitwiseEqual(dx3, fresh2->backward(dy)));
+    EXPECT_TRUE(bitwiseEqual(cached->weight().grad,
+                             fresh2->weight().grad));
+
+    // The pack is keyed by the input geometry too: a different one
+    // under the same mask must repack, not reuse.
+    auto fresh3 = make(cached->weight().value);
+    EXPECT_TRUE(bitwiseEqual(cached->forward(x_other, true),
+                             fresh3->forward(x_other, true)));
+}
+
+TEST(MaskStableRefresh, LinearReusesTapGeometryAcrossSteps)
+{
+    // The fc pack is keyed by the batch plane's width: the batch size.
+    const int64_t n = 9, i_ext = 26, o_ext = 14;
+    Xorshift128Plus rng(97);
+    Tensor w(Shape{o_ext, i_ext});
+    w.fillGaussian(rng, 0.5f);
+    pruneTo(&w, 0.4, 101);
+    Tensor x(Shape{n, i_ext});
+    x.fillGaussian(rng, 1.0f);
+    Tensor dy(Shape{n, o_ext});
+    dy.fillGaussian(rng, 1.0f);
+    Tensor x_other(Shape{4, i_ext});
+    x_other.fillGaussian(rng, 1.0f);
+    Tensor b(Shape{o_ext});
+    b.fillGaussian(rng, 0.5f);
+
+    expectMaskStableRefresh(
+        [&](const Tensor &wv) {
+            auto l = std::make_unique<Linear>(i_ext, o_ext, "fc");
+            l->setBackend(kernels::KernelBackend::kSparse);
+            l->weight().value = wv;
+            l->bias().value = b;
+            return l;
+        },
+        w, x, dy, x_other);
+}
+
+TEST(MaskStableRefresh, Conv2dReusesTapGeometryAcrossSteps)
+{
+    // The conv pack is keyed by the input plane: 7x9 becomes 8x6.
+    Conv2dConfig cfg;
+    cfg.inChannels = 5;
+    cfg.outChannels = 6;
+    cfg.kernel = 3;
+    cfg.stride = 2;
+    cfg.pad = 1;
+    Xorshift128Plus rng(103);
+    Tensor w(Shape{cfg.outChannels, cfg.inChannels, 3, 3});
+    w.fillGaussian(rng, 0.5f);
+    pruneTo(&w, 0.4, 107);
+    Tensor x(Shape{3, cfg.inChannels, 7, 9});
+    x.fillGaussian(rng, 1.0f);
+    Tensor dy(Shape{3, cfg.outChannels, 4, 5});
+    dy.fillGaussian(rng, 1.0f);
+    Tensor x_other(Shape{3, cfg.inChannels, 8, 6});
+    x_other.fillGaussian(rng, 1.0f);
+    Tensor b(Shape{cfg.outChannels});
+    b.fillGaussian(rng, 0.5f);
+
+    expectMaskStableRefresh(
+        [&](const Tensor &wv) {
+            auto l = std::make_unique<Conv2d>(cfg, "conv");
+            l->setBackend(kernels::KernelBackend::kSparse);
+            l->weight().value = wv;
+            l->bias().value = b;
+            return l;
+        },
+        w, x, dy, x_other);
 }
 
 } // namespace
