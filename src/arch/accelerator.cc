@@ -27,13 +27,11 @@ Accelerator::evaluate(const NetworkModel &net,
                       "profile count mismatch");
     NetworkCost cost;
     for (size_t i = 0; i < net.layers.size(); ++i) {
-        cost.fw += model_.evaluatePhase(net.layers[i], Phase::Forward,
-                                        mapping_, profiles[i], batch);
-        cost.bw += model_.evaluatePhase(net.layers[i], Phase::Backward,
-                                        mapping_, profiles[i], batch);
-        cost.wu += model_.evaluatePhase(net.layers[i],
-                                        Phase::WeightUpdate, mapping_,
-                                        profiles[i], batch);
+        const NetworkCost layer =
+            evaluateLayer(net.layers[i], profiles[i], batch);
+        cost.fw += layer.fw;
+        cost.bw += layer.bw;
+        cost.wu += layer.wu;
     }
     return cost;
 }

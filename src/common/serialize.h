@@ -54,14 +54,6 @@ class ByteWriter
         writeBytes(s.data(), s.size());
     }
 
-    /** Length-prefixed raw fp32 array (bit images). */
-    void
-    writeFloatArray(const float *v, int64_t n)
-    {
-        writeI64(n);
-        writeBytes(v, static_cast<size_t>(n) * sizeof(float));
-    }
-
     /** Shape (rank + extents) followed by the raw fp32 payload. */
     void writeTensor(const Tensor &t);
 
@@ -111,18 +103,6 @@ class ByteReader
         std::string s(n, '\0');
         readBytes(s.data(), n);
         return s;
-    }
-
-    /** Counterpart of ByteWriter::writeFloatArray. */
-    std::vector<float>
-    readFloatArray()
-    {
-        const int64_t n = readI64();
-        if (n < 0)
-            FATAL("checkpoint corrupt: negative array length");
-        std::vector<float> v(static_cast<size_t>(n));
-        readBytes(v.data(), v.size() * sizeof(float));
-        return v;
     }
 
     /** Counterpart of ByteWriter::writeTensor. */

@@ -17,25 +17,13 @@ initialBackend()
     return KernelBackend::kGemm;
 }
 
-KernelBackend &
-defaultBackendSlot()
-{
-    static KernelBackend backend = initialBackend();
-    return backend;
-}
-
 } // namespace
 
 KernelBackend
 defaultKernelBackend()
 {
-    return defaultBackendSlot();
-}
-
-void
-setDefaultKernelBackend(KernelBackend backend)
-{
-    defaultBackendSlot() = backend;
+    static const KernelBackend backend = initialBackend();
+    return backend;
 }
 
 const char *

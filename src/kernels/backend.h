@@ -34,9 +34,6 @@ enum class KernelBackend
 /** Process-wide default backend newly-constructed layers pick up. */
 KernelBackend defaultKernelBackend();
 
-/** Override the process-wide default. */
-void setDefaultKernelBackend(KernelBackend backend);
-
 /** "naive" / "gemm" / "sparse". */
 const char *kernelBackendName(KernelBackend backend);
 

@@ -112,28 +112,23 @@ packConvTaps(const sparse::CsbTensor &w, int64_t in_h, int64_t in_w,
     pack.pExt = (in_h + 2 * pad - r_ext) / stride + 1;
     pack.qExt = (in_w + 2 * pad - s_ext) / stride + 1;
 
+    pack.win.resize(static_cast<size_t>(r_ext * s_ext));
+    for (int64_t e = 0; e < r_ext * s_ext; ++e) {
+        ConvWindow &wd = pack.win[static_cast<size_t>(e)];
+        validOutRange(pack.pExt, in_h, e / s_ext, stride, pad, &wd.pLo,
+                      &wd.pHi);
+        validOutRange(pack.qExt, in_w, e % s_ext, stride, pad, &wd.qLo,
+                      &wd.qHi);
+    }
+
     const int64_t nb = w.numBlocks();
     pack.blockOff.assign(static_cast<size_t>(nb) + 1, 0);
     pack.taps.reserve(static_cast<size_t>(w.nnz()));
     for (int64_t b = 0; b < nb; ++b) {
         if (w.blockNnz(b) > 0) {
             for (int64_t e = 0; e < w.blockElems(); ++e) {
-                if (!w.blockMaskBit(b, e))
-                    continue;
-                const int64_t r = e / s_ext;
-                const int64_t s = e % s_ext;
-                int64_t p_lo, p_hi, q_lo, q_hi;
-                validOutRange(pack.pExt, in_h, r, stride, pad, &p_lo,
-                              &p_hi);
-                validOutRange(pack.qExt, in_w, s, stride, pad, &q_lo,
-                              &q_hi);
-                ConvTap t;
-                t.elem = static_cast<int32_t>(e);
-                t.pLo = static_cast<int32_t>(p_lo);
-                t.pHi = static_cast<int32_t>(p_hi);
-                t.qLo = static_cast<int32_t>(q_lo);
-                t.nq = static_cast<int32_t>(q_hi - q_lo);
-                pack.taps.push_back(t);
+                if (w.blockMaskBit(b, e))
+                    pack.taps.push_back({static_cast<int32_t>(e)});
             }
         }
         pack.blockOff[static_cast<size_t>(b) + 1] =

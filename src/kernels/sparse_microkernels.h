@@ -108,32 +108,47 @@ void setSimdLevel(SimdLevel level);
 const char *simdLevelName(SimdLevel level);
 
 /**
- * One live conv weight with its padding-clipped output ranges, so the
- * executors stream taps instead of chasing block maps. Taps are packed
- * in CSB mask order, which is exactly the packed value order, so tap i
- * of a block pairs with value i of that block.
+ * One live conv weight, so the executors stream taps instead of
+ * chasing block maps. Taps are packed in CSB mask order, which is
+ * exactly the packed value order, so tap i of a block pairs with value
+ * i of that block. The tap's output window is its kernel element's
+ * entry of ConvTapPack::win.
  */
 struct ConvTap
 {
-    int32_t elem;       //!< dense element r * S + s within the block
-    int32_t pLo, pHi;   //!< valid output rows [pLo, pHi)
-    int32_t qLo;        //!< first valid output column
-    int32_t nq;         //!< number of valid output columns
+    int32_t elem;   //!< dense element r * S + s within the block
+};
+
+/**
+ * The padding-clipped output window of one kernel element: the output
+ * positions (p, q) whose input projection (p * stride + r - pad,
+ * q * stride + s - pad) is in bounds. It depends only on (r, s) and the
+ * geometry, so every block and every phase shares it.
+ */
+struct ConvWindow
+{
+    int64_t pLo, pHi;   //!< valid output rows [pLo, pHi)
+    int64_t qLo, qHi;   //!< valid output cols [qLo, qHi)
+
+    bool empty() const { return pHi == pLo || qHi == qLo; }
 };
 
 /**
  * Gather-free packed tap stream for one CSB conv-filter tensor at one
  * input geometry: per-block contiguous ConvTap runs addressed by
- * blockOff (size numBlocks + 1). One pack serves all three conv
- * phases — the mask-live tap set IS the packed value set — and stays
- * valid as long as the mask and the input geometry do (weight *values*
- * live in the CsbTensor and are re-read each call, so a pack survives
- * optimizer steps that only change values).
+ * blockOff (size numBlocks + 1), plus the clip window of each of the
+ * R * S kernel elements, computed once here. One pack serves all three
+ * conv phases — the mask-live tap set IS the packed value set, and a
+ * tap's window is win[elem] in each — and stays valid as long as the
+ * mask and the input geometry do (weight *values* live in the CsbTensor
+ * and are re-read each call, so a pack survives optimizer steps that
+ * only change values).
  */
 struct ConvTapPack
 {
     std::vector<ConvTap> taps;      //!< block-major, mask order
     std::vector<int64_t> blockOff;  //!< per-block tap offsets, nb + 1
+    std::vector<ConvWindow> win;    //!< per kernel element r * S + s
     int64_t inH = 0, inW = 0;       //!< input geometry the pack clips to
     int64_t stride = 0, pad = 0;
     int64_t pExt = 0, qExt = 0;     //!< derived output extents

@@ -77,9 +77,6 @@ class Sgd : public Optimizer
     void serializeState(ByteWriter &w) const override;
     void restoreState(ByteReader &r) override;
 
-    float learningRate() const { return lr_; }
-    void setLearningRate(float lr) { lr_ = lr; }
-
   private:
     float lr_;
     float momentum_;

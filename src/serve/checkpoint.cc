@@ -1,7 +1,5 @@
 #include "serve/checkpoint.h"
 
-#include <cstdio>
-
 #include "common/serialize.h"
 
 namespace procrustes {
@@ -176,40 +174,6 @@ restoreTrainingState(const std::vector<uint8_t> &blob, nn::Network &net,
     if (!r.atEnd())
         FATAL("checkpoint corrupt: trailing bytes after snapshot");
     return cursor;
-}
-
-void
-saveCheckpointFile(const std::string &path,
-                   const std::vector<uint8_t> &blob)
-{
-    FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        FATAL("cannot write checkpoint file '" + path + "'");
-    if (!blob.empty() &&
-        std::fwrite(blob.data(), 1, blob.size(), f) != blob.size()) {
-        std::fclose(f);
-        FATAL("short write to checkpoint file '" + path + "'");
-    }
-    std::fclose(f);
-}
-
-std::vector<uint8_t>
-loadCheckpointFile(const std::string &path)
-{
-    FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        FATAL("cannot read checkpoint file '" + path + "'");
-    std::fseek(f, 0, SEEK_END);
-    const long size = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    std::vector<uint8_t> blob(static_cast<size_t>(size > 0 ? size : 0));
-    if (!blob.empty() &&
-        std::fread(blob.data(), 1, blob.size(), f) != blob.size()) {
-        std::fclose(f);
-        FATAL("short read from checkpoint file '" + path + "'");
-    }
-    std::fclose(f);
-    return blob;
 }
 
 } // namespace serve

@@ -67,13 +67,6 @@ std::vector<uint8_t> snapshotTrainingState(nn::Network &net,
 TrainCursor restoreTrainingState(const std::vector<uint8_t> &blob,
                                  nn::Network &net, nn::Optimizer &opt);
 
-/** Write a snapshot to a file; FATALs if the file cannot be written. */
-void saveCheckpointFile(const std::string &path,
-                        const std::vector<uint8_t> &blob);
-
-/** Read a snapshot back; FATALs if the file cannot be read. */
-std::vector<uint8_t> loadCheckpointFile(const std::string &path);
-
 } // namespace serve
 } // namespace procrustes
 

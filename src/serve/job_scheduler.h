@@ -60,7 +60,6 @@ class JobScheduler
 
     bool allFinished() const;
     int64_t roundsExecuted() const { return rounds_; }
-    size_t jobCount() const { return jobs_.size(); }
     TrainingJob *job(size_t i) { return jobs_.at(i).get(); }
 
   private:

@@ -10,14 +10,11 @@
 #include "common/math_utils.h"
 #include "common/scratch_arena.h"
 #include "common/thread_pool.h"
-#include "kernels/im2col.h"   // validOutRange: the shared padding clip
 
 namespace procrustes {
 namespace sparse {
 
 namespace {
-
-using kernels::validOutRange;
 
 /** Validate inputs and derive the output spatial extent. */
 int64_t
@@ -29,15 +26,6 @@ outExtent(int64_t in, int64_t kernel, int64_t stride, int64_t pad)
                       "convolution output would be empty");
     return (in + 2 * pad - kernel) / stride + 1;
 }
-
-/** One non-zero weight of a block with its pre-clipped output ranges. */
-struct Tap
-{
-    float wt;
-    int64_t r, s;
-    int64_t pLo, pHi;   //!< valid output rows [pLo, pHi)
-    int64_t qLo, qHi;   //!< valid output cols [qLo, qHi)
-};
 
 /**
  * Use the caller's tap pack when it matches this (mask, geometry) pair;
@@ -60,30 +48,6 @@ resolvePack(const kernels::ConvTapPack *pack, const CsbTensor &w,
     }
     *local = kernels::packConvTaps(w, h, width, stride, pad);
     return local;
-}
-
-/**
- * Gather the mask-live taps of block b. The weight-gradient pass reads
- * the mask array, not the packed values: it needs the *positions* that
- * stay live, while the value being replaced is irrelevant.
- */
-void
-gatherMaskTaps(const CsbTensor &w, int64_t b, int64_t s_ext, int64_t h,
-               int64_t width, int64_t p_ext, int64_t q_ext,
-               int64_t stride, int64_t pad, std::vector<Tap> *taps)
-{
-    taps->clear();
-    for (int64_t e = 0; e < w.blockElems(); ++e) {
-        if (!w.blockMaskBit(b, e))
-            continue;
-        Tap t;
-        t.wt = 0.0f;   // unused: the pass produces weights, not reads them
-        t.r = e / s_ext;
-        t.s = e % s_ext;
-        validOutRange(p_ext, h, t.r, stride, pad, &t.pLo, &t.pHi);
-        validOutRange(q_ext, width, t.s, stride, pad, &t.qLo, &t.qHi);
-        taps->push_back(t);
-    }
 }
 
 /**
@@ -289,14 +253,13 @@ sparseConvForward(const Tensor &x, const CsbTensor &w, int64_t stride,
                 const float *bvals = wvals + w.blockValueOffset(b);
                 const int64_t plane = ic * plane_sz;
                 for (int64_t t = 0; t < ntaps; ++t) {
-                    const kernels::ConvTap &tp = taps[t];
-                    if (tp.nq <= 0 || tp.pHi <= tp.pLo)
+                    const int64_t e = taps[t].elem;
+                    const kernels::ConvWindow &wd = pack->win[e];
+                    if (wd.empty())
                         continue;   // fully clipped: contributes nothing
-                    local_macs += static_cast<int64_t>(tp.pHi - tp.pLo) *
-                                  tp.nq * n;
+                    local_macs += (wd.pHi - wd.pLo) * (wd.qHi - wd.qLo) * n;
                     kernels::ConvRunTap rt;
-                    rt.xoff = plane + prep.tapOffset(tp.elem / s_ext,
-                                                     tp.elem % s_ext);
+                    rt.xoff = plane + prep.tapOffset(e / s_ext, e % s_ext);
                     rt.w = bvals[t];
                     run.push_back(rt);
                 }
@@ -399,12 +362,13 @@ sparseConvBackwardData(const Tensor &dy, const CsbTensor &w,
                     pack->blockOff[static_cast<size_t>((ok + 1) * c)];
                 for (int64_t t = pack->blockOff[static_cast<size_t>(ok * c)];
                      t < t_end; ++t) {
-                    const kernels::ConvTap &tp = all_taps[t];
-                    if (tp.nq <= 0 || tp.pHi <= tp.pLo)
+                    const kernels::ConvWindow &wd = pack->win[all_taps[t].elem];
+                    if (wd.empty())
                         continue;
-                    const int32_t *top = sat.data() + tp.pLo * tw + tp.qLo;
-                    const int32_t *bot = sat.data() + tp.pHi * tw + tp.qLo;
-                    local_macs += bot[tp.nq] - bot[0] - top[tp.nq] + top[0];
+                    const int64_t nq = wd.qHi - wd.qLo;
+                    const int32_t *top = sat.data() + wd.pLo * tw + wd.qLo;
+                    const int32_t *bot = sat.data() + wd.pHi * tw + wd.qLo;
+                    local_macs += bot[nq] - bot[0] - top[nq] + top[0];
                 }
             }
             mac_total.fetch_add(local_macs, std::memory_order_relaxed);
@@ -432,8 +396,9 @@ sparseConvBackwardData(const Tensor &dy, const CsbTensor &w,
     const int64_t nph = stride * stride;
     const int64_t ic_bounds = nph * nchunks + 1;
     // Kernel element (r, s) lands on phase a ≡ r - pad, b ≡ s - pad
-    // (mod stride), -1 when that phase is empty, and reads dy at a
-    // fixed offset from there.
+    // (mod stride), -1 when that phase or the element's clip window is
+    // empty (it contributes nothing), and reads dy at a fixed offset
+    // from there.
     std::vector<int64_t> elem_phase(static_cast<size_t>(r_ext * s_ext));
     std::vector<int64_t> elem_off(static_cast<size_t>(r_ext * s_ext));
     for (int64_t r = 0; r < r_ext; ++r) {
@@ -441,7 +406,9 @@ sparseConvBackwardData(const Tensor &dy, const CsbTensor &w,
         for (int64_t s = 0; s < s_ext; ++s) {
             const int64_t b = ((s - pad) % stride + stride) % stride;
             const size_t e = static_cast<size_t>(r * s_ext + s);
-            elem_phase[e] = a < h && b < width ? a * stride + b : -1;
+            elem_phase[e] = a < h && b < width && !pack->win[e].empty()
+                                ? a * stride + b
+                                : -1;
             elem_off[e] = ((a + pad) / stride + lo_h - r / stride) * dyrow +
                           (b + pad) / stride + lo_w - s / stride;
         }
@@ -482,10 +449,8 @@ sparseConvBackwardData(const Tensor &dy, const CsbTensor &w,
                     const kernels::ConvTap *taps = all_taps + t0;
                     const float *bvals = wvals + w.blockValueOffset(blk);
                     for (int64_t t = 0; t < ntaps; ++t) {
-                        const kernels::ConvTap &tp = taps[t];
-                        const size_t e = static_cast<size_t>(tp.elem);
-                        if (tp.nq <= 0 || tp.pHi <= tp.pLo ||
-                            elem_phase[e] < 0)
+                        const size_t e = static_cast<size_t>(taps[t].elem);
+                        if (elem_phase[e] < 0)
                             continue;   // contributes nothing
                         kernels::ConvRunTap rt;
                         rt.xoff = ok * dyplane_sz + elem_off[e];
@@ -623,30 +588,27 @@ sparseConvBackwardWeights(const Tensor &x, const Tensor &dy,
     PreparedInput prep(xs, stride, pad);
     const int64_t xrs = stride * prep.rowStride;
 
-    // The padding-clip window of kernel element e depends only on its
-    // (r, s), the stride and the pad, so it is the same in every block.
-    // Elements with equal windows read equal dy streaks; cls names the
-    // first element with e's window.
-    struct ElemWindow
+    // Elements with equal clip windows (pack->win) read equal dy
+    // streaks; cls names the first element with e's window.
+    struct ElemClass
     {
-        int64_t pLo, pHi, qLo, qHi, cls;
+        int64_t cls;
         int64_t xoff;   //!< plane offset of the window's first x read
     };
     const int64_t rs = r_ext * s_ext;
-    std::vector<ElemWindow> win(static_cast<size_t>(rs));
+    const kernels::ConvWindow *win = pack->win.data();
+    std::vector<ElemClass> eclass(static_cast<size_t>(rs));
     for (int64_t e = 0; e < rs; ++e) {
-        ElemWindow &wd = win[static_cast<size_t>(e)];
-        validOutRange(p_ext, h, e / s_ext, stride, pad, &wd.pLo, &wd.pHi);
-        validOutRange(q_ext, width, e % s_ext, stride, pad, &wd.qLo,
-                      &wd.qHi);
-        wd.xoff = prep.tapOffset(e / s_ext, e % s_ext) + wd.pLo * xrs +
+        const kernels::ConvWindow &wd = win[e];
+        ElemClass &ec = eclass[static_cast<size_t>(e)];
+        ec.xoff = prep.tapOffset(e / s_ext, e % s_ext) + wd.pLo * xrs +
                   wd.qLo;
-        wd.cls = e;
+        ec.cls = e;
         for (int64_t f = 0; f < e; ++f) {
-            const ElemWindow &o = win[static_cast<size_t>(f)];
+            const kernels::ConvWindow &o = win[f];
             if (o.pLo == wd.pLo && o.pHi == wd.pHi && o.qLo == wd.qLo &&
                 o.qHi == wd.qHi) {
-                wd.cls = f;
+                ec.cls = f;
                 break;
             }
         }
@@ -676,7 +638,7 @@ sparseConvBackwardWeights(const Tensor &x, const Tensor &dy,
                                 [&](int64_t i) { nz[i] += src[i] != 0.0f; });
             }
             for (int64_t e = 0; e < rs; ++e) {
-                const ElemWindow &wd = win[static_cast<size_t>(e)];
+                const kernels::ConvWindow &wd = win[e];
                 int64_t total = 0;
                 for (int64_t p = wd.pLo; p < wd.pHi; ++p) {
                     const int64_t row =
@@ -735,10 +697,10 @@ sparseConvBackwardWeights(const Tensor &x, const Tensor &dy,
                 const int64_t t_end = block_off[b + 1];
                 for (int64_t t = block_off[b]; t < t_end; ++t) {
                     const int64_t e = all_taps[t].elem;
-                    const ElemWindow &wd = win[static_cast<size_t>(e)];
+                    const ElemClass &ec = eclass[static_cast<size_t>(e)];
                     local_macs += nz_count[static_cast<size_t>(ic * rs + e)];
-                    bucket[static_cast<size_t>(wd.cls)].push_back(
-                        {ic * prep.planeSize + wd.xoff, b * rs + e});
+                    bucket[static_cast<size_t>(ec.cls)].push_back(
+                        {ic * prep.planeSize + ec.xoff, b * rs + e});
                 }
             }
             for (int64_t cl = 0; cl < rs; ++cl) {
@@ -747,8 +709,8 @@ sparseConvBackwardWeights(const Tensor &x, const Tensor &dy,
                     xoff.push_back(tr.xoff);
                     slot.push_back(tr.slot);
                 }
-                const ElemWindow &wd = win[static_cast<size_t>(cl)];
-                if (wd.pHi == wd.pLo || wd.qHi == wd.qLo)
+                const kernels::ConvWindow &wd = win[cl];
+                if (wd.empty())
                     continue;   // empty window: the lanes stay zero
                 const int64_t end = static_cast<int64_t>(xoff.size());
                 for (int64_t g = first; g < end; g += 8)
@@ -772,122 +734,6 @@ sparseConvBackwardWeights(const Tensor &x, const Tensor &dy,
     }, ok_grain);
     if (macs)
         *macs = mac_total.load(std::memory_order_relaxed);
-}
-
-SparseConvMacCounts
-sparseConvMacCounts(const Tensor &x, const CsbTensor &w, int64_t stride,
-                    int64_t pad)
-{
-    const Shape &ws = w.denseShape();
-    const Shape &xs = x.shape();
-    const int64_t h = xs[2];
-    const int64_t width = xs[3];
-    const int64_t s_ext = ws[3];
-    const int64_t p_ext = outExtent(h, ws[2], stride, pad);
-    const int64_t q_ext = outExtent(width, s_ext, stride, pad);
-
-    // Exact count: a live weight at tap (r, s) fires only for the
-    // output positions whose input projection is in bounds, so clip
-    // each tap's (p, q) iteration space against the padding halo —
-    // matching what the executors above actually compute. One clipped
-    // per-tap extent serves all three phases: forward multiplies,
-    // backward-data scatters, and backward-weight reduces over the
-    // identical (n, p, q) set.
-    int64_t macs = 0;
-    for (int64_t b = 0; b < w.numBlocks(); ++b) {
-        if (w.blockNnz(b) == 0)
-            continue;
-        for (int64_t e = 0; e < w.blockElems(); ++e) {
-            if (!w.blockMaskBit(b, e))
-                continue;
-            int64_t p_lo, p_hi, q_lo, q_hi;
-            validOutRange(p_ext, h, e / s_ext, stride, pad, &p_lo, &p_hi);
-            validOutRange(q_ext, width, e % s_ext, stride, pad, &q_lo,
-                       &q_hi);
-            macs += (p_hi - p_lo) * (q_hi - q_lo);
-        }
-    }
-    macs *= xs[0];
-
-    SparseConvMacCounts counts;
-    counts.forward = macs;
-    counts.backwardData = macs;
-    counts.backwardWeight = macs;
-    return counts;
-}
-
-SparseConvMacCounts
-sparseConvMacCounts(const Tensor &x, const Tensor &dy, const CsbTensor &w,
-                    int64_t stride, int64_t pad)
-{
-    const Shape &ws = w.denseShape();
-    const Shape &xs = x.shape();
-    PROCRUSTES_ASSERT(xs.rank() == 4 && xs[1] == ws[1],
-                      "input channels mismatch");
-    const int64_t n = xs[0];
-    const int64_t c = ws[1];
-    const int64_t h = xs[2];
-    const int64_t width = xs[3];
-    const int64_t k = ws[0];
-    const int64_t r_ext = ws[2];
-    const int64_t s_ext = ws[3];
-    const int64_t p_ext = outExtent(h, r_ext, stride, pad);
-    const int64_t q_ext = outExtent(width, s_ext, stride, pad);
-    PROCRUSTES_ASSERT(dy.shape() == Shape({n, k, p_ext, q_ext}),
-                      "dy shape mismatch");
-
-    SparseConvMacCounts counts;
-    const float *px = x.data();
-    const float *pdy = dy.data();
-
-    // Replay the executors' tap traversal once: every in-bounds
-    // (tap, n, p, q) visit is one forward MAC, and it additionally
-    // counts towards backward-data / backward-weight when the operand
-    // the executor would multiply there — dy respectively x — is
-    // non-zero.
-    std::vector<Tap> taps;
-    for (int64_t ok = 0; ok < k; ++ok) {
-        for (int64_t ic = 0; ic < c; ++ic) {
-            const int64_t b = ok * c + ic;
-            if (w.blockNnz(b) == 0)
-                continue;
-            gatherMaskTaps(w, b, s_ext, h, width, p_ext, q_ext, stride,
-                           pad, &taps);
-            for (const Tap &t : taps) {
-                const int64_t iw0 = t.qLo * stride + t.s - pad;
-                counts.forward +=
-                    (t.pHi - t.pLo) * (t.qHi - t.qLo) * n;
-                for (int64_t in = 0; in < n; ++in) {
-                    const float *dyplane =
-                        pdy + (in * k + ok) * p_ext * q_ext;
-                    const float *xplane =
-                        px + (in * c + ic) * h * width;
-                    for (int64_t p = t.pLo; p < t.pHi; ++p) {
-                        const float *dyrow =
-                            dyplane + p * q_ext + t.qLo;
-                        const float *xrow =
-                            xplane +
-                            (p * stride + t.r - pad) * width + iw0;
-                        const int64_t nq = t.qHi - t.qLo;
-                        for (int64_t q = 0; q < nq; ++q) {
-                            if (dyrow[q] != 0.0f)
-                                ++counts.backwardData;
-                            if (xrow[q * stride] != 0.0f)
-                                ++counts.backwardWeight;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    return counts;
-}
-
-int64_t
-sparseConvMacs(const Tensor &x, const CsbTensor &w, int64_t stride,
-               int64_t pad)
-{
-    return sparseConvMacCounts(x, w, stride, pad).forward;
 }
 
 } // namespace sparse

@@ -21,9 +21,13 @@
  * output channels in the forward and backward-weight passes, over
  * (sample, input channel) pairs in backward-data — so every thread
  * accumulates into a private slice of the output in a fixed order
- * (deterministic for any thread count), and per-tap output ranges are
- * pre-clipped against the padding halo so the MAC loops run
- * branch-free.
+ * (deterministic for any thread count), and each kernel element's
+ * output window is pre-clipped against the padding halo once per tap
+ * pack so the MAC loops run branch-free.
+ *
+ * Each executor's `macs` out-param is the one executed-MAC count of its
+ * phase, tallied while it runs; the layers' step reports and the
+ * benches read it, and the tests check it against a brute force.
  *
  * The inner loops are the SIMD microkernels of
  * kernels/sparse_microkernels.h: each executor streams a pre-packed
@@ -148,60 +152,6 @@ void sparseConvBackwardWeights(const Tensor &x, const Tensor &dy,
                                int64_t pad, Tensor *dw,
                                int64_t *macs = nullptr,
                                const kernels::ConvTapPack *pack = nullptr);
-
-/**
- * Exact MAC counts of the three training convolutions for this input.
- *
- * All three phases share one operation space: a live tap (k, c, r, s)
- * fires once per in-bounds output position (n, p, q) whether it is
- * multiplying activations (forward), scattering into dx
- * (backward-data), or reducing into dW (backward-weight). The counts
- * are therefore equal by construction — kept as separate fields so
- * cost-model consumers can attribute them per phase.
- */
-struct SparseConvMacCounts
-{
-    int64_t forward = 0;
-    int64_t backwardData = 0;
-    int64_t backwardWeight = 0;
-
-    /** Whole-iteration MACs (all three phases). */
-    int64_t total() const { return forward + backwardData + backwardWeight; }
-};
-
-SparseConvMacCounts sparseConvMacCounts(const Tensor &x,
-                                        const CsbTensor &w,
-                                        int64_t stride, int64_t pad);
-
-/**
- * Measured MAC counts honouring weight mask AND activation zeros —
- * exactly what the executors tally on this input:
- *
- *   forward:          live weight taps x in-bounds output positions
- *                     (the forward executor skips weights only);
- *   backward-data:    live taps x in-bounds positions whose dy operand
- *                     is non-zero (the tally of the executor above);
- *   backward-weight:  mask-live taps x in-bounds positions whose input
- *                     activation operand is non-zero (the x-skip).
- *
- * These are the per-step numbers the workload-trace pipeline feeds
- * into the cost model's training-iteration accounting.
- *
- * @param x forward input activations [N, C, H, W] (real values).
- * @param dy output-side gradient [N, K, P, Q] (real values).
- */
-SparseConvMacCounts sparseConvMacCounts(const Tensor &x, const Tensor &dy,
-                                        const CsbTensor &w,
-                                        int64_t stride, int64_t pad);
-
-/**
- * Exact number of multiply-accumulates sparseConvForward issues for
- * this input: only in-bounds (padding-clipped) positions are counted,
- * so cost-model MAC counts match what the kernels execute. Equals
- * sparseConvMacCounts(...).forward.
- */
-int64_t sparseConvMacs(const Tensor &x, const CsbTensor &w,
-                       int64_t stride, int64_t pad);
 
 } // namespace sparse
 } // namespace procrustes

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "brute_force_macs.h"
 #include "common/rng.h"
 #include "common/scratch_arena.h"
 #include "common/thread_pool.h"
@@ -466,7 +467,9 @@ TEST(SparseConvMacs, ExactlyCountsInBoundsMacs)
     w.fill(1.0f);
     const sparse::CsbTensor csb = sparse::CsbTensor::encodeConvFilters(w);
     Tensor x(Shape{1, 1, 4, 4});
-    EXPECT_EQ(sparse::sparseConvMacs(x, csb, 1, 1), 100);
+    int64_t macs = -1;
+    sparse::sparseConvForward(x, csb, 1, 1, &macs);
+    EXPECT_EQ(macs, 100);
 }
 
 TEST(SparseConvMacs, MatchesBruteForceCount)
@@ -482,37 +485,11 @@ TEST(SparseConvMacs, MatchesBruteForceCount)
     const sparse::CsbTensor csb = sparse::CsbTensor::encodeConvFilters(w);
 
     const int64_t n = 2, h = 6, width = 5, stride = 2, pad = 1;
-    Tensor x(Shape{n, 2, h, width});
-    const int64_t p_ext = (h + 2 * pad - 3) / stride + 1;
-    const int64_t q_ext = (width + 2 * pad - 3) / stride + 1;
-
-    // Brute force: replay the executor's loops and count every MAC.
-    int64_t expected = 0;
-    for (int64_t in = 0; in < n; ++in) {
-        for (int64_t k = 0; k < 3; ++k) {
-            for (int64_t c = 0; c < 2; ++c) {
-                for (int64_t r = 0; r < 3; ++r) {
-                    for (int64_t s = 0; s < 3; ++s) {
-                        if (w(k, c, r, s) == 0.0f)
-                            continue;
-                        for (int64_t p = 0; p < p_ext; ++p) {
-                            const int64_t ih = p * stride + r - pad;
-                            if (ih < 0 || ih >= h)
-                                continue;
-                            for (int64_t q = 0; q < q_ext; ++q) {
-                                const int64_t iw =
-                                    q * stride + s - pad;
-                                if (iw < 0 || iw >= width)
-                                    continue;
-                                ++expected;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    EXPECT_EQ(sparse::sparseConvMacs(x, csb, stride, pad), expected);
+    const Tensor x(Shape{n, 2, h, width});
+    int64_t macs = -1;
+    const Tensor y = sparse::sparseConvForward(x, csb, stride, pad, &macs);
+    EXPECT_EQ(macs, bruteForceConvMacs(w, x, Tensor(y.shape()), stride, pad)
+                        .forward);
 }
 
 // --------------------------------------- thread-count determinism sweep

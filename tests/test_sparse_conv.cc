@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "arch/model_zoo.h"
+#include "brute_force_macs.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "kernels/sparse_microkernels.h"
@@ -136,8 +137,9 @@ TEST(SparseConv, MacCountScalesWithDensity)
     const auto dense_csb = CsbTensor::encodeConvFilters(dense_w);
     const auto sparse_csb = CsbTensor::encodeConvFilters(sparse_w);
 
-    const int64_t dense_macs = sparseConvMacs(x, dense_csb, 1, 1);
-    const int64_t sparse_macs = sparseConvMacs(x, sparse_csb, 1, 1);
+    int64_t dense_macs = -1, sparse_macs = -1;
+    sparseConvForward(x, dense_csb, 1, 1, &dense_macs);
+    sparseConvForward(x, sparse_csb, 1, 1, &sparse_macs);
     EXPECT_NEAR(static_cast<double>(sparse_macs) /
                     static_cast<double>(dense_macs),
                 0.2, 0.02);
@@ -270,52 +272,26 @@ TEST(SparseConvBackwardWeights, MatchesMaskedDenseOnZooLayerShapes)
 
 // ------------------------------------- three-phase exact MAC counting
 
-/**
- * Brute-force MACs of one training phase by replaying its loop nest.
- * All three phases visit the same in-bounds (n, k, c, r, s, p, q)
- * tuples — the loops below differ only in which operand they would
- * touch, mirroring the executors.
- */
-int64_t
-bruteForcePhaseMacs(const Tensor &w, int64_t n, int64_t h, int64_t width,
-                    int64_t stride, int64_t pad)
+/** Gaussian tensor with about half its entries forced to +0. */
+Tensor
+halfZeroOperand(const Shape &shape, Xorshift128Plus &rng)
 {
-    const Shape &ws = w.shape();
-    const int64_t k = ws[0], c = ws[1], r_ext = ws[2], s_ext = ws[3];
-    const int64_t p_ext = (h + 2 * pad - r_ext) / stride + 1;
-    const int64_t q_ext = (width + 2 * pad - s_ext) / stride + 1;
-    int64_t count = 0;
-    for (int64_t in = 0; in < n; ++in) {
-        for (int64_t ok = 0; ok < k; ++ok) {
-            for (int64_t ic = 0; ic < c; ++ic) {
-                for (int64_t r = 0; r < r_ext; ++r) {
-                    for (int64_t s = 0; s < s_ext; ++s) {
-                        if (w(ok, ic, r, s) == 0.0f)
-                            continue;
-                        for (int64_t p = 0; p < p_ext; ++p) {
-                            const int64_t ih = p * stride + r - pad;
-                            if (ih < 0 || ih >= h)
-                                continue;
-                            for (int64_t q = 0; q < q_ext; ++q) {
-                                const int64_t iw = q * stride + s - pad;
-                                if (iw < 0 || iw >= width)
-                                    continue;
-                                ++count;
-                            }
-                        }
-                    }
-                }
-            }
-        }
+    Tensor t(shape);
+    t.fillGaussian(rng, 1.0f);
+    for (int64_t i = 0; i < t.numel(); ++i) {
+        if (rng.next() % 2 == 0)
+            t.at(i) = 0.0f;
     }
-    return count;
+    return t;
 }
 
-TEST(SparseConvMacCounts, AllPhasesMatchBruteForceOnPaddedEdges)
+TEST(SparseConvMacTallies, AllPhasesMatchBruteForceOnPaddedEdges)
 {
     // Edge geometries where the padding halo clips aggressively: big
     // pad relative to the image, stride that skips rows, kernels the
-    // size of the input.
+    // size of the input. Every executor reads its taps' windows from
+    // the pack's per-element table; each tally must equal the oracle
+    // with operand zeros present.
     struct EdgeCase
     {
         int64_t kernel, stride, pad, h, w;
@@ -332,19 +308,24 @@ TEST(SparseConvMacCounts, AllPhasesMatchBruteForceOnPaddedEdges)
     for (const EdgeCase &ec : cases) {
         const Tensor w = maskedFilters(4, 3, ec.kernel, 0.4, ++seed);
         const CsbTensor csb = CsbTensor::encodeConvFilters(w);
-        Tensor x(Shape{2, 3, ec.h, ec.w});
-        const int64_t expected =
-            bruteForcePhaseMacs(w, 2, ec.h, ec.w, ec.stride, ec.pad);
+        Xorshift128Plus rng(seed + 1000);
+        const Tensor x = halfZeroOperand(Shape{2, 3, ec.h, ec.w}, rng);
+        int64_t fw = -1, bwd = -1, bww = -1;
+        const Tensor y = sparseConvForward(x, csb, ec.stride, ec.pad, &fw);
+        const Tensor dy = halfZeroOperand(y.shape(), rng);
+        sparseConvBackwardData(dy, csb, x.shape(), ec.stride, ec.pad, &bwd);
+        Tensor dw(w.shape());
+        sparseConvBackwardWeights(x, dy, csb, ec.stride, ec.pad, &dw, &bww);
 
-        const SparseConvMacCounts counts =
-            sparseConvMacCounts(x, csb, ec.stride, ec.pad);
-        EXPECT_EQ(counts.forward, expected)
+        const PhaseMacs expected =
+            bruteForceConvMacs(w, x, dy, ec.stride, ec.pad);
+        EXPECT_EQ(fw, expected.forward)
             << "kernel=" << ec.kernel << " stride=" << ec.stride
             << " pad=" << ec.pad;
-        EXPECT_EQ(counts.backwardData, expected);
-        EXPECT_EQ(counts.backwardWeight, expected);
-        EXPECT_EQ(counts.total(), 3 * expected);
-        EXPECT_EQ(sparseConvMacs(x, csb, ec.stride, ec.pad), expected);
+        EXPECT_EQ(bwd, expected.backwardData) << "kernel=" << ec.kernel;
+        EXPECT_EQ(bww, expected.backwardWeight) << "kernel=" << ec.kernel;
+        EXPECT_LT(bwd, fw);
+        EXPECT_LT(bww, fw);
     }
 }
 
@@ -392,9 +373,10 @@ TEST(SparseConvBackward, DeterministicUnderThreading)
             EXPECT_EQ(data_macs, ref_data_macs) << threads;
             EXPECT_EQ(weight_macs, ref_weight_macs) << threads;
         }
-        // The tally leaves the zeros out: the replayed count agrees.
-        EXPECT_EQ(ref_weight_macs,
-                  sparseConvMacCounts(x, dy, csb, stride, 1).backwardWeight);
+        // The tallies leave the zeros out: the brute force agrees.
+        const PhaseMacs expected = bruteForceConvMacs(w, x, dy, stride, 1);
+        EXPECT_EQ(ref_data_macs, expected.backwardData);
+        EXPECT_EQ(ref_weight_macs, expected.backwardWeight);
     }
     ThreadPool::resetGlobal(0);
 }

@@ -30,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "brute_force_macs.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "kernels/backend.h"
@@ -329,9 +330,9 @@ TEST_P(SparseFc, MacTalliesMatchBruteForce)
     EXPECT_EQ(step.bwd, bwd);
     EXPECT_EQ(step.bww, bww);
 
-    // The conv MAC counter over the batch-plane view agrees, and with
-    // operand zeros present the backward counts sit below the
-    // weight-only bound.
+    // The conv brute force over the batch-plane view the executors run
+    // agrees, and with operand zeros present the backward counts sit
+    // below the weight-only bound.
     Tensor w4 = w;
     w4.reshape(Shape{o_ext, i_ext, 1, 1});
     const sparse::CsbTensor csb = sparse::CsbTensor::encodeConvFilters(w4);
@@ -339,8 +340,7 @@ TEST_P(SparseFc, MacTalliesMatchBruteForce)
     Tensor dyp(Shape{1, o_ext, 1, n});
     kernels::transpose(x.data(), n, i_ext, xp.data());
     kernels::transpose(dy.data(), n, o_ext, dyp.data());
-    const sparse::SparseConvMacCounts counted =
-        sparse::sparseConvMacCounts(xp, dyp, csb, 1, 0);
+    const PhaseMacs counted = bruteForceConvMacs(w4, xp, dyp, 1, 0);
     EXPECT_EQ(counted.forward, fw);
     EXPECT_EQ(counted.backwardData, bwd);
     EXPECT_EQ(counted.backwardWeight, bww);

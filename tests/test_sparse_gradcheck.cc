@@ -16,6 +16,7 @@
 
 #include <cmath>
 
+#include "brute_force_macs.h"
 #include "common/rng.h"
 #include "sparse/csb.h"
 #include "sparse/mask.h"
@@ -168,55 +169,6 @@ zeroSome(Tensor *t, uint64_t seed, double zero_fraction)
     }
 }
 
-/**
- * Brute-force executed-MAC counts honouring BOTH the weight mask and
- * activation zeros: the backward-data executor multiplies dy operands
- * (skips zeros), the backward-weight executor multiplies x operands
- * (skips zeros), and the forward executor skips weights only.
- */
-SparseConvMacCounts
-bruteForceMeasuredMacs(const Tensor &w, const Tensor &x, const Tensor &dy,
-                       int64_t stride, int64_t pad)
-{
-    const Shape &ws = w.shape();
-    const Shape &xs = x.shape();
-    const int64_t n = xs[0];
-    const int64_t k = ws[0], c = ws[1], r_ext = ws[2], s_ext = ws[3];
-    const int64_t h = xs[2], width = xs[3];
-    const int64_t p_ext = (h + 2 * pad - r_ext) / stride + 1;
-    const int64_t q_ext = (width + 2 * pad - s_ext) / stride + 1;
-    SparseConvMacCounts counts;
-    for (int64_t in = 0; in < n; ++in) {
-        for (int64_t ok = 0; ok < k; ++ok) {
-            for (int64_t ic = 0; ic < c; ++ic) {
-                for (int64_t r = 0; r < r_ext; ++r) {
-                    for (int64_t s = 0; s < s_ext; ++s) {
-                        if (w(ok, ic, r, s) == 0.0f)
-                            continue;
-                        for (int64_t p = 0; p < p_ext; ++p) {
-                            const int64_t ih = p * stride + r - pad;
-                            if (ih < 0 || ih >= h)
-                                continue;
-                            for (int64_t q = 0; q < q_ext; ++q) {
-                                const int64_t iw =
-                                    q * stride + s - pad;
-                                if (iw < 0 || iw >= width)
-                                    continue;
-                                ++counts.forward;
-                                if (dy(in, ok, p, q) != 0.0f)
-                                    ++counts.backwardData;
-                                if (x(in, ic, ih, iw) != 0.0f)
-                                    ++counts.backwardWeight;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    return counts;
-}
-
 TEST_P(SparseGradCheck, ActivationSparseBackwardsStayExactAdjoints)
 {
     // ReLU-zero activations and gradient zeros present: the skipping
@@ -229,7 +181,8 @@ TEST_P(SparseGradCheck, ActivationSparseBackwardsStayExactAdjoints)
     Tensor x(Shape{2, 3, 7, 8});
     x.fillGaussian(rng, 1.0f);
     zeroSome(&x, 227, 0.5);
-    const Tensor y = sparseConvForward(x, csb, gc.stride, gc.pad);
+    int64_t fw_macs = -1;
+    const Tensor y = sparseConvForward(x, csb, gc.stride, gc.pad, &fw_macs);
     Tensor dy(y.shape());
     dy.fillGaussian(rng, 1.0f);
     zeroSome(&dy, 229, 0.5);
@@ -281,25 +234,18 @@ TEST_P(SparseGradCheck, ActivationSparseBackwardsStayExactAdjoints)
     }
     EXPECT_GT(checked, 0);
 
-    // The executors' own MAC tallies and the counting function must
-    // both match a brute force that honours mask + activation zeros.
-    const SparseConvMacCounts expected =
-        bruteForceMeasuredMacs(w, x, dy, gc.stride, gc.pad);
-    const SparseConvMacCounts counted =
-        sparseConvMacCounts(x, dy, csb, gc.stride, gc.pad);
-    EXPECT_EQ(counted.forward, expected.forward);
-    EXPECT_EQ(counted.backwardData, expected.backwardData);
-    EXPECT_EQ(counted.backwardWeight, expected.backwardWeight);
+    // The executors' own MAC tallies must match a brute force that
+    // honours mask + activation zeros.
+    const PhaseMacs expected =
+        bruteForceConvMacs(w, x, dy, gc.stride, gc.pad);
+    EXPECT_EQ(fw_macs, expected.forward);
     EXPECT_EQ(bw_data_macs, expected.backwardData);
     EXPECT_EQ(bw_weight_macs, expected.backwardWeight);
 
     // Zeros present => strictly fewer executed MACs than the
-    // weight-only bound; the weight-only overload is that bound.
-    const SparseConvMacCounts bound =
-        sparseConvMacCounts(x, csb, gc.stride, gc.pad);
-    EXPECT_EQ(counted.forward, bound.forward);
-    EXPECT_LT(counted.backwardData, bound.backwardData);
-    EXPECT_LT(counted.backwardWeight, bound.backwardWeight);
+    // weight-only forward count.
+    EXPECT_LT(bw_data_macs, fw_macs);
+    EXPECT_LT(bw_weight_macs, fw_macs);
 }
 
 TEST(SparseGradCheck, SkippingExecutorsMatchDenseOperandResults)
