@@ -9,7 +9,8 @@
  * Usage: bench_kernels [--smoke] [--out PATH] [--batch N]
  *   --smoke   tiny shapes / single rep (CI wiring check, not a perf run)
  *   --out     output JSON path (default BENCH_kernels.json)
- *   --batch   minibatch size per layer (default 2)
+ *   --batch   minibatch size of the model-zoo layers (default 2; the
+ *             train_sparse rows keep their training batch of 32)
  */
 
 #include <algorithm>
@@ -42,6 +43,7 @@ struct BenchLayer
     std::string net;
     std::string name;
     int64_t c, k, kernel, stride, pad, in_hw;
+    int64_t batch;
 };
 
 /** Sparse-executor timings at one weight density. */
@@ -134,18 +136,22 @@ timeMs(Fn &&fn, double min_ms)
 /**
  * Conv layer shapes worth timing, pulled from the zoo models: 3x3
  * layers, deduplicated by geometry, trimmed of the very large
- * early-ImageNet spatial extents so a full run stays in minutes.
+ * early-ImageNet spatial extents so a full run stays in minutes. They
+ * run at `batch`. The five convs of the repository benchmark's
+ * training net (perfbench `train_sparse`: 32x32 input, pad 1) follow
+ * at its batch of 32.
  */
 std::vector<BenchLayer>
-selectLayers(bool smoke)
+selectLayers(bool smoke, int64_t batch)
 {
     std::vector<BenchLayer> out;
     if (smoke) {
-        out.push_back({"smoke", "conv_small", 8, 8, 3, 1, 1, 10});
-        out.push_back({"smoke", "conv_stride2", 8, 16, 3, 2, 1, 10});
+        out.push_back({"smoke", "conv_small", 8, 8, 3, 1, 1, 10, batch});
+        out.push_back(
+            {"smoke", "conv_stride2", 8, 16, 3, 2, 1, 10, batch});
         return out;
     }
-    auto harvest = [&out](const arch::NetworkModel &m, size_t cap) {
+    auto harvest = [&out, batch](const arch::NetworkModel &m, size_t cap) {
         size_t taken = 0;
         for (const arch::LayerShape &l : m.layers) {
             if (l.type != arch::LayerType::Conv || l.R != 3)
@@ -158,7 +164,7 @@ selectLayers(bool smoke)
             const int64_t pad = l.R / 2;
             const BenchLayer cand{m.name, l.name,   l.C,
                                   l.K,    l.R,      l.stride,
-                                  pad,    l.inH() - 2 * pad};
+                                  pad,    l.inH() - 2 * pad, batch};
             const bool dup = std::any_of(
                 out.begin(), out.end(), [&](const BenchLayer &b) {
                     return b.c == cand.c && b.k == cand.k &&
@@ -174,14 +180,20 @@ selectLayers(bool smoke)
     };
     harvest(arch::buildResNet18(), 4);
     harvest(arch::buildVggS(), 3);
+    out.push_back({"train_sparse", "conv1", 3, 16, 3, 1, 1, 32, 32});
+    out.push_back({"train_sparse", "conv2", 16, 32, 3, 2, 1, 32, 32});
+    out.push_back({"train_sparse", "conv3", 32, 32, 3, 1, 1, 16, 32});
+    out.push_back({"train_sparse", "conv4", 32, 64, 3, 2, 1, 16, 32});
+    out.push_back({"train_sparse", "conv5", 64, 64, 3, 1, 1, 8, 32});
     return out;
 }
 
 Row
-benchOne(const BenchLayer &bl, int64_t batch, bool smoke)
+benchOne(const BenchLayer &bl, bool smoke)
 {
     Row row;
     row.layer = bl;
+    const int64_t batch = bl.batch;
     row.batch = batch;
 
     nn::Conv2dConfig cfg;
@@ -563,14 +575,14 @@ main(int argc, char **argv)
     std::printf("kernel backend bench: %d threads, batch %lld%s\n",
                 ThreadPool::global().numThreads(),
                 static_cast<long long>(batch), smoke ? " (smoke)" : "");
-    std::printf("%-10s %-12s %19s | %10s %10s %7s | %10s %10s %7s | "
+    std::printf("%-12s %-12s %19s | %10s %10s %7s | %10s %10s %7s | "
                 "%10s | %7s\n",
                 "net", "layer", "shape", "naive-fw", "gemm-fw", "spd",
                 "naive-bw", "gemm-bw", "spd", "sparse-fw", "t-spd");
 
     std::vector<Row> rows;
-    for (const BenchLayer &bl : selectLayers(smoke)) {
-        const Row r = benchOne(bl, batch, smoke);
+    for (const BenchLayer &bl : selectLayers(smoke, batch)) {
+        const Row r = benchOne(bl, smoke);
         char shape[32];
         std::snprintf(shape, sizeof(shape), "%lldx%lldx%lld s%lld",
                       static_cast<long long>(r.layer.c),
@@ -578,7 +590,7 @@ main(int argc, char **argv)
                       static_cast<long long>(r.layer.in_hw),
                       static_cast<long long>(r.layer.stride));
         std::printf(
-            "%-10s %-12s %19s | %8.1fms %8.1fms %6.1fx | %8.1fms "
+            "%-12s %-12s %19s | %8.1fms %8.1fms %6.1fx | %8.1fms "
             "%8.1fms %6.1fx | %8.1fms | %6.2fx\n",
             r.layer.net.c_str(), r.layer.name.c_str(), shape,
             r.naive_fwd_ms, r.gemm_fwd_ms, r.fwdSpeedup(),

@@ -56,8 +56,9 @@
  * operands, outside the kernels: conv backward-weight counts the
  * non-zero x of every (input channel, kernel element) clip window once
  * per call, summed over the batch, and adds that count per live tap;
- * conv backward-data builds a summed-area table of non-zero dy and
- * makes one window lookup per (tap, sample).
+ * conv backward-data does the same on the dy side: one plane of
+ * per-pixel non-zero counts over the batch per output channel, one
+ * window sum per kernel element, one lookup per live tap.
  *
  * Both microkernel translation units are compiled with
  * -ffp-contract=off, so the compiler may not fuse (or un-fuse) what

@@ -69,6 +69,13 @@ accumulate(__m256 wt, __m256 x, __m256 acc)
  * vectors accumulate up to 7 in-buffer garbage lanes; the masked
  * load/store drops them, so the stored lanes see exactly the scalar
  * sequence.
+ *
+ * Every row and vector loop is fully unrolled: GCC -O2 leaves them
+ * rolled and then keeps acc on the stack, so each accumulate step
+ * becomes a load and a store. Unrolled, the strip lives in the 16 ymm
+ * registers — convStripRows pairs 4 rows with at most 2 vectors and 2
+ * rows with at most 4, so a strip has at most 8 accumulators — and
+ * each accumulator still sees the same instructions in the same order.
  */
 template <bool kFused, int ROWS, int NV>
 inline void
@@ -79,8 +86,10 @@ planeStrip(const ConvRunTap *taps, int64_t ntaps, const float *xbase,
     const int full = static_cast<int>(qn / 8);
     const __m256i tmask = tailMask(qn - 8 * full);
     __m256 acc[ROWS][NV];
+#pragma GCC unroll 4
     for (int r = 0; r < ROWS; ++r) {
         const float *ys = yplane + (p0 + r) * q_ext + qs;
+#pragma GCC unroll 4
         for (int v = 0; v < NV; ++v)
             acc[r][v] = v < full
                             ? _mm256_loadu_ps(ys + 8 * v)
@@ -89,15 +98,19 @@ planeStrip(const ConvRunTap *taps, int64_t ntaps, const float *xbase,
     for (int64_t t = 0; t < ntaps; ++t) {
         const __m256 wt = _mm256_set1_ps(taps[t].w);
         const float *x0 = xbase + taps[t].xoff + p0 * xrs + qs;
+#pragma GCC unroll 4
         for (int r = 0; r < ROWS; ++r) {
             const float *xr = x0 + r * xrs;
+#pragma GCC unroll 4
             for (int v = 0; v < NV; ++v)
                 acc[r][v] = accumulate<kFused>(
                     wt, _mm256_loadu_ps(xr + 8 * v), acc[r][v]);
         }
     }
+#pragma GCC unroll 4
     for (int r = 0; r < ROWS; ++r) {
         float *ys = yplane + (p0 + r) * q_ext + qs;
+#pragma GCC unroll 4
         for (int v = 0; v < NV; ++v) {
             if (v < full)
                 _mm256_storeu_ps(ys + 8 * v, acc[r][v]);

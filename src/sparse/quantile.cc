@@ -26,21 +26,18 @@ ParallelQuantileEstimator::ParallelQuantileEstimator(
 void
 ParallelQuantileEstimator::update(double x)
 {
-    pendingSum_ += x;
-    if (++pending_ == width_) {
-        base_.update(pendingSum_ / width_);
-        pending_ = 0;
-        pendingSum_ = 0.0;
-    }
+    pendingAbove_ += base_.estimate() < x;
+    if (++pending_ == width_)
+        flush();
 }
 
 void
 ParallelQuantileEstimator::flush()
 {
     if (pending_ > 0) {
-        base_.update(pendingSum_ / pending_);
+        base_.updateGroup(pendingAbove_, pending_);
         pending_ = 0;
-        pendingSum_ = 0.0;
+        pendingAbove_ = 0;
     }
 }
 

@@ -11,8 +11,8 @@
  * exceeds the estimate are tracked, the rest are dropped back.
  *
  * The hardware QE unit processes up to four updates per cycle by
- * treating the average of four incoming values as a single update
- * (Algorithm 4 caption); ParallelQuantileEstimator models that.
+ * folding four incoming values into a single update (Algorithm 4
+ * caption); ParallelQuantileEstimator models that.
  */
 
 #ifndef PROCRUSTES_SPARSE_QUANTILE_H_
@@ -60,6 +60,22 @@ class QuantileEstimator
         ++updates_;
     }
 
+    /**
+     * Fold a group of `width` observations, `above` of which exceed
+     * the current estimate, as one update: the estimate moves up
+     * `above` times and down `width - above` times, so a group of one
+     * equals update().
+     */
+    void
+    updateGroup(int above, int width)
+    {
+        for (int i = 0; i < above; ++i)
+            estimate_ *= upFactor_;
+        for (int i = above; i < width; ++i)
+            estimate_ *= downFactor_;
+        ++updates_;
+    }
+
     /** Current estimate of the q-th quantile. */
     double estimate() const { return estimate_; }
 
@@ -78,11 +94,16 @@ class QuantileEstimator
 };
 
 /**
- * Hardware-style wide quantile estimator: buffers `width` incoming
- * values and feeds their *average* to the underlying DUMIQUE estimator
- * as one update, sustaining `width` gradient arrivals per cycle (the
- * paper uses width 4 to cover the peak rate of the last VGG-S conv
- * layer).
+ * Hardware-style wide quantile estimator: compares each of `width`
+ * incoming values with the current estimate and folds the group into
+ * the underlying DUMIQUE estimator as one update (one up step per
+ * value above the estimate, one down step per value at or below it),
+ * sustaining `width` gradient arrivals per cycle (the paper uses width
+ * 4 to cover the peak rate of the last VGG-S conv layer). Every lane
+ * applies the scalar rule against the estimate the group started
+ * from, so the wide estimate tracks the same quantile of the stream.
+ * Folding the group's average instead would track a quantile of the
+ * group means, which sits well below the stream's high quantiles.
  */
 class ParallelQuantileEstimator
 {
@@ -107,7 +128,7 @@ class ParallelQuantileEstimator
     QuantileEstimator base_;
     int width_;
     int pending_ = 0;
-    double pendingSum_ = 0.0;
+    int pendingAbove_ = 0;   //!< pending values above the estimate
 };
 
 } // namespace sparse

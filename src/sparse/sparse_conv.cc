@@ -91,9 +91,10 @@ phaseHalo(int64_t in, int64_t out, int64_t kernel, int64_t stride,
 
 /**
  * Least work per pool task: floats of x for the input preparation (64
- * KiB), multiply-adds for the backward-weight reduction. Below them a
- * call runs inline, which costs less than waking the pool — an fc
- * head's batch plane is that small.
+ * KiB) and of dy for the backward-data tally, multiply-adds for the
+ * backward-weight reduction. Below them a call runs inline, which
+ * costs less than waking the pool — an fc head's batch plane is that
+ * small.
  */
 constexpr int64_t kPrepareGrainFloats = int64_t{1} << 14;
 constexpr int64_t kGrainMacs = int64_t{1} << 15;
@@ -336,43 +337,43 @@ sparseConvBackwardData(const Tensor &dy, const CsbTensor &w,
     // Executed MACs: a live tap fires on the non-zero dy inside its
     // padding-clipped output window. Zeros are multiplied (an exact
     // identity, see the microkernel notes) but, as a PE would skip
-    // them, not counted. Each (sample, output channel) plane gets a
-    // summed-area table of its non-zeros, and every (tap, sample)
-    // pair costs one four-lookup window count.
+    // them, not counted. The count of one (output channel, element)
+    // window, summed over the batch, does not depend on the input
+    // channel, so each output channel gets one plane of per-pixel
+    // non-zero counts over the batch, each kernel element one window
+    // sum over it, and a live tap then costs one lookup.
+    const int64_t rs = r_ext * s_ext;
+    const int64_t plane = p_ext * q_ext;
     std::atomic<int64_t> mac_total{0};
-    ThreadPool::global().parallelFor(
-        0, n * k, [&](int64_t pk0, int64_t pk1) {
-            int64_t local_macs = 0;
-            const int64_t tw = q_ext + 1;
-            std::vector<int32_t> sat(static_cast<size_t>((p_ext + 1) * tw),
-                                     0);
-            for (int64_t pk = pk0; pk < pk1; ++pk) {
-                const float *src = pdy + pk * p_ext * q_ext;
-                for (int64_t p = 0; p < p_ext; ++p) {
-                    int32_t *cur = sat.data() + (p + 1) * tw;
-                    const int32_t *above = cur - tw;
-                    int32_t row_nz = 0;
-                    for (int64_t q = 0; q < q_ext; ++q) {
-                        row_nz += src[p * q_ext + q] != 0.0f;
-                        cur[q + 1] = above[q + 1] + row_nz;
-                    }
-                }
-                const int64_t ok = pk % k;
-                const int64_t t_end =
-                    pack->blockOff[static_cast<size_t>((ok + 1) * c)];
-                for (int64_t t = pack->blockOff[static_cast<size_t>(ok * c)];
-                     t < t_end; ++t) {
-                    const kernels::ConvWindow &wd = pack->win[all_taps[t].elem];
-                    if (wd.empty())
-                        continue;
-                    const int64_t nq = wd.qHi - wd.qLo;
-                    const int32_t *top = sat.data() + wd.pLo * tw + wd.qLo;
-                    const int32_t *bot = sat.data() + wd.pHi * tw + wd.qLo;
-                    local_macs += bot[nq] - bot[0] - top[nq] + top[0];
-                }
+    ThreadPool::global().parallelFor(0, k, [&](int64_t ok0, int64_t ok1) {
+        int64_t local_macs = 0;
+        std::vector<int32_t> nz_plane(static_cast<size_t>(plane));
+        std::vector<int64_t> win_nz(static_cast<size_t>(rs));
+        int32_t *nz = nz_plane.data();
+        for (int64_t ok = ok0; ok < ok1; ++ok) {
+            std::fill(nz, nz + plane, 0);
+            for (int64_t in = 0; in < n; ++in) {
+                const float *src = pdy + (in * k + ok) * plane;
+                forEachBlocked8(plane,
+                                [&](int64_t i) { nz[i] += src[i] != 0.0f; });
             }
-            mac_total.fetch_add(local_macs, std::memory_order_relaxed);
-        });
+            for (int64_t e = 0; e < rs; ++e) {
+                const kernels::ConvWindow &wd = pack->win[e];
+                int64_t total = 0;
+                for (int64_t p = wd.pLo; p < wd.pHi; ++p)
+                    for (int64_t q = wd.qLo; q < wd.qHi; ++q)
+                        total += nz[p * q_ext + q];
+                win_nz[static_cast<size_t>(e)] = total;
+            }
+            const int64_t t_end =
+                pack->blockOff[static_cast<size_t>((ok + 1) * c)];
+            for (int64_t t = pack->blockOff[static_cast<size_t>(ok * c)];
+                 t < t_end; ++t)
+                local_macs += win_nz[static_cast<size_t>(all_taps[t].elem)];
+        }
+        mac_total.fetch_add(local_macs, std::memory_order_relaxed);
+    }, std::max<int64_t>(
+           1, kPrepareGrainFloats / std::max<int64_t>(1, n * plane)));
 
     // Per ic and phase, the live taps of every output channel that
     // land there are flattened into one run, ordered by output

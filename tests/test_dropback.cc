@@ -161,11 +161,12 @@ TEST(Dropback, QuantileModeTracksNearTarget)
     DropbackOptimizer opt(cfg);
     runIterations(net, opt, 60);
 
-    // The paper reports estimation error tracks *extra* weights
-    // (7.5x -> 5.2x); accept a tracked fraction between the target
-    // (1/7.5 = 0.133) and ~2.5x the target.
-    EXPECT_GT(opt.trackedFraction(), 0.08);
-    EXPECT_LT(opt.trackedFraction(), 0.35);
+    // The estimator tracks the stream's 1 - 1/7.5 quantile, so the
+    // tracked fraction must land within 10% of the target 1/7.5 =
+    // 0.133. Folding the mean of each 4-lane group instead tracks
+    // far more (~0.18 here).
+    EXPECT_GT(opt.trackedFraction(), 0.12);
+    EXPECT_LT(opt.trackedFraction(), 0.147);
     EXPECT_GT(opt.lastThreshold(), 0.0);
 }
 

@@ -381,6 +381,53 @@ TEST(SparseConvBackward, DeterministicUnderThreading)
     ThreadPool::resetGlobal(0);
 }
 
+TEST(SparseConvBackwardData, BatchSummedTallyMatchesBruteForce)
+{
+    // The backward-data tally sums each output channel's non-zero dy
+    // over the batch before it reads the clip windows. Uniform zeros
+    // would hide a tally that mixed up samples, channels or window
+    // edges, so dy is structured: sample 1 is all zero, output channel
+    // 2 is zero in every sample, and the other non-zeros sit only on
+    // the border rows and columns that the clip windows cut. The
+    // planes are large enough that the tally splits over the pool.
+    const int64_t n = 8, k = 8, c = 4, hw = 47;
+    const Tensor w = maskedFilters(k, c, 3, 0.4, 71);
+    const CsbTensor csb = CsbTensor::encodeConvFilters(w);
+    const Tensor x(Shape{n, c, hw, hw});   // only its shape is read
+    for (const int64_t stride : {1, 2}) {
+        const int64_t pq = (hw + 2 - 3) / stride + 1;
+        Xorshift128Plus rng(73 + stride);
+        Tensor dy(Shape{n, k, pq, pq});
+        for (int64_t in = 0; in < n; ++in)
+            for (int64_t ok = 0; ok < k; ++ok)
+                for (int64_t p = 0; p < pq; ++p)
+                    for (int64_t q = 0; q < pq; ++q) {
+                        const bool border =
+                            p == 0 || q == 0 || p == pq - 1 || q == pq - 1;
+                        if (in != 1 && ok != 2 && border)
+                            dy(in, ok, p, q) =
+                                1.0f + std::fabs(rng.nextGaussian());
+                    }
+        const PhaseMacs expected = bruteForceConvMacs(w, x, dy, stride, 1);
+        ASSERT_GT(expected.backwardData, 0);
+        Tensor ref_dx;
+        for (const int threads : {1, 3, 8}) {
+            ThreadPool::resetGlobal(threads);
+            int64_t macs = -1;
+            const Tensor dx =
+                sparseConvBackwardData(dy, csb, x.shape(), stride, 1, &macs);
+            EXPECT_EQ(macs, expected.backwardData)
+                << "stride=" << stride << " threads=" << threads;
+            if (threads == 1)
+                ref_dx = dx;
+            else
+                EXPECT_TRUE(bitwiseEqual(dx, ref_dx))
+                    << "stride=" << stride << " threads=" << threads;
+        }
+    }
+    ThreadPool::resetGlobal(0);
+}
+
 // -------------------------------------------- backward-data golden
 
 /** FNV-1a over 64-bit words: order-sensitive, platform-independent. */
