@@ -9,11 +9,17 @@
  * Figure 6; both variants use initial-weight decay.
  */
 
+#include <cmath>
+
 #include "bench_util.h"
 #include "train_util.h"
 
 using namespace procrustes;
 using namespace procrustes::bench;
+
+namespace {
+constexpr double kSparsity = 7.5;
+}
 
 int
 main()
@@ -30,7 +36,7 @@ main()
         nn::Network net;
         buildCnn(net, 6, /*seed=*/2, /*width=*/20);
         sparse::DropbackConfig cfg;
-        cfg.sparsity = 7.5;
+        cfg.sparsity = kSparsity;
         cfg.lr = 0.05f;
         cfg.initDecay = 0.95f;
         cfg.decayHorizon = 100;
@@ -56,5 +62,16 @@ main()
                 100.0 * qe_frac, 1.0 / qe_frac);
     std::printf("(paper: estimation error tracks extra weights, "
                 "7.5x -> 5.2x, accuracy unaffected)\n");
+
+    // The estimator tracks a quantile of the weight magnitudes, so it
+    // must land near the target; a statistic other than the lanes'
+    // own values (a group mean, say) drifts far from it.
+    const double target = 1.0 / kSparsity;
+    if (std::fabs(qe_frac - target) > 0.1 * target) {
+        std::printf("FAIL: quantile estimation tracked %.2f%%, more than "
+                    "10%% away from the %.2f%% target\n",
+                    100.0 * qe_frac, 100.0 * target);
+        return 1;
+    }
     return 0;
 }

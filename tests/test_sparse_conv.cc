@@ -334,95 +334,81 @@ TEST(SparseConvBackward, DeterministicUnderThreading)
     // Both backward executors partition channels over the pool; the
     // per-element accumulation order and the MAC tallies must not
     // depend on the split. x carries ReLU zeros (about half), the
-    // operand the backward-weight tally leaves out.
+    // operand the backward-weight tally leaves out. dy comes in two
+    // patterns. On a small batch every third element is zero. On
+    // planes large enough that the backward-data tally (which sums each
+    // output channel's non-zero dy over the batch before it reads the
+    // clip windows) splits over the pool, the zeros are structured,
+    // since uniform zeros would hide a tally that mixed up samples,
+    // channels or window edges: sample 1 is all zero, output channel 2
+    // is zero in every sample, and the other non-zeros sit only on the
+    // border rows and columns that the clip windows cut.
     const Tensor w = maskedFilters(8, 4, 3, 0.3, 61);
     const CsbTensor csb = CsbTensor::encodeConvFilters(w);
-    for (const int64_t stride : {1, 2}) {
-        Xorshift128Plus rng(67 + stride);
-        Tensor x(Shape{2, 4, 9, 9});
-        x.fillGaussian(rng, 1.0f);
-        for (int64_t i = 0; i < x.numel(); ++i)
-            x.at(i) = std::max(x.at(i), 0.0f);
-        const Tensor y = sparseConvForward(x, csb, stride, 1);
-        Tensor dy(y.shape());
-        dy.fillGaussian(rng, 1.0f);
-        for (int64_t i = 0; i < dy.numel(); i += 3)
-            dy.at(i) = 0.0f;
-
-        Tensor ref_dx, ref_dw;
-        int64_t ref_data_macs = -1, ref_weight_macs = -1;
-        for (const int threads : {1, 2, 3, 8}) {
-            ThreadPool::resetGlobal(threads);
-            int64_t data_macs = -1, weight_macs = -1;
-            const Tensor dx = sparseConvBackwardData(
-                dy, csb, x.shape(), stride, 1, &data_macs);
-            Tensor dw(w.shape());
-            sparseConvBackwardWeights(x, dy, csb, stride, 1, &dw,
-                                      &weight_macs);
-            if (threads == 1) {
-                ref_dx = dx;
-                ref_dw = dw;
-                ref_data_macs = data_macs;
-                ref_weight_macs = weight_macs;
-                continue;
+    struct Input {
+        int64_t batch, hw;
+        bool structured;
+    };
+    for (const Input in : {Input{2, 9, false}, Input{8, 47, true}}) {
+        for (const int64_t stride : {1, 2}) {
+            Xorshift128Plus rng(67 + stride);
+            Tensor x(Shape{in.batch, 4, in.hw, in.hw});
+            x.fillGaussian(rng, 1.0f);
+            for (int64_t i = 0; i < x.numel(); ++i)
+                x.at(i) = std::max(x.at(i), 0.0f);
+            const Tensor y = sparseConvForward(x, csb, stride, 1);
+            Tensor dy(y.shape());
+            if (!in.structured) {
+                dy.fillGaussian(rng, 1.0f);
+                for (int64_t i = 0; i < dy.numel(); i += 3)
+                    dy.at(i) = 0.0f;
+            } else {
+                const int64_t pq = y.shape()[2];
+                for (int64_t n = 0; n < in.batch; ++n)
+                    for (int64_t k = 0; k < y.shape()[1]; ++k)
+                        for (int64_t p = 0; p < pq; ++p)
+                            for (int64_t q = 0; q < pq; ++q) {
+                                const bool border = p == 0 || q == 0 ||
+                                                    p == pq - 1 || q == pq - 1;
+                                if (n != 1 && k != 2 && border)
+                                    dy(n, k, p, q) =
+                                        1.0f + std::fabs(rng.nextGaussian());
+                            }
             }
-            EXPECT_TRUE(bitwiseEqual(dx, ref_dx))
-                << "dx stride=" << stride << " threads=" << threads;
-            EXPECT_TRUE(bitwiseEqual(dw, ref_dw))
-                << "dw stride=" << stride << " threads=" << threads;
-            EXPECT_EQ(data_macs, ref_data_macs) << threads;
-            EXPECT_EQ(weight_macs, ref_weight_macs) << threads;
-        }
-        // The tallies leave the zeros out: the brute force agrees.
-        const PhaseMacs expected = bruteForceConvMacs(w, x, dy, stride, 1);
-        EXPECT_EQ(ref_data_macs, expected.backwardData);
-        EXPECT_EQ(ref_weight_macs, expected.backwardWeight);
-    }
-    ThreadPool::resetGlobal(0);
-}
 
-TEST(SparseConvBackwardData, BatchSummedTallyMatchesBruteForce)
-{
-    // The backward-data tally sums each output channel's non-zero dy
-    // over the batch before it reads the clip windows. Uniform zeros
-    // would hide a tally that mixed up samples, channels or window
-    // edges, so dy is structured: sample 1 is all zero, output channel
-    // 2 is zero in every sample, and the other non-zeros sit only on
-    // the border rows and columns that the clip windows cut. The
-    // planes are large enough that the tally splits over the pool.
-    const int64_t n = 8, k = 8, c = 4, hw = 47;
-    const Tensor w = maskedFilters(k, c, 3, 0.4, 71);
-    const CsbTensor csb = CsbTensor::encodeConvFilters(w);
-    const Tensor x(Shape{n, c, hw, hw});   // only its shape is read
-    for (const int64_t stride : {1, 2}) {
-        const int64_t pq = (hw + 2 - 3) / stride + 1;
-        Xorshift128Plus rng(73 + stride);
-        Tensor dy(Shape{n, k, pq, pq});
-        for (int64_t in = 0; in < n; ++in)
-            for (int64_t ok = 0; ok < k; ++ok)
-                for (int64_t p = 0; p < pq; ++p)
-                    for (int64_t q = 0; q < pq; ++q) {
-                        const bool border =
-                            p == 0 || q == 0 || p == pq - 1 || q == pq - 1;
-                        if (in != 1 && ok != 2 && border)
-                            dy(in, ok, p, q) =
-                                1.0f + std::fabs(rng.nextGaussian());
-                    }
-        const PhaseMacs expected = bruteForceConvMacs(w, x, dy, stride, 1);
-        ASSERT_GT(expected.backwardData, 0);
-        Tensor ref_dx;
-        for (const int threads : {1, 3, 8}) {
-            ThreadPool::resetGlobal(threads);
-            int64_t macs = -1;
-            const Tensor dx =
-                sparseConvBackwardData(dy, csb, x.shape(), stride, 1, &macs);
-            EXPECT_EQ(macs, expected.backwardData)
-                << "stride=" << stride << " threads=" << threads;
-            if (threads == 1)
-                ref_dx = dx;
-            else
+            Tensor ref_dx, ref_dw;
+            int64_t ref_data_macs = -1, ref_weight_macs = -1;
+            for (const int threads : {1, 2, 3, 8}) {
+                ThreadPool::resetGlobal(threads);
+                int64_t data_macs = -1, weight_macs = -1;
+                const Tensor dx = sparseConvBackwardData(
+                    dy, csb, x.shape(), stride, 1, &data_macs);
+                Tensor dw(w.shape());
+                sparseConvBackwardWeights(x, dy, csb, stride, 1, &dw,
+                                          &weight_macs);
+                if (threads == 1) {
+                    ref_dx = dx;
+                    ref_dw = dw;
+                    ref_data_macs = data_macs;
+                    ref_weight_macs = weight_macs;
+                    continue;
+                }
                 EXPECT_TRUE(bitwiseEqual(dx, ref_dx))
-                    << "stride=" << stride << " threads=" << threads;
+                    << "dx hw=" << in.hw << " stride=" << stride
+                    << " threads=" << threads;
+                EXPECT_TRUE(bitwiseEqual(dw, ref_dw))
+                    << "dw hw=" << in.hw << " stride=" << stride
+                    << " threads=" << threads;
+                EXPECT_EQ(data_macs, ref_data_macs) << threads;
+                EXPECT_EQ(weight_macs, ref_weight_macs) << threads;
+            }
+            // The tallies leave the zeros out: the brute force agrees.
+            const PhaseMacs expected = bruteForceConvMacs(w, x, dy, stride, 1);
+            EXPECT_GT(expected.backwardData, 0);
+            EXPECT_EQ(ref_data_macs, expected.backwardData)
+                << "hw=" << in.hw << " stride=" << stride;
+            EXPECT_EQ(ref_weight_macs, expected.backwardWeight)
+                << "hw=" << in.hw << " stride=" << stride;
         }
     }
     ThreadPool::resetGlobal(0);
