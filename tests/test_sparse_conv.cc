@@ -538,6 +538,171 @@ TEST(SparseConvBackwardData, GoldenBitsAndMacsAtEverySimdLevel)
     kernels::setSimdLevel(saved);
 }
 
+// -------------------------------------------------- forward golden
+
+struct ForwardGoldenCase
+{
+    int64_t stride, kernel, pad;
+    uint64_t yHash;   //!< FNV-1a of y bits over all batches/widths
+    int64_t macs;     //!< summed forward MAC tallies, same cases
+};
+
+/**
+ * y bits and MAC tallies of sparseConvForward, pinned across stride x
+ * kernel x pad at batches 1, 3 and 32 (weight densities 1.0, 0.5 and
+ * 0.2): a narrow width whose output rows end in 1..7-lane tails and a
+ * wide one with more than 32 output columns (more than one register
+ * strip). 20 input channels split into two L1 channel chunks on the
+ * narrow planes of the larger kernels and strides, so the chunk order
+ * is pinned too. Output channel
+ * 2 is all-pruned; its planes must be exact +0 even when y lands in a
+ * freed allocation that held NaNs. The expected values were recorded
+ * with the executor that partitioned over output channels, so any
+ * rewrite must reproduce its addition order exactly, at every SIMD
+ * level.
+ */
+const ForwardGoldenCase kForwardGolden[] = {
+    {1, 1, 0, 0xfe04f99d2d2ae3cULL, 116208},
+    {1, 1, 1, 0x82461c7b29555678ULL, 133992},
+    {1, 1, 2, 0xc1ea1630682f65c0ULL, 112968},
+    {1, 3, 0, 0x26d324b28c71e483ULL, 999148},
+    {1, 3, 1, 0x858439571848b9f9ULL, 1518113},
+    {1, 3, 2, 0x5c050374fadfcd6bULL, 1726380},
+    {1, 5, 0, 0x3c8ce8f9ee5d33deULL, 2804548},
+    {1, 5, 1, 0x488bf84c8cce0bcdULL, 4488878},
+    {1, 5, 2, 0x9635f7f3938bf22dULL, 5501698},
+    {2, 1, 0, 0x1f48e91e827359f4ULL, 88236},
+    {2, 1, 1, 0x35f24e04fa764c58ULL, 90621},
+    {2, 1, 2, 0x2f1352113683c055ULL, 68325},
+    {2, 3, 0, 0x3fac889958084193ULL, 755082},
+    {2, 3, 1, 0xf279982f76c9ae25ULL, 1064007},
+    {2, 3, 2, 0x67ab2dbcfb67792dULL, 1088372},
+    {2, 5, 0, 0x1ff70768d7107049ULL, 1982052},
+    {2, 5, 1, 0xc30bd92d10648e8aULL, 2797536},
+    {2, 5, 2, 0xaf36e21e1a2f6f6aULL, 3328727},
+    {3, 1, 0, 0xaa6d82aa704b3309ULL, 81861},
+    {3, 1, 1, 0xba9149af123e8ce0ULL, 59386},
+    {3, 1, 2, 0x54d0edab7a30bd85ULL, 89391},
+    {3, 3, 0, 0x97f82c9fdae4e8bcULL, 846030},
+    {3, 3, 1, 0x40b8f030a7c7b698ULL, 816627},
+    {3, 3, 2, 0x17e86d96d20b69c4ULL, 920109},
+    {3, 5, 0, 0xec50c90b82c8c7a6ULL, 2248848},
+    {3, 5, 1, 0x515ee6164bd66e10ULL, 2495357},
+    {3, 5, 2, 0xb88e2c47d0f1c827ULL, 2586870},
+};
+
+ForwardGoldenCase
+runForwardGolden(const ForwardGoldenCase &g, int index)
+{
+    const int64_t c = 20, k = 5, pruned = 2;
+    const int64_t stride = g.stride, kernel = g.kernel, pad = g.pad;
+    const int64_t h = kernel + 2 * stride + 1;
+    const int64_t widths[] = {stride * (3 + index % 5) + kernel,
+                              stride * 33 + kernel + index % stride};
+    ForwardGoldenCase got{stride, kernel, pad, 0xcbf29ce484222325ULL, 0};
+    uint64_t seed = 11000 + 100 * static_cast<uint64_t>(index);
+    struct Batch
+    {
+        int64_t n;
+        double density;
+    };
+    for (const Batch b : {Batch{1, 1.0}, Batch{3, 0.5}, Batch{32, 0.2}}) {
+        for (const int64_t width : widths) {
+            Tensor w = goldenTensor(Shape{k, c, kernel, kernel}, ++seed,
+                                    b.density);
+            for (int64_t i = 0; i < c * kernel * kernel; ++i)
+                w.at(pruned * c * kernel * kernel + i) = 0.0f;
+            const CsbTensor csb = CsbTensor::encodeConvFilters(w);
+            const Tensor x =
+                goldenTensor(Shape{b.n, c, h, width}, ++seed, 0.5);
+            const int64_t p_ext = (h + 2 * pad - kernel) / stride + 1;
+            const int64_t q_ext = (width + 2 * pad - kernel) / stride + 1;
+            {
+                // Leave a freed, dirtied block of y's size for the
+                // executor's output allocation to reuse.
+                Tensor dirty =
+                    Tensor::uninitialized(Shape{b.n, k, p_ext, q_ext});
+                const uint32_t nan_bits = 0x7fc0beefu;
+                for (int64_t i = 0; i < dirty.numel(); ++i)
+                    std::memcpy(dirty.data() + i, &nan_bits, sizeof(float));
+            }
+            int64_t macs = -1;
+            const Tensor y = sparseConvForward(x, csb, stride, pad, &macs);
+            EXPECT_EQ(y.shape(), Shape({b.n, k, p_ext, q_ext}));
+            for (int64_t i = 0; i < y.numel(); ++i) {
+                uint32_t bits;
+                std::memcpy(&bits, y.data() + i, sizeof(bits));
+                got.yHash = fnv1a(got.yHash, bits);
+                if ((i / (p_ext * q_ext)) % k == pruned && bits != 0u) {
+                    ADD_FAILURE() << "pruned plane element " << i
+                                  << " has bits 0x" << std::hex << bits;
+                    break;
+                }
+            }
+            got.macs += macs;
+        }
+    }
+    return got;
+}
+
+TEST(SparseConvForward, GoldenBitsAndMacsAtEverySimdLevel)
+{
+    const kernels::SimdLevel saved = kernels::activeSimdLevel();
+    std::vector<kernels::SimdLevel> levels = {kernels::SimdLevel::kScalar};
+    if (kernels::avx2Supported())
+        levels.push_back(kernels::SimdLevel::kAvx2);
+    for (const kernels::SimdLevel level : levels) {
+        kernels::setSimdLevel(level);
+        int index = 0;
+        for (const ForwardGoldenCase &g : kForwardGolden) {
+            const ForwardGoldenCase got = runForwardGolden(g, index++);
+            EXPECT_EQ(got.yHash, g.yHash)
+                << std::hex << "0x" << got.yHash << std::dec
+                << " stride=" << g.stride << " kernel=" << g.kernel
+                << " pad=" << g.pad << " simd="
+                << kernels::simdLevelName(level);
+            EXPECT_EQ(got.macs, g.macs)
+                << "stride=" << g.stride << " kernel=" << g.kernel
+                << " pad=" << g.pad << " simd="
+                << kernels::simdLevelName(level);
+        }
+    }
+    kernels::setSimdLevel(saved);
+}
+
+TEST(SparseConvForward, DeterministicUnderThreading)
+{
+    // Batch 1 leaves only output-channel blocks to split over the pool,
+    // batch 32 enough samples for every thread; 3 sits between. y bits
+    // and the MAC tally must not depend on the pool size.
+    const Tensor w = maskedFilters(24, 6, 3, 0.3, 71);
+    const CsbTensor csb = CsbTensor::encodeConvFilters(w);
+    for (const int64_t n : {1, 3, 32}) {
+        for (const int64_t stride : {1, 2}) {
+            Xorshift128Plus rng(73 + n + stride);
+            Tensor x(Shape{n, 6, 13, 13});
+            x.fillGaussian(rng, 1.0f);
+            Tensor ref_y;
+            int64_t ref_macs = -1;
+            for (const int threads : {1, 2, 3, 8}) {
+                ThreadPool::resetGlobal(threads);
+                int64_t macs = -1;
+                const Tensor y = sparseConvForward(x, csb, stride, 1, &macs);
+                if (threads == 1) {
+                    ref_y = y;
+                    ref_macs = macs;
+                    continue;
+                }
+                EXPECT_TRUE(bitwiseEqual(y, ref_y))
+                    << "n=" << n << " stride=" << stride
+                    << " threads=" << threads;
+                EXPECT_EQ(macs, ref_macs) << "n=" << n << " threads=" << threads;
+            }
+        }
+    }
+    ThreadPool::resetGlobal(0);
+}
+
 // ------------------------------------------ backward-weight golden
 
 struct WeightGoldenCase
