@@ -116,21 +116,29 @@ nowMs()
         .count();
 }
 
-/** Time fn() adaptively: repeat until ~min_ms elapsed, return ms/rep. */
+/**
+ * Time fn() adaptively: after a warm-up, repeat until ~min_ms elapsed
+ * and at least 5 reps ran (at most 50), and return the median rep in
+ * ms. One mean over a single timed loop moved 2x between runs on a
+ * shared 4-vCPU host; the median of separately timed reps does not
+ * carry a slow episode's whole weight.
+ */
 template <typename Fn>
 double
 timeMs(Fn &&fn, double min_ms)
 {
-    fn();   // warm-up (and first measurement seed)
-    int reps = 0;
+    fn();   // warm-up
+    std::vector<double> reps;
     const double start = nowMs();
-    double elapsed = 0.0;
     do {
+        const double t0 = nowMs();
         fn();
-        ++reps;
-        elapsed = nowMs() - start;
-    } while (elapsed < min_ms && reps < 50);
-    return elapsed / reps;
+        reps.push_back(nowMs() - t0);
+    } while ((nowMs() - start < min_ms || reps.size() < 5) &&
+             reps.size() < 50);
+    std::sort(reps.begin(), reps.end());
+    const size_t mid = reps.size() / 2;
+    return reps.size() % 2 ? reps[mid] : 0.5 * (reps[mid - 1] + reps[mid]);
 }
 
 /**

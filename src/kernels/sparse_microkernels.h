@@ -12,17 +12,18 @@
  * to the scalar reference for every thread count and SIMD level:
  *
  *   - conv forward is output-stationary over a *prepared* input: the
- *     executor copies each input plane once into a zero-padded,
- *     stride-phase-split scratch layout, after which every mask-live
- *     tap covers the full output plane with unit column stride — no
- *     range masks, no gathers, just contiguous loads feeding FMAs.
- *     The AVX2 kernel holds a register strip of output pixels and
- *     accumulates every tap of an input-channel run into it in the one
- *     fixed tap order, so each output element sees the exact addition
- *     sequence of the scalar reference (pad taps contribute an exact
- *     ±0, an identity — see the zero-skipping note). Both levels use a
- *     fused multiply-add per tap (std::fmaf / vfmadd), which rounds
- *     once, identically.
+ *     executor copies the input planes into a zero-padded,
+ *     stride-phase-split layout (from batch 16 up, each sample into a
+ *     private block of the task that owns it), after which every
+ *     mask-live tap covers the full output plane with unit column
+ *     stride — no range masks, no gathers, just contiguous loads
+ *     feeding FMAs. The AVX2 kernel holds a register strip of output
+ *     pixels and accumulates every tap of an input-channel run into it
+ *     in the one fixed tap order, so each output element sees the
+ *     exact addition sequence of the scalar reference (pad taps
+ *     contribute an exact ±0, an identity — see the zero-skipping
+ *     note). Both levels use a fused multiply-add per tap (std::fmaf /
+ *     vfmadd), which rounds once, identically.
  *   - conv backward-data runs the same output-stationary kernel in
  *     gather form. The executor copies each sample's dy into a
  *     zero-padded buffer and splits dx into its stride^2 phase planes
@@ -33,16 +34,17 @@
  *     rounded product, then a rounded add, instead of a fused
  *     multiply-add — the dx bits the golden test in
  *     tests/test_sparse_conv.cc pins.
- *   - conv backward-weight reads the forward's prepared input too.
- *     The executor groups the live taps of one output channel whose
- *     kernel elements share a padding-clip window (up to 8 input
- *     channels at a time); each dy vector is loaded once per group and
- *     every tap keeps its own 8 accumulator lanes, indexed by q mod 8
- *     within its window, so the tap's add chains are independent of
- *     the grouping. The lanes see (sample, p, q) in order, a rounded
- *     product then a rounded add each, and collapse with one fixed
- *     tree (sumLanes8); the scalar fallback implements the *same* lane
- *     schedule, so both levels agree bit-for-bit.
+ *   - conv backward-weight reads x prepared the forward's way at
+ *     stride > 1 and x itself at stride 1. The executor groups the
+ *     live taps of one output channel whose kernel elements share a
+ *     padding-clip window (up to 8 input channels at a time); each dy
+ *     vector is loaded once per group and every tap keeps its own 8
+ *     accumulator lanes, indexed by q mod 8 within its window, so the
+ *     tap's add chains are independent of the grouping. The lanes see
+ *     (sample, p, q) in order, a rounded product then a rounded add
+ *     each, and collapse with one fixed tree (sumLanes8); the scalar
+ *     fallback implements the *same* lane schedule, so both levels
+ *     agree bit-for-bit.
  *
  * Zero-skipping note: a PE skips a zero operand; both kernel levels
  * multiply it (a lane is free). The sums are still bitwise what a
@@ -172,7 +174,7 @@ ConvTapPack packConvTaps(const sparse::CsbTensor &w, int64_t in_h,
 /**
  * One flattened tap of a conv plane run against a prepared source
  * buffer: for forward, the zero-padded, stride-phase-split input (see
- * PreparedInput in sparse_conv.cc); for backward-data, the zero-padded
+ * PlaneLayout in sparse_conv.cc); for backward-data, the zero-padded
  * dy (see sparseConvBackwardData). Channel plane, kernel row, and phase slot
  * are all folded into one offset and the weight value is copied in,
  * so the kernels stream one homogeneous array over a channel run.
@@ -204,13 +206,14 @@ convStripRows(int64_t q_ext)
  * Forward conv kernel for one whole output plane: accumulate every
  * run tap (an input-channel chunk of one output channel, in pack
  * order) into yplane. yplane carries partial sums across chunked
- * calls — the executor zero-initializes it once. The AVX2 level is
- * output-stationary — register strips of y accumulate all taps before
- * one store — and bitwise identical to the scalar tap-major reference:
- * per output element both visit the taps in the same order with one
- * fused multiply-add each. The AVX2 level may *read* up to 7 floats
- * past a tap's last valid column (the prepared buffer guarantees the
- * slack); those lanes never reach yplane — masked stores drop them.
+ * calls — each forward task zeroes its own y planes before their first
+ * chunk. The AVX2 level is output-stationary — register strips of y
+ * accumulate all taps before one store — and bitwise identical to the
+ * scalar tap-major reference: per output element both visit the taps
+ * in the same order with one fused multiply-add each. The AVX2 level
+ * may *read* up to 7 floats past a tap's last valid column (the
+ * prepared block guarantees the slack); those lanes never reach
+ * yplane — masked stores drop them.
  * Dispatches on activeSimdLevel().
  */
 void sparseConvFwdPlaneRun(const ConvRunTap *taps, int64_t ntaps,

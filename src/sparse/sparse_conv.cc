@@ -90,46 +90,48 @@ phaseHalo(int64_t in, int64_t out, int64_t kernel, int64_t stride,
 }
 
 /**
- * Least work per pool task: floats of x for the input preparation (64
- * KiB) and of dy for the backward-data tally, multiply-adds for the
- * backward-weight reduction. Below them a call runs inline, which
- * costs less than waking the pool — an fc head's batch plane is that
- * small.
+ * Least work per pool task: floats of x or dy for the non-zero tallies
+ * (64 KiB), multiply-adds for the forward tiles and the backward-weight
+ * reduction, live taps for the forward's run build. Below them a call
+ * runs inline, which costs less than waking the pool — an fc head's
+ * batch plane is that small.
  */
 constexpr int64_t kPrepareGrainFloats = int64_t{1} << 14;
 constexpr int64_t kGrainMacs = int64_t{1} << 15;
+constexpr int64_t kGrainTaps = int64_t{1} << 12;
 
 /**
- * A conv input copied zero-padded and phase-split by the column
- * stride, so the taps of forward and backward-weight read unit-stride
- * row segments with plain loads — no range masks, no gathers. Padded
- * column cp of a row lands in slot (cp % stride) * slots + cp /
- * stride, so kernel element (r, s) reads output position (p, q) of
- * one (sample, channel) plane at tapOffset(r, s) + p * stride *
- * rowStride + q. The trailing 8 floats of slack license the forward
- * kernel's read-past-tail vectors. The buffer is an arena checkout,
- * returned when this goes out of scope, so no copy outlives its call.
- * Each executor fills the planes (fillPlane) in its own partition.
+ * (sample, output-channel block) tiles the forward aims for: at batch
+ * 16 and up every sample is one tile; a smaller batch — an fc head's
+ * plane has one sample — splits its output channels into blocks so the
+ * pool still gets about this many tiles. It depends on the batch only,
+ * so the tiling is the same at every thread count.
  */
-struct PreparedInput
+constexpr int64_t kForwardTiles = 16;
+
+/**
+ * The layout of a conv input copied zero-padded and phase-split by the
+ * column stride, so the taps of forward and backward-weight read
+ * unit-stride row segments with plain loads — no range masks, no
+ * gathers. Padded column cp of a row lands in slot (cp % stride) *
+ * slots + cp / stride, so kernel element (r, s) reads output position
+ * (p, q) of one (sample, channel) plane at tapOffset(r, s) + p * stride
+ * * rowStride + q. The forward fills one sample's planes at a time
+ * into a task-local block; backward-weight fills the whole batch at
+ * stride > 1.
+ */
+struct PlaneLayout
 {
     int64_t stride, pad, h, width;
     int64_t slots;       //!< phase slots per padded row
     int64_t rowStride;   //!< floats per padded row (slots * stride)
     int64_t planeSize;   //!< floats per (sample, channel) plane
-    ScratchArena::Buffer buf;
 
-    PreparedInput(const Shape &xs, int64_t conv_stride, int64_t conv_pad)
+    PlaneLayout(const Shape &xs, int64_t conv_stride, int64_t conv_pad)
         : stride(conv_stride), pad(conv_pad), h(xs[2]), width(xs[3]),
           slots((width + 2 * pad + stride - 1) / stride),
           rowStride(slots * stride), planeSize((h + 2 * pad) * rowStride)
     {
-        const int64_t size = xs[0] * xs[1] * planeSize + 8;
-        buf = ScratchArena::global().acquire(static_cast<size_t>(size));
-        // Zero only the extent used, plane by plane in fillPlane: a
-        // reused arena buffer can be many times larger (an fc head's
-        // plane gets the largest conv layer's buffer).
-        std::fill(buf.data() + size - 8, buf.data() + size, 0.0f);
     }
 
     int64_t
@@ -138,11 +140,10 @@ struct PreparedInput
         return r * rowStride + (s % stride) * slots + s / stride;
     }
 
-    /** Fill (sample, channel) plane pc from its h x width source. */
+    /** Fill the plane at dst from its h x width source. */
     void
-    fillPlane(int64_t pc, const float *src)
+    fillPlane(float *dst, const float *src) const
     {
-        float *dst = buf.data() + pc * planeSize;
         std::fill(dst, dst + planeSize, 0.0f);
         for (int64_t hr = 0; hr < h; ++hr) {
             const float *srow = src + hr * width;
@@ -191,7 +192,7 @@ sparseConvForward(const Tensor &x, const CsbTensor &w, int64_t stride,
     const int64_t p_ext = outExtent(h, r_ext, stride, pad);
     const int64_t q_ext = outExtent(width, s_ext, stride, pad);
 
-    Tensor y(Shape{n, k, p_ext, q_ext});
+    Tensor y = Tensor::uninitialized(Shape{n, k, p_ext, q_ext});
     const float *px = x.data();
     float *py = y.data();
 
@@ -199,93 +200,158 @@ sparseConvForward(const Tensor &x, const CsbTensor &w, int64_t stride,
     pack = resolvePack(pack, w, h, width, stride, pad, &local_pack);
     const kernels::ConvTap *all_taps = pack->taps.data();
     const float *wvals = w.valuesData();
+    const PlaneLayout lay(xs, stride, pad);
+    const int64_t plane_sz = lay.planeSize;
 
-    // Prepare the input once per call (see PreparedInput), so every
-    // mask-live tap becomes a full-range unit-stride streak over one
-    // contiguous row segment. The copy is amortized over all k output
-    // channels that reuse it.
-    PreparedInput prep(xs, stride, pad);
-    ThreadPool::global().parallelFor(
-        0, n * c,
-        [&](int64_t i0, int64_t i1) {
-            for (int64_t i = i0; i < i1; ++i)
-                prep.fillPlane(i, px + i * h * width);
-        },
-        std::max<int64_t>(
-            1, kPrepareGrainFloats / std::max<int64_t>(1, h * width)));
-    const float *xp = prep.buf.data();
-    const int64_t plane_sz = prep.planeSize;
-
-    // Block-major traversal, partitioned over output channels: each
-    // task owns the y[:, ok, :, :] planes of its ok range, so threads
-    // accumulate into private output slices in a fixed order and the
-    // result is deterministic. Zero blocks and zero weights are
-    // skipped exactly as the PEs skip them — the pack holds mask-live
-    // taps only. Per ok the input-channel sweep is flattened into one
-    // homogeneous tap stream (channel plane, kernel row, and phase
-    // slot folded into xoff; weight value copied in), split into
-    // L1-sized input-channel chunks so the output-stationary kernel
-    // re-reads hot x rows from cache; chunks accumulate into y in
-    // fixed ic order, which keeps the per-element addition sequence
-    // identical at every thread count and SIMD level. The executed-MAC
-    // tally is per-tap arithmetic (clipped extents x batch), not an
-    // inner-loop counter, so it costs nothing — padding adds exact
-    // zeros the PEs would skip, and the tally does not count them.
+    // The tap runs, built once per call. Per output channel the
+    // input-channel sweep is flattened into one homogeneous tap stream
+    // (channel plane, kernel row, and phase slot folded into xoff, an
+    // offset into one sample's prepared planes; weight value copied
+    // in), split into L1-sized input-channel chunks so the
+    // output-stationary kernel re-reads hot x rows from cache. Zero
+    // blocks and zero weights are skipped exactly as the PEs skip them
+    // — the pack holds mask-live taps only. Output channel ok's run
+    // starts at its first pack tap (fully clipped taps leave the
+    // slot's tail unused); chunk g spans runs[cb[g], cb[g + 1]), cb =
+    // bound + ok * (nchunks + 1). The executed-MAC tally is per-tap
+    // arithmetic (clipped extents x batch), not an inner-loop counter,
+    // so it costs nothing — padding adds exact zeros the PEs would
+    // skip, and the tally does not count them.
     const int64_t ic_chunk = l1ChannelChunk(
         r_ext + stride * (kernels::convStripRows(q_ext) - 1));
+    const int64_t nchunks = (c + ic_chunk - 1) / ic_chunk;
+    std::vector<kernels::ConvRunTap> runs(pack->taps.size());
+    std::vector<int64_t> bound(static_cast<size_t>(k * (nchunks + 1)));
+    // Kernel element e reads its sample plane at elem_off[e] and fires
+    // on elem_macs[e] output positions, 0 when its clip window is empty.
+    const int64_t rs = r_ext * s_ext;
+    std::vector<int64_t> elem_off(static_cast<size_t>(rs));
+    std::vector<int64_t> elem_macs(static_cast<size_t>(rs));
+    for (int64_t e = 0; e < rs; ++e) {
+        const kernels::ConvWindow &wd = pack->win[e];
+        elem_off[static_cast<size_t>(e)] =
+            lay.tapOffset(e / s_ext, e % s_ext);
+        elem_macs[static_cast<size_t>(e)] =
+            (wd.pHi - wd.pLo) * (wd.qHi - wd.qLo);
+    }
     std::atomic<int64_t> mac_total{0};
     ThreadPool::global().parallelFor(0, k, [&](int64_t ok0, int64_t ok1) {
         int64_t local_macs = 0;
-        std::vector<kernels::ConvRunTap> run;
-        std::vector<int64_t> chunk;
         for (int64_t ok = ok0; ok < ok1; ++ok) {
-            run.clear();
-            chunk.clear();
-            for (int64_t ic = 0; ic < c; ++ic) {
-                if (ic % ic_chunk == 0)
-                    chunk.push_back(static_cast<int64_t>(run.size()));
-                const int64_t b = ok * c + ic;
-                const int64_t t0 = pack->blockOff[static_cast<size_t>(b)];
-                const int64_t ntaps =
-                    pack->blockOff[static_cast<size_t>(b) + 1] - t0;
-                if (ntaps == 0)
-                    continue;   // density known from pointer subtraction
-                const kernels::ConvTap *taps = all_taps + t0;
-                const float *bvals = wvals + w.blockValueOffset(b);
-                const int64_t plane = ic * plane_sz;
-                for (int64_t t = 0; t < ntaps; ++t) {
-                    const int64_t e = taps[t].elem;
-                    const kernels::ConvWindow &wd = pack->win[e];
-                    if (wd.empty())
-                        continue;   // fully clipped: contributes nothing
-                    local_macs += (wd.pHi - wd.pLo) * (wd.qHi - wd.qLo) * n;
-                    kernels::ConvRunTap rt;
-                    rt.xoff = plane + prep.tapOffset(e / s_ext, e % s_ext);
-                    rt.w = bvals[t];
-                    run.push_back(rt);
+            int64_t *cb = bound.data() + ok * (nchunks + 1);
+            int64_t fill = pack->blockOff[static_cast<size_t>(ok * c)];
+            for (int64_t ic0 = 0; ic0 < c; ic0 += ic_chunk) {
+                *cb++ = fill;
+                const int64_t b_end = ok * c + std::min(c, ic0 + ic_chunk);
+                for (int64_t b = ok * c + ic0; b < b_end; ++b) {
+                    const int64_t t0 =
+                        pack->blockOff[static_cast<size_t>(b)];
+                    const int64_t ntaps =
+                        pack->blockOff[static_cast<size_t>(b) + 1] - t0;
+                    if (ntaps == 0)
+                        continue;
+                    const int64_t plane = (b - ok * c) * plane_sz;
+                    const float *bvals = wvals + w.blockValueOffset(b);
+                    for (int64_t t = 0; t < ntaps; ++t) {
+                        const size_t e =
+                            static_cast<size_t>(all_taps[t0 + t].elem);
+                        if (elem_macs[e] == 0)
+                            continue;   // fully clipped: adds nothing
+                        local_macs += elem_macs[e];
+                        runs[static_cast<size_t>(fill++)] = {
+                            plane + elem_off[e], bvals[t]};
+                    }
                 }
             }
-            if (run.empty())
-                continue;   // y planes stay zero
-            chunk.push_back(static_cast<int64_t>(run.size()));
-            for (size_t ci = 0; ci + 1 < chunk.size(); ++ci) {
-                const int64_t cs = chunk[ci];
-                const int64_t ce = chunk[ci + 1];
-                if (ce == cs)
-                    continue;
-                for (int64_t in = 0; in < n; ++in) {
+            *cb = fill;
+        }
+        mac_total.fetch_add(local_macs * n, std::memory_order_relaxed);
+    }, std::max<int64_t>(1, kGrainTaps * k /
+                                std::max<int64_t>(1, pack->taps.size())));
+
+    // Partitioned over (sample, output-channel block) tiles,
+    // sample-major, as the PEs of the K,N mapping each own their
+    // samples' activations; each task zeroes and accumulates only its
+    // own y[in, ok] planes, so no locks are needed. Per y element the
+    // chunks accumulate in fixed ic order and the taps in pack order,
+    // whatever the tiling, so the result is identical at every thread
+    // count and SIMD level. A task gets at least kGrainMacs of work, so
+    // a small fc head runs inline.
+    const int64_t max_blocks = std::min(
+        std::max<int64_t>(k, 1),
+        (kForwardTiles + n - 1) / std::max<int64_t>(n, 1));
+    const int64_t ok_per_block =
+        std::max<int64_t>(1, (k + max_blocks - 1) / max_blocks);
+    const int64_t ok_blocks = (k + ok_per_block - 1) / ok_per_block;
+    const int64_t total_macs = mac_total.load(std::memory_order_relaxed);
+    const int64_t tile_grain = std::max<int64_t>(
+        1, kGrainMacs * n * ok_blocks / std::max<int64_t>(1, total_macs));
+
+    // The zero-padded input planes (see PlaneLayout), 8 floats of slack
+    // after them for the kernel's read-past-tail vectors. A sample that
+    // is one tile is filled by its task into a private block when the
+    // task first needs it, and stays hot in that core's cache while the
+    // task sweeps its output channels. A sample split into several
+    // output-channel blocks is read by several tasks, so the batch is
+    // filled once, up front, into one shared buffer instead of once per
+    // task. Both are plain heap blocks, not ScratchArena checkouts (see
+    // backward-data).
+    const int64_t sample_sz = c * plane_sz;
+    const bool shared = ok_blocks > 1;
+    std::unique_ptr<float[]> batch_buf;
+    if (shared) {
+        batch_buf.reset(new float[static_cast<size_t>(n * sample_sz + 8)]);
+        std::fill(batch_buf.get() + n * sample_sz,
+                  batch_buf.get() + n * sample_sz + 8, 0.0f);
+        ThreadPool::global().parallelFor(
+            0, n * c,
+            [&](int64_t i0, int64_t i1) {
+                for (int64_t i = i0; i < i1; ++i)
+                    lay.fillPlane(batch_buf.get() + i * plane_sz,
+                                  px + i * h * width);
+            },
+            std::max<int64_t>(
+                1, kPrepareGrainFloats / std::max<int64_t>(1, plane_sz)));
+    }
+    ThreadPool::global().parallelFor(0, n * ok_blocks, [&](int64_t t0,
+                                                           int64_t t1) {
+        std::unique_ptr<float[]> block;
+        if (!shared) {
+            block.reset(new float[static_cast<size_t>(sample_sz + 8)]);
+            std::fill(block.get() + sample_sz, block.get() + sample_sz + 8,
+                      0.0f);
+        }
+        int64_t prepared = -1;
+        for (int64_t t = t0; t < t1; ++t) {
+            const int64_t in = t / ok_blocks;
+            const int64_t ok0 = t % ok_blocks * ok_per_block;
+            const int64_t ok1 = std::min(k, ok0 + ok_per_block);
+            const float *xs_in =
+                shared ? batch_buf.get() + in * sample_sz : block.get();
+            for (int64_t ok = ok0; ok < ok1; ++ok) {
+                float *yplane = py + (in * k + ok) * p_ext * q_ext;
+                std::fill(yplane, yplane + p_ext * q_ext, 0.0f);
+                const int64_t *cb = bound.data() + ok * (nchunks + 1);
+                if (cb[0] == cb[nchunks])
+                    continue;   // no live taps: the plane stays zero
+                if (!shared && in != prepared) {
+                    for (int64_t ic = 0; ic < c; ++ic)
+                        lay.fillPlane(block.get() + ic * plane_sz,
+                                      px + (in * c + ic) * h * width);
+                    prepared = in;
+                }
+                for (int64_t g = 0; g < nchunks; ++g) {
+                    if (cb[g + 1] == cb[g])
+                        continue;
                     kernels::sparseConvFwdPlaneRun(
-                        run.data() + cs, ce - cs,
-                        xp + in * c * plane_sz,
-                        py + (in * k + ok) * p_ext * q_ext,
-                        stride * prep.rowStride, p_ext, q_ext);
+                        runs.data() + cb[g], cb[g + 1] - cb[g], xs_in,
+                        yplane, stride * lay.rowStride, p_ext, q_ext);
                 }
             }
         }
-        mac_total.fetch_add(local_macs, std::memory_order_relaxed);
-    });
+    }, tile_grain);
     if (macs)
-        *macs = mac_total.load(std::memory_order_relaxed);
+        *macs = total_macs;
     return y;
 }
 
@@ -312,7 +378,7 @@ sparseConvBackwardData(const Tensor &dy, const CsbTensor &w,
     PROCRUSTES_ASSERT(dy.shape() == Shape({n, k, p_ext, q_ext}),
                       "dy shape mismatch");
 
-    Tensor dx(x_shape);
+    Tensor dx = Tensor::uninitialized(x_shape);
     const float *pdy = dy.data();
     float *pdx = dx.data();
 
@@ -481,9 +547,11 @@ sparseConvBackwardData(const Tensor &dy, const CsbTensor &w,
     // a plain heap block, not a ScratchArena checkout: arena buffers
     // grow to the largest request they serve and stay cached, which
     // measurably raised peak RSS. At
-    // stride 1 the one phase plane is the dx plane itself; otherwise
-    // each phase accumulates in a private buffer and is interleaved
-    // into dx.
+    // stride 1 the one phase plane is the dx plane itself, zeroed by
+    // its task before it accumulates; otherwise each phase accumulates
+    // in a zeroed private buffer and is interleaved into dx (a phase no
+    // tap lands on interleaves its zeros). Every dx element is written
+    // by its own task, so dx starts uninitialized.
     ThreadPool::global().parallelFor(0, n * c, [&](int64_t i0, int64_t i1) {
         std::unique_ptr<float[]> dyb(
             new float[static_cast<size_t>(k * dyplane_sz + 8)]);
@@ -521,12 +589,8 @@ sparseConvBackwardData(const Tensor &dy, const CsbTensor &w,
                     const int64_t cols = (width - b + stride - 1) / stride;
                     const int64_t *cb = bound.data() + ic * ic_bounds +
                                         (a * stride + b) * nchunks;
-                    if (cb[0] == cb[nchunks])
-                        continue;   // this dx phase stays zero
                     float *dst = stride > 1 ? phase.data() : dxplane;
-                    if (stride > 1)
-                        std::fill(phase.begin(), phase.begin() + rows * cols,
-                                  0.0f);
+                    std::fill(dst, dst + rows * cols, 0.0f);
                     for (int64_t g = 0; g < nchunks; ++g) {
                         if (cb[g + 1] == cb[g])
                             continue;
@@ -586,8 +650,20 @@ sparseConvBackwardWeights(const Tensor &x, const Tensor &dy,
     const kernels::ConvTap *all_taps = pack->taps.data();
     const int64_t *block_off = pack->blockOff.data();
 
-    PreparedInput prep(xs, stride, pad);
-    const int64_t xrs = stride * prep.rowStride;
+    // At stride > 1 the taps read a copy of x prepared as in the forward
+    // (see PlaneLayout), so every read is a plain unit-stride load. At
+    // stride 1 they read x itself: every clip window lies inside the
+    // plane and the kernel masks its tail loads, so no halo or slack is
+    // needed.
+    const PlaneLayout lay(xs, stride, pad);
+    const bool raw = stride == 1;
+    ScratchArena::Buffer prepared;
+    if (!raw)
+        prepared = ScratchArena::global().acquire(
+            static_cast<size_t>(n * c * lay.planeSize));
+    const float *xbase = raw ? px : prepared.data();
+    const int64_t plane_sz = raw ? h * width : lay.planeSize;
+    const int64_t xrs = raw ? width : stride * lay.rowStride;
 
     // Elements with equal clip windows (pack->win) read equal dy
     // streaks; cls names the first element with e's window.
@@ -602,8 +678,9 @@ sparseConvBackwardWeights(const Tensor &x, const Tensor &dy,
     for (int64_t e = 0; e < rs; ++e) {
         const kernels::ConvWindow &wd = win[e];
         ElemClass &ec = eclass[static_cast<size_t>(e)];
-        ec.xoff = prep.tapOffset(e / s_ext, e % s_ext) + wd.pLo * xrs +
-                  wd.qLo;
+        const int64_t r = e / s_ext, s = e % s_ext;
+        ec.xoff = (raw ? (r - pad) * width + s - pad : lay.tapOffset(r, s)) +
+                  wd.pLo * xrs + wd.qLo;
         ec.cls = e;
         for (int64_t f = 0; f < e; ++f) {
             const kernels::ConvWindow &o = win[f];
@@ -634,7 +711,9 @@ sparseConvBackwardWeights(const Tensor &x, const Tensor &dy,
             std::fill(nz, nz + h * width, 0);
             for (int64_t in = 0; in < n; ++in) {
                 const float *src = px + (in * c + ic) * h * width;
-                prep.fillPlane(in * c + ic, src);
+                if (!raw)
+                    lay.fillPlane(prepared.data() + (in * c + ic) * plane_sz,
+                                  src);
                 forEachBlocked8(h * width,
                                 [&](int64_t i) { nz[i] += src[i] != 0.0f; });
             }
@@ -701,7 +780,7 @@ sparseConvBackwardWeights(const Tensor &x, const Tensor &dy,
                     const ElemClass &ec = eclass[static_cast<size_t>(e)];
                     local_macs += nz_count[static_cast<size_t>(ic * rs + e)];
                     bucket[static_cast<size_t>(ec.cls)].push_back(
-                        {ic * prep.planeSize + ec.xoff, b * rs + e});
+                        {ic * plane_sz + ec.xoff, b * rs + e});
                 }
             }
             for (int64_t cl = 0; cl < rs; ++cl) {
@@ -722,7 +801,7 @@ sparseConvBackwardWeights(const Tensor &x, const Tensor &dy,
         }
         std::vector<float> lanes(8 * xoff.size(), 0.0f);
         for (int64_t in = 0; in < n; ++in) {
-            const float *xn = prep.buf.data() + in * c * prep.planeSize;
+            const float *xn = xbase + in * c * plane_sz;
             const float *dyn = pdy + in * k * p_ext * q_ext;
             for (const Group &g : groups)
                 kernels::sparseConvBwdWeightGroup(

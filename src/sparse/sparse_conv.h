@@ -18,12 +18,16 @@
  * executor vectorizes.
  *
  * The traversal is partitioned across the shared ThreadPool — over
- * output channels in the forward and backward-weight passes, over
- * (sample, input channel) pairs in backward-data — so every thread
- * accumulates into a private slice of the output in a fixed order
- * (deterministic for any thread count), and each kernel element's
- * output window is pre-clipped against the padding halo once per tap
- * pack so the MAC loops run branch-free.
+ * (sample, output-channel block) tiles in the forward pass, over
+ * (sample, input channel) pairs in backward-data, over output channels
+ * in backward-weight — so every thread accumulates into a private
+ * slice of the output in a fixed order (deterministic for any thread
+ * count), and each kernel element's output window is pre-clipped
+ * against the padding halo once per tap pack so the MAC loops run
+ * branch-free. The forward (from batch 16 up) and backward-data tasks
+ * each own whole samples of their input side, as the PEs of the
+ * paper's K,N and C,N mappings do: a task pads only its own samples'
+ * planes.
  *
  * Each executor's `macs` out-param is the one executed-MAC count of its
  * phase, tallied while it runs; the layers' step reports and the
@@ -53,6 +57,20 @@ namespace sparse {
 
 /**
  * Forward convolution y = x * W from CSB-encoded filters.
+ *
+ * The tap runs (each output channel's live taps, flattened over input
+ * channels and cut into L1-sized chunks) are built once per call. The
+ * output is then tiled by (sample, output-channel block): every sample
+ * is one tile at batch 16 and up, and a smaller batch splits its output
+ * channels into blocks, so an fc head's one-sample batch plane still
+ * spreads over the pool. The input planes are copied zero-padded and
+ * phase-split by the stride: a whole-sample tile's task copies its
+ * sample into a private block, while a batch whose samples are split
+ * into blocks is copied once into a buffer the tasks share. Each task
+ * zeroes and accumulates only its own output planes. Per y element the
+ * taps run in one fixed order (input-channel chunk, then pack order),
+ * one fused multiply-add each, so y does not depend on the tiling, the
+ * thread count or the SIMD level.
  *
  * @param x input activations [N, C, H, W].
  * @param w CSB-encoded filters whose dense space is [K, C, R, S].
@@ -119,9 +137,11 @@ Tensor sparseConvBackwardData(const Tensor &dy, const CsbTensor &w,
  * MACs are skipped exactly as the PEs skip zero weights, which is what
  * closes the sparse-training gap for the weight-update phase.
  *
- * Computed over the forward's prepared input (zero-padded and
- * phase-split by the column stride, so every read is a plain
- * unit-stride load at every stride). The live taps of one output
+ * At stride > 1 computed over a copy of x prepared as in the forward
+ * (zero-padded and phase-split by the column stride, so every read is a
+ * plain unit-stride load); at stride 1 over x itself, since every clip
+ * window lies inside the plane and the tail loads are masked. The live
+ * taps of one output
  * channel whose kernel elements share a padding-clip window run in
  * groups of up to 8 input channels that share each dy load; every tap
  * reduces its (n, p, q) space into its own 8 lanes in one fixed order,

@@ -104,19 +104,27 @@ TEST(Quantile, TracksDistributionShift)
 
 TEST(ParallelQuantile, MatchesScalarOnAverage)
 {
-    const auto xs = halfNormalStream(400000, 11);
-    QuantileEstimator scalar(0.9);
-    ParallelQuantileEstimator wide(0.9, 4);
-    for (double x : xs) {
-        scalar.update(x);
-        wide.update(x);
-    }
-    wide.flush();
-    // The wide estimator compares all four lanes of a group with the
+    // The wide estimator compares all lanes of a group with the
     // estimate the group started from, so it lags the scalar one by up
-    // to three steps; it must stay in the same regime.
-    EXPECT_NEAR(wide.estimate(), scalar.estimate(),
-                0.5 * scalar.estimate());
+    // to width - 1 steps; over a long stream the two land within 1e-6
+    // of each other. The 1% bound still catches an estimator that
+    // tracks the wrong statistic (a quantile of group means sat 26% low
+    // at width 4).
+    for (const int width : {2, 4, 8}) {
+        for (const uint64_t seed : {1, 2, 3, 11}) {
+            const auto xs = halfNormalStream(400000, seed);
+            QuantileEstimator scalar(0.9);
+            ParallelQuantileEstimator wide(0.9, width);
+            for (double x : xs) {
+                scalar.update(x);
+                wide.update(x);
+            }
+            wide.flush();
+            EXPECT_NEAR(wide.estimate(), scalar.estimate(),
+                        0.01 * scalar.estimate())
+                << "width=" << width << " seed=" << seed;
+        }
+    }
 }
 
 TEST(ParallelQuantile, FlushHandlesPartialGroup)

@@ -696,7 +696,8 @@ TEST(SparseConvForward, DeterministicUnderThreading)
                 EXPECT_TRUE(bitwiseEqual(y, ref_y))
                     << "n=" << n << " stride=" << stride
                     << " threads=" << threads;
-                EXPECT_EQ(macs, ref_macs) << "n=" << n << " threads=" << threads;
+                EXPECT_EQ(macs, ref_macs)
+                    << "n=" << n << " threads=" << threads;
             }
         }
     }
