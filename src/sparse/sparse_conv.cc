@@ -90,9 +90,10 @@ phaseHalo(int64_t in, int64_t out, int64_t kernel, int64_t stride,
 }
 
 /**
- * Least work per pool task: floats of x or dy for the non-zero tallies
- * (64 KiB), multiply-adds for the forward tiles and the backward-weight
- * reduction, live taps for the forward's run build. Below them a call
+ * Least work per pool task: floats of x or dy for the input
+ * preparation and the non-zero tallies (64 KiB), multiply-adds for the
+ * forward tiles and the backward-weight reduction, live taps for the
+ * forward's run build. Below them a call
  * runs inline, which costs less than waking the pool — an fc head's
  * batch plane is that small.
  */
@@ -116,9 +117,10 @@ constexpr int64_t kForwardTiles = 16;
  * gathers. Padded column cp of a row lands in slot (cp % stride) *
  * slots + cp / stride, so kernel element (r, s) reads output position
  * (p, q) of one (sample, channel) plane at tapOffset(r, s) + p * stride
- * * rowStride + q. The forward fills one sample's planes at a time
- * into a task-local block; backward-weight fills the whole batch at
- * stride > 1.
+ * * rowStride + q. The forward fills each sample's planes into a
+ * block of the task that owns the sample (a small batch, whose samples
+ * several tasks share, into one buffer up front); backward-weight fills
+ * the whole batch at stride > 1.
  */
 struct PlaneLayout
 {
