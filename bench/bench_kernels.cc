@@ -119,9 +119,8 @@ nowMs()
 /**
  * Time fn() adaptively: after a warm-up, repeat until ~min_ms elapsed
  * and at least 5 reps ran (at most 50), and return the median rep in
- * ms. One mean over a single timed loop moved 2x between runs on a
- * shared 4-vCPU host; the median of separately timed reps does not
- * carry a slow episode's whole weight.
+ * ms, so a slow episode of a shared host does not carry its whole
+ * weight into the cell.
  */
 template <typename Fn>
 double

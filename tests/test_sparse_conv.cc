@@ -554,9 +554,8 @@ struct ForwardGoldenCase
  * wide one with more than 32 output columns (more than one register
  * strip). 20 input channels split into two L1 channel chunks on the
  * narrow planes of the larger kernels and strides, so the chunk order
- * is pinned too. Output channel
- * 2 is all-pruned; its planes must be exact +0 even when y lands in a
- * freed allocation that held NaNs. The expected values were recorded
+ * is pinned too. Output channel 2 is all-pruned; its planes must be
+ * exact +0 even when y lands in a freed allocation that held NaNs. The expected values were recorded
  * with the executor that partitioned over output channels, so any
  * rewrite must reproduce its addition order exactly, at every SIMD
  * level.
