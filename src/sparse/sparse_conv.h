@@ -141,12 +141,11 @@ Tensor sparseConvBackwardData(const Tensor &dy, const CsbTensor &w,
  * (zero-padded and phase-split by the column stride, so every read is a
  * plain unit-stride load); at stride 1 over x itself, since every clip
  * window lies inside the plane and the tail loads are masked. The live
- * taps of one output
- * channel whose kernel elements share a padding-clip window run in
- * groups of up to 8 input channels that share each dy load; every tap
- * reduces its (n, p, q) space into its own 8 lanes in one fixed order,
- * collapsed by one fixed tree, so dW does not depend on the grouping,
- * the thread count or the SIMD level.
+ * taps of one output channel whose kernel elements share a
+ * padding-clip window run in groups of up to 8 input channels that
+ * share each dy load; every tap reduces its (n, p, q) space into its
+ * own 8 lanes in one fixed order, collapsed by one fixed tree, so dW
+ * does not depend on the grouping, the thread count or the SIMD level.
  *
  * Zero input activations — ReLU zeros make x the sparse operand of the
  * weight-update phase (Section II-B) — are multiplied, not skipped:
