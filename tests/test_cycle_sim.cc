@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "arch/accelerator.h"
@@ -558,6 +561,211 @@ TEST(CycleSim, DoubleBufferEqualsSerialWhenDrainIsFree)
     EXPECT_EQ(serial.cycles, db.cycles);
     EXPECT_EQ(db.overlappedDrainCycles, 0);
     EXPECT_EQ(serial.drainCycles, 0);
+}
+
+/** SimResult fields in digest order, for failure messages. */
+constexpr size_t kNumSimFields = 13;
+const char *const kSimFields[kNumSimFields] = {
+    "cycles", "computeCycles", "stallCycles", "macsRetired",
+    "drainCycles", "overlappedDrainCycles", "glbConflictCycles",
+    "glbConflicts", "fifoBackpressureCycles", "dramRefillCycles",
+    "dramStallCycles", "glbBankReads", "glbBankWrites"};
+
+/**
+ * One FNV-1a hash per SimResult field over a run of results (the bank
+ * vectors hashed element by element), so a golden mismatch names the
+ * field that moved.
+ */
+struct SimDigest
+{
+    std::array<uint64_t, kNumSimFields> h;
+
+    SimDigest() { h.fill(14695981039346656037ull); }
+
+    void mix(size_t field, int64_t v)
+    {
+        for (int byte = 0; byte < 8; ++byte) {
+            h[field] ^= (static_cast<uint64_t>(v) >> (8 * byte)) & 0xff;
+            h[field] *= 1099511628211ull;
+        }
+    }
+
+    void mixBanks(size_t field, const std::vector<int64_t> &banks)
+    {
+        mix(field, static_cast<int64_t>(banks.size()));
+        for (int64_t v : banks)
+            mix(field, v);
+    }
+
+    void add(const SimResult &r)
+    {
+        const int64_t scalars[] = {
+            r.cycles, r.computeCycles, r.stallCycles, r.macsRetired,
+            r.drainCycles, r.overlappedDrainCycles, r.glbConflictCycles,
+            r.glbConflicts, r.fifoBackpressureCycles, r.dramRefillCycles,
+            r.dramStallCycles};
+        for (size_t f = 0; f < std::size(scalars); ++f)
+            mix(f, scalars[f]);
+        mixBanks(11, r.glbBankReads);
+        mixBanks(12, r.glbBankWrites);
+    }
+};
+
+void
+expectDigest(const SimDigest &got,
+             const std::array<uint64_t, kNumSimFields> &want,
+             const char *entry)
+{
+    for (size_t f = 0; f < kNumSimFields; ++f)
+        EXPECT_EQ(got.h[f], want[f]) << entry << " " << kSimFields[f];
+}
+
+/** splitmix64: the golden waves depend on no library generator. */
+uint64_t
+nextRandom(uint64_t &state)
+{
+    uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
+/**
+ * A wave with ragged demands: about one PE in five idle, one in five
+ * receiving words but retiring no MACs, one in five with a zero-word
+ * operand B, and operand A ranging from zero words to about twice the
+ * MACs.
+ */
+WaveSpec
+raggedWave(int rows, int cols, uint64_t seed)
+{
+    WaveSpec w;
+    w.rows = rows;
+    w.cols = cols;
+    for (int i = 0; i < rows * cols; ++i) {
+        TileDemand d;
+        const uint64_t kind = nextRandom(seed) % 5;
+        if (kind != 0) {
+            d.macs = kind == 1
+                         ? 0
+                         : static_cast<int64_t>(nextRandom(seed) % 24) + 1;
+            d.wordsA = static_cast<int64_t>(nextRandom(seed) %
+                                            static_cast<uint64_t>(
+                                                2 * d.macs + 4));
+            d.wordsB = kind == 2
+                           ? 0
+                           : static_cast<int64_t>(
+                                 nextRandom(seed) %
+                                 static_cast<uint64_t>(d.macs + 6));
+            d.psumWords = static_cast<int64_t>(nextRandom(seed) % 7);
+        }
+        w.tiles.push_back(d);
+    }
+    return w;
+}
+
+TEST(CycleSimGolden, EveryFieldOverChannelsAndKnobs)
+{
+    // Every SimResult field of simulateWave, simulateWaveSequence and
+    // simulateEpochPlan over all operand-channel pairs, FIFO depths
+    // {0, 1, 8}, GLB banks {3, 64} x ports {1, 2}, unicast {1, 16},
+    // serial and double-buffered drain, and refill off and on, on
+    // ragged waves. The digests were recorded from the loop that
+    // visits every PE every cycle; any faster loop must reproduce them
+    // bit for bit.
+    const Channel channels[] = {Channel::RowBus, Channel::ColBus,
+                                Channel::Broadcast, Channel::UnicastNet};
+    std::vector<WaveSpec> waves = {raggedWave(3, 5, 1), raggedWave(4, 4, 2),
+                                   raggedWave(2, 6, 3)};
+    SimDigest wave_digest;
+    SimDigest seq_digest;
+    SimDigest plan_digest;
+    SimResult seen;
+    for (size_t a = 0; a < 4; ++a) {
+        for (size_t b = 0; b < 4; ++b) {
+            for (size_t i = 0; i < waves.size(); ++i) {
+                waves[i].channelA = channels[a];
+                waves[i].channelB = channels[b];
+                waves[i].channelOut = channels[(a + b + i) % 4];
+            }
+            // An empty piece in the middle exercises the drain chain
+            // across a piece with no waves.
+            EpochWavePlan plan;
+            plan.batchSize = 4;
+            plan.order = {
+                {0, Phase::Forward, {waves[0], waves[1]}, 40.0},
+                {1, Phase::Forward, {}, 25.0},
+                {1, Phase::Backward, {waves[2]}, 900.0},
+                {0, Phase::WeightUpdate, {waves[1], waves[2], waves[0]},
+                 0.0}};
+            for (int fifo : {0, 1, 8}) {
+                for (int banks : {3, 64}) {
+                    for (int ports : {1, 2}) {
+                        for (int uni : {1, 16}) {
+                            SimConfig cfg;
+                            cfg.peFifoDepth = fifo;
+                            cfg.glbBanks = banks;
+                            cfg.glbBankPortsPerCycle = ports;
+                            cfg.unicastWordsPerCycle = uni;
+                            for (const WaveSpec &w : waves)
+                                wave_digest.add(simulateWave(w, cfg));
+                            for (bool db : {false, true}) {
+                                cfg.doubleBufferOutputs = db;
+                                cfg.dramWordsPerCycle = 0.0;
+                                const SimResult s =
+                                    simulateWaveSequence(waves, cfg);
+                                seq_digest.add(s);
+                                seen.accumulate(s);
+                                for (double dram : {0.0, 2.0}) {
+                                    cfg.dramWordsPerCycle = dram;
+                                    const TraceSimResult t =
+                                        simulateEpochPlan(plan, cfg);
+                                    plan_digest.add(t.total);
+                                    plan_digest.add(t.fw);
+                                    plan_digest.add(t.bw);
+                                    plan_digest.add(t.wu);
+                                    seen.accumulate(t.total);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // The corpus reaches every counter, so no digest is vacuous.
+    EXPECT_GT(seen.stallCycles, 0);
+    EXPECT_GT(seen.glbConflicts, 0);
+    EXPECT_GT(seen.fifoBackpressureCycles, 0);
+    EXPECT_GT(seen.overlappedDrainCycles, 0);
+    EXPECT_GT(seen.dramStallCycles, 0);
+    expectDigest(wave_digest,
+                 {0x0c392eb33bef5ef8ull, 0x9cf53195c028ac3dull,
+                  0x9438eacf53c8474dull, 0x519229786c1b9b25ull,
+                  0x7d7215b1c2d0c125ull, 0xf3fb6a6deb5af325ull,
+                  0x2013e7bfd9d0c27aull, 0x3a594d87c848ccffull,
+                  0x4e9c49404694a575ull, 0xf3fb6a6deb5af325ull,
+                  0xf3fb6a6deb5af325ull, 0x9fb2a13a4d466965ull,
+                  0x13a6be28b7292ba5ull},
+                 "simulateWave");
+    expectDigest(seq_digest,
+                 {0x60fef787b5a60dacull, 0xd67f6f63f84c5a55ull,
+                  0xfae3e6dd70e91b55ull, 0x02562d76131aeb25ull,
+                  0x7c4abbbf4b57bb25ull, 0xc3b163cb5815f896ull,
+                  0xe42697356c8c0045ull, 0xf8f21b4696b70a91ull,
+                  0xa347a08e163a1cd5ull, 0x6df0de0551480325ull,
+                  0x6df0de0551480325ull, 0x82ae8cdd469f2da5ull,
+                  0xe8ce050ea071aba5ull},
+                 "simulateWaveSequence");
+    expectDigest(plan_digest,
+                 {0x327140c80b8290a0ull, 0x11de80c517c80865ull,
+                  0x6a4173502683e845ull, 0x3b8e2add188a6725ull,
+                  0x61aff18b9f5c1325ull, 0xa49dfe14d48e25e5ull,
+                  0x46fbb86052b20bedull, 0xb35d0885572d729dull,
+                  0x7245bf6e5d368805ull, 0x960bf058260eab25ull,
+                  0xed69174f0ebfc49dull, 0x9a2f56df8e56ba15ull,
+                  0x7bac883fc327c925ull},
+                 "simulateEpochPlan");
 }
 
 TEST(CycleSim, ZeroDensitySlotsStayIdle)
