@@ -18,6 +18,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,13 @@ using namespace procrustes;
 
 namespace {
 
+/** Wall and process-CPU milliseconds of one call (medians over calls). */
+struct Timing
+{
+    double ms = 0.0;
+    double cpuMs = 0.0;
+};
+
 struct BenchLayer
 {
     std::string net;
@@ -50,9 +58,9 @@ struct BenchLayer
 struct SweepPoint
 {
     double density = 0.0;
-    double sparse_fwd_ms = 0.0;
-    double sparse_bwd_data_ms = 0.0;
-    double sparse_bwd_weight_ms = 0.0;
+    Timing sparse_fwd;
+    Timing sparse_bwd_data;
+    Timing sparse_bwd_weight;
     double fwd_vs_gemm = 0.0;   //!< gemm_fwd_ms / sparse_fwd_ms
 };
 
@@ -60,15 +68,15 @@ struct Row
 {
     BenchLayer layer;
     int64_t batch = 0;
-    double naive_fwd_ms = 0.0;
-    double gemm_fwd_ms = 0.0;
-    double naive_bwd_ms = 0.0;
-    double gemm_bwd_ms = 0.0;
-    double gemm_fwd_ms_1t = 0.0;   //!< gemm forward on a 1-thread pool
-    double gemm_bwd_ms_1t = 0.0;
-    double sparse_fwd_ms = 0.0;
-    double sparse_bwd_data_ms = 0.0;
-    double sparse_bwd_weight_ms = 0.0;
+    Timing naive_fwd;
+    Timing gemm_fwd;
+    Timing naive_bwd;
+    Timing gemm_bwd;
+    Timing gemm_fwd_1t;   //!< gemm forward on a 1-thread pool
+    Timing gemm_bwd_1t;
+    Timing sparse_fwd;
+    Timing sparse_bwd_data;
+    Timing sparse_bwd_weight;
     double sparse_density = 0.0;
     std::vector<SweepPoint> sweep;   //!< density sweep, dense-first
     double crossover_density = 0.0;  //!< max swept density where the
@@ -77,12 +85,12 @@ struct Row
                                          //!< bw-weight vs gemm backward
     double macs = 0.0;   //!< dense forward MACs for GMAC/s rates
 
-    double fwdSpeedup() const { return naive_fwd_ms / gemm_fwd_ms; }
-    double bwdSpeedup() const { return naive_bwd_ms / gemm_bwd_ms; }
+    double fwdSpeedup() const { return naive_fwd.ms / gemm_fwd.ms; }
+    double bwdSpeedup() const { return naive_bwd.ms / gemm_bwd.ms; }
 
     /** 1-thread vs N-thread scaling (the batch-parallel win). */
-    double threadFwdSpeedup() const { return gemm_fwd_ms_1t / gemm_fwd_ms; }
-    double threadBwdSpeedup() const { return gemm_bwd_ms_1t / gemm_bwd_ms; }
+    double threadFwdSpeedup() const { return gemm_fwd_1t.ms / gemm_fwd.ms; }
+    double threadBwdSpeedup() const { return gemm_bwd_1t.ms / gemm_bwd.ms; }
 };
 
 /**
@@ -94,11 +102,11 @@ struct FcRow
     std::string net;
     std::string name;
     int64_t in_f = 0, out_f = 0, batch = 0;
-    double gemm_fwd_ms = 0.0;
-    double gemm_bwd_ms = 0.0;
-    double sparse_fc_fwd_ms = 0.0;
-    double sparse_fc_bwd_data_ms = 0.0;
-    double sparse_fc_bwd_weight_ms = 0.0;
+    Timing gemm_fwd;
+    Timing gemm_bwd;
+    Timing sparse_fc_fwd;
+    Timing sparse_fc_bwd_data;
+    Timing sparse_fc_bwd_weight;
     double sparse_density = 0.0;
     /** Executed / dense MAC ratios per phase, from the executors'
         measured tallies on this input (weight mask in every phase,
@@ -116,28 +124,61 @@ nowMs()
         .count();
 }
 
-/**
- * Time fn() adaptively: after a warm-up, repeat until ~min_ms elapsed
- * and at least 5 reps ran (at most 50), and return the median rep in
- * ms, so a slow episode of a shared host does not carry its whole
- * weight into the cell.
- */
-template <typename Fn>
+/** CPU time of the whole process (every pool thread) in ms. */
 double
-timeMs(Fn &&fn, double min_ms)
+cpuNowMs()
 {
-    fn();   // warm-up
-    std::vector<double> reps;
-    const double start = nowMs();
-    do {
-        const double t0 = nowMs();
-        fn();
-        reps.push_back(nowMs() - t0);
-    } while ((nowMs() - start < min_ms || reps.size() < 5) &&
-             reps.size() < 50);
+    timespec ts;
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e3 +
+           static_cast<double>(ts.tv_nsec) * 1e-6;
+}
+
+double
+median(std::vector<double> reps)
+{
     std::sort(reps.begin(), reps.end());
     const size_t mid = reps.size() / 2;
     return reps.size() % 2 ? reps[mid] : 0.5 * (reps[mid - 1] + reps[mid]);
+}
+
+/**
+ * Time fn() adaptively: after a warm-up, repeat until ~min_ms elapsed
+ * and at least 5 reps ran (at most 50), and return the median wall and
+ * the median process-CPU time of a rep in ms, so a slow episode of a
+ * shared host does not carry its whole weight into the cell. CPU time
+ * does not count the time the host's other tenants took the cores.
+ */
+template <typename Fn>
+Timing
+timeMs(Fn &&fn, double min_ms)
+{
+    fn();   // warm-up
+    std::vector<double> wall;
+    std::vector<double> cpu;
+    const double start = nowMs();
+    do {
+        const double t0 = nowMs();
+        const double c0 = cpuNowMs();
+        fn();
+        cpu.push_back(cpuNowMs() - c0);
+        wall.push_back(nowMs() - t0);
+    } while ((nowMs() - start < min_ms || wall.size() < 5) &&
+             wall.size() < 50);
+    return {median(wall), median(cpu)};
+}
+
+/**
+ * One timed cell as JSON, the wall field with its CPU twin:
+ * "<name>_ms<suffix>": wall, "<name>_cpu_ms<suffix>": cpu.
+ */
+std::string
+timingJson(const char *name, const Timing &t, const char *suffix = "")
+{
+    char buf[192];
+    std::snprintf(buf, sizeof(buf), "\"%s_ms%s\": %.3f, \"%s_cpu_ms%s\": %.3f",
+                  name, suffix, t.ms, name, suffix, t.cpuMs);
+    return buf;
 }
 
 /**
@@ -231,23 +272,22 @@ benchOne(const BenchLayer &bl, bool smoke)
     dy.fillGaussian(rng, 1.0f);
 
     const double min_ms = smoke ? 1.0 : 200.0;
-    row.naive_fwd_ms = timeMs([&] { naive.forward(x, true); }, min_ms);
-    row.gemm_fwd_ms = timeMs([&] { gemm.forward(x, true); }, min_ms);
-    row.naive_bwd_ms = timeMs([&] { naive.backward(dy); }, min_ms);
-    row.gemm_bwd_ms = timeMs([&] { gemm.backward(dy); }, min_ms);
+    row.naive_fwd = timeMs([&] { naive.forward(x, true); }, min_ms);
+    row.gemm_fwd = timeMs([&] { gemm.forward(x, true); }, min_ms);
+    row.naive_bwd = timeMs([&] { naive.backward(dy); }, min_ms);
+    row.gemm_bwd = timeMs([&] { gemm.backward(dy); }, min_ms);
 
     // 1-vs-N thread scaling of the batch-parallel gemm path. On a
     // 1-thread pool this is a no-op re-measurement, recorded anyway so
     // the JSON schema is uniform.
     if (ThreadPool::global().numThreads() > 1) {
         ThreadPool::resetGlobal(1);
-        row.gemm_fwd_ms_1t =
-            timeMs([&] { gemm.forward(x, true); }, min_ms);
-        row.gemm_bwd_ms_1t = timeMs([&] { gemm.backward(dy); }, min_ms);
+        row.gemm_fwd_1t = timeMs([&] { gemm.forward(x, true); }, min_ms);
+        row.gemm_bwd_1t = timeMs([&] { gemm.backward(dy); }, min_ms);
         ThreadPool::resetGlobal(0);   // back to env / hardware size
     } else {
-        row.gemm_fwd_ms_1t = row.gemm_fwd_ms;
-        row.gemm_bwd_ms_1t = row.gemm_bwd_ms;
+        row.gemm_fwd_1t = row.gemm_fwd;
+        row.gemm_bwd_1t = row.gemm_bwd;
     }
 
     // CSB sparse executors swept over paper-like weight densities. The
@@ -273,40 +313,40 @@ benchOne(const BenchLayer &bl, bool smoke)
             csb, bl.in_hw, bl.in_hw, bl.stride, bl.pad);
         SweepPoint pt;
         pt.density = density;
-        pt.sparse_fwd_ms = timeMs(
+        pt.sparse_fwd = timeMs(
             [&] {
                 sparse::sparseConvForward(x, csb, bl.stride, bl.pad,
                                           nullptr, &pack);
             },
             min_ms);
-        pt.sparse_bwd_data_ms = timeMs(
+        pt.sparse_bwd_data = timeMs(
             [&] {
                 sparse::sparseConvBackwardData(dy, csb, x.shape(),
                                                bl.stride, bl.pad,
                                                nullptr, &pack);
             },
             min_ms);
-        pt.sparse_bwd_weight_ms = timeMs(
+        pt.sparse_bwd_weight = timeMs(
             [&] {
                 sparse::sparseConvBackwardWeights(x, dy, csb, bl.stride,
                                                   bl.pad, &dw, nullptr,
                                                   &pack);
             },
             min_ms);
-        pt.fwd_vs_gemm = row.gemm_fwd_ms / pt.sparse_fwd_ms;
-        if (pt.sparse_fwd_ms < row.gemm_fwd_ms)
+        pt.fwd_vs_gemm = row.gemm_fwd.ms / pt.sparse_fwd.ms;
+        if (pt.sparse_fwd.ms < row.gemm_fwd.ms)
             row.crossover_density =
                 std::max(row.crossover_density, density);
-        if (pt.sparse_bwd_data_ms + pt.sparse_bwd_weight_ms <
-            row.gemm_bwd_ms)
+        if (pt.sparse_bwd_data.ms + pt.sparse_bwd_weight.ms <
+            row.gemm_bwd.ms)
             row.crossover_density_bwd =
                 std::max(row.crossover_density_bwd, density);
         if (density == 0.2) {
             // Headline columns keep the historical 80%-sparse point.
             row.sparse_density = density;
-            row.sparse_fwd_ms = pt.sparse_fwd_ms;
-            row.sparse_bwd_data_ms = pt.sparse_bwd_data_ms;
-            row.sparse_bwd_weight_ms = pt.sparse_bwd_weight_ms;
+            row.sparse_fwd = pt.sparse_fwd;
+            row.sparse_bwd_data = pt.sparse_bwd_data;
+            row.sparse_bwd_weight = pt.sparse_bwd_weight;
         }
         row.sweep.push_back(pt);
     }
@@ -359,8 +399,8 @@ benchOneFc(FcRow row, bool smoke)
     dy.fillGaussian(rng, 1.0f);
 
     const double min_ms = smoke ? 1.0 : 100.0;
-    row.gemm_fwd_ms = timeMs([&] { gemm.forward(x, true); }, min_ms);
-    row.gemm_bwd_ms = timeMs([&] { gemm.backward(dy); }, min_ms);
+    row.gemm_fwd = timeMs([&] { gemm.forward(x, true); }, min_ms);
+    row.gemm_bwd = timeMs([&] { gemm.backward(dy); }, min_ms);
 
     // CSB executors at a paper-like 80% weight sparsity, on the 1x1
     // conv nn::Linear runs: [O, I, 1, 1] filters over the batch plane
@@ -393,7 +433,7 @@ benchOneFc(FcRow row, bool smoke)
     // Every timed call tallies its executed MACs; the ratios below read
     // the last tally of each phase.
     int64_t fw_macs = 0, bw_data_macs = 0, bw_weight_macs = 0;
-    row.sparse_fc_fwd_ms = timeMs(
+    row.sparse_fc_fwd = timeMs(
         [&] {
             kernels::transpose(x.data(), row.batch, row.in_f, xp.data());
             const Tensor yp =
@@ -401,7 +441,7 @@ benchOneFc(FcRow row, bool smoke)
             kernels::transpose(yp.data(), row.out_f, row.batch, y.data());
         },
         min_ms);
-    row.sparse_fc_bwd_data_ms = timeMs(
+    row.sparse_fc_bwd_data = timeMs(
         [&] {
             kernels::transpose(dy.data(), row.batch, row.out_f,
                                dyp.data());
@@ -411,7 +451,7 @@ benchOneFc(FcRow row, bool smoke)
                                dx.data());
         },
         min_ms);
-    row.sparse_fc_bwd_weight_ms = timeMs(
+    row.sparse_fc_bwd_weight = timeMs(
         [&] {
             sparse::sparseConvBackwardWeights(xp, dyp, csb, 1, 0, &dw,
                                               &bw_weight_macs, &pack);
@@ -457,7 +497,7 @@ emitJson(const std::vector<Row> &rows, const std::vector<FcRow> &fc_rows,
     geo_tbwd = std::exp(geo_tbwd / static_cast<double>(rows.size()));
 
     std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"version\": 6,\n");
+    std::fprintf(f, "  \"version\": 7,\n");
     std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
     std::fprintf(f, "  \"threads\": %d,\n",
                  ThreadPool::global().numThreads());
@@ -473,14 +513,12 @@ emitJson(const std::vector<Row> &rows, const std::vector<FcRow> &fc_rows,
             "\"C\": %lld, \"K\": %lld, \"kernel\": %lld, "
             "\"stride\": %lld, \"pad\": %lld, \"in_hw\": %lld,\n"
             "     \"macs\": %.0f,\n"
-            "     \"naive_fwd_ms\": %.3f, \"gemm_fwd_ms\": %.3f, "
-            "\"fwd_speedup\": %.2f,\n"
-            "     \"naive_bwd_ms\": %.3f, \"gemm_bwd_ms\": %.3f, "
-            "\"bwd_speedup\": %.2f,\n"
-            "     \"gemm_fwd_ms_1t\": %.3f, \"gemm_bwd_ms_1t\": %.3f, "
-            "\"thread_fwd_speedup\": %.2f, \"thread_bwd_speedup\": %.2f,\n"
-            "     \"sparse_fwd_ms\": %.3f, \"sparse_bwd_data_ms\": %.3f, "
-            "\"sparse_bwd_weight_ms\": %.3f, \"sparse_density\": %.2f,\n"
+            "     %s, %s, \"fwd_speedup\": %.2f,\n"
+            "     %s, %s, \"bwd_speedup\": %.2f,\n"
+            "     %s, %s,\n"
+            "     \"thread_fwd_speedup\": %.2f, "
+            "\"thread_bwd_speedup\": %.2f,\n"
+            "     %s,\n     %s,\n     %s, \"sparse_density\": %.2f,\n"
             "     \"crossover_density\": %.2f, "
             "\"crossover_density_bwd\": %.2f,\n"
             "     \"sparse_sweep\": [",
@@ -492,22 +530,28 @@ emitJson(const std::vector<Row> &rows, const std::vector<FcRow> &fc_rows,
             static_cast<long long>(r.layer.stride),
             static_cast<long long>(r.layer.pad),
             static_cast<long long>(r.layer.in_hw), r.macs,
-            r.naive_fwd_ms, r.gemm_fwd_ms, r.fwdSpeedup(),
-            r.naive_bwd_ms, r.gemm_bwd_ms, r.bwdSpeedup(),
-            r.gemm_fwd_ms_1t, r.gemm_bwd_ms_1t, r.threadFwdSpeedup(),
-            r.threadBwdSpeedup(), r.sparse_fwd_ms, r.sparse_bwd_data_ms,
-            r.sparse_bwd_weight_ms, r.sparse_density,
+            timingJson("naive_fwd", r.naive_fwd).c_str(),
+            timingJson("gemm_fwd", r.gemm_fwd).c_str(), r.fwdSpeedup(),
+            timingJson("naive_bwd", r.naive_bwd).c_str(),
+            timingJson("gemm_bwd", r.gemm_bwd).c_str(), r.bwdSpeedup(),
+            timingJson("gemm_fwd", r.gemm_fwd_1t, "_1t").c_str(),
+            timingJson("gemm_bwd", r.gemm_bwd_1t, "_1t").c_str(),
+            r.threadFwdSpeedup(), r.threadBwdSpeedup(),
+            timingJson("sparse_fwd", r.sparse_fwd).c_str(),
+            timingJson("sparse_bwd_data", r.sparse_bwd_data).c_str(),
+            timingJson("sparse_bwd_weight", r.sparse_bwd_weight).c_str(),
+            r.sparse_density,
             r.crossover_density, r.crossover_density_bwd);
         for (size_t j = 0; j < r.sweep.size(); ++j) {
             const SweepPoint &pt = r.sweep[j];
             std::fprintf(
                 f,
-                "\n       {\"density\": %.2f, \"sparse_fwd_ms\": %.3f, "
-                "\"sparse_bwd_data_ms\": %.3f, "
-                "\"sparse_bwd_weight_ms\": %.3f, "
-                "\"fwd_vs_gemm\": %.3f}%s",
-                pt.density, pt.sparse_fwd_ms, pt.sparse_bwd_data_ms,
-                pt.sparse_bwd_weight_ms, pt.fwd_vs_gemm,
+                "\n       {\"density\": %.2f, %s,\n        %s,\n"
+                "        %s, \"fwd_vs_gemm\": %.3f}%s",
+                pt.density, timingJson("sparse_fwd", pt.sparse_fwd).c_str(),
+                timingJson("sparse_bwd_data", pt.sparse_bwd_data).c_str(),
+                timingJson("sparse_bwd_weight", pt.sparse_bwd_weight).c_str(),
+                pt.fwd_vs_gemm,
                 j + 1 < r.sweep.size() ? "," : "");
         }
         std::fprintf(f, "]}%s\n", i + 1 < rows.size() ? "," : "");
@@ -520,19 +564,21 @@ emitJson(const std::vector<Row> &rows, const std::vector<FcRow> &fc_rows,
             f,
             "    {\"net\": \"%s\", \"layer\": \"%s\", \"N\": %lld, "
             "\"in_features\": %lld, \"out_features\": %lld,\n"
-            "     \"gemm_fwd_ms\": %.3f, \"gemm_bwd_ms\": %.3f,\n"
-            "     \"sparse_fc_fwd_ms\": %.3f, "
-            "\"sparse_fc_bwd_data_ms\": %.3f, "
-            "\"sparse_fc_bwd_weight_ms\": %.3f,\n"
+            "     %s,\n     %s,\n     %s,\n     %s,\n     %s,\n"
             "     \"sparse_density\": %.2f,\n"
             "     \"fw_mac_ratio\": %.4f, \"bw_data_mac_ratio\": %.4f, "
             "\"bw_weight_mac_ratio\": %.4f}%s\n",
             r.net.c_str(), r.name.c_str(),
             static_cast<long long>(r.batch),
             static_cast<long long>(r.in_f),
-            static_cast<long long>(r.out_f), r.gemm_fwd_ms,
-            r.gemm_bwd_ms, r.sparse_fc_fwd_ms, r.sparse_fc_bwd_data_ms,
-            r.sparse_fc_bwd_weight_ms, r.sparse_density, r.fw_mac_ratio,
+            static_cast<long long>(r.out_f),
+            timingJson("gemm_fwd", r.gemm_fwd).c_str(),
+            timingJson("gemm_bwd", r.gemm_bwd).c_str(),
+            timingJson("sparse_fc_fwd", r.sparse_fc_fwd).c_str(),
+            timingJson("sparse_fc_bwd_data", r.sparse_fc_bwd_data).c_str(),
+            timingJson("sparse_fc_bwd_weight", r.sparse_fc_bwd_weight)
+                .c_str(),
+            r.sparse_density, r.fw_mac_ratio,
             r.bw_data_mac_ratio, r.bw_weight_mac_ratio,
             i + 1 < fc_rows.size() ? "," : "");
     }
@@ -600,9 +646,9 @@ main(int argc, char **argv)
             "%-12s %-12s %19s | %8.1fms %8.1fms %6.1fx | %8.1fms "
             "%8.1fms %6.1fx | %8.1fms | %6.2fx\n",
             r.layer.net.c_str(), r.layer.name.c_str(), shape,
-            r.naive_fwd_ms, r.gemm_fwd_ms, r.fwdSpeedup(),
-            r.naive_bwd_ms, r.gemm_bwd_ms, r.bwdSpeedup(),
-            r.sparse_fwd_ms, r.threadFwdSpeedup());
+            r.naive_fwd.ms, r.gemm_fwd.ms, r.fwdSpeedup(),
+            r.naive_bwd.ms, r.gemm_bwd.ms, r.bwdSpeedup(),
+            r.sparse_fwd.ms, r.threadFwdSpeedup());
         rows.push_back(r);
     }
 
@@ -621,8 +667,8 @@ main(int argc, char **argv)
         std::printf("%-10s %-10s %13s | %7.2fms %7.2fms | %7.2fms "
                     "%7.2fms %7.2fms | %.2f/%.2f/%.2f\n",
                     r.net.c_str(), r.name.c_str(), fshape,
-                    r.gemm_fwd_ms, r.gemm_bwd_ms, r.sparse_fc_fwd_ms,
-                    r.sparse_fc_bwd_data_ms, r.sparse_fc_bwd_weight_ms,
+                    r.gemm_fwd.ms, r.gemm_bwd.ms, r.sparse_fc_fwd.ms,
+                    r.sparse_fc_bwd_data.ms, r.sparse_fc_bwd_weight.ms,
                     r.fw_mac_ratio, r.bw_data_mac_ratio,
                     r.bw_weight_mac_ratio);
         fc_rows.push_back(r);

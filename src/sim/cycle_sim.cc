@@ -105,130 +105,19 @@ unicastRoundRobin(const std::vector<int64_t> &cap,
     const size_t n = cap.size();
     if (n == 0)
         return 0;
-    size_t next = cursor % n;
+    size_t idx = cursor < n ? cursor : cursor % n;
+    size_t next = idx;
     for (size_t step = 0; step < n && budget > 0; ++step) {
-        const size_t idx = (cursor + step) % n;
         if (recv[idx] < cap[idx]) {
             ++recv[idx];
             --budget;
-            next = (idx + 1) % n;
+            next = idx + 1 < n ? idx + 1 : 0;
         }
+        if (++idx == n)
+            idx = 0;
     }
     return next;
 }
-
-namespace {
-
-/** True if the PE may retire one more MAC this cycle. */
-bool
-canIssue(const TileDemand &d, int64_t done, int64_t recv_a, int64_t recv_b)
-{
-    if (done >= d.macs)
-        return false;
-    // Operand words unlock MACs proportionally: word w of operand A
-    // enables MACs up to w * (macs / wordsA).
-    if (d.wordsA > 0 && done * d.wordsA >= recv_a * d.macs)
-        return false;
-    if (d.wordsB > 0 && done * d.wordsB >= recv_b * d.macs)
-        return false;
-    return true;
-}
-
-/**
- * Most words a PE may have received: the queue holds `depth` words
- * past the `consumed` point (the words its retired MACs have used up),
- * never more than the full demand.
- */
-int64_t
-deliveryCap(int64_t words, int64_t macs, int64_t done, int depth)
-{
-    if (depth <= 0 || macs <= 0)
-        return words;
-    const int64_t consumed = ceilDiv(done * words, macs);
-    return std::min(words, consumed + depth);
-}
-
-/**
- * Deliver one multicast word along each row (or column) with a hungry,
- * non-full PE; returns the number of lines that fired (one GLB word
- * read per fired line).
- */
-int64_t
-deliverBus(const WaveSpec &wave, const std::vector<int64_t> &cap,
-           std::vector<int64_t> &recv, bool row_major)
-{
-    const int outer = row_major ? wave.rows : wave.cols;
-    const int inner = row_major ? wave.cols : wave.rows;
-    int64_t fired = 0;
-    for (int o = 0; o < outer; ++o) {
-        bool any = false;
-        for (int i = 0; i < inner; ++i) {
-            const int r = row_major ? o : i;
-            const int c = row_major ? i : o;
-            const auto idx = static_cast<size_t>(r * wave.cols + c);
-            if (recv[idx] < cap[idx]) {
-                any = true;
-                break;
-            }
-        }
-        if (!any)
-            continue;
-        ++fired;
-        for (int i = 0; i < inner; ++i) {
-            const int r = row_major ? o : i;
-            const int c = row_major ? i : o;
-            const auto idx = static_cast<size_t>(r * wave.cols + c);
-            if (recv[idx] < cap[idx])
-                ++recv[idx];
-        }
-    }
-    return fired;
-}
-
-/** Deliver one broadcast word to every hungry, non-full PE. */
-int64_t
-deliverBroadcast(const std::vector<int64_t> &cap,
-                 std::vector<int64_t> &recv)
-{
-    int64_t fired = 0;
-    for (size_t idx = 0; idx < cap.size(); ++idx) {
-        if (recv[idx] < cap[idx]) {
-            ++recv[idx];
-            fired = 1;
-        }
-    }
-    return fired;
-}
-
-/**
- * Move one operand's words for one cycle; returns words transmitted
- * (= GLB reads). `uni_budget` is the cycle's remaining aggregate
- * unicast bandwidth, shared across operands: when both operands ride
- * the unicast network they split one budget instead of each spending
- * the full configured bandwidth.
- */
-int64_t
-deliverChannel(const WaveSpec &wave, const std::vector<int64_t> &cap,
-               std::vector<int64_t> &recv, Channel ch, int &uni_budget,
-               size_t &uni_cursor)
-{
-    switch (ch) {
-      case Channel::RowBus:
-        return deliverBus(wave, cap, recv, /*row_major=*/true);
-      case Channel::ColBus:
-        return deliverBus(wave, cap, recv, /*row_major=*/false);
-      case Channel::Broadcast:
-        return deliverBroadcast(cap, recv);
-      case Channel::UnicastNet: {
-        const int before = uni_budget;
-        uni_cursor = unicastRoundRobin(cap, recv, uni_budget, uni_cursor);
-        return before - uni_budget;
-      }
-    }
-    PANIC("unknown channel");
-}
-
-} // namespace
 
 namespace {
 
@@ -247,6 +136,29 @@ struct WaveSideband
     int64_t drainSerialCycles = 0;   //!< drainCycles + drain conflicts
 };
 
+/**
+ * One operand of a live PE. Word w unlocks MACs up to
+ * w * macs / words; `q` and `r` keep done * words = q * macs + r,
+ * stepping by words = stepQ * macs + stepR per retired MAC, so the
+ * unlock test and the FIFO cap need no division.
+ */
+struct LiveOperand
+{
+    int64_t words = 0;
+    int64_t q = 0;
+    int64_t r = 0;
+    int64_t stepQ = 0;
+    int64_t stepR = 0;
+};
+
+/** A PE with a MAC left to retire or a word left to receive. */
+struct LivePe
+{
+    int64_t done = 0;
+    int64_t macs = 0;
+    LiveOperand op[2];
+};
+
 // Cache-line aligned: a simulation spends nearly all its time in the
 // per-cycle loops inside, whose speed otherwise shifts by several
 // percent with where unrelated code happens to place this function.
@@ -259,6 +171,7 @@ simulateWaveImpl(const WaveSpec &wave, const SimConfig &cfg,
 SimResult
 simulateWave(const WaveSpec &wave, const SimConfig &cfg)
 {
+    validateSimConfig(cfg);
     return simulateWaveImpl(wave, cfg, nullptr);
 }
 
@@ -272,92 +185,193 @@ simulateWaveImpl(const WaveSpec &wave, const SimConfig &cfg,
         wave.tiles.size() ==
             static_cast<size_t>(wave.rows) * static_cast<size_t>(wave.cols),
         "tile count mismatch");
-    validateSimConfig(cfg);
     SimResult res;
     const int64_t banks = cfg.glbBanks;
     const int64_t bank_bw = banks * cfg.glbBankPortsPerCycle;
     res.glbBankReads.assign(static_cast<size_t>(banks), 0);
     res.glbBankWrites.assign(static_cast<size_t>(banks), 0);
 
-    const size_t n = wave.tiles.size();
-    std::vector<int64_t> macs_done(n, 0);
-    std::vector<int64_t> recv_a(n, 0);
-    std::vector<int64_t> recv_b(n, 0);
-    std::vector<int64_t> cap_a(n, 0);
-    std::vector<int64_t> cap_b(n, 0);
-    size_t uni_cursor = 0;
-    int64_t glb_addr = 0;   // rolling word address, interleaved on banks
-
-    // Charge one cycle's GLB accesses to banks; surplus beyond the
-    // aggregate bank bandwidth replays in appended stall cycles.
-    auto chargeGlb = [&](int64_t words, std::vector<int64_t> &per_bank) {
-        for (int64_t w = 0; w < words; ++w)
-            ++per_bank[static_cast<size_t>((glb_addr++) % banks)];
+    // `times` cycles each issue `words` GLB accesses; the surplus beyond
+    // the aggregate bank bandwidth replays in appended stall cycles.
+    auto replayConflicts = [&](int64_t words, int64_t times) {
         if (words > bank_bw) {
-            res.glbConflicts += words - bank_bw;
-            res.glbConflictCycles += ceilDiv(words, bank_bw) - 1;
+            res.glbConflicts += (words - bank_bw) * times;
+            res.glbConflictCycles += (ceilDiv(words, bank_bw) - 1) * times;
+        }
+    };
+    // Charge the next `words` addresses of the wave's rolling word
+    // address, interleaved on the banks: each bank gets words / banks,
+    // and the remainder rotates on from where the last charge stopped.
+    int64_t glb_bank = 0;
+    auto chargeBanks = [&](int64_t words, std::vector<int64_t> &per_bank) {
+        for (int64_t &b : per_bank)
+            b += words / banks;
+        for (int64_t w = words % banks; w > 0; --w) {
+            ++per_bank[static_cast<size_t>(glb_bank)];
+            if (++glb_bank == banks)
+                glb_bank = 0;
         }
     };
 
+    // The live list in PE index order. Each operand's received words
+    // and FIFO cap sit in their own arrays, which the unicast
+    // round-robin walks directly, next to the bus line (row, column,
+    // or the one broadcast line) the operand listens on.
+    const Channel channel[2] = {wave.channelA, wave.channelB};
+    const bool bounded = cfg.peFifoDepth > 0;
+    std::vector<LivePe> live;
+    std::vector<int64_t> recv[2];
+    std::vector<int64_t> cap[2];
+    std::vector<int> line[2];
     int64_t remaining = 0;
-    for (const TileDemand &d : wave.tiles)
-        remaining += d.macs;
+    for (int r = 0; r < wave.rows; ++r) {
+        for (int c = 0; c < wave.cols; ++c) {
+            const TileDemand &d =
+                wave.tiles[static_cast<size_t>(r * wave.cols + c)];
+            remaining += d.macs;
+            if (d.macs <= 0 && d.wordsA <= 0 && d.wordsB <= 0)
+                continue;
+            LivePe pe;
+            pe.macs = d.macs;
+            for (int k = 0; k < 2; ++k) {
+                LiveOperand &o = pe.op[k];
+                o.words = k == 0 ? d.wordsA : d.wordsB;
+                if (d.macs > 0) {
+                    o.stepQ = o.words / d.macs;
+                    o.stepR = o.words % d.macs;
+                }
+                recv[k].push_back(0);
+                cap[k].push_back(bounded && d.macs > 0
+                                     ? std::min<int64_t>(o.words,
+                                                         cfg.peFifoDepth)
+                                     : o.words);
+                line[k].push_back(channel[k] == Channel::RowBus   ? r
+                                  : channel[k] == Channel::ColBus ? c
+                                                                  : 0);
+            }
+            live.push_back(pe);
+        }
+    }
+    std::vector<int64_t> fired[2];   // cycle each line last fired in
+    for (std::vector<int64_t> &f : fired)
+        f.assign(static_cast<size_t>(std::max({wave.rows, wave.cols, 1})),
+                 -1);
 
+    size_t uni_cursor = 0;   // a position in the live list
     int64_t compute_reads = 0;
     while (remaining > 0) {
         PROCRUSTES_ASSERT(res.computeCycles < cfg.maxCycles,
                           "wave exceeded cycle limit");
-        // Queue caps for this cycle; a hungry PE at its cap has a word
-        // withheld by backpressure.
-        for (size_t idx = 0; idx < n; ++idx) {
-            const TileDemand &d = wave.tiles[idx];
-            cap_a[idx] = deliveryCap(d.wordsA, d.macs, macs_done[idx],
-                                     cfg.peFifoDepth);
-            cap_b[idx] = deliveryCap(d.wordsB, d.macs, macs_done[idx],
-                                     cfg.peFifoDepth);
-            if (recv_a[idx] < d.wordsA && recv_a[idx] >= cap_a[idx])
-                ++res.fifoBackpressureCycles;
-            if (recv_b[idx] < d.wordsB && recv_b[idx] >= cap_b[idx])
-                ++res.fifoBackpressureCycles;
-        }
-
         // Delivery happens first; a word arriving this cycle can feed
-        // a MAC this cycle (single-cycle forwarding). One unicast
-        // budget serves both operands.
+        // a MAC this cycle (single-cycle forwarding). A bus line fires
+        // (one GLB read) when any PE on it is below its cap, and every
+        // such PE takes the word. One unicast budget serves both
+        // operands.
         int uni_budget = cfg.unicastWordsPerCycle;
-        int64_t words = deliverChannel(wave, cap_a, recv_a, wave.channelA,
-                                       uni_budget, uni_cursor);
-        words += deliverChannel(wave, cap_b, recv_b, wave.channelB,
-                                uni_budget, uni_cursor);
-        chargeGlb(words, res.glbBankReads);
-        compute_reads += words;
-
-        for (size_t idx = 0; idx < n; ++idx) {
-            const TileDemand &d = wave.tiles[idx];
-            if (macs_done[idx] >= d.macs)
+        int64_t words = 0;
+        for (int k = 0; k < 2; ++k) {
+            if (channel[k] == Channel::UnicastNet) {
+                const int before = uni_budget;
+                uni_cursor = unicastRoundRobin(cap[k], recv[k], uni_budget,
+                                               uni_cursor);
+                words += before - uni_budget;
                 continue;
-            if (canIssue(d, macs_done[idx], recv_a[idx], recv_b[idx])) {
-                ++macs_done[idx];
-                ++res.macsRetired;
-                --remaining;
-            } else {
-                ++res.stallCycles;
+            }
+            for (size_t p = 0; p < live.size(); ++p) {
+                if (recv[k][p] < cap[k][p]) {
+                    ++recv[k][p];
+                    int64_t &last = fired[k][static_cast<size_t>(line[k][p])];
+                    if (last != res.computeCycles) {
+                        last = res.computeCycles;
+                        ++words;
+                    }
+                }
             }
         }
+        replayConflicts(words, 1);
+        compute_reads += words;
+
+        // Issue, then drop the PEs left with nothing to do. The caps
+        // this leaves are the next cycle's, so its backpressure (a
+        // hungry PE at its cap has a word withheld) is counted here;
+        // after the last MAC every cap is the full demand, so none is
+        // counted for a cycle that never comes.
+        int64_t backpressure = 0;
+        size_t kept = 0;
+        size_t dropped_before_cursor = 0;
+        for (size_t p = 0; p < live.size(); ++p) {
+            LivePe &pe = live[p];
+            if (pe.done < pe.macs) {
+                // Blocked while done * words >= recv * macs: recv <= q.
+                if ((pe.op[0].words <= 0 || recv[0][p] > pe.op[0].q) &&
+                    (pe.op[1].words <= 0 || recv[1][p] > pe.op[1].q)) {
+                    ++pe.done;
+                    ++res.macsRetired;
+                    --remaining;
+                    for (int k = 0; k < 2; ++k) {
+                        LiveOperand &o = pe.op[k];
+                        o.q += o.stepQ;
+                        o.r += o.stepR;
+                        if (o.r >= pe.macs) {
+                            o.r -= pe.macs;
+                            ++o.q;
+                        }
+                        // The queue holds `depth` words past the
+                        // ceil(done * words / macs) its MACs consumed.
+                        if (bounded)
+                            cap[k][p] = std::min(o.words,
+                                                 o.q + (o.r > 0) +
+                                                     cfg.peFifoDepth);
+                    }
+                } else {
+                    ++res.stallCycles;
+                }
+            }
+            bool busy = pe.done < pe.macs;
+            for (int k = 0; k < 2; ++k) {
+                if (recv[k][p] < pe.op[k].words) {
+                    busy = true;
+                    if (recv[k][p] >= cap[k][p])
+                        ++backpressure;
+                }
+            }
+            if (!busy) {
+                if (p < uni_cursor)
+                    ++dropped_before_cursor;
+                continue;
+            }
+            if (kept != p) {
+                live[kept] = pe;
+                for (int k = 0; k < 2; ++k) {
+                    recv[k][kept] = recv[k][p];
+                    cap[k][kept] = cap[k][p];
+                    line[k][kept] = line[k][p];
+                }
+            }
+            ++kept;
+        }
+        live.resize(kept);
+        for (int k = 0; k < 2; ++k) {
+            recv[k].resize(kept);
+            cap[k].resize(kept);
+            line[k].resize(kept);
+        }
+        uni_cursor -= dropped_before_cursor;
         ++res.computeCycles;
+        res.fifoBackpressureCycles += backpressure;
     }
+    chargeBanks(compute_reads, res.glbBankReads);
 
     // Drain partial sums through the output channel, one bandwidth-
-    // limited batch of GLB writes per cycle. The writes are charged to
-    // banks here regardless of drain mode, so the per-bank traffic
-    // image is identical in both modes: with double-buffered outputs
-    // the sequence layer re-times this drain (hiding it in the next
-    // wave's spare GLB write bandwidth) but never re-routes it — see
-    // simulateWaveSequence.
+    // limited batch of GLB writes per cycle: full batches, then the
+    // remainder. The writes are charged to banks here regardless of
+    // drain mode, so the per-bank traffic image is identical in both
+    // modes: with double-buffered outputs the sequence layer re-times
+    // this drain (hiding it in the next wave's spare GLB write
+    // bandwidth) but never re-routes it — see simulateWaveSequence.
     int64_t psum_words = 0;
     for (const TileDemand &d : wave.tiles)
         psum_words += d.psumWords;
-    const int64_t psum_total = psum_words;
     const int64_t pre_drain_conflicts = res.glbConflictCycles;
     int64_t drain_bw = 1;
     switch (wave.channelOut) {
@@ -375,18 +389,18 @@ simulateWaveImpl(const WaveSpec &wave, const SimConfig &cfg,
         break;
     }
     drain_bw = std::max<int64_t>(1, drain_bw);
-    while (psum_words > 0) {
-        const int64_t w = std::min(drain_bw, psum_words);
-        psum_words -= w;
-        ++res.drainCycles;
-        chargeGlb(w, res.glbBankWrites);
-    }
+    const int64_t full_batches = psum_words / drain_bw;
+    const int64_t last_batch = psum_words % drain_bw;
+    res.drainCycles = full_batches + (last_batch > 0);
+    replayConflicts(drain_bw, full_batches);
+    replayConflicts(last_batch, 1);
+    chargeBanks(psum_words, res.glbBankWrites);
 
     res.cycles = res.computeCycles + res.drainCycles + res.glbConflictCycles;
     if (sb != nullptr) {
         sb->computeCycles = res.computeCycles;
         sb->computeReads = compute_reads;
-        sb->drainWords = psum_total;
+        sb->drainWords = psum_words;
         sb->drainSerialCycles =
             res.drainCycles +
             (res.glbConflictCycles - pre_drain_conflicts);
@@ -436,7 +450,6 @@ SimResult
 simulateSequencePiece(const std::vector<WaveSpec> &waves,
                       const SimConfig &cfg, PieceLink *link)
 {
-    validateSimConfig(cfg);
     SimResult total;
     total.glbBankReads.assign(static_cast<size_t>(cfg.glbBanks), 0);
     total.glbBankWrites.assign(static_cast<size_t>(cfg.glbBanks), 0);
@@ -641,6 +654,7 @@ SimResult
 simulateWaveSequence(const std::vector<WaveSpec> &waves,
                      const SimConfig &cfg)
 {
+    validateSimConfig(cfg);
     return simulateSequencePiece(waves, cfg, nullptr);
 }
 
@@ -652,11 +666,11 @@ simulateLayerPhase(const LayerShape &layer, Phase phase,
                    arch::BalanceMode balance)
 {
     validateSimConfig(scfg);
-    return simulateWaveSequence(
+    return simulateSequencePiece(
         buildWaves(arch::planWaves(layer, phase, mapping, batch, acfg,
                                    profile),
                    layer, phase, mapping, batch, acfg, balance),
-        scfg);
+        scfg, nullptr);
 }
 
 SimResult
@@ -767,7 +781,6 @@ simulateTraceEpoch(const arch::EpochTrace &epoch, MappingKind mapping,
                    const arch::ArrayConfig &acfg, const SimConfig &scfg,
                    arch::BalanceMode balance)
 {
-    validateSimConfig(scfg);
     return simulateEpochPlan(
         buildEpochWavePlan(epoch, mapping, acfg, balance), scfg);
 }

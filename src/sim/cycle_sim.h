@@ -17,12 +17,13 @@
  *  Banked GLB.  Every operand word the interconnects move in a cycle
  *  is a GLB read, and every drained partial sum a GLB write. Accesses
  *  interleave over `SimConfig::glbBanks` banks word-round-robin (one
- *  rolling address counter per wave), each bank serving
- *  `glbBankPortsPerCycle` words per cycle. When a cycle's accesses
- *  oversubscribe the banks, the surplus replays in stall cycles
- *  appended to the wave (`SimResult::glbConflictCycles`); each
- *  deferred access also counts in `glbConflicts`, and per-bank
- *  read/write totals land in `glbBankReads` / `glbBankWrites`.
+ *  rolling address counter per wave, reads first, then the drain's
+ *  writes), each bank serving `glbBankPortsPerCycle` words per cycle.
+ *  When a cycle's accesses oversubscribe the banks, the surplus
+ *  replays in stall cycles appended to the wave
+ *  (`SimResult::glbConflictCycles`); each deferred access also counts
+ *  in `glbConflicts`, and per-bank read/write totals land in
+ *  `glbBankReads` / `glbBankWrites`.
  *
  *  PE operand FIFOs.  Each PE buffers at most `peFifoDepth` words per
  *  operand ahead of consumption (consumption is proportional: word w
@@ -63,6 +64,30 @@
  *  exposed (`dramStallCycles`); the full demand is reported in
  *  `dramRefillCycles`. Only the trace-driven entry points model
  *  refill (the profile path has no measured bytes).
+ *
+ * How a wave is clocked. The cost of a cycle grows with the PEs that
+ * still have work, not with the array: the loop keeps a live list, in
+ * PE index order, of the PEs with a MAC left to retire or an operand
+ * word left to receive. Idle PEs never enter it and finished PEs leave
+ * it, so they are never visited again. A cycle is two delivery passes
+ * (operand A, then B) and one issue pass over that list:
+ *  - a bus operand fires each row, column or broadcast line on which
+ *    some live PE is below its FIFO cap, found from the PE's
+ *    precomputed line index; the unicast operand is served by
+ *    unicastRoundRobin walking the list with a wrapping index;
+ *  - the issue pass retires MACs, moves each retiring PE's FIFO caps,
+ *    drops the PEs left with nothing to do, and counts the next
+ *    cycle's backpressure from the caps it leaves.
+ * Nothing per cycle divides: each PE carries done * words as a
+ * quotient and remainder over its MACs, stepped by a precomputed
+ * words / macs per retired MAC, which gives both the unlock test and
+ * the cap min(words, ceil(done * words / macs) + depth). Bank traffic
+ * is charged once per wave in closed form: n consecutive addresses
+ * give every bank n / banks accesses, and the remainder rotates on
+ * from the rolling address; the drain's conflicts follow from its
+ * full and final batches. Only a cycle that oversubscribes the banks
+ * divides, to count its replay cycles. The counts are bit-exact with
+ * clocking every PE every cycle (CycleSimGolden in the tests).
  *
  * Cycle accounting contract: for every result,
  *
@@ -262,7 +287,8 @@ void validateSimConfig(const SimConfig &cfg);
  * reached before any slot is served twice. (The seed advanced the
  * cursor by one per cycle, systematically re-favouring low indices.)
  * Exposed as the unicast network's scheduling primitive so fairness is
- * directly testable.
+ * directly testable. The simulator passes the live list's arrays, so a
+ * slot is a live PE and the cursor a position in the list.
  */
 size_t unicastRoundRobin(const std::vector<int64_t> &cap,
                          std::vector<int64_t> &recv, int &budget,

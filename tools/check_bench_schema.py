@@ -15,6 +15,12 @@ Usage:
     check_bench_schema.py dataflow BENCH_dataflow.json
     check_bench_schema.py scaleout BENCH_scaleout.json
     check_bench_schema.py jobs BENCH_jobs.json
+    check_bench_schema.py dataflow-same COMMITTED.json FRESH.json
+
+dataflow-same checks both files against the dataflow schema, then
+requires them to agree on every field but the host block and timing
+fields: a full bench_dataflow run must reproduce every committed
+simulated count.
 """
 
 import json
@@ -51,7 +57,19 @@ KERNELS_SUMMARY_KEYS = {
 # density sweep with the sparse-vs-gemm crossover density.
 # v6: crossover_density_bwd, the same crossover for the whole backward
 # pass (sparse bw-data + bw-weight against gemm backward).
-KERNELS_VERSION = 6
+# v7: every wall-clock field "<x>_ms[_1t]" has a process-CPU twin
+# "<x>_cpu_ms[_1t]", the median CPU time of the same calls.
+KERNELS_VERSION = 7
+
+
+def cpu_twins(keys):
+    """The process-CPU fields that v7 pairs with the wall fields."""
+    return {k.replace("_ms", "_cpu_ms") for k in keys if "_ms" in k}
+
+
+KERNELS_LAYER_KEYS |= cpu_twins(KERNELS_LAYER_KEYS)
+KERNELS_SWEEP_KEYS |= cpu_twins(KERNELS_SWEEP_KEYS)
+KERNELS_FC_KEYS |= cpu_twins(KERNELS_FC_KEYS)
 
 COSIM_TOP_KEYS = {"version", "mode", "host", "config", "epochs"}
 COSIM_CONFIG_KEYS = {"epochs", "batch", "backend", "target_sparsity"}
@@ -530,20 +548,67 @@ def check_jobs(doc):
              f"the resumed run did not land on the same step count")
 
 
+def is_timing_key(key):
+    return key.endswith("_ms") or key.endswith("_s")
+
+
+def differences(a, b, path):
+    """Paths at which two JSON values differ, skipping the host block
+    and timing fields."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        out = []
+        for key in sorted(a.keys() | b.keys()):
+            if key == "host" or is_timing_key(key):
+                continue
+            if key not in a or key not in b:
+                out.append(f"{path}.{key} (present in one file only)")
+            else:
+                out += differences(a[key], b[key], f"{path}.{key}")
+        return out
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return [f"{path} (length {len(a)} vs {len(b)})"]
+        out = []
+        for i, (x, y) in enumerate(zip(a, b)):
+            out += differences(x, y, f"{path}[{i}]")
+        return out
+    return [] if a == b else [f"{path} ({a!r} vs {b!r})"]
+
+
+def check_dataflow_same(committed, fresh):
+    check_dataflow(committed)
+    check_dataflow(fresh)
+    diffs = differences(committed, fresh, "$")
+    if diffs:
+        fail(f"{len(diffs)} fields differ from the committed run, e.g. "
+             + "; ".join(diffs[:4]))
+
+
+def load(path):
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        fail(f"cannot parse {path}: {e}")
+
+
 def main():
     checks = {"kernels": check_kernels, "cosim": check_cosim,
               "dataflow": check_dataflow, "scaleout": check_scaleout,
               "jobs": check_jobs}
-    if len(sys.argv) != 3 or sys.argv[1] not in checks:
+    paths = sys.argv[2:]
+    if len(sys.argv) > 1 and sys.argv[1] == "dataflow-same":
+        if len(paths) != 2:
+            print(__doc__, file=sys.stderr)
+            return 2
+        check_dataflow_same(load(paths[0]), load(paths[1]))
+        print(f"dataflow check OK: {paths[1]} reproduces {paths[0]}")
+        return 0
+    if len(paths) != 1 or sys.argv[1] not in checks:
         print(__doc__, file=sys.stderr)
         return 2
-    try:
-        with open(sys.argv[2], encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        fail(f"cannot parse {sys.argv[2]}: {e}")
-    checks[sys.argv[1]](doc)
-    print(f"schema check OK: {sys.argv[2]}")
+    checks[sys.argv[1]](load(paths[0]))
+    print(f"schema check OK: {paths[0]}")
     return 0
 
 
