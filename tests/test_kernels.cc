@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "common/scratch_arena.h"
 #include "common/thread_pool.h"
 #include "kernels/backend.h"
+#include "kernels/conv_kernels.h"
 #include "kernels/gemm.h"
 #include "kernels/im2col.h"
 #include "nn/conv2d.h"
@@ -623,6 +626,140 @@ TEST(ThreadSweep, WideBatchGemmConvBitwiseIdentical)
         EXPECT_EQ(maxAbsDiff(conv.weight().grad, ref_dw), 0.0f)
             << threads;
         EXPECT_EQ(maxAbsDiff(conv.bias().grad, ref_db), 0.0f) << threads;
+    }
+}
+
+// ------------------------------------------------------ gemm conv golden
+
+/** Uniform values in [-0.5, 0.5) from the integer generator only (no
+    libm), so the inputs are the same bits on every host. */
+Tensor
+uniformTensor(const Shape &shape, uint64_t seed)
+{
+    Xorshift128Plus rng(seed);
+    Tensor t(shape);
+    for (int64_t i = 0; i < t.numel(); ++i)
+        t.at(i) = rng.nextFloat() - 0.5f;
+    return t;
+}
+
+/** FNV-1a over the bit patterns of t's elements, in index order. */
+uint64_t
+bitsHash(const Tensor &t)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (int64_t i = 0; i < t.numel(); ++i) {
+        uint32_t word;
+        std::memcpy(&word, t.data() + i, sizeof(word));
+        for (int b = 0; b < 4; ++b) {
+            h ^= (word >> (8 * b)) & 0xffu;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
+
+/**
+ * True when gemm rounds its multiply-add once, i.e. the compiler fused
+ * it into an FMA (-O2 -march=native on an FMA host); the sanitizer
+ * builds round the product and the sum separately. (1 + 2^-12)^2 is
+ * 1 + 2^-11 + 2^-24: rounded on its own the 2^-24 is a tie that goes
+ * to even, so only the fused sum keeps it.
+ */
+bool
+gemmFusesMultiplyAdd()
+{
+    const float a = 1.0f + 0x1p-12f;
+    float c = -(1.0f + 0x1p-11f);
+    kernels::gemm(1, 1, 1, &a, &a, &c, /*accumulate=*/true);
+    return c != 0.0f;
+}
+
+struct GemmGoldenCase
+{
+    int64_t n, c, k, h, w, kernel, stride, pad;
+    bool bias;
+    uint64_t fused[4];     //!< y, dx, dW, db digests; db 0 without bias
+    uint64_t unfused[4];   //!< the same with a twice-rounded multiply-add
+};
+
+/**
+ * y, dx, dW and db bits of convForwardGemm / convBackwardGemm. At 4
+ * pool threads a batch below 4 takes the row-panel path and a wider
+ * one the batch-parallel path; at 1 thread both run serially, and all
+ * must give the recorded bits. dW and db start non-zero, so the
+ * accumulation into them is pinned too. The last case (K = C = 512,
+ * 3x3, batch 8) needs 9 MiB of dW partial per image, so kMaxPartialBytes
+ * splits its batch into two groups of 7 and 1 images.
+ */
+const GemmGoldenCase kGemmGolden[] = {
+    {2, 3, 20, 9, 9, 3, 1, 1, true,
+     {0xf857c4aa7094a706ULL, 0xb874341925af61caULL,
+      0xab065e502d94f3b5ULL, 0x1298cd9c3437a527ULL},
+     {0xeba86bff5b785fe3ULL, 0x2bf7e107eea880dULL,
+      0x905476064425623eULL, 0x1298cd9c3437a527ULL}},
+    {3, 4, 12, 11, 7, 3, 2, 1, false,
+     {0x4ecdcc7662234227ULL, 0x63534f2f7b54e0f7ULL,
+      0x29e531a23017efa7ULL, 0},
+     {0xd3672b05cafe0490ULL, 0x82a5fa5f215ef42bULL,
+      0x3aba1b6dadc5bba0ULL, 0}},
+    {6, 3, 8, 10, 10, 5, 2, 2, true,
+     {0xfd796318ca9b95bULL, 0x3f7c67f8702121ULL,
+      0x3c08b40eb749b80aULL, 0xf649b49c4bf64ceULL},
+     {0xac80118cef1be355ULL, 0x74d72b44b0d2daadULL,
+      0x7ce1c5c873f39874ULL, 0xf649b49c4bf64ceULL}},
+    {9, 5, 7, 8, 8, 1, 1, 0, false,
+     {0xde51c61e0574b652ULL, 0xc1ebfd2995a9de8aULL,
+      0x2fa6113c81e5db46ULL, 0},
+     {0x1c7131752f42b62aULL, 0x253f24dda00f9d5dULL,
+      0xcf1603d06a665906ULL, 0}},
+    {8, 512, 512, 1, 1, 3, 1, 1, true,
+     {0x7e5915deceed2460ULL, 0x8664c6af7c6bd784ULL,
+      0xa1a1bacf648c401bULL, 0xebed352f1b99f39dULL},
+     {0x7869b339d5511fcfULL, 0x3299e328766f94ecULL,
+      0xa1a1bacf648c401bULL, 0xebed352f1b99f39dULL}},
+};
+
+std::array<uint64_t, 4>
+runGemmGolden(const GemmGoldenCase &gc, uint64_t seed)
+{
+    const Tensor x = uniformTensor(Shape{gc.n, gc.c, gc.h, gc.w}, seed);
+    const Tensor w = uniformTensor(
+        Shape{gc.k, gc.c, gc.kernel, gc.kernel}, seed + 1);
+    const Tensor bias = uniformTensor(Shape{gc.k}, seed + 2);
+    const kernels::ConvGeom g =
+        kernels::convGeomFromTensors(x, w.shape(), gc.stride, gc.pad);
+    const Tensor y =
+        kernels::convForwardGemm(x, w, gc.bias ? &bias : nullptr, g);
+    const Tensor dy = uniformTensor(y.shape(), seed + 3);
+    Tensor dw = uniformTensor(w.shape(), seed + 4);
+    Tensor db = uniformTensor(Shape{gc.k}, seed + 5);
+    const Tensor dx = kernels::convBackwardGemm(
+        x, w, dy, g, &dw, gc.bias ? &db : nullptr);
+    return {bitsHash(y), bitsHash(dx), bitsHash(dw),
+            gc.bias ? bitsHash(db) : 0};
+}
+
+TEST(ConvGemmGolden, ForwardAndGradientBitsMatchRecording)
+{
+    GlobalPoolGuard guard;
+    const bool fused = gemmFusesMultiplyAdd();
+    const char *names[4] = {"y", "dx", "dW", "db"};
+    for (int threads : {1, 4}) {
+        ThreadPool::resetGlobal(threads);
+        uint64_t seed = 101;
+        for (const GemmGoldenCase &gc : kGemmGolden) {
+            const std::array<uint64_t, 4> got = runGemmGolden(gc, seed);
+            seed += 10;
+            const uint64_t *want = fused ? gc.fused : gc.unfused;
+            for (int i = 0; i < 4; ++i) {
+                EXPECT_EQ(got[i], want[i])
+                    << names[i] << " 0x" << std::hex << got[i] << std::dec
+                    << " n=" << gc.n << " c=" << gc.c << " k=" << gc.k
+                    << " stride=" << gc.stride << " threads=" << threads
+                    << " fused=" << fused;
+            }
+        }
     }
 }
 
