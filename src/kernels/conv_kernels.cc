@@ -1,9 +1,9 @@
 #include "kernels/conv_kernels.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/logging.h"
-#include "common/scratch_arena.h"
 #include "common/thread_pool.h"
 #include "kernels/gemm.h"
 
@@ -47,7 +47,8 @@ convForwardGemm(const Tensor &x, const Tensor &w, const Tensor *bias,
     const int64_t n = x.shape()[0];
     const int64_t crs = g.colRows();
     const int64_t pq = g.colCols();
-    Tensor y(Shape{n, g.k, g.p, g.q});
+    // gemm(accumulate=false) writes every element before the bias add.
+    Tensor y = Tensor::uninitialized(Shape{n, g.k, g.p, g.q});
 
     const float *px = x.data();
     const float *pw = w.data();
@@ -56,42 +57,36 @@ convForwardGemm(const Tensor &x, const Tensor &w, const Tensor *bias,
 
     ThreadPool &pool = ThreadPool::global();
     const int64_t chw = g.c * g.h * g.w;
-    auto forwardImage = [&](int64_t in, float *col) {
-        im2col(px + in * chw, g, col);
-        float *yn = py + in * g.k * pq;
-        // Explicit-pool overload: no global-pool lookup per image; the
-        // nested call runs serially inside a worker either way.
-        gemm(g.k, pq, crs, pw, crs, col, pq, yn, pq,
-             /*accumulate=*/false, &pool);
-        if (pb) {
-            for (int64_t ok = 0; ok < g.k; ++ok) {
-                const float b = pb[ok];
-                float *row = yn + ok * pq;
-                for (int64_t j = 0; j < pq; ++j)
-                    row[j] += b;
+    // Lowers and multiplies images [n0, n1) in a private workspace.
+    auto forwardImages = [&](int64_t n0, int64_t n1) {
+        std::unique_ptr<float[]> col(
+            new float[static_cast<size_t>(crs * pq)]);
+        for (int64_t in = n0; in < n1; ++in) {
+            im2col(px + in * chw, g, col.get());
+            float *yn = py + in * g.k * pq;
+            // Explicit-pool overload: no global-pool lookup per image;
+            // the nested call runs serially inside a worker either way.
+            gemm(g.k, pq, crs, pw, crs, col.get(), pq, yn, pq,
+                 /*accumulate=*/false, &pool);
+            if (pb) {
+                for (int64_t ok = 0; ok < g.k; ++ok) {
+                    const float b = pb[ok];
+                    float *row = yn + ok * pq;
+                    for (int64_t j = 0; j < pq; ++j)
+                        row[j] += b;
+                }
             }
         }
     };
 
-    if (useBatchParallel(n, pool)) {
-        // Images are independent: each task lowers and multiplies its
-        // own images with a private workspace. The nested GEMM runs
-        // serially inside the task (the pool never nests).
-        pool.parallelFor(0, n, [&](int64_t n0, int64_t n1) {
-            ScratchArena::Buffer col =
-                ScratchArena::global().acquire(
-                    static_cast<size_t>(crs * pq));
-            for (int64_t in = n0; in < n1; ++in)
-                forwardImage(in, col.data());
-        });
-    } else {
-        // Narrow batch: keep the batch loop serial and let the GEMM
-        // spread row panels across the pool instead.
-        ScratchArena::Buffer col = ScratchArena::global().acquire(
-            static_cast<size_t>(crs * pq));
-        for (int64_t in = 0; in < n; ++in)
-            forwardImage(in, col.data());
-    }
+    // Images are independent: a wide batch gives each task its own
+    // images, and the nested GEMM runs serially inside the task (the
+    // pool never nests). A narrow batch keeps the batch loop serial
+    // and lets the GEMM spread row panels across the pool instead.
+    if (useBatchParallel(n, pool))
+        pool.parallelFor(0, n, forwardImages);
+    else
+        forwardImages(0, n);
     return y;
 }
 
@@ -110,9 +105,8 @@ convBackwardGemm(const Tensor &x, const Tensor &w, const Tensor &dy,
     Tensor dx(x.shape());
 
     // The backward filter view: one transpose serves every image.
-    ScratchArena::Buffer wt = ScratchArena::global().acquire(
-        static_cast<size_t>(crs * g.k));
-    transpose(w.data(), g.k, crs, wt.data());
+    std::unique_ptr<float[]> wt(new float[static_cast<size_t>(crs * g.k)]);
+    transpose(w.data(), g.k, crs, wt.get());
 
     // Per-image dW / db partials. Whichever task computes image `in`
     // writes slice `in`, and the reduction walks images in index order
@@ -128,83 +122,67 @@ convBackwardGemm(const Tensor &x, const Tensor &w, const Tensor &dy,
         n, std::max<int64_t>(
                1, kMaxPartialBytes /
                       (kcrs * static_cast<int64_t>(sizeof(float)))));
-    ScratchArena::Buffer dw_part = ScratchArena::global().acquire(
-        static_cast<size_t>(group * kcrs));
-    ScratchArena::Buffer db_part;
-    if (db) {
-        db_part = ScratchArena::global().acquire(
-            static_cast<size_t>(group * g.k));
-    }
+    std::unique_ptr<float[]> dw_part(
+        new float[static_cast<size_t>(group * kcrs)]);
+    std::unique_ptr<float[]> db_part(
+        db ? new float[static_cast<size_t>(group * g.k)] : nullptr);
 
     const float *px = x.data();
     const float *pdy = dy.data();
+    const float *pwt = wt.get();
     float *pdx = dx.data();
-    float *pdw_part = dw_part.data();
-    float *pdb_part = db ? db_part.data() : nullptr;
+    float *pdw_part = dw_part.get();
+    float *pdb_part = db_part.get();
     float *pdw = dw->data();
     float *pdb = db ? db->data() : nullptr;
 
     ThreadPool &pool = ThreadPool::global();
     const bool batch_parallel = useBatchParallel(n, pool);
-
     const int64_t chw = g.c * g.h * g.w;
-    // `slot` is the image's index within its group (its partial slice).
-    auto backwardImage = [&](int64_t in, int64_t slot, float *col,
-                             float *colt, float *dcol) {
-        const float *dyn = pdy + in * g.k * pq;
-
-        // Weight-update pass: partial dW_n = dY_n * col(X_n)^T.
-        im2col(px + in * chw, g, col);
-        transpose(col, crs, pq, colt);
-        gemm(g.k, crs, pq, dyn, pq, colt, crs, pdw_part + slot * kcrs,
-             crs, /*accumulate=*/false, &pool);
-
-        // Backward (data) pass: dX_n = col2im(W^T * dY_n).
-        gemm(crs, pq, g.k, wt.data(), g.k, dyn, pq, dcol, pq,
-             /*accumulate=*/false, &pool);
-        col2im(dcol, g, pdx + in * chw);
-
-        if (pdb_part) {
-            for (int64_t ok = 0; ok < g.k; ++ok) {
-                const float *row = dyn + ok * pq;
-                float acc = 0.0f;
-                for (int64_t j = 0; j < pq; ++j)
-                    acc += row[j];
-                pdb_part[slot * g.k + ok] = acc;
-            }
-        }
-    };
-
-    // Serial path reuses one workspace across all groups.
-    ScratchArena::Buffer scol, scolt, sdcol;
-    if (!batch_parallel) {
-        ScratchArena &arena = ScratchArena::global();
-        scol = arena.acquire(static_cast<size_t>(crs * pq));
-        scolt = arena.acquire(static_cast<size_t>(pq * crs));
-        sdcol = arena.acquire(static_cast<size_t>(crs * pq));
-    }
 
     for (int64_t base = 0; base < n; base += group) {
         const int64_t hi = std::min(n, base + group);
 
-        if (batch_parallel) {
-            pool.parallelFor(base, hi, [&](int64_t n0, int64_t n1) {
-                ScratchArena &arena = ScratchArena::global();
-                ScratchArena::Buffer col =
-                    arena.acquire(static_cast<size_t>(crs * pq));
-                ScratchArena::Buffer colt =
-                    arena.acquire(static_cast<size_t>(pq * crs));
-                ScratchArena::Buffer dcol =
-                    arena.acquire(static_cast<size_t>(crs * pq));
-                for (int64_t in = n0; in < n1; ++in)
-                    backwardImage(in, in - base, col.data(),
-                                  colt.data(), dcol.data());
-            });
-        } else {
-            for (int64_t in = base; in < hi; ++in)
-                backwardImage(in, in - base, scol.data(), scolt.data(),
-                              sdcol.data());
-        }
+        // Images [n0, n1) of this group, in one private workspace laid
+        // out col | colt | dcol. An image's partial slice is its index
+        // within the group.
+        auto backwardImages = [&](int64_t n0, int64_t n1) {
+            std::unique_ptr<float[]> ws(
+                new float[static_cast<size_t>(3 * crs * pq)]);
+            float *col = ws.get();
+            float *colt = col + crs * pq;
+            float *dcol = colt + crs * pq;
+            for (int64_t in = n0; in < n1; ++in) {
+                const int64_t slot = in - base;
+                const float *dyn = pdy + in * g.k * pq;
+
+                // Weight-update pass: partial dW_n = dY_n * col(X_n)^T.
+                im2col(px + in * chw, g, col);
+                transpose(col, crs, pq, colt);
+                gemm(g.k, crs, pq, dyn, pq, colt, crs,
+                     pdw_part + slot * kcrs, crs, /*accumulate=*/false,
+                     &pool);
+
+                // Backward (data) pass: dX_n = col2im(W^T * dY_n).
+                gemm(crs, pq, g.k, pwt, g.k, dyn, pq, dcol, pq,
+                     /*accumulate=*/false, &pool);
+                col2im(dcol, g, pdx + in * chw);
+
+                if (pdb_part) {
+                    for (int64_t ok = 0; ok < g.k; ++ok) {
+                        const float *row = dyn + ok * pq;
+                        float acc = 0.0f;
+                        for (int64_t j = 0; j < pq; ++j)
+                            acc += row[j];
+                        pdb_part[slot * g.k + ok] = acc;
+                    }
+                }
+            }
+        };
+        if (batch_parallel)
+            pool.parallelFor(base, hi, backwardImages);
+        else
+            backwardImages(base, hi);
 
         // Ordered reduction: every dW element sums this group's
         // per-image partials in image order. Parallel over elements

@@ -10,11 +10,13 @@
  *   weight:   dW[K, CRS]  += dY_n[K, PQ] * col(X_n)^T   (summed over n)
  *
  * Work is spread across the shared ThreadPool over the batch dimension
- * when the batch is wide enough to feed every thread (each task lowers
- * its own images with a private ScratchArena workspace), and over GEMM
- * row panels otherwise. Per-image dW/db partials are reduced in fixed
- * image order, so gradient accumulation order — and hence every output
- * bit — is identical for any thread count and either decomposition.
+ * when the batch is wide enough to feed every thread, and over GEMM row
+ * panels otherwise. Either way one body lowers a range of images, and
+ * each call of it owns its workspace: a plain heap block, left
+ * uninitialized, sized exactly for one image's col (and, backward,
+ * col^T and dcol). Per-image dW/db partials are reduced in fixed image
+ * order, so gradient accumulation order — and hence every output bit —
+ * is identical for any thread count and either decomposition.
  */
 
 #ifndef PROCRUSTES_KERNELS_CONV_KERNELS_H_

@@ -8,7 +8,6 @@
 
 #include "common/logging.h"
 #include "common/math_utils.h"
-#include "common/scratch_arena.h"
 #include "common/thread_pool.h"
 
 namespace procrustes {
@@ -296,8 +295,7 @@ sparseConvForward(const Tensor &x, const CsbTensor &w, int64_t stride,
     // task sweeps its output channels. A sample split into several
     // output-channel blocks is read by several tasks, so the batch is
     // filled once, up front, into one shared buffer instead of once per
-    // task. Both are plain heap blocks, not ScratchArena checkouts (see
-    // backward-data).
+    // task.
     const int64_t sample_sz = c * plane_sz;
     const bool shared = ok_blocks > 1;
     std::unique_ptr<float[]> batch_buf;
@@ -545,10 +543,7 @@ sparseConvBackwardData(const Tensor &dy, const CsbTensor &w,
     // each task owns its dx[in, ic] planes, so no locks are needed,
     // and pads one sample's k dy planes at a time into a private
     // workspace (8 floats of slack for the kernel's read-past-tail
-    // vectors) that every input channel of that sample reuses. It is
-    // a plain heap block, not a ScratchArena checkout: arena buffers
-    // grow to the largest request they serve and stay cached, which
-    // measurably raised peak RSS. At
+    // vectors) that every input channel of that sample reuses. At
     // stride 1 the one phase plane is the dx plane itself, zeroed by
     // its task before it accumulates; otherwise each phase accumulates
     // in a zeroed private buffer and is interleaved into dx (a phase no
@@ -659,11 +654,10 @@ sparseConvBackwardWeights(const Tensor &x, const Tensor &dy,
     // needed.
     const PlaneLayout lay(xs, stride, pad);
     const bool raw = stride == 1;
-    ScratchArena::Buffer prepared;
-    if (!raw)
-        prepared = ScratchArena::global().acquire(
-            static_cast<size_t>(n * c * lay.planeSize));
-    const float *xbase = raw ? px : prepared.data();
+    std::unique_ptr<float[]> prepared(
+        raw ? nullptr
+            : new float[static_cast<size_t>(n * c * lay.planeSize)]);
+    const float *xbase = raw ? px : prepared.get();
     const int64_t plane_sz = raw ? h * width : lay.planeSize;
     const int64_t xrs = raw ? width : stride * lay.rowStride;
 
@@ -714,7 +708,7 @@ sparseConvBackwardWeights(const Tensor &x, const Tensor &dy,
             for (int64_t in = 0; in < n; ++in) {
                 const float *src = px + (in * c + ic) * h * width;
                 if (!raw)
-                    lay.fillPlane(prepared.data() + (in * c + ic) * plane_sz,
+                    lay.fillPlane(prepared.get() + (in * c + ic) * plane_sz,
                                   src);
                 forEachBlocked8(h * width,
                                 [&](int64_t i) { nz[i] += src[i] != 0.0f; });

@@ -18,7 +18,6 @@
 
 #include "brute_force_macs.h"
 #include "common/rng.h"
-#include "common/scratch_arena.h"
 #include "common/thread_pool.h"
 #include "kernels/backend.h"
 #include "kernels/conv_kernels.h"
@@ -761,93 +760,6 @@ TEST(ConvGemmGolden, ForwardAndGradientBitsMatchRecording)
             }
         }
     }
-}
-
-// --------------------------------------------------------- scratch arena
-
-TEST(ScratchArena, ReusesReturnedBuffers)
-{
-    ScratchArena arena;
-    float *first = nullptr;
-    {
-        ScratchArena::Buffer b = arena.acquire(1024);
-        ASSERT_GE(b.size(), 1024u);
-        first = b.data();
-        b.data()[0] = 1.0f;
-        b.data()[1023] = 2.0f;
-    }
-    EXPECT_EQ(arena.freeListSize(), 1u);
-    {
-        // Same-size checkout must come back from the free list — and,
-        // with a single cached buffer, as the same allocation.
-        ScratchArena::Buffer b = arena.acquire(1024);
-        EXPECT_EQ(b.data(), first);
-    }
-    EXPECT_EQ(arena.reuseCount(), 1);
-    EXPECT_EQ(arena.allocCount(), 1);
-}
-
-TEST(ScratchArena, BestFitPrefersSmallestSufficientBuffer)
-{
-    ScratchArena arena;
-    {
-        ScratchArena::Buffer big = arena.acquire(4096);
-        ScratchArena::Buffer small = arena.acquire(64);
-    }
-    ASSERT_EQ(arena.freeListSize(), 2u);
-    ScratchArena::Buffer b = arena.acquire(32);
-    EXPECT_EQ(b.size(), 64u);   // took the small one, not the 4096
-    EXPECT_EQ(arena.freeListSize(), 1u);
-}
-
-TEST(ScratchArena, GrowsLargestWhenNothingFits)
-{
-    ScratchArena arena;
-    {
-        ScratchArena::Buffer b = arena.acquire(100);
-    }
-    ScratchArena::Buffer b = arena.acquire(500);
-    EXPECT_GE(b.size(), 500u);
-    // Growing a cached buffer counts as an allocation, not a reuse.
-    EXPECT_EQ(arena.allocCount(), 2);
-    EXPECT_EQ(arena.reuseCount(), 0);
-}
-
-TEST(ScratchArena, ZeroFillsOnRequest)
-{
-    ScratchArena arena;
-    {
-        ScratchArena::Buffer b = arena.acquire(16);
-        for (size_t i = 0; i < 16; ++i)
-            b.data()[i] = 3.0f;
-    }
-    ScratchArena::Buffer b = arena.acquire(16);
-    b.zero();
-    for (size_t i = 0; i < 16; ++i)
-        ASSERT_EQ(b.data()[i], 0.0f) << i;
-}
-
-TEST(ScratchArena, ConcurrentCheckoutsAreDistinct)
-{
-    // Every task checks out a workspace, stamps it, and verifies no
-    // other task scribbled on it — the property the batch-parallel
-    // conv relies on.
-    ScratchArena arena;
-    ThreadPool pool(4);
-    std::atomic<int> failures{0};
-    pool.parallelFor(0, 64, [&](int64_t b, int64_t e) {
-        for (int64_t i = b; i < e; ++i) {
-            ScratchArena::Buffer buf = arena.acquire(256);
-            const float stamp = static_cast<float>(i + 1);
-            for (size_t j = 0; j < 256; ++j)
-                buf.data()[j] = stamp;
-            for (size_t j = 0; j < 256; ++j) {
-                if (buf.data()[j] != stamp)
-                    failures.fetch_add(1);
-            }
-        }
-    });
-    EXPECT_EQ(failures.load(), 0);
 }
 
 TEST(SparseConv, DeterministicUnderThreading)
