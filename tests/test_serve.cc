@@ -480,5 +480,42 @@ TEST(StatsWriter, StreamsStepAndEpochLines)
     std::remove(path.c_str());
 }
 
+TEST(StatsWriter, EscapesTheJobNameInsideItsJsonString)
+{
+    const std::string path =
+        ::testing::TempDir() + "serve_stats_escape_test.jsonl";
+    const std::string name = "a\"b\\c\td";
+    {
+        serve::StatsWriter stats(path);
+        nn::StepTelemetry t;
+        t.epoch = 1;
+        t.step = 2;
+        t.batchSize = 3;
+        t.batchLoss = 0.5;
+        stats.writeStep(name, t);
+        nn::EpochStats st;
+        st.epoch = 1;
+        stats.writeEpoch(name, st);
+    }
+
+    FILE *f = std::fopen(path.c_str(), "r");
+    ASSERT_NE(f, nullptr);
+    char line[512];
+    ASSERT_NE(std::fgets(line, sizeof(line), f), nullptr);
+    EXPECT_EQ(std::string(line),
+              R"({"kind": "step", "job": "a\"b\\c\u0009d", "epoch": 1, )"
+              R"("step": 2, "batch": 3, "loss": 0.5})"
+              "\n");
+    ASSERT_NE(std::fgets(line, sizeof(line), f), nullptr);
+    EXPECT_EQ(std::string(line),
+              R"({"kind": "epoch", "job": "a\"b\\c\u0009d", "epoch": 1, )"
+              R"("train_loss": 0, "train_accuracy": 0, "val_accuracy": 0, )"
+              R"("weight_sparsity": 0})"
+              "\n");
+    EXPECT_EQ(std::fgets(line, sizeof(line), f), nullptr);
+    std::fclose(f);
+    std::remove(path.c_str());
+}
+
 } // namespace
 } // namespace procrustes
