@@ -109,13 +109,12 @@ convBackwardGemm(const Tensor &x, const Tensor &w, const Tensor &dy,
     transpose(w.data(), g.k, crs, wt.get());
 
     // Per-image dW / db partials. Whichever task computes image `in`
-    // writes slice `in`, and the reduction walks images in index order
+    // writes its slice, and the reduction walks images in index order
     // — so the accumulation order per dW element is fixed for every
     // thread count (and every batch decomposition). The partial buffer
-    // is capped: images are processed in groups whose size depends
-    // only on the filter geometry (never on the thread count, which
-    // would change the writeback boundaries and hence the rounding),
-    // bounding scratch at ~64 MB for any batch size.
+    // is capped at ~64 MB for any batch size: images are processed in
+    // groups, and each group's reduction continues the same float
+    // left fold into dW, so the grouping moves no bit either.
     const int64_t kcrs = g.k * crs;
     constexpr int64_t kMaxPartialBytes = 64 << 20;
     const int64_t group = std::min(
@@ -186,9 +185,8 @@ convBackwardGemm(const Tensor &x, const Tensor &w, const Tensor &dy,
 
         // Ordered reduction: every dW element sums this group's
         // per-image partials in image order. Parallel over elements
-        // (disjoint outputs), never over images — that, plus group
-        // boundaries that do not depend on the thread count, is what
-        // keeps the result bitwise identical for any pool size.
+        // (disjoint outputs), never over images — that is what keeps
+        // the result bitwise identical for any pool size.
         const int64_t gn = hi - base;
         pool.parallelFor(0, kcrs, [&](int64_t j0, int64_t j1) {
             for (int64_t j = j0; j < j1; ++j) {
