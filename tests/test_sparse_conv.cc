@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -837,6 +838,90 @@ TEST(SparseConvBackwardWeights, GoldenBitsAndMacsAtEverySimdLevel)
                 << "stride=" << g.stride << " kernel=" << g.kernel
                 << " pad=" << g.pad << " h=" << g.h << " w=" << g.w
                 << " simd=" << kernels::simdLevelName(level);
+        }
+    }
+    kernels::setSimdLevel(saved);
+}
+
+// ------------------------------------------------------ tap pack reuse
+
+/**
+ * A tap pack depends on the mask and the geometry only: it holds no
+ * batch size and no weight value. Per forward-golden geometry one pack,
+ * built from a first encode, is passed to all three executors at
+ * batches 1, 3 and 32, for that encode and for a second encode of the
+ * same mask with other values. y, dx, dW and the three MAC tallies must
+ * equal, bit for bit, the calls that build their own pack.
+ */
+TEST(SparseConvPack, OnePackServesEveryBatchAndEncode)
+{
+    const kernels::SimdLevel saved = kernels::activeSimdLevel();
+    std::vector<kernels::SimdLevel> levels = {kernels::SimdLevel::kScalar};
+    if (kernels::avx2Supported())
+        levels.push_back(kernels::SimdLevel::kAvx2);
+    const int64_t c = 20, k = 5;
+    for (const kernels::SimdLevel level : levels) {
+        kernels::setSimdLevel(level);
+        uint64_t seed = 13000;
+        for (const ForwardGoldenCase &g : kForwardGolden) {
+            const int64_t stride = g.stride, kernel = g.kernel, pad = g.pad;
+            const int64_t h = kernel + 2 * stride + 1;
+            const int64_t width = stride * 33 + kernel;
+            const int64_t p_ext = (h + 2 * pad - kernel) / stride + 1;
+            const int64_t q_ext = (width + 2 * pad - kernel) / stride + 1;
+            const Shape ws{k, c, kernel, kernel};
+            const Tensor w1 = goldenTensor(ws, ++seed, 0.4);
+            Tensor w2 = goldenTensor(ws, ++seed, 1.0);
+            for (int64_t i = 0; i < w2.numel(); ++i) {
+                if (w1.at(i) == 0.0f)
+                    w2.at(i) = 0.0f;
+                else if (w2.at(i) == 0.0f)
+                    w2.at(i) = 0.25f;
+            }
+            const CsbTensor csb1 = CsbTensor::encodeConvFilters(w1);
+            const CsbTensor csb2 = CsbTensor::encodeConvFilters(w2);
+            ASSERT_TRUE(csb2.sameMaskAs(csb1));
+            const auto pack =
+                kernels::packConvTaps(csb1, h, width, stride, pad);
+            for (const CsbTensor *csb : {&csb1, &csb2}) {
+                for (const int64_t n : {1, 3, 32}) {
+                    const Tensor x =
+                        goldenTensor(Shape{n, c, h, width}, ++seed, 0.5);
+                    const Tensor dy = goldenTensor(
+                        Shape{n, k, p_ext, q_ext}, ++seed, 0.5);
+                    Tensor dw_ref = goldenTensor(ws, ++seed, 1.0);
+                    for (int64_t i = 0; i < dw_ref.numel(); i += 5)
+                        dw_ref.at(i) = -0.0f;
+                    Tensor dw = dw_ref;   // copy-on-write: detaches on write
+                    int64_t ref_macs[3] = {-1, -1, -1};
+                    int64_t macs[3] = {-2, -2, -2};
+                    const Tensor y_ref =
+                        sparseConvForward(x, *csb, stride, pad, &ref_macs[0]);
+                    const Tensor y = sparseConvForward(x, *csb, stride, pad,
+                                                       &macs[0], &pack);
+                    const Tensor dx_ref = sparseConvBackwardData(
+                        dy, *csb, x.shape(), stride, pad, &ref_macs[1]);
+                    const Tensor dx = sparseConvBackwardData(
+                        dy, *csb, x.shape(), stride, pad, &macs[1], &pack);
+                    sparseConvBackwardWeights(x, dy, *csb, stride, pad,
+                                              &dw_ref, &ref_macs[2]);
+                    sparseConvBackwardWeights(x, dy, *csb, stride, pad, &dw,
+                                              &macs[2], &pack);
+                    const std::string where =
+                        "stride=" + std::to_string(stride) +
+                        " kernel=" + std::to_string(kernel) +
+                        " pad=" + std::to_string(pad) +
+                        " n=" + std::to_string(n) +
+                        " encode=" + (csb == &csb1 ? "1" : "2") +
+                        " simd=" + kernels::simdLevelName(level);
+                    EXPECT_TRUE(bitwiseEqual(y, y_ref)) << where;
+                    EXPECT_TRUE(bitwiseEqual(dx, dx_ref)) << where;
+                    EXPECT_TRUE(bitwiseEqual(dw, dw_ref)) << where;
+                    for (int phase = 0; phase < 3; ++phase)
+                        EXPECT_EQ(macs[phase], ref_macs[phase])
+                            << where << " phase=" << phase;
+                }
+            }
         }
     }
     kernels::setSimdLevel(saved);
