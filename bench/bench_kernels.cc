@@ -309,7 +309,7 @@ benchOne(const BenchLayer &bl, bool smoke)
         }
         const sparse::CsbTensor csb =
             sparse::CsbTensor::encodeConvFilters(wsp);
-        const kernels::ConvTapPack pack = kernels::packConvTaps(
+        const sparse::ConvTapPack pack = sparse::packConvTaps(
             csb, bl.in_hw, bl.in_hw, bl.stride, bl.pad);
         SweepPoint pt;
         pt.density = density;
@@ -421,8 +421,8 @@ benchOneFc(FcRow row, bool smoke)
     // A pre-built tap pack, as Linear caches it across steps: the
     // timings below are the executors plus the layout transposes each
     // phase pays, not the once-per-step encode.
-    const kernels::ConvTapPack pack =
-        kernels::packConvTaps(csb, 1, row.batch, 1, 0);
+    const sparse::ConvTapPack pack =
+        sparse::packConvTaps(csb, 1, row.batch, 1, 0);
     Tensor xp(Shape{1, row.in_f, 1, row.batch});
     Tensor dyp(Shape{1, row.out_f, 1, row.batch});
     kernels::transpose(x.data(), row.batch, row.in_f, xp.data());

@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "common/logging.h"
-#include "kernels/im2col.h"   // validOutRange: the shared padding clip
 #include "kernels/sparse_microkernels_impl.h"
 
 namespace procrustes {
@@ -38,18 +37,18 @@ std::atomic<int> g_simd_level{-1};
 /** Dispatch one conv plane run (see sparseConvFwdPlaneRun). */
 template <bool kFused>
 void
-convPlaneRun(const ConvRunTap *taps, int64_t ntaps, const float *xbase,
-             float *yplane, int64_t xrow_stride, int64_t p_ext,
-             int64_t q_ext)
+convPlaneRun(const ConvRunTap *taps, int64_t ntaps, const float *w,
+             const float *xbase, float *yplane, int64_t xrow_stride,
+             int64_t p_ext, int64_t q_ext)
 {
 #ifdef PROCRUSTES_HAVE_AVX2
     if (activeSimdLevel() == SimdLevel::kAvx2) {
-        detail::convPlaneRunAvx2<kFused>(taps, ntaps, xbase, yplane,
+        detail::convPlaneRunAvx2<kFused>(taps, ntaps, w, xbase, yplane,
                                          xrow_stride, p_ext, q_ext);
         return;
     }
 #endif
-    detail::convPlaneRunScalar<kFused>(taps, ntaps, xbase, yplane,
+    detail::convPlaneRunScalar<kFused>(taps, ntaps, w, xbase, yplane,
                                        xrow_stride, p_ext, q_ext);
 }
 
@@ -92,72 +91,27 @@ simdLevelName(SimdLevel level)
     return level == SimdLevel::kAvx2 ? "avx2" : "scalar";
 }
 
-ConvTapPack
-packConvTaps(const sparse::CsbTensor &w, int64_t in_h, int64_t in_w,
-             int64_t stride, int64_t pad)
-{
-    PROCRUSTES_ASSERT(w.kind() == sparse::CsbTensor::Kind::ConvFilters,
-                      "tap packing applies to CSB conv filters");
-    const Shape &ws = w.denseShape();
-    const int64_t r_ext = ws[2];
-    const int64_t s_ext = ws[3];
-    PROCRUSTES_ASSERT(in_h + 2 * pad >= r_ext && in_w + 2 * pad >= s_ext,
-                      "convolution output would be empty");
-
-    ConvTapPack pack;
-    pack.inH = in_h;
-    pack.inW = in_w;
-    pack.stride = stride;
-    pack.pad = pad;
-    pack.pExt = (in_h + 2 * pad - r_ext) / stride + 1;
-    pack.qExt = (in_w + 2 * pad - s_ext) / stride + 1;
-
-    pack.win.resize(static_cast<size_t>(r_ext * s_ext));
-    for (int64_t e = 0; e < r_ext * s_ext; ++e) {
-        ConvWindow &wd = pack.win[static_cast<size_t>(e)];
-        validOutRange(pack.pExt, in_h, e / s_ext, stride, pad, &wd.pLo,
-                      &wd.pHi);
-        validOutRange(pack.qExt, in_w, e % s_ext, stride, pad, &wd.qLo,
-                      &wd.qHi);
-    }
-
-    const int64_t nb = w.numBlocks();
-    pack.blockOff.assign(static_cast<size_t>(nb) + 1, 0);
-    pack.taps.reserve(static_cast<size_t>(w.nnz()));
-    for (int64_t b = 0; b < nb; ++b) {
-        if (w.blockNnz(b) > 0) {
-            for (int64_t e = 0; e < w.blockElems(); ++e) {
-                if (w.blockMaskBit(b, e))
-                    pack.taps.push_back({static_cast<int32_t>(e)});
-            }
-        }
-        pack.blockOff[static_cast<size_t>(b) + 1] =
-            static_cast<int64_t>(pack.taps.size());
-    }
-    return pack;
-}
-
 void
 sparseConvFwdPlaneRun(const ConvRunTap *taps, int64_t ntaps,
-                      const float *xbase, float *yplane,
+                      const float *w, const float *xbase, float *yplane,
                       int64_t xrow_stride, int64_t p_ext, int64_t q_ext)
 {
-    convPlaneRun<true>(taps, ntaps, xbase, yplane, xrow_stride, p_ext,
+    convPlaneRun<true>(taps, ntaps, w, xbase, yplane, xrow_stride, p_ext,
                        q_ext);
 }
 
 void
 sparseConvBwdDataPlaneRun(const ConvRunTap *taps, int64_t ntaps,
-                          const float *dybase, float *dxplane,
-                          int64_t dyrow_stride, int64_t rows,
-                          int64_t cols)
+                          const float *w, const float *dybase,
+                          float *dxplane, int64_t dyrow_stride,
+                          int64_t rows, int64_t cols)
 {
-    convPlaneRun<false>(taps, ntaps, dybase, dxplane, dyrow_stride, rows,
-                        cols);
+    convPlaneRun<false>(taps, ntaps, w, dybase, dxplane, dyrow_stride,
+                        rows, cols);
 }
 
 void
-sparseConvBwdWeightGroup(const int64_t *xoff, int64_t ntaps,
+sparseConvBwdWeightGroup(const int32_t *xoff, int64_t ntaps,
                          const float *xbase, int64_t xrow_stride,
                          const float *dybase, int64_t q_ext, int64_t rows,
                          int64_t cols, float *lanes)

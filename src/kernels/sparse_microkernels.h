@@ -35,7 +35,7 @@
  *     multiply-add — the dx bits the golden test in
  *     tests/test_sparse_conv.cc pins.
  *   - conv backward-weight reads x prepared the forward's way at
- *     stride > 1 and x itself at stride 1. The executor groups the
+ *     stride > 1 and x itself at stride 1. The tap pack groups the
  *     live taps of one output channel whose kernel elements share a
  *     padding-clip window (up to 8 input channels at a time); each dy
  *     vector is loaded once per group and every tap keeps its own 8
@@ -45,6 +45,11 @@
  *     each, and collapse with one fixed tree (sumLanes8); the scalar
  *     fallback implements the *same* lane schedule, so both levels
  *     agree bit-for-bit.
+ *
+ * The runs and groups these kernels stream are built once per (mask,
+ * geometry) in sparse::ConvTapPack (src/sparse/sparse_conv.h) and name
+ * each weight by its index into the CSB packed values, which every
+ * kernel reads through a `w` base pointer; nothing is copied per call.
  *
  * Zero-skipping note: a PE skips a zero operand; both kernel levels
  * multiply it (a lane is free). The sums are still bitwise what a
@@ -79,9 +84,6 @@
 #define PROCRUSTES_KERNELS_SPARSE_MICROKERNELS_H_
 
 #include <cstdint>
-#include <vector>
-
-#include "sparse/csb.h"
 
 namespace procrustes {
 namespace kernels {
@@ -111,82 +113,22 @@ void setSimdLevel(SimdLevel level);
 const char *simdLevelName(SimdLevel level);
 
 /**
- * One live conv weight, so the executors stream taps instead of
- * chasing block maps. Taps are packed in CSB mask order, which is
- * exactly the packed value order, so tap i of a block pairs with value
- * i of that block. The tap's output window is its kernel element's
- * entry of ConvTapPack::win.
- */
-struct ConvTap
-{
-    int32_t elem;   //!< dense element r * S + s within the block
-};
-
-/**
- * The padding-clipped output window of one kernel element: the output
- * positions (p, q) whose input projection (p * stride + r - pad,
- * q * stride + s - pad) is in bounds. It depends only on (r, s) and the
- * geometry, so every block and every phase shares it.
- */
-struct ConvWindow
-{
-    int64_t pLo, pHi;   //!< valid output rows [pLo, pHi)
-    int64_t qLo, qHi;   //!< valid output cols [qLo, qHi)
-
-    bool empty() const { return pHi == pLo || qHi == qLo; }
-};
-
-/**
- * Gather-free packed tap stream for one CSB conv-filter tensor at one
- * input geometry: per-block contiguous ConvTap runs addressed by
- * blockOff (size numBlocks + 1), plus the clip window of each of the
- * R * S kernel elements, computed once here. One pack serves all three
- * conv phases — the mask-live tap set IS the packed value set, and a
- * tap's window is win[elem] in each — and stays valid as long as the
- * mask and the input geometry do (weight *values* live in the CsbTensor
- * and are re-read each call, so a pack survives optimizer steps that
- * only change values).
- */
-struct ConvTapPack
-{
-    std::vector<ConvTap> taps;      //!< block-major, mask order
-    std::vector<int64_t> blockOff;  //!< per-block tap offsets, nb + 1
-    std::vector<ConvWindow> win;    //!< per kernel element r * S + s
-    int64_t inH = 0, inW = 0;       //!< input geometry the pack clips to
-    int64_t stride = 0, pad = 0;
-    int64_t pExt = 0, qExt = 0;     //!< derived output extents
-
-    bool valid() const { return !blockOff.empty(); }
-
-    /** True if this pack describes the given call geometry. */
-    bool
-    matches(int64_t in_h, int64_t in_w, int64_t s, int64_t p) const
-    {
-        return valid() && inH == in_h && inW == in_w && stride == s &&
-               pad == p;
-    }
-};
-
-/** Build the packed tap stream for CSB conv filters at one geometry. */
-ConvTapPack packConvTaps(const sparse::CsbTensor &w, int64_t in_h,
-                         int64_t in_w, int64_t stride, int64_t pad);
-
-/**
  * One flattened tap of a conv plane run against a prepared source
  * buffer: for forward, the zero-padded, stride-phase-split input (see
  * PlaneLayout in sparse_conv.cc); for backward-data, the zero-padded
- * dy (see sparseConvBackwardData). Channel plane, kernel row, and phase slot
- * are all folded into one offset and the weight value is copied in,
- * so the kernels stream one homogeneous array over a channel run.
- * Every tap covers the full destination plane at unit column stride
- * by construction. Executors rebuild these per call (values change
- * every optimizer step) from the cached ConvTapPack geometry.
+ * dy (see sparseConvBackwardData). Channel plane, kernel row, and phase
+ * slot are all folded into one offset, and the weight is named by its
+ * index into the CSB packed value stream, so the kernels stream one
+ * homogeneous array over a channel run. Every tap covers the full
+ * destination plane at unit column stride by construction. The runs
+ * are built once per (mask, geometry) in sparse::ConvTapPack; holding
+ * an index, not a value, keeps them valid for every encode of the mask.
  */
 struct ConvRunTap
 {
-    int64_t xoff;   //!< source offset of destination (0, 0): element
+    int32_t xoff;   //!< source offset of destination (0, 0): element
                     //!< (p, q) reads xbase + xoff + p*xrow_stride + q
-    float w;        //!< the tap's weight value
+    int32_t v;      //!< the tap's index into the packed weight values
 };
 
 /**
@@ -205,9 +147,9 @@ convStripRows(int64_t q_ext)
 /**
  * Forward conv kernel for one whole output plane: accumulate every
  * run tap (an input-channel chunk of one output channel, in pack
- * order) into yplane. yplane carries partial sums across chunked
- * calls — each forward task zeroes its own y planes before their first
- * chunk. The AVX2 level is output-stationary — register strips of y
+ * order), with weight w[tap.v], into yplane. yplane carries partial
+ * sums across chunked calls — each forward task zeroes its own y
+ * planes before their first chunk. The AVX2 level is output-stationary — register strips of y
  * accumulate all taps before one store — and bitwise identical to the
  * scalar tap-major reference: per output element both visit the taps
  * in the same order with one fused multiply-add each. The AVX2 level
@@ -217,9 +159,9 @@ convStripRows(int64_t q_ext)
  * Dispatches on activeSimdLevel().
  */
 void sparseConvFwdPlaneRun(const ConvRunTap *taps, int64_t ntaps,
-                           const float *xbase, float *yplane,
-                           int64_t xrow_stride, int64_t p_ext,
-                           int64_t q_ext);
+                           const float *w, const float *xbase,
+                           float *yplane, int64_t xrow_stride,
+                           int64_t p_ext, int64_t q_ext);
 
 /**
  * Backward-data conv kernel for one dx phase plane: the same strips
@@ -228,9 +170,9 @@ void sparseConvFwdPlaneRun(const ConvRunTap *taps, int64_t ntaps,
  * add, at both levels. Same read slack contract as forward.
  */
 void sparseConvBwdDataPlaneRun(const ConvRunTap *taps, int64_t ntaps,
-                               const float *dybase, float *dxplane,
-                               int64_t dyrow_stride, int64_t rows,
-                               int64_t cols);
+                               const float *w, const float *dybase,
+                               float *dxplane, int64_t dyrow_stride,
+                               int64_t rows, int64_t cols);
 
 /**
  * Backward-weight conv kernel for one tap group over one sample: up to
@@ -246,7 +188,7 @@ void sparseConvBwdDataPlaneRun(const ConvRunTap *taps, int64_t ntaps,
  * tap's lanes with sumLanes8. Both levels follow the same lane
  * schedule, so they are bitwise identical.
  */
-void sparseConvBwdWeightGroup(const int64_t *xoff, int64_t ntaps,
+void sparseConvBwdWeightGroup(const int32_t *xoff, int64_t ntaps,
                               const float *xbase, int64_t xrow_stride,
                               const float *dybase, int64_t q_ext,
                               int64_t rows, int64_t cols, float *lanes);

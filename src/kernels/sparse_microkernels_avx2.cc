@@ -79,9 +79,9 @@ accumulate(__m256 wt, __m256 x, __m256 acc)
  */
 template <bool kFused, int ROWS, int NV>
 inline void
-planeStrip(const ConvRunTap *taps, int64_t ntaps, const float *xbase,
-           int64_t xrs, int64_t p0, int64_t qs, int64_t qn,
-           float *yplane, int64_t q_ext)
+planeStrip(const ConvRunTap *taps, int64_t ntaps, const float *w,
+           const float *xbase, int64_t xrs, int64_t p0, int64_t qs,
+           int64_t qn, float *yplane, int64_t q_ext)
 {
     const int full = static_cast<int>(qn / 8);
     const __m256i tmask = tailMask(qn - 8 * full);
@@ -96,7 +96,7 @@ planeStrip(const ConvRunTap *taps, int64_t ntaps, const float *xbase,
                             : _mm256_maskload_ps(ys + 8 * v, tmask);
     }
     for (int64_t t = 0; t < ntaps; ++t) {
-        const __m256 wt = _mm256_set1_ps(taps[t].w);
+        const __m256 wt = _mm256_set1_ps(w[taps[t].v]);
         const float *x0 = xbase + taps[t].xoff + p0 * xrs + qs;
 #pragma GCC unroll 4
         for (int r = 0; r < ROWS; ++r) {
@@ -122,26 +122,26 @@ planeStrip(const ConvRunTap *taps, int64_t ntaps, const float *xbase,
 
 template <bool kFused, int ROWS>
 inline void
-planeStripNv(const ConvRunTap *taps, int64_t ntaps, const float *xbase,
-             int64_t xrs, int64_t p0, int64_t qs, int64_t qn,
-             float *yplane, int64_t q_ext)
+planeStripNv(const ConvRunTap *taps, int64_t ntaps, const float *w,
+             const float *xbase, int64_t xrs, int64_t p0, int64_t qs,
+             int64_t qn, float *yplane, int64_t q_ext)
 {
     switch ((qn + 7) / 8) {
     case 1:
-        planeStrip<kFused, ROWS, 1>(taps, ntaps, xbase, xrs, p0, qs, qn,
-                                    yplane, q_ext);
+        planeStrip<kFused, ROWS, 1>(taps, ntaps, w, xbase, xrs, p0, qs,
+                                    qn, yplane, q_ext);
         break;
     case 2:
-        planeStrip<kFused, ROWS, 2>(taps, ntaps, xbase, xrs, p0, qs, qn,
-                                    yplane, q_ext);
+        planeStrip<kFused, ROWS, 2>(taps, ntaps, w, xbase, xrs, p0, qs,
+                                    qn, yplane, q_ext);
         break;
     case 3:
-        planeStrip<kFused, ROWS, 3>(taps, ntaps, xbase, xrs, p0, qs, qn,
-                                    yplane, q_ext);
+        planeStrip<kFused, ROWS, 3>(taps, ntaps, w, xbase, xrs, p0, qs,
+                                    qn, yplane, q_ext);
         break;
     default:
-        planeStrip<kFused, ROWS, 4>(taps, ntaps, xbase, xrs, p0, qs, qn,
-                                    yplane, q_ext);
+        planeStrip<kFused, ROWS, 4>(taps, ntaps, w, xbase, xrs, p0, qs,
+                                    qn, yplane, q_ext);
         break;
     }
 }
@@ -155,7 +155,7 @@ planeStripNv(const ConvRunTap *taps, int64_t ntaps, const float *xbase,
  */
 template <int NT>
 inline void
-bwdWeightGroup(const int64_t *xoff, const float *xbase, int64_t xrs,
+bwdWeightGroup(const int32_t *xoff, const float *xbase, int64_t xrs,
                const float *dybase, int64_t q_ext, int64_t rows,
                int64_t cols, float *lanes)
 {
@@ -201,7 +201,7 @@ bwdWeightGroup(const int64_t *xoff, const float *xbase, int64_t xrs,
 
 template <bool kFused>
 void
-convPlaneRunAvx2(const ConvRunTap *taps, int64_t ntaps,
+convPlaneRunAvx2(const ConvRunTap *taps, int64_t ntaps, const float *w,
                  const float *xbase, float *yplane, int64_t xrs,
                  int64_t p_ext, int64_t q_ext)
 {
@@ -213,19 +213,19 @@ convPlaneRunAvx2(const ConvRunTap *taps, int64_t ntaps,
                 q_ext - qs < 32 ? q_ext - qs : static_cast<int64_t>(32);
             switch (rows) {
             case 1:
-                planeStripNv<kFused, 1>(taps, ntaps, xbase, xrs, p0, qs,
+                planeStripNv<kFused, 1>(taps, ntaps, w, xbase, xrs, p0, qs,
                                         qn, yplane, q_ext);
                 break;
             case 2:
-                planeStripNv<kFused, 2>(taps, ntaps, xbase, xrs, p0, qs,
+                planeStripNv<kFused, 2>(taps, ntaps, w, xbase, xrs, p0, qs,
                                         qn, yplane, q_ext);
                 break;
             case 3:
-                planeStripNv<kFused, 3>(taps, ntaps, xbase, xrs, p0, qs,
+                planeStripNv<kFused, 3>(taps, ntaps, w, xbase, xrs, p0, qs,
                                         qn, yplane, q_ext);
                 break;
             default:
-                planeStripNv<kFused, 4>(taps, ntaps, xbase, xrs, p0, qs,
+                planeStripNv<kFused, 4>(taps, ntaps, w, xbase, xrs, p0, qs,
                                         qn, yplane, q_ext);
                 break;
             }
@@ -234,14 +234,14 @@ convPlaneRunAvx2(const ConvRunTap *taps, int64_t ntaps,
 }
 
 template void convPlaneRunAvx2<true>(const ConvRunTap *, int64_t,
-                                     const float *, float *, int64_t,
-                                     int64_t, int64_t);
+                                     const float *, const float *, float *,
+                                     int64_t, int64_t, int64_t);
 template void convPlaneRunAvx2<false>(const ConvRunTap *, int64_t,
-                                      const float *, float *, int64_t,
-                                      int64_t, int64_t);
+                                      const float *, const float *, float *,
+                                      int64_t, int64_t, int64_t);
 
 void
-convBwdWeightGroupAvx2(const int64_t *xoff, int64_t ntaps,
+convBwdWeightGroupAvx2(const int32_t *xoff, int64_t ntaps,
                        const float *xbase, int64_t xrs,
                        const float *dybase, int64_t q_ext, int64_t rows,
                        int64_t cols, float *lanes)

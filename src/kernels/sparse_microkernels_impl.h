@@ -24,24 +24,24 @@ namespace kernels {
 namespace detail {
 
 /**
- * Scalar conv plane kernel over one flattened tap run against a
- * prepared source: tap-major loops, full plane per tap (padding made
- * every tap unclipped). Per destination element the taps arrive in
- * increasing t order — the exact accumulation sequence the
- * output-stationary AVX2 kernel replays in registers, so the two are
- * bitwise identical. The accumulate step is one fused multiply-add
+ * Scalar conv plane kernel over one flattened tap run (weights
+ * w[tap.v]) against a prepared source: tap-major loops, full plane per
+ * tap (padding made every tap unclipped). Per destination element the
+ * taps arrive in increasing t order — the exact accumulation sequence
+ * the output-stationary AVX2 kernel replays in registers, so the two
+ * are bitwise identical. The accumulate step is one fused multiply-add
  * (kFused, forward) or a rounded product then a rounded add
  * (backward-data). yplane accumulates (partial sums survive chunked
  * calls).
  */
 template <bool kFused>
 inline void
-convPlaneRunScalar(const ConvRunTap *taps, int64_t ntaps,
+convPlaneRunScalar(const ConvRunTap *taps, int64_t ntaps, const float *w,
                    const float *xbase, float *yplane, int64_t xrs,
                    int64_t p_ext, int64_t q_ext)
 {
     for (int64_t t = 0; t < ntaps; ++t) {
-        const float wt = taps[t].w;
+        const float wt = w[taps[t].v];
         for (int64_t p = 0; p < p_ext; ++p) {
             const float *xr = xbase + taps[t].xoff + p * xrs;
             float *yr = yplane + p * q_ext;
@@ -61,7 +61,7 @@ convPlaneRunScalar(const ConvRunTap *taps, int64_t ntaps,
  * they add an exact ±0, an identity on lanes that start at +0.
  */
 inline void
-convBwdWeightGroupScalar(const int64_t *xoff, int64_t ntaps,
+convBwdWeightGroupScalar(const int32_t *xoff, int64_t ntaps,
                          const float *xbase, int64_t xrs,
                          const float *dybase, int64_t q_ext, int64_t rows,
                          int64_t cols, float *lanes)
@@ -80,9 +80,9 @@ convBwdWeightGroupScalar(const int64_t *xoff, int64_t ntaps,
 #ifdef PROCRUSTES_HAVE_AVX2
 template <bool kFused>
 void convPlaneRunAvx2(const ConvRunTap *taps, int64_t ntaps,
-                      const float *xbase, float *yplane, int64_t xrs,
-                      int64_t p_ext, int64_t q_ext);
-void convBwdWeightGroupAvx2(const int64_t *xoff, int64_t ntaps,
+                      const float *w, const float *xbase, float *yplane,
+                      int64_t xrs, int64_t p_ext, int64_t q_ext);
+void convBwdWeightGroupAvx2(const int32_t *xoff, int64_t ntaps,
                            const float *xbase, int64_t xrs,
                            const float *dybase, int64_t q_ext,
                            int64_t rows, int64_t cols, float *lanes);

@@ -128,10 +128,11 @@ WeightLayer::forwardSparse(const Tensor &x)
     // Encode once per step: the weights cannot change between this
     // forward and the matching backward, so the backward passes reuse
     // the same compressed blocks (as the accelerator streams one CSB
-    // image of the weights through all three phases). The packed tap
-    // geometry additionally survives *across* steps: while the mask
-    // epoch and input geometry are unchanged, only the values differ,
-    // and the executors re-read those from the CsbTensor each call.
+    // image of the weights through all three phases). The tap pack, the
+    // layout all three phases stream, additionally survives *across*
+    // steps: while the mask and input geometry are unchanged, only the
+    // values differ, and the pack names each weight by its index into
+    // the CsbTensor's values, which the executors read each call.
     Tensor filters = weight_.value;   // COW alias: reshaping copies nothing
     filters.reshape(filterShape_);
     sparse::CsbTensor fresh = sparse::CsbTensor::encodeConvFilters(filters);
@@ -144,7 +145,7 @@ WeightLayer::forwardSparse(const Tensor &x)
     cachedCsb_ = std::move(fresh);
     if (!mask_same) {
         cachedPack_ =
-            kernels::packConvTaps(cachedCsb_, in_h, in_w, stride_, pad_);
+            sparse::packConvTaps(cachedCsb_, in_h, in_w, stride_, pad_);
     }
     Tensor y = fromConvPlane(sparse::sparseConvForward(
         convInput_, cachedCsb_, stride_, pad_, &lastFwMacs_, &cachedPack_));

@@ -33,9 +33,8 @@
 #include <vector>
 
 #include "kernels/backend.h"
-#include "kernels/sparse_microkernels.h"
+#include "sparse/sparse_conv.h"
 #include "nn/layer.h"
-#include "sparse/csb.h"
 
 namespace procrustes {
 namespace nn {
@@ -138,9 +137,11 @@ class WeightLayer : public Layer
     Tensor convInput_;   //!< kSparse: toConvPlane(cachedInput_)
     sparse::CsbTensor cachedCsb_;  //!< kSparse: weights encoded at
                                    //!< forward, reused by backward
-    kernels::ConvTapPack cachedPack_;  //!< packed tap geometry, reused
-                                       //!< across steps while the mask
-                                       //!< epoch + input geometry hold
+    sparse::ConvTapPack cachedPack_;  //!< all three phases' tap layout,
+                                      //!< built once per mask + input
+                                      //!< geometry and reused across
+                                      //!< steps and encodes until either
+                                      //!< changes
 
     /** @name Step telemetry captured by forward/backward. */
     /**@{*/

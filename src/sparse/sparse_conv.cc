@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/math_utils.h"
 #include "common/thread_pool.h"
+#include "kernels/im2col.h"   // validOutRange: the shared padding clip
 
 namespace procrustes {
 namespace sparse {
@@ -26,16 +28,20 @@ outExtent(int64_t in, int64_t kernel, int64_t stride, int64_t pad)
     return (in + 2 * pad - kernel) / stride + 1;
 }
 
+/** Largest offset or value index a pack's 32-bit fields can hold. */
+constexpr int64_t kMaxIndex = std::numeric_limits<int32_t>::max();
+
 /**
  * Use the caller's tap pack when it matches this (mask, geometry) pair;
  * otherwise build one into `local` and return that. A caller-provided
- * pack with the wrong geometry is a contract violation, not a cache
- * miss — the layers test matches() themselves before passing one.
+ * pack with the wrong geometry or mask is a contract violation, not a
+ * cache miss — the layers test matches() and the mask themselves before
+ * passing one. The tap count guards the value indices: a pack of
+ * another mask with more live taps would read past valuesData().
  */
-const kernels::ConvTapPack *
-resolvePack(const kernels::ConvTapPack *pack, const CsbTensor &w,
-            int64_t h, int64_t width, int64_t stride, int64_t pad,
-            kernels::ConvTapPack *local)
+const ConvTapPack *
+resolvePack(const ConvTapPack *pack, const CsbTensor &w, int64_t h,
+            int64_t width, int64_t stride, int64_t pad, ConvTapPack *local)
 {
     if (pack) {
         PROCRUSTES_ASSERT(pack->matches(h, width, stride, pad),
@@ -43,9 +49,12 @@ resolvePack(const kernels::ConvTapPack *pack, const CsbTensor &w,
         PROCRUSTES_ASSERT(static_cast<int64_t>(pack->blockOff.size()) ==
                               w.numBlocks() + 1,
                           "conv tap pack block count mismatch");
+        PROCRUSTES_ASSERT(static_cast<int64_t>(pack->taps.size()) ==
+                              w.nnz(),
+                          "conv tap pack live-tap count mismatch");
         return pack;
     }
-    *local = kernels::packConvTaps(w, h, width, stride, pad);
+    *local = packConvTaps(w, h, width, stride, pad);
     return local;
 }
 
@@ -91,14 +100,12 @@ phaseHalo(int64_t in, int64_t out, int64_t kernel, int64_t stride,
 /**
  * Least work per pool task: floats of x or dy for the input
  * preparation and the non-zero tallies (64 KiB), multiply-adds for the
- * forward tiles and the backward-weight reduction, live taps for the
- * forward's run build. Below them a call
+ * forward tiles and the backward-weight reduction. Below them a call
  * runs inline, which costs less than waking the pool — an fc head's
  * batch plane is that small.
  */
 constexpr int64_t kPrepareGrainFloats = int64_t{1} << 14;
 constexpr int64_t kGrainMacs = int64_t{1} << 15;
-constexpr int64_t kGrainTaps = int64_t{1} << 12;
 
 /**
  * (sample, output-channel block) tiles the forward aims for: at batch
@@ -128,8 +135,9 @@ struct PlaneLayout
     int64_t rowStride;   //!< floats per padded row (slots * stride)
     int64_t planeSize;   //!< floats per (sample, channel) plane
 
-    PlaneLayout(const Shape &xs, int64_t conv_stride, int64_t conv_pad)
-        : stride(conv_stride), pad(conv_pad), h(xs[2]), width(xs[3]),
+    PlaneLayout(int64_t in_h, int64_t in_w, int64_t conv_stride,
+                int64_t conv_pad)
+        : stride(conv_stride), pad(conv_pad), h(in_h), width(in_w),
           slots((width + 2 * pad + stride - 1) / stride),
           rowStride(slots * stride), planeSize((h + 2 * pad) * rowStride)
     {
@@ -170,12 +178,245 @@ struct PlaneLayout
     }
 };
 
+/**
+ * The executed-MAC tally of both backward phases: a live tap fires on
+ * the non-zero operands inside its clip window. Zeros are multiplied
+ * (an exact identity, see the microkernel notes) but, as a PE would
+ * skip them, not counted. The count of one window, summed over the
+ * batch, is the same for every tap of that kernel element on one
+ * plane, so it is taken once per plane: each pixel's non-zeros over
+ * the n planes src + i * sample_pitch (i < n) of `plane` floats go into
+ * nz, and counts[e] gets the sum of kernel element e's window, whose
+ * output position (p, q) reads nz[origin(e) + p * row_pitch + q *
+ * col_step].
+ */
+template <typename Origin>
+void
+windowNonZeros(const float *src, int64_t n, int64_t sample_pitch,
+               int64_t plane, const std::vector<ConvWindow> &win,
+               int64_t row_pitch, int64_t col_step, Origin origin,
+               int32_t *nz, int64_t *counts)
+{
+    std::fill(nz, nz + plane, 0);
+    for (int64_t in = 0; in < n; ++in) {
+        const float *sp = src + in * sample_pitch;
+        forEachBlocked8(plane, [&](int64_t i) { nz[i] += sp[i] != 0.0f; });
+    }
+    for (size_t e = 0; e < win.size(); ++e) {
+        const ConvWindow &wd = win[e];
+        int64_t total = 0;
+        for (int64_t p = wd.pLo; p < wd.pHi; ++p) {
+            const int64_t row =
+                origin(static_cast<int64_t>(e)) + p * row_pitch;
+            for (int64_t q = wd.qLo; q < wd.qHi; ++q)
+                total += nz[row + q * col_step];
+        }
+        counts[e] = total;
+    }
+}
+
 } // namespace
+
+ConvTapPack
+packConvTaps(const CsbTensor &w, int64_t in_h, int64_t in_w,
+             int64_t stride, int64_t pad)
+{
+    PROCRUSTES_ASSERT(w.kind() == CsbTensor::Kind::ConvFilters,
+                      "tap packing applies to CSB conv filters");
+    const Shape &ws = w.denseShape();
+    const int64_t k = ws[0], c = ws[1], r_ext = ws[2], s_ext = ws[3];
+    const int64_t rs = r_ext * s_ext;
+    ConvTapPack pack;
+    pack.inH = in_h;
+    pack.inW = in_w;
+    pack.stride = stride;
+    pack.pad = pad;
+    const int64_t p_ext = pack.pExt = outExtent(in_h, r_ext, stride, pad);
+    const int64_t q_ext = pack.qExt = outExtent(in_w, s_ext, stride, pad);
+
+    const int64_t nb = w.numBlocks();
+    pack.blockOff.assign(static_cast<size_t>(nb) + 1, 0);
+    pack.taps.reserve(static_cast<size_t>(w.nnz()));
+    for (int64_t b = 0; b < nb; ++b) {
+        for (int64_t e = 0; e < w.blockElems() && w.blockNnz(b) > 0; ++e) {
+            if (w.blockMaskBit(b, e))
+                pack.taps.push_back(static_cast<int32_t>(e));
+        }
+        pack.blockOff[static_cast<size_t>(b) + 1] =
+            static_cast<int64_t>(pack.taps.size());
+    }
+    const int32_t *taps = pack.taps.data();
+    const int64_t *block_off = pack.blockOff.data();
+
+    // The input layouts the runs address: prepared x planes (forward,
+    // and backward-weight at stride > 1; x itself at stride 1, where
+    // every clip window lies inside the plane and the kernel masks its
+    // tail loads) and the zero-padded dy of backward-data, whose halo is
+    // exactly what its phase correlations read.
+    const PlaneLayout lay(in_h, in_w, stride, pad);
+    ConvTapPack::Forward &fw = pack.fw;
+    ConvTapPack::BackwardData &bd = pack.bd;
+    ConvTapPack::BackwardWeight &bw = pack.bw;
+    int64_t hi_h, hi_w;
+    phaseHalo(in_h, p_ext, r_ext, stride, pad, &bd.loH, &hi_h);
+    phaseHalo(in_w, q_ext, s_ext, stride, pad, &bd.loW, &hi_w);
+    bd.dyRow = bd.loW + q_ext + hi_w;
+    bd.dyPlane = (bd.loH + p_ext + hi_h) * bd.dyRow;
+    const bool raw = stride == 1;
+    bw.plane = raw ? in_h * in_w : lay.planeSize;
+    bw.rowStride = raw ? in_w : stride * lay.rowStride;
+    PROCRUSTES_ASSERT(w.nnz() <= kMaxIndex && ws.numel() <= kMaxIndex &&
+                          c * std::max(lay.planeSize, bw.plane) <= kMaxIndex &&
+                          k * bd.dyPlane <= kMaxIndex,
+                      "conv tap pack offsets exceed 32 bits");
+
+    // Per kernel element e = (r, s): its clip window; the forward's
+    // offset into a prepared sample plane and its MACs per sample (0
+    // when the window is empty, so the tap adds nothing); the dx phase
+    // a * stride + b it lands on (a ≡ r - pad, b ≡ s - pad mod stride;
+    // -1 when that phase or the window is empty) and its offset into
+    // padded dy from there; and its backward-weight window class (the
+    // first element with the same window, so the same dy streaks) with
+    // the plane offset of its first x read.
+    pack.win.resize(static_cast<size_t>(rs));
+    std::vector<int64_t> fw_off(static_cast<size_t>(rs));
+    std::vector<int64_t> fw_macs(static_cast<size_t>(rs));
+    std::vector<int64_t> bd_phase(static_cast<size_t>(rs));
+    std::vector<int64_t> bd_off(static_cast<size_t>(rs));
+    std::vector<int64_t> bw_cls(static_cast<size_t>(rs));
+    std::vector<int64_t> bw_off(static_cast<size_t>(rs));
+    for (size_t e = 0; e < static_cast<size_t>(rs); ++e) {
+        const int64_t r = static_cast<int64_t>(e) / s_ext;
+        const int64_t s = static_cast<int64_t>(e) % s_ext;
+        ConvWindow &wd = pack.win[e];
+        kernels::validOutRange(p_ext, in_h, r, stride, pad, &wd.pLo,
+                               &wd.pHi);
+        kernels::validOutRange(q_ext, in_w, s, stride, pad, &wd.qLo,
+                               &wd.qHi);
+        fw_off[e] = lay.tapOffset(r, s);
+        fw_macs[e] = (wd.pHi - wd.pLo) * (wd.qHi - wd.qLo);
+        const int64_t a = ((r - pad) % stride + stride) % stride;
+        const int64_t b = ((s - pad) % stride + stride) % stride;
+        bd_phase[e] =
+            a < in_h && b < in_w && !wd.empty() ? a * stride + b : -1;
+        bd_off[e] = ((a + pad) / stride + bd.loH - r / stride) * bd.dyRow +
+                    (b + pad) / stride + bd.loW - s / stride;
+        bw_off[e] = (raw ? (r - pad) * in_w + s - pad : fw_off[e]) +
+                    wd.pLo * bw.rowStride + wd.qLo;
+        bw_cls[e] = static_cast<int64_t>(e);
+        for (size_t f = 0; f < e; ++f) {
+            const ConvWindow &o = pack.win[f];
+            if (o.pLo == wd.pLo && o.pHi == wd.pHi && o.qLo == wd.qLo &&
+                o.qHi == wd.qHi) {
+                bw_cls[e] = static_cast<int64_t>(f);
+                break;
+            }
+        }
+    }
+
+    // Forward: per output channel the input-channel sweep is flattened
+    // into one tap stream, cut into L1-sized input-channel chunks so the
+    // output-stationary kernel re-reads hot x rows from cache. The
+    // executed-MAC count is per-tap arithmetic (clipped extents), so the
+    // padding zeros the PEs would skip are left out of it.
+    const int64_t ic_chunk = l1ChannelChunk(
+        r_ext + stride * (kernels::convStripRows(q_ext) - 1));
+    fw.chunks = (c + ic_chunk - 1) / ic_chunk;
+    fw.runs.reserve(pack.taps.size());
+    for (int64_t ok = 0; ok < k; ++ok) {
+        for (int64_t ic0 = 0; ic0 < c; ic0 += ic_chunk) {
+            fw.bound.push_back(static_cast<int64_t>(fw.runs.size()));
+            for (int64_t ic = ic0; ic < std::min(c, ic0 + ic_chunk); ++ic) {
+                const int64_t b = ok * c + ic;
+                for (int64_t t = block_off[b]; t < block_off[b + 1]; ++t) {
+                    const size_t e = static_cast<size_t>(taps[t]);
+                    if (fw_macs[e] == 0)
+                        continue;
+                    fw.macsPerSample += fw_macs[e];
+                    fw.runs.push_back(
+                        {static_cast<int32_t>(ic * lay.planeSize + fw_off[e]),
+                         static_cast<int32_t>(t)});
+                }
+            }
+        }
+    }
+    fw.bound.push_back(static_cast<int64_t>(fw.runs.size()));
+
+    // Backward-data, the 180-degree-rotated view of the same blocks
+    // (Figure 2b) in gather form: per input channel and dx phase, the
+    // taps of every output channel that land there, by output channel,
+    // then pack order — one fixed addition sequence per dx element —
+    // cut into L1-sized output-channel chunks.
+    const int64_t ok_chunk =
+        l1ChannelChunk((r_ext + stride - 1) / stride - 1 +
+                       kernels::convStripRows((in_w + stride - 1) / stride));
+    bd.chunks = (k + ok_chunk - 1) / ok_chunk;
+    bd.runs.reserve(pack.taps.size());
+    for (int64_t ic = 0; ic < c; ++ic) {
+        for (int64_t ph = 0; ph < stride * stride; ++ph) {
+            for (int64_t ok0 = 0; ok0 < k; ok0 += ok_chunk) {
+                bd.bound.push_back(static_cast<int64_t>(bd.runs.size()));
+                for (int64_t ok = ok0; ok < std::min(k, ok0 + ok_chunk);
+                     ++ok) {
+                    const int64_t b = ok * c + ic;
+                    for (int64_t t = block_off[b]; t < block_off[b + 1];
+                         ++t) {
+                        const size_t e = static_cast<size_t>(taps[t]);
+                        if (bd_phase[e] == ph)
+                            bd.runs.push_back(
+                                {static_cast<int32_t>(ok * bd.dyPlane +
+                                                      bd_off[e]),
+                                 static_cast<int32_t>(t)});
+                    }
+                }
+            }
+        }
+    }
+    bd.bound.push_back(static_cast<int64_t>(bd.runs.size()));
+
+    // Backward-weight: per output channel, the live taps bucketed by
+    // window class across input channels, in groups of up to 8.
+    struct TapRef
+    {
+        int32_t xoff, slot;
+    };
+    std::vector<std::vector<TapRef>> bucket(static_cast<size_t>(rs));
+    bw.xoff.reserve(pack.taps.size());
+    bw.slot.reserve(pack.taps.size());
+    for (int64_t ok = 0; ok < k; ++ok) {
+        bw.groupOff.push_back(static_cast<int64_t>(bw.groups.size()));
+        for (int64_t b = ok * c; b < (ok + 1) * c; ++b) {
+            for (int64_t t = block_off[b]; t < block_off[b + 1]; ++t) {
+                const size_t e = static_cast<size_t>(taps[t]);
+                bucket[static_cast<size_t>(bw_cls[e])].push_back(
+                    {static_cast<int32_t>((b - ok * c) * bw.plane +
+                                          bw_off[e]),
+                     static_cast<int32_t>(b * rs + taps[t])});
+            }
+        }
+        for (int64_t cl = 0; cl < rs; ++cl) {
+            std::vector<TapRef> &bk = bucket[static_cast<size_t>(cl)];
+            const int64_t first = static_cast<int64_t>(bw.xoff.size());
+            for (const TapRef &tr : bk) {
+                bw.xoff.push_back(tr.xoff);
+                bw.slot.push_back(tr.slot);
+            }
+            bk.clear();
+            const ConvWindow &wd = pack.win[static_cast<size_t>(cl)];
+            const int64_t end = static_cast<int64_t>(bw.xoff.size());
+            for (int64_t g = first; g < end && !wd.empty(); g += 8)
+                bw.groups.push_back({(ok * p_ext + wd.pLo) * q_ext + wd.qLo,
+                                     wd.pHi - wd.pLo, wd.qHi - wd.qLo, g,
+                                     std::min<int64_t>(8, end - g)});
+        }
+    }
+    bw.groupOff.push_back(static_cast<int64_t>(bw.groups.size()));
+    return pack;
+}
 
 Tensor
 sparseConvForward(const Tensor &x, const CsbTensor &w, int64_t stride,
-                  int64_t pad, int64_t *macs,
-                  const kernels::ConvTapPack *pack)
+                  int64_t pad, int64_t *macs, const ConvTapPack *pack)
 {
     PROCRUSTES_ASSERT(w.kind() == CsbTensor::Kind::ConvFilters,
                       "weights must be CSB conv filters");
@@ -197,78 +438,13 @@ sparseConvForward(const Tensor &x, const CsbTensor &w, int64_t stride,
     const float *px = x.data();
     float *py = y.data();
 
-    kernels::ConvTapPack local_pack;
+    ConvTapPack local_pack;
     pack = resolvePack(pack, w, h, width, stride, pad, &local_pack);
-    const kernels::ConvTap *all_taps = pack->taps.data();
+    const ConvTapPack::Forward &fw = pack->fw;
+    const int64_t nchunks = fw.chunks;
     const float *wvals = w.valuesData();
-    const PlaneLayout lay(xs, stride, pad);
+    const PlaneLayout lay(h, width, stride, pad);
     const int64_t plane_sz = lay.planeSize;
-
-    // The tap runs, built once per call. Per output channel the
-    // input-channel sweep is flattened into one homogeneous tap stream
-    // (channel plane, kernel row, and phase slot folded into xoff, an
-    // offset into one sample's prepared planes; weight value copied
-    // in), split into L1-sized input-channel chunks so the
-    // output-stationary kernel re-reads hot x rows from cache. Zero
-    // blocks and zero weights are skipped exactly as the PEs skip them
-    // — the pack holds mask-live taps only. Output channel ok's run
-    // starts at its first pack tap (fully clipped taps leave the
-    // slot's tail unused); chunk g spans runs[cb[g], cb[g + 1]), cb =
-    // bound + ok * (nchunks + 1). The executed-MAC tally is per-tap
-    // arithmetic (clipped extents x batch), not an inner-loop counter,
-    // so it costs nothing — padding adds exact zeros the PEs would
-    // skip, and the tally does not count them.
-    const int64_t ic_chunk = l1ChannelChunk(
-        r_ext + stride * (kernels::convStripRows(q_ext) - 1));
-    const int64_t nchunks = (c + ic_chunk - 1) / ic_chunk;
-    std::vector<kernels::ConvRunTap> runs(pack->taps.size());
-    std::vector<int64_t> bound(static_cast<size_t>(k * (nchunks + 1)));
-    // Kernel element e reads its sample plane at elem_off[e] and fires
-    // on elem_macs[e] output positions, 0 when its clip window is empty.
-    const int64_t rs = r_ext * s_ext;
-    std::vector<int64_t> elem_off(static_cast<size_t>(rs));
-    std::vector<int64_t> elem_macs(static_cast<size_t>(rs));
-    for (int64_t e = 0; e < rs; ++e) {
-        const kernels::ConvWindow &wd = pack->win[e];
-        elem_off[static_cast<size_t>(e)] =
-            lay.tapOffset(e / s_ext, e % s_ext);
-        elem_macs[static_cast<size_t>(e)] =
-            (wd.pHi - wd.pLo) * (wd.qHi - wd.qLo);
-    }
-    std::atomic<int64_t> mac_total{0};
-    ThreadPool::global().parallelFor(0, k, [&](int64_t ok0, int64_t ok1) {
-        int64_t local_macs = 0;
-        for (int64_t ok = ok0; ok < ok1; ++ok) {
-            int64_t *cb = bound.data() + ok * (nchunks + 1);
-            int64_t fill = pack->blockOff[static_cast<size_t>(ok * c)];
-            for (int64_t ic0 = 0; ic0 < c; ic0 += ic_chunk) {
-                *cb++ = fill;
-                const int64_t b_end = ok * c + std::min(c, ic0 + ic_chunk);
-                for (int64_t b = ok * c + ic0; b < b_end; ++b) {
-                    const int64_t t0 =
-                        pack->blockOff[static_cast<size_t>(b)];
-                    const int64_t ntaps =
-                        pack->blockOff[static_cast<size_t>(b) + 1] - t0;
-                    if (ntaps == 0)
-                        continue;
-                    const int64_t plane = (b - ok * c) * plane_sz;
-                    const float *bvals = wvals + w.blockValueOffset(b);
-                    for (int64_t t = 0; t < ntaps; ++t) {
-                        const size_t e =
-                            static_cast<size_t>(all_taps[t0 + t].elem);
-                        if (elem_macs[e] == 0)
-                            continue;   // fully clipped: adds nothing
-                        local_macs += elem_macs[e];
-                        runs[static_cast<size_t>(fill++)] = {
-                            plane + elem_off[e], bvals[t]};
-                    }
-                }
-            }
-            *cb = fill;
-        }
-        mac_total.fetch_add(local_macs * n, std::memory_order_relaxed);
-    }, std::max<int64_t>(1, kGrainTaps * k /
-                                std::max<int64_t>(1, pack->taps.size())));
 
     // Partitioned over (sample, output-channel block) tiles,
     // sample-major, as the PEs of the K,N mapping each own their
@@ -284,7 +460,7 @@ sparseConvForward(const Tensor &x, const CsbTensor &w, int64_t stride,
     const int64_t ok_per_block =
         std::max<int64_t>(1, (k + max_blocks - 1) / max_blocks);
     const int64_t ok_blocks = (k + ok_per_block - 1) / ok_per_block;
-    const int64_t total_macs = mac_total.load(std::memory_order_relaxed);
+    const int64_t total_macs = fw.macsPerSample * n;
     const int64_t tile_grain = std::max<int64_t>(
         1, kGrainMacs * n * ok_blocks / std::max<int64_t>(1, total_macs));
 
@@ -331,7 +507,7 @@ sparseConvForward(const Tensor &x, const CsbTensor &w, int64_t stride,
             for (int64_t ok = ok0; ok < ok1; ++ok) {
                 float *yplane = py + (in * k + ok) * p_ext * q_ext;
                 std::fill(yplane, yplane + p_ext * q_ext, 0.0f);
-                const int64_t *cb = bound.data() + ok * (nchunks + 1);
+                const int64_t *cb = fw.bound.data() + ok * nchunks;
                 if (cb[0] == cb[nchunks])
                     continue;   // no live taps: the plane stays zero
                 if (!shared && in != prepared) {
@@ -344,8 +520,9 @@ sparseConvForward(const Tensor &x, const CsbTensor &w, int64_t stride,
                     if (cb[g + 1] == cb[g])
                         continue;
                     kernels::sparseConvFwdPlaneRun(
-                        runs.data() + cb[g], cb[g + 1] - cb[g], xs_in,
-                        yplane, stride * lay.rowStride, p_ext, q_ext);
+                        fw.runs.data() + cb[g], cb[g + 1] - cb[g], wvals,
+                        xs_in, yplane, stride * lay.rowStride, p_ext,
+                        q_ext);
                 }
             }
         }
@@ -358,8 +535,7 @@ sparseConvForward(const Tensor &x, const CsbTensor &w, int64_t stride,
 Tensor
 sparseConvBackwardData(const Tensor &dy, const CsbTensor &w,
                        const Shape &x_shape, int64_t stride,
-                       int64_t pad, int64_t *macs,
-                       const kernels::ConvTapPack *pack)
+                       int64_t pad, int64_t *macs, const ConvTapPack *pack)
 {
     PROCRUSTES_ASSERT(w.kind() == CsbTensor::Kind::ConvFilters,
                       "weights must be CSB conv filters");
@@ -382,162 +558,34 @@ sparseConvBackwardData(const Tensor &dy, const CsbTensor &w,
     const float *pdy = dy.data();
     float *pdx = dx.data();
 
-    kernels::ConvTapPack local_pack;
+    ConvTapPack local_pack;
     pack = resolvePack(pack, w, h, width, stride, pad, &local_pack);
-    const kernels::ConvTap *all_taps = pack->taps.data();
+    const ConvTapPack::BackwardData &bd = pack->bd;
+    const int32_t *taps = pack->taps.data();
+    const int64_t *block_off = pack->blockOff.data();
     const float *wvals = w.valuesData();
 
-    // The backward pass consumes the same packed blocks through the
-    // 180-degree-rotated view (Figure 2b), in gather form: dx splits
-    // into stride^2 phase planes (rows ≡ a, columns ≡ b mod stride),
-    // and the taps that land on a phase form a unit-stride
-    // correlation of dy — the forward pass's shape, run by the same
-    // output-stationary strip kernel over a zero-padded copy of dy.
-    // The padding is the exact halo those correlations read.
-    int64_t lo_h, hi_h, lo_w, hi_w;
-    phaseHalo(h, p_ext, r_ext, stride, pad, &lo_h, &hi_h);
-    phaseHalo(width, q_ext, s_ext, stride, pad, &lo_w, &hi_w);
-    const int64_t dyrow = lo_w + q_ext + hi_w;
-    const int64_t dyplane_sz = (lo_h + p_ext + hi_h) * dyrow;
-
-    // Executed MACs: a live tap fires on the non-zero dy inside its
-    // padding-clipped output window. Zeros are multiplied (an exact
-    // identity, see the microkernel notes) but, as a PE would skip
-    // them, not counted. The count of one (output channel, element)
-    // window, summed over the batch, does not depend on the input
-    // channel, so each output channel gets one plane of per-pixel
-    // non-zero counts over the batch, each kernel element one window
-    // sum over it, and a live tap then costs one lookup.
+    // Executed MACs: the non-zero dy of each (output channel, kernel
+    // element) window, summed over the batch, once per output channel;
+    // a live tap then costs one lookup.
     const int64_t rs = r_ext * s_ext;
     const int64_t plane = p_ext * q_ext;
     std::atomic<int64_t> mac_total{0};
     ThreadPool::global().parallelFor(0, k, [&](int64_t ok0, int64_t ok1) {
         int64_t local_macs = 0;
-        std::vector<int32_t> nz_plane(static_cast<size_t>(plane));
+        std::vector<int32_t> nz(static_cast<size_t>(plane));
         std::vector<int64_t> win_nz(static_cast<size_t>(rs));
-        int32_t *nz = nz_plane.data();
         for (int64_t ok = ok0; ok < ok1; ++ok) {
-            std::fill(nz, nz + plane, 0);
-            for (int64_t in = 0; in < n; ++in) {
-                const float *src = pdy + (in * k + ok) * plane;
-                forEachBlocked8(plane,
-                                [&](int64_t i) { nz[i] += src[i] != 0.0f; });
-            }
-            for (int64_t e = 0; e < rs; ++e) {
-                const kernels::ConvWindow &wd = pack->win[e];
-                int64_t total = 0;
-                for (int64_t p = wd.pLo; p < wd.pHi; ++p)
-                    for (int64_t q = wd.qLo; q < wd.qHi; ++q)
-                        total += nz[p * q_ext + q];
-                win_nz[static_cast<size_t>(e)] = total;
-            }
-            const int64_t t_end =
-                pack->blockOff[static_cast<size_t>((ok + 1) * c)];
-            for (int64_t t = pack->blockOff[static_cast<size_t>(ok * c)];
-                 t < t_end; ++t)
-                local_macs += win_nz[static_cast<size_t>(all_taps[t].elem)];
+            windowNonZeros(pdy + ok * plane, n, k * plane, plane, pack->win,
+                           q_ext, 1, [](int64_t) { return int64_t{0}; },
+                           nz.data(), win_nz.data());
+            for (int64_t t = block_off[ok * c]; t < block_off[(ok + 1) * c];
+                 ++t)
+                local_macs += win_nz[static_cast<size_t>(taps[t])];
         }
         mac_total.fetch_add(local_macs, std::memory_order_relaxed);
     }, std::max<int64_t>(
            1, kPrepareGrainFloats / std::max<int64_t>(1, n * plane)));
-
-    // Per ic and phase, the live taps of every output channel that
-    // land there are flattened into one run, ordered by output
-    // channel, then pack order: one fixed addition sequence per dx
-    // element (taps outside a dx element's window read padding and
-    // add an exact zero), so the result is deterministic for any
-    // thread count and SIMD level. Each run is cut into L1-sized
-    // output-channel chunks. All runs share one array, each ic in a
-    // slot sized by its pack taps (clipped taps leave the slot's tail
-    // unused; one array, not a vector per ic, keeps the worker heaps
-    // from holding on to freed pieces, which measurably raised peak
-    // RSS). Chunk g of phase ph spans runs[cb[g], cb[g + 1]), cb =
-    // bound + ic * ic_bounds + ph * nchunks. Tap offsets address one
-    // sample's padded dy planes.
-    const int64_t ph_rows = (h + stride - 1) / stride;
-    const int64_t ph_cols = (width + stride - 1) / stride;
-    const int64_t ok_chunk =
-        l1ChannelChunk((r_ext + stride - 1) / stride - 1 +
-                       kernels::convStripRows(ph_cols));
-    const int64_t nchunks = (k + ok_chunk - 1) / ok_chunk;
-    const int64_t nph = stride * stride;
-    const int64_t ic_bounds = nph * nchunks + 1;
-    // Kernel element (r, s) lands on phase a ≡ r - pad, b ≡ s - pad
-    // (mod stride), -1 when that phase or the element's clip window is
-    // empty (it contributes nothing), and reads dy at a fixed offset
-    // from there.
-    std::vector<int64_t> elem_phase(static_cast<size_t>(r_ext * s_ext));
-    std::vector<int64_t> elem_off(static_cast<size_t>(r_ext * s_ext));
-    for (int64_t r = 0; r < r_ext; ++r) {
-        const int64_t a = ((r - pad) % stride + stride) % stride;
-        for (int64_t s = 0; s < s_ext; ++s) {
-            const int64_t b = ((s - pad) % stride + stride) % stride;
-            const size_t e = static_cast<size_t>(r * s_ext + s);
-            elem_phase[e] = a < h && b < width && !pack->win[e].empty()
-                                ? a * stride + b
-                                : -1;
-            elem_off[e] = ((a + pad) / stride + lo_h - r / stride) * dyrow +
-                          (b + pad) / stride + lo_w - s / stride;
-        }
-    }
-    // ic's taps fill runs[ic_base[ic], ic_base[ic + 1]) at most.
-    std::vector<int64_t> ic_base(static_cast<size_t>(c) + 1, 0);
-    for (int64_t ok = 0; ok < k; ++ok)
-        for (int64_t ic = 0; ic < c; ++ic) {
-            const size_t blk = static_cast<size_t>(ok * c + ic);
-            ic_base[static_cast<size_t>(ic) + 1] +=
-                pack->blockOff[blk + 1] - pack->blockOff[blk];
-        }
-    for (size_t ic = 0; ic < static_cast<size_t>(c); ++ic)
-        ic_base[ic + 1] += ic_base[ic];
-    std::vector<kernels::ConvRunTap> runs(
-        static_cast<size_t>(ic_base[static_cast<size_t>(c)]));
-    std::vector<int64_t> bound(static_cast<size_t>(c * ic_bounds));
-    ThreadPool::global().parallelFor(0, c, [&](int64_t ic0, int64_t ic1) {
-        // One pass per ic buckets its taps by phase; the buckets are
-        // then copied into ic's slot in phase order.
-        std::vector<std::vector<kernels::ConvRunTap>> bucket(
-            static_cast<size_t>(nph));
-        for (int64_t ic = ic0; ic < ic1; ++ic) {
-            int64_t *icb = bound.data() + ic * ic_bounds;
-            for (auto &bk : bucket)
-                bk.clear();
-            for (int64_t g = 0; g < nchunks; ++g) {
-                for (int64_t ph = 0; ph < nph; ++ph)
-                    icb[ph * nchunks + g] = static_cast<int64_t>(
-                        bucket[static_cast<size_t>(ph)].size());
-                const int64_t ok_end = std::min(k, (g + 1) * ok_chunk);
-                for (int64_t ok = g * ok_chunk; ok < ok_end; ++ok) {
-                    const int64_t blk = ok * c + ic;
-                    const int64_t t0 =
-                        pack->blockOff[static_cast<size_t>(blk)];
-                    const int64_t ntaps =
-                        pack->blockOff[static_cast<size_t>(blk) + 1] - t0;
-                    const kernels::ConvTap *taps = all_taps + t0;
-                    const float *bvals = wvals + w.blockValueOffset(blk);
-                    for (int64_t t = 0; t < ntaps; ++t) {
-                        const size_t e = static_cast<size_t>(taps[t].elem);
-                        if (elem_phase[e] < 0)
-                            continue;   // contributes nothing
-                        kernels::ConvRunTap rt;
-                        rt.xoff = ok * dyplane_sz + elem_off[e];
-                        rt.w = bvals[t];
-                        bucket[static_cast<size_t>(elem_phase[e])]
-                            .push_back(rt);
-                    }
-                }
-            }
-            int64_t fill = ic_base[static_cast<size_t>(ic)];
-            for (int64_t ph = 0; ph < nph; ++ph) {
-                const auto &bk = bucket[static_cast<size_t>(ph)];
-                for (int64_t g = 0; g < nchunks; ++g)
-                    icb[ph * nchunks + g] += fill;
-                std::copy(bk.begin(), bk.end(), runs.begin() + fill);
-                fill += static_cast<int64_t>(bk.size());
-            }
-            icb[nph * nchunks] = fill;
-        }
-    });
 
     // Partitioned over (sample, input channel) pairs, sample-major:
     // each task owns its dx[in, ic] planes, so no locks are needed,
@@ -548,7 +596,14 @@ sparseConvBackwardData(const Tensor &dy, const CsbTensor &w,
     // its task before it accumulates; otherwise each phase accumulates
     // in a zeroed private buffer and is interleaved into dx (a phase no
     // tap lands on interleaves its zeros). Every dx element is written
-    // by its own task, so dx starts uninitialized.
+    // by its own task, so dx starts uninitialized. Per dx element the
+    // pack's run fixes one addition order, so the result is
+    // deterministic for any thread count and SIMD level.
+    const int64_t lo_h = bd.loH, lo_w = bd.loW;
+    const int64_t dyrow = bd.dyRow, dyplane_sz = bd.dyPlane;
+    const int64_t nchunks = bd.chunks;
+    const int64_t ph_rows = (h + stride - 1) / stride;
+    const int64_t ph_cols = (width + stride - 1) / stride;
     ThreadPool::global().parallelFor(0, n * c, [&](int64_t i0, int64_t i1) {
         std::unique_ptr<float[]> dyb(
             new float[static_cast<size_t>(k * dyplane_sz + 8)]);
@@ -578,22 +633,22 @@ sparseConvBackwardData(const Tensor &dy, const CsbTensor &w,
                 }
                 padded = in;
             }
-            const kernels::ConvRunTap *run = runs.data();
             float *dxplane = pdx + i * h * width;
             for (int64_t a = 0; a < stride && a < h; ++a) {
                 const int64_t rows = (h - a + stride - 1) / stride;
                 for (int64_t b = 0; b < stride && b < width; ++b) {
                     const int64_t cols = (width - b + stride - 1) / stride;
-                    const int64_t *cb = bound.data() + ic * ic_bounds +
-                                        (a * stride + b) * nchunks;
+                    const int64_t *cb =
+                        bd.bound.data() +
+                        (ic * stride * stride + a * stride + b) * nchunks;
                     float *dst = stride > 1 ? phase.data() : dxplane;
                     std::fill(dst, dst + rows * cols, 0.0f);
                     for (int64_t g = 0; g < nchunks; ++g) {
                         if (cb[g + 1] == cb[g])
                             continue;
                         kernels::sparseConvBwdDataPlaneRun(
-                            run + cb[g], cb[g + 1] - cb[g], dys, dst, dyrow,
-                            rows, cols);
+                            bd.runs.data() + cb[g], cb[g + 1] - cb[g], wvals,
+                            dys, dst, dyrow, rows, cols);
                     }
                     if (stride == 1)
                         continue;
@@ -616,7 +671,7 @@ void
 sparseConvBackwardWeights(const Tensor &x, const Tensor &dy,
                           const CsbTensor &w, int64_t stride,
                           int64_t pad, Tensor *dw, int64_t *macs,
-                          const kernels::ConvTapPack *pack)
+                          const ConvTapPack *pack)
 {
     PROCRUSTES_ASSERT(w.kind() == CsbTensor::Kind::ConvFilters,
                       "weights must be CSB conv filters");
@@ -642,115 +697,55 @@ sparseConvBackwardWeights(const Tensor &x, const Tensor &dy,
     const float *pdy = dy.data();
     float *pdw = dw->data();
 
-    kernels::ConvTapPack local_pack;
+    ConvTapPack local_pack;
     pack = resolvePack(pack, w, h, width, stride, pad, &local_pack);
-    const kernels::ConvTap *all_taps = pack->taps.data();
+    const ConvTapPack::BackwardWeight &bw = pack->bw;
+    const int32_t *taps = pack->taps.data();
     const int64_t *block_off = pack->blockOff.data();
 
-    // At stride > 1 the taps read a copy of x prepared as in the forward
-    // (see PlaneLayout), so every read is a plain unit-stride load. At
-    // stride 1 they read x itself: every clip window lies inside the
-    // plane and the kernel masks its tail loads, so no halo or slack is
-    // needed.
-    const PlaneLayout lay(xs, stride, pad);
+    // The pack's taps read x itself at stride 1 and, at stride > 1, a
+    // copy prepared as in the forward (see PlaneLayout).
+    const PlaneLayout lay(h, width, stride, pad);
     const bool raw = stride == 1;
     std::unique_ptr<float[]> prepared(
-        raw ? nullptr
-            : new float[static_cast<size_t>(n * c * lay.planeSize)]);
+        raw ? nullptr : new float[static_cast<size_t>(n * c * bw.plane)]);
     const float *xbase = raw ? px : prepared.get();
-    const int64_t plane_sz = raw ? h * width : lay.planeSize;
-    const int64_t xrs = raw ? width : stride * lay.rowStride;
-
-    // Elements with equal clip windows (pack->win) read equal dy
-    // streaks; cls names the first element with e's window.
-    struct ElemClass
-    {
-        int64_t cls;
-        int64_t xoff;   //!< plane offset of the window's first x read
-    };
-    const int64_t rs = r_ext * s_ext;
-    const kernels::ConvWindow *win = pack->win.data();
-    std::vector<ElemClass> eclass(static_cast<size_t>(rs));
-    for (int64_t e = 0; e < rs; ++e) {
-        const kernels::ConvWindow &wd = win[e];
-        ElemClass &ec = eclass[static_cast<size_t>(e)];
-        const int64_t r = e / s_ext, s = e % s_ext;
-        ec.xoff = (raw ? (r - pad) * width + s - pad : lay.tapOffset(r, s)) +
-                  wd.pLo * xrs + wd.qLo;
-        ec.cls = e;
-        for (int64_t f = 0; f < e; ++f) {
-            const kernels::ConvWindow &o = win[f];
-            if (o.pLo == wd.pLo && o.pHi == wd.pHi && o.qLo == wd.qLo &&
-                o.qHi == wd.qHi) {
-                ec.cls = f;
-                break;
-            }
-        }
-    }
 
     // One pass over x, partitioned over input channels, prepares the
-    // planes and counts the executed MACs: a live tap fires on the
-    // non-zero x inside its clip window. Zeros are multiplied (an exact
-    // identity, see the microkernel notes) but, as a PE would skip
-    // them, not counted. The count of one (input channel, element)
-    // window, summed over the batch, does not depend on the output
-    // channel, so each is taken once per call from the channel's plane
-    // of per-pixel non-zero counts; a live tap then costs one table
-    // read.
+    // planes and takes the executed-MAC counts: the non-zero x of each
+    // (input channel, kernel element) window, summed over the batch,
+    // once per call; a live tap then costs one table read.
+    const int64_t rs = r_ext * s_ext;
     std::vector<int64_t> nz_count(static_cast<size_t>(c * rs));
     const int64_t ic_grain = std::max<int64_t>(
         1, kPrepareGrainFloats / std::max<int64_t>(1, n * h * width));
     ThreadPool::global().parallelFor(0, c, [&](int64_t ic0, int64_t ic1) {
-        std::vector<int32_t> nz_plane(static_cast<size_t>(h * width));
-        int32_t *nz = nz_plane.data();
+        std::vector<int32_t> nz(static_cast<size_t>(h * width));
         for (int64_t ic = ic0; ic < ic1; ++ic) {
-            std::fill(nz, nz + h * width, 0);
-            for (int64_t in = 0; in < n; ++in) {
-                const float *src = px + (in * c + ic) * h * width;
-                if (!raw)
-                    lay.fillPlane(prepared.get() + (in * c + ic) * plane_sz,
-                                  src);
-                forEachBlocked8(h * width,
-                                [&](int64_t i) { nz[i] += src[i] != 0.0f; });
-            }
-            for (int64_t e = 0; e < rs; ++e) {
-                const kernels::ConvWindow &wd = win[e];
-                int64_t total = 0;
-                for (int64_t p = wd.pLo; p < wd.pHi; ++p) {
-                    const int64_t row =
-                        (p * stride + e / s_ext - pad) * width + e % s_ext -
-                        pad;
-                    for (int64_t q = wd.qLo; q < wd.qHi; ++q)
-                        total += nz[row + q * stride];
-                }
-                nz_count[static_cast<size_t>(ic * rs + e)] = total;
-            }
+            for (int64_t in = 0; in < n && !raw; ++in)
+                lay.fillPlane(prepared.get() + (in * c + ic) * bw.plane,
+                              px + (in * c + ic) * h * width);
+            windowNonZeros(
+                px + ic * h * width, n, c * h * width, h * width, pack->win,
+                stride * width, stride,
+                [&](int64_t e) {
+                    return (e / s_ext - pad) * width + e % s_ext - pad;
+                },
+                nz.data(), nz_count.data() + ic * rs);
         }
     }, ic_grain);
 
     // Partitioned over output channels: each task owns the dW[ok, :, :,
-    // :] slices of its range. Per output channel the live taps are
-    // bucketed by window class across input channels and cut into
-    // groups of up to 8; a group loads each dy vector once for all its
-    // taps. Every tap accumulates into its own 8 lanes, so its addition
-    // sequence — samples, then p, then q — does not depend on the
-    // grouping, the partition or the SIMD level. Samples run outermost,
-    // so one sample's prepared x stays hot across the task's output
+    // :] slices of its range and streams the pack's groups of those
+    // channels. Every tap accumulates into its own 8 lanes, so its
+    // addition sequence — samples, then p, then q — does not depend on
+    // the grouping, the partition or the SIMD level. Samples run
+    // outermost, so one sample's x stays hot across the task's output
     // channels; the lanes wait in a per-task array between samples.
     // Pruned taps are never touched, so their dW entries stay exactly
     // as given; a live tap with an empty window adds the sum of zero
     // lanes, +0, like every other tap. A task gets at least kGrainMacs
     // of work, counting zeros, so a small fc head runs inline.
-    struct TapRef
-    {
-        int64_t xoff;   //!< x offset within one sample's planes
-        int64_t slot;   //!< dW index
-    };
-    struct Group
-    {
-        int64_t dyoff, rows, cols;
-        int64_t first, count;   //!< taps [first, first + count)
-    };
     const int64_t dense_macs =
         static_cast<int64_t>(pack->taps.size()) * n * p_ext * q_ext;
     const int64_t ok_grain =
@@ -758,54 +753,30 @@ sparseConvBackwardWeights(const Tensor &x, const Tensor &dy,
     std::atomic<int64_t> mac_total{0};
     ThreadPool::global().parallelFor(0, k, [&](int64_t ok0, int64_t ok1) {
         int64_t local_macs = 0;
-        std::vector<std::vector<TapRef>> bucket(static_cast<size_t>(rs));
-        const size_t task_taps =
-            static_cast<size_t>(block_off[ok1 * c] - block_off[ok0 * c]);
-        std::vector<int64_t> xoff, slot;   // the task's taps, group order
-        xoff.reserve(task_taps);
-        slot.reserve(task_taps);
-        std::vector<Group> groups;
-        for (int64_t ok = ok0; ok < ok1; ++ok) {
-            for (auto &bk : bucket)
-                bk.clear();
-            for (int64_t ic = 0; ic < c; ++ic) {
-                const int64_t b = ok * c + ic;
-                const int64_t t_end = block_off[b + 1];
-                for (int64_t t = block_off[b]; t < t_end; ++t) {
-                    const int64_t e = all_taps[t].elem;
-                    const ElemClass &ec = eclass[static_cast<size_t>(e)];
-                    local_macs += nz_count[static_cast<size_t>(ic * rs + e)];
-                    bucket[static_cast<size_t>(ec.cls)].push_back(
-                        {ic * plane_sz + ec.xoff, b * rs + e});
-                }
-            }
-            for (int64_t cl = 0; cl < rs; ++cl) {
-                const int64_t first = static_cast<int64_t>(xoff.size());
-                for (const TapRef &tr : bucket[static_cast<size_t>(cl)]) {
-                    xoff.push_back(tr.xoff);
-                    slot.push_back(tr.slot);
-                }
-                const kernels::ConvWindow &wd = win[cl];
-                if (wd.empty())
-                    continue;   // empty window: the lanes stay zero
-                const int64_t end = static_cast<int64_t>(xoff.size());
-                for (int64_t g = first; g < end; g += 8)
-                    groups.push_back({(ok * p_ext + wd.pLo) * q_ext + wd.qLo,
-                                      wd.pHi - wd.pLo, wd.qHi - wd.qLo, g,
-                                      std::min<int64_t>(8, end - g)});
-            }
+        for (int64_t b = ok0 * c; b < ok1 * c; ++b) {
+            const int64_t *row = nz_count.data() + (b % c) * rs;
+            for (int64_t t = block_off[b]; t < block_off[b + 1]; ++t)
+                local_macs += row[taps[t]];
         }
-        std::vector<float> lanes(8 * xoff.size(), 0.0f);
+        const int64_t t0 = block_off[ok0 * c];
+        const int64_t t1 = block_off[ok1 * c];
+        std::vector<float> lanes(static_cast<size_t>(8 * (t1 - t0)), 0.0f);
+        const ConvTapPack::BackwardWeight::Group *g0 =
+            bw.groups.data() + bw.groupOff[static_cast<size_t>(ok0)];
+        const ConvTapPack::BackwardWeight::Group *g1 =
+            bw.groups.data() + bw.groupOff[static_cast<size_t>(ok1)];
         for (int64_t in = 0; in < n; ++in) {
-            const float *xn = xbase + in * c * plane_sz;
+            const float *xn = xbase + in * c * bw.plane;
             const float *dyn = pdy + in * k * p_ext * q_ext;
-            for (const Group &g : groups)
+            for (const auto *g = g0; g != g1; ++g)
                 kernels::sparseConvBwdWeightGroup(
-                    xoff.data() + g.first, g.count, xn, xrs, dyn + g.dyoff,
-                    q_ext, g.rows, g.cols, lanes.data() + 8 * g.first);
+                    bw.xoff.data() + g->first, g->count, xn, bw.rowStride,
+                    dyn + g->dyoff, q_ext, g->rows, g->cols,
+                    lanes.data() + 8 * (g->first - t0));
         }
-        for (size_t t = 0; t < slot.size(); ++t)
-            pdw[slot[t]] += kernels::sumLanes8(lanes.data() + 8 * t);
+        for (int64_t t = t0; t < t1; ++t)
+            pdw[bw.slot[static_cast<size_t>(t)]] +=
+                kernels::sumLanes8(lanes.data() + 8 * (t - t0));
         mac_total.fetch_add(local_macs, std::memory_order_relaxed);
     }, ok_grain);
     if (macs)

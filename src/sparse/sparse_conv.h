@@ -22,31 +22,35 @@
  * (sample, input channel) pairs in backward-data, over output channels
  * in backward-weight — so every thread accumulates into a private
  * slice of the output in a fixed order (deterministic for any thread
- * count), and each kernel element's output window is pre-clipped
- * against the padding halo once per tap pack so the MAC loops run
- * branch-free. The forward (from batch 16 up) and backward-data tasks
- * each own whole samples of their input side, as the PEs of the
- * paper's K,N and C,N mappings do: a task pads only its own samples'
- * planes.
+ * count). The forward (from batch 16 up) and backward-data tasks each
+ * own whole samples of their input side, as the PEs of the paper's K,N
+ * and C,N mappings do: a task pads only its own samples' planes.
+ *
+ * Where the taps go is decided in one place, the ConvTapPack, built
+ * once per (mask, geometry) on the calling thread: each kernel
+ * element's padding-clip window, the forward's L1-chunked runs, the
+ * backward-data phase runs and the backward-weight window groups. As
+ * the PEs fetch one CSB image in each phase's order without
+ * re-encoding it, each executor only prepares its input and streams
+ * its own section of the pack. The pack names every weight by its
+ * index into CsbTensor::valuesData() and holds no batch size, so one
+ * pack serves every batch and every encode with the same mask; the
+ * layers keep one across optimizer steps while the mask holds.
  *
  * Each executor's `macs` out-param is the one executed-MAC count of its
  * phase, tallied while it runs; the layers' step reports and the
  * benches read it, and the tests check it against a brute force.
  *
  * The inner loops are the SIMD microkernels of
- * kernels/sparse_microkernels.h: each executor streams a pre-packed
- * gather-free tap list (geometry only — values are read from the
- * CsbTensor per call) and dispatches per plane/block to AVX2 or the
- * scalar reference, which are bitwise identical by construction. A
- * caller that owns a ConvTapPack for the current mask + geometry can
- * pass it in to skip the per-call pack step (the layers cache one
- * across optimizer steps while the mask epoch is unchanged).
+ * kernels/sparse_microkernels.h, dispatched per plane/group to AVX2 or
+ * the scalar reference, which are bitwise identical by construction.
  */
 
 #ifndef PROCRUSTES_SPARSE_SPARSE_CONV_H_
 #define PROCRUSTES_SPARSE_SPARSE_CONV_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "kernels/sparse_microkernels.h"
 #include "sparse/csb.h"
@@ -56,11 +60,120 @@ namespace procrustes {
 namespace sparse {
 
 /**
+ * The padding-clipped output window of one kernel element: the output
+ * positions (p, q) whose input projection (p * stride + r - pad,
+ * q * stride + s - pad) is in bounds. It depends only on (r, s) and the
+ * geometry, so every block and every phase shares it.
+ */
+struct ConvWindow
+{
+    int64_t pLo, pHi;   //!< valid output rows [pLo, pHi)
+    int64_t qLo, qHi;   //!< valid output cols [qLo, qHi)
+
+    bool empty() const { return pHi == pLo || qHi == qLo; }
+};
+
+/**
+ * The tap layout of one CSB conv-filter tensor at one input geometry,
+ * for all three phases. Taps are in CSB mask order, which is the packed
+ * value order, so live tap i pairs with value i of
+ * CsbTensor::valuesData(); every run tap names its weight by that
+ * index. Nothing here depends on the batch size or on a weight value,
+ * so a pack stays valid for every batch and every encode with the same
+ * mask at this geometry.
+ */
+struct ConvTapPack
+{
+    std::vector<int32_t> taps;      //!< kernel element r * S + s of each
+                                    //!< live tap; block-major, mask order
+    std::vector<int64_t> blockOff;  //!< per-block tap offsets, nb + 1
+    std::vector<ConvWindow> win;    //!< per kernel element r * S + s
+    int64_t inH = 0, inW = 0;       //!< input geometry the pack clips to
+    int64_t stride = 0, pad = 0;
+    int64_t pExt = 0, qExt = 0;     //!< derived output extents
+
+    /**
+     * Forward: per output channel, the taps with a non-empty window,
+     * in pack order, cut into L1-sized input-channel chunks. Chunk g of
+     * output channel ok spans runs[bound[ok * chunks + g], bound[ok *
+     * chunks + g + 1]). A run tap's xoff addresses one sample's
+     * prepared input planes (PlaneLayout in sparse_conv.cc).
+     */
+    struct Forward
+    {
+        std::vector<kernels::ConvRunTap> runs;
+        std::vector<int64_t> bound;   //!< k * chunks + 1
+        int64_t chunks = 0;
+        int64_t macsPerSample = 0;    //!< sum of the runs' window areas
+    } fw;
+
+    /**
+     * Backward-data: per input channel and dx stride phase, the taps of
+     * every output channel that land on that phase, ordered by output
+     * channel, then pack order, cut into L1-sized output-channel
+     * chunks. Chunk g of phase ph of input channel ic spans
+     * runs[bound[(ic * stride^2 + ph) * chunks + g], ... + 1]). xoff
+     * addresses one sample's zero-padded dy planes: output channel ok's
+     * plane starts at ok * dyPlane, dy row p at (loH + p) * dyRow + loW.
+     */
+    struct BackwardData
+    {
+        std::vector<kernels::ConvRunTap> runs;
+        std::vector<int64_t> bound;   //!< c * stride^2 * chunks + 1
+        int64_t chunks = 0;
+        int64_t loH = 0, loW = 0;     //!< dy halo before row / column 0
+        int64_t dyRow = 0, dyPlane = 0;
+    } bd;
+
+    /**
+     * Backward-weight: per output channel, all its live taps bucketed
+     * by clip window (one bucket per distinct window, in kernel-element
+     * order; input channel, then pack order, within one) and cut into
+     * groups of up to 8 that share every dy load. Output channel ok's
+     * taps are [blockOff[ok * C], blockOff[(ok + 1) * C]) of xoff and
+     * slot, in group order, and its groups are [groupOff[ok],
+     * groupOff[ok + 1]); a tap whose window is empty is in no group.
+     * xoff addresses one sample's x planes (prepared at stride > 1,
+     * raw at stride 1): plane floats apart, rows rowStride apart.
+     */
+    struct BackwardWeight
+    {
+        struct Group
+        {
+            int64_t dyoff, rows, cols;   //!< window within dy's planes
+            int64_t first, count;        //!< taps [first, first + count)
+        };
+        std::vector<int32_t> xoff;      //!< window's first x read
+        std::vector<int32_t> slot;      //!< dW index
+        std::vector<Group> groups;
+        std::vector<int64_t> groupOff;  //!< k + 1
+        int64_t plane = 0, rowStride = 0;
+    } bw;
+
+    bool valid() const { return !blockOff.empty(); }
+
+    /** True if this pack describes the given call geometry. */
+    bool
+    matches(int64_t in_h, int64_t in_w, int64_t s, int64_t p) const
+    {
+        return valid() && inH == in_h && inW == in_w && stride == s &&
+               pad == p;
+    }
+};
+
+/**
+ * Build the tap layout of CSB conv filters at one input geometry, once
+ * per (mask, geometry), serially on the calling thread.
+ */
+ConvTapPack packConvTaps(const CsbTensor &w, int64_t in_h, int64_t in_w,
+                         int64_t stride, int64_t pad);
+
+/**
  * Forward convolution y = x * W from CSB-encoded filters.
  *
- * The tap runs (each output channel's live taps, flattened over input
- * channels and cut into L1-sized chunks) are built once per call. The
- * output is then tiled by (sample, output-channel block): every sample
+ * Streams the pack's forward runs (each output channel's live taps,
+ * flattened over input channels and cut into L1-sized chunks). The
+ * output is tiled by (sample, output-channel block): every sample
  * is one tile at batch 16 and up, and a smaller batch splits its output
  * channels into blocks, so an fc head's one-sample batch plane still
  * spreads over the pool. The input planes are copied zero-padded and
@@ -79,14 +192,14 @@ namespace sparse {
  * @param macs optional out: MACs executed (non-zero weight taps x
  *        padding-clipped output positions), tallied while running so
  *        telemetry costs no second traversal.
- * @param pack optional pre-built tap pack for w at this geometry
- *        (asserted to match); built per call when omitted.
+ * @param pack optional tap pack of w's mask at this geometry (asserted
+ *        to match); built for this call alone when omitted.
  * @return output activations [N, K, P, Q].
  */
 Tensor sparseConvForward(const Tensor &x, const CsbTensor &w,
                          int64_t stride, int64_t pad,
                          int64_t *macs = nullptr,
-                         const kernels::ConvTapPack *pack = nullptr);
+                         const ConvTapPack *pack = nullptr);
 
 /**
  * Backward-data convolution dx = dy * rot180(W) from the same CSB
@@ -96,11 +209,11 @@ Tensor sparseConvForward(const Tensor &x, const CsbTensor &w,
  * Computed in gather form, output-stationary like the forward pass:
  * each sample's dy planes are copied into a zero-padded buffer, dx
  * splits into its stride^2 phase planes, and each phase accumulates
- * the live taps of every output channel that land on it in register
- * strips. One path serves every stride. Per dx element the additions
- * run in the one fixed order (output channel, then pack order), with
- * a rounded product and a rounded add each, so the result does not
- * depend on the thread count or SIMD level.
+ * the pack's phase run — the live taps of every output channel that
+ * land on it — in register strips. One path serves every stride. Per
+ * dx element the additions run in the one fixed order (output channel,
+ * then pack order), with a rounded product and a rounded add each, so
+ * the result does not depend on the thread count or SIMD level.
  *
  * Zero dy entries — after a ReLU (or max-pool) backward the incoming
  * gradient carries the activation sparsity of Section II-B — are
@@ -126,7 +239,7 @@ Tensor sparseConvForward(const Tensor &x, const CsbTensor &w,
 Tensor sparseConvBackwardData(const Tensor &dy, const CsbTensor &w,
                               const Shape &x_shape, int64_t stride,
                               int64_t pad, int64_t *macs = nullptr,
-                              const kernels::ConvTapPack *pack = nullptr);
+                              const ConvTapPack *pack = nullptr);
 
 /**
  * Weight-gradient convolution restricted to the CSB mask (the third
@@ -140,12 +253,12 @@ Tensor sparseConvBackwardData(const Tensor &dy, const CsbTensor &w,
  * At stride > 1 computed over a copy of x prepared as in the forward
  * (zero-padded and phase-split by the column stride, so every read is a
  * plain unit-stride load); at stride 1 over x itself, since every clip
- * window lies inside the plane and the tail loads are masked. The live
- * taps of one output channel whose kernel elements share a
- * padding-clip window run in groups of up to 8 input channels that
- * share each dy load; every tap reduces its (n, p, q) space into its
- * own 8 lanes in one fixed order, collapsed by one fixed tree, so dW
- * does not depend on the grouping, the thread count or the SIMD level.
+ * window lies inside the plane and the tail loads are masked. The
+ * pack's groups hold up to 8 live taps of one output channel whose
+ * kernel elements share a padding-clip window, and share each dy load;
+ * every tap reduces its (n, p, q) space into its own 8 lanes in one
+ * fixed order, collapsed by one fixed tree, so dW does not depend on
+ * the grouping, the thread count or the SIMD level.
  *
  * Zero input activations — ReLU zeros make x the sparse operand of the
  * weight-update phase (Section II-B) — are multiplied, not skipped:
@@ -170,7 +283,7 @@ void sparseConvBackwardWeights(const Tensor &x, const Tensor &dy,
                                const CsbTensor &w, int64_t stride,
                                int64_t pad, Tensor *dw,
                                int64_t *macs = nullptr,
-                               const kernels::ConvTapPack *pack = nullptr);
+                               const ConvTapPack *pack = nullptr);
 
 } // namespace sparse
 } // namespace procrustes

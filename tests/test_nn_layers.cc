@@ -796,7 +796,7 @@ TEST(SparseWeightLayer, LinearForwardEqualsExecutor)
     Tensor w4 = layer.weight().value;
     w4.reshape(Shape{o_ext, i_ext, 1, 1});
     const auto csb = sparse::CsbTensor::encodeConvFilters(w4);
-    const kernels::ConvTapPack pack = kernels::packConvTaps(csb, 1, n, 1, 0);
+    const sparse::ConvTapPack pack = sparse::packConvTaps(csb, 1, n, 1, 0);
     Tensor xp(Shape{1, i_ext, 1, n});
     kernels::transpose(x.data(), n, i_ext, xp.data());
     const Tensor yp =

@@ -97,8 +97,7 @@ runConvPhases(const Tensor &w, const Tensor &x, const Tensor &dy,
 {
     const CsbTensor csb = CsbTensor::encodeConvFilters(w);
     const Shape &xs = x.shape();
-    const kernels::ConvTapPack pack =
-        kernels::packConvTaps(csb, xs[2], xs[3], stride, pad);
+    const ConvTapPack pack = packConvTaps(csb, xs[2], xs[3], stride, pad);
     ConvRun out;
     out.y = sparseConvForward(x, csb, stride, pad, &out.fw, &pack);
     out.dx = sparseConvBackwardData(dy, csb, xs, stride, pad, &out.bwd,

@@ -881,8 +881,7 @@ TEST(SparseConvPack, OnePackServesEveryBatchAndEncode)
             const CsbTensor csb1 = CsbTensor::encodeConvFilters(w1);
             const CsbTensor csb2 = CsbTensor::encodeConvFilters(w2);
             ASSERT_TRUE(csb2.sameMaskAs(csb1));
-            const auto pack =
-                kernels::packConvTaps(csb1, h, width, stride, pad);
+            const auto pack = packConvTaps(csb1, h, width, stride, pad);
             for (const CsbTensor *csb : {&csb1, &csb2}) {
                 for (const int64_t n : {1, 3, 32}) {
                     const Tensor x =
@@ -925,6 +924,30 @@ TEST(SparseConvPack, OnePackServesEveryBatchAndEncode)
         }
     }
     kernels::setSimdLevel(saved);
+}
+
+TEST(SparseConvPack, RejectsAPackOfAnotherMask)
+{
+    // Same filter shape, so the same block count, but more live taps:
+    // the pack's value indices would run past w's values.
+    const CsbTensor more =
+        CsbTensor::encodeConvFilters(maskedFilters(4, 3, 3, 0.8, 47));
+    const CsbTensor fewer =
+        CsbTensor::encodeConvFilters(maskedFilters(4, 3, 3, 0.3, 53));
+    ASSERT_EQ(more.numBlocks(), fewer.numBlocks());
+    ASSERT_GT(more.nnz(), fewer.nnz());
+    const ConvTapPack pack = packConvTaps(more, 6, 6, 1, 1);
+    const Tensor x(Shape{2, 3, 6, 6});
+    const Tensor dy(Shape{2, 4, 6, 6});
+    Tensor dw(Shape{4, 3, 3, 3});
+    EXPECT_DEATH(sparseConvForward(x, fewer, 1, 1, nullptr, &pack),
+                 "live-tap count");
+    EXPECT_DEATH(sparseConvBackwardData(dy, fewer, x.shape(), 1, 1, nullptr,
+                                        &pack),
+                 "live-tap count");
+    EXPECT_DEATH(sparseConvBackwardWeights(x, dy, fewer, 1, 1, &dw, nullptr,
+                                           &pack),
+                 "live-tap count");
 }
 
 } // namespace
