@@ -330,6 +330,9 @@ TEST(SparseConvMacTallies, AllPhasesMatchBruteForceOnPaddedEdges)
     }
 }
 
+/** Checks kTileEdgeGolden (below) at the current pool and SIMD level. */
+void expectTileEdgeGolden(const std::string &where);
+
 TEST(SparseConvBackward, DeterministicUnderThreading)
 {
     // Both backward executors partition channels over the pool; the
@@ -411,6 +414,12 @@ TEST(SparseConvBackward, DeterministicUnderThreading)
             EXPECT_EQ(ref_weight_macs, expected.backwardWeight)
                 << "hw=" << in.hw << " stride=" << stride;
         }
+    }
+    // The backward-weight tile-edge golden at every thread count: a
+    // tiling that followed the pool size would move its bits or tallies.
+    for (const int threads : {1, 2, 3, 8}) {
+        ThreadPool::resetGlobal(threads);
+        expectTileEdgeGolden("threads=" + std::to_string(threads));
     }
     ThreadPool::resetGlobal(0);
 }
@@ -839,6 +848,98 @@ TEST(SparseConvBackwardWeights, GoldenBitsAndMacsAtEverySimdLevel)
                 << " pad=" << g.pad << " h=" << g.h << " w=" << g.w
                 << " simd=" << kernels::simdLevelName(level);
         }
+    }
+    kernels::setSimdLevel(saved);
+}
+
+// ------------------------------------------ backward-weight tile edges
+
+struct TileEdgeCase
+{
+    int64_t stride, n;
+    uint64_t dwHash;   //!< FNV-1a of dW bits over both densities
+    int64_t macs;      //!< summed bw-weight MAC tallies, same cases
+};
+
+/**
+ * dW bits and MAC tallies of sparseConvBackwardWeights on K = 19
+ * output and C = 37 input channels, counts no plausible channel block
+ * divides, so a tiling of either axis ends in a ragged block. The rows
+ * cover strides 1..3 at batches 1, 3 and 32, with 3x3 kernels, pad 1,
+ * 4 output rows and ragged output widths (11, 9, 13). Each row runs
+ * densities 0.2 and 1.0 against an x with half its entries zero and a
+ * dW pre-filled with non-zero values and -0 at every fifth slot. The
+ * expected values were recorded with one task per output channel
+ * streaming all input channels.
+ */
+const TileEdgeCase kTileEdgeGolden[] = {
+    {1, 1, 0xf198cd041856adaULL, 131260},
+    {1, 3, 0xb1d46bb86903d432ULL, 394596},
+    {1, 32, 0xcc0fee1a61626b7fULL, 4210484},
+    {2, 1, 0x8cd644a841eb0a56ULL, 107575},
+    {2, 3, 0xaecc47fc90a860bbULL, 327073},
+    {2, 32, 0xf6efa9d11c23b807ULL, 3517253},
+    {3, 1, 0x7c6a976466bed872ULL, 160199},
+    {3, 3, 0x828b4d848ef93e7dULL, 477848},
+    {3, 32, 0xe92f6aab343512f6ULL, 5136294},
+};
+
+TileEdgeCase
+runTileEdgeGolden(int64_t stride, int64_t n)
+{
+    const int64_t k = 19, c = 37, kernel = 3, pad = 1;
+    const int64_t h = 3 * stride + 1;
+    const int64_t q_ext = stride == 1 ? 11 : stride == 2 ? 9 : 13;
+    const int64_t width = (q_ext - 1) * stride + kernel - 2 * pad + stride - 1;
+    const int64_t p_ext = (h + 2 * pad - kernel) / stride + 1;
+    TileEdgeCase got{stride, n, 0xcbf29ce484222325ULL, 0};
+    uint64_t seed = 20000 + 100 * static_cast<uint64_t>(stride) +
+                    static_cast<uint64_t>(n);
+    for (const double density : {0.2, 1.0}) {
+        const Shape ws{k, c, kernel, kernel};
+        const CsbTensor csb =
+            CsbTensor::encodeConvFilters(goldenTensor(ws, ++seed, density));
+        const Tensor x = goldenTensor(Shape{n, c, h, width}, ++seed, 0.5);
+        const Tensor dy =
+            goldenTensor(Shape{n, k, p_ext, q_ext}, ++seed, 1.0);
+        Tensor dw = goldenTensor(ws, ++seed, 1.0);
+        for (int64_t i = 0; i < dw.numel(); i += 5)
+            dw.at(i) = -0.0f;
+        int64_t macs = -1;
+        sparseConvBackwardWeights(x, dy, csb, stride, pad, &dw, &macs);
+        for (int64_t i = 0; i < dw.numel(); ++i) {
+            uint32_t bits;
+            std::memcpy(&bits, dw.data() + i, sizeof(bits));
+            got.dwHash = fnv1a(got.dwHash, bits);
+        }
+        got.macs += macs;
+    }
+    return got;
+}
+
+void
+expectTileEdgeGolden(const std::string &where)
+{
+    for (const TileEdgeCase &g : kTileEdgeGolden) {
+        const TileEdgeCase got = runTileEdgeGolden(g.stride, g.n);
+        EXPECT_EQ(got.dwHash, g.dwHash)
+            << std::hex << "0x" << got.dwHash << std::dec
+            << " stride=" << g.stride << " n=" << g.n << " " << where;
+        EXPECT_EQ(got.macs, g.macs)
+            << "stride=" << g.stride << " n=" << g.n << " " << where;
+    }
+}
+
+TEST(SparseConvBackwardWeights, TileEdgeGoldenAtEverySimdLevel)
+{
+    const kernels::SimdLevel saved = kernels::activeSimdLevel();
+    std::vector<kernels::SimdLevel> levels = {kernels::SimdLevel::kScalar};
+    if (kernels::avx2Supported())
+        levels.push_back(kernels::SimdLevel::kAvx2);
+    for (const kernels::SimdLevel level : levels) {
+        kernels::setSimdLevel(level);
+        expectTileEdgeGolden(std::string("simd=") +
+                             kernels::simdLevelName(level));
     }
     kernels::setSimdLevel(saved);
 }
