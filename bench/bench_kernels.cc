@@ -77,6 +77,9 @@ struct Row
     Timing sparse_fwd;
     Timing sparse_bwd_data;
     Timing sparse_bwd_weight;
+    Timing sparse_fwd_1t;   //!< headline sparse cells on a 1-thread pool
+    Timing sparse_bwd_data_1t;
+    Timing sparse_bwd_weight_1t;
     double sparse_density = 0.0;
     std::vector<SweepPoint> sweep;   //!< density sweep, dense-first
     double crossover_density = 0.0;  //!< max swept density where the
@@ -313,26 +316,28 @@ benchOne(const BenchLayer &bl, bool smoke)
             csb, bl.in_hw, bl.in_hw, bl.stride, bl.pad);
         SweepPoint pt;
         pt.density = density;
-        pt.sparse_fwd = timeMs(
-            [&] {
-                sparse::sparseConvForward(x, csb, bl.stride, bl.pad,
-                                          nullptr, &pack);
-            },
-            min_ms);
-        pt.sparse_bwd_data = timeMs(
-            [&] {
-                sparse::sparseConvBackwardData(dy, csb, x.shape(),
-                                               bl.stride, bl.pad,
-                                               nullptr, &pack);
-            },
-            min_ms);
-        pt.sparse_bwd_weight = timeMs(
-            [&] {
-                sparse::sparseConvBackwardWeights(x, dy, csb, bl.stride,
-                                                  bl.pad, &dw, nullptr,
-                                                  &pack);
-            },
-            min_ms);
+        const auto time_phases = [&](SweepPoint *out) {
+            out->sparse_fwd = timeMs(
+                [&] {
+                    sparse::sparseConvForward(x, csb, bl.stride, bl.pad,
+                                              nullptr, &pack);
+                },
+                min_ms);
+            out->sparse_bwd_data = timeMs(
+                [&] {
+                    sparse::sparseConvBackwardData(dy, csb, x.shape(),
+                                                   bl.stride, bl.pad,
+                                                   nullptr, &pack);
+                },
+                min_ms);
+            out->sparse_bwd_weight = timeMs(
+                [&] {
+                    sparse::sparseConvBackwardWeights(
+                        x, dy, csb, bl.stride, bl.pad, &dw, nullptr, &pack);
+                },
+                min_ms);
+        };
+        time_phases(&pt);
         pt.fwd_vs_gemm = row.gemm_fwd.ms / pt.sparse_fwd.ms;
         if (pt.sparse_fwd.ms < row.gemm_fwd.ms)
             row.crossover_density =
@@ -347,6 +352,17 @@ benchOne(const BenchLayer &bl, bool smoke)
             row.sparse_fwd = pt.sparse_fwd;
             row.sparse_bwd_data = pt.sparse_bwd_data;
             row.sparse_bwd_weight = pt.sparse_bwd_weight;
+            // The same cells on a 1-thread pool: process CPU at N
+            // threads over these is what the pool costs each phase.
+            SweepPoint one = pt;
+            if (ThreadPool::global().numThreads() > 1) {
+                ThreadPool::resetGlobal(1);
+                time_phases(&one);
+                ThreadPool::resetGlobal(0);
+            }
+            row.sparse_fwd_1t = one.sparse_fwd;
+            row.sparse_bwd_data_1t = one.sparse_bwd_data;
+            row.sparse_bwd_weight_1t = one.sparse_bwd_weight;
         }
         row.sweep.push_back(pt);
     }
@@ -497,7 +513,7 @@ emitJson(const std::vector<Row> &rows, const std::vector<FcRow> &fc_rows,
     geo_tbwd = std::exp(geo_tbwd / static_cast<double>(rows.size()));
 
     std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"version\": 7,\n");
+    std::fprintf(f, "  \"version\": 8,\n");
     std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
     std::fprintf(f, "  \"threads\": %d,\n",
                  ThreadPool::global().numThreads());
@@ -519,6 +535,7 @@ emitJson(const std::vector<Row> &rows, const std::vector<FcRow> &fc_rows,
             "     \"thread_fwd_speedup\": %.2f, "
             "\"thread_bwd_speedup\": %.2f,\n"
             "     %s,\n     %s,\n     %s, \"sparse_density\": %.2f,\n"
+            "     %s,\n     %s,\n     %s,\n"
             "     \"crossover_density\": %.2f, "
             "\"crossover_density_bwd\": %.2f,\n"
             "     \"sparse_sweep\": [",
@@ -541,6 +558,11 @@ emitJson(const std::vector<Row> &rows, const std::vector<FcRow> &fc_rows,
             timingJson("sparse_bwd_data", r.sparse_bwd_data).c_str(),
             timingJson("sparse_bwd_weight", r.sparse_bwd_weight).c_str(),
             r.sparse_density,
+            timingJson("sparse_fwd", r.sparse_fwd_1t, "_1t").c_str(),
+            timingJson("sparse_bwd_data", r.sparse_bwd_data_1t, "_1t")
+                .c_str(),
+            timingJson("sparse_bwd_weight", r.sparse_bwd_weight_1t, "_1t")
+                .c_str(),
             r.crossover_density, r.crossover_density_bwd);
         for (size_t j = 0; j < r.sweep.size(); ++j) {
             const SweepPoint &pt = r.sweep[j];

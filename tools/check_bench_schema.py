@@ -36,7 +36,8 @@ KERNELS_LAYER_KEYS = {
     "naive_bwd_ms", "gemm_bwd_ms", "bwd_speedup", "gemm_fwd_ms_1t",
     "gemm_bwd_ms_1t", "thread_fwd_speedup", "thread_bwd_speedup",
     "sparse_fwd_ms", "sparse_bwd_data_ms", "sparse_bwd_weight_ms",
-    "sparse_density", "crossover_density", "crossover_density_bwd",
+    "sparse_density", "sparse_fwd_ms_1t", "sparse_bwd_data_ms_1t",
+    "sparse_bwd_weight_ms_1t", "crossover_density", "crossover_density_bwd",
     "sparse_sweep",
 }
 KERNELS_SWEEP_KEYS = {
@@ -59,7 +60,9 @@ KERNELS_SUMMARY_KEYS = {
 # pass (sparse bw-data + bw-weight against gemm backward).
 # v7: every wall-clock field "<x>_ms[_1t]" has a process-CPU twin
 # "<x>_cpu_ms[_1t]", the median CPU time of the same calls.
-KERNELS_VERSION = 7
+# v8: the headline sparse cells rerun on a 1-thread pool,
+# sparse_{fwd,bwd_data,bwd_weight}_ms_1t and their CPU twins.
+KERNELS_VERSION = 8
 
 
 def cpu_twins(keys):
