@@ -127,5 +127,20 @@ sparseConvBwdWeightGroup(const int32_t *xoff, int64_t ntaps,
                                      dybase, q_ext, rows, cols, lanes);
 }
 
+void
+padPhaseSplitPlane(const float *src, int64_t h, int64_t width,
+                   int64_t stride, int64_t pad, int64_t slots, float *dst)
+{
+#ifdef PROCRUSTES_HAVE_AVX2
+    if (stride <= 2 && activeSimdLevel() == SimdLevel::kAvx2) {
+        detail::padPhaseSplitPlaneAvx2(src, h, width, stride, pad, slots,
+                                       dst);
+        return;
+    }
+#endif
+    detail::padPhaseSplitPlaneScalar(src, h, width, stride, pad, slots,
+                                     dst);
+}
+
 } // namespace kernels
 } // namespace procrustes

@@ -13,11 +13,11 @@
  *
  *   - conv forward is output-stationary over a *prepared* input: the
  *     executor copies the input planes into a zero-padded,
- *     stride-phase-split layout (from batch 16 up, each sample into a
- *     private block of the task that owns it), after which every
- *     mask-live tap covers the full output plane with unit column
- *     stride — no range masks, no gathers, just contiguous loads
- *     feeding FMAs. The AVX2 kernel holds a register strip of output
+ *     stride-phase-split layout with padPhaseSplitPlane (from batch 16
+ *     up, each sample into a private block of the task that owns it),
+ *     after which every mask-live tap covers the full output plane with
+ *     unit column stride — no range masks, no gathers, just contiguous
+ *     loads feeding FMAs. The AVX2 kernel holds a register strip of output
  *     pixels and accumulates every tap of an input-channel run into it
  *     in the one fixed tap order, so each output element sees the
  *     exact addition sequence of the scalar reference (pad taps
@@ -35,9 +35,10 @@
  *     multiply-add — the dx bits the golden test in
  *     tests/test_sparse_conv.cc pins.
  *   - conv backward-weight reads x prepared the forward's way at
- *     stride > 1 and x itself at stride 1. The tap pack groups the
- *     live taps of one output channel whose kernel elements share a
- *     padding-clip window (up to 8 input channels at a time); each dy
+ *     stride > 1 (each tile its own input channels, one sample at a
+ *     time) and x itself at stride 1. The tap pack groups the live taps
+ *     of one output channel whose kernel elements share a padding-clip
+ *     window (up to 8 input channels of a tile at a time); each dy
  *     vector is loaded once per group and every tap keeps its own 8
  *     accumulator lanes, indexed by q mod 8 within its window, so the
  *     tap's add chains are independent of the grouping. The lanes see
@@ -192,6 +193,23 @@ void sparseConvBwdWeightGroup(const int32_t *xoff, int64_t ntaps,
                               const float *xbase, int64_t xrow_stride,
                               const float *dybase, int64_t q_ext,
                               int64_t rows, int64_t cols, float *lanes);
+
+/**
+ * Copy one h x width input plane into the prepared layout the conv
+ * forward and backward-weight read: zero-padded by `pad` on every side
+ * and split into its `stride` column phases, so padded row r, column
+ * slot * stride + ph lands at dst[r * slots * stride + ph * slots +
+ * slot]. slots, the phase slots per padded row, is at least (width + 2
+ * * pad) / stride rounded up. Only the halo is zeroed: the pad rows,
+ * and in each row the slots whose column falls outside the source.
+ * Every source float is moved, not computed, so -0, NaN payloads and
+ * infinities arrive bit for bit. At stride 2 the AVX2 level splits
+ * whole vectors (16 source floats per step); every other stride, and
+ * the scalar level, copies with a strided loop.
+ */
+void padPhaseSplitPlane(const float *src, int64_t h, int64_t width,
+                        int64_t stride, int64_t pad, int64_t slots,
+                        float *dst);
 
 /** The fixed tree that collapses one tap's 8 backward-weight lanes. */
 inline float

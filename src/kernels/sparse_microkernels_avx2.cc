@@ -233,6 +233,97 @@ convPlaneRunAvx2(const ConvRunTap *taps, int64_t ntaps, const float *w,
     }
 }
 
+namespace {
+
+/** Zero len floats at d with whole-vector stores, the tail masked. */
+inline void
+zeroSpan(float *d, int64_t len)
+{
+    const __m256 zero = _mm256_setzero_ps();
+    for (; len >= 8; len -= 8, d += 8)
+        _mm256_storeu_ps(d, zero);
+    if (len > 0)
+        _mm256_maskstore_ps(d, tailMask(len), zero);
+}
+
+/** Copy len floats from s to d, the tail vector masked. */
+inline void
+copySpan(float *d, const float *s, int64_t len)
+{
+    for (; len >= 8; len -= 8, d += 8, s += 8)
+        _mm256_storeu_ps(d, _mm256_loadu_ps(s));
+    if (len > 0) {
+        const __m256i m = tailMask(len);
+        _mm256_maskstore_ps(d, m, _mm256_maskload_ps(s, m));
+    }
+}
+
+/**
+ * One stride-2 row: source column j sits at padded column j + pad, so
+ * the even columns fill phase pad % 2 from slot pad / 2 on and the odd
+ * ones the other phase from slot (pad + 1) / 2 on; only the slots
+ * outside those runs are zeroed. 16 source floats per step: the
+ * in-lane shuffles give [s0 s2 s8 s10 | s4 s6 s12 s14] (and the odd
+ * twin), and a 64-bit permute puts the halves in order.
+ */
+inline void
+phaseSplitRow2(const float *src, int64_t width, int64_t pad, int64_t slots,
+               float *drow)
+{
+    float *ev = drow + (pad & 1) * slots;
+    float *od = drow + (1 - (pad & 1)) * slots;
+    const int64_t ev0 = pad / 2, ev1 = ev0 + (width + 1) / 2;
+    const int64_t od0 = (pad + 1) / 2, od1 = od0 + width / 2;
+    zeroSpan(ev, ev0);
+    zeroSpan(ev + ev1, slots - ev1);
+    zeroSpan(od, od0);
+    zeroSpan(od + od1, slots - od1);
+    ev += ev0;
+    od += od0;
+    int64_t j = 0;
+    for (; j + 16 <= width; j += 16) {
+        const __m256 a = _mm256_loadu_ps(src + j);
+        const __m256 b = _mm256_loadu_ps(src + j + 8);
+        const __m256d e = _mm256_castps_pd(
+            _mm256_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0)));
+        const __m256d o = _mm256_castps_pd(
+            _mm256_shuffle_ps(a, b, _MM_SHUFFLE(3, 1, 3, 1)));
+        _mm256_storeu_ps(ev + j / 2, _mm256_castpd_ps(_mm256_permute4x64_pd(
+                                         e, _MM_SHUFFLE(3, 1, 2, 0))));
+        _mm256_storeu_ps(od + j / 2, _mm256_castpd_ps(_mm256_permute4x64_pd(
+                                         o, _MM_SHUFFLE(3, 1, 2, 0))));
+    }
+    for (; j + 1 < width; j += 2) {
+        ev[j / 2] = src[j];
+        od[j / 2] = src[j + 1];
+    }
+    if (j < width)
+        ev[j / 2] = src[j];
+}
+
+} // namespace
+
+void
+padPhaseSplitPlaneAvx2(const float *src, int64_t h, int64_t width,
+                       int64_t stride, int64_t pad, int64_t slots,
+                       float *dst)
+{
+    const int64_t row = slots * stride;
+    zeroSpan(dst, pad * row);
+    for (int64_t hr = 0; hr < h; ++hr) {
+        const float *srow = src + hr * width;
+        float *drow = dst + (hr + pad) * row;
+        if (stride == 2) {
+            phaseSplitRow2(srow, width, pad, slots, drow);
+        } else {
+            zeroSpan(drow, pad);
+            copySpan(drow + pad, srow, width);
+            zeroSpan(drow + pad + width, slots - pad - width);
+        }
+    }
+    zeroSpan(dst + (h + pad) * row, pad * row);
+}
+
 template void convPlaneRunAvx2<true>(const ConvRunTap *, int64_t,
                                      const float *, const float *, float *,
                                      int64_t, int64_t, int64_t);

@@ -15,7 +15,9 @@
 #ifndef PROCRUSTES_KERNELS_SPARSE_MICROKERNELS_IMPL_H_
 #define PROCRUSTES_KERNELS_SPARSE_MICROKERNELS_IMPL_H_
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "kernels/sparse_microkernels.h"
 
@@ -77,7 +79,48 @@ convBwdWeightGroupScalar(const int32_t *xoff, int64_t ntaps,
     }
 }
 
+/**
+ * Scalar padPhaseSplitPlane: padded column slot * stride + ph holds
+ * source column slot * stride + ph - pad, so phase ph of a row copies
+ * the in-range slots [lo, hi) with a strided read and zeroes the slots
+ * on either side. At stride 1 the one phase is a plain copy.
+ */
+inline void
+padPhaseSplitPlaneScalar(const float *src, int64_t h, int64_t width,
+                         int64_t stride, int64_t pad, int64_t slots,
+                         float *dst)
+{
+    const int64_t row = slots * stride;
+    std::fill(dst, dst + pad * row, 0.0f);
+    for (int64_t hr = 0; hr < h; ++hr) {
+        const float *srow = src + hr * width;
+        float *drow = dst + (hr + pad) * row;
+        for (int64_t ph = 0; ph < stride; ++ph) {
+            float *d = drow + ph * slots;
+            const int64_t lo = std::min(
+                slots, ph >= pad ? 0 : (pad - ph + stride - 1) / stride);
+            const int64_t hi = std::max(
+                lo, ph < pad + width ? (pad + width - 1 - ph) / stride + 1
+                                     : 0);
+            std::fill(d, d + lo, 0.0f);
+            if (stride == 1) {
+                std::memcpy(d + lo, srow + lo - pad,
+                            static_cast<size_t>(hi - lo) * sizeof(float));
+            } else {
+                const float *sp = srow + lo * stride + ph - pad;
+                for (int64_t slot = lo; slot < hi; ++slot, sp += stride)
+                    d[slot] = *sp;
+            }
+            std::fill(d + hi, d + slots, 0.0f);
+        }
+    }
+    std::fill(dst + (h + pad) * row, dst + (h + 2 * pad) * row, 0.0f);
+}
+
 #ifdef PROCRUSTES_HAVE_AVX2
+void padPhaseSplitPlaneAvx2(const float *src, int64_t h, int64_t width,
+                            int64_t stride, int64_t pad, int64_t slots,
+                            float *dst);
 template <bool kFused>
 void convPlaneRunAvx2(const ConvRunTap *taps, int64_t ntaps,
                       const float *w, const float *xbase, float *yplane,

@@ -100,12 +100,32 @@ phaseHalo(int64_t in, int64_t out, int64_t kernel, int64_t stride,
 /**
  * Least work per pool task: floats of x or dy for the input
  * preparation and the non-zero tallies (64 KiB), multiply-adds for the
- * forward tiles and the backward-weight reduction. Below them a call
- * runs inline, which costs less than waking the pool — an fc head's
- * batch plane is that small.
+ * forward tiles, the backward-data pairs and the backward-weight
+ * tiles. Below them a call runs inline, which costs less than waking
+ * the pool — an fc head's batch plane is that small.
  */
 constexpr int64_t kPrepareGrainFloats = int64_t{1} << 14;
 constexpr int64_t kGrainMacs = int64_t{1} << 15;
+
+/**
+ * Backward-weight tiling (see packConvTaps): a tile's share of one
+ * sample's x planes, and of its dy planes, stays near kTileFloats (64
+ * KiB, within a core's L2) while its groups sweep it; a layer has at
+ * least kBwTiles tiles where its channels allow; and an input-channel
+ * block cut for that keeps kMinIcBlock channels, so the taps of one
+ * output channel that share a window still fill 8-tap groups.
+ */
+constexpr int64_t kTileFloats = int64_t{1} << 14;
+constexpr int64_t kBwTiles = 2;
+constexpr int64_t kMinIcBlock = 8;
+
+/** First channel of block i when n channels are cut into `blocks`
+    blocks whose sizes differ by at most one. */
+inline int64_t
+blockStart(int64_t i, int64_t n, int64_t blocks)
+{
+    return i * n / blocks;
+}
 
 /**
  * (sample, output-channel block) tiles the forward aims for: at batch
@@ -125,8 +145,9 @@ constexpr int64_t kForwardTiles = 16;
  * (p, q) of one (sample, channel) plane at tapOffset(r, s) + p * stride
  * * rowStride + q. The forward fills each sample's planes into a
  * block of the task that owns the sample (a small batch, whose samples
- * several tasks share, into one buffer up front); backward-weight fills
- * the whole batch at stride > 1.
+ * several tasks share, into one buffer up front); at stride > 1 each
+ * backward-weight tile fills its input-channel block of one sample at
+ * a time into a block of its own.
  */
 struct PlaneLayout
 {
@@ -149,32 +170,15 @@ struct PlaneLayout
         return r * rowStride + (s % stride) * slots + s / stride;
     }
 
-    /** Fill the plane at dst from its h x width source. */
+    /** Fill `count` consecutive planes at dst from their h x width
+        sources at src. */
     void
-    fillPlane(float *dst, const float *src) const
+    fillPlanes(float *dst, const float *src, int64_t count) const
     {
-        std::fill(dst, dst + planeSize, 0.0f);
-        for (int64_t hr = 0; hr < h; ++hr) {
-            const float *srow = src + hr * width;
-            float *drow = dst + (hr + pad) * rowStride;
-            if (stride == 1) {
-                std::memcpy(drow + pad, srow,
-                            static_cast<size_t>(width) * sizeof(float));
-                continue;
-            }
-            // Phase-major so the per-element divisions hoist out of the
-            // inner loop: padded column slot * stride + ph holds source
-            // column slot * stride + ph - pad.
-            for (int64_t ph = 0; ph < stride; ++ph) {
-                float *dph = drow + ph * slots;
-                int64_t slot =
-                    ph >= pad ? 0 : (pad - ph + stride - 1) / stride;
-                const int64_t last = (pad + width - 1 - ph) / stride;
-                const float *sp = srow + slot * stride + ph - pad;
-                for (; slot <= last; ++slot, sp += stride)
-                    dph[slot] = *sp;
-            }
-        }
+        for (int64_t i = 0; i < count; ++i)
+            kernels::padPhaseSplitPlane(src + i * h * width, h, width,
+                                        stride, pad, slots,
+                                        dst + i * planeSize);
     }
 };
 
@@ -374,8 +378,29 @@ packConvTaps(const CsbTensor &w, int64_t in_h, int64_t in_w,
     }
     bd.bound.push_back(static_cast<int64_t>(bd.runs.size()));
 
-    // Backward-weight: per output channel, the live taps bucketed by
-    // window class across input channels, in groups of up to 8.
+    // Backward-weight: (output-channel block x input-channel block)
+    // tiles, and per output channel of a tile its live taps bucketed by
+    // window class across the tile's input channels, in groups of up to
+    // 8. A tile's share of one sample's x and of its dy each stay near
+    // kTileFloats. At stride 1 the tiles split the output channels into
+    // at least kBwTiles blocks, as the taps read x in place. At stride >
+    // 1 every output-channel block would prepare its input channels
+    // again, so there is one, and the input channels split instead, as
+    // far as blocks of kMinIcBlock channels still fill their groups.
+    const auto blocks = [](int64_t floats, int64_t channels) {
+        return std::max<int64_t>(
+            1, std::min(channels, (floats + kTileFloats - 1) / kTileFloats));
+    };
+    bw.icTiles = blocks(c * bw.plane, c);
+    if (stride > 1) {
+        bw.okTiles = 1;
+        bw.icTiles =
+            std::max(bw.icTiles, std::min(kBwTiles, c / kMinIcBlock));
+    } else {
+        bw.okTiles = blocks(std::max(k * p_ext * q_ext,
+                                     kBwTiles / bw.icTiles * kTileFloats),
+                            k);
+    }
     struct TapRef
     {
         int32_t xoff, slot;
@@ -383,33 +408,44 @@ packConvTaps(const CsbTensor &w, int64_t in_h, int64_t in_w,
     std::vector<std::vector<TapRef>> bucket(static_cast<size_t>(rs));
     bw.xoff.reserve(pack.taps.size());
     bw.slot.reserve(pack.taps.size());
-    for (int64_t ok = 0; ok < k; ++ok) {
-        bw.groupOff.push_back(static_cast<int64_t>(bw.groups.size()));
-        for (int64_t b = ok * c; b < (ok + 1) * c; ++b) {
-            for (int64_t t = block_off[b]; t < block_off[b + 1]; ++t) {
-                const size_t e = static_cast<size_t>(taps[t]);
-                bucket[static_cast<size_t>(bw_cls[e])].push_back(
-                    {static_cast<int32_t>((b - ok * c) * bw.plane +
-                                          bw_off[e]),
-                     static_cast<int32_t>(b * rs + taps[t])});
+    for (int64_t okb = 0; okb < bw.okTiles; ++okb) {
+        for (int64_t icb = 0; icb < bw.icTiles; ++icb) {
+            bw.tapOff.push_back(static_cast<int64_t>(bw.xoff.size()));
+            bw.groupOff.push_back(static_cast<int64_t>(bw.groups.size()));
+            const int64_t ic0 = blockStart(icb, c, bw.icTiles);
+            const int64_t ic1 = blockStart(icb + 1, c, bw.icTiles);
+            for (int64_t ok = blockStart(okb, k, bw.okTiles);
+                 ok < blockStart(okb + 1, k, bw.okTiles); ++ok) {
+                for (int64_t b = ok * c + ic0; b < ok * c + ic1; ++b) {
+                    for (int64_t t = block_off[b]; t < block_off[b + 1];
+                         ++t) {
+                        const size_t e = static_cast<size_t>(taps[t]);
+                        bucket[static_cast<size_t>(bw_cls[e])].push_back(
+                            {static_cast<int32_t>(
+                                 (b - ok * c - ic0) * bw.plane + bw_off[e]),
+                             static_cast<int32_t>(b * rs + taps[t])});
+                    }
+                }
+                for (int64_t cl = 0; cl < rs; ++cl) {
+                    std::vector<TapRef> &bk = bucket[static_cast<size_t>(cl)];
+                    const int64_t first = static_cast<int64_t>(bw.xoff.size());
+                    for (const TapRef &tr : bk) {
+                        bw.xoff.push_back(tr.xoff);
+                        bw.slot.push_back(tr.slot);
+                    }
+                    bk.clear();
+                    const ConvWindow &wd = pack.win[static_cast<size_t>(cl)];
+                    const int64_t end = static_cast<int64_t>(bw.xoff.size());
+                    for (int64_t g = first; g < end && !wd.empty(); g += 8)
+                        bw.groups.push_back(
+                            {(ok * p_ext + wd.pLo) * q_ext + wd.qLo,
+                             wd.pHi - wd.pLo, wd.qHi - wd.qLo, g,
+                             std::min<int64_t>(8, end - g)});
+                }
             }
-        }
-        for (int64_t cl = 0; cl < rs; ++cl) {
-            std::vector<TapRef> &bk = bucket[static_cast<size_t>(cl)];
-            const int64_t first = static_cast<int64_t>(bw.xoff.size());
-            for (const TapRef &tr : bk) {
-                bw.xoff.push_back(tr.xoff);
-                bw.slot.push_back(tr.slot);
-            }
-            bk.clear();
-            const ConvWindow &wd = pack.win[static_cast<size_t>(cl)];
-            const int64_t end = static_cast<int64_t>(bw.xoff.size());
-            for (int64_t g = first; g < end && !wd.empty(); g += 8)
-                bw.groups.push_back({(ok * p_ext + wd.pLo) * q_ext + wd.qLo,
-                                     wd.pHi - wd.pLo, wd.qHi - wd.qLo, g,
-                                     std::min<int64_t>(8, end - g)});
         }
     }
+    bw.tapOff.push_back(static_cast<int64_t>(bw.xoff.size()));
     bw.groupOff.push_back(static_cast<int64_t>(bw.groups.size()));
     return pack;
 }
@@ -482,9 +518,8 @@ sparseConvForward(const Tensor &x, const CsbTensor &w, int64_t stride,
         ThreadPool::global().parallelFor(
             0, n * c,
             [&](int64_t i0, int64_t i1) {
-                for (int64_t i = i0; i < i1; ++i)
-                    lay.fillPlane(batch_buf.get() + i * plane_sz,
-                                  px + i * h * width);
+                lay.fillPlanes(batch_buf.get() + i0 * plane_sz,
+                               px + i0 * h * width, i1 - i0);
             },
             std::max<int64_t>(
                 1, kPrepareGrainFloats / std::max<int64_t>(1, plane_sz)));
@@ -511,9 +546,7 @@ sparseConvForward(const Tensor &x, const CsbTensor &w, int64_t stride,
                 if (cb[0] == cb[nchunks])
                     continue;   // no live taps: the plane stays zero
                 if (!shared && in != prepared) {
-                    for (int64_t ic = 0; ic < c; ++ic)
-                        lay.fillPlane(block.get() + ic * plane_sz,
-                                      px + (in * c + ic) * h * width);
+                    lay.fillPlanes(block.get(), px + in * c * h * width, c);
                     prepared = in;
                 }
                 for (int64_t g = 0; g < nchunks; ++g) {
@@ -598,12 +631,18 @@ sparseConvBackwardData(const Tensor &dy, const CsbTensor &w,
     // tap lands on interleaves its zeros). Every dx element is written
     // by its own task, so dx starts uninitialized. Per dx element the
     // pack's run fixes one addition order, so the result is
-    // deterministic for any thread count and SIMD level.
+    // deterministic for any thread count and SIMD level. A task gets at
+    // least kGrainMacs of work, counting zeros, so a small fc head runs
+    // inline.
     const int64_t lo_h = bd.loH, lo_w = bd.loW;
     const int64_t dyrow = bd.dyRow, dyplane_sz = bd.dyPlane;
     const int64_t nchunks = bd.chunks;
     const int64_t ph_rows = (h + stride - 1) / stride;
     const int64_t ph_cols = (width + stride - 1) / stride;
+    const int64_t dense_macs =
+        static_cast<int64_t>(pack->taps.size()) * n * p_ext * q_ext;
+    const int64_t pair_grain = std::max<int64_t>(
+        1, kGrainMacs * n * c / std::max<int64_t>(1, dense_macs));
     ThreadPool::global().parallelFor(0, n * c, [&](int64_t i0, int64_t i1) {
         std::unique_ptr<float[]> dyb(
             new float[static_cast<size_t>(k * dyplane_sz + 8)]);
@@ -661,7 +700,7 @@ sparseConvBackwardData(const Tensor &dy, const CsbTensor &w,
                 }
             }
         }
-    });
+    }, pair_grain);
     if (macs)
         *macs = mac_total.load(std::memory_order_relaxed);
     return dx;
@@ -703,28 +742,17 @@ sparseConvBackwardWeights(const Tensor &x, const Tensor &dy,
     const int32_t *taps = pack->taps.data();
     const int64_t *block_off = pack->blockOff.data();
 
-    // The pack's taps read x itself at stride 1 and, at stride > 1, a
-    // copy prepared as in the forward (see PlaneLayout).
-    const PlaneLayout lay(h, width, stride, pad);
-    const bool raw = stride == 1;
-    std::unique_ptr<float[]> prepared(
-        raw ? nullptr : new float[static_cast<size_t>(n * c * bw.plane)]);
-    const float *xbase = raw ? px : prepared.get();
-
-    // One pass over x, partitioned over input channels, prepares the
-    // planes and takes the executed-MAC counts: the non-zero x of each
-    // (input channel, kernel element) window, summed over the batch,
-    // once per call; a live tap then costs one table read.
+    // One pass over x, partitioned over input channels, takes the
+    // executed-MAC counts: the non-zero x of each (input channel, kernel
+    // element) window, summed over the batch, once per call; a live tap
+    // then costs one table read.
     const int64_t rs = r_ext * s_ext;
     std::vector<int64_t> nz_count(static_cast<size_t>(c * rs));
     const int64_t ic_grain = std::max<int64_t>(
         1, kPrepareGrainFloats / std::max<int64_t>(1, n * h * width));
     ThreadPool::global().parallelFor(0, c, [&](int64_t ic0, int64_t ic1) {
         std::vector<int32_t> nz(static_cast<size_t>(h * width));
-        for (int64_t ic = ic0; ic < ic1; ++ic) {
-            for (int64_t in = 0; in < n && !raw; ++in)
-                lay.fillPlane(prepared.get() + (in * c + ic) * bw.plane,
-                              px + (in * c + ic) * h * width);
+        for (int64_t ic = ic0; ic < ic1; ++ic)
             windowNonZeros(
                 px + ic * h * width, n, c * h * width, h * width, pack->win,
                 stride * width, stride,
@@ -732,53 +760,78 @@ sparseConvBackwardWeights(const Tensor &x, const Tensor &dy,
                     return (e / s_ext - pad) * width + e % s_ext - pad;
                 },
                 nz.data(), nz_count.data() + ic * rs);
-        }
     }, ic_grain);
 
-    // Partitioned over output channels: each task owns the dW[ok, :, :,
-    // :] slices of its range and streams the pack's groups of those
-    // channels. Every tap accumulates into its own 8 lanes, so its
-    // addition sequence — samples, then p, then q — does not depend on
-    // the grouping, the partition or the SIMD level. Samples run
-    // outermost, so one sample's x stays hot across the task's output
-    // channels; the lanes wait in a per-task array between samples.
-    // Pruned taps are never touched, so their dW entries stay exactly
-    // as given; a live tap with an empty window adds the sum of zero
-    // lanes, +0, like every other tap. A task gets at least kGrainMacs
-    // of work, counting zeros, so a small fc head runs inline.
+    // Partitioned over the pack's (output-channel block x input-channel
+    // block) tiles, as the PEs of the paper's C,N and K,N mappings each
+    // hold only their operands: a tile owns the dW slices of its taps
+    // and reads only its input channels' x and its output channels' dy.
+    // Samples run outermost; at stride > 1 the tile first copies its
+    // input channels of the sample, prepared as in the forward (see
+    // PlaneLayout), into a block of its own, and at stride 1 it reads x
+    // itself. Every tap lives in one tile and accumulates into its own 8
+    // lanes, so its addition sequence — samples, then p, then q — does
+    // not depend on the tiling, the grouping, the partition or the SIMD
+    // level. Pruned taps are never touched, so their dW entries stay
+    // exactly as given; a live tap with an empty window adds the sum of
+    // zero lanes, +0, like every other tap. A task gets at least
+    // kGrainMacs of work, counting zeros, so a small fc head runs
+    // inline.
+    const PlaneLayout lay(h, width, stride, pad);
+    const bool raw = stride == 1;
+    const int64_t tiles = bw.okTiles * bw.icTiles;
     const int64_t dense_macs =
         static_cast<int64_t>(pack->taps.size()) * n * p_ext * q_ext;
-    const int64_t ok_grain =
-        std::max<int64_t>(1, kGrainMacs * k / std::max<int64_t>(1, dense_macs));
+    const int64_t tile_grain = std::max<int64_t>(
+        1, kGrainMacs * tiles / std::max<int64_t>(1, dense_macs));
     std::atomic<int64_t> mac_total{0};
-    ThreadPool::global().parallelFor(0, k, [&](int64_t ok0, int64_t ok1) {
+    const int64_t ic_block = (c + bw.icTiles - 1) / bw.icTiles;
+    ThreadPool::global().parallelFor(0, tiles, [&](int64_t t0, int64_t t1) {
+        std::unique_ptr<float[]> block(
+            raw ? nullptr
+                : new float[static_cast<size_t>(ic_block * bw.plane)]);
+        std::vector<float> lanes;
         int64_t local_macs = 0;
-        for (int64_t b = ok0 * c; b < ok1 * c; ++b) {
-            const int64_t *row = nz_count.data() + (b % c) * rs;
-            for (int64_t t = block_off[b]; t < block_off[b + 1]; ++t)
-                local_macs += row[taps[t]];
+        for (int64_t t = t0; t < t1; ++t) {
+            const int64_t okb = t / bw.icTiles, icb = t % bw.icTiles;
+            const int64_t ok0 = blockStart(okb, k, bw.okTiles);
+            const int64_t ok1 = blockStart(okb + 1, k, bw.okTiles);
+            const int64_t ic0 = blockStart(icb, c, bw.icTiles);
+            const int64_t ic1 = blockStart(icb + 1, c, bw.icTiles);
+            for (int64_t ok = ok0; ok < ok1; ++ok) {
+                for (int64_t ic = ic0; ic < ic1; ++ic) {
+                    const int64_t b = ok * c + ic;
+                    const int64_t *row = nz_count.data() + ic * rs;
+                    for (int64_t i = block_off[b]; i < block_off[b + 1]; ++i)
+                        local_macs += row[taps[i]];
+                }
+            }
+            const int64_t first = bw.tapOff[static_cast<size_t>(t)];
+            const int64_t last = bw.tapOff[static_cast<size_t>(t) + 1];
+            lanes.assign(static_cast<size_t>(8 * (last - first)), 0.0f);
+            const ConvTapPack::BackwardWeight::Group *g0 =
+                bw.groups.data() + bw.groupOff[static_cast<size_t>(t)];
+            const ConvTapPack::BackwardWeight::Group *g1 =
+                bw.groups.data() + bw.groupOff[static_cast<size_t>(t) + 1];
+            for (int64_t in = 0; in < n && g0 != g1; ++in) {
+                const float *xn = px + (in * c + ic0) * h * width;
+                if (!raw) {
+                    lay.fillPlanes(block.get(), xn, ic1 - ic0);
+                    xn = block.get();
+                }
+                const float *dyn = pdy + in * k * p_ext * q_ext;
+                for (const auto *g = g0; g != g1; ++g)
+                    kernels::sparseConvBwdWeightGroup(
+                        bw.xoff.data() + g->first, g->count, xn,
+                        bw.rowStride, dyn + g->dyoff, q_ext, g->rows,
+                        g->cols, lanes.data() + 8 * (g->first - first));
+            }
+            for (int64_t i = first; i < last; ++i)
+                pdw[bw.slot[static_cast<size_t>(i)]] +=
+                    kernels::sumLanes8(lanes.data() + 8 * (i - first));
         }
-        const int64_t t0 = block_off[ok0 * c];
-        const int64_t t1 = block_off[ok1 * c];
-        std::vector<float> lanes(static_cast<size_t>(8 * (t1 - t0)), 0.0f);
-        const ConvTapPack::BackwardWeight::Group *g0 =
-            bw.groups.data() + bw.groupOff[static_cast<size_t>(ok0)];
-        const ConvTapPack::BackwardWeight::Group *g1 =
-            bw.groups.data() + bw.groupOff[static_cast<size_t>(ok1)];
-        for (int64_t in = 0; in < n; ++in) {
-            const float *xn = xbase + in * c * bw.plane;
-            const float *dyn = pdy + in * k * p_ext * q_ext;
-            for (const auto *g = g0; g != g1; ++g)
-                kernels::sparseConvBwdWeightGroup(
-                    bw.xoff.data() + g->first, g->count, xn, bw.rowStride,
-                    dyn + g->dyoff, q_ext, g->rows, g->cols,
-                    lanes.data() + 8 * (g->first - t0));
-        }
-        for (int64_t t = t0; t < t1; ++t)
-            pdw[bw.slot[static_cast<size_t>(t)]] +=
-                kernels::sumLanes8(lanes.data() + 8 * (t - t0));
         mac_total.fetch_add(local_macs, std::memory_order_relaxed);
-    }, ok_grain);
+    }, tile_grain);
     if (macs)
         *macs = mac_total.load(std::memory_order_relaxed);
 }

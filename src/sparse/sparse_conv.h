@@ -19,12 +19,15 @@
  *
  * The traversal is partitioned across the shared ThreadPool — over
  * (sample, output-channel block) tiles in the forward pass, over
- * (sample, input channel) pairs in backward-data, over output channels
- * in backward-weight — so every thread accumulates into a private
- * slice of the output in a fixed order (deterministic for any thread
- * count). The forward (from batch 16 up) and backward-data tasks each
- * own whole samples of their input side, as the PEs of the paper's K,N
- * and C,N mappings do: a task pads only its own samples' planes.
+ * (sample, input channel) pairs in backward-data, over (output-channel
+ * block x input-channel block) tiles in backward-weight — so every
+ * thread accumulates into a private slice of the output in a fixed
+ * order (deterministic for any thread count). Each task holds only its
+ * own operands, as the PEs of the paper's K,N and C,N mappings do: the
+ * forward (from batch 16 up) and backward-data tasks own whole samples
+ * of their input side and pad only those planes, and a backward-weight
+ * tile reads only its input channels' x and its output channels' dy,
+ * preparing one sample of its input channels at a time.
  *
  * Where the taps go is decided in one place, the ConvTapPack, built
  * once per (mask, geometry) on the calling thread: each kernel
@@ -126,15 +129,21 @@ struct ConvTapPack
     } bd;
 
     /**
-     * Backward-weight: per output channel, all its live taps bucketed
-     * by clip window (one bucket per distinct window, in kernel-element
+     * Backward-weight: the taps tiled by (output-channel block x
+     * input-channel block), okTiles x icTiles blocks whose sizes differ
+     * by at most one channel (block i of n channels starts at channel
+     * i * n / blocks), tile t = okBlock * icTiles + icBlock. The block
+     * counts follow from the geometry alone. Per output channel of a
+     * tile, its live taps on the tile's input channels are bucketed by
+     * clip window (one bucket per distinct window, in kernel-element
      * order; input channel, then pack order, within one) and cut into
-     * groups of up to 8 that share every dy load. Output channel ok's
-     * taps are [blockOff[ok * C], blockOff[(ok + 1) * C]) of xoff and
-     * slot, in group order, and its groups are [groupOff[ok],
-     * groupOff[ok + 1]); a tap whose window is empty is in no group.
-     * xoff addresses one sample's x planes (prepared at stride > 1,
-     * raw at stride 1): plane floats apart, rows rowStride apart.
+     * groups of up to 8 that share every dy load. Tile t's taps are
+     * [tapOff[t], tapOff[t + 1]) of xoff and slot, in group order, and
+     * its groups are [groupOff[t], groupOff[t + 1]); a tap whose window
+     * is empty is in no group. xoff addresses the tile's input-channel
+     * block of one sample's x planes (prepared at stride > 1, raw at
+     * stride 1): plane floats apart from the block's first channel, rows
+     * rowStride apart. A group's dyoff addresses one sample's dy planes.
      */
     struct BackwardWeight
     {
@@ -146,7 +155,9 @@ struct ConvTapPack
         std::vector<int32_t> xoff;      //!< window's first x read
         std::vector<int32_t> slot;      //!< dW index
         std::vector<Group> groups;
-        std::vector<int64_t> groupOff;  //!< k + 1
+        std::vector<int64_t> tapOff;    //!< tiles + 1
+        std::vector<int64_t> groupOff;  //!< tiles + 1
+        int64_t okTiles = 0, icTiles = 0;
         int64_t plane = 0, rowStride = 0;
     } bw;
 
@@ -250,15 +261,19 @@ Tensor sparseConvBackwardData(const Tensor &dy, const CsbTensor &w,
  * MACs are skipped exactly as the PEs skip zero weights, which is what
  * closes the sparse-training gap for the weight-update phase.
  *
- * At stride > 1 computed over a copy of x prepared as in the forward
- * (zero-padded and phase-split by the column stride, so every read is a
- * plain unit-stride load); at stride 1 over x itself, since every clip
- * window lies inside the plane and the tail loads are masked. The
- * pack's groups hold up to 8 live taps of one output channel whose
- * kernel elements share a padding-clip window, and share each dy load;
- * every tap reduces its (n, p, q) space into its own 8 lanes in one
- * fixed order, collapsed by one fixed tree, so dW does not depend on
- * the grouping, the thread count or the SIMD level.
+ * Tiled by the pack's (output-channel block x input-channel block)
+ * tiles, whose counts follow from the geometry alone; a tile runs the
+ * samples outermost. At stride > 1 it reads its input channels of one
+ * sample at a time from a copy prepared as in the forward (zero-padded
+ * and phase-split by the column stride, so every read is a plain
+ * unit-stride load) in a block of its own; at stride 1 it reads x
+ * itself, since every clip window lies inside the plane and the tail
+ * loads are masked. The pack's groups hold up to 8 live taps of one
+ * output channel whose kernel elements share a padding-clip window,
+ * and share each dy load; every tap lives in one tile and reduces its
+ * (n, p, q) space into its own 8 lanes in one fixed order, collapsed
+ * by one fixed tree, so dW does not depend on the tiling, the
+ * grouping, the thread count or the SIMD level.
  *
  * Zero input activations — ReLU zeros make x the sparse operand of the
  * weight-update phase (Section II-B) — are multiplied, not skipped:

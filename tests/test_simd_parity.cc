@@ -16,8 +16,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -208,6 +211,72 @@ TEST(SimdParityThreads, Avx2ExecutorsBitwiseInvariantAcrossThreadCounts)
         EXPECT_TRUE(bitwiseEqual(conv.y, ref.y)) << threads;
         EXPECT_TRUE(bitwiseEqual(conv.dx, ref.dx)) << threads;
         EXPECT_TRUE(bitwiseEqual(conv.dw, ref.dw)) << threads;
+    }
+}
+
+/**
+ * The prepared-plane fill both the forward and backward-weight read:
+ * the scalar loop and the AVX2 body must write the same bits, every
+ * source float at its padded, phase-split place (NaN payloads, -0 and
+ * infinities moved, not computed) and +0 in every halo slot, and
+ * nothing past the plane. Strides 1..3 x pads 0..2 over widths below
+ * 8, not a multiple of 8, and more than one 16-float step.
+ */
+TEST(SimdParityFill, PlaneFillsBitwiseEqualAndZeroOnlyTheHalo)
+{
+    SimdLevelGuard guard;
+    std::vector<kernels::SimdLevel> levels = {kernels::SimdLevel::kScalar};
+    if (kernels::avx2Supported())
+        levels.push_back(kernels::SimdLevel::kAvx2);
+    const uint32_t specials[] = {0x80000000u, 0x7fc00001u, 0xffc12345u,
+                                 0x7f800000u, 0xff800000u};
+    const uint32_t canary = 0x5a5a5a5au;
+    const int64_t h = 3;
+    Xorshift128Plus rng(4242);
+    for (int64_t stride = 1; stride <= 3; ++stride) {
+        for (int64_t pad = 0; pad <= 2; ++pad) {
+            for (const int64_t width : {1, 2, 3, 5, 7, 13, 16, 17, 31, 35}) {
+                std::vector<uint32_t> src(static_cast<size_t>(h * width));
+                for (size_t i = 0; i < src.size(); ++i)
+                    src[i] = i % 3 == 0 ? specials[i / 3 % 5]
+                                        : static_cast<uint32_t>(rng.next());
+                const int64_t slots = (width + 2 * pad + stride - 1) / stride;
+                const int64_t row = slots * stride;
+                const size_t plane =
+                    static_cast<size_t>((h + 2 * pad) * row);
+                std::vector<uint32_t> ref;
+                for (const kernels::SimdLevel level : levels) {
+                    kernels::setSimdLevel(level);
+                    std::vector<uint32_t> dst(plane + 8, canary);
+                    kernels::padPhaseSplitPlane(
+                        reinterpret_cast<const float *>(src.data()), h,
+                        width, stride, pad, slots,
+                        reinterpret_cast<float *>(dst.data()));
+                    const std::string where =
+                        "stride=" + std::to_string(stride) +
+                        " pad=" + std::to_string(pad) +
+                        " width=" + std::to_string(width) +
+                        " simd=" + kernels::simdLevelName(level);
+                    for (size_t i = 0; i < plane; ++i) {
+                        const int64_t r = static_cast<int64_t>(i) / row - pad;
+                        const int64_t in_row = static_cast<int64_t>(i) % row;
+                        const int64_t col =
+                            in_row % slots * stride + in_row / slots - pad;
+                        const bool inside =
+                            r >= 0 && r < h && col >= 0 && col < width;
+                        const uint32_t want =
+                            inside ? src[static_cast<size_t>(r * width + col)]
+                                   : 0u;
+                        ASSERT_EQ(dst[i], want) << where << " at " << i;
+                    }
+                    for (size_t i = plane; i < dst.size(); ++i)
+                        ASSERT_EQ(dst[i], canary) << where << " past the plane";
+                    if (ref.empty())
+                        ref = dst;
+                    EXPECT_EQ(dst, ref) << where;
+                }
+            }
+        }
     }
 }
 
