@@ -952,7 +952,8 @@ TEST(SparseConvBackwardWeights, TileEdgeGoldenAtEverySimdLevel)
  * built from a first encode, is passed to all three executors at
  * batches 1, 3 and 32, for that encode and for a second encode of the
  * same mask with other values. y, dx, dW and the three MAC tallies must
- * equal, bit for bit, the calls that build their own pack.
+ * equal, bit for bit, the calls that build their own pack. The width
+ * gives q_ext = 11..15: more than one vector, and a masked tail.
  */
 TEST(SparseConvPack, OnePackServesEveryBatchAndEncode)
 {
@@ -967,7 +968,7 @@ TEST(SparseConvPack, OnePackServesEveryBatchAndEncode)
         for (const ForwardGoldenCase &g : kForwardGolden) {
             const int64_t stride = g.stride, kernel = g.kernel, pad = g.pad;
             const int64_t h = kernel + 2 * stride + 1;
-            const int64_t width = stride * 33 + kernel;
+            const int64_t width = stride * 10 + kernel;
             const int64_t p_ext = (h + 2 * pad - kernel) / stride + 1;
             const int64_t q_ext = (width + 2 * pad - kernel) / stride + 1;
             const Shape ws{k, c, kernel, kernel};
