@@ -203,9 +203,10 @@ void sparseConvBwdWeightGroup(const int32_t *xoff, int64_t ntaps,
  * * pad) / stride rounded up. Only the halo is zeroed: the pad rows,
  * and in each row the slots whose column falls outside the source.
  * Every source float is moved, not computed, so -0, NaN payloads and
- * infinities arrive bit for bit. At stride 2 the AVX2 level splits
- * whole vectors (16 source floats per step); every other stride, and
- * the scalar level, copies with a strided loop.
+ * infinities arrive bit for bit. The AVX2 level moves whole vectors at
+ * strides 1 and 2 (a stride-2 step splits 16 source floats into two
+ * phases); larger strides, and the scalar level, copy with a strided
+ * loop.
  */
 void padPhaseSplitPlane(const float *src, int64_t h, int64_t width,
                         int64_t stride, int64_t pad, int64_t slots,

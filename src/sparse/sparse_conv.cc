@@ -774,9 +774,12 @@ sparseConvBackwardWeights(const Tensor &x, const Tensor &dy,
     // not depend on the tiling, the grouping, the partition or the SIMD
     // level. Pruned taps are never touched, so their dW entries stay
     // exactly as given; a live tap with an empty window adds the sum of
-    // zero lanes, +0, like every other tap. A task gets at least
-    // kGrainMacs of work, counting zeros, so a small fc head runs
-    // inline.
+    // zero lanes, +0, like every other tap. The lanes and the prepared
+    // blocks are slices of two heap blocks, indexed by tap and by tile
+    // and allocated here on the calling thread: blocks each task
+    // allocated on a pool thread raised train_sparse's peak RSS by about
+    // 2 MB. A task gets at least kGrainMacs of work, counting zeros, so
+    // a small fc head runs inline.
     const PlaneLayout lay(h, width, stride, pad);
     const bool raw = stride == 1;
     const int64_t tiles = bw.okTiles * bw.icTiles;
@@ -786,11 +789,12 @@ sparseConvBackwardWeights(const Tensor &x, const Tensor &dy,
         1, kGrainMacs * tiles / std::max<int64_t>(1, dense_macs));
     std::atomic<int64_t> mac_total{0};
     const int64_t ic_block = (c + bw.icTiles - 1) / bw.icTiles;
+    std::vector<float> lanes(static_cast<size_t>(8 * bw.tapOff.back()),
+                             0.0f);
+    std::unique_ptr<float[]> blocks(
+        raw ? nullptr
+            : new float[static_cast<size_t>(tiles * ic_block * bw.plane)]);
     ThreadPool::global().parallelFor(0, tiles, [&](int64_t t0, int64_t t1) {
-        std::unique_ptr<float[]> block(
-            raw ? nullptr
-                : new float[static_cast<size_t>(ic_block * bw.plane)]);
-        std::vector<float> lanes;
         int64_t local_macs = 0;
         for (int64_t t = t0; t < t1; ++t) {
             const int64_t okb = t / bw.icTiles, icb = t % bw.icTiles;
@@ -806,9 +810,7 @@ sparseConvBackwardWeights(const Tensor &x, const Tensor &dy,
                         local_macs += row[taps[i]];
                 }
             }
-            const int64_t first = bw.tapOff[static_cast<size_t>(t)];
-            const int64_t last = bw.tapOff[static_cast<size_t>(t) + 1];
-            lanes.assign(static_cast<size_t>(8 * (last - first)), 0.0f);
+            float *block = blocks.get() + (raw ? 0 : t * ic_block * bw.plane);
             const ConvTapPack::BackwardWeight::Group *g0 =
                 bw.groups.data() + bw.groupOff[static_cast<size_t>(t)];
             const ConvTapPack::BackwardWeight::Group *g1 =
@@ -816,19 +818,20 @@ sparseConvBackwardWeights(const Tensor &x, const Tensor &dy,
             for (int64_t in = 0; in < n && g0 != g1; ++in) {
                 const float *xn = px + (in * c + ic0) * h * width;
                 if (!raw) {
-                    lay.fillPlanes(block.get(), xn, ic1 - ic0);
-                    xn = block.get();
+                    lay.fillPlanes(block, xn, ic1 - ic0);
+                    xn = block;
                 }
                 const float *dyn = pdy + in * k * p_ext * q_ext;
                 for (const auto *g = g0; g != g1; ++g)
                     kernels::sparseConvBwdWeightGroup(
                         bw.xoff.data() + g->first, g->count, xn,
                         bw.rowStride, dyn + g->dyoff, q_ext, g->rows,
-                        g->cols, lanes.data() + 8 * (g->first - first));
+                        g->cols, lanes.data() + 8 * g->first);
             }
-            for (int64_t i = first; i < last; ++i)
+            for (int64_t i = bw.tapOff[static_cast<size_t>(t)];
+                 i < bw.tapOff[static_cast<size_t>(t) + 1]; ++i)
                 pdw[bw.slot[static_cast<size_t>(i)]] +=
-                    kernels::sumLanes8(lanes.data() + 8 * (i - first));
+                    kernels::sumLanes8(lanes.data() + 8 * i);
         }
         mac_total.fetch_add(local_macs, std::memory_order_relaxed);
     }, tile_grain);
