@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "kernels/sparse_microkernels.h"
 
@@ -83,7 +82,7 @@ convBwdWeightGroupScalar(const int32_t *xoff, int64_t ntaps,
  * Scalar padPhaseSplitPlane: padded column slot * stride + ph holds
  * source column slot * stride + ph - pad, so phase ph of a row copies
  * the in-range slots [lo, hi) with a strided read and zeroes the slots
- * on either side. At stride 1 the one phase is a plain copy.
+ * on either side.
  */
 inline void
 padPhaseSplitPlaneScalar(const float *src, int64_t h, int64_t width,
@@ -103,14 +102,9 @@ padPhaseSplitPlaneScalar(const float *src, int64_t h, int64_t width,
                 lo, ph < pad + width ? (pad + width - 1 - ph) / stride + 1
                                      : 0);
             std::fill(d, d + lo, 0.0f);
-            if (stride == 1) {
-                std::memcpy(d + lo, srow + lo - pad,
-                            static_cast<size_t>(hi - lo) * sizeof(float));
-            } else {
-                const float *sp = srow + lo * stride + ph - pad;
-                for (int64_t slot = lo; slot < hi; ++slot, sp += stride)
-                    d[slot] = *sp;
-            }
+            const float *sp = srow + lo * stride + ph - pad;
+            for (int64_t slot = lo; slot < hi; ++slot, sp += stride)
+                d[slot] = *sp;
             std::fill(d + hi, d + slots, 0.0f);
         }
     }
