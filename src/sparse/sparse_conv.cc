@@ -121,7 +121,7 @@ constexpr int64_t kMinIcBlock = 8;
 
 /** First channel of block i when n channels are cut into `blocks`
     blocks whose sizes differ by at most one. */
-inline int64_t
+int64_t
 blockStart(int64_t i, int64_t n, int64_t blocks)
 {
     return i * n / blocks;
