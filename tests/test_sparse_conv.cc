@@ -415,8 +415,9 @@ TEST(SparseConvBackward, DeterministicUnderThreading)
                 << "hw=" << in.hw << " stride=" << stride;
         }
     }
-    // The backward-weight tile-edge golden at every thread count: a
-    // tiling that followed the pool size would move its bits or tallies.
+    // The tile-edge golden of all three executors at every thread
+    // count: a tiling that followed the pool size would move its bits
+    // or tallies.
     for (const int threads : {1, 2, 3, 8}) {
         ThreadPool::resetGlobal(threads);
         expectTileEdgeGolden("threads=" + std::to_string(threads));
@@ -852,37 +853,68 @@ TEST(SparseConvBackwardWeights, GoldenBitsAndMacsAtEverySimdLevel)
     kernels::setSimdLevel(saved);
 }
 
-// ------------------------------------------ backward-weight tile edges
+// ------------------------------------------------------ tile edges
 
 struct TileEdgeCase
 {
     int64_t stride, n;
-    uint64_t dwHash;   //!< FNV-1a of dW bits over both densities
-    int64_t macs;      //!< summed bw-weight MAC tallies, same cases
+    uint64_t yHash, dxHash, dwHash;   //!< FNV-1a of y / dx / dW bits over
+                                      //!< both densities
+    int64_t fwMacs, bdMacs, bwMacs;   //!< summed MAC tallies, same cases
 };
 
 /**
- * dW bits and MAC tallies of sparseConvBackwardWeights on K = 19
- * output and C = 37 input channels, counts no plausible channel block
- * divides, so a tiling of either axis ends in a ragged block. The rows
- * cover strides 1..3 at batches 1, 3 and 32, with 3x3 kernels, pad 1,
- * 4 output rows and ragged output widths (11, 9, 13). Each row runs
- * densities 0.2 and 1.0 against an x with half its entries zero and a
- * dW pre-filled with non-zero values and -0 at every fifth slot. The
- * expected values were recorded with one task per output channel
- * streaming all input channels.
+ * y, dx and dW bits and the three MAC tallies of the sparse conv
+ * executors on K = 19 output and C = 37 input channels, counts no
+ * plausible channel block divides, so a tiling of either axis ends in a
+ * ragged block. The rows cover strides 1..3 at batches 1, 3, 8 and 32,
+ * with 3x3 kernels, pad 1, 4 output rows and ragged output widths (11,
+ * 9, 13). Each row runs densities 0.2 and 1.0: y from an x with half
+ * its entries zero, dx from a dense dy, and dW from both into a dW
+ * pre-filled with non-zero values and -0 at every fifth slot. The dW
+ * values were recorded with one task per output channel streaming all
+ * input channels, the y and dx values with the forward's (sample x
+ * output-channel block) tiles and backward-data's (sample, input
+ * channel) pairs.
  */
 const TileEdgeCase kTileEdgeGolden[] = {
-    {1, 1, 0xf198cd041856adaULL, 131260},
-    {1, 3, 0xb1d46bb86903d432ULL, 394596},
-    {1, 32, 0xcc0fee1a61626b7fULL, 4210484},
-    {2, 1, 0x8cd644a841eb0a56ULL, 107575},
-    {2, 3, 0xaecc47fc90a860bbULL, 327073},
-    {2, 32, 0xf6efa9d11c23b807ULL, 3517253},
-    {3, 1, 0x7c6a976466bed872ULL, 160199},
-    {3, 3, 0x828b4d848ef93e7dULL, 477848},
-    {3, 32, 0xe92f6aab343512f6ULL, 5136294},
+    {1, 1, 0x85eb0401b5aaee10ULL, 0x70370a6c2720965aULL,
+     0xf198cd041856adaULL, 262454, 262454, 131260},
+    {1, 3, 0x760744eb9ca6969bULL, 0xf7ef0bfd23b124c5ULL,
+     0xb1d46bb86903d432ULL, 781782, 781782, 394596},
+    {1, 8, 0x7f870b885094f318ULL, 0x20d01cfec86271eaULL,
+     0x217ec229d81cfd26ULL, 2090968, 2090968, 1042140},
+    {1, 32, 0x2a6b4839c14e68caULL, 0x7b2f59e5d5f18a65ULL,
+     0xcc0fee1a61626b7fULL, 8426816, 8426816, 4210484},
+    {2, 1, 0x9ded111d5bf1899aULL, 0xdfc4e9aaf93cc1f7ULL,
+     0x8cd644a841eb0a56ULL, 218937, 218937, 107575},
+    {2, 3, 0x1bbc0455d8e9f58fULL, 0x1c6f3553f77927e0ULL,
+     0xaecc47fc90a860bbULL, 659760, 659760, 327073},
+    {2, 8, 0x945f08b61b163a56ULL, 0xb04b2db1240dd5eULL,
+     0x9d6beb6276f39af6ULL, 1762088, 1762088, 879167},
+    {2, 32, 0x2684291e05bef8c2ULL, 0x56b3aa08b1f20f55ULL,
+     0xf6efa9d11c23b807ULL, 7049632, 7049632, 3517253},
+    {3, 1, 0xe02eb6f05d531912ULL, 0x31e7b7396f11b1dfULL,
+     0x7c6a976466bed872ULL, 320727, 320727, 160199},
+    {3, 3, 0x47658898f5320c0ULL, 0xe37b8a2cd8f6cf8aULL,
+     0x828b4d848ef93e7dULL, 954291, 954291, 477848},
+    {3, 8, 0x6df860f8681e7222ULL, 0x4c6a6933422bc6dULL,
+     0x4b2878a902574df7ULL, 2555824, 2555824, 1277703},
+    {3, 32, 0xd6ad35076bf63a57ULL, 0x875bc1269a0ff85ULL,
+     0xe92f6aab343512f6ULL, 10270496, 10270496, 5136294},
 };
+
+/** Fold t's bit patterns into h. */
+uint64_t
+hashBits(uint64_t h, const Tensor &t)
+{
+    for (int64_t i = 0; i < t.numel(); ++i) {
+        uint32_t bits;
+        std::memcpy(&bits, t.data() + i, sizeof(bits));
+        h = fnv1a(h, bits);
+    }
+    return h;
+}
 
 TileEdgeCase
 runTileEdgeGolden(int64_t stride, int64_t n)
@@ -892,7 +924,8 @@ runTileEdgeGolden(int64_t stride, int64_t n)
     const int64_t q_ext = stride == 1 ? 11 : stride == 2 ? 9 : 13;
     const int64_t width = (q_ext - 1) * stride + kernel - 2 * pad + stride - 1;
     const int64_t p_ext = (h + 2 * pad - kernel) / stride + 1;
-    TileEdgeCase got{stride, n, 0xcbf29ce484222325ULL, 0};
+    const uint64_t basis = 0xcbf29ce484222325ULL;
+    TileEdgeCase got{stride, n, basis, basis, basis, 0, 0, 0};
     uint64_t seed = 20000 + 100 * static_cast<uint64_t>(stride) +
                     static_cast<uint64_t>(n);
     for (const double density : {0.2, 1.0}) {
@@ -905,14 +938,17 @@ runTileEdgeGolden(int64_t stride, int64_t n)
         Tensor dw = goldenTensor(ws, ++seed, 1.0);
         for (int64_t i = 0; i < dw.numel(); i += 5)
             dw.at(i) = -0.0f;
-        int64_t macs = -1;
-        sparseConvBackwardWeights(x, dy, csb, stride, pad, &dw, &macs);
-        for (int64_t i = 0; i < dw.numel(); ++i) {
-            uint32_t bits;
-            std::memcpy(&bits, dw.data() + i, sizeof(bits));
-            got.dwHash = fnv1a(got.dwHash, bits);
-        }
-        got.macs += macs;
+        int64_t macs[3] = {-1, -1, -1};
+        got.yHash = hashBits(
+            got.yHash, sparseConvForward(x, csb, stride, pad, &macs[0]));
+        got.dxHash = hashBits(got.dxHash,
+                              sparseConvBackwardData(dy, csb, x.shape(),
+                                                     stride, pad, &macs[1]));
+        sparseConvBackwardWeights(x, dy, csb, stride, pad, &dw, &macs[2]);
+        got.dwHash = hashBits(got.dwHash, dw);
+        got.fwMacs += macs[0];
+        got.bdMacs += macs[1];
+        got.bwMacs += macs[2];
     }
     return got;
 }
@@ -922,11 +958,17 @@ expectTileEdgeGolden(const std::string &where)
 {
     for (const TileEdgeCase &g : kTileEdgeGolden) {
         const TileEdgeCase got = runTileEdgeGolden(g.stride, g.n);
+        const std::string row = "stride=" + std::to_string(g.stride) +
+                                " n=" + std::to_string(g.n) + " " + where;
+        EXPECT_EQ(got.yHash, g.yHash)
+            << std::hex << "y 0x" << got.yHash << std::dec << " " << row;
+        EXPECT_EQ(got.dxHash, g.dxHash)
+            << std::hex << "dx 0x" << got.dxHash << std::dec << " " << row;
         EXPECT_EQ(got.dwHash, g.dwHash)
-            << std::hex << "0x" << got.dwHash << std::dec
-            << " stride=" << g.stride << " n=" << g.n << " " << where;
-        EXPECT_EQ(got.macs, g.macs)
-            << "stride=" << g.stride << " n=" << g.n << " " << where;
+            << std::hex << "dw 0x" << got.dwHash << std::dec << " " << row;
+        EXPECT_EQ(got.fwMacs, g.fwMacs) << "fw " << row;
+        EXPECT_EQ(got.bdMacs, g.bdMacs) << "bd " << row;
+        EXPECT_EQ(got.bwMacs, g.bwMacs) << "bw " << row;
     }
 }
 
