@@ -98,26 +98,25 @@ phaseHalo(int64_t in, int64_t out, int64_t kernel, int64_t stride,
 }
 
 /**
- * Least work per pool task: floats of x or dy for the input
- * preparation and the non-zero tallies (64 KiB), multiply-adds for the
- * forward tiles, the backward-data pairs and the backward-weight
- * tiles. Below them a call runs inline, which costs less than waking
+ * Least work per pool task: floats of x or dy for the non-zero tallies
+ * (64 KiB), multiply-adds, counting zeros, for the tiles of every
+ * phase. Below them a call runs inline, which costs less than waking
  * the pool — an fc head's batch plane is that small.
  */
 constexpr int64_t kPrepareGrainFloats = int64_t{1} << 14;
 constexpr int64_t kGrainMacs = int64_t{1} << 15;
 
 /**
- * Backward-weight tiling (see packConvTaps): a tile's share of one
- * sample's x planes, and of its dy planes, stays near kTileFloats (64
- * KiB, within a core's L2) while its groups sweep it; a layer has at
- * least kBwTiles tiles where its channels allow; and an input-channel
- * block cut for that keeps kMinIcBlock channels, so the taps of one
- * output channel that share a window still fill 8-tap groups.
+ * The one tile rule of the three phases (tileBlocks): a tile's share of
+ * the channels it splits stays near kTileFloats (64 KiB, within a
+ * core's L2), and a call has at least kMinTiles tiles where its
+ * channels allow, one per thread of a 4-thread pool; 8 cost more CPU
+ * time there (each tile re-reads operands its neighbours read too) and
+ * took no wall time off. Both depend on the geometry and the batch
+ * only, never on the thread count.
  */
 constexpr int64_t kTileFloats = int64_t{1} << 14;
-constexpr int64_t kBwTiles = 2;
-constexpr int64_t kMinIcBlock = 8;
+constexpr int64_t kMinTiles = 4;
 
 /** First channel of block i when n channels are cut into `blocks`
     blocks whose sizes differ by at most one. */
@@ -128,13 +127,64 @@ blockStart(int64_t i, int64_t n, int64_t blocks)
 }
 
 /**
- * (sample, output-channel block) tiles the forward aims for: at batch
- * 16 and up every sample is one tile; a smaller batch — an fc head's
- * plane has one sample — splits its output channels into blocks so the
- * pool still gets about this many tiles. It depends on the batch only,
- * so the tiling is the same at every thread count.
+ * Blocks to cut `channels` channels of `floats` floats each into:
+ * enough that a block holds about kTileFloats, at least `min_blocks`,
+ * and never more than one per channel.
  */
-constexpr int64_t kForwardTiles = 16;
+int64_t
+tileBlocks(int64_t channels, int64_t floats, int64_t min_blocks)
+{
+    const int64_t fit = (channels * floats + kTileFloats - 1) / kTileFloats;
+    return std::max<int64_t>(1,
+                             std::min(channels, std::max(fit, min_blocks)));
+}
+
+/** Tiles per pool task, so that a task gets at least kGrainMacs of a
+    call's `macs`. */
+int64_t
+taskGrain(int64_t tiles, int64_t macs)
+{
+    return std::max<int64_t>(
+        1, kGrainMacs * tiles / std::max<int64_t>(1, macs));
+}
+
+/**
+ * The task loop of the forward and backward-data: (sample x channel
+ * block) tiles, sample-major, as the PEs of the paper's K,N and C,N
+ * mappings each own their samples. The `channels` output channels
+ * (forward) or input channels (backward-data) of `plane` floats each
+ * are cut by tileBlocks into at least kMinTiles / n blocks. A task
+ * owns one private block: `floats` floats that prepare(in, block)
+ * fills with sample in's operands whenever the task's next tile is of
+ * another sample, 8 floats of zero slack for the kernels'
+ * read-past-tail vectors, then `scratch` floats. body(in, ch0, ch1,
+ * block) runs the tile's channels [ch0, ch1).
+ */
+template <typename Prepare, typename Body>
+void
+forEachSampleTile(int64_t n, int64_t channels, int64_t plane,
+                  int64_t macs, int64_t floats, int64_t scratch,
+                  const Prepare &prepare, const Body &body)
+{
+    const int64_t blocks = tileBlocks(
+        channels, plane, (kMinTiles + n - 1) / std::max<int64_t>(n, 1));
+    const int64_t tiles = n * blocks;
+    ThreadPool::global().parallelFor(0, tiles, [&](int64_t t0, int64_t t1) {
+        std::unique_ptr<float[]> block(
+            new float[static_cast<size_t>(floats + 8 + scratch)]);
+        std::fill(block.get() + floats, block.get() + floats + 8, 0.0f);
+        int64_t prepared = -1;
+        for (int64_t t = t0; t < t1; ++t) {
+            const int64_t in = t / blocks, b = t % blocks;
+            if (in != prepared) {
+                prepare(in, block.get());
+                prepared = in;
+            }
+            body(in, blockStart(b, channels, blocks),
+                 blockStart(b + 1, channels, blocks), block.get());
+        }
+    }, taskGrain(tiles, macs));
+}
 
 /**
  * The layout of a conv input copied zero-padded and phase-split by the
@@ -143,11 +193,9 @@ constexpr int64_t kForwardTiles = 16;
  * gathers. Padded column cp of a row lands in slot (cp % stride) *
  * slots + cp / stride, so kernel element (r, s) reads output position
  * (p, q) of one (sample, channel) plane at tapOffset(r, s) + p * stride
- * * rowStride + q. The forward fills each sample's planes into a
- * block of the task that owns the sample (a small batch, whose samples
- * several tasks share, into one buffer up front); at stride > 1 each
- * backward-weight tile fills its input-channel block of one sample at
- * a time into a block of its own.
+ * * rowStride + q. A forward task fills its tile's sample into its
+ * private block; at stride > 1 each backward-weight tile fills its
+ * input-channel block of one sample at a time into a block of its own.
  */
 struct PlaneLayout
 {
@@ -382,25 +430,15 @@ packConvTaps(const CsbTensor &w, int64_t in_h, int64_t in_w,
     // tiles, and per output channel of a tile its live taps bucketed by
     // window class across the tile's input channels, in groups of up to
     // 8. A tile's share of one sample's x and of its dy each stay near
-    // kTileFloats. At stride 1 the tiles split the output channels into
-    // at least kBwTiles blocks, as the taps read x in place. At stride >
-    // 1 every output-channel block would prepare its input channels
-    // again, so there is one, and the input channels split instead, as
-    // far as blocks of kMinIcBlock channels still fill their groups.
-    const auto blocks = [](int64_t floats, int64_t channels) {
-        return std::max<int64_t>(
-            1, std::min(channels, (floats + kTileFloats - 1) / kTileFloats));
-    };
-    bw.icTiles = blocks(c * bw.plane, c);
-    if (stride > 1) {
-        bw.okTiles = 1;
-        bw.icTiles =
-            std::max(bw.icTiles, std::min(kBwTiles, c / kMinIcBlock));
-    } else {
-        bw.okTiles = blocks(std::max(k * p_ext * q_ext,
-                                     kBwTiles / bw.icTiles * kTileFloats),
-                            k);
-    }
+    // kTileFloats. The side a tile prepares is cut first into kMinTiles
+    // blocks where its channels allow: the input channels at stride > 1,
+    // as every output-channel block would prepare them again (a block
+    // of few input channels only part-fills its groups, which costs
+    // less), and nothing at stride 1, where the taps read x in place.
+    // Then the output channels, up to kMinTiles tiles.
+    bw.icTiles = tileBlocks(c, bw.plane, raw ? 1 : kMinTiles);
+    bw.okTiles = tileBlocks(k, p_ext * q_ext,
+                            (kMinTiles + bw.icTiles - 1) / bw.icTiles);
     struct TapRef
     {
         int32_t xoff, slot;
@@ -480,75 +518,26 @@ sparseConvForward(const Tensor &x, const CsbTensor &w, int64_t stride,
     const int64_t nchunks = fw.chunks;
     const float *wvals = w.valuesData();
     const PlaneLayout lay(h, width, stride, pad);
-    const int64_t plane_sz = lay.planeSize;
 
-    // Partitioned over (sample, output-channel block) tiles,
-    // sample-major, as the PEs of the K,N mapping each own their
-    // samples' activations; each task zeroes and accumulates only its
-    // own y[in, ok] planes, so no locks are needed. Per y element the
+    // Tiled by (sample x output-channel block) (forEachSampleTile). A
+    // task fills its tile's sample, zero-padded (see PlaneLayout), into
+    // its private block, where it stays hot in that core's cache while
+    // the task sweeps its output channels, and zeroes and accumulates
+    // only its own y[in, ok] planes, so no locks are needed. Per y element the
     // chunks accumulate in fixed ic order and the taps in pack order,
     // whatever the tiling, so the result is identical at every thread
-    // count and SIMD level. A task gets at least kGrainMacs of work, so
-    // a small fc head runs inline.
-    const int64_t max_blocks = std::min(
-        std::max<int64_t>(k, 1),
-        (kForwardTiles + n - 1) / std::max<int64_t>(n, 1));
-    const int64_t ok_per_block =
-        std::max<int64_t>(1, (k + max_blocks - 1) / max_blocks);
-    const int64_t ok_blocks = (k + ok_per_block - 1) / ok_per_block;
+    // count and SIMD level.
     const int64_t total_macs = fw.macsPerSample * n;
-    const int64_t tile_grain = std::max<int64_t>(
-        1, kGrainMacs * n * ok_blocks / std::max<int64_t>(1, total_macs));
-
-    // The zero-padded input planes (see PlaneLayout), 8 floats of slack
-    // after them for the kernel's read-past-tail vectors. A sample that
-    // is one tile is filled by its task into a private block when the
-    // task first needs it, and stays hot in that core's cache while the
-    // task sweeps its output channels. A sample split into several
-    // output-channel blocks is read by several tasks, so the batch is
-    // filled once, up front, into one shared buffer instead of once per
-    // task.
-    const int64_t sample_sz = c * plane_sz;
-    const bool shared = ok_blocks > 1;
-    std::unique_ptr<float[]> batch_buf;
-    if (shared) {
-        batch_buf.reset(new float[static_cast<size_t>(n * sample_sz + 8)]);
-        std::fill(batch_buf.get() + n * sample_sz,
-                  batch_buf.get() + n * sample_sz + 8, 0.0f);
-        ThreadPool::global().parallelFor(
-            0, n * c,
-            [&](int64_t i0, int64_t i1) {
-                lay.fillPlanes(batch_buf.get() + i0 * plane_sz,
-                               px + i0 * h * width, i1 - i0);
-            },
-            std::max<int64_t>(
-                1, kPrepareGrainFloats / std::max<int64_t>(1, plane_sz)));
-    }
-    ThreadPool::global().parallelFor(0, n * ok_blocks, [&](int64_t t0,
-                                                           int64_t t1) {
-        std::unique_ptr<float[]> block;
-        if (!shared) {
-            block.reset(new float[static_cast<size_t>(sample_sz + 8)]);
-            std::fill(block.get() + sample_sz, block.get() + sample_sz + 8,
-                      0.0f);
-        }
-        int64_t prepared = -1;
-        for (int64_t t = t0; t < t1; ++t) {
-            const int64_t in = t / ok_blocks;
-            const int64_t ok0 = t % ok_blocks * ok_per_block;
-            const int64_t ok1 = std::min(k, ok0 + ok_per_block);
-            const float *xs_in =
-                shared ? batch_buf.get() + in * sample_sz : block.get();
+    forEachSampleTile(
+        n, k, p_ext * q_ext, total_macs, c * lay.planeSize, 0,
+        [&](int64_t in, float *xs_in) {
+            lay.fillPlanes(xs_in, px + in * c * h * width, c);
+        },
+        [&](int64_t in, int64_t ok0, int64_t ok1, const float *xs_in) {
             for (int64_t ok = ok0; ok < ok1; ++ok) {
                 float *yplane = py + (in * k + ok) * p_ext * q_ext;
                 std::fill(yplane, yplane + p_ext * q_ext, 0.0f);
                 const int64_t *cb = fw.bound.data() + ok * nchunks;
-                if (cb[0] == cb[nchunks])
-                    continue;   // no live taps: the plane stays zero
-                if (!shared && in != prepared) {
-                    lay.fillPlanes(block.get(), px + in * c * h * width, c);
-                    prepared = in;
-                }
                 for (int64_t g = 0; g < nchunks; ++g) {
                     if (cb[g + 1] == cb[g])
                         continue;
@@ -558,8 +547,7 @@ sparseConvForward(const Tensor &x, const CsbTensor &w, int64_t stride,
                         q_ext);
                 }
             }
-        }
-    }, tile_grain);
+        });
     if (macs)
         *macs = total_macs;
     return y;
@@ -620,87 +608,76 @@ sparseConvBackwardData(const Tensor &dy, const CsbTensor &w,
     }, std::max<int64_t>(
            1, kPrepareGrainFloats / std::max<int64_t>(1, n * plane)));
 
-    // Partitioned over (sample, input channel) pairs, sample-major:
-    // each task owns its dx[in, ic] planes, so no locks are needed,
-    // and pads one sample's k dy planes at a time into a private
-    // workspace (8 floats of slack for the kernel's read-past-tail
-    // vectors) that every input channel of that sample reuses. At
-    // stride 1 the one phase plane is the dx plane itself, zeroed by
-    // its task before it accumulates; otherwise each phase accumulates
-    // in a zeroed private buffer and is interleaved into dx (a phase no
-    // tap lands on interleaves its zeros). Every dx element is written
-    // by its own task, so dx starts uninitialized. Per dx element the
-    // pack's run fixes one addition order, so the result is
-    // deterministic for any thread count and SIMD level. A task gets at
-    // least kGrainMacs of work, counting zeros, so a small fc head runs
-    // inline.
+    // Tiled by (sample x input-channel block) (forEachSampleTile). A
+    // task pads its tile's sample's k dy planes into its private block, which every
+    // input channel of that sample reuses, and owns the tile's dx[in,
+    // ic] planes, so no locks are needed. At stride 1 the one phase
+    // plane is the dx plane itself, zeroed by its task before it
+    // accumulates; otherwise each phase accumulates in the block's
+    // zeroed scratch and is interleaved into dx (a phase no tap lands
+    // on interleaves its zeros). Every dx element is written by its own
+    // task, so dx starts uninitialized. Per dx element the pack's run
+    // fixes one addition order, so the result is deterministic for any
+    // thread count and SIMD level.
     const int64_t lo_h = bd.loH, lo_w = bd.loW;
     const int64_t dyrow = bd.dyRow, dyplane_sz = bd.dyPlane;
     const int64_t nchunks = bd.chunks;
     const int64_t ph_rows = (h + stride - 1) / stride;
     const int64_t ph_cols = (width + stride - 1) / stride;
-    const int64_t dense_macs =
-        static_cast<int64_t>(pack->taps.size()) * n * p_ext * q_ext;
-    const int64_t pair_grain = std::max<int64_t>(
-        1, kGrainMacs * n * c / std::max<int64_t>(1, dense_macs));
-    ThreadPool::global().parallelFor(0, n * c, [&](int64_t i0, int64_t i1) {
-        std::unique_ptr<float[]> dyb(
-            new float[static_cast<size_t>(k * dyplane_sz + 8)]);
-        float *dys = dyb.get();
-        std::fill(dys + k * dyplane_sz, dys + k * dyplane_sz + 8, 0.0f);
-        std::vector<float> phase(
-            stride > 1 ? static_cast<size_t>(ph_rows * ph_cols) : 0);
-        int64_t padded = -1;
-        for (int64_t i = i0; i < i1; ++i) {
-            const int64_t in = i / c;
-            const int64_t ic = i % c;
-            if (in != padded) {
-                for (int64_t ok = 0; ok < k; ++ok) {
-                    const float *src = pdy + (in * k + ok) * p_ext * q_ext;
-                    float *dst = dys + ok * dyplane_sz;
-                    std::fill(dst, dst + lo_h * dyrow, 0.0f);
-                    for (int64_t p = 0; p < p_ext; ++p) {
-                        float *drow = dst + (lo_h + p) * dyrow;
-                        std::fill(drow, drow + lo_w, 0.0f);
-                        std::memcpy(drow + lo_w, src + p * q_ext,
-                                    static_cast<size_t>(q_ext) *
-                                        sizeof(float));
-                        std::fill(drow + lo_w + q_ext, drow + dyrow, 0.0f);
-                    }
-                    std::fill(dst + (lo_h + p_ext) * dyrow,
-                              dst + dyplane_sz, 0.0f);
+    forEachSampleTile(
+        n, c, h * width,
+        static_cast<int64_t>(pack->taps.size()) * n * p_ext * q_ext,
+        k * dyplane_sz, stride > 1 ? ph_rows * ph_cols : 0,
+        [&](int64_t in, float *dys) {
+            for (int64_t ok = 0; ok < k; ++ok) {
+                const float *src = pdy + (in * k + ok) * p_ext * q_ext;
+                float *dst = dys + ok * dyplane_sz;
+                std::fill(dst, dst + lo_h * dyrow, 0.0f);
+                for (int64_t p = 0; p < p_ext; ++p) {
+                    float *drow = dst + (lo_h + p) * dyrow;
+                    std::fill(drow, drow + lo_w, 0.0f);
+                    std::memcpy(drow + lo_w, src + p * q_ext,
+                                static_cast<size_t>(q_ext) * sizeof(float));
+                    std::fill(drow + lo_w + q_ext, drow + dyrow, 0.0f);
                 }
-                padded = in;
+                std::fill(dst + (lo_h + p_ext) * dyrow, dst + dyplane_sz,
+                          0.0f);
             }
-            float *dxplane = pdx + i * h * width;
-            for (int64_t a = 0; a < stride && a < h; ++a) {
-                const int64_t rows = (h - a + stride - 1) / stride;
-                for (int64_t b = 0; b < stride && b < width; ++b) {
-                    const int64_t cols = (width - b + stride - 1) / stride;
-                    const int64_t *cb =
-                        bd.bound.data() +
-                        (ic * stride * stride + a * stride + b) * nchunks;
-                    float *dst = stride > 1 ? phase.data() : dxplane;
-                    std::fill(dst, dst + rows * cols, 0.0f);
-                    for (int64_t g = 0; g < nchunks; ++g) {
-                        if (cb[g + 1] == cb[g])
+        },
+        [&](int64_t in, int64_t ic0, int64_t ic1, float *dys) {
+            float *phase = dys + k * dyplane_sz + 8;
+            for (int64_t ic = ic0; ic < ic1; ++ic) {
+                float *dxplane = pdx + (in * c + ic) * h * width;
+                for (int64_t a = 0; a < stride && a < h; ++a) {
+                    const int64_t rows = (h - a + stride - 1) / stride;
+                    for (int64_t b = 0; b < stride && b < width; ++b) {
+                        const int64_t cols =
+                            (width - b + stride - 1) / stride;
+                        const int64_t *cb =
+                            bd.bound.data() +
+                            (ic * stride * stride + a * stride + b) * nchunks;
+                        float *dst = stride > 1 ? phase : dxplane;
+                        std::fill(dst, dst + rows * cols, 0.0f);
+                        for (int64_t g = 0; g < nchunks; ++g) {
+                            if (cb[g + 1] == cb[g])
+                                continue;
+                            kernels::sparseConvBwdDataPlaneRun(
+                                bd.runs.data() + cb[g], cb[g + 1] - cb[g],
+                                wvals, dys, dst, dyrow, rows, cols);
+                        }
+                        if (stride == 1)
                             continue;
-                        kernels::sparseConvBwdDataPlaneRun(
-                            bd.runs.data() + cb[g], cb[g + 1] - cb[g], wvals,
-                            dys, dst, dyrow, rows, cols);
-                    }
-                    if (stride == 1)
-                        continue;
-                    for (int64_t r = 0; r < rows; ++r) {
-                        const float *prow = dst + r * cols;
-                        float *xrow = dxplane + (a + stride * r) * width + b;
-                        for (int64_t j = 0; j < cols; ++j)
-                            xrow[stride * j] = prow[j];
+                        for (int64_t r = 0; r < rows; ++r) {
+                            const float *prow = dst + r * cols;
+                            float *xrow =
+                                dxplane + (a + stride * r) * width + b;
+                            for (int64_t j = 0; j < cols; ++j)
+                                xrow[stride * j] = prow[j];
+                        }
                     }
                 }
             }
-        }
-    }, pair_grain);
+        });
     if (macs)
         *macs = mac_total.load(std::memory_order_relaxed);
     return dx;
@@ -783,10 +760,6 @@ sparseConvBackwardWeights(const Tensor &x, const Tensor &dy,
     const PlaneLayout lay(h, width, stride, pad);
     const bool raw = stride == 1;
     const int64_t tiles = bw.okTiles * bw.icTiles;
-    const int64_t dense_macs =
-        static_cast<int64_t>(pack->taps.size()) * n * p_ext * q_ext;
-    const int64_t tile_grain = std::max<int64_t>(
-        1, kGrainMacs * tiles / std::max<int64_t>(1, dense_macs));
     std::atomic<int64_t> mac_total{0};
     const int64_t ic_block = (c + bw.icTiles - 1) / bw.icTiles;
     std::vector<float> lanes(static_cast<size_t>(8 * bw.tapOff.back()),
@@ -834,7 +807,8 @@ sparseConvBackwardWeights(const Tensor &x, const Tensor &dy,
                     kernels::sumLanes8(lanes.data() + 8 * i);
         }
         mac_total.fetch_add(local_macs, std::memory_order_relaxed);
-    }, tile_grain);
+    }, taskGrain(tiles, static_cast<int64_t>(pack->taps.size()) * n *
+                            p_ext * q_ext));
     if (macs)
         *macs = mac_total.load(std::memory_order_relaxed);
 }

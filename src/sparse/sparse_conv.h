@@ -17,17 +17,20 @@
  * the plane [1, I, 1, N], so the batch is the output row every
  * executor vectorizes.
  *
- * The traversal is partitioned across the shared ThreadPool — over
- * (sample, output-channel block) tiles in the forward pass, over
- * (sample, input channel) pairs in backward-data, over (output-channel
- * block x input-channel block) tiles in backward-weight — so every
- * thread accumulates into a private slice of the output in a fixed
- * order (deterministic for any thread count). Each task holds only its
- * own operands, as the PEs of the paper's K,N and C,N mappings do: the
- * forward (from batch 16 up) and backward-data tasks own whole samples
- * of their input side and pad only those planes, and a backward-weight
- * tile reads only its input channels' x and its output channels' dy,
- * preparing one sample of its input channels at a time.
+ * The traversal is partitioned across the shared ThreadPool by one
+ * tile rule: a channel axis is cut into blocks that keep a tile's share
+ * of it near 64 KiB, and into enough blocks that a call has at least 4
+ * tiles where its channels allow. The tiles are (sample x output-channel
+ * block) in the forward pass, (sample x input-channel block) in
+ * backward-data, and (output-channel block x input-channel block) in
+ * backward-weight, so every thread accumulates into a private slice of
+ * the output in a fixed order (deterministic for any thread count).
+ * Each task holds only its own operands, as the PEs of the paper's K,N
+ * and C,N mappings do: a forward or backward-data task prepares the
+ * sample of its tile into a private block when the sample changes, and
+ * a backward-weight tile reads only its input channels' x and its
+ * output channels' dy, preparing one sample of its input channels at a
+ * time.
  *
  * Where the taps go is decided in one place, the ConvTapPack, built
  * once per (mask, geometry) on the calling thread: each kernel
@@ -133,7 +136,8 @@ struct ConvTapPack
      * input-channel block), okTiles x icTiles blocks whose sizes differ
      * by at most one channel (block i of n channels starts at channel
      * i * n / blocks), tile t = okBlock * icTiles + icBlock. The block
-     * counts follow from the geometry alone. Per output channel of a
+     * counts follow from the geometry alone, by the executors' one tile
+     * rule. Per output channel of a
      * tile, its live taps on the tile's input channels are bucketed by
      * clip window (one bucket per distinct window, in kernel-element
      * order; input channel, then pack order, within one) and cut into
@@ -184,17 +188,15 @@ ConvTapPack packConvTaps(const CsbTensor &w, int64_t in_h, int64_t in_w,
  *
  * Streams the pack's forward runs (each output channel's live taps,
  * flattened over input channels and cut into L1-sized chunks). The
- * output is tiled by (sample, output-channel block): every sample
- * is one tile at batch 16 and up, and a smaller batch splits its output
- * channels into blocks, so an fc head's one-sample batch plane still
- * spreads over the pool. The input planes are copied zero-padded and
- * phase-split by the stride: a whole-sample tile's task copies its
- * sample into a private block, while a batch whose samples are split
- * into blocks is copied once into a buffer the tasks share. Each task
- * zeroes and accumulates only its own output planes. Per y element the
- * taps run in one fixed order (input-channel chunk, then pack order),
- * one fused multiply-add each, so y does not depend on the tiling, the
- * thread count or the SIMD level.
+ * output is tiled by (sample x output-channel block): the output
+ * channels split into blocks of about 64 KiB of y, and a batch of
+ * fewer than 4 samples into more, so an fc head's one-sample batch
+ * plane still spreads over the pool. A task copies the sample of its
+ * tile, zero-padded and phase-split by the stride, into a private
+ * block, and zeroes and accumulates only its own output planes. Per y
+ * element the taps run in one fixed order (input-channel chunk, then
+ * pack order), one fused multiply-add each, so y does not depend on
+ * the tiling, the thread count or the SIMD level.
  *
  * @param x input activations [N, C, H, W].
  * @param w CSB-encoded filters whose dense space is [K, C, R, S].
@@ -217,9 +219,10 @@ Tensor sparseConvForward(const Tensor &x, const CsbTensor &w,
  * blocks (the Figure 2b access pattern: the packed values are
  * consumed in rotated order while streaming).
  *
- * Computed in gather form, output-stationary like the forward pass:
- * each sample's dy planes are copied into a zero-padded buffer, dx
- * splits into its stride^2 phase planes, and each phase accumulates
+ * Computed in gather form, output-stationary like the forward pass,
+ * and tiled like it by (sample x input-channel block): a task copies
+ * the dy planes of its tile's sample into a zero-padded private block,
+ * dx splits into its stride^2 phase planes, and each phase accumulates
  * the pack's phase run — the live taps of every output channel that
  * land on it — in register strips. One path serves every stride. Per
  * dx element the additions run in the one fixed order (output channel,
@@ -262,13 +265,17 @@ Tensor sparseConvBackwardData(const Tensor &dy, const CsbTensor &w,
  * closes the sparse-training gap for the weight-update phase.
  *
  * Tiled by the pack's (output-channel block x input-channel block)
- * tiles, whose counts follow from the geometry alone; a tile runs the
- * samples outermost. At stride > 1 it reads its input channels of one
- * sample at a time from a copy prepared as in the forward (zero-padded
- * and phase-split by the column stride, so every read is a plain
- * unit-stride load) in a block of its own; at stride 1 it reads x
- * itself, since every clip window lies inside the plane and the tail
- * loads are masked. The pack's groups hold up to 8 live taps of one
+ * tiles, whose counts follow from the geometry alone: the input
+ * channels split into blocks of about 64 KiB of one sample's x (at
+ * stride > 1, where a tile prepares them, into at least 4), then the
+ * output channels into blocks of about 64 KiB of its dy, and into
+ * enough of them for 4 tiles. A tile runs the samples outermost. At
+ * stride > 1 it reads its input channels of one sample at a time from
+ * a copy prepared as in the forward (zero-padded and phase-split by
+ * the column stride, so every read is a plain unit-stride load) in a
+ * block of its own; at stride 1 it reads x itself, since every clip
+ * window lies inside the plane and the tail loads are masked. The
+ * pack's groups hold up to 8 live taps of one
  * output channel whose kernel elements share a padding-clip window,
  * and share each dy load; every tap lives in one tile and reduces its
  * (n, p, q) space into its own 8 lanes in one fixed order, collapsed
