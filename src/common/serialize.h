@@ -83,10 +83,18 @@ class ByteReader
     void
     readBytes(void *out, size_t n)
     {
-        if (off_ + n > size_)
-            FATAL("checkpoint truncated: read past end of snapshot");
+        require(n);
         std::memcpy(out, data_ + off_, n);
         off_ += n;
+    }
+
+    /** FATAL unless n more bytes remain: a length read from the
+        snapshot is checked before anything of that size is allocated. */
+    void
+    require(size_t n) const
+    {
+        if (n > remaining())
+            FATAL("checkpoint truncated: read past end of snapshot");
     }
 
     uint8_t readU8() { return readScalar<uint8_t>(); }
@@ -100,6 +108,7 @@ class ByteReader
     readString()
     {
         const uint32_t n = readU32();
+        require(n);
         std::string s(n, '\0');
         readBytes(s.data(), n);
         return s;

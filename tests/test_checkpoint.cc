@@ -11,7 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <cmath>
+#include <fstream>
 #include <memory>
 #include <vector>
 
@@ -91,6 +95,27 @@ TEST(Serialize, TensorRoundTripPreservesShapeAndBits)
     EXPECT_TRUE(r.atEnd());
 }
 
+/**
+ * Cap this process's address space at 1 GiB above what it maps now, so
+ * that an allocation of gigabytes fails at once; called inside a death
+ * test, it caps only the child. The sanitizers map terabytes of shadow
+ * memory, so under them the cap is skipped.
+ */
+void
+capAddressSpace()
+{
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+    std::ifstream statm("/proc/self/statm");
+    uint64_t pages = 0;
+    statm >> pages;
+    const rlim_t cap = static_cast<rlim_t>(
+        pages * static_cast<uint64_t>(sysconf(_SC_PAGESIZE)) +
+        (uint64_t{1} << 30));
+    const struct rlimit lim = {cap, cap};
+    setrlimit(RLIMIT_AS, &lim);
+#endif
+}
+
 TEST(Serialize, ReadPastEndIsFatal)
 {
     ByteWriter w;
@@ -98,6 +123,31 @@ TEST(Serialize, ReadPastEndIsFatal)
     ByteReader r(w.bytes());
     r.readU32();
     EXPECT_DEATH(r.readU64(), "truncated");
+
+    // A corrupt length prefix fails before anything of its size is
+    // allocated: a string claiming 0xfffffff0 bytes with 8 left, and a
+    // tensor whose first extent had its high byte flipped (2 + 2^56).
+    ByteWriter s;
+    s.writeU32(0xfffffff0u);
+    s.writeU64(0);
+    ByteReader rs(s.bytes());
+    EXPECT_DEATH(
+        {
+            capAddressSpace();
+            rs.readString();
+        },
+        "truncated");
+    ByteWriter t;
+    t.writeTensor(Tensor(Shape{2, 3}));
+    std::vector<uint8_t> bytes = t.bytes();
+    bytes[sizeof(uint32_t) + 7] ^= 1;   // rank, then extent 0's high byte
+    ByteReader rt(bytes);
+    EXPECT_DEATH(
+        {
+            capAddressSpace();
+            rt.readTensor();
+        },
+        "checkpoint corrupt");
 }
 
 // ---------------------------------------------------------------------
