@@ -21,26 +21,22 @@ ByteReader::readTensor()
     const uint32_t rank = readU32();
     if (rank > static_cast<uint32_t>(Shape::kMaxRank))
         FATAL("checkpoint corrupt: tensor rank out of range");
-    // The extents are checked before the tensor is allocated: a corrupt
-    // one would otherwise ask for an absurd or overflowed size.
+    // Extents and payload size are checked before anything is allocated.
     constexpr int64_t kMaxNumel =
         std::numeric_limits<int64_t>::max() / sizeof(float);
-    std::vector<int64_t> dims;
-    dims.reserve(rank);
+    std::vector<int64_t> dims(rank);
     int64_t numel = 1;
-    for (uint32_t i = 0; i < rank; ++i) {
-        const int64_t d = readI64();
+    for (int64_t &d : dims) {
+        d = readI64();
         if (d < 0 || (d > 0 && numel > kMaxNumel / d))
             FATAL("checkpoint corrupt: tensor extent out of range");
         numel *= d;
-        dims.push_back(d);
     }
     if (readI64() != numel)
         FATAL("checkpoint corrupt: tensor payload size mismatch");
-    const size_t bytes = static_cast<size_t>(numel) * sizeof(float);
-    require(bytes);
+    require(static_cast<size_t>(numel) * sizeof(float));
     Tensor t(rank ? Shape(dims) : Shape{});
-    readBytes(t.data(), bytes);
+    readBytes(t.data(), static_cast<size_t>(numel) * sizeof(float));
     return t;
 }
 

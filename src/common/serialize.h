@@ -88,8 +88,7 @@ class ByteReader
         off_ += n;
     }
 
-    /** FATAL unless n more bytes remain: a length read from the
-        snapshot is checked before anything of that size is allocated. */
+    /** FATAL unless n more bytes remain; called before allocating n. */
     void
     require(size_t n) const
     {

@@ -523,10 +523,10 @@ sparseConvForward(const Tensor &x, const CsbTensor &w, int64_t stride,
     // task fills its tile's sample, zero-padded (see PlaneLayout), into
     // its private block, where it stays hot in that core's cache while
     // the task sweeps its output channels, and zeroes and accumulates
-    // only its own y[in, ok] planes, so no locks are needed. Per y element the
-    // chunks accumulate in fixed ic order and the taps in pack order,
-    // whatever the tiling, so the result is identical at every thread
-    // count and SIMD level.
+    // only its own y[in, ok] planes, so no locks are needed. Per y
+    // element the chunks accumulate in fixed ic order and the taps in
+    // pack order, whatever the tiling, so the result is identical at
+    // every thread count and SIMD level.
     const int64_t total_macs = fw.macsPerSample * n;
     forEachSampleTile(
         n, k, p_ext * q_ext, total_macs, c * lay.planeSize, 0,
@@ -609,11 +609,11 @@ sparseConvBackwardData(const Tensor &dy, const CsbTensor &w,
            1, kPrepareGrainFloats / std::max<int64_t>(1, n * plane)));
 
     // Tiled by (sample x input-channel block) (forEachSampleTile). A
-    // task pads its tile's sample's k dy planes into its private block, which every
-    // input channel of that sample reuses, and owns the tile's dx[in,
-    // ic] planes, so no locks are needed. At stride 1 the one phase
-    // plane is the dx plane itself, zeroed by its task before it
-    // accumulates; otherwise each phase accumulates in the block's
+    // task pads its tile's sample's k dy planes into its private block,
+    // which every input channel of that sample reuses, and owns the
+    // tile's dx[in, ic] planes, so no locks are needed. At stride 1 the
+    // one phase plane is the dx plane itself, zeroed by its task before
+    // it accumulates; otherwise each phase accumulates in the block's
     // zeroed scratch and is interleaved into dx (a phase no tap lands
     // on interleaves its zeros). Every dx element is written by its own
     // task, so dx starts uninitialized. Per dx element the pack's run
