@@ -16,11 +16,14 @@ Usage:
     check_bench_schema.py scaleout BENCH_scaleout.json
     check_bench_schema.py jobs BENCH_jobs.json
     check_bench_schema.py dataflow-same COMMITTED.json FRESH.json
+    check_bench_schema.py cosim-same COMMITTED.json FRESH.json
+    check_bench_schema.py scaleout-same COMMITTED.json FRESH.json
 
-dataflow-same checks both files against the dataflow schema, then
-requires them to agree on every field but the host block and timing
-fields: a full bench_dataflow run must reproduce every committed
-simulated count.
+KIND-same checks both files against that kind's schema, then requires
+them to agree on every field but the host block and timing fields: a
+full bench_dataflow run must reproduce every committed simulated count,
+and full cosim_trajectory and bench_scaleout runs every committed loss,
+accuracy, MAC and byte count.
 """
 
 import json
@@ -578,9 +581,9 @@ def differences(a, b, path):
     return [] if a == b else [f"{path} ({a!r} vs {b!r})"]
 
 
-def check_dataflow_same(committed, fresh):
-    check_dataflow(committed)
-    check_dataflow(fresh)
+def check_same(check, committed, fresh):
+    check(committed)
+    check(fresh)
     diffs = differences(committed, fresh, "$")
     if diffs:
         fail(f"{len(diffs)} fields differ from the committed run, e.g. "
@@ -599,13 +602,15 @@ def main():
     checks = {"kernels": check_kernels, "cosim": check_cosim,
               "dataflow": check_dataflow, "scaleout": check_scaleout,
               "jobs": check_jobs}
+    same = ("dataflow", "cosim", "scaleout")
     paths = sys.argv[2:]
-    if len(sys.argv) > 1 and sys.argv[1] == "dataflow-same":
+    if len(sys.argv) > 1 and sys.argv[1] in [f"{k}-same" for k in same]:
+        kind = sys.argv[1][:-len("-same")]
         if len(paths) != 2:
             print(__doc__, file=sys.stderr)
             return 2
-        check_dataflow_same(load(paths[0]), load(paths[1]))
-        print(f"dataflow check OK: {paths[1]} reproduces {paths[0]}")
+        check_same(checks[kind], load(paths[0]), load(paths[1]))
+        print(f"{kind} check OK: {paths[1]} reproduces {paths[0]}")
         return 0
     if len(paths) != 1 or sys.argv[1] not in checks:
         print(__doc__, file=sys.stderr)
