@@ -68,13 +68,14 @@ TEST_P(GemmShapes, MatchesNaiveTripleLoop)
     for (auto &v : b)
         v = static_cast<float>(rng.nextGaussian());
 
+    // Every C element is one multiply-add fold over k in k order, from
+    // 0 or from C, exactly as the triple loop writes it: blocking and
+    // tiling never reorder it, so the bits must match.
     for (bool accumulate : {false, true}) {
         kernels::gemm(m, n, k, a.data(), b.data(), c.data(), accumulate);
         naiveGemm(m, n, k, a.data(), b.data(), ref.data(), accumulate);
         for (size_t i = 0; i < c.size(); ++i)
-            ASSERT_NEAR(c[i], ref[i],
-                        1e-4f * (1.0f + std::fabs(ref[i])))
-                << "acc=" << accumulate << " i=" << i;
+            ASSERT_EQ(c[i], ref[i]) << "acc=" << accumulate << " i=" << i;
     }
 }
 
@@ -84,7 +85,12 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(5, 17, 3), std::make_tuple(7, 19, 23),
                       std::make_tuple(64, 64, 64),
                       std::make_tuple(3, 100, 300),
-                      std::make_tuple(130, 33, 71)));
+                      std::make_tuple(130, 33, 71),
+                      // conv1's forward, backward-data and dW shapes:
+                      // k = 1024 crosses the 256-deep k-slabs.
+                      std::make_tuple(16, 1024, 27),
+                      std::make_tuple(27, 1024, 16),
+                      std::make_tuple(27, 16, 1024)));
 
 TEST(Gemm, ThreadCountInvariant)
 {
@@ -689,7 +695,9 @@ struct GemmGoldenCase
  * must give the recorded bits. dW and db start non-zero, so the
  * accumulation into them is pinned too. The last case (K = C = 512,
  * 3x3, batch 8) needs 9 MiB of dW partial per image, so kMaxPartialBytes
- * splits its batch into two groups of 7 and 1 images.
+ * splits its batch into two groups of 7 and 1 images. The case after it
+ * has a 20x20 output plane (pq = 400), so each image's dW fold over pq
+ * crosses gemm's 256-deep k-slab.
  */
 const GemmGoldenCase kGemmGolden[] = {
     {2, 3, 20, 9, 9, 3, 1, 1, true,
@@ -717,6 +725,11 @@ const GemmGoldenCase kGemmGolden[] = {
       0xa1a1bacf648c401bULL, 0xebed352f1b99f39dULL},
      {0x7869b339d5511fcfULL, 0x3299e328766f94ecULL,
       0xa1a1bacf648c401bULL, 0xebed352f1b99f39dULL}},
+    {2, 3, 16, 20, 20, 3, 1, 1, true,
+     {0xde871c78990384eaULL, 0x7d43ee87deed1a2eULL,
+      0x3be7154b7a4c8097ULL, 0x926eeb2226b38ae1ULL},
+     {0x44de25b190d2228ULL, 0xdf616486a5848c6dULL,
+      0x2938e96adf622257ULL, 0x926eeb2226b38ae1ULL}},
 };
 
 std::array<uint64_t, 4>
