@@ -143,23 +143,27 @@ convBackwardGemm(const Tensor &x, const Tensor &w, const Tensor &dy,
         const int64_t hi = std::min(n, base + group);
 
         // Images [n0, n1) of this group, in one private workspace laid
-        // out col | colt | dcol. An image's partial slice is its index
+        // out col | dyt | dcol. An image's partial slice is its index
         // within the group.
         auto backwardImages = [&](int64_t n0, int64_t n1) {
-            std::unique_ptr<float[]> ws(
-                new float[static_cast<size_t>(3 * crs * pq)]);
+            std::unique_ptr<float[]> ws(new float[static_cast<size_t>(
+                2 * crs * pq + g.k * pq)]);
             float *col = ws.get();
-            float *colt = col + crs * pq;
-            float *dcol = colt + crs * pq;
+            float *dyt = col + crs * pq;
+            float *dcol = dyt + g.k * pq;
             for (int64_t in = n0; in < n1; ++in) {
                 const int64_t slot = in - base;
                 const float *dyn = pdy + in * g.k * pq;
 
-                // Weight-update pass: partial dW_n = dY_n * col(X_n)^T.
+                // Weight-update pass: partial dW_n^T = col(X_n) * dY_n^T,
+                // [CRS, K]. Each element folds the same products over
+                // pq in the same order as dY_n * col(X_n)^T would, and
+                // a*b + c is symmetric in a and b, so the bits match;
+                // only the K x PQ dY_n is transposed, not col.
                 im2col(px + in * chw, g, col);
-                transpose(col, crs, pq, colt);
-                gemm(g.k, crs, pq, dyn, pq, colt, crs,
-                     pdw_part + slot * kcrs, crs, /*accumulate=*/false,
+                transpose(dyn, g.k, pq, dyt);
+                gemm(crs, g.k, pq, col, pq, dyt, g.k,
+                     pdw_part + slot * kcrs, g.k, /*accumulate=*/false,
                      &pool);
 
                 // Backward (data) pass: dX_n = col2im(W^T * dY_n).
@@ -183,17 +187,29 @@ convBackwardGemm(const Tensor &x, const Tensor &w, const Tensor &dy,
         else
             backwardImages(base, hi);
 
-        // Ordered reduction: every dW element sums this group's
-        // per-image partials in image order. Parallel over elements
-        // (disjoint outputs), never over images — that is what keeps
-        // the result bitwise identical for any pool size.
+        // Ordered reduction: every dW element starts from its dW value
+        // and adds this group's per-image partials in image order.
+        // Parallel over elements (disjoint outputs), never over images
+        // — that is what keeps the result bitwise identical for any
+        // pool size. A partial is [CRS, K], so each task gathers its
+        // taps' dW into that layout, adds the partials with unit
+        // stride, and scatters the sums back.
         const int64_t gn = hi - base;
-        pool.parallelFor(0, kcrs, [&](int64_t j0, int64_t j1) {
-            for (int64_t j = j0; j < j1; ++j) {
-                float acc = pdw[j];
-                for (int64_t s = 0; s < gn; ++s)
-                    acc += pdw_part[s * kcrs + j];
-                pdw[j] = acc;
+        pool.parallelFor(0, crs, [&](int64_t e0, int64_t e1) {
+            const int64_t len = (e1 - e0) * g.k;
+            std::unique_ptr<float[]> acc(new float[static_cast<size_t>(len)]);
+            for (int64_t e = e0; e < e1; ++e) {
+                for (int64_t ok = 0; ok < g.k; ++ok)
+                    acc[(e - e0) * g.k + ok] = pdw[ok * crs + e];
+            }
+            for (int64_t s = 0; s < gn; ++s) {
+                const float *part = pdw_part + s * kcrs + e0 * g.k;
+                for (int64_t t = 0; t < len; ++t)
+                    acc[t] += part[t];
+            }
+            for (int64_t e = e0; e < e1; ++e) {
+                for (int64_t ok = 0; ok < g.k; ++ok)
+                    pdw[ok * crs + e] = acc[(e - e0) * g.k + ok];
             }
         });
         if (pdb) {

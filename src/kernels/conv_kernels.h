@@ -7,16 +7,25 @@
  *
  *   forward:  Y_n[K, PQ]   = W[K, CRS]   * col(X_n)
  *   data bw:  dX_n         = col2im(W^T[CRS, K] * dY_n[K, PQ])
- *   weight:   dW[K, CRS]  += dY_n[K, PQ] * col(X_n)^T   (summed over n)
+ *   weight:   dW[K, CRS]  += (col(X_n)[CRS, PQ] * dY_n^T[PQ, K])^T
+ *                            (summed over n)
+ *
+ * The weight gradient multiplies col by dY_n^T, so only the K x PQ dY_n
+ * is transposed per image, not the CRS x PQ col. Each element still
+ * folds the products col * dy over PQ in PQ order, and a*b + c equals
+ * b*a + c bit for bit, so the result is that of dY_n * col^T. The
+ * per-image partial is [CRS, K]; the reduction into dW reads it in that
+ * layout.
  *
  * Work is spread across the shared ThreadPool over the batch dimension
  * when the batch is wide enough to feed every thread, and over GEMM row
  * panels otherwise. Either way one body lowers a range of images, and
  * each call of it owns its workspace: a plain heap block, left
  * uninitialized, sized exactly for one image's col (and, backward,
- * col^T and dcol). Per-image dW/db partials are reduced in fixed image
- * order, so gradient accumulation order — and hence every output bit —
- * is identical for any thread count and either decomposition.
+ * dY_n^T and dcol: 2 * CRS * PQ + K * PQ floats). Per-image dW/db
+ * partials are reduced in fixed image order, so gradient accumulation
+ * order — and hence every output bit — is identical for any thread
+ * count and either decomposition.
  */
 
 #ifndef PROCRUSTES_KERNELS_CONV_KERNELS_H_

@@ -4,16 +4,26 @@
  *
  * All lowered convolution and fully-connected work in the training loop
  * funnels into one primitive: row-major C = A * B (optionally C += A *
- * B). The implementation blocks over k and n for cache residency, runs
- * a register-tiled 4x16 micro-kernel on the interior (which GCC/Clang
- * auto-vectorize to FMA at -O2 -march=native), and parallelizes over
- * disjoint row panels of C through the shared ThreadPool — so results
- * are bitwise deterministic for any thread count.
+ * B). The implementation blocks over k (256-deep slabs) and n for cache
+ * residency and runs one 4x16 micro-kernel on every tile. Its eight
+ * 8-lane accumulators (GCC/Clang vector types) stay in registers for
+ * the whole slab. A partial tile runs the same kernel: rows past m
+ * re-read a valid row and are not stored, and columns past n come from
+ * a zero-padded copy of the B strip. Row panels of C are spread over
+ * the shared ThreadPool.
  *
- * Operand transposes (filter rot/transpose views, dy^T for weight
- * gradients) are materialized explicitly with transpose() rather than
- * handled by strided kernel variants; the copies are O(matrix) next to
- * the O(matrix * k) multiply and keep every inner loop unit-stride.
+ * The invariant every caller relies on: each C element is one
+ * sequential multiply-add fold over k, in k order, starting from 0 (or
+ * from C when accumulating) — the naive triple loop's fold. The kernel
+ * writes it like the scalar fold, so the compiler contracts it into an
+ * FMA where the build allows (-march=native on an FMA host) and rounds
+ * product and sum separately elsewhere. Blocking, tiling, padding and
+ * the thread count never reorder it, so they never change a bit.
+ *
+ * The kernel needs unit-stride rows of A and B. A caller that needs a
+ * transposed operand materializes it with transpose(), choosing the
+ * smaller of the two operands when a*b + c = b*a + c lets it (the conv
+ * weight gradient transposes dY, not the im2col matrix).
  */
 
 #ifndef PROCRUSTES_KERNELS_GEMM_H_

@@ -108,8 +108,15 @@ col2im(const float *col, const ConvGeom &g, float *x)
                     const int64_t ih = op * g.stride + ir - g.pad;
                     float *dst = x + (ic * g.h + ih) * g.w + iw0;
                     const float *row = src + op * g.q + q_lo;
-                    for (int64_t oq = 0; oq < q_hi - q_lo; ++oq)
-                        dst[oq * g.stride] += row[oq];
+                    // Each dx element gets one add here either way; the
+                    // unit-stride loop vectorizes.
+                    if (g.stride == 1) {
+                        for (int64_t oq = 0; oq < q_hi - q_lo; ++oq)
+                            dst[oq] += row[oq];
+                    } else {
+                        for (int64_t oq = 0; oq < q_hi - q_lo; ++oq)
+                            dst[oq * g.stride] += row[oq];
+                    }
                 }
             }
         }

@@ -81,7 +81,8 @@ Tensor
 Linear::forwardGemm(const Tensor &x)
 {
     const int64_t n = x.shape()[0];
-    Tensor y(Shape{n, outFeatures_});
+    // gemm(accumulate=false) writes every element before the bias add.
+    Tensor y = Tensor::uninitialized(Shape{n, outFeatures_});
 
     // y = x * W^T: materialize W^T once so the GEMM streams unit-stride
     // (member scratch avoids a per-batch allocation; const reads avoid
@@ -101,9 +102,10 @@ Tensor
 Linear::backwardGemm(const Tensor &dy)
 {
     const int64_t n = cachedInput_.shape()[0];
-    Tensor dx(cachedInput_.shape());
+    Tensor dx = Tensor::uninitialized(cachedInput_.shape());
 
-    // dx = dy * W (both already in the right layout).
+    // dx = dy * W (both already in the right layout); gemm overwrites
+    // every element.
     kernels::gemm(n, inFeatures_, outFeatures_, dy.data(),
                   std::as_const(weight_.value).data(), dx.data(),
                   /*accumulate=*/false);
