@@ -108,7 +108,7 @@ gemmPanel(int64_t i0, int64_t i1, int64_t n, int64_t k, const float *a,
     float tile[kMr * kNr] = {};
     for (int64_t jc = 0; jc < n; jc += kNc) {
         const int64_t nc = std::min(kNc, n - jc);
-        const int64_t jtail = jc + nc - nc % kNr;   // start of the tail
+        const int64_t jtail = jc + nc - nc % kNr;
         const int64_t ntail = jc + nc - jtail;
         for (int64_t pc = 0; pc < k; pc += kKc) {
             const int64_t kc = std::min(kKc, k - pc);
@@ -133,10 +133,12 @@ gemmPanel(int64_t i0, int64_t i1, int64_t n, int64_t k, const float *a,
                 }
                 if (ntail > 0) {
                     float *cp = c + i * ldc + jtail;
-                    for (int64_t r = 0; r < mr && !first; ++r) {
-                        std::memcpy(tile + r * kNr, cp + r * ldc,
-                                    static_cast<size_t>(ntail) *
-                                        sizeof(float));
+                    if (!first) {
+                        for (int64_t r = 0; r < mr; ++r) {
+                            std::memcpy(tile + r * kNr, cp + r * ldc,
+                                        static_cast<size_t>(ntail) *
+                                            sizeof(float));
+                        }
                     }
                     micro4x16(mr, kc, ap, lda, bpad, kNr, tile, kNr, first);
                     for (int64_t r = 0; r < mr; ++r) {
