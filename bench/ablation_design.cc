@@ -37,8 +37,7 @@ balancerAblation()
     std::printf("\n[1] balancing policy vs mapping (VGG-S, sparse, "
                 "total cycles, batch 64):\n");
     const NetworkModel m = buildVggS();
-    const auto masks = generateMasks(m, 5.2, 7);
-    const auto sp = buildProfiles(m, masks);
+    const EpochTrace epoch = syntheticEpoch(m, generateMasks(m, 5.2, 7), 64);
     std::printf("%-6s %14s %14s %14s\n", "map", "none", "half-tile",
                 "full-chip");
     for (MappingKind mk : kAllMappings) {
@@ -50,7 +49,7 @@ balancerAblation()
             opts.sparse = true;
             opts.balance = bm;
             const Accelerator acc(ArrayConfig::baseline16(), opts, mk);
-            cyc[i++] = acc.evaluate(m, sp, 64).totalCycles();
+            cyc[i++] = acc.evaluateTrace(epoch).totalCycles();
         }
         std::printf("%-6s %14.4g %14.4g %14.4g   (half-tile closes "
                     "%.0f%% of the gap)\n",
@@ -118,19 +117,10 @@ iactJitterAblation()
     const NetworkModel m = buildResNet18();
     const auto masks = generateMasks(m, 11.7, 7);
     for (double sigma : {0.0, 0.1, 0.25, 0.5}) {
-        const auto sp = buildProfiles(m, masks, sigma);
-        CostOptions opts;
-        opts.sparse = true;
-        opts.balance = BalanceMode::HalfTile;
-        const Accelerator acc(ArrayConfig::baseline16(), opts,
-                              MappingKind::KN);
-        double wu = 0.0;
-        for (size_t i = 0; i < m.layers.size(); ++i) {
-            wu += acc.costModel()
-                      .evaluatePhase(m.layers[i], Phase::WeightUpdate,
-                                     MappingKind::KN, sp[i], 64)
-                      .cycles;
-        }
+        const double wu = Accelerator::procrustes()
+                              .evaluateTrace(syntheticEpoch(m, masks, 64,
+                                                            sigma))
+                              .wu.cycles;
         std::printf("  iact sigma %.2f: wu cycles %.4g\n", sigma, wu);
     }
 }

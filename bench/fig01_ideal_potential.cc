@@ -24,15 +24,12 @@ main()
                   "Fig. 1 of MICRO 2020 Procrustes paper");
 
     const NetworkModel vgg = buildVggS();
-    const auto masks = generateMasks(vgg, 5.0, /*seed=*/1);
-    const auto sparse_profiles = buildProfiles(vgg, masks);
-    const auto dense_profiles = buildDenseProfiles(vgg);
     const int64_t batch = 64;
+    const EpochTrace epoch =
+        syntheticEpoch(vgg, generateMasks(vgg, 5.0, /*seed=*/1), batch);
 
-    const Accelerator dense = Accelerator::denseBaseline();
-    const Accelerator ideal = Accelerator::idealSparse();
-    const NetworkCost dc = dense.evaluate(vgg, dense_profiles, batch);
-    const NetworkCost sc = ideal.evaluate(vgg, sparse_profiles, batch);
+    const NetworkCost dc = Accelerator::denseBaseline().evaluateTrace(epoch);
+    const NetworkCost sc = Accelerator::idealSparse().evaluateTrace(epoch);
 
     std::printf("\nEnergy per training iteration (batch %lld):\n",
                 static_cast<long long>(batch));

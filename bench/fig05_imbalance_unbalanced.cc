@@ -12,7 +12,8 @@
 
 #include "bench_util.h"
 
-#include "arch/imbalance.h"
+#include "arch/model_zoo.h"
+#include "arch/trace_imbalance.h"
 
 using namespace procrustes;
 using namespace procrustes::arch;
@@ -25,12 +26,12 @@ main()
         "Fig. 5 of MICRO 2020 Procrustes paper");
 
     const NetworkModel vgg = buildVggS();
-    const auto masks = generateMasks(vgg, 5.2, /*seed=*/1);
-    const auto profiles = buildProfiles(vgg, masks);
+    const EpochTrace epoch =
+        syntheticEpoch(vgg, generateMasks(vgg, 5.2, /*seed=*/1), 16);
 
-    const auto overheads = collectOverheads(
-        vgg, profiles, Phase::Forward, MappingKind::CK, 16,
-        ArrayConfig::baseline16(), BalanceMode::None);
+    const auto overheads = collectMeasuredOverheads(
+        epoch, Phase::Forward, MappingKind::CK, ArrayConfig::baseline16(),
+        BalanceMode::None);
     const ImbalanceHistogram h =
         buildHistogram(overheads, /*bins=*/9, /*bin_width=*/0.3125);
 

@@ -10,7 +10,8 @@
 
 #include "bench_util.h"
 
-#include "arch/imbalance.h"
+#include "arch/model_zoo.h"
+#include "arch/trace_imbalance.h"
 
 using namespace procrustes;
 using namespace procrustes::arch;
@@ -23,16 +24,14 @@ main()
         "Fig. 13 of MICRO 2020 Procrustes paper");
 
     const NetworkModel vgg = buildVggS();
-    const auto masks = generateMasks(vgg, 5.2, /*seed=*/1);
-    const auto profiles = buildProfiles(vgg, masks);
+    const EpochTrace epoch =
+        syntheticEpoch(vgg, generateMasks(vgg, 5.2, /*seed=*/1), 16);
     const ArrayConfig cfg = ArrayConfig::baseline16();
 
-    const auto balanced = collectOverheads(vgg, profiles, Phase::Forward,
-                                           MappingKind::KN, 16, cfg,
-                                           BalanceMode::HalfTile);
-    const auto unbalanced = collectOverheads(
-        vgg, profiles, Phase::Forward, MappingKind::KN, 16, cfg,
-        BalanceMode::None);
+    const auto balanced = collectMeasuredOverheads(
+        epoch, Phase::Forward, MappingKind::KN, cfg, BalanceMode::HalfTile);
+    const auto unbalanced = collectMeasuredOverheads(
+        epoch, Phase::Forward, MappingKind::KN, cfg, BalanceMode::None);
 
     const ImbalanceHistogram hb =
         buildHistogram(balanced, /*bins=*/9, /*bin_width=*/0.3125);

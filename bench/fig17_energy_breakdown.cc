@@ -28,11 +28,10 @@ main()
     const Accelerator sparse_acc = Accelerator::procrustes();
 
     for (const NetworkModel &m : allModels()) {
-        const auto masks = generateMasks(m, m.paperSparsity, 7);
-        const auto sp = buildProfiles(m, masks);
-        const auto dp = buildDenseProfiles(m);
-        const NetworkCost dc = dense.evaluate(m, dp, batch);
-        const NetworkCost sc = sparse_acc.evaluate(m, sp, batch);
+        const EpochTrace epoch = syntheticEpoch(
+            m, generateMasks(m, m.paperSparsity, 7), batch);
+        const NetworkCost dc = dense.evaluateTrace(epoch);
+        const NetworkCost sc = sparse_acc.evaluateTrace(epoch);
 
         std::printf("\n--- %s (%s, %.1fx sparsity) ---\n",
                     m.name.c_str(), m.dataset.c_str(), m.paperSparsity);

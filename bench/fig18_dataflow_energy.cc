@@ -41,9 +41,8 @@ main()
 
     const int64_t batch = 64;
     for (const NetworkModel &m : allModels()) {
-        const auto masks = generateMasks(m, m.paperSparsity, 7);
-        const auto sp = buildProfiles(m, masks);
-        const auto dp = buildDenseProfiles(m);
+        const EpochTrace epoch = syntheticEpoch(
+            m, generateMasks(m, m.paperSparsity, 7), batch);
 
         std::printf("\n--- %s ---\n", m.name.c_str());
         std::printf("%-6s %-7s %10s %10s %10s %12s\n", "map", "mode",
@@ -52,10 +51,8 @@ main()
         double hi = 0.0;
         for (MappingKind mk : kAllMappings) {
             for (bool sparse : {false, true}) {
-                const auto &profiles = sparse ? sp : dp;
                 const NetworkCost c =
-                    mappedAccel(mk, sparse).evaluate(m, profiles,
-                                                     batch);
+                    mappedAccel(mk, sparse).evaluateTrace(epoch);
                 std::printf("%-6s %-7s %10.4f %10.4f %10.4f %12.4f\n",
                             mappingName(mk).c_str(),
                             sparse ? "S" : "D", c.fw.totalEnergyJ(),

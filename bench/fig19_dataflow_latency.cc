@@ -40,19 +40,16 @@ main()
 
     const int64_t batch = 64;
     for (const NetworkModel &m : allModels()) {
-        const auto masks = generateMasks(m, m.paperSparsity, 7);
-        const auto sp = buildProfiles(m, masks);
-        const auto dp = buildDenseProfiles(m);
+        const EpochTrace epoch = syntheticEpoch(
+            m, generateMasks(m, m.paperSparsity, 7), batch);
 
         std::printf("\n--- %s ---\n", m.name.c_str());
         std::printf("%-6s %-7s %12s %12s %12s %14s\n", "map", "mode",
                     "fw (cyc)", "bw (cyc)", "wu (cyc)", "total (cyc)");
         for (MappingKind mk : kAllMappings) {
             for (bool sparse : {false, true}) {
-                const auto &profiles = sparse ? sp : dp;
                 const NetworkCost c =
-                    mappedAccel(mk, sparse).evaluate(m, profiles,
-                                                     batch);
+                    mappedAccel(mk, sparse).evaluateTrace(epoch);
                 std::printf(
                     "%-6s %-7s %12.4g %12.4g %12.4g %14.4g\n",
                     mappingName(mk).c_str(), sparse ? "S" : "D",

@@ -40,17 +40,17 @@ main()
     const int64_t batch = 64;
     for (const NetworkModel &m :
          {buildResNet18(), buildMobileNetV2()}) {
-        const auto masks = generateMasks(m, m.paperSparsity, 7);
-        const auto sp = buildProfiles(m, masks);
+        const EpochTrace epoch = syntheticEpoch(
+            m, generateMasks(m, m.paperSparsity, 7), batch);
 
         std::printf("\n--- %s ---\n", m.name.c_str());
         // Panel 1: K,N energy per phase at both sizes.
         const NetworkCost e16 =
             mappedAccel(MappingKind::KN, ArrayConfig::baseline16())
-                .evaluate(m, sp, batch);
+                .evaluateTrace(epoch);
         const NetworkCost e32 =
             mappedAccel(MappingKind::KN, ArrayConfig::scaled32())
-                .evaluate(m, sp, batch);
+                .evaluateTrace(epoch);
         std::printf("K,N energy: fw %.3f/%.3f  bw %.3f/%.3f  wu "
                     "%.3f/%.3f J (16/32)\n",
                     e16.fw.totalEnergyJ(), e32.fw.totalEnergyJ(),
@@ -63,10 +63,10 @@ main()
         for (MappingKind mk : kAllMappings) {
             const NetworkCost c16 =
                 mappedAccel(mk, ArrayConfig::baseline16())
-                    .evaluate(m, sp, batch);
+                    .evaluateTrace(epoch);
             const NetworkCost c32 =
                 mappedAccel(mk, ArrayConfig::scaled32())
-                    .evaluate(m, sp, batch);
+                    .evaluateTrace(epoch);
             std::printf("%-6s %14.4g %14.4g %9.2fx   (energy ratio "
                         "%.3f)\n",
                         mappingName(mk).c_str(), c16.totalCycles(),

@@ -178,13 +178,14 @@ BM_CostModelLayer(benchmark::State &state)
     sparse::SyntheticMaskConfig mc;
     mc.targetDensity = 0.2;
     const auto mask = sparse::makeSyntheticMask(256, 256, 3, 3, mc);
-    const arch::LayerSparsityProfile profile(mask, 0.5);
+    const arch::LayerTrace traced =
+        arch::syntheticLayer(layer, mask, 0.5, 16);
+    const double density = traced.weightDensity();
     arch::CostOptions opts;
     const arch::CostModel cm(arch::ArrayConfig::baseline16(), opts);
     for (auto _ : state) {
-        auto cost = cm.evaluatePhase(layer, arch::Phase::Forward,
-                                     arch::MappingKind::KN, profile,
-                                     16);
+        auto cost = cm.evaluatePhase(traced, density, arch::Phase::Forward,
+                                     arch::MappingKind::KN, 16);
         benchmark::DoNotOptimize(cost.cycles);
     }
 }

@@ -13,7 +13,7 @@
 #include <string>
 
 #include "arch/accelerator.h"
-#include "arch/imbalance.h"
+#include "arch/trace_imbalance.h"
 
 using namespace procrustes;
 using namespace procrustes::arch;
@@ -40,8 +40,8 @@ main(int argc, char **argv)
     }
 
     const int64_t batch = 64;
-    const auto masks = generateMasks(model, model.paperSparsity, 7);
-    const auto profiles = buildProfiles(model, masks);
+    const EpochTrace epoch = syntheticEpoch(
+        model, generateMasks(model, model.paperSparsity, 7), batch);
     std::printf("%s: %lld weights, %.1fx sparsity, batch %lld\n",
                 model.name.c_str(),
                 static_cast<long long>(model.denseWeights()),
@@ -60,7 +60,7 @@ main(int argc, char **argv)
             opts.sparse = true;
             opts.balance = bm;
             const Accelerator acc(ArrayConfig::baseline16(), opts, mk);
-            const NetworkCost c = acc.evaluate(model, profiles, batch);
+            const NetworkCost c = acc.evaluateTrace(epoch);
             std::printf(" %11.4g/%9.3f", c.totalCycles(),
                         c.totalEnergyJ());
         }
@@ -72,9 +72,8 @@ main(int argc, char **argv)
     for (MappingKind mk : {MappingKind::CK, MappingKind::KN}) {
         for (BalanceMode bm :
              {BalanceMode::None, BalanceMode::HalfTile}) {
-            const auto overheads = collectOverheads(
-                model, profiles, Phase::Forward, mk, batch,
-                ArrayConfig::baseline16(), bm);
+            const auto overheads = collectMeasuredOverheads(
+                epoch, Phase::Forward, mk, ArrayConfig::baseline16(), bm);
             const ImbalanceHistogram h =
                 buildHistogram(overheads, 8, 0.25);
             std::printf("  %s/%-9s mean %5.1f%% max %6.1f%% | bins:",

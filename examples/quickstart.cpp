@@ -13,6 +13,7 @@
  */
 
 #include <cstdio>
+#include <utility>
 
 #include "arch/accelerator.h"
 #include "common/rng.h"
@@ -90,12 +91,12 @@ main()
     }
 
     // 4. Dense baseline vs Procrustes on the 16x16 array.
-    const auto sparse_profiles = arch::buildProfiles(model, masks);
-    const auto dense_profiles = arch::buildDenseProfiles(model);
-    const auto dense_cost = arch::Accelerator::denseBaseline().evaluate(
-        model, dense_profiles, 16);
-    const auto sparse_cost = arch::Accelerator::procrustes().evaluate(
-        model, sparse_profiles, 16);
+    const arch::EpochTrace epoch =
+        arch::syntheticEpoch(model, std::move(masks), 16);
+    const auto dense_cost =
+        arch::Accelerator::denseBaseline().evaluateTrace(epoch);
+    const auto sparse_cost =
+        arch::Accelerator::procrustes().evaluateTrace(epoch);
 
     std::printf("accelerator model, one training iteration:\n");
     std::printf("  dense baseline: %.3g cycles, %.3g uJ\n",

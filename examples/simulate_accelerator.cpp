@@ -26,9 +26,12 @@ main()
     mc.targetDensity = 0.25;
     mc.kernelSigma = 0.6;
     mc.seed = 3;
-    const auto mask = sparse::makeSyntheticMask(
-        layer.K, layer.effectiveC(), layer.R, layer.S, mc);
-    const LayerSparsityProfile profile(mask, 0.5);
+    const LayerTrace traced = syntheticLayer(
+        layer,
+        sparse::makeSyntheticMask(layer.K, layer.effectiveC(), layer.R,
+                                  layer.S, mc),
+        0.5, 16);
+    const double density = traced.weightDensity();
 
     const ArrayConfig acfg = ArrayConfig::baseline16();
     CostOptions opts;
@@ -39,7 +42,7 @@ main()
 
     std::printf("cycle-level simulator vs analytic model "
                 "(conv 32->64, 8x8, density %.2f):\n",
-                profile.weightDensity());
+                density);
     std::printf("%-10s %-4s %12s %12s %8s %10s\n", "mapping", "phase",
                 "analytic", "simulated", "delta", "stalls");
     for (MappingKind mk :
@@ -47,11 +50,10 @@ main()
         for (Phase ph :
              {Phase::Forward, Phase::Backward, Phase::WeightUpdate}) {
             const double expected =
-                analytic.evaluatePhase(layer, ph, mk, profile, 16)
+                analytic.evaluatePhase(traced, density, ph, mk, 16)
                     .computeCycles;
-            const sim::SimResult r = sim::simulateLayerPhase(
-                layer, ph, mk, profile, 16, acfg, scfg,
-                BalanceMode::HalfTile);
+            const sim::SimResult r = sim::simulateTraceLayerPhase(
+                traced, ph, mk, 16, acfg, scfg, BalanceMode::HalfTile);
             std::printf("%-10s %-4s %12.0f %12lld %+7.1f%% %10lld\n",
                         mappingName(mk).c_str(),
                         phaseName(ph).c_str(), expected,
@@ -67,14 +69,14 @@ main()
     std::printf("\nscaling ResNet18 training (analytic, K,N, batch "
                 "64):\n");
     const NetworkModel rn = buildResNet18();
-    const auto masks = generateMasks(rn, rn.paperSparsity, 7);
-    const auto profiles = buildProfiles(rn, masks);
+    const EpochTrace epoch =
+        syntheticEpoch(rn, generateMasks(rn, rn.paperSparsity, 7), 64);
     const NetworkCost c16 =
         Accelerator::procrustes(ArrayConfig::baseline16())
-            .evaluate(rn, profiles, 64);
+            .evaluateTrace(epoch);
     const NetworkCost c32 =
         Accelerator::procrustes(ArrayConfig::scaled32())
-            .evaluate(rn, profiles, 64);
+            .evaluateTrace(epoch);
     std::printf("  16x16: %.4g cycles, %.3f J\n", c16.totalCycles(),
                 c16.totalEnergyJ());
     std::printf("  32x32: %.4g cycles, %.3f J  (%.2fx speedup on 4x "

@@ -19,45 +19,20 @@ NetworkCost::total() const
 }
 
 NetworkCost
-Accelerator::evaluate(const NetworkModel &net,
-                      const std::vector<LayerSparsityProfile> &profiles,
-                      int64_t batch) const
-{
-    PROCRUSTES_ASSERT(profiles.size() == net.layers.size(),
-                      "profile count mismatch");
-    NetworkCost cost;
-    for (size_t i = 0; i < net.layers.size(); ++i) {
-        const NetworkCost layer =
-            evaluateLayer(net.layers[i], profiles[i], batch);
-        cost.fw += layer.fw;
-        cost.bw += layer.bw;
-        cost.wu += layer.wu;
-    }
-    return cost;
-}
-
-NetworkCost
-Accelerator::evaluateLayer(const LayerShape &layer,
-                           const LayerSparsityProfile &profile,
-                           int64_t batch) const
-{
-    NetworkCost cost;
-    cost.fw += model_.evaluatePhase(layer, Phase::Forward, mapping_,
-                                    profile, batch);
-    cost.bw += model_.evaluatePhase(layer, Phase::Backward, mapping_,
-                                    profile, batch);
-    cost.wu += model_.evaluatePhase(layer, Phase::WeightUpdate, mapping_,
-                                    profile, batch);
-    return cost;
-}
-
-NetworkCost
 Accelerator::evaluateTrace(const WorkloadTrace &trace, size_t epoch_idx,
                            EpochImbalance *imbalance,
                            sim::TraceSimResult *cycle_sim,
                            const sim::SimConfig &sim_cfg) const
 {
-    const EpochTrace &e = trace.epoch(epoch_idx);
+    return evaluateTrace(trace.epoch(epoch_idx), imbalance, cycle_sim,
+                         sim_cfg);
+}
+
+NetworkCost
+Accelerator::evaluateTrace(const EpochTrace &e, EpochImbalance *imbalance,
+                           sim::TraceSimResult *cycle_sim,
+                           const sim::SimConfig &sim_cfg) const
+{
     PROCRUSTES_ASSERT(e.batchSize > 0, "trace has no batch size");
 
     NetworkCost cost;

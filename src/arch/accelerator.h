@@ -2,10 +2,13 @@
  * @file
  * Top-level accelerator roll-ups: whole-network, all-phase evaluation.
  *
- * Ties the cost model, model zoo, and sparsity profiles together into
- * the two machines the paper compares: the dense baseline training
+ * Ties the cost model and the traced epoch it reads together into the
+ * two machines the paper compares: the dense baseline training
  * accelerator (Table I, top) and Procrustes (Table I, bottom), plus
- * the Figure 1 idealization.
+ * the Figure 1 idealization. The epoch is recorded from a training
+ * run (arch/workload_trace.h) or drawn by the model zoo
+ * (syntheticEpoch, arch/model_zoo.h); every machine, the dense
+ * baseline included, evaluates the same one.
  */
 
 #ifndef PROCRUSTES_ARCH_ACCELERATOR_H_
@@ -55,52 +58,47 @@ class Accelerator
         : model_(cfg, opts), mapping_(mapping)
     {}
 
-    /** Evaluate one training iteration of a network at a batch size. */
-    NetworkCost evaluate(const NetworkModel &net,
-                         const std::vector<LayerSparsityProfile> &profiles,
-                         int64_t batch) const;
-
-    /** Evaluate a single layer across all three phases. */
-    NetworkCost evaluateLayer(const LayerShape &layer,
-                              const LayerSparsityProfile &profile,
-                              int64_t batch) const;
-
     /**
-     * Trace-driven mode: evaluate one epoch of a measured
-     * WorkloadTrace — one training iteration at the trace's own batch
-     * size. Every layer runs CostModel::evaluatePhase on its
+     * Evaluate one epoch — one training iteration at the epoch's own
+     * batch size. Every layer runs CostModel::evaluatePhase on its
      * LayerTrace: the wave plan the simulator clocks, read from the
-     * run's real mask and measured activation vectors (no synthetic
-     * jitter, no clamping), and — when this configuration exploits
-     * sparsity AND the layer's telemetry came from the zero-skipping
-     * CSB executors (LayerTrace::sparseExecuted) — the executors'
-     * per-phase executed MAC counts in place of density estimates.
-     * Both Conv2d and Linear provide measured counts under
-     * KernelBackend::kSparse; the dense baseline and layers traced on
-     * a dense backend keep the modelled MAC accounting.
+     * layer's mask and activation vectors, and — when this
+     * configuration exploits sparsity AND the layer's telemetry came
+     * from the zero-skipping CSB executors (LayerTrace::sparseExecuted)
+     * — the executors' per-phase executed MAC counts in place of
+     * density estimates. Both Conv2d and Linear provide measured
+     * counts under KernelBackend::kSparse; the dense baseline, layers
+     * traced on a dense backend and synthetic layers keep the modelled
+     * MAC accounting.
      *
-     * The GLB/DRAM weight-traffic terms likewise run from measurement:
-     * each layer's epoch-final compressed footprint
-     * (LayerTrace::csbWeightBytes, i.e. CsbTensor::totalBytes of the
-     * real encode) replaces the density-derived CSB size on
+     * The GLB/DRAM weight-traffic terms likewise run from measurement
+     * where the trace has it: each layer's epoch-final compressed
+     * footprint (LayerTrace::csbWeightBytes, i.e. CsbTensor::totalBytes
+     * of the real encode) replaces the density-derived CSB size on
      * sparsity-exploiting configurations, and the measured dense
      * footprint feeds the dense baseline.
      *
      * @param imbalance when non-null, receives the epoch's
      *        balanced/unbalanced load-imbalance histograms replayed
-     *        from the measured masks and activation densities
+     *        from the same masks and activation densities
      *        (arch/trace_imbalance.h) under this accelerator's mapping
      *        and balancing policy, all three phases pooled.
      * @param cycle_sim when non-null, the cycle-level PE-array
      *        simulator (sim/cycle_sim.h) co-runs the same epoch —
-     *        identical wave geometry, work from the same measured
-     *        masks and activation vectors — and its per-phase results
-     *        land here, with analyticCycleRatio set to simulated
-     *        cycles over this model's analytic compute latency (the
-     *        fidelity bound BENCH_cosim.json v4 records).
+     *        identical wave geometry, work from the same masks and
+     *        activation vectors — and its per-phase results land
+     *        here, with analyticCycleRatio set to simulated cycles
+     *        over this model's analytic compute latency (the fidelity
+     *        bound BENCH_cosim.json v4 records).
      * @param sim_cfg interconnect / GLB / FIFO geometry for the
      *        cycle-level co-run (ignored when cycle_sim is null).
      */
+    NetworkCost evaluateTrace(const EpochTrace &epoch,
+                              EpochImbalance *imbalance = nullptr,
+                              sim::TraceSimResult *cycle_sim = nullptr,
+                              const sim::SimConfig &sim_cfg = {}) const;
+
+    /** evaluateTrace of epoch `epoch_idx` of a recorded trace. */
     NetworkCost evaluateTrace(const WorkloadTrace &trace,
                               size_t epoch_idx,
                               EpochImbalance *imbalance = nullptr,

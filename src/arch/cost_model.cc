@@ -49,20 +49,6 @@ reduceWave(const std::vector<TileHalves> &tiles, BalanceMode balance,
 }
 
 std::vector<WaveStats>
-CostModel::waveStats(const LayerShape &layer, Phase phase,
-                     MappingKind mapping,
-                     const LayerSparsityProfile &profile,
-                     int64_t batch) const
-{
-    return reduceWaves(
-        layer, phase, mapping, batch,
-        effectiveDensity(phase,
-                         {profile.weightDensity(), profile.iactDensity()}),
-        planned() ? planWaves(layer, phase, mapping, batch, cfg_, profile)
-                  : WavePlan{});
-}
-
-std::vector<WaveStats>
 CostModel::reduceWaves(const LayerShape &layer, Phase phase,
                        MappingKind mapping, int64_t batch, double density,
                        const WavePlan &plan) const
@@ -273,40 +259,16 @@ CostModel::dramWords(const LayerShape &layer, Phase phase,
 }
 
 PhaseCost
-CostModel::evaluatePhase(const LayerShape &layer, Phase phase,
-                         MappingKind mapping,
-                         const LayerSparsityProfile &profile,
-                         int64_t batch,
-                         const MeasuredLayerStats &measured) const
-{
-    PROCRUSTES_ASSERT(batch > 0, "batch must be positive");
-    return evaluate(
-        layer, phase, mapping, batch,
-        {profile.weightDensity(), profile.iactDensity()},
-        planned() ? planWaves(layer, phase, mapping, batch, cfg_, profile)
-                  : WavePlan{},
-        measured);
-}
-
-PhaseCost
-CostModel::evaluatePhase(const LayerTrace &layer, double weight_density,
+CostModel::evaluatePhase(const LayerTrace &traced, double weight_density,
                          Phase phase, MappingKind mapping, int64_t batch,
                          const MeasuredLayerStats &measured) const
 {
     PROCRUSTES_ASSERT(batch > 0, "batch must be positive");
-    return evaluate(layer.shape, phase, mapping, batch,
-                    {weight_density, layer.iacts.mean},
-                    planned() ? planWaves(layer, phase, mapping, batch, cfg_)
-                              : WavePlan{},
-                    measured);
-}
-
-PhaseCost
-CostModel::evaluate(const LayerShape &layer, Phase phase,
-                    MappingKind mapping, int64_t batch, const Densities &d,
-                    const WavePlan &plan,
-                    const MeasuredLayerStats &measured) const
-{
+    const LayerShape &layer = traced.shape;
+    const Densities d{weight_density, traced.iacts.mean};
+    const WavePlan plan =
+        planned() ? planWaves(traced, phase, mapping, batch, cfg_)
+                  : WavePlan{};
     PhaseCost cost;
     const double density = effectiveDensity(phase, d);
     const double dense_macs =

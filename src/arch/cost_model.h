@@ -7,6 +7,12 @@
  * imbalance, plus Accelergy per-access energies (Section VI-A). This
  * model reimplements that methodology from scratch:
  *
+ *  Input.  Every evaluation reads a LayerTrace: a layer recorded from
+ *  a training run (arch/workload_trace.h) or drawn by the model zoo
+ *  (syntheticEpoch, arch/model_zoo.h). A dense configuration reads
+ *  no density from it, so the dense baseline and the sparse machines
+ *  evaluate the same epoch.
+ *
  *  Latency.  Work is issued in *waves* — full-PE-array sets of work
  *  tiles, one tile per PE, tiles indexed by the mapping's two spatial
  *  dimensions (Figure 4), listed by the wave plan (arch/wave_plan.h).
@@ -25,8 +31,8 @@
  *  within a wave is counted once, which is exactly the spatial-reuse
  *  advantage the single-dimension flows preserve. Sparse weights add
  *  CSB overheads (1 mask bit per dense element plus a pointer per
- *  block); the ideal mode of Figure 1 drops them. In trace-driven
- *  mode the density-derived CSB estimate is bypassed entirely: the
+ *  block); the ideal mode of Figure 1 drops them. For a recorded run
+ *  the density-derived CSB estimate is bypassed entirely: the
  *  workload-trace pipeline supplies the byte count of the weight
  *  image the trainer actually encoded (CsbTensor::totalBytes) and the
  *  GLB/DRAM weight-traffic terms consume it verbatim
@@ -42,7 +48,6 @@
 #include "arch/arch_config.h"
 #include "arch/dataflow.h"
 #include "arch/load_balancer.h"
-#include "arch/sparsity_profile.h"
 #include "arch/wave_plan.h"
 
 namespace procrustes {
@@ -168,7 +173,7 @@ struct PhaseCost
     PhaseCost &operator+=(const PhaseCost &o);
 };
 
-/** Per-wave latency statistics (for the imbalance histograms). */
+/** Per-wave latency statistics. */
 struct WaveStats
 {
     double maxWork = 0.0;    //!< wave latency (cycles)
@@ -220,42 +225,24 @@ class CostModel
     {}
 
     /**
-     * Evaluate one layer in one phase under one mapping.
+     * Evaluate one traced layer in one phase under one mapping, from
+     * its own wave plan: planWaves of the LayerTrace, the plan the
+     * cycle-level simulator clocks. The scalar densities are the
+     * mask's (`weight_density`) and the mean input density
+     * (layer.iacts.mean). Dense and ideal configurations load every
+     * PE alike and plan nothing.
      *
+     * @param weight_density layer.weightDensity(). It walks the whole
+     *        mask, so the caller computes it once for all phases.
      * @param measured measured quantities from the workload-trace
      *        pipeline (executed MACs, compressed/dense weight bytes).
      *        Each non-negative field replaces its modelled estimate;
      *        the default instance keeps pure modelling.
      */
-    PhaseCost evaluatePhase(const LayerShape &layer, Phase phase,
-                            MappingKind mapping,
-                            const LayerSparsityProfile &profile,
-                            int64_t batch,
-                            const MeasuredLayerStats &measured = {}) const;
-
-    /**
-     * Evaluate one traced layer in one phase from its own wave plan:
-     * planWaves of the LayerTrace, the plan the cycle-level simulator
-     * clocks. The scalar densities are the mask's (`weight_density`)
-     * and the measured mean input density (layer.iacts.mean).
-     *
-     * @param weight_density layer.weightDensity(). It walks the whole
-     *        mask, so the caller computes it once for all phases.
-     */
     PhaseCost evaluatePhase(const LayerTrace &layer, double weight_density,
                             Phase phase, MappingKind mapping,
                             int64_t batch,
                             const MeasuredLayerStats &measured = {}) const;
-
-    /**
-     * Per-wave latency stats (drives Figures 5 and 13): the wave plan
-     * (arch/wave_plan.h) of the profile, each wave reduced to its max
-     * and mean. Dense and ideal configurations load every PE alike.
-     */
-    std::vector<WaveStats> waveStats(const LayerShape &layer, Phase phase,
-                                     MappingKind mapping,
-                                     const LayerSparsityProfile &profile,
-                                     int64_t batch) const;
 
     const ArrayConfig &config() const { return cfg_; }
     const CostOptions &options() const { return opts_; }
@@ -271,13 +258,6 @@ class CostModel
     /** True when tile work comes from a wave plan: a sparse, non-ideal
         configuration. Dense and ideal ones load every PE alike. */
     bool planned() const { return opts_.sparse && !opts_.ideal; }
-
-    /** The phase cost of either evaluatePhase; `plan` is read only
-        when planned(). */
-    PhaseCost evaluate(const LayerShape &layer, Phase phase,
-                       MappingKind mapping, int64_t batch,
-                       const Densities &d, const WavePlan &plan,
-                       const MeasuredLayerStats &measured) const;
 
     /** Density of the phase's sparse operand, or 1 in dense mode. */
     double effectiveDensity(Phase phase, const Densities &d) const;

@@ -1,6 +1,7 @@
 #include "arch/model_zoo.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/math_utils.h"
@@ -24,6 +25,39 @@ hiddenIactDensity(uint64_t seed, size_t layer_index)
     const double u =
         static_cast<double>(h >> 40) / static_cast<double>(1 << 24);
     return 0.40 + 0.20 * u;
+}
+
+/**
+ * Deterministic standard-normal-ish value in [-4, 4] from a hash: the
+ * sum of four uniform draws (CLT), cheap and reproducible.
+ */
+double
+jitter(uint64_t seed, uint64_t a, uint64_t b)
+{
+    const uint64_t h = splitmix64(seed ^ splitmix64(a * 0x9e37 + b));
+    double acc = 0.0;
+    for (int i = 0; i < 4; ++i) {
+        const auto bits =
+            static_cast<uint32_t>(h >> (i * 16)) & 0xffffu;
+        acc += static_cast<double>(bits) / 65535.0 - 0.5;
+    }
+    return acc * 2.0;   // std ~= 0.58
+}
+
+/** `n` densities jittered around `mean`, index i drawn with salt
+    `salt`, each clamped to [0.02, 1]. */
+std::vector<double>
+jitteredVector(int64_t n, double mean, double sigma, uint64_t seed,
+               uint64_t salt)
+{
+    std::vector<double> v(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+        v[static_cast<size_t>(i)] = clampd(
+            mean * (1.0 + sigma * jitter(seed, static_cast<uint64_t>(i),
+                                         salt)),
+            0.02, 1.0);
+    }
+    return v;
 }
 
 /** Append a layer and its input-activation density. */
@@ -285,32 +319,58 @@ generateMasks(const NetworkModel &model, double sparsity, uint64_t seed,
     return masks;
 }
 
-std::vector<LayerSparsityProfile>
-buildProfiles(const NetworkModel &model,
-              const std::vector<sparse::SparsityMask> &masks,
-              double iact_sigma)
+LayerTrace
+syntheticLayer(const LayerShape &shape, sparse::SparsityMask mask,
+               double iact_density, int64_t batch, double iact_sigma,
+               uint64_t seed)
+{
+    PROCRUSTES_ASSERT(iact_density > 0.0 && iact_density <= 1.0,
+                      "iact density out of range");
+    LayerTrace l;
+    l.name = shape.name;
+    l.shape = shape;
+    l.mask = std::move(mask);
+    MeasuredIactStats &a = l.iacts;
+    a.mean = iact_density;
+    a.perSample = jitteredVector(batch, iact_density, iact_sigma, seed, 1);
+    a.perSampleHalf.resize(static_cast<size_t>(batch) * 2);
+    for (int64_t n = 0; n < batch; ++n) {
+        const double base = a.perSample[static_cast<size_t>(n)] / 2.0;
+        for (int h = 0; h < 2; ++h) {
+            a.perSampleHalf[static_cast<size_t>(n * 2 + h)] = clampd(
+                base * (1.0 + iact_sigma *
+                                  jitter(seed, static_cast<uint64_t>(n),
+                                         2 + static_cast<uint64_t>(h))),
+                0.01, 0.5);
+        }
+    }
+    a.perChannel = jitteredVector(shape.C, iact_density, iact_sigma, seed, 11);
+    if (shape.type != LayerType::FullyConnected) {
+        a.perRow =
+            jitteredVector(shape.inH(), iact_density, iact_sigma, seed, 17);
+        a.perCol =
+            jitteredVector(shape.inW(), iact_density, iact_sigma, seed, 19);
+    }
+    return l;
+}
+
+EpochTrace
+syntheticEpoch(const NetworkModel &model,
+               std::vector<sparse::SparsityMask> masks, int64_t batch,
+               double iact_sigma)
 {
     PROCRUSTES_ASSERT(masks.size() == model.layers.size(),
                       "mask count mismatch");
-    std::vector<LayerSparsityProfile> profiles;
-    profiles.reserve(masks.size());
+    PROCRUSTES_ASSERT(batch > 0, "batch must be positive");
+    EpochTrace e;
+    e.batchSize = batch;
+    e.layers.reserve(masks.size());
     for (size_t i = 0; i < masks.size(); ++i) {
-        profiles.emplace_back(masks[i], model.iactDensity[i], iact_sigma,
-                              splitmix64(0xbeef ^ i));
+        e.layers.push_back(syntheticLayer(
+            model.layers[i], std::move(masks[i]), model.iactDensity[i],
+            batch, iact_sigma, splitmix64(0xbeef ^ i)));
     }
-    return profiles;
-}
-
-std::vector<LayerSparsityProfile>
-buildDenseProfiles(const NetworkModel &model)
-{
-    std::vector<LayerSparsityProfile> profiles;
-    profiles.reserve(model.layers.size());
-    for (size_t i = 0; i < model.layers.size(); ++i) {
-        profiles.push_back(LayerSparsityProfile::uniform(
-            1.0, model.iactDensity[i]));
-    }
-    return profiles;
+    return e;
 }
 
 } // namespace arch

@@ -10,7 +10,9 @@
  * bench. Mask generation at a network's target sparsity introduces
  * mild layer-level density variation plus kernel-level lognormal
  * structure, standing in for masks extracted from PyTorch runs
- * (DESIGN.md §4).
+ * (DESIGN.md §4). syntheticEpoch turns a network and its masks into
+ * the EpochTrace a recorded run would give, so the accelerator model
+ * has one input type.
  */
 
 #ifndef PROCRUSTES_ARCH_MODEL_ZOO_H_
@@ -21,7 +23,7 @@
 #include <vector>
 
 #include "arch/layer_shape.h"
-#include "arch/sparsity_profile.h"
+#include "arch/workload_trace.h"
 #include "sparse/mask.h"
 
 namespace procrustes {
@@ -80,15 +82,29 @@ std::vector<sparse::SparsityMask>
 generateMasks(const NetworkModel &model, double sparsity, uint64_t seed,
               double kernel_sigma = 0.3);
 
-/** Bundle masks and activation densities into cost-model profiles. */
-std::vector<LayerSparsityProfile>
-buildProfiles(const NetworkModel &model,
-              const std::vector<sparse::SparsityMask> &masks,
-              double iact_sigma = 0.1);
+/**
+ * One synthetic traced layer, shaped like a recorded one: `mask` is
+ * moved in as the epoch-final mask, and the input-activation
+ * statistics are drawn around `iact_density` with deterministic hash
+ * jitter of relative spread `iact_sigma` (seeded by `seed`): per
+ * sample and per sample half (split along C, each half drawn on its
+ * own), per input channel, and per input row and column (rank-4
+ * layers only). No executed MACs or byte counts: the cost model
+ * estimates them from the mask.
+ */
+LayerTrace syntheticLayer(const LayerShape &shape, sparse::SparsityMask mask,
+                          double iact_density, int64_t batch,
+                          double iact_sigma = 0.1, uint64_t seed = 0x5eed);
 
-/** Dense profiles (weight density 1) for the baseline accelerator. */
-std::vector<LayerSparsityProfile>
-buildDenseProfiles(const NetworkModel &model);
+/**
+ * One training iteration of a zoo network at `batch`, as the
+ * accelerator model reads a recorded epoch: layer i is the
+ * syntheticLayer of its shape, masks[i] and model.iactDensity[i],
+ * jittered with seed splitmix64(0xbeef ^ i).
+ */
+EpochTrace syntheticEpoch(const NetworkModel &model,
+                          std::vector<sparse::SparsityMask> masks,
+                          int64_t batch, double iact_sigma = 0.1);
 
 } // namespace arch
 } // namespace procrustes

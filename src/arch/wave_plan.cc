@@ -51,68 +51,6 @@ even(double work)
     return TileHalves{work / 2.0, work / 2.0};
 }
 
-/** Densities from a LayerSparsityProfile. */
-struct ProfileSource
-{
-    const LayerSparsityProfile &p;
-
-    double
-    uniform(Operand sp) const
-    {
-        return sp == Operand::Weights ? p.weightDensity()
-                                      : p.iactDensity();
-    }
-
-    double
-    iactSlice(Dim d, int64_t idx) const
-    {
-        if (d == Dim::N)
-            return p.iactSampleDensity(idx);
-        if (d == Dim::C)
-            return p.iactChannelDensity(idx);
-        PANIC("iacts sliced along an unsupported dim");
-    }
-
-    TileHalves
-    slice(Operand sp, Dim d, int64_t idx) const
-    {
-        if (sp == Operand::Weights) {
-            if (d == Dim::K)
-                return {p.kHalfDensity(idx, 0), p.kHalfDensity(idx, 1)};
-            if (d == Dim::C)
-                return {p.cHalfDensity(idx, 0), p.cHalfDensity(idx, 1)};
-            PANIC("weights sliced along a non-weight dim");
-        }
-        if (d == Dim::N)
-            return {p.iactSampleHalfDensity(idx, 0),
-                    p.iactSampleHalfDensity(idx, 1)};
-        if (d == Dim::C)
-            return {p.iactChannelHalfDensity(idx, 0),
-                    p.iactChannelHalfDensity(idx, 1)};
-        PANIC("iacts sliced along an unsupported dim");
-    }
-
-    double kernel(int64_t k, int64_t c) const { return p.kernelDensity(k, c); }
-
-    double
-    pair(Dim d0, int64_t i0, Dim d1, int64_t i1) const
-    {
-        if ((d0 == Dim::P && d1 == Dim::Q) ||
-            (d0 == Dim::Q && d1 == Dim::P)) {
-            // Keep (p, q) order: the spatial jitter is not symmetric
-            // under index swap.
-            const int64_t row = d0 == Dim::P ? i0 : i1;
-            const int64_t col = d0 == Dim::P ? i1 : i0;
-            return p.iactSpatialDensity(row, col);
-        }
-        // C,N pairing: ratio-combine the marginal densities so the mean
-        // stays near the layer's mean activation density.
-        return clampd(iactSlice(d0, i0) * iactSlice(d1, i1) /
-                          std::max(p.iactDensity(), 1e-9),
-                      0.01, 1.0);
-    }
-};
-
 /** Measured mean density with an index wrapped into a vector, or the
     scalar mean when no vector was measured (ragged epochs drop them). */
 double
@@ -123,8 +61,8 @@ wrapped(const std::vector<double> &v, int64_t idx, double fallback)
     return v[static_cast<size_t>(idx) % v.size()];
 }
 
-/** Densities from a traced layer's epoch-final mask and measured
-    activation vectors. */
+/** Densities from a traced layer's epoch-final mask and activation
+    vectors. */
 struct TraceSource
 {
     const LayerTrace &l;
@@ -230,13 +168,16 @@ struct TraceSource
     }
 };
 
-/** The tile walk: block both spatial dims by the array, in issue
-    order, and read every active PE's work from `src`. */
-template <typename Source>
+} // namespace
+
 WavePlan
-walk(const LayerShape &layer, Phase phase, MappingKind mapping,
-     int64_t batch, const ArrayConfig &cfg, const Source &src)
+planWaves(const LayerTrace &traced, Phase phase, MappingKind mapping,
+          int64_t batch, const ArrayConfig &cfg)
 {
+    // The tile walk: block both spatial dims by the array, in issue
+    // order, and read every active PE's work from the traced layer.
+    const LayerShape &layer = traced.shape;
+    const TraceSource src{traced};
     WavePlan plan;
     plan.dims = spatialDims(mapping);
     const Dim d0 = plan.dims[0];
@@ -316,24 +257,6 @@ walk(const LayerShape &layer, Phase phase, MappingKind mapping,
         }
     }
     return plan;
-}
-
-} // namespace
-
-WavePlan
-planWaves(const LayerShape &layer, Phase phase, MappingKind mapping,
-          int64_t batch, const ArrayConfig &cfg,
-          const LayerSparsityProfile &profile)
-{
-    return walk(layer, phase, mapping, batch, cfg, ProfileSource{profile});
-}
-
-WavePlan
-planWaves(const LayerTrace &layer, Phase phase, MappingKind mapping,
-          int64_t batch, const ArrayConfig &cfg)
-{
-    return walk(layer.shape, phase, mapping, batch, cfg,
-                TraceSource{layer});
 }
 
 } // namespace arch

@@ -9,13 +9,12 @@
  * batch) in issue order and gives every active PE its work as
  * TileHalves in density units: the fraction of the PE's dense work the
  * phase's sparse operand leaves, so that `perIndex * total()` is MACs.
- * The densities come from a synthetic LayerSparsityProfile (the model
- * zoo studies) or from a measured LayerTrace (a recorded training
- * run). The three consumers reduce the same plan, whichever the
- * source: CostModel::evaluatePhase and waveStats to a max and a mean
- * per wave, the imbalance replay (arch/trace_imbalance.h) to an
- * overhead per wave, and the simulator (sim/cycle_sim.h) to per-PE
- * demands it clocks.
+ * The densities come from one input type, a LayerTrace: recorded from
+ * a training run (arch/workload_trace.h) or drawn by the model zoo
+ * (syntheticEpoch, arch/model_zoo.h). Three consumers reduce the same
+ * plan: CostModel::evaluatePhase to a max and a mean per wave, the
+ * imbalance replay (arch/trace_imbalance.h) to an overhead per wave,
+ * and the simulator (sim/cycle_sim.h) to per-PE demands it clocks.
  *
  * Which spatial dims the sparse operand depends on fixes the shape of
  * a wave's work:
@@ -49,8 +48,8 @@
 
 #include "arch/arch_config.h"
 #include "arch/dataflow.h"
+#include "arch/layer_shape.h"
 #include "arch/load_balancer.h"
-#include "arch/sparsity_profile.h"
 
 namespace procrustes {
 namespace arch {
@@ -109,19 +108,12 @@ struct WavePlan
     int64_t chunkCount(const PlannedWave &w, int64_t j) const;
 };
 
-/** Plan from a synthetic sparsity profile. */
-WavePlan planWaves(const LayerShape &layer, Phase phase,
-                   MappingKind mapping, int64_t batch,
-                   const ArrayConfig &cfg,
-                   const LayerSparsityProfile &profile);
-
 /**
- * Plan from a traced layer with no profile in between: exact
- * live-position counts from the epoch-final mask (SparsityMask::tileNnz
- * per slice, blockNnz per kernel) over the dense positions they cover,
- * and the measured activation vectors as they are (per-sample halves
- * where the telemetry recorded them, per-channel and spatial marginals
- * otherwise).
+ * Plan a traced layer: exact live-position counts from the epoch-final
+ * mask (SparsityMask::tileNnz per slice, blockNnz per kernel) over the
+ * dense positions they cover, and the activation vectors as they are
+ * (per-sample halves where the trace has them, per-channel and spatial
+ * marginals otherwise).
  */
 WavePlan planWaves(const LayerTrace &layer, Phase phase,
                    MappingKind mapping, int64_t batch,

@@ -45,8 +45,9 @@ struct MeasuredIactStats
 {
     double mean = 1.0;                    //!< layer-mean density
     std::vector<double> perSample;        //!< [batch]
-    /** [batch * 2], halves split along C; halves of sample n sum to
-        perSample[n]. */
+    /** [batch * 2], halves split along C. Recorded halves of sample
+        n sum to perSample[n]; synthetic ones (syntheticLayer) are
+        drawn independently, so they need not. */
     std::vector<double> perSampleHalf;
     std::vector<double> perChannel;       //!< [C]
     /** Spatial marginals in *input* coordinates, rank-4 layers only

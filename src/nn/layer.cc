@@ -78,7 +78,8 @@ measureInputDensities(const Tensor &x, LayerStepReport *out)
         out->inputSampleDensity[static_cast<size_t>(in)] =
             static_cast<double>(s) / sample_elems;
         // Halves are normalized to the whole sample so they sum to the
-        // sample density (mirroring LayerSparsityProfile's convention).
+        // sample density: the wave plan reads each half as a share of
+        // the sample's work (arch::MeasuredIactStats::perSampleHalf).
         out->inputSampleHalfDensity[static_cast<size_t>(in * 2)] =
             static_cast<double>(half0) / sample_elems;
         out->inputSampleHalfDensity[static_cast<size_t>(in * 2 + 1)] =

@@ -14,7 +14,6 @@ namespace sim {
 
 using arch::FlowClass;
 using arch::LayerShape;
-using arch::LayerSparsityProfile;
 using arch::LayerTrace;
 using arch::MappingKind;
 using arch::Operand;
@@ -656,21 +655,6 @@ simulateWaveSequence(const std::vector<WaveSpec> &waves,
 {
     validateSimConfig(cfg);
     return simulateSequencePiece(waves, cfg, nullptr);
-}
-
-SimResult
-simulateLayerPhase(const LayerShape &layer, Phase phase,
-                   MappingKind mapping,
-                   const LayerSparsityProfile &profile, int64_t batch,
-                   const arch::ArrayConfig &acfg, const SimConfig &scfg,
-                   arch::BalanceMode balance)
-{
-    validateSimConfig(scfg);
-    return simulateSequencePiece(
-        buildWaves(arch::planWaves(layer, phase, mapping, batch, acfg,
-                                   profile),
-                   layer, phase, mapping, batch, acfg, balance),
-        scfg, nullptr);
 }
 
 SimResult

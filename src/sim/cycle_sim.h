@@ -59,11 +59,13 @@
  *  from the *measured* byte counts (compressed weight image
  *  `LayerTrace::csbWeightBytes`, activation volumes scaled by the
  *  measured densities), so TraceSimResult prices end-to-end traffic,
- *  not just bank contention. Refill is double-buffered against
+ *  not just bank contention. A synthetic layer has no measured image
+ *  and is charged the density-derived CSB estimate
+ *  (arch::compressedWeightWords). Refill is double-buffered against
  *  compute: only the demand exceeding the phase's array-busy window is
  *  exposed (`dramStallCycles`); the full demand is reported in
- *  `dramRefillCycles`. Only the trace-driven entry points model
- *  refill (the profile path has no measured bytes).
+ *  `dramRefillCycles`. The explicit-wave entry points (simulateWave,
+ *  simulateWaveSequence) model no refill.
  *
  * How a wave is clocked. The cost of a cycle grows with the PEs that
  * still have work, not with the array: the loop keeps a live list, in
@@ -107,9 +109,10 @@
  * enabled). The others clock the wave plan (arch/wave_plan.h) — the
  * same waves, in the same order, with the same per-PE work the
  * analytic model reduces — turning each PE's planned work into its
- * MACs and operand words: simulateLayerPhase plans from a sparsity
- * profile, simulateTraceLayerPhase / simulateTraceEpoch from a
- * measured WorkloadTrace epoch. buildEpochWavePlan / simulateEpochPlan
+ * MACs and operand words: simulateTraceLayerPhase clocks one traced
+ * layer, simulateTraceEpoch a whole EpochTrace, recorded from a
+ * training run or drawn by the model zoo (syntheticEpoch).
+ * buildEpochWavePlan / simulateEpochPlan
  * split the epoch replay into its SimConfig-independent geometry and
  * the per-config clocking, so knob sweeps over one measured epoch
  * (bench_dataflow) build the waves once.
@@ -124,7 +127,6 @@
 #include "arch/arch_config.h"
 #include "arch/cost_model.h"
 #include "arch/dataflow.h"
-#include "arch/sparsity_profile.h"
 #include "arch/workload_trace.h"
 
 namespace procrustes {
@@ -309,36 +311,22 @@ SimResult simulateWaveSequence(const std::vector<WaveSpec> &waves,
                                const SimConfig &cfg);
 
 /**
- * Build the wave sequence for (layer, phase, mapping) from the wave
- * plan of the sparsity profile the analytic model uses, then simulate
- * every wave (drain-overlapped when cfg.doubleBufferOutputs). Operand
+ * Build the wave sequence of one traced (layer, phase, mapping) from
+ * its wave plan — the plan the analytic model reduces: exact
+ * epoch-final mask slice counts (SparsityMask::tileNnz / blockNnz) for
+ * weight-sparse phases, the per-sample / per-channel / spatial
+ * activation vectors for the weight-update phase — then simulate every
+ * wave (drain-overlapped when cfg.doubleBufferOutputs). Operand
  * channels follow classifyFlow(). Slots whose sparse-operand density
  * is zero (fully pruned slices/chunks) carry zero demand: they retire
  * no phantom MACs, drain no phantom psums, and are excluded from stall
- * accounting. No DRAM refill: the profile path has no measured bytes.
- * BalanceMode::FullChip clocks unbalanced: the simulated array has no
- * chip-wide exchange network (Figure 10), so only None and HalfTile
- * have a cycle-level counterpart.
- */
-SimResult simulateLayerPhase(const arch::LayerShape &layer,
-                             arch::Phase phase, arch::MappingKind mapping,
-                             const arch::LayerSparsityProfile &profile,
-                             int64_t batch, const arch::ArrayConfig &acfg,
-                             const SimConfig &scfg,
-                             arch::BalanceMode balance =
-                                 arch::BalanceMode::HalfTile);
-
-/**
- * Trace-driven variant of simulateLayerPhase: identical wave geometry
- * (tiling, channels, RF chunking, half-tile balancing), but the plan
- * reads the measured epoch facts — exact epoch-final mask slice counts
- * (SparsityMask::tileNnz / blockNnz) for weight-sparse phases,
- * measured per-sample / per-channel / spatial activation vectors for
- * the weight-update phase — instead of the profile's density scalars.
- * When cfg.dramWordsPerCycle > 0 the phase is also charged its
- * DRAM->GLB refill from the layer's measured bytes (compressed weight
- * image plus activation volumes at the measured input density, summed
- * by arch::phaseDramWords).
+ * accounting. BalanceMode::FullChip clocks unbalanced: the simulated
+ * array has no chip-wide exchange network (Figure 10), so only None
+ * and HalfTile have a cycle-level counterpart. When
+ * cfg.dramWordsPerCycle > 0 the phase is also charged its DRAM->GLB
+ * refill from the layer's bytes (compressed weight image plus
+ * activation volumes at the mean input density, summed by
+ * arch::phaseDramWords).
  */
 SimResult simulateTraceLayerPhase(const arch::LayerTrace &layer,
                                   arch::Phase phase,

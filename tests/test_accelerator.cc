@@ -47,14 +47,13 @@ class HeadlineClaims : public ::testing::TestWithParam<const char *>
 TEST_P(HeadlineClaims, EnergyAndSpeedupInPaperBand)
 {
     const NetworkModel m = byName(GetParam());
-    const auto masks = generateMasks(m, m.paperSparsity, 7);
-    const auto sparse_profiles = buildProfiles(m, masks);
-    const auto dense_profiles = buildDenseProfiles(m);
+    const EpochTrace epoch =
+        syntheticEpoch(m, generateMasks(m, m.paperSparsity, 7), 16);
 
     const Accelerator procrustes = Accelerator::procrustes();
     const Accelerator baseline = Accelerator::denseBaseline();
-    const NetworkCost sc = procrustes.evaluate(m, sparse_profiles, 16);
-    const NetworkCost dc = baseline.evaluate(m, dense_profiles, 16);
+    const NetworkCost sc = procrustes.evaluateTrace(epoch);
+    const NetworkCost dc = baseline.evaluateTrace(epoch);
 
     const double energy_ratio = dc.totalEnergyJ() / sc.totalEnergyJ();
     const double speedup = dc.totalCycles() / sc.totalCycles();
@@ -85,16 +84,13 @@ TEST(Accelerator, HigherSparsityMoreEnergySavings)
 {
     // Figure 17's trend: ResNet18 at 11.7x saves more than at 3x.
     const NetworkModel m = buildResNet18();
-    const auto dense_profiles = buildDenseProfiles(m);
-    const double dense_e = Accelerator::denseBaseline()
-                               .evaluate(m, dense_profiles, 16)
-                               .totalEnergyJ();
     auto ratio_at = [&](double sparsity) {
-        const auto masks = generateMasks(m, sparsity, 7);
-        const auto profiles = buildProfiles(m, masks);
-        return dense_e / Accelerator::procrustes()
-                             .evaluate(m, profiles, 16)
-                             .totalEnergyJ();
+        const EpochTrace epoch =
+            syntheticEpoch(m, generateMasks(m, sparsity, 7), 16);
+        return Accelerator::denseBaseline()
+                   .evaluateTrace(epoch)
+                   .totalEnergyJ() /
+               Accelerator::procrustes().evaluateTrace(epoch).totalEnergyJ();
     };
     EXPECT_GT(ratio_at(11.7), ratio_at(3.0));
 }
@@ -102,12 +98,10 @@ TEST(Accelerator, HigherSparsityMoreEnergySavings)
 TEST(Accelerator, IdealBoundsRealSparse)
 {
     const NetworkModel m = buildVggS();
-    const auto masks = generateMasks(m, 5.2, 3);
-    const auto profiles = buildProfiles(m, masks);
-    const NetworkCost real =
-        Accelerator::procrustes().evaluate(m, profiles, 16);
+    const EpochTrace epoch = syntheticEpoch(m, generateMasks(m, 5.2, 3), 16);
+    const NetworkCost real = Accelerator::procrustes().evaluateTrace(epoch);
     const NetworkCost ideal =
-        Accelerator::idealSparse().evaluate(m, profiles, 16);
+        Accelerator::idealSparse().evaluateTrace(epoch);
     EXPECT_LE(ideal.totalCycles(), real.totalCycles());
     EXPECT_LE(ideal.totalEnergyJ(), real.totalEnergyJ());
 }
@@ -117,17 +111,17 @@ TEST(Accelerator, ScalabilityNearIdealForKn)
     // Figure 20: 4x the PEs gives ~3.9x speedup under K,N, and energy
     // stays almost unchanged.
     const NetworkModel m = buildResNet18();
-    const auto masks = generateMasks(m, 11.7, 7);
-    const auto profiles = buildProfiles(m, masks);
-
     // Batch 64 (as the Figure 1 cycle counts imply): a minibatch of
     // 16 could not fill the 32-wide array's N axis.
-    const NetworkCost c16 = Accelerator::procrustes(
-                                ArrayConfig::baseline16())
-                                .evaluate(m, profiles, 64);
-    const NetworkCost c32 = Accelerator::procrustes(
-                                ArrayConfig::scaled32())
-                                .evaluate(m, profiles, 64);
+    const EpochTrace epoch =
+        syntheticEpoch(m, generateMasks(m, 11.7, 7), 64);
+
+    const NetworkCost c16 =
+        Accelerator::procrustes(ArrayConfig::baseline16())
+            .evaluateTrace(epoch);
+    const NetworkCost c32 =
+        Accelerator::procrustes(ArrayConfig::scaled32())
+            .evaluateTrace(epoch);
 
     const double speedup = c16.totalCycles() / c32.totalCycles();
     EXPECT_GT(speedup, 3.0);
@@ -142,8 +136,8 @@ TEST(Accelerator, PqScalesWorseThanKn)
     // Figure 20's second claim: mappings that trade utilization for
     // reuse (P,Q) scale worse than the Procrustes mappings.
     const NetworkModel m = buildMobileNetV2();
-    const auto masks = generateMasks(m, 10.0, 7);
-    const auto profiles = buildProfiles(m, masks);
+    const EpochTrace epoch =
+        syntheticEpoch(m, generateMasks(m, 10.0, 7), 64);
 
     CostOptions opts;
     opts.sparse = true;
@@ -151,8 +145,8 @@ TEST(Accelerator, PqScalesWorseThanKn)
     auto speedup_for = [&](MappingKind mk) {
         const Accelerator a16(ArrayConfig::baseline16(), opts, mk);
         const Accelerator a32(ArrayConfig::scaled32(), opts, mk);
-        return a16.evaluate(m, profiles, 64).totalCycles() /
-               a32.evaluate(m, profiles, 64).totalCycles();
+        return a16.evaluateTrace(epoch).totalCycles() /
+               a32.evaluateTrace(epoch).totalCycles();
     };
     EXPECT_GT(speedup_for(MappingKind::KN),
               speedup_for(MappingKind::PQ));
@@ -165,7 +159,12 @@ TEST(Accelerator, PqScalesWorseThanKn)
  * fc head), with the seed-7 masks at the paper's sparsity and batch 64,
  * as hex doubles; plus a digest of every per-layer PhaseCost under the
  * C,N mapping (all three phases) and the C,K and P,Q mappings (forward
- * and backward) on a sparse half-tile machine.
+ * and backward) on a sparse half-tile machine. C,K and P,Q weight
+ * update are left out: only they read the per-channel halves or the
+ * spatial marginals of the activations, and how syntheticLayer draws
+ * those is a modelling choice, not a contract. The dense baseline
+ * evaluates the same epoch as the sparse machines and reads no
+ * density from it.
  *
  * The cost model's a*b + c sums contract into FMAs where the build
  * targets FMA (GCC contracts by default in C++), so a build without
@@ -401,11 +400,10 @@ TEST(AcceleratorGolden, ZooNetworkCostsAreBitwiseStable)
     size_t checked_digests = 0;
     for (const NetworkModel &m :
          {buildResNet18(), buildMobileNetV2(), buildVggS()}) {
-        const auto masks = generateMasks(m, m.paperSparsity, 7);
-        const auto sp = buildProfiles(m, masks);
-        const auto dp = buildDenseProfiles(m);
+        const EpochTrace epoch =
+            syntheticEpoch(m, generateMasks(m, m.paperSparsity, 7), 64);
         for (int a = 0; a < 3; ++a) {
-            const NetworkCost c = accs[a].evaluate(m, a == 1 ? dp : sp, 64);
+            const NetworkCost c = accs[a].evaluateTrace(epoch);
             for (const NetworkGolden &g : kNetworkGolden) {
                 if (m.name != g.model || std::string(machines[a]) != g.machine)
                     continue;
@@ -432,9 +430,9 @@ TEST(AcceleratorGolden, ZooNetworkCostsAreBitwiseStable)
                 continue;
             ++checked_digests;
             uint64_t h = 14695981039346656037ull;
-            for (size_t i = 0; i < m.layers.size(); ++i)
-                h = digestCost(h, cm.evaluatePhase(m.layers[i], g.phase,
-                                                   g.mapping, sp[i], 64));
+            for (const LayerTrace &l : epoch.layers)
+                h = digestCost(h, cm.evaluatePhase(l, l.weightDensity(),
+                                                   g.phase, g.mapping, 64));
             EXPECT_EQ(h, kFusedBuild ? g.fused : g.unfused)
                 << m.name << " " << mappingName(g.mapping) << " "
                 << phaseName(g.phase);
@@ -444,18 +442,47 @@ TEST(AcceleratorGolden, ZooNetworkCostsAreBitwiseStable)
     EXPECT_EQ(checked_digests, 21u);
 }
 
+TEST(Accelerator, DenseBaselineReadsNoDensity)
+{
+    // The dense baseline evaluates the sparse machines' epoch: no cost
+    // term of a dense configuration reads a mask or activation
+    // density, so an all-dense epoch costs it exactly the same.
+    const NetworkModel m = buildMobileNetV2();
+    const EpochTrace sparse_epoch =
+        syntheticEpoch(m, generateMasks(m, m.paperSparsity, 7), 16);
+    EpochTrace dense_epoch = sparse_epoch;
+    for (LayerTrace &l : dense_epoch.layers) {
+        l.mask = sparse::SparsityMask::dense(l.mask.K, l.mask.C, l.mask.R,
+                                             l.mask.S);
+        l.iacts = MeasuredIactStats{};
+    }
+    const Accelerator dense = Accelerator::denseBaseline();
+    const NetworkCost a = dense.evaluateTrace(sparse_epoch);
+    const NetworkCost b = dense.evaluateTrace(dense_epoch);
+    const PhaseCost *pa[3] = {&a.fw, &a.bw, &a.wu};
+    const PhaseCost *pb[3] = {&b.fw, &b.bw, &b.wu};
+    for (size_t p = 0; p < 3; ++p) {
+        const std::array<double, 9> fa = costFields(*pa[p]);
+        const std::array<double, 9> fb = costFields(*pb[p]);
+        for (size_t i = 0; i < 9; ++i)
+            EXPECT_EQ(hexDouble(fa[i]), hexDouble(fb[i]))
+                << "phase " << p << " " << kCostFieldNames[i];
+    }
+}
+
 TEST(Accelerator, LayerEvaluationSumsToNetwork)
 {
     const NetworkModel m = buildDenseNetS();
-    const auto masks = generateMasks(m, 3.9, 5);
-    const auto profiles = buildProfiles(m, masks);
+    const EpochTrace epoch = syntheticEpoch(m, generateMasks(m, 3.9, 5), 16);
     const Accelerator acc = Accelerator::procrustes();
 
-    const NetworkCost whole = acc.evaluate(m, profiles, 16);
+    const NetworkCost whole = acc.evaluateTrace(epoch);
     double by_layer = 0.0;
-    for (size_t i = 0; i < m.layers.size(); ++i) {
-        by_layer += acc.evaluateLayer(m.layers[i], profiles[i], 16)
-                        .totalEnergyJ();
+    for (const LayerTrace &l : epoch.layers) {
+        EpochTrace one;
+        one.batchSize = epoch.batchSize;
+        one.layers = {l};
+        by_layer += acc.evaluateTrace(one).totalEnergyJ();
     }
     EXPECT_NEAR(by_layer, whole.totalEnergyJ(),
                 1e-9 * whole.totalEnergyJ());

@@ -30,17 +30,36 @@ sparseModel(BalanceMode b = BalanceMode::HalfTile)
     return {ArrayConfig::baseline16(), o};
 }
 
-LayerSparsityProfile
-maskedProfile(const LayerShape &l, double density, double sigma = 1.0,
-              uint64_t seed = 7, double iact = 0.5)
+LayerTrace
+maskedLayer(const LayerShape &l, double density, double sigma = 1.0,
+            uint64_t seed = 7, double iact = 0.5)
 {
     sparse::SyntheticMaskConfig cfg;
     cfg.targetDensity = density;
     cfg.kernelSigma = sigma;
     cfg.seed = seed;
-    const auto mask =
-        sparse::makeSyntheticMask(l.K, l.effectiveC(), l.R, l.S, cfg);
-    return {mask, iact};
+    return syntheticLayer(
+        l, sparse::makeSyntheticMask(l.K, l.effectiveC(), l.R, l.S, cfg),
+        iact, 16);
+}
+
+/** A layer with every weight live. */
+LayerTrace
+denseLayer(const LayerShape &l, double iact)
+{
+    return syntheticLayer(
+        l, sparse::SparsityMask::dense(l.K, l.effectiveC(), l.R, l.S), iact,
+        16);
+}
+
+/** CostModel::evaluatePhase of a traced layer at its own density. */
+PhaseCost
+evaluate(const CostModel &m, const LayerTrace &t, Phase phase,
+         MappingKind mapping, int64_t batch,
+         const MeasuredLayerStats &measured = {})
+{
+    return m.evaluatePhase(t, t.weightDensity(), phase, mapping, batch,
+                           measured);
 }
 
 TEST(CostModel, DenseLatencyMatchesIdealWhenDivisible)
@@ -48,9 +67,9 @@ TEST(CostModel, DenseLatencyMatchesIdealWhenDivisible)
     // 256 output channels x batch 16 divides the 16x16 array exactly:
     // dense KN latency must equal MACs / PEs.
     const LayerShape l = convLayer("c", 64, 256, 3, 16);
-    const auto dense = LayerSparsityProfile::uniform(1.0, 0.5);
-    const PhaseCost pc = denseModel().evaluatePhase(
-        l, Phase::Forward, MappingKind::KN, dense, 16);
+    const LayerTrace dense = denseLayer(l, 0.5);
+    const PhaseCost pc =
+        evaluate(denseModel(), dense, Phase::Forward, MappingKind::KN, 16);
     const double ideal =
         static_cast<double>(16 * l.macsPerSample()) / 256.0;
     EXPECT_NEAR(pc.computeCycles, ideal, 1e-6 * ideal);
@@ -62,13 +81,11 @@ TEST(CostModel, UtilizationLossOnFewChannels)
     // 16 rows, so latency is ~16/3 of ideal ("inefficient on layers
     // that have few channels", Section VI-D).
     const LayerShape l = convLayer("conv1", 3, 64, 3, 32);
-    const auto dense = LayerSparsityProfile::uniform(1.0, 1.0);
+    const LayerTrace dense = denseLayer(l, 1.0);
     const CostModel m = denseModel();
-    const double ck = m.evaluatePhase(l, Phase::Forward, MappingKind::CK,
-                                      dense, 16)
+    const double ck = evaluate(m, dense, Phase::Forward, MappingKind::CK, 16)
                           .computeCycles;
-    const double kn = m.evaluatePhase(l, Phase::Forward, MappingKind::KN,
-                                      dense, 16)
+    const double kn = evaluate(m, dense, Phase::Forward, MappingKind::KN, 16)
                           .computeCycles;
     EXPECT_GT(ck, 4.0 * kn);
 }
@@ -78,13 +95,11 @@ TEST(CostModel, PqSlowOnSmallActivations)
     // A late 2x2-activation layer keeps only 4 of 256 PEs busy under
     // the activation-stationary P,Q mapping.
     const LayerShape l = convLayer("conv5", 512, 512, 3, 2);
-    const auto dense = LayerSparsityProfile::uniform(1.0, 0.5);
+    const LayerTrace dense = denseLayer(l, 0.5);
     const CostModel m = denseModel();
-    const double pq = m.evaluatePhase(l, Phase::Forward, MappingKind::PQ,
-                                      dense, 16)
+    const double pq = evaluate(m, dense, Phase::Forward, MappingKind::PQ, 16)
                           .computeCycles;
-    const double kn = m.evaluatePhase(l, Phase::Forward, MappingKind::KN,
-                                      dense, 16)
+    const double kn = evaluate(m, dense, Phase::Forward, MappingKind::KN, 16)
                           .computeCycles;
     EXPECT_GT(pq, 20.0 * kn);
 }
@@ -92,16 +107,12 @@ TEST(CostModel, PqSlowOnSmallActivations)
 TEST(CostModel, SparseLatencyScalesWithDensity)
 {
     const LayerShape l = convLayer("c", 128, 256, 3, 8);
-    const auto profile = maskedProfile(l, 0.2);
+    const LayerTrace traced = maskedLayer(l, 0.2);
     const double dense_cycles =
-        denseModel()
-            .evaluatePhase(l, Phase::Forward, MappingKind::KN,
-                           profile, 16)
+        evaluate(denseModel(), traced, Phase::Forward, MappingKind::KN, 16)
             .computeCycles;
     const double sparse_cycles =
-        sparseModel()
-            .evaluatePhase(l, Phase::Forward, MappingKind::KN,
-                           profile, 16)
+        evaluate(sparseModel(), traced, Phase::Forward, MappingKind::KN, 16)
             .computeCycles;
     // Balanced sparse execution should approach density x dense
     // latency; imbalance keeps it above the perfect value.
@@ -113,21 +124,18 @@ TEST(CostModel, BalancingOrdering)
 {
     // unbalanced >= half-tile >= full-chip >= perfect density scaling.
     const LayerShape l = convLayer("c", 128, 256, 3, 8);
-    const auto profile = maskedProfile(l, 0.2, /*sigma=*/1.5);
+    const LayerTrace traced = maskedLayer(l, 0.2, /*sigma=*/1.5);
     const double none =
-        sparseModel(BalanceMode::None)
-            .evaluatePhase(l, Phase::Forward, MappingKind::KN, profile,
-                           16)
+        evaluate(sparseModel(BalanceMode::None), traced, Phase::Forward,
+                 MappingKind::KN, 16)
             .computeCycles;
     const double half =
-        sparseModel(BalanceMode::HalfTile)
-            .evaluatePhase(l, Phase::Forward, MappingKind::KN, profile,
-                           16)
+        evaluate(sparseModel(BalanceMode::HalfTile), traced, Phase::Forward,
+                 MappingKind::KN, 16)
             .computeCycles;
     const double full =
-        sparseModel(BalanceMode::FullChip)
-            .evaluatePhase(l, Phase::Forward, MappingKind::KN, profile,
-                           16)
+        evaluate(sparseModel(BalanceMode::FullChip), traced, Phase::Forward,
+                 MappingKind::KN, 16)
             .computeCycles;
     EXPECT_GE(none, half - 1e-6);
     EXPECT_GE(half, full - 1e-6);
@@ -139,13 +147,12 @@ TEST(CostModel, HalfTileClosesMostOfTheGap)
     // The Figure 13 claim: half-tile balancing removes the bulk of
     // the imbalance penalty.
     const LayerShape l = convLayer("c", 256, 256, 3, 8);
-    const auto profile = maskedProfile(l, 0.2, /*sigma=*/1.5);
+    const LayerTrace traced = maskedLayer(l, 0.2, /*sigma=*/1.5);
     const CostModel none = sparseModel(BalanceMode::None);
     const CostModel half = sparseModel(BalanceMode::HalfTile);
     const CostModel full = sparseModel(BalanceMode::FullChip);
     const auto cyc = [&](const CostModel &m) {
-        return m.evaluatePhase(l, Phase::Forward, MappingKind::KN,
-                               profile, 16)
+        return evaluate(m, traced, Phase::Forward, MappingKind::KN, 16)
             .computeCycles;
     };
     const double gap_before = cyc(none) - cyc(full);
@@ -156,16 +163,12 @@ TEST(CostModel, HalfTileClosesMostOfTheGap)
 TEST(CostModel, EnergySparseBeatsDense)
 {
     const LayerShape l = convLayer("c", 128, 128, 3, 16);
-    const auto profile = maskedProfile(l, 0.2);
+    const LayerTrace traced = maskedLayer(l, 0.2);
     const double dense_e =
-        denseModel()
-            .evaluatePhase(l, Phase::Forward, MappingKind::KN, profile,
-                           16)
+        evaluate(denseModel(), traced, Phase::Forward, MappingKind::KN, 16)
             .totalEnergyJ();
     const double sparse_e =
-        sparseModel()
-            .evaluatePhase(l, Phase::Forward, MappingKind::KN, profile,
-                           16)
+        evaluate(sparseModel(), traced, Phase::Forward, MappingKind::KN, 16)
             .totalEnergyJ();
     EXPECT_LT(sparse_e, 0.5 * dense_e);
 }
@@ -174,9 +177,9 @@ TEST(CostModel, MacEnergyDominatesForConvLayers)
 {
     // FP32 training: "MACs dominate the energy usage" (Section VI-C).
     const LayerShape l = convLayer("c", 256, 256, 3, 8);
-    const auto dense = LayerSparsityProfile::uniform(1.0, 0.5);
-    const PhaseCost pc = denseModel().evaluatePhase(
-        l, Phase::Forward, MappingKind::KN, dense, 16);
+    const LayerTrace dense = denseLayer(l, 0.5);
+    const PhaseCost pc =
+        evaluate(denseModel(), dense, Phase::Forward, MappingKind::KN, 16);
     EXPECT_GT(pc.macEnergyJ, pc.rfEnergyJ);
     EXPECT_GT(pc.macEnergyJ, pc.glbEnergyJ);
     EXPECT_GT(pc.macEnergyJ, pc.dramEnergyJ);
@@ -187,7 +190,7 @@ TEST(CostModel, EnergyNearlyMappingIndependent)
     // Figure 18's finding: dataflow choice barely moves energy
     // (within ~20% here; the paper calls it negligible).
     const LayerShape l = convLayer("c", 128, 256, 3, 16);
-    const auto profile = maskedProfile(l, 0.25);
+    const LayerTrace traced = maskedLayer(l, 0.25);
     const CostModel m = sparseModel();
     double lo = 1e300;
     double hi = 0.0;
@@ -195,7 +198,7 @@ TEST(CostModel, EnergyNearlyMappingIndependent)
         double e = 0.0;
         for (Phase p : {Phase::Forward, Phase::Backward,
                         Phase::WeightUpdate}) {
-            e += m.evaluatePhase(l, p, mk, profile, 16).totalEnergyJ();
+            e += evaluate(m, traced, p, mk, 16).totalEnergyJ();
         }
         lo = std::min(lo, e);
         hi = std::max(hi, e);
@@ -209,12 +212,11 @@ TEST(CostModel, DepthwiseLayersAreDramHeavy)
     // energy share must far exceed a standard conv's share.
     const LayerShape dw = depthwiseLayer("dw", 96, 3, 28);
     const LayerShape conv = convLayer("c", 96, 96, 3, 28);
-    const auto dense = LayerSparsityProfile::uniform(1.0, 0.5);
     const CostModel m = denseModel();
-    const PhaseCost dwc = m.evaluatePhase(dw, Phase::Forward,
-                                          MappingKind::KN, dense, 16);
-    const PhaseCost cc = m.evaluatePhase(conv, Phase::Forward,
-                                         MappingKind::KN, dense, 16);
+    const PhaseCost dwc = evaluate(m, denseLayer(dw, 0.5), Phase::Forward,
+                                   MappingKind::KN, 16);
+    const PhaseCost cc = evaluate(m, denseLayer(conv, 0.5), Phase::Forward,
+                                  MappingKind::KN, 16);
     const double dw_share = dwc.dramEnergyJ / dwc.totalEnergyJ();
     const double conv_share = cc.dramEnergyJ / cc.totalEnergyJ();
     EXPECT_GT(dw_share, 5.0 * conv_share);
@@ -223,16 +225,16 @@ TEST(CostModel, DepthwiseLayersAreDramHeavy)
 TEST(CostModel, IdealModeBeatsRealSparse)
 {
     const LayerShape l = convLayer("c", 128, 128, 3, 16);
-    const auto profile = maskedProfile(l, 0.2, 1.5);
+    const LayerTrace traced = maskedLayer(l, 0.2, 1.5);
     CostOptions io;
     io.sparse = true;
     io.ideal = true;
     io.balance = BalanceMode::FullChip;
     const CostModel ideal(ArrayConfig::baseline16(), io);
-    const PhaseCost ip = ideal.evaluatePhase(
-        l, Phase::Forward, MappingKind::KN, profile, 16);
-    const PhaseCost rp = sparseModel().evaluatePhase(
-        l, Phase::Forward, MappingKind::KN, profile, 16);
+    const PhaseCost ip =
+        evaluate(ideal, traced, Phase::Forward, MappingKind::KN, 16);
+    const PhaseCost rp =
+        evaluate(sparseModel(), traced, Phase::Forward, MappingKind::KN, 16);
     EXPECT_LE(ip.cycles, rp.cycles);
     EXPECT_LE(ip.totalEnergyJ(), rp.totalEnergyJ());
 }
@@ -241,27 +243,28 @@ TEST(CostModel, WeightUpdateUsesActivationSparsity)
 {
     const LayerShape l = convLayer("c", 128, 128, 3, 16);
     // Same weight mask; very different activation densities.
-    const auto dense_acts = maskedProfile(l, 0.2, 1.0, 7, 0.9);
-    const auto sparse_acts = maskedProfile(l, 0.2, 1.0, 7, 0.3);
+    const auto dense_acts = maskedLayer(l, 0.2, 1.0, 7, 0.9);
+    const auto sparse_acts = maskedLayer(l, 0.2, 1.0, 7, 0.3);
     const CostModel m = sparseModel();
     const double e_dense =
-        m.evaluatePhase(l, Phase::WeightUpdate, MappingKind::KN,
-                        dense_acts, 16)
+        evaluate(m, dense_acts, Phase::WeightUpdate, MappingKind::KN, 16)
             .macEnergyJ;
     const double e_sparse =
-        m.evaluatePhase(l, Phase::WeightUpdate, MappingKind::KN,
-                        sparse_acts, 16)
+        evaluate(m, sparse_acts, Phase::WeightUpdate, MappingKind::KN, 16)
             .macEnergyJ;
     EXPECT_NEAR(e_sparse / e_dense, 0.3 / 0.9, 0.02);
 }
 
-TEST(CostModel, WaveStatsOverheadZeroWhenDense)
+TEST(CostModel, DenseMaskWavesCarryNoOverhead)
 {
+    // Every kernel chunk of a dense mask carries the same work, so no
+    // wave of the chunked C,K plan runs longer than its mean.
     const LayerShape l = convLayer("c", 64, 64, 3, 8);
-    const auto dense = LayerSparsityProfile::uniform(1.0, 0.5);
-    for (const WaveStats &ws :
-         denseModel().waveStats(l, Phase::Forward, MappingKind::CK,
-                                dense, 16)) {
+    const LayerTrace dense = denseLayer(l, 0.5);
+    const WavePlan plan = planWaves(dense, Phase::Forward, MappingKind::CK,
+                                    16, ArrayConfig::baseline16());
+    for (const PlannedWave &w : plan.waves) {
+        const WaveStats ws = reduceWave(w.tiles, BalanceMode::None, false);
         EXPECT_DOUBLE_EQ(ws.overhead(), 0.0);
     }
 }
@@ -272,20 +275,20 @@ TEST(CostModel, CyclesBoundedByDramWhenTrafficDominates)
     // refill bounded at the 64-bit interface rate the memory
     // interface limits the layer.
     const LayerShape l = fcLayer("fc", 4096, 4096);
-    const auto dense = LayerSparsityProfile::uniform(1.0, 0.5);
+    const LayerTrace dense = denseLayer(l, 0.5);
     CostOptions o;
     o.sparse = false;
     o.dramRefillWordsPerCycle =
         ArrayConfig::baseline16().dramWordsPerCycle();
     const CostModel m(ArrayConfig::baseline16(), o);
     const PhaseCost pc =
-        m.evaluatePhase(l, Phase::Forward, MappingKind::KN, dense, 1);
+        evaluate(m, dense, Phase::Forward, MappingKind::KN, 1);
     EXPECT_GT(pc.dramCycles, pc.computeCycles);
     EXPECT_DOUBLE_EQ(pc.cycles, pc.dramCycles);
 
     // Default reporting assumes double buffering hides DRAM latency.
-    const PhaseCost pc2 = denseModel().evaluatePhase(
-        l, Phase::Forward, MappingKind::KN, dense, 1);
+    const PhaseCost pc2 =
+        evaluate(denseModel(), dense, Phase::Forward, MappingKind::KN, 1);
     EXPECT_DOUBLE_EQ(pc2.cycles, pc2.computeCycles);
 }
 
@@ -296,25 +299,27 @@ TEST(CostModel, RefillRateBoundsCyclesLikeTheSimulatorFrontEnd)
     // rate leaves the estimate untouched; a starved rate makes the
     // phase refill-bound; disabled (<= 0, the default) is a no-op.
     const LayerShape l = fcLayer("fc", 4096, 4096);
-    const auto dense = LayerSparsityProfile::uniform(1.0, 0.5);
+    const LayerTrace dense = denseLayer(l, 0.5);
     CostOptions base;
     base.sparse = false;
     const CostModel plain(ArrayConfig::baseline16(), base);
     const PhaseCost off =
-        plain.evaluatePhase(l, Phase::Forward, MappingKind::KN, dense, 1);
+        evaluate(plain, dense, Phase::Forward, MappingKind::KN, 1);
 
     CostOptions fast = base;
     fast.dramRefillWordsPerCycle = 1e9;
     const PhaseCost free_refill =
-        CostModel(ArrayConfig::baseline16(), fast)
-            .evaluatePhase(l, Phase::Forward, MappingKind::KN, dense, 1);
+
+            evaluate(CostModel(ArrayConfig::baseline16(), fast), dense,
+                     Phase::Forward, MappingKind::KN, 1);
     EXPECT_DOUBLE_EQ(free_refill.cycles, off.cycles);
 
     CostOptions slow = base;
     slow.dramRefillWordsPerCycle = 0.25;
     const PhaseCost starved =
-        CostModel(ArrayConfig::baseline16(), slow)
-            .evaluatePhase(l, Phase::Forward, MappingKind::KN, dense, 1);
+
+            evaluate(CostModel(ArrayConfig::baseline16(), slow), dense,
+                     Phase::Forward, MappingKind::KN, 1);
     EXPECT_GT(starved.cycles, off.cycles);
     // The bound is the same words the dramCycles estimate prices, at
     // the configured rate instead of the interface rate.
@@ -345,22 +350,22 @@ TEST(CostModel, MeasuredCsbBytesDriveSparseTrafficEnergy)
     // byte count's direction, while leaving MAC/RF energy and the
     // wave-level latency untouched.
     const LayerShape l = convLayer("c", 64, 128, 3, 14);
-    const auto profile = maskedProfile(l, 0.25);
+    const LayerTrace traced = maskedLayer(l, 0.25);
     const CostModel m = sparseModel();
 
     const PhaseCost modelled =
-        m.evaluatePhase(l, Phase::Forward, MappingKind::KN, profile, 16);
+        evaluate(m, traced, Phase::Forward, MappingKind::KN, 16);
 
     // The modelled estimate in word units, as storedWords computes it.
     const double vol = static_cast<double>(l.weightCount());
     const double modelled_words =
-        vol * profile.weightDensity() + vol / 32.0 +
+        vol * traced.weightDensity() + vol / 32.0 +
         static_cast<double>(l.K * l.effectiveC());
 
     MeasuredLayerStats heavier;
     heavier.csbWeightBytes = modelled_words * 4.0 * 1.5;
-    const PhaseCost grew = m.evaluatePhase(
-        l, Phase::Forward, MappingKind::KN, profile, 16, heavier);
+    const PhaseCost grew =
+        evaluate(m, traced, Phase::Forward, MappingKind::KN, 16, heavier);
     EXPECT_GT(grew.glbEnergyJ, modelled.glbEnergyJ);
     EXPECT_GT(grew.dramEnergyJ, modelled.dramEnergyJ);
     EXPECT_DOUBLE_EQ(grew.macEnergyJ, modelled.macEnergyJ);
@@ -369,8 +374,8 @@ TEST(CostModel, MeasuredCsbBytesDriveSparseTrafficEnergy)
 
     MeasuredLayerStats lighter;
     lighter.csbWeightBytes = modelled_words * 4.0 * 0.5;
-    const PhaseCost shrank = m.evaluatePhase(
-        l, Phase::Forward, MappingKind::KN, profile, 16, lighter);
+    const PhaseCost shrank =
+        evaluate(m, traced, Phase::Forward, MappingKind::KN, 16, lighter);
     EXPECT_LT(shrank.glbEnergyJ, modelled.glbEnergyJ);
     EXPECT_LT(shrank.dramEnergyJ, modelled.dramEnergyJ);
 
@@ -380,8 +385,8 @@ TEST(CostModel, MeasuredCsbBytesDriveSparseTrafficEnergy)
     // mask bits only) — measurement closes that approximation.
     MeasuredLayerStats same;
     same.csbWeightBytes = modelled_words * 4.0;
-    const PhaseCost match = m.evaluatePhase(
-        l, Phase::Forward, MappingKind::KN, profile, 16, same);
+    const PhaseCost match =
+        evaluate(m, traced, Phase::Forward, MappingKind::KN, 16, same);
     EXPECT_NEAR(match.glbEnergyJ, modelled.glbEnergyJ,
                 1e-12 * modelled.glbEnergyJ);
     const double pointer_words =
@@ -398,24 +403,24 @@ TEST(CostModel, MeasuredDenseBytesFeedTheDenseBaseline)
     // dense byte count applies; a compressed measurement must be
     // ignored (that machine cannot consume CSB).
     const LayerShape l = convLayer("c", 64, 128, 3, 14);
-    const auto profile = maskedProfile(l, 0.25);
+    const LayerTrace traced = maskedLayer(l, 0.25);
     const CostModel m = denseModel();
 
     const PhaseCost modelled =
-        m.evaluatePhase(l, Phase::Forward, MappingKind::KN, profile, 16);
+        evaluate(m, traced, Phase::Forward, MappingKind::KN, 16);
 
     MeasuredLayerStats csb_only;
     csb_only.csbWeightBytes = 1.0;   // absurdly small; must not apply
-    const PhaseCost ignored = m.evaluatePhase(
-        l, Phase::Forward, MappingKind::KN, profile, 16, csb_only);
+    const PhaseCost ignored =
+        evaluate(m, traced, Phase::Forward, MappingKind::KN, 16, csb_only);
     EXPECT_DOUBLE_EQ(ignored.glbEnergyJ, modelled.glbEnergyJ);
     EXPECT_DOUBLE_EQ(ignored.dramEnergyJ, modelled.dramEnergyJ);
 
     MeasuredLayerStats dense_grew;
     dense_grew.denseWeightBytes =
         static_cast<double>(l.weightCount()) * 4.0 * 2.0;
-    const PhaseCost grew = m.evaluatePhase(
-        l, Phase::Forward, MappingKind::KN, profile, 16, dense_grew);
+    const PhaseCost grew =
+        evaluate(m, traced, Phase::Forward, MappingKind::KN, 16, dense_grew);
     EXPECT_GT(grew.glbEnergyJ, modelled.glbEnergyJ);
     EXPECT_GT(grew.dramEnergyJ, modelled.dramEnergyJ);
 }
@@ -426,7 +431,7 @@ TEST(CostModel, IdealModeKeepsOverheadFreeEstimateDespiteMeasurement)
     // measured bytes include real mask/pointer overheads and must not
     // leak into it.
     const LayerShape l = convLayer("c", 64, 128, 3, 14);
-    const auto profile = maskedProfile(l, 0.25);
+    const LayerTrace traced = maskedLayer(l, 0.25);
     CostOptions o;
     o.sparse = true;
     o.ideal = true;
@@ -434,12 +439,12 @@ TEST(CostModel, IdealModeKeepsOverheadFreeEstimateDespiteMeasurement)
     const CostModel m(ArrayConfig::baseline16(), o);
 
     const PhaseCost modelled =
-        m.evaluatePhase(l, Phase::Forward, MappingKind::KN, profile, 16);
+        evaluate(m, traced, Phase::Forward, MappingKind::KN, 16);
     MeasuredLayerStats measured;
     measured.csbWeightBytes = 1e9;
     measured.denseWeightBytes = 1e9;
-    const PhaseCost got = m.evaluatePhase(
-        l, Phase::Forward, MappingKind::KN, profile, 16, measured);
+    const PhaseCost got =
+        evaluate(m, traced, Phase::Forward, MappingKind::KN, 16, measured);
     EXPECT_DOUBLE_EQ(got.glbEnergyJ, modelled.glbEnergyJ);
     EXPECT_DOUBLE_EQ(got.dramEnergyJ, modelled.dramEnergyJ);
 }

@@ -11,10 +11,12 @@
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <utility>
 #include <vector>
 
 #include "arch/accelerator.h"
 #include "arch/cost_model.h"
+#include "arch/model_zoo.h"
 #include "arch/wave_plan.h"
 #include "arch/workload_trace.h"
 #include "common/rng.h"
@@ -39,7 +41,7 @@ namespace {
 using arch::ArrayConfig;
 using arch::BalanceMode;
 using arch::LayerShape;
-using arch::LayerSparsityProfile;
+using arch::LayerTrace;
 using arch::MappingKind;
 using arch::Phase;
 
@@ -195,9 +197,11 @@ TEST_P(AnalyticAgreement, CycleSimWithinBand)
     mc.targetDensity = 0.25;
     mc.kernelSigma = 1.0;
     mc.seed = 5;
-    const auto mask = sparse::makeSyntheticMask(
-        layer.K, layer.effectiveC(), layer.R, layer.S, mc);
-    const LayerSparsityProfile profile(mask, 0.5);
+    const LayerTrace traced = arch::syntheticLayer(
+        layer,
+        sparse::makeSyntheticMask(layer.K, layer.effectiveC(), layer.R,
+                                  layer.S, mc),
+        0.5, 16);
 
     const ArrayConfig acfg = ArrayConfig::baseline16();
     arch::CostOptions opts;
@@ -206,13 +210,14 @@ TEST_P(AnalyticAgreement, CycleSimWithinBand)
     const arch::CostModel analytic(acfg, opts);
     const double expected =
         analytic
-            .evaluatePhase(layer, ac.phase, ac.mapping, profile, 16)
+            .evaluatePhase(traced, traced.weightDensity(), ac.phase,
+                           ac.mapping, 16)
             .computeCycles;
 
     SimConfig scfg;
     scfg.unicastWordsPerCycle = 16;
-    const SimResult sim = simulateLayerPhase(
-        layer, ac.phase, ac.mapping, profile, 16, acfg, scfg,
+    const SimResult sim = simulateTraceLayerPhase(
+        traced, ac.phase, ac.mapping, 16, acfg, scfg,
         BalanceMode::HalfTile);
 
     EXPECT_GT(static_cast<double>(sim.computeCycles),
@@ -253,9 +258,11 @@ TEST_P(AnalyticAgreement, UncontendedComputeMatchesAnalyticPerWave)
         mc.targetDensity = 0.25;
         mc.kernelSigma = 1.0;
         mc.seed = 5;
-        const auto mask = sparse::makeSyntheticMask(
-            layer.K, layer.effectiveC(), layer.R, layer.S, mc);
-        const LayerSparsityProfile profile(mask, 0.5);
+        const LayerTrace traced = arch::syntheticLayer(
+            layer,
+            sparse::makeSyntheticMask(layer.K, layer.effectiveC(), layer.R,
+                                      layer.S, mc),
+            0.5, 16);
         for (BalanceMode balance :
              {BalanceMode::None, BalanceMode::HalfTile}) {
             arch::CostOptions opts;
@@ -264,14 +271,14 @@ TEST_P(AnalyticAgreement, UncontendedComputeMatchesAnalyticPerWave)
             const arch::CostModel analytic(acfg, opts);
             const double expected =
                 analytic
-                    .evaluatePhase(layer, ac.phase, ac.mapping, profile, 16)
+                    .evaluatePhase(traced, traced.weightDensity(), ac.phase,
+                                   ac.mapping, 16)
                     .computeCycles;
             const size_t waves =
-                analytic.waveStats(layer, ac.phase, ac.mapping, profile, 16)
-                    .size();
-            const SimResult sim = simulateLayerPhase(
-                layer, ac.phase, ac.mapping, profile, 16, acfg, scfg,
-                balance);
+                arch::planWaves(traced, ac.phase, ac.mapping, 16, acfg)
+                    .waves.size();
+            const SimResult sim = simulateTraceLayerPhase(
+                traced, ac.phase, ac.mapping, 16, acfg, scfg, balance);
             EXPECT_LE(std::abs(static_cast<double>(sim.computeCycles) -
                                expected),
                       static_cast<double>(waves))
@@ -779,12 +786,13 @@ TEST(CycleSim, ZeroDensitySlotsStayIdle)
         layer.K, layer.effectiveC(), layer.R, layer.S);
     std::fill(mask.bits.begin(), mask.bits.end(),
               static_cast<uint8_t>(0));
-    const LayerSparsityProfile profile(mask, 0.5);
+    const LayerTrace traced =
+        arch::syntheticLayer(layer, std::move(mask), 0.5, 8);
     const ArrayConfig acfg = ArrayConfig::baseline16();
     for (Phase phase : {Phase::Forward, Phase::Backward}) {
         const SimResult r =
-            simulateLayerPhase(layer, phase, MappingKind::KN, profile,
-                               8, acfg, SimConfig{});
+            simulateTraceLayerPhase(traced, phase, MappingKind::KN, 8, acfg,
+                                    SimConfig{});
         EXPECT_EQ(r.macsRetired, 0) << static_cast<int>(phase);
         EXPECT_EQ(r.cycles, 0) << static_cast<int>(phase);
         EXPECT_EQ(r.stallCycles, 0) << static_cast<int>(phase);

@@ -5,7 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include "arch/imbalance.h"
+#include "arch/model_zoo.h"
+#include "arch/trace_imbalance.h"
 
 namespace procrustes {
 namespace arch {
@@ -39,14 +40,20 @@ class ImbalanceFixture : public ::testing::Test
     void
     SetUp() override
     {
-        model_ = buildVggS();
-        const auto masks = generateMasks(model_, 5.2, 1);
-        profiles_ = buildProfiles(model_, masks);
+        const NetworkModel model = buildVggS();
+        epoch_ = syntheticEpoch(model, generateMasks(model, 5.2, 1), 16);
         cfg_ = ArrayConfig::baseline16();
     }
 
-    NetworkModel model_;
-    std::vector<LayerSparsityProfile> profiles_;
+    /** Per-wave forward overheads of the whole epoch. */
+    std::vector<double>
+    forward(MappingKind mapping, BalanceMode balance) const
+    {
+        return collectMeasuredOverheads(epoch_, Phase::Forward, mapping,
+                                        cfg_, balance);
+    }
+
+    EpochTrace epoch_;
     ArrayConfig cfg_;
 };
 
@@ -55,9 +62,7 @@ TEST_F(ImbalanceFixture, UnbalancedCkShowsHeavyTail)
     // Figure 5: under the weight-stationary C,K mapping with no
     // balancing, a sizeable fraction of working sets exceed 50%
     // overhead.
-    const auto overheads =
-        collectOverheads(model_, profiles_, Phase::Forward,
-                         MappingKind::CK, 16, cfg_, BalanceMode::None);
+    const auto overheads = forward(MappingKind::CK, BalanceMode::None);
     const ImbalanceHistogram h = buildHistogram(overheads, 32, 0.05);
     EXPECT_GT(h.meanOverhead, 0.25);
     EXPECT_GT(h.fractionAbove(0.5), 0.10);
@@ -67,9 +72,7 @@ TEST_F(ImbalanceFixture, BalancedKnIsTight)
 {
     // Figure 13: half-tile balancing under K,N keeps most working
     // sets under 10% overhead with a bounded worst case.
-    const auto overheads = collectOverheads(
-        model_, profiles_, Phase::Forward, MappingKind::KN, 16, cfg_,
-        BalanceMode::HalfTile);
+    const auto overheads = forward(MappingKind::KN, BalanceMode::HalfTile);
     const ImbalanceHistogram h = buildHistogram(overheads, 32, 0.05);
     EXPECT_LT(h.meanOverhead, 0.10);
     EXPECT_GT(h.fraction[0] + h.fraction[1], 0.60)
@@ -79,12 +82,8 @@ TEST_F(ImbalanceFixture, BalancedKnIsTight)
 
 TEST_F(ImbalanceFixture, BalancingImprovesEveryStatistic)
 {
-    const auto before =
-        collectOverheads(model_, profiles_, Phase::Forward,
-                         MappingKind::KN, 16, cfg_, BalanceMode::None);
-    const auto after = collectOverheads(
-        model_, profiles_, Phase::Forward, MappingKind::KN, 16, cfg_,
-        BalanceMode::HalfTile);
+    const auto before = forward(MappingKind::KN, BalanceMode::None);
+    const auto after = forward(MappingKind::KN, BalanceMode::HalfTile);
     const ImbalanceHistogram hb = buildHistogram(before, 32, 0.05);
     const ImbalanceHistogram ha = buildHistogram(after, 32, 0.05);
     EXPECT_LT(ha.meanOverhead, hb.meanOverhead);
@@ -93,9 +92,7 @@ TEST_F(ImbalanceFixture, BalancingImprovesEveryStatistic)
 
 TEST_F(ImbalanceFixture, FullChipBalancingIsPerfect)
 {
-    const auto overheads = collectOverheads(
-        model_, profiles_, Phase::Forward, MappingKind::KN, 16, cfg_,
-        BalanceMode::FullChip);
+    const auto overheads = forward(MappingKind::KN, BalanceMode::FullChip);
     for (double o : overheads)
         EXPECT_NEAR(o, 0.0, 1e-12);
 }

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "arch/accelerator.h"
 #include "common/rng.h"
 #include "nn/activations.h"
@@ -97,12 +99,12 @@ TEST(Integration, TrainedMasksDriveTheAcceleratorModel)
     }
     ASSERT_EQ(model.layers.size(), 3u);
 
-    const auto profiles = arch::buildProfiles(model, masks);
-    const auto dense_profiles = arch::buildDenseProfiles(model);
+    const arch::EpochTrace epoch =
+        arch::syntheticEpoch(model, std::move(masks), 16);
     const auto sparse_cost =
-        arch::Accelerator::procrustes().evaluate(model, profiles, 16);
-    const auto dense_cost = arch::Accelerator::denseBaseline().evaluate(
-        model, dense_profiles, 16);
+        arch::Accelerator::procrustes().evaluateTrace(epoch);
+    const auto dense_cost =
+        arch::Accelerator::denseBaseline().evaluateTrace(epoch);
 
     // Real trained masks must translate into energy savings.
     EXPECT_LT(sparse_cost.totalEnergyJ(), dense_cost.totalEnergyJ());

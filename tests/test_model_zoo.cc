@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "arch/model_zoo.h"
+#include "arch/phase.h"
 
 namespace procrustes {
 namespace arch {
@@ -157,23 +160,72 @@ TEST(ModelZoo, MasksVaryAcrossLayers)
     EXPECT_LT(lo, hi * 0.7);
 }
 
-TEST(ModelZoo, ProfilesMatchMasks)
+TEST(ModelZoo, SyntheticEpochMatchesMasks)
 {
     const NetworkModel m = buildDenseNetS();
     const auto masks = generateMasks(m, 3.9, 3);
-    const auto profiles = buildProfiles(m, masks);
-    ASSERT_EQ(profiles.size(), masks.size());
+    const EpochTrace epoch = syntheticEpoch(m, masks, 16);
+    ASSERT_EQ(epoch.layers.size(), masks.size());
+    EXPECT_EQ(epoch.batchSize, 16);
     for (size_t i = 0; i < masks.size(); ++i) {
-        EXPECT_NEAR(profiles[i].weightDensity(), masks[i].density(),
+        EXPECT_NEAR(epoch.layers[i].weightDensity(), masks[i].density(),
                     1e-12);
+        EXPECT_EQ(epoch.layers[i].iacts.mean, m.iactDensity[i]);
     }
 }
 
-TEST(ModelZoo, DenseProfilesAreDense)
+TEST(ModelZoo, SyntheticJitterIsDeterministicAndBounded)
 {
-    const NetworkModel m = buildVggS();
-    for (const auto &p : buildDenseProfiles(m))
-        EXPECT_DOUBLE_EQ(p.weightDensity(), 1.0);
+    const LayerShape shape = convLayer("c", 4, 4, 3, 8);
+    const auto layer = [&](double sigma) {
+        return syntheticLayer(shape, sparse::SparsityMask::dense(4, 4, 3, 3),
+                              0.5, 64, sigma);
+    };
+    const LayerTrace a = layer(0.15);
+    const LayerTrace b = layer(0.15);
+    ASSERT_EQ(a.iacts.perSample.size(), 64u);
+    for (size_t n = 0; n < 64; ++n) {
+        const double d = a.iacts.perSample[n];
+        EXPECT_DOUBLE_EQ(d, b.iacts.perSample[n]);
+        EXPECT_GE(d, 0.02);
+        EXPECT_LE(d, 1.0);
+        for (size_t h = 0; h < 2; ++h) {
+            const double half = a.iacts.perSampleHalf[n * 2 + h];
+            EXPECT_GE(half, 0.01);
+            EXPECT_LE(half, 0.5);
+        }
+    }
+    // Jitter must actually vary across samples.
+    EXPECT_NE(a.iacts.perSample[0], a.iacts.perSample[1]);
+
+    // Without jitter every sample sits at the layer mean.
+    const LayerTrace flat = layer(0.0);
+    EXPECT_DOUBLE_EQ(flat.iacts.perSample[0], flat.iacts.perSample[1]);
+}
+
+TEST(ModelZoo, SyntheticMarginalsStayNearTheMean)
+{
+    // The channel, row and column marginals jitter around the layer
+    // mean; fc layers, like a recorded trace, have no spatial ones.
+    const LayerTrace conv = syntheticLayer(
+        convLayer("c", 8, 8, 3, 8), sparse::SparsityMask::dense(8, 8, 3, 3),
+        0.5, 16, /*iact_sigma=*/0.2);
+    ASSERT_EQ(conv.iacts.perChannel.size(), 8u);
+    ASSERT_EQ(conv.iacts.perRow.size(),
+              static_cast<size_t>(conv.shape.inH()));
+    ASSERT_EQ(conv.iacts.perCol.size(),
+              static_cast<size_t>(conv.shape.inW()));
+    for (const std::vector<double> *v :
+         {&conv.iacts.perChannel, &conv.iacts.perRow, &conv.iacts.perCol}) {
+        double sum = 0.0;
+        for (double d : *v)
+            sum += d;
+        EXPECT_NEAR(sum / static_cast<double>(v->size()), 0.5, 0.1);
+    }
+    const LayerTrace fc = syntheticLayer(
+        fcLayer("fc", 8, 4), sparse::SparsityMask::dense(4, 8, 1, 1), 0.5, 16);
+    EXPECT_TRUE(fc.iacts.perRow.empty());
+    EXPECT_TRUE(fc.iacts.perCol.empty());
 }
 
 TEST(ModelZoo, MobileNetHasDepthwiseLayers)
