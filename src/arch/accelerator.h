@@ -60,23 +60,10 @@ class Accelerator
 
     /**
      * Evaluate one epoch — one training iteration at the epoch's own
-     * batch size. Every layer runs CostModel::evaluatePhase on its
-     * LayerTrace: the wave plan the simulator clocks, read from the
-     * layer's mask and activation vectors, and — when this
-     * configuration exploits sparsity AND the layer's telemetry came
-     * from the zero-skipping CSB executors (LayerTrace::sparseExecuted)
-     * — the executors' per-phase executed MAC counts in place of
-     * density estimates. Both Conv2d and Linear provide measured
-     * counts under KernelBackend::kSparse; the dense baseline, layers
-     * traced on a dense backend and synthetic layers keep the modelled
-     * MAC accounting.
-     *
-     * The GLB/DRAM weight-traffic terms likewise run from measurement
-     * where the trace has it: each layer's epoch-final compressed
-     * footprint (LayerTrace::csbWeightBytes, i.e. CsbTensor::totalBytes
-     * of the real encode) replaces the density-derived CSB size on
-     * sparsity-exploiting configurations, and the measured dense
-     * footprint feeds the dense baseline.
+     * batch size: CostModel::evaluatePhase of every LayerTrace in all
+     * three phases, summed per phase. The cost model reads what the
+     * trace measured (executed MACs, weight-image bytes, exchange
+     * bytes) from the trace itself and decides where each applies.
      *
      * @param imbalance when non-null, receives the epoch's
      *        balanced/unbalanced load-imbalance histograms replayed

@@ -25,6 +25,43 @@ PhaseCost::operator+=(const PhaseCost &o)
     return *this;
 }
 
+namespace {
+
+/**
+ * Bytes of the measured weight image the machine `opts` describes
+ * streams, or 0 when none applies: the dense image on the dense
+ * baseline, the trainer's real CSB encode on a sparsity-exploiting
+ * machine. Ideal mode assumes a zero-overhead format; the measured
+ * bytes include the real mask/pointer overheads, so the modelled
+ * estimate stands. Dense backends still record a telemetry-only
+ * encode, so the bytes apply whichever backend executed.
+ */
+int64_t
+measuredWeightBytes(const LayerTrace &layer, const CostOptions &opts)
+{
+    if (!opts.sparse)
+        return layer.denseWeightBytes;
+    return opts.ideal ? 0 : layer.csbWeightBytes;
+}
+
+/** Mean executed MACs per step the zero-skipping executors tallied
+    for one phase. */
+double
+measuredMacs(const LayerTrace &layer, Phase phase)
+{
+    switch (phase) {
+      case Phase::Forward:
+        return layer.fwMacsPerStep();
+      case Phase::Backward:
+        return layer.bwDataMacsPerStep();
+      case Phase::WeightUpdate:
+        return layer.bwWeightMacsPerStep();
+    }
+    PANIC("unknown phase");
+}
+
+} // namespace
+
 double
 CostModel::effectiveDensity(Phase phase, const Densities &d) const
 {
@@ -84,40 +121,22 @@ CostModel::reduceWaves(const LayerShape &layer, Phase phase,
 }
 
 double
-CostModel::measuredWeightWords(const MeasuredLayerStats &measured) const
+CostModel::storedWords(const LayerTrace &traced, Phase phase, Operand op,
+                       const Densities &d, int64_t batch) const
 {
-    if (!opts_.sparse)
-        return measured.denseWeightBytes >= 0.0
-                   ? measured.denseWeightBytes / 4.0
-                   : -1.0;
-    // Ideal mode assumes a zero-overhead format; the measured bytes
-    // include the real CSB mask/pointer overheads, so the modelled
-    // (overhead-free) estimate stands.
-    if (opts_.ideal)
-        return -1.0;
-    return measured.csbWeightBytes >= 0.0
-               ? measured.csbWeightBytes / 4.0
-               : -1.0;
-}
-
-double
-CostModel::storedWords(const LayerShape &layer, Phase phase, Operand op,
-                       const Densities &d, int64_t batch,
-                       const MeasuredLayerStats &measured) const
-{
+    const LayerShape &layer = traced.shape;
     const double vol = static_cast<double>(
         operandVolume(layer, op, batch));
     const bool compressed =
         opts_.sparse && op == sparseOperand(phase) &&
         op != outputOperand(phase);
     if (op == Operand::Weights) {
-        // Measured weight image (trace-driven mode): the byte count
-        // the trainer actually encoded replaces the density-derived
-        // estimate, compressed or dense as this configuration streams
-        // it (measuredWeightWords declines in ideal mode).
-        const double words = measuredWeightWords(measured);
-        if (words >= 0.0)
-            return words;
+        // The byte count the trainer actually encoded replaces the
+        // density-derived estimate, compressed or dense as this
+        // configuration streams it.
+        const int64_t bytes = measuredWeightBytes(traced, opts_);
+        if (bytes > 0)
+            return static_cast<double>(bytes) / 4.0;
     }
     if (!compressed)
         return vol;
@@ -137,11 +156,11 @@ CostModel::storedWords(const LayerShape &layer, Phase phase, Operand op,
 }
 
 double
-CostModel::glbAccesses(const LayerShape &layer, Phase phase,
+CostModel::glbAccesses(const LayerTrace &traced, Phase phase,
                        MappingKind mapping, const Densities &d,
-                       int64_t batch,
-                       const MeasuredLayerStats &measured) const
+                       int64_t batch) const
 {
+    const LayerShape &layer = traced.shape;
     const auto dims = spatialDims(mapping);
     const Operand out = outputOperand(phase);
     double spatial_traffic = 0.0;
@@ -172,8 +191,7 @@ CostModel::glbAccesses(const LayerShape &layer, Phase phase,
             spatial_traffic += vol * (2.0 * refetch - 1.0);
             once_traffic += vol;
         } else {
-            const double words =
-                storedWords(layer, phase, op, d, batch, measured);
+            const double words = storedWords(traced, phase, op, d, batch);
             spatial_traffic += words * refetch;
             once_traffic += words;
             smallest_input = std::min(smallest_input, words);
@@ -193,24 +211,31 @@ CostModel::glbAccesses(const LayerShape &layer, Phase phase,
 }
 
 double
-compressedWeightWords(double dense_words, double density, double csb_bytes)
+phaseDramWords(const LayerTrace &traced, double weight_density,
+               Phase phase, int64_t batch, const CostOptions &opts)
 {
-    if (csb_bytes >= 0.0)
-        return csb_bytes / 4.0;
-    return dense_words * density + dense_words * (1.0 / 32.0);
-}
+    const LayerShape &layer = traced.shape;
+    // The stored weight image: a measured one when it applies, else
+    // dense for the baseline, the bare values in the overhead-free
+    // ideal format, or compressed (CSB values plus mask bits).
+    const double w_dense = static_cast<double>(
+        operandVolume(layer, Operand::Weights, batch));
+    const int64_t w_bytes = measuredWeightBytes(traced, opts);
+    double weight_words = w_dense;
+    if (w_bytes > 0)
+        weight_words = static_cast<double>(w_bytes) / 4.0;
+    else if (opts.sparse && opts.ideal)
+        weight_words = w_dense * weight_density;
+    else if (opts.sparse)
+        weight_words = w_dense * weight_density + w_dense * (1.0 / 32.0);
 
-double
-phaseDramWords(const LayerShape &layer, Phase phase, int64_t batch,
-               const CostOptions &opts, double weight_words,
-               double iact_density)
-{
     const double x_dense = static_cast<double>(
         operandVolume(layer, Operand::Iacts, batch));
     const double y_dense = static_cast<double>(
         operandVolume(layer, Operand::Oacts, batch));
     const double mask_over = opts.ideal ? 0.0 : 1.0 / 32.0;
-    const double x_comp = x_dense * iact_density + x_dense * mask_over;
+    const double x_comp =
+        x_dense * traced.iacts.mean + x_dense * mask_over;
 
     switch (phase) {
       case Phase::Forward:
@@ -233,35 +258,10 @@ phaseDramWords(const LayerShape &layer, Phase phase, int64_t batch,
     PANIC("unknown phase");
 }
 
-double
-CostModel::dramWords(const LayerShape &layer, Phase phase,
-                     const Densities &d, int64_t batch,
-                     const MeasuredLayerStats &measured) const
-{
-    // The stored weight image: dense for the baseline, the bare values
-    // in the overhead-free ideal format (measured bytes include the
-    // overhead it assumes away), else compressed (CSB). A measured
-    // image — the byte count of the trainer's real encode — overrides
-    // the dense and compressed estimates (trace-driven mode).
-    const double w_dense = static_cast<double>(
-        operandVolume(layer, Operand::Weights, batch));
-    double w_stored = w_dense;
-    if (!opts_.sparse) {
-        if (measured.denseWeightBytes >= 0.0)
-            w_stored = measured.denseWeightBytes / 4.0;
-    } else if (opts_.ideal) {
-        w_stored = w_dense * d.weight;
-    } else {
-        w_stored = compressedWeightWords(w_dense, d.weight,
-                                         measured.csbWeightBytes);
-    }
-    return phaseDramWords(layer, phase, batch, opts_, w_stored, d.iact);
-}
-
 PhaseCost
 CostModel::evaluatePhase(const LayerTrace &traced, double weight_density,
-                         Phase phase, MappingKind mapping, int64_t batch,
-                         const MeasuredLayerStats &measured) const
+                         Phase phase, MappingKind mapping,
+                         int64_t batch) const
 {
     PROCRUSTES_ASSERT(batch > 0, "batch must be positive");
     const LayerShape &layer = traced.shape;
@@ -274,7 +274,14 @@ CostModel::evaluatePhase(const LayerTrace &traced, double weight_density,
     const double dense_macs =
         static_cast<double>(batch) *
         static_cast<double>(layer.macsPerSample());
-    cost.macs = measured.macs >= 0.0 ? measured.macs : dense_macs * density;
+    // Executed MACs stand in for the density estimate only where they
+    // describe what this machine would execute: a sparsity-exploiting
+    // accelerator on counts from the zero-skipping CSB executors. The
+    // dense baseline executes the full operation space, and a dense
+    // backend's counts are dense, so both keep the estimate.
+    cost.macs = opts_.sparse && traced.sparseExecuted
+                    ? measuredMacs(traced, phase)
+                    : dense_macs * density;
 
     if (opts_.ideal) {
         // Figure 1 idealization: every PE always busy, all sparsity
@@ -287,7 +294,8 @@ CostModel::evaluatePhase(const LayerTrace &traced, double weight_density,
              reduceWaves(layer, phase, mapping, batch, density, plan))
             cost.computeCycles += ws.maxWork;
     }
-    const double dwords = dramWords(layer, phase, d, batch, measured);
+    const double dwords =
+        phaseDramWords(traced, weight_density, phase, batch, opts_);
     cost.dramCycles = dwords / cfg_.dramWordsPerCycle();
     // DRAM->GLB refill at an explicit bandwidth, double-buffered
     // against compute so only the excess extends the phase.
@@ -300,11 +308,18 @@ CostModel::evaluatePhase(const LayerTrace &traced, double weight_density,
     // overlapped with the weight-update compute window (the exchange
     // pipelines behind dW production); only the excess extends the
     // phase. Words are 32-bit, matching the DRAM interface accounting.
+    // The trace sums wire bytes over the epoch and the model prices
+    // one step: the mask-live packed image on a sparsity-exploiting
+    // machine, the dense twin on the baseline.
     if (phase == Phase::WeightUpdate &&
-        opts_.interconnectWordsPerCycle > 0.0 &&
-        measured.exchangeBytes >= 0.0) {
-        cost.interconnectCycles = (measured.exchangeBytes / 4.0) /
-                                  opts_.interconnectWordsPerCycle;
+        opts_.interconnectWordsPerCycle > 0.0 && traced.steps > 0) {
+        const int64_t epoch_bytes = opts_.sparse
+                                        ? traced.exchangeCompressedBytes
+                                        : traced.exchangeDenseBytes;
+        const double step_bytes = static_cast<double>(epoch_bytes) /
+                                  static_cast<double>(traced.steps);
+        cost.interconnectCycles =
+            (step_bytes / 4.0) / opts_.interconnectWordsPerCycle;
         cost.cycles = std::max(cost.cycles, cost.interconnectCycles);
     }
 
@@ -312,7 +327,7 @@ CostModel::evaluatePhase(const LayerTrace &traced, double weight_density,
     cost.rfEnergyJ =
         cost.macs * cfg_.rfAccessesPerMac * cfg_.rfAccessPj * 1e-12;
     cost.glbEnergyJ =
-        glbAccesses(layer, phase, mapping, d, batch, measured) *
+        glbAccesses(traced, phase, mapping, d, batch) *
         cfg_.glbAccessPj * 1e-12;
     cost.dramEnergyJ = dwords * cfg_.dramAccessPj * 1e-12;
     return cost;

@@ -31,12 +31,16 @@
  *  within a wave is counted once, which is exactly the spatial-reuse
  *  advantage the single-dimension flows preserve. Sparse weights add
  *  CSB overheads (1 mask bit per dense element plus a pointer per
- *  block); the ideal mode of Figure 1 drops them. For a recorded run
- *  the density-derived CSB estimate is bypassed entirely: the
- *  workload-trace pipeline supplies the byte count of the weight
- *  image the trainer actually encoded (CsbTensor::totalBytes) and the
- *  GLB/DRAM weight-traffic terms consume it verbatim
- *  (MeasuredLayerStats below).
+ *  block); the ideal mode of Figure 1 drops them.
+ *
+ *  Measurement.  What the trace measured replaces the estimate it
+ *  stands for, read straight from the LayerTrace: the executors'
+ *  executed MACs (sparse machines, LayerTrace::sparseExecuted), the
+ *  byte count of the weight image the trainer actually encoded
+ *  (LayerTrace::csbWeightBytes, CsbTensor::totalBytes; the dense
+ *  baseline reads denseWeightBytes), and the gradient-exchange wire
+ *  bytes of a scale-out run. phaseDramWords below is the one DRAM
+ *  traffic rule; the cycle-level simulator's refill reads it too.
  */
 
 #ifndef PROCRUSTES_ARCH_COST_MODEL_H_
@@ -93,58 +97,16 @@ struct CostOptions
 
     /**
      * Shard-interconnect bandwidth in 32-bit words per cycle: when
-     * positive and the trace supplies measured gradient-exchange bytes
-     * (MeasuredLayerStats::exchangeBytes, from the scale-out shard
-     * engine), the weight-update phase is additionally bounded below
-     * by streaming those bytes at this rate — the allreduce is
+     * positive and the trace measured gradient-exchange bytes
+     * (LayerTrace::exchangeCompressedBytes / exchangeDenseBytes, from
+     * the scale-out shard engine), the weight-update phase is
+     * additionally bounded below by streaming one step's bytes at this
+     * rate — the allreduce is
      * overlapped with weight-update compute and only the excess
      * extends the phase, like the DRAM-refill bound above.
      * Non-positive (default) disables the term.
      */
     double interconnectWordsPerCycle = -1.0;
-};
-
-/**
- * Measured per-layer facts that replace modelled estimates — the seam
- * through which the workload-trace pipeline feeds the cost model. Any
- * field left negative keeps the corresponding modelled estimate, so a
- * default-constructed instance reproduces pure modelling.
- */
-struct MeasuredLayerStats
-{
-    /**
-     * Executed MACs of the phase as tallied by the zero-skipping CSB
-     * executors. Replaces the density-estimated MAC count in the MAC /
-     * register-file energy accounting and the reported `macs`;
-     * wave-level latency still comes from the wave plan.
-     */
-    double macs = -1.0;
-
-    /**
-     * Compressed weight footprint in bytes (CsbTensor::totalBytes:
-     * packed values + mask bits + block pointers) as measured from the
-     * trainer's real encode. On a sparsity-exploiting non-ideal
-     * configuration this replaces the density-derived CSB size in the
-     * GLB/DRAM weight-traffic terms. The ideal mode (Figure 1) keeps
-     * its zero-overhead estimate: measured bytes include the format
-     * overhead the idealization assumes away.
-     */
-    double csbWeightBytes = -1.0;
-
-    /**
-     * Dense weight footprint in bytes (4 per position) — the image the
-     * dense baseline streams; consumed by non-sparse configurations.
-     */
-    double denseWeightBytes = -1.0;
-
-    /**
-     * Measured cross-shard gradient-exchange wire bytes for this
-     * layer in one step (mask-live packed values under a sparse
-     * configuration, the dense twin for the dense baseline). Priced by
-     * CostOptions::interconnectWordsPerCycle in the weight-update
-     * phase; negative (default) means no exchange was measured.
-     */
-    double exchangeBytes = -1.0;
 };
 
 /** Latency and energy of one (layer, phase) evaluation. */
@@ -197,24 +159,21 @@ WaveStats reduceWave(const std::vector<TileHalves> &tiles,
                      BalanceMode balance, bool cheap_ok);
 
 /**
- * Words of the compressed weight image a sparsity-exploiting,
- * non-ideal machine stores in DRAM: the measured CSB image
- * (csb_bytes / 4) when one was measured (csb_bytes >= 0), else values
- * at `density` plus one mask bit per dense position.
+ * DRAM words one traced (layer, phase) moves on the machine `opts`
+ * describes — the one DRAM-traffic rule, shared by the cost model and
+ * the cycle-level simulator's refill. The stored weight image is the
+ * measured one when the trace has it (LayerTrace::csbWeightBytes on a
+ * sparsity-exploiting, non-ideal machine, denseWeightBytes on the
+ * dense baseline), else dense, the bare values at `weight_density`
+ * (ideal), or values plus one mask bit per dense position. A machine
+ * that exploits sparsity keeps a compressed copy of the inputs (one
+ * mask bit per dense element unless opts.ideal) at the mean input
+ * density for the weight update; everything else moves dense.
+ *
+ * @param weight_density layer.weightDensity(), which walks the mask.
  */
-double compressedWeightWords(double dense_words, double density,
-                             double csb_bytes);
-
-/**
- * DRAM words one (layer, phase) moves, given the stored weight image
- * in words and the density of the input activations. A machine that
- * exploits sparsity keeps a compressed copy of the inputs (one mask
- * bit per dense element unless opts.ideal) for the weight update;
- * everything else moves dense.
- */
-double phaseDramWords(const LayerShape &layer, Phase phase, int64_t batch,
-                      const CostOptions &opts, double weight_words,
-                      double iact_density);
+double phaseDramWords(const LayerTrace &layer, double weight_density,
+                      Phase phase, int64_t batch, const CostOptions &opts);
 
 /** Analytic per-phase cost model. */
 class CostModel
@@ -232,17 +191,20 @@ class CostModel
      * (layer.iacts.mean). Dense and ideal configurations load every
      * PE alike and plan nothing.
      *
+     * What the trace measured replaces its estimate: executed MACs
+     * (the *MacsPerStep of the phase) when this configuration exploits
+     * sparsity and the counts came from the zero-skipping executors
+     * (LayerTrace::sparseExecuted); the weight image's bytes where
+     * positive (phaseDramWords, storedWords); and, in the weight
+     * update, one step's gradient-exchange bytes when the trace
+     * aggregated any steps.
+     *
      * @param weight_density layer.weightDensity(). It walks the whole
      *        mask, so the caller computes it once for all phases.
-     * @param measured measured quantities from the workload-trace
-     *        pipeline (executed MACs, compressed/dense weight bytes).
-     *        Each non-negative field replaces its modelled estimate;
-     *        the default instance keeps pure modelling.
      */
     PhaseCost evaluatePhase(const LayerTrace &layer, double weight_density,
                             Phase phase, MappingKind mapping,
-                            int64_t batch,
-                            const MeasuredLayerStats &measured = {}) const;
+                            int64_t batch) const;
 
     const ArrayConfig &config() const { return cfg_; }
     const CostOptions &options() const { return opts_; }
@@ -270,29 +232,13 @@ class CostModel
                                        const WavePlan &plan) const;
 
     /** GLB access count for the whole phase. */
-    double glbAccesses(const LayerShape &layer, Phase phase,
+    double glbAccesses(const LayerTrace &traced, Phase phase,
                        MappingKind mapping, const Densities &d,
-                       int64_t batch,
-                       const MeasuredLayerStats &measured) const;
+                       int64_t batch) const;
 
-    /** DRAM words moved for the whole phase. */
-    double dramWords(const LayerShape &layer, Phase phase,
-                     const Densities &d, int64_t batch,
-                     const MeasuredLayerStats &measured) const;
-
-    /** Stored (GLB/DRAM) word count of an operand in this phase. */
-    double storedWords(const LayerShape &layer, Phase phase, Operand op,
-                       const Densities &d, int64_t batch,
-                       const MeasuredLayerStats &measured) const;
-
-    /**
-     * Word count of the weight image this configuration streams:
-     * measured bytes when the trace supplies them (compressed for
-     * sparse non-ideal configurations, dense for the baseline),
-     * negative when no measurement applies and the modelled estimate
-     * must stand.
-     */
-    double measuredWeightWords(const MeasuredLayerStats &measured) const;
+    /** Stored (GLB) word count of an operand in this phase. */
+    double storedWords(const LayerTrace &traced, Phase phase, Operand op,
+                       const Densities &d, int64_t batch) const;
 
     ArrayConfig cfg_;
     CostOptions opts_;

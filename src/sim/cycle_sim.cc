@@ -613,27 +613,13 @@ buildWaves(const arch::WavePlan &plan, const LayerShape &layer,
     return waves;
 }
 
-/**
- * DRAM->GLB refill demand of one traced (layer, phase) in 32-bit
- * words: the measured compressed weight image
- * (LayerTrace::csbWeightBytes — the mask-density estimate when a trace
- * predates byte telemetry) and the activation volumes at the measured
- * input density, summed per phase by arch::phaseDramWords for the
- * sparse machine.
- */
+/** DRAM->GLB refill demand of one traced (layer, phase) in 32-bit
+    words: the model's DRAM traffic on the sparse machine. */
 double
 traceRefillWords(const LayerTrace &layer, Phase phase, int64_t batch)
 {
-    const double w_dense = static_cast<double>(
-        arch::operandVolume(layer.shape, Operand::Weights, batch));
-    const double w_stored = arch::compressedWeightWords(
-        w_dense, layer.weightDensity(),
-        layer.csbWeightBytes > 0
-            ? static_cast<double>(layer.csbWeightBytes)
-            : -1.0);
-    return arch::phaseDramWords(layer.shape, phase, batch,
-                                arch::CostOptions{}, w_stored,
-                                layer.iacts.mean);
+    return arch::phaseDramWords(layer, layer.weightDensity(), phase, batch,
+                                arch::CostOptions{});
 }
 
 /** The WaveSpecs of one traced (layer, phase). */

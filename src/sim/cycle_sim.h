@@ -60,11 +60,12 @@
  *  `LayerTrace::csbWeightBytes`, activation volumes scaled by the
  *  measured densities), so TraceSimResult prices end-to-end traffic,
  *  not just bank contention. A synthetic layer has no measured image
- *  and is charged the density-derived CSB estimate
- *  (arch::compressedWeightWords). Refill is double-buffered against
- *  compute: only the demand exceeding the phase's array-busy window is
- *  exposed (`dramStallCycles`); the full demand is reported in
- *  `dramRefillCycles`. The explicit-wave entry points (simulateWave,
+ *  and is charged the density-derived CSB estimate. The demand is the
+ *  analytic model's own DRAM traffic on the sparse machine
+ *  (arch::phaseDramWords with CostOptions{}). Refill is
+ *  double-buffered against compute: only the demand exceeding the
+ *  phase's array-busy window is exposed (`dramStallCycles`); the full
+ *  demand is reported in `dramRefillCycles`. The explicit-wave entry points (simulateWave,
  *  simulateWaveSequence) model no refill.
  *
  * How a wave is clocked. The cost of a cycle grows with the PEs that
@@ -325,8 +326,8 @@ SimResult simulateWaveSequence(const std::vector<WaveSpec> &waves,
  * and HalfTile have a cycle-level counterpart. When
  * cfg.dramWordsPerCycle > 0 the phase is also charged its DRAM->GLB
  * refill from the layer's bytes (compressed weight image plus
- * activation volumes at the mean input density, summed by
- * arch::phaseDramWords).
+ * activation volumes at the mean input density), the words
+ * arch::phaseDramWords gives the sparse machine.
  */
 SimResult simulateTraceLayerPhase(const arch::LayerTrace &layer,
                                   arch::Phase phase,

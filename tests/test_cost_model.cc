@@ -3,6 +3,8 @@
  * Tests for the analytic cost model (latency, utilization, energy).
  */
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "arch/cost_model.h"
@@ -55,11 +57,9 @@ denseLayer(const LayerShape &l, double iact)
 /** CostModel::evaluatePhase of a traced layer at its own density. */
 PhaseCost
 evaluate(const CostModel &m, const LayerTrace &t, Phase phase,
-         MappingKind mapping, int64_t batch,
-         const MeasuredLayerStats &measured = {})
+         MappingKind mapping, int64_t batch)
 {
-    return m.evaluatePhase(t, t.weightDensity(), phase, mapping, batch,
-                           measured);
+    return m.evaluatePhase(t, t.weightDensity(), phase, mapping, batch);
 }
 
 TEST(CostModel, DenseLatencyMatchesIdealWhenDivisible)
@@ -362,20 +362,20 @@ TEST(CostModel, MeasuredCsbBytesDriveSparseTrafficEnergy)
         vol * traced.weightDensity() + vol / 32.0 +
         static_cast<double>(l.K * l.effectiveC());
 
-    MeasuredLayerStats heavier;
-    heavier.csbWeightBytes = modelled_words * 4.0 * 1.5;
+    LayerTrace heavier = traced;
+    heavier.csbWeightBytes = std::llround(modelled_words * 4.0 * 1.5);
     const PhaseCost grew =
-        evaluate(m, traced, Phase::Forward, MappingKind::KN, 16, heavier);
+        evaluate(m, heavier, Phase::Forward, MappingKind::KN, 16);
     EXPECT_GT(grew.glbEnergyJ, modelled.glbEnergyJ);
     EXPECT_GT(grew.dramEnergyJ, modelled.dramEnergyJ);
     EXPECT_DOUBLE_EQ(grew.macEnergyJ, modelled.macEnergyJ);
     EXPECT_DOUBLE_EQ(grew.rfEnergyJ, modelled.rfEnergyJ);
     EXPECT_DOUBLE_EQ(grew.computeCycles, modelled.computeCycles);
 
-    MeasuredLayerStats lighter;
-    lighter.csbWeightBytes = modelled_words * 4.0 * 0.5;
+    LayerTrace lighter = traced;
+    lighter.csbWeightBytes = std::llround(modelled_words * 4.0 * 0.5);
     const PhaseCost shrank =
-        evaluate(m, traced, Phase::Forward, MappingKind::KN, 16, lighter);
+        evaluate(m, lighter, Phase::Forward, MappingKind::KN, 16);
     EXPECT_LT(shrank.glbEnergyJ, modelled.glbEnergyJ);
     EXPECT_LT(shrank.dramEnergyJ, modelled.dramEnergyJ);
 
@@ -383,10 +383,10 @@ TEST(CostModel, MeasuredCsbBytesDriveSparseTrafficEnergy)
     // GLB energy exactly; the DRAM side grows by exactly the pointer
     // words the bandwidth estimate used to neglect (vol*density +
     // mask bits only) — measurement closes that approximation.
-    MeasuredLayerStats same;
-    same.csbWeightBytes = modelled_words * 4.0;
+    LayerTrace same = traced;
+    same.csbWeightBytes = std::llround(modelled_words * 4.0);
     const PhaseCost match =
-        evaluate(m, traced, Phase::Forward, MappingKind::KN, 16, same);
+        evaluate(m, same, Phase::Forward, MappingKind::KN, 16);
     EXPECT_NEAR(match.glbEnergyJ, modelled.glbEnergyJ,
                 1e-12 * modelled.glbEnergyJ);
     const double pointer_words =
@@ -409,18 +409,17 @@ TEST(CostModel, MeasuredDenseBytesFeedTheDenseBaseline)
     const PhaseCost modelled =
         evaluate(m, traced, Phase::Forward, MappingKind::KN, 16);
 
-    MeasuredLayerStats csb_only;
-    csb_only.csbWeightBytes = 1.0;   // absurdly small; must not apply
+    LayerTrace csb_only = traced;
+    csb_only.csbWeightBytes = 1;   // absurdly small; must not apply
     const PhaseCost ignored =
-        evaluate(m, traced, Phase::Forward, MappingKind::KN, 16, csb_only);
+        evaluate(m, csb_only, Phase::Forward, MappingKind::KN, 16);
     EXPECT_DOUBLE_EQ(ignored.glbEnergyJ, modelled.glbEnergyJ);
     EXPECT_DOUBLE_EQ(ignored.dramEnergyJ, modelled.dramEnergyJ);
 
-    MeasuredLayerStats dense_grew;
-    dense_grew.denseWeightBytes =
-        static_cast<double>(l.weightCount()) * 4.0 * 2.0;
+    LayerTrace dense_grew = traced;
+    dense_grew.denseWeightBytes = l.weightCount() * 4 * 2;
     const PhaseCost grew =
-        evaluate(m, traced, Phase::Forward, MappingKind::KN, 16, dense_grew);
+        evaluate(m, dense_grew, Phase::Forward, MappingKind::KN, 16);
     EXPECT_GT(grew.glbEnergyJ, modelled.glbEnergyJ);
     EXPECT_GT(grew.dramEnergyJ, modelled.dramEnergyJ);
 }
@@ -440,11 +439,11 @@ TEST(CostModel, IdealModeKeepsOverheadFreeEstimateDespiteMeasurement)
 
     const PhaseCost modelled =
         evaluate(m, traced, Phase::Forward, MappingKind::KN, 16);
-    MeasuredLayerStats measured;
-    measured.csbWeightBytes = 1e9;
-    measured.denseWeightBytes = 1e9;
+    LayerTrace measured = traced;
+    measured.csbWeightBytes = 1000000000;
+    measured.denseWeightBytes = 1000000000;
     const PhaseCost got =
-        evaluate(m, traced, Phase::Forward, MappingKind::KN, 16, measured);
+        evaluate(m, measured, Phase::Forward, MappingKind::KN, 16);
     EXPECT_DOUBLE_EQ(got.glbEnergyJ, modelled.glbEnergyJ);
     EXPECT_DOUBLE_EQ(got.dramEnergyJ, modelled.dramEnergyJ);
 }

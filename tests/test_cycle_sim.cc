@@ -987,6 +987,48 @@ TEST(TraceSim, DoubleBufferAndRefillEpochInvariants)
     }
 }
 
+TEST(TraceSim, RefillStreamsTheModelsDramWords)
+{
+    // The simulator's DRAM->GLB refill is the analytic model's DRAM
+    // traffic on the sparse machine, rounded up to whole cycles at the
+    // refill rate — on a recorded layer, which carries its measured
+    // CSB image, and on a synthetic one, which is charged the
+    // density-derived estimate.
+    const arch::EpochTrace &et = sharedPipeline().trace.epoch(0);
+    const LayerTrace &recorded = et.layers.front();
+    ASSERT_GT(recorded.csbWeightBytes, 0);
+    const LayerShape shape = arch::convLayer("c", 32, 32, 3, 8);
+    sparse::SyntheticMaskConfig mc;
+    mc.targetDensity = 0.25;
+    mc.seed = 5;
+    const LayerTrace synthetic = arch::syntheticLayer(
+        shape,
+        sparse::makeSyntheticMask(shape.K, shape.effectiveC(), shape.R,
+                                  shape.S, mc),
+        0.5, 16);
+    ASSERT_EQ(synthetic.csbWeightBytes, 0);
+
+    const ArrayConfig acfg = ArrayConfig::baseline16();
+    const SimConfig scfg = dbRefillConfig();
+    const std::pair<const LayerTrace *, int64_t> layers[] = {
+        {&recorded, et.batchSize}, {&synthetic, 16}};
+    for (const auto &[l, batch] : layers) {
+        for (Phase phase : {Phase::Forward, Phase::Backward,
+                            Phase::WeightUpdate}) {
+            const double words =
+                arch::phaseDramWords(*l, l->weightDensity(), phase, batch,
+                                     arch::CostOptions{});
+            const SimResult sim = simulateTraceLayerPhase(
+                *l, phase, MappingKind::KN, batch, acfg, scfg);
+            EXPECT_GT(sim.dramRefillCycles, 0);
+            EXPECT_EQ(sim.dramRefillCycles,
+                      static_cast<int64_t>(
+                          std::ceil(words / scfg.dramWordsPerCycle)))
+                << l->name << " phase " << static_cast<int>(phase);
+        }
+    }
+}
+
 TEST(TraceSim, PrebuiltPlanMatchesDirectEpochSimulation)
 {
     // buildEpochWavePlan + simulateEpochPlan is the sweep-facing split
