@@ -166,10 +166,9 @@ TEST(Accelerator, PqScalesWorseThanKn)
  * evaluates the same epoch as the sparse machines and reads no
  * density from it.
  *
- * The cost model's a*b + c sums contract into FMAs where the build
- * targets FMA (GCC contracts by default in C++), so a build without
- * FMA rounds a few of them twice: kUnfusedCosts lists the fields that
- * move there, and each digest has an unfused twin.
+ * The model is built with -ffp-contract=off, so every build rounds
+ * each product and each sum on its own and one value per field holds
+ * with and without FMA.
  */
 /**@{*/
 
@@ -218,7 +217,7 @@ const NetworkGolden kNetworkGolden[] = {
       {0x1.808bc4p+23, 0x1.808bc4p+23, 0x1.a724cd8p+28,
        0x0p+0, 0x1.2b4c92p+31, 0x1.598977e80f2c5p-5,
        0x1.abcec537b1431p-6, 0x1.ad58323d7ab23p-6, 0x1.22c83cd44b8e1p-3},
-      {0x1.4017fc48d795ap+25, 0x1.4017fc48d795ap+25, 0x1.428437ed93667p+28,
+      {0x1.4017fc48d795cp+25, 0x1.4017fc48d795cp+25, 0x1.428437ed93667p+28,
        0x0p+0, 0x1.2ad8748fc874dp+33, 0x1.59036a44a3acdp-3,
        0x1.ab28ccb68180bp-4, 0x1.466edee26493fp-5, 0x1.bb4365d69c54ep-4}}}},
     {"MobileNetV2", "denseBaseline",
@@ -273,83 +272,60 @@ const NetworkGolden kNetworkGolden[] = {
        0x1.b31aecc6ce1abp-4, 0x1.90f6ec2238f8fp-9, 0x1.39c7656dc281p-8}}}},
 };
 
-/** A field that differs in a build without FMA. */
-struct UnfusedCost
-{
-    const char *model;
-    const char *machine;
-    size_t phase;   //!< 0 fw, 1 bw, 2 wu
-    size_t field;   //!< index into costFields
-    double value;
-};
-
-const UnfusedCost kUnfusedCosts[] = {
-    {"MobileNetV2", "procrustes", 2, 0, 0x1.4017fc48d795cp+25},
-    {"MobileNetV2", "procrustes", 2, 1, 0x1.4017fc48d795cp+25},
-};
-
 struct LayerDigestGolden
 {
     const char *model;
     MappingKind mapping;
     Phase phase;
-    uint64_t fused;
-    uint64_t unfused;
+    uint64_t digest;
 };
 
 const LayerDigestGolden kLayerDigestGolden[] = {
     {"ResNet18", MappingKind::CN, Phase::Forward,
-     0x3a6e41a5bdd96e2aull, 0xc562985f95c45c2cull},
+     0xc562985f95c45c2cull},
     {"ResNet18", MappingKind::CN, Phase::Backward,
-     0x5776d81daefffddaull, 0x5776d81daefffddaull},
+     0x5776d81daefffddaull},
     {"ResNet18", MappingKind::CN, Phase::WeightUpdate,
-     0x95f59997c2b7f638ull, 0x89da0dbf2ec7c6beull},
+     0x89da0dbf2ec7c6beull},
     {"ResNet18", MappingKind::CK, Phase::Forward,
-     0xf9d15b0d3f200ab4ull, 0x950e7f66551b870aull},
+     0x950e7f66551b870aull},
     {"ResNet18", MappingKind::CK, Phase::Backward,
-     0xd7cdd553f7161f62ull, 0xd7cdd553f7161f62ull},
+     0xd7cdd553f7161f62ull},
     {"ResNet18", MappingKind::PQ, Phase::Forward,
-     0x38b53b78e684176cull, 0x872f8c4d8653112eull},
+     0x872f8c4d8653112eull},
     {"ResNet18", MappingKind::PQ, Phase::Backward,
-     0x9208f3eb441247f1ull, 0x9208f3eb441247f1ull},
+     0x9208f3eb441247f1ull},
     {"MobileNetV2", MappingKind::CN, Phase::Forward,
-     0xf657dcb3dbef4b9bull, 0x74d4dc755cdc7f1eull},
+     0x74d4dc755cdc7f1eull},
     {"MobileNetV2", MappingKind::CN, Phase::Backward,
-     0xf903376f732e3462ull, 0xf903376f732e3462ull},
+     0xf903376f732e3462ull},
     {"MobileNetV2", MappingKind::CN, Phase::WeightUpdate,
-     0xf4166a2e8183e075ull, 0xfabcd88f41026f10ull},
+     0xfabcd88f41026f10ull},
     {"MobileNetV2", MappingKind::CK, Phase::Forward,
-     0xb92e1fc6f3a5ba8aull, 0x4f18cd6203f86ecbull},
+     0x4f18cd6203f86ecbull},
     {"MobileNetV2", MappingKind::CK, Phase::Backward,
-     0xc1a0256f0e6f9c2aull, 0xc1a0256f0e6f9c2aull},
+     0xc1a0256f0e6f9c2aull},
     {"MobileNetV2", MappingKind::PQ, Phase::Forward,
-     0xda8d9b38783096ecull, 0xce6ad3668738f695ull},
+     0xce6ad3668738f695ull},
     {"MobileNetV2", MappingKind::PQ, Phase::Backward,
-     0x68bebc7ef274b090ull, 0x68bebc7ef274b090ull},
+     0x68bebc7ef274b090ull},
     {"VGG-S", MappingKind::CN, Phase::Forward,
-     0x2f5c249c4de22f00ull, 0x2f5c249c4de22f00ull},
+     0x2f5c249c4de22f00ull},
     {"VGG-S", MappingKind::CN, Phase::Backward,
-     0xb229573acbd6cdf7ull, 0xb229573acbd6cdf7ull},
+     0xb229573acbd6cdf7ull},
     {"VGG-S", MappingKind::CN, Phase::WeightUpdate,
-     0xb776781daddb795aull, 0xc21151da24eb9e7cull},
+     0xc21151da24eb9e7cull},
     {"VGG-S", MappingKind::CK, Phase::Forward,
-     0xc6bc74d005f3820aull, 0xc6bc74d005f3820aull},
+     0xc6bc74d005f3820aull},
     {"VGG-S", MappingKind::CK, Phase::Backward,
-     0x6431bfebb3a39bceull, 0x6431bfebb3a39bceull},
+     0x6431bfebb3a39bceull},
     {"VGG-S", MappingKind::PQ, Phase::Forward,
-     0x1199bf7f6ed0a9b8ull, 0x1199bf7f6ed0a9b8ull},
+     0x1199bf7f6ed0a9b8ull},
     {"VGG-S", MappingKind::PQ, Phase::Backward,
-     0x9d02f1cf3f1c125dull, 0x9d02f1cf3f1c125dull},
+     0x9d02f1cf3f1c125dull},
 };
 
 /**@}*/
-
-constexpr bool kFusedBuild =
-#ifdef __FMA__
-    true;
-#else
-    false;
-#endif
 
 const char *const kCostFieldNames[9] = {
     "cycles",    "computeCycles", "dramCycles",
@@ -412,13 +388,8 @@ TEST(AcceleratorGolden, ZooNetworkCostsAreBitwiseStable)
                 for (size_t p = 0; p < 3; ++p) {
                     const std::array<double, 9> f = costFields(*got[p]);
                     for (size_t i = 0; i < 9; ++i) {
-                        double want = g.phases[p][i];
-                        for (const UnfusedCost &u : kUnfusedCosts)
-                            if (!kFusedBuild && m.name == u.model &&
-                                std::string(machines[a]) == u.machine &&
-                                u.phase == p && u.field == i)
-                                want = u.value;
-                        EXPECT_EQ(hexDouble(f[i]), hexDouble(want))
+                        EXPECT_EQ(hexDouble(f[i]),
+                                  hexDouble(g.phases[p][i]))
                             << m.name << " " << machines[a] << " phase "
                             << p << " " << kCostFieldNames[i];
                     }
@@ -433,7 +404,7 @@ TEST(AcceleratorGolden, ZooNetworkCostsAreBitwiseStable)
             for (const LayerTrace &l : epoch.layers)
                 h = digestCost(h, cm.evaluatePhase(l, l.weightDensity(),
                                                    g.phase, g.mapping, 64));
-            EXPECT_EQ(h, kFusedBuild ? g.fused : g.unfused)
+            EXPECT_EQ(h, g.digest)
                 << m.name << " " << mappingName(g.mapping) << " "
                 << phaseName(g.phase);
         }
