@@ -101,9 +101,9 @@ struct CostOptions
      * (LayerTrace::exchangeCompressedBytes / exchangeDenseBytes, from
      * the scale-out shard engine), the weight-update phase is
      * additionally bounded below by streaming one step's bytes at this
-     * rate — the allreduce is
-     * overlapped with weight-update compute and only the excess
-     * extends the phase, like the DRAM-refill bound above.
+     * rate — the allreduce is overlapped with weight-update compute
+     * and only the excess extends the phase, like the DRAM-refill
+     * bound above.
      * Non-positive (default) disables the term.
      */
     double interconnectWordsPerCycle = -1.0;

@@ -65,8 +65,8 @@
  *  (arch::phaseDramWords with CostOptions{}). Refill is
  *  double-buffered against compute: only the demand exceeding the
  *  phase's array-busy window is exposed (`dramStallCycles`); the full
- *  demand is reported in `dramRefillCycles`. The explicit-wave entry points (simulateWave,
- *  simulateWaveSequence) model no refill.
+ *  demand is reported in `dramRefillCycles`. The explicit-wave entry
+ *  points (simulateWave, simulateWaveSequence) model no refill.
  *
  * How a wave is clocked. The cost of a cycle grows with the PEs that
  * still have work, not with the array: the loop keeps a live list, in
